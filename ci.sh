@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full workspace tests, clippy clean.
-# With --quick, additionally runs the perf-harness smoke: a small
+# Tier-1 gate: release build, full workspace tests, clippy clean, and a
+# build of the standalone `benchmark/` package (it names `Iguard`,
+# `ShardedIguard`, `ShardConfig::inline` and the service closure type, so
+# breaking that frozen surface fails here rather than in a benchmark run).
+# With --quick, additionally runs `benchmark/run.sh --smoke` (every
+# workload and arm once, verdicts checked against their references) and
+# the perf-harness smoke: a small
 # `perf --quick` sweep whose JSON is validated structurally — schema tag,
 # host blocks, overlap accounting, and the static_prune invariants
 # (prune rates in [0,1], safe+racy+unknown == mem points,
@@ -27,7 +32,7 @@
 # campaign; any unexplained divergence or replay drift fails the gate.
 # With --service, additionally runs the multi-tenant detector-service
 # soak: a >=1000-launch fleet (clean + chaos arms) whose per-tenant
-# verdicts must be byte-identical across stream/shard/threading reshapes
+# verdicts must be byte-identical across stream/shard reshapes
 # and a checkpoint restart, with the emitted bench-pr9-v1 JSON validated
 # structurally; then the *supervised* chaos soak (poison-job quarantine,
 # retry ladder, checkpoint-v2 store recovery, bench-pr10-v1 JSON) and a
@@ -64,7 +69,12 @@ cargo test -q --workspace --release
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark/ builds against the workspace crates =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 if [[ "$QUICK" -eq 1 ]]; then
+  echo "== benchmark smoke (--quick) =="
+  benchmark/run.sh --smoke
   echo "== perf smoke (--quick) =="
   cargo run --release -p bench --bin perf -- --quick --no-progress
   test -s target/BENCH_PR8.quick.json || { echo "perf smoke: missing/empty JSON" >&2; exit 1; }

@@ -4,8 +4,7 @@
 //! this one measures the reproduction itself: real wall-clock time per
 //! workload for the simulator→hook→detector pipeline, the detector's
 //! self-profiled phase breakdown (simulate / instrument / detect / UVM),
-//! a shard-count sweep of the threaded detector with per-pipe
-//! utilization, the copy/compute overlap model's simulated-latency
+//! the copy/compute overlap model's simulated-latency
 //! win, and the static-pruning comparison (full vs pruned detector, per
 //! workload). Results land in `BENCH_PR8.json` at the repo root, under
 //! either the `"baseline"` key (`--record-baseline`) or the `"current"`
@@ -34,7 +33,7 @@
 //!      [driver flags: --jobs N | --serial | --timeout-secs N | --no-progress]
 //! ```
 //!
-//! `--quick` runs a 5-workload subset (and a single-point shard sweep)
+//! `--quick` runs a 5-workload subset
 //! to a scratch file — a CI smoke that exercises the harness and
 //! validates the JSON without touching the recorded trajectory.
 //! `--validate PATH` parses an existing trajectory file, dispatches on
@@ -54,8 +53,7 @@ use bench::{available_jobs, run_jobs, DriverConfig, Job, Outcome, DEFAULT_SEED};
 use gpu_sim::machine::GpuConfig;
 use gpu_sim::overlap::{self, CopyModel, OverlapReport, Segment, ENGINE_NAMES};
 use gpu_sim::timing::PhaseTimes;
-use iguard::{IguardConfig, ShardConfig};
-use nvbit_sim::pipeline::PipeStats;
+use iguard::IguardConfig;
 use workloads::{Size, Workload};
 
 const DEFAULT_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
@@ -284,65 +282,6 @@ fn run_native_cycles(set: &[(Workload, bool)], cfg: &DriverConfig) -> Vec<f64> {
         .collect()
 }
 
-/// One shard-sweep point: the racey set under the threaded sharded
-/// detector, with pipe counters summed across shards and workloads.
-struct SweepPoint {
-    shards: usize,
-    wall: Duration,
-    pipe: PipeStats,
-}
-
-fn run_shard_sweep(
-    racey: &[(Workload, bool)],
-    cfg: &DriverConfig,
-    shard_counts: &[usize],
-) -> Vec<SweepPoint> {
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let jobs: Vec<Job<PipeStats>> = racey
-                .iter()
-                .map(|(w, _)| {
-                    let w = *w;
-                    let label = format!("{}/shards={shards}", w.name);
-                    Job::custom(label, move || {
-                        let r = bench::run_iguard_sharded_with(
-                            &w,
-                            Size::Test,
-                            perf_gpu_config(false),
-                            IguardConfig::default(),
-                            ShardConfig::threaded(shards),
-                        );
-                        let mut total = PipeStats::default();
-                        for p in &r.pipe {
-                            total.pushed += p.pushed;
-                            total.popped += p.popped;
-                            total.blocked_sends += p.blocked_sends;
-                            total.producer_wait_ns += p.producer_wait_ns;
-                            total.consumer_wait_ns += p.consumer_wait_ns;
-                            total.max_depth = total.max_depth.max(p.max_depth);
-                        }
-                        total
-                    })
-                })
-                .collect();
-            let mut wall = Duration::ZERO;
-            let mut pipe = PipeStats::default();
-            for (i, o) in run_jobs(jobs, cfg).into_iter().enumerate() {
-                let (elapsed, p) = expect_done(o, racey[i].0.name);
-                wall += elapsed;
-                pipe.pushed += p.pushed;
-                pipe.popped += p.popped;
-                pipe.blocked_sends += p.blocked_sends;
-                pipe.producer_wait_ns += p.producer_wait_ns;
-                pipe.consumer_wait_ns += p.consumer_wait_ns;
-                pipe.max_depth = pipe.max_depth.max(p.max_depth);
-            }
-            SweepPoint { shards, wall, pipe }
-        })
-        .collect()
-}
-
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -552,13 +491,6 @@ fn main() {
         })
         .collect();
 
-    // Shard sweep: the racey set under the threaded sharded detector.
-    let racey_set: Vec<(Workload, bool)> = set.iter().filter(|(_, r)| *r).cloned().collect();
-    let shard_counts: &[usize] = if args.quick { &[2] } else { &[1, 2, 4, 8] };
-    eprintln!("perf: shard sweep over {:?} (threaded, racey set)", shard_counts);
-    let sweep_points = run_shard_sweep(&racey_set, &driver_cfg, shard_counts);
-    let serial_racey_wall: Duration = results.iter().filter(|m| m.racey).map(|m| m.wall).sum();
-
     // Merge into the existing trajectory file (if any).
     let mut doc = std::fs::read_to_string(&out_path)
         .ok()
@@ -760,53 +692,6 @@ fn main() {
         doc.set("static_prune", sp);
     }
 
-    // Shard sweep section.
-    {
-        let mut sweep_v = Value::obj();
-        sweep_v.set("workload_set", Value::Str("racey".into()));
-        sweep_v.set("mode", Value::Str("threaded".into()));
-        sweep_v.set("host", perfjson::host_info(available_jobs(), driver_cfg.jobs));
-        sweep_v.set("serial_wall_ms", Value::Num(ms(serial_racey_wall)));
-        let entries = sweep_points
-            .iter()
-            .map(|p| {
-                let mut e = Value::obj();
-                e.set("shards", Value::Num(p.shards as f64));
-                e.set("wall_ms", Value::Num(ms(p.wall)));
-                e.set(
-                    "speedup_vs_serial",
-                    Value::Num(ms(serial_racey_wall) / ms(p.wall).max(1e-9)),
-                );
-                let wall_ns = p.wall.as_nanos() as f64;
-                let mut pipe = Value::obj();
-                pipe.set("pushed", Value::Num(p.pipe.pushed as f64));
-                pipe.set("popped", Value::Num(p.pipe.popped as f64));
-                pipe.set("blocked_sends", Value::Num(p.pipe.blocked_sends as f64));
-                pipe.set(
-                    "producer_wait_ms",
-                    Value::Num(ns_to_ms(p.pipe.producer_wait_ns)),
-                );
-                pipe.set(
-                    "consumer_wait_ms",
-                    Value::Num(ns_to_ms(p.pipe.consumer_wait_ns)),
-                );
-                pipe.set("max_depth", Value::Num(p.pipe.max_depth as f64));
-                // Producer utilization: share of the sweep wall the
-                // simulation thread was *not* blocked on full queues.
-                pipe.set(
-                    "producer_utilization_pct",
-                    Value::Num(
-                        100.0 * (1.0 - (p.pipe.producer_wait_ns as f64 / wall_ns).min(1.0)),
-                    ),
-                );
-                e.set("pipeline", pipe);
-                e
-            })
-            .collect();
-        sweep_v.set("entries", Value::Arr(entries));
-        doc.set("shard_sweep", sweep_v);
-    }
-
     // Overlap model section (per racey workload + aggregate).
     {
         let model = CopyModel::default();
@@ -910,18 +795,6 @@ fn main() {
         available_jobs(),
         driver_cfg.jobs
     );
-    for p in &sweep_points {
-        println!(
-            "shards={:<2} racey wall {:>9.2} ms  speedup {:>5.2}x  \
-             blocked_sends={} producer_wait {:.2} ms max_depth={}",
-            p.shards,
-            ms(p.wall),
-            ms(serial_racey_wall) / ms(p.wall).max(1e-9),
-            p.pipe.blocked_sends,
-            ns_to_ms(p.pipe.producer_wait_ns),
-            p.pipe.max_depth,
-        );
-    }
     if let Some(overlap) = doc.get("overlap").and_then(|o| o.get("totals")) {
         let get = |k: &str| overlap.get(k).and_then(Value::as_f64).unwrap_or(0.0);
         println!(

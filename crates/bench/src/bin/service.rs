@@ -6,7 +6,7 @@
 //! asserts the service's determinism contract in-process:
 //!
 //! 1. **Interleaving/shard invariance.** The same submission set run
-//!    under a different stream count, shard count, threading mode, and
+//!    under a different stream count, shard count, and
 //!    slice quantum yields byte-identical per-tenant verdict digests.
 //! 2. **Restart invariance.** A service interrupted at its half-way
 //!    checkpoint and resumed from the checkpoint text converges to the
@@ -463,8 +463,8 @@ fn main() {
     // Soak arms as parallel driver jobs (the PR 1 driver is the load
     // generator's harness). Unsupervised:
     //   reference — the configured fleet shape, inline shards;
-    //   reshaped  — different stream count, threaded shard pipeline,
-    //               different shard count and slice quantum;
+    //   reshaped  — different stream count, shard count and slice
+    //               quantum;
     //   restart   — reference shape, interrupted at the half-way
     //               checkpoint and resumed from its text.
     // Supervised swaps the restart arm for a checkpoint-store recovery
@@ -514,7 +514,7 @@ fn main() {
                 let cfg = service_config(
                     &args_c,
                     args_c.streams + 1,
-                    ShardConfig::threaded(args_c.shards * 2),
+                    ShardConfig::inline(args_c.shards * 2),
                     (args_c.slice / 2).max(1),
                 );
                 let mut svc = DetectorService::new(cfg);

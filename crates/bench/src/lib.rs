@@ -20,8 +20,7 @@ use gpu_sim::machine::{Gpu, GpuConfig, LaunchStats};
 use gpu_sim::overlap::{CopyModel, OverlapReport, Segment};
 use gpu_sim::timing::{CostCategory, COST_CATEGORIES};
 use iguard::service::{JobCtx, JobOutcome};
-use iguard::{Iguard, IguardConfig, RaceSite, ShardConfig, ShardedIguard};
-use nvbit_sim::pipeline::PipeStats;
+use iguard::{Iguard, IguardConfig, RaceSite, ShardedIguard};
 use nvbit_sim::Instrumented;
 use workloads::{Size, Workload};
 
@@ -132,9 +131,6 @@ pub struct IguardRun {
     /// them (`gpu_sim::overlap::schedule`) to model a *streamed* sweep
     /// where one workload's report drain overlaps the next's kernel.
     pub overlap_segments: Vec<Segment>,
-    /// Per-shard pipeline counters (empty for the serial detector and
-    /// for inline sharding — only threaded shard workers have queues).
-    pub pipe: Vec<PipeStats>,
     /// Static-pruning counters (all zero with pruning off, the default).
     pub prune: iguard::PruneStats,
     /// Races reported statically at launch time (empty with pruning off).
@@ -151,12 +147,30 @@ pub fn run_iguard(w: &Workload, size: Size, seed: u64, cfg: IguardConfig) -> Igu
     run_iguard_with(w, size, gpu_config(seed), cfg)
 }
 
-/// Runs `w` under iGUARD with an explicit GPU configuration.
+/// Runs `w` under iGUARD (one address shard) with an explicit GPU
+/// configuration.
 #[must_use]
 pub fn run_iguard_with(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardConfig) -> IguardRun {
+    run_iguard_sharded_with(w, size, gcfg, cfg, 1)
+}
+
+/// Runs `w` under iGUARD with `shards` address shards.
+///
+/// Race reports and verdict-relevant counters are byte-identical for any
+/// shard count; the metadata plane's cycle costs (UVM faults, setup)
+/// follow the per-shard regions, so `time`/`breakdown`/`uvm` are
+/// deterministic but differ between shard counts.
+#[must_use]
+pub fn run_iguard_sharded_with(
+    w: &Workload,
+    size: Size,
+    gcfg: GpuConfig,
+    cfg: IguardConfig,
+    shards: usize,
+) -> IguardRun {
     let mut gpu = Gpu::new(gcfg);
     let launches = w.build(&mut gpu, size);
-    let mut tool = Instrumented::new(Iguard::new(cfg));
+    let mut tool = Instrumented::new(Iguard::with_shards(cfg, shards));
     let mut timed_out = false;
     let mut aborted_launches = 0u64;
     let mut stats_exec = LaunchStats::default();
@@ -202,87 +216,6 @@ pub fn run_iguard_with(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardCon
         fault_stats,
         overlap,
         overlap_segments,
-        pipe: Vec::new(),
-        prune: det.prune_stats(),
-        static_races: det.static_reports().to_vec(),
-        instr,
-    }
-}
-
-/// Runs `w` under the sharded iGUARD with the evaluation GPU
-/// configuration for `seed`.
-#[must_use]
-pub fn run_iguard_sharded(
-    w: &Workload,
-    size: Size,
-    seed: u64,
-    cfg: IguardConfig,
-    scfg: ShardConfig,
-) -> IguardRun {
-    run_iguard_sharded_with(w, size, gpu_config(seed), cfg, scfg)
-}
-
-/// Runs `w` under [`ShardedIguard`] with an explicit GPU configuration.
-///
-/// Race reports and verdict-relevant counters are byte-identical to
-/// [`run_iguard_with`] for any [`ShardConfig`]; the metadata plane's
-/// cycle costs (UVM faults, setup) follow the per-shard regions instead,
-/// so `time`/`breakdown`/`uvm` are deterministic but not comparable to
-/// the serial run.
-#[must_use]
-pub fn run_iguard_sharded_with(
-    w: &Workload,
-    size: Size,
-    gcfg: GpuConfig,
-    cfg: IguardConfig,
-    scfg: ShardConfig,
-) -> IguardRun {
-    let mut gpu = Gpu::new(gcfg);
-    let launches = w.build(&mut gpu, size);
-    let mut tool = Instrumented::new(ShardedIguard::new(cfg, scfg));
-    let mut timed_out = false;
-    let mut aborted_launches = 0u64;
-    let mut stats_exec = LaunchStats::default();
-    let mut last_sent = 0u64;
-    for l in &launches {
-        match gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool) {
-            Ok(s) => accumulate(&mut stats_exec, &s),
-            Err(gpu_sim::error::SimError::Timeout { .. }) => timed_out = true,
-            Err(gpu_sim::error::SimError::InjectedFault { .. }) => aborted_launches += 1,
-            Err(e) => panic!("{} failed under sharded iGUARD: {e}", w.name),
-        }
-        let sent = tool.tool().channel_stats().sent;
-        gpu.overlap_timeline().record_d2h(sent - last_sent);
-        last_sent = sent;
-    }
-    let mut breakdown = [0.0; 6];
-    for (i, &c) in COST_CATEGORIES.iter().enumerate() {
-        breakdown[i] = gpu.clock().time(c);
-    }
-    let time = gpu.clock().total_time();
-    let overlap = gpu.overlap_report(&CopyModel::default());
-    let overlap_segments = gpu.overlap_timeline().segments();
-    let instr = tool.instr_stats();
-    let det = tool.tool_mut();
-    let sites = det.race_sites();
-    let degradation = det.degradation();
-    let mut fault_stats = det.fault_stats();
-    fault_stats.accumulate(&gpu.fault_stats());
-    let pipe = det.pipe_stats();
-    IguardRun {
-        time,
-        breakdown,
-        sites,
-        stats: det.stats(),
-        uvm: det.uvm_stats(),
-        stats_exec,
-        timed_out,
-        aborted_launches,
-        degradation,
-        fault_stats,
-        overlap,
-        overlap_segments,
-        pipe,
         prune: det.prune_stats(),
         static_races: det.static_reports().to_vec(),
         instr,

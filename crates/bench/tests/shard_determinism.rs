@@ -1,41 +1,43 @@
-//! Shard-parallel determinism: for *any* shard count, execution mode
-//! (inline or threaded), and batch size, the sharded detector's race
-//! reports and verdict-relevant counters are byte-identical to the
-//! serial detector — including under injected report-channel faults,
-//! where both must also stay `fully_accounted`.
+//! Address-shard determinism: every check runs in program order inside
+//! the instrumentation callback against one report channel, so for *any*
+//! shard count the detector's race reports and verdict-relevant counters
+//! are byte-identical to the 1-shard detector — including under injected
+//! report-channel faults, where both must also stay `fully_accounted`.
 //!
 //! The one accepted divergence is the metadata plane's *cycle* costs:
 //! each shard owns a private UVM region, so `uvm_cycles` (and the
 //! simulated times derived from it) follow a different — still
-//! deterministic — paging pattern. Everything the verdict depends on is
-//! compared field by field below.
+//! deterministic, and pinned below — paging pattern.
 
 use faults::{splitmix64, FaultConfig, FaultInjector, FaultSite, RATE_ONE};
+use gpu_sim::machine::Gpu;
+use gpu_sim::timing::COST_CATEGORIES;
 use iguard::service::job_seed;
 use iguard::{
-    CheckpointStore, DetectorService, IguardConfig, ServiceConfig, ShardConfig, SupervisorConfig,
+    CheckpointStore, DetectorService, Iguard, IguardConfig, ServiceConfig, ShardConfig,
+    ShardedIguard, SupervisorConfig,
 };
+use nvbit_sim::{Instrumented, Tool};
 use proptest::prelude::*;
 use workloads::Size;
 
 use bench::{
-    gpu_config, run_iguard_sharded_with, run_iguard_with, run_service_job, IguardRun, ServiceJob,
-    DEFAULT_SEED,
+    gpu_config, run_iguard_sharded_with, run_service_job, IguardRun, ServiceJob, DEFAULT_SEED,
 };
 
-/// Asserts everything verdict-relevant matches between a serial and a
-/// sharded run (excluding `uvm_cycles` / simulated time, see module
+/// Asserts everything verdict-relevant matches between a 1-shard and a
+/// multi-shard run (excluding `uvm_cycles` / simulated time, see module
 /// docs). Returns an error string on mismatch so proptest can shrink.
-fn assert_equivalent(serial: &IguardRun, sharded: &IguardRun) -> Result<(), String> {
+fn assert_equivalent(one: &IguardRun, sharded: &IguardRun) -> Result<(), String> {
     macro_rules! eq {
         ($field:expr, $a:expr, $b:expr) => {
             if $a != $b {
-                return Err(format!("{}: serial {:?} != sharded {:?}", $field, $a, $b));
+                return Err(format!("{}: 1 shard {:?} != sharded {:?}", $field, $a, $b));
             }
         };
     }
-    eq!("sites", &serial.sites, &sharded.sites);
-    let (a, b) = (&serial.stats, &sharded.stats);
+    eq!("sites", &one.sites, &sharded.sites);
+    let (a, b) = (&one.stats, &sharded.stats);
     eq!("accesses", a.accesses, b.accesses);
     eq!("coalesced_saved", a.coalesced_saved, b.coalesced_saved);
     eq!("safe_hits", a.safe_hits, b.safe_hits);
@@ -46,11 +48,12 @@ fn assert_equivalent(serial: &IguardRun, sharded: &IguardRun) -> Result<(), Stri
     eq!("missed_checks", a.missed_checks, b.missed_checks);
     eq!("orphan_events", a.orphan_events, b.orphan_events);
     eq!("table_init_failures", a.table_init_failures, b.table_init_failures);
-    // The central report channel sees the same record sequence, so its
+    // The one report channel sees the same record sequence, so its
     // accounting — including fault-plane drops — matches exactly.
-    eq!("channel", serial.degradation.channel, sharded.degradation.channel);
-    eq!("timed_out", serial.timed_out, sharded.timed_out);
-    eq!("exec steps", serial.stats_exec.steps, sharded.stats_exec.steps);
+    eq!("channel", one.degradation.channel, sharded.degradation.channel);
+    eq!("fault_stats", one.fault_stats, sharded.fault_stats);
+    eq!("timed_out", one.timed_out, sharded.timed_out);
+    eq!("exec steps", one.stats_exec.steps, sharded.stats_exec.steps);
     Ok(())
 }
 
@@ -58,71 +61,107 @@ fn assert_equivalent(serial: &IguardRun, sharded: &IguardRun) -> Result<(), Stri
 /// kernels/launches between them).
 const WORKLOADS: [&str; 3] = ["reduction", "graph-color", "interac"];
 
+/// Shard counts the suite sweeps against the 1-shard reference.
+const SHARDS: [usize; 5] = [1, 2, 4, 8, 16];
+
+fn run_default(name: &str, shards: usize) -> IguardRun {
+    let w = workloads::by_name(name).expect("workload exists");
+    run_iguard_sharded_with(
+        &w,
+        Size::Test,
+        gpu_config(DEFAULT_SEED),
+        IguardConfig::default(),
+        shards,
+    )
+}
+
 #[test]
-fn inline_sharding_matches_serial_for_every_shard_count() {
+fn every_shard_count_matches_one_shard() {
     for name in WORKLOADS {
-        let w = workloads::by_name(name).expect("workload exists");
-        let serial = run_iguard_with(
-            &w,
-            Size::Test,
-            gpu_config(DEFAULT_SEED),
-            IguardConfig::default(),
-        );
-        assert!(!serial.sites.is_empty(), "{name} should race");
-        for shards in [1usize, 2, 4, 8] {
-            let sharded = run_iguard_sharded_with(
-                &w,
-                Size::Test,
-                gpu_config(DEFAULT_SEED),
-                IguardConfig::default(),
-                ShardConfig::inline(shards),
-            );
-            if let Err(e) = assert_equivalent(&serial, &sharded) {
-                panic!("{name} with {shards} inline shards diverged: {e}");
+        let one = run_default(name, 1);
+        assert!(!one.sites.is_empty(), "{name} should race");
+        for shards in SHARDS {
+            if let Err(e) = assert_equivalent(&one, &run_default(name, shards)) {
+                panic!("{name} with {shards} shards diverged: {e}");
             }
         }
     }
 }
 
 #[test]
-fn threaded_sharding_matches_serial_and_reports_pipe_stats() {
-    let w = workloads::by_name("reduction").expect("workload exists");
-    let serial = run_iguard_with(
-        &w,
-        Size::Test,
-        gpu_config(DEFAULT_SEED),
-        IguardConfig::default(),
-    );
-    let sharded = run_iguard_sharded_with(
-        &w,
-        Size::Test,
-        gpu_config(DEFAULT_SEED),
-        IguardConfig::default(),
-        ShardConfig::threaded(4),
-    );
-    if let Err(e) = assert_equivalent(&serial, &sharded) {
-        panic!("threaded(4) diverged: {e}");
+fn clean_workload_stays_clean_under_sharding() {
+    let run = run_default("b_reduce", 8);
+    assert!(run.sites.is_empty(), "got {:?}", run.sites);
+}
+
+/// Runs `name` under `tool` and returns the launch clock's raw
+/// `(parallel, serial)` cycles per cost category, plus the mounted tool.
+fn run_tool<T: Tool>(name: &str, tool: T) -> (Vec<(u64, u64)>, Instrumented<T>) {
+    let w = workloads::by_name(name).expect("workload exists");
+    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
+    let launches = w.build(&mut gpu, Size::Test);
+    let mut tool = Instrumented::new(tool);
+    for l in &launches {
+        gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool)
+            .expect("launch completes");
     }
-    assert_eq!(sharded.pipe.len(), 4, "one pipe per shard worker");
-    let routed: u64 = sharded.pipe.iter().map(|p| p.pushed).sum();
-    assert!(routed > 0, "workers must have received batches");
-    for p in &sharded.pipe {
-        assert_eq!(p.pushed, p.popped, "every batch consumed");
+    let raw = COST_CATEGORIES.iter().map(|&c| gpu.clock().raw(c)).collect();
+    (raw, tool)
+}
+
+/// Everything a detector exposes after a run, rendered for comparison.
+fn observe(det: &mut Iguard) -> String {
+    let races = det.races();
+    format!(
+        "{races:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+        det.stats(),
+        det.uvm_stats(),
+        det.degradation(),
+        det.fault_stats(),
+        det.prune_stats(),
+    )
+}
+
+/// `ShardedIguard` with one shard *is* `Iguard`: same reports, counters,
+/// UVM statistics, and raw clock charges in every cost category.
+#[test]
+fn one_shard_sharded_iguard_is_iguard() {
+    for w in workloads::racey() {
+        let (plain_raw, mut plain) = run_tool(w.name, Iguard::new(IguardConfig::default()));
+        let (one_raw, mut one) = run_tool(
+            w.name,
+            ShardedIguard::new(IguardConfig::default(), ShardConfig::inline(1)),
+        );
+        assert_eq!(plain_raw, one_raw, "{}: clock charges", w.name);
+        assert_eq!(plain.instr_stats(), one.instr_stats(), "{}", w.name);
+        assert_eq!(
+            observe(plain.tool_mut()),
+            observe(one.tool_mut()),
+            "{}: detector state",
+            w.name
+        );
     }
 }
 
+/// Per-shard table sizing (words, virtual size, prefault budget) decides
+/// the 4-shard cycle totals the service goldens and the benchmark's
+/// `sim_makespan_cycles_per_job` rest on. Pinned at the values the
+/// pre-fold `ShardedIguard` produced, so the formulas cannot drift.
 #[test]
-fn clean_workload_stays_clean_under_sharding() {
-    let w = workloads::by_name("b_reduce").expect("workload exists");
-    for scfg in [ShardConfig::inline(8), ShardConfig::threaded(2)] {
-        let run = run_iguard_sharded_with(
-            &w,
-            Size::Test,
-            gpu_config(DEFAULT_SEED),
-            IguardConfig::default(),
-            scfg,
+fn four_shard_cycle_totals_are_pinned() {
+    for (name, parallel, serial) in [
+        ("reduction", 10_590u64, 679u64),
+        ("graph-color", 3_666, 712),
+        ("interac", 10_730_867, 874_809),
+    ] {
+        let (raw, _) = run_tool(
+            name,
+            ShardedIguard::new(IguardConfig::default(), ShardConfig::inline(4)),
         );
-        assert!(run.sites.is_empty(), "got {:?}", run.sites);
+        let total = raw
+            .iter()
+            .fold((0, 0), |(p, s), &(dp, ds)| (p + dp, s + ds));
+        assert_eq!(total, (parallel, serial), "{name}: (parallel, serial) cycles");
     }
 }
 
@@ -247,7 +286,7 @@ fn supervised_soak(
         }
     };
     let exec = |ctx: &iguard::JobCtx<'_, ServiceJob>,
-                tool: &mut nvbit_sim::Instrumented<iguard::ShardedIguard>| {
+                tool: &mut Instrumented<ShardedIguard>| {
         if is_poison(seed, poison_denom, ctx.tenant, ctx.job_index) {
             panic!("poison job: {}#{}", ctx.tenant, ctx.job_index);
         }
@@ -303,23 +342,20 @@ fn supervised_soak(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any shard count × any drain interleaving (threaded workers with
-    /// arbitrary batch sizes) × report-channel fault schedules: reports
-    /// stay byte-identical to serial and degradation stays fully
-    /// accounted on both sides.
+    /// Any shard count × report-channel fault schedules: reports stay
+    /// byte-identical to one shard and degradation stays fully accounted
+    /// on both sides.
     #[test]
-    fn sharded_reports_match_serial_under_channel_faults(
+    fn sharded_reports_match_one_shard_under_channel_faults(
         seed in 0u64..1 << 32,
-        shards_pow in 0u32..4,
-        threaded in any::<bool>(),
-        batch in prop_oneof![Just(1usize), Just(7), Just(256)],
+        shards_pow in 0u32..5, // 1, 2, 4, 8, 16 shards
         drop_rate in 0u32..=RATE_ONE / 4,
         overflow_rate in 0u32..=RATE_ONE / 8,
         small_capacity in any::<bool>(),
         wl in 0usize..WORKLOADS.len(),
     ) {
-        // Only report-channel sites: the channel is central and shared,
-        // so its fault draws must replay identically. (Metadata-plane
+        // Only report-channel sites: the channel is shared by every
+        // shard, so its fault draws must replay identically. (Metadata-plane
         // sites act on per-shard tables whose draw sequences are a
         // different — deterministic — schedule by design.)
         let faults = FaultConfig::disabled()
@@ -331,20 +367,15 @@ proptest! {
             report_capacity: if small_capacity { 4 } else { 16 * 1024 },
             ..IguardConfig::default()
         };
-        let scfg = ShardConfig {
-            shards: 1 << shards_pow,
-            threaded,
-            batch_events: batch,
-            ..ShardConfig::default()
-        };
         let w = workloads::by_name(WORKLOADS[wl]).expect("workload exists");
-        let serial = run_iguard_with(&w, Size::Test, gpu_config(seed), icfg.clone());
-        let sharded = run_iguard_sharded_with(&w, Size::Test, gpu_config(seed), icfg, scfg);
+        let shards = 1usize << shards_pow;
+        let one = run_iguard_sharded_with(&w, Size::Test, gpu_config(seed), icfg.clone(), 1);
+        let sharded = run_iguard_sharded_with(&w, Size::Test, gpu_config(seed), icfg, shards);
 
-        if let Err(e) = assert_equivalent(&serial, &sharded) {
-            panic!("sharded run diverged from serial: {e}");
+        if let Err(e) = assert_equivalent(&one, &sharded) {
+            panic!("{shards}-shard run diverged from one shard: {e}");
         }
-        prop_assert!(serial.degradation.fully_accounted());
+        prop_assert!(one.degradation.fully_accounted());
         prop_assert!(
             sharded.degradation.fully_accounted(),
             "sharded degradation must stay accounted: {:?}",
@@ -354,7 +385,7 @@ proptest! {
 
     /// The detector service's determinism contract: for any tenant
     /// fleet, per-tenant verdicts are byte-identical across stream
-    /// counts, shard counts, threading modes, slice quanta,
+    /// counts, shard counts, slice quanta,
     /// report-channel fault schedules (reseeded per job from the job's
     /// identity), and a mid-soak checkpoint/restart — and every tenant's
     /// degradation stays fully accounted throughout.
@@ -366,7 +397,6 @@ proptest! {
         streams_b in 1usize..=3,
         shards_pow_a in 0u32..3,
         shards_pow_b in 0u32..3,
-        threaded_b in any::<bool>(),
         slice_b in prop_oneof![Just(1_000u64), Just(25_000), Just(200_000)],
         drop_rate in 0u32..=RATE_ONE / 4,
         overflow_rate in 0u32..=RATE_ONE / 8,
@@ -395,11 +425,7 @@ proptest! {
         let cfg_b = ServiceConfig {
             seed,
             base,
-            shard: ShardConfig {
-                shards: 1 << shards_pow_b,
-                threaded: threaded_b,
-                ..ShardConfig::default()
-            },
+            shard: ShardConfig::inline(1 << shards_pow_b),
             streams_per_tenant: streams_b,
             slice_cycles: slice_b,
         };

@@ -13,11 +13,21 @@
 //!    writes back the metadata (§6.2, §6.4);
 //! 6. reports races to the host buffer without stopping execution (§5).
 //!
-//! The table-keyed back half of the pipeline (steps 3–5) lives in
-//! [`crate::engine::Engine`], shared verbatim with the sharded detector
-//! ([`crate::shard::ShardedIguard`]); this type drives it with an inline
-//! sink that charges the clock and ships reports immediately.
+//! The table-keyed back half (steps 3–5) lives in
+//! [`crate::engine::Engine`]. The detector owns `S` of them, one per
+//! hashed-address shard (`S` a power of two, 1 by default): word `w`
+//! routes to engine `w & (S-1)` and is checked there at sub-word
+//! `w >> log2(S)` — an injective per-engine mapping, so engines never
+//! share table state. Everything else — the live synchronization
+//! metadata, lock state, counters, the report channel — exists once, and
+//! every check runs in program order inside the callback, so race
+//! reports and every verdict-relevant counter are the same for any `S`.
+//! What differs with `S` is the metadata plane's simulated cost: each
+//! engine pages its own `1/S` slice of the managed region (DESIGN.md §12).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use faults::FaultStats;
@@ -27,10 +37,9 @@ use gpu_sim::timing::{Clock, CostCategory, Phase};
 use nvbit_sim::channel::ChannelStats;
 use nvbit_sim::Tool;
 
-use crate::bitfield::AccessorInfo;
-use crate::checks::{AccessType, CurrAccess, RaceKind};
+use crate::checks::AccessType;
 use crate::config::IguardConfig;
-use crate::engine::{race_index, AccessCtx, Engine, EngineParams, Sink};
+use crate::engine::{AccessCtx, Engine, EngineParams, Sink};
 use crate::error::IguardError;
 use crate::locks::WarpLockState;
 use crate::metadata::{MetaStats, MetadataTable, TableConfig, ENTRY_BYTES};
@@ -144,9 +153,13 @@ impl Degradation {
 #[derive(Debug)]
 pub struct Iguard {
     cfg: IguardConfig,
+    /// Number of address shards (a power of two).
+    shards: usize,
     sync: Option<SyncMetadata>,
     locks: Vec<WarpLockState>,
-    engine: Engine,
+    /// One engine per address shard; empty until a launch allocates the
+    /// metadata tables (and again empty if that allocation failed).
+    engines: Vec<Engine>,
     reporter: RaceReporter,
     stats: IguardStats,
     /// Reusable scratch for the uncoalesced same-entry dedup check, so the
@@ -165,101 +178,49 @@ impl Default for Iguard {
     }
 }
 
-/// The serial detector's [`Sink`]: every engine observation becomes an
-/// immediate counter increment, clock charge, or reporter send — in
-/// exactly the order the pre-refactor monolithic path produced them.
-struct SerialSink<'a, 'b> {
-    stats: &'a mut IguardStats,
-    reporter: &'a mut RaceReporter,
-    clock: &'a mut Clock,
-    access: &'a MemAccess<'b>,
-    lane_access: &'a LaneAccess,
-    /// Verify-mode pruning: present iff this access would have been pruned
-    /// in `On` mode; a race report then charges the violation counter
-    /// before the record enters the channel (so the count is immune to
-    /// channel faults).
-    verify: Option<&'a mut u64>,
-}
-
-impl Sink for SerialSink<'_, '_> {
-    fn profiling(&self) -> bool {
-        self.clock.profiling()
-    }
-
-    fn uvm_ns(&mut self, ns: u64) {
-        self.clock.add_phase_ns(Phase::Uvm, ns);
-    }
-
-    fn uvm_cycles(&mut self, cycles: u64) {
-        self.stats.uvm_cycles += cycles;
-        self.clock.charge_serial(CostCategory::Detection, cycles);
-    }
-
-    fn missed_check(&mut self) {
-        self.stats.missed_checks += 1;
-    }
-
-    fn contended(&mut self, cycles: u64) {
-        self.stats.contended_accesses += 1;
-        self.stats.contention_cycles += cycles;
-        self.clock.charge_serial(CostCategory::Detection, cycles);
-    }
-
-    fn safe_hit(&mut self, idx: usize) {
-        self.stats.safe_hits[idx] += 1;
-    }
-
-    fn race(&mut self, kind: RaceKind, curr: &CurrAccess, md_info: AccessorInfo) {
-        if let Some(v) = self.verify.as_deref_mut() {
-            // The detector fired on a provably-safe access: the static
-            // analysis is unsound. Count it loudly; the report still ships.
-            *v += 1;
-        }
-        self.stats.race_hits[race_index(kind)] += 1;
-        let record = RaceRecord {
-            kernel: self.access.kernel.name.clone(),
-            pc: self.access.pc,
-            line: self.access.kernel.line(self.access.pc).map(str::to_owned),
-            addr: self.lane_access.addr,
-            kind,
-            access: curr.kind,
-            warp: curr.warp_id,
-            lane: curr.lane,
-            block: curr.block_id,
-            prev_warp: md_info.warp_id,
-            prev_lane: md_info.lane,
-        };
-        self.reporter.report(record, self.clock);
-    }
-}
-
 impl Iguard {
-    /// Creates a detector with the given configuration.
+    /// Creates a detector with the given configuration and one address
+    /// shard.
     ///
     /// Infallible for ergonomics: a zero report capacity is clamped to 1.
-    /// Use [`Iguard::try_new`] to surface configuration errors instead.
+    /// Use [`Iguard::try_with_shards`] to surface configuration errors
+    /// instead.
     #[must_use]
-    pub fn new(mut cfg: IguardConfig) -> Self {
-        cfg.report_capacity = cfg.report_capacity.max(1);
-        Iguard::try_new(cfg).expect("report capacity clamped to >= 1")
+    pub fn new(cfg: IguardConfig) -> Self {
+        Iguard::with_shards(cfg, 1)
     }
 
-    /// Creates a detector, returning a typed error on an unusable
-    /// configuration (e.g. a zero-capacity report buffer).
-    pub fn try_new(cfg: IguardConfig) -> Result<Self, IguardError> {
+    /// Like [`Iguard::new`], with the per-word tables split into `shards`
+    /// hashed-address shards (rounded up to a power of two, clamped to
+    /// `1..=65536`).
+    #[must_use]
+    pub fn with_shards(cfg: IguardConfig, shards: usize) -> Self {
+        let capacity = NonZeroUsize::new(cfg.report_capacity).unwrap_or(NonZeroUsize::MIN);
+        let reporter = RaceReporter::with_capacity(capacity, &cfg.faults);
+        Iguard::build(cfg, shards, reporter)
+    }
+
+    /// Fallible [`Iguard::with_shards`]: returns a typed error on an
+    /// unusable configuration (e.g. a zero-capacity report buffer).
+    pub fn try_with_shards(cfg: IguardConfig, shards: usize) -> Result<Self, IguardError> {
         let reporter = RaceReporter::with_faults(cfg.report_capacity, &cfg.faults)?;
+        Ok(Iguard::build(cfg, shards, reporter))
+    }
+
+    fn build(cfg: IguardConfig, shards: usize, reporter: RaceReporter) -> Self {
         let pruner = (cfg.prune != PruneMode::Off).then(|| Pruner::new(cfg.prune));
-        Ok(Iguard {
+        Iguard {
             cfg,
+            shards: shards.clamp(1, 1 << 16).next_power_of_two(),
             sync: None,
             locks: Vec::new(),
-            engine: Engine::default(),
+            engines: Vec::new(),
             reporter,
             stats: IguardStats::default(),
             scratch_words: Vec::with_capacity(32),
             scratch_pairs: Vec::with_capacity(32),
             pruner,
-        })
+        }
     }
 
     /// Detector counters.
@@ -285,12 +246,10 @@ impl Iguard {
     /// Everything the detector degraded on, with per-cause accounting.
     #[must_use]
     pub fn degradation(&self) -> Degradation {
-        let meta = self
-            .engine
-            .table
-            .as_ref()
-            .map(MetadataTable::meta_stats)
-            .unwrap_or_default();
+        let mut meta = MetaStats::default();
+        for e in &self.engines {
+            meta.accumulate(&e.table.meta_stats());
+        }
         let uvm = self.uvm_stats();
         Degradation {
             missed_checks: self.stats.missed_checks,
@@ -304,12 +263,12 @@ impl Iguard {
     }
 
     /// Aggregated injected-fault counters across the detector's
-    /// components (metadata table, its UVM region, report channel).
+    /// components (metadata tables, their UVM regions, report channel).
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
         let mut total = self.reporter.fault_stats();
-        if let Some(t) = &self.engine.table {
-            total.accumulate(&t.fault_stats());
+        for e in &self.engines {
+            total.accumulate(&e.table.fault_stats());
         }
         total
     }
@@ -320,14 +279,15 @@ impl Iguard {
         self.reporter.channel_stats()
     }
 
-    /// UVM statistics of the metadata region (empty before first launch).
+    /// UVM statistics of the metadata regions, summed over the shards
+    /// (empty before first launch).
     #[must_use]
     pub fn uvm_stats(&self) -> uvm_sim::UvmStats {
-        self.engine
-            .table
-            .as_ref()
-            .map(MetadataTable::uvm_stats)
-            .unwrap_or_default()
+        let mut total = uvm_sim::UvmStats::default();
+        for e in &self.engines {
+            total.accumulate(&e.table.uvm_stats());
+        }
+        total
     }
 
     /// Number of unique races detected so far.
@@ -353,13 +313,9 @@ impl Iguard {
         crate::report::group_sites(&records)
     }
 
-    /// The per-access detection pipeline (§6.2, §6.4).
-    ///
-    /// Cycle charges for the data-parallel part of the check happen once
-    /// per warp split in [`Tool::on_mem`] (the injected device function
-    /// runs on the SIMD unit, all lanes in parallel); the engine-driven
-    /// part charges only the *serializing* components — UVM faults and
-    /// metadata-lock contention.
+    /// The front half of one lane access: orphan accounting, live-state
+    /// capture (synchronization snapshot, lock summary), and routing to
+    /// the word's engine, which runs the check and reports immediately.
     fn process_access(
         &mut self,
         lane_access: &LaneAccess,
@@ -368,16 +324,23 @@ impl Iguard {
         clock: &mut Clock,
         verify_safe: bool,
     ) {
+        let word = lane_access.addr / 4;
+        let warp = access.global_warp;
+        let lane = lane_access.lane;
         // Graceful degradation: an access with no live launch state
         // (table allocation failed, or the event arrived before any
         // launch) is dropped and counted instead of panicking.
-        if self.engine.table.is_none() || self.sync.is_none() || self.locks.is_empty() {
+        let (Some(sync), Some(locks), Some(engine)) = (
+            self.sync.as_ref(),
+            self.locks.get(warp as usize),
+            self.engines.get_mut(word as usize & (self.shards - 1)),
+        ) else {
             self.stats.orphan_events += 1;
             return;
-        }
+        };
         self.stats.accesses += 1;
-        // Verify-mode pruning: tag the access and hand the sink a handle
-        // on the violation counter, charged if the engine reports a race.
+        // Verify-mode pruning: tag the access and hand the engine a handle
+        // on the violation counter, charged if it reports a race.
         let verify = verify_safe
             .then(|| {
                 self.pruner.as_mut().map(|p| {
@@ -387,30 +350,57 @@ impl Iguard {
             })
             .flatten();
 
-        let warp = access.global_warp;
-        let lane = lane_access.lane;
-        let sync = self.sync.as_ref().expect("guarded above");
         let ctx = AccessCtx {
-            word: lane_access.addr / 4,
-            warp,
+            access,
+            word: word >> self.shards.trailing_zeros(),
+            addr: lane_access.addr,
             lane,
-            block: access.block_id,
-            wpb: access.warps_per_block,
-            step: access.step,
-            active_mask: access.active_mask,
             kind,
             snap: sync.snapshot(warp, lane),
-            lock_summary: self.locks[warp as usize].summary(lane),
+            lock_summary: locks.summary(lane),
         };
-        let mut sink = SerialSink {
+        let mut sink = Sink {
             stats: &mut self.stats,
             reporter: &mut self.reporter,
             clock,
-            access,
-            lane_access,
             verify,
         };
-        self.engine.process(&ctx, sync, &mut sink);
+        engine.process(&ctx, sync, &mut sink);
+    }
+
+    /// First-launch allocation of the managed metadata region (~4× device
+    /// capacity, §6.1), one `1/shards` slice per engine, prefaulting what
+    /// fits. On failure the detector keeps running blind: every access
+    /// becomes an orphan event, and the next launch tries again.
+    fn allocate_engines(&mut self, info: &LaunchInfo, words: usize, clock: &mut Clock) {
+        let shards = self.shards as u64;
+        let table_cfg = TableConfig {
+            words,
+            uvm: self.cfg.uvm.clone(),
+            virtual_bytes: 4 * info.device_capacity_bytes / shards,
+            device_budget_bytes: info.free_device_bytes / shards,
+            addr_scale: self.cfg.addr_scale,
+            capacity_words: self.cfg.table_capacity_words.map(|c| c / self.shards),
+            faults: self.cfg.faults.clone(),
+        };
+        let tables: Result<Vec<MetadataTable>, IguardError> = (0..self.shards)
+            .map(|_| MetadataTable::new(table_cfg.clone()))
+            .collect();
+        let Ok(tables) = tables else {
+            self.stats.table_init_failures += 1;
+            return;
+        };
+        let mut setup = self.cfg.setup_fixed_cost;
+        for mut table in tables {
+            if self.cfg.prefault {
+                // Metadata is 4x the data it shadows (Sec 6.1); prefault as
+                // much of it as free device memory allows.
+                let needed = info.app_footprint_bytes.saturating_mul(4) / shards;
+                setup += table.prefault(needed.max(ENTRY_BYTES));
+            }
+            self.engines.push(Engine::new(table));
+        }
+        clock.charge_serial(CostCategory::Setup, setup);
     }
 }
 
@@ -449,52 +439,24 @@ impl Tool for Iguard {
         };
         self.sync = Some(SyncMetadata::new(info.grid_dim, info.warps_per_block));
         self.locks = vec![WarpLockState::default(); info.total_warps as usize];
-        self.engine.begin_launch(
-            info.backing_words,
-            info.total_warps,
-            window,
-            EngineParams {
-                backoff: self.cfg.backoff,
-                contention_base: self.cfg.contention_base,
-                its_support: self.cfg.its_support,
-                history_depth: self.cfg.history_depth,
-            },
-        );
 
-        match &mut self.engine.table {
-            Some(table) => table.begin_epoch(),
-            None => {
-                // First launch: allocate the managed metadata region sized
-                // at ~4× device capacity (§6.1) and prefault what fits.
-                let virtual_bytes = 4 * info.device_capacity_bytes;
-                match MetadataTable::new(TableConfig {
-                    words: info.backing_words,
-                    uvm: self.cfg.uvm.clone(),
-                    virtual_bytes,
-                    device_budget_bytes: info.free_device_bytes,
-                    addr_scale: self.cfg.addr_scale,
-                    capacity_words: self.cfg.table_capacity_words,
-                    faults: self.cfg.faults.clone(),
-                }) {
-                    Ok(mut table) => {
-                        let mut setup = self.cfg.setup_fixed_cost;
-                        if self.cfg.prefault {
-                            // Metadata is 4x the data it shadows (Sec 6.1);
-                            // prefault as much of it as free device memory
-                            // allows.
-                            let needed = info.app_footprint_bytes.saturating_mul(4);
-                            setup += table.prefault(needed.max(ENTRY_BYTES));
-                        }
-                        clock.charge_serial(CostCategory::Setup, setup);
-                        self.engine.table = Some(table);
-                    }
-                    Err(_) => {
-                        // Degrade instead of crashing the launch: run blind
-                        // for this process and count every dropped event.
-                        self.stats.table_init_failures += 1;
-                    }
-                }
+        // Each engine's tables cover its shard's sub-words.
+        let words = info.backing_words.div_ceil(self.shards);
+        if self.engines.is_empty() {
+            self.allocate_engines(info, words, clock);
+        } else {
+            for e in &mut self.engines {
+                e.table.begin_epoch();
             }
+        }
+        let params = EngineParams {
+            backoff: self.cfg.backoff,
+            contention_base: self.cfg.contention_base,
+            its_support: self.cfg.its_support,
+            history_depth: self.cfg.history_depth,
+        };
+        for e in &mut self.engines {
+            e.begin_launch(words, info.total_warps, window, params);
         }
         clock.charge_serial(CostCategory::Misc, self.cfg.misc_cost_per_launch);
     }
@@ -568,17 +530,13 @@ impl Iguard {
             AccessKind::Store => AccessType::Store,
             AccessKind::Atomic { op, scope } => {
                 // Lock inference (§6.3) happens before race checking.
-                if matches!(op, AtomOp::Cas | AtomOp::Exch) {
-                    let wl = &mut self.locks[access.global_warp as usize];
-                    if let [l] = access.lanes {
+                if let (AtomOp::Cas | AtomOp::Exch, Some(wl)) =
+                    (op, self.locks.get_mut(access.global_warp as usize))
+                {
+                    let pairs: &[(u32, u32)] = if let [l] = access.lanes {
                         // 1-lane split (the common case for lock CASes
                         // under ITS): skip the scratch fill entirely.
-                        let pair = [(l.lane, l.addr)];
-                        match op {
-                            AtomOp::Cas => wl.on_cas(&pair, scope),
-                            AtomOp::Exch => wl.on_exch(&pair, scope),
-                            _ => unreachable!("matched above"),
-                        }
+                        &[(l.lane, l.addr)]
                     } else {
                         // `scratch_pairs` keeps its capacity across splits
                         // and launches; 32 lanes always fit, so this never
@@ -586,11 +544,12 @@ impl Iguard {
                         self.scratch_pairs.clear();
                         self.scratch_pairs
                             .extend(access.lanes.iter().map(|l| (l.lane, l.addr)));
-                        match op {
-                            AtomOp::Cas => wl.on_cas(&self.scratch_pairs, scope),
-                            AtomOp::Exch => wl.on_exch(&self.scratch_pairs, scope),
-                            _ => unreachable!("matched above"),
-                        }
+                        &self.scratch_pairs
+                    };
+                    if op == AtomOp::Cas {
+                        wl.on_cas(pairs, scope);
+                    } else {
+                        wl.on_exch(pairs, scope);
                     }
                 }
                 AccessType::Atomic {

@@ -1,25 +1,27 @@
-//! The shared per-word detection engine: the "back half" of the pipeline.
+//! The per-word detection engine: the "back half" of the pipeline.
 //!
 //! [`crate::detector::Iguard`] splits each instrumented access into a
-//! *front half* that must run inside the instrumentation callback (lock
-//! inference, coalescing, synchronization snapshots — everything that
-//! reads live launch state) and a *back half* that only needs the flat
-//! metadata/contention/history tables keyed by word index. This module is
-//! that back half, extracted so the serial detector and the sharded
-//! detector ([`crate::shard::ShardedIguard`]) execute the **identical**
-//! check pipeline: the serial path drives it with an inline [`Sink`] that
-//! charges the clock and reports races immediately, while shard workers
-//! drive it with a deferred sink that accumulates deltas and seq-tagged
-//! race candidates for a deterministic merge.
-//!
-//! Everything observable (counter increments, check outcomes, write-back
-//! contents, history pushes) is decided here, once, for both paths.
+//! *front half* (lock inference, coalescing, synchronization snapshots —
+//! everything that reads live launch state) and a *back half* that only
+//! needs the flat metadata/contention/history tables keyed by word index.
+//! This module is that back half. The detector owns one [`Engine`] per
+//! hashed-address shard; a word always routes to the same engine, so
+//! engines never share state. Both halves run inside the instrumentation
+//! callback, in program order: every observation (counter increment,
+//! clock charge, race report) lands immediately.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::time::Instant;
 
+use gpu_sim::hook::MemAccess;
+use gpu_sim::timing::{Clock, CostCategory, Phase};
+
 use crate::bitfield::{AccessorInfo, MetadataEntry};
 use crate::checks::{detailed, preliminary, AccessType, CurrAccess, MdView, RaceKind, Safe};
+use crate::detector::IguardStats;
 use crate::metadata::MetadataTable;
+use crate::report::{RaceRecord, RaceReporter};
 use crate::syncmeta::SyncMetadata;
 
 /// Capacity of the inline history ring; the §6.7 ablation tops out at
@@ -28,7 +30,7 @@ pub(crate) const HISTORY_RING: usize = 8;
 
 /// Maps a preliminary-check outcome to its `safe_hits` slot.
 #[must_use]
-pub(crate) fn safe_index(safe: Safe) -> usize {
+fn safe_index(safe: Safe) -> usize {
     match safe {
         Safe::FirstAccess => 0,
         Safe::NoWrite => 1,
@@ -41,7 +43,7 @@ pub(crate) fn safe_index(safe: Safe) -> usize {
 
 /// Maps a race kind to its `race_hits` slot.
 #[must_use]
-pub(crate) fn race_index(kind: RaceKind) -> usize {
+fn race_index(kind: RaceKind) -> usize {
     match kind {
         RaceKind::AtomicScope => 0,
         RaceKind::IntraWarp => 1,
@@ -262,61 +264,47 @@ pub(crate) struct EngineParams {
     pub history_depth: usize,
 }
 
-/// One routed access, fully resolved by the front half: everything the
+/// One lane access, fully resolved by the front half: everything the
 /// back half needs that depends on *live* launch state (synchronization
 /// snapshot, lock summary) is captured here at access time.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct AccessCtx {
-    /// Word index the engine's tables are keyed by. For shards this is
-    /// the *sub-word* (original word with the shard bits stripped).
+pub(crate) struct AccessCtx<'a, 'b> {
+    /// The warp split this lane belongs to (accessor identity, step,
+    /// active mask, and the kernel/pc a race report names).
+    pub access: &'a MemAccess<'b>,
+    /// Index into this engine's tables: the accessed word with the
+    /// shard-routing bits stripped.
     pub word: u32,
-    pub warp: u32,
+    /// Byte address of the accessed word (for reports).
+    pub addr: u32,
     pub lane: u32,
-    pub block: u32,
-    pub wpb: u32,
-    pub step: u64,
-    pub active_mask: u32,
     pub kind: AccessType,
-    /// Synchronization snapshot taken at access time (front half).
+    /// Synchronization snapshot taken at access time.
     pub snap: AccessorInfo,
     /// Lock Bloom summary of the accessing lane at access time.
     pub lock_summary: u16,
 }
 
-/// Where the engine's observations land. The serial detector implements
-/// this with immediate clock charges and reporter sends; shard workers
-/// accumulate deltas. Callback order within one access is fixed by
-/// [`Engine::process`] and identical for both.
-pub(crate) trait Sink {
-    /// Whether to wall-clock the metadata load (phase profiling).
-    fn profiling(&self) -> bool;
-    /// Wall nanoseconds spent in the metadata load (only if profiling).
-    fn uvm_ns(&mut self, ns: u64);
-    /// UVM fault cycles charged by the metadata load (> 0 only).
-    fn uvm_cycles(&mut self, cycles: u64);
-    /// The entry's previous accessor was lost before this check.
-    fn missed_check(&mut self);
-    /// The entry was found contended; `cycles` of serialization accrue.
-    fn contended(&mut self, cycles: u64);
-    /// A preliminary condition proved the access safe.
-    fn safe_hit(&mut self, idx: usize);
-    /// A race verdict. `curr` is the fully-built current access (after
-    /// the ScoRD mask twiddle), `md_info` the previous accessor raced
-    /// against.
-    fn race(&mut self, kind: RaceKind, curr: &CurrAccess, md_info: AccessorInfo);
+/// Where the engine's observations land: the detector's counters, the
+/// launch clock, and the one race-report channel.
+pub(crate) struct Sink<'a> {
+    pub stats: &'a mut IguardStats,
+    pub reporter: &'a mut RaceReporter,
+    pub clock: &'a mut Clock,
+    /// Verify-mode pruning: present iff this access would have been pruned
+    /// in `On` mode; a race report then charges the violation counter
+    /// before the record enters the channel (so the count is immune to
+    /// channel faults).
+    pub verify: Option<&'a mut u64>,
 }
 
-/// The flat per-word detection state: metadata + contention + history
-/// tables plus the check pipeline over them (§6.2, §6.4).
-///
-/// One engine serves the whole address space in the serial detector;
-/// [`crate::shard::ShardedIguard`] owns one per hashed-address shard.
-#[derive(Debug, Default)]
+/// The flat per-word detection state of one address shard: metadata +
+/// contention + history tables plus the check pipeline over them (§6.2,
+/// §6.4).
+#[derive(Debug)]
 pub(crate) struct Engine {
-    /// Packed 16-byte-entry metadata table; `None` until the owner
-    /// allocates it at first launch (allocation cost accounting differs
-    /// between serial and sharded, so it stays owner-side).
-    pub table: Option<MetadataTable>,
+    /// Packed 16-byte-entry metadata table over this shard's UVM region.
+    pub table: MetadataTable,
     contention: ContentionTable,
     history: HistoryTable,
     params: EngineParams,
@@ -325,8 +313,21 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
+    pub fn new(table: MetadataTable) -> Self {
+        Engine {
+            table,
+            contention: ContentionTable::default(),
+            history: HistoryTable::default(),
+            params: EngineParams::default(),
+            window: 0,
+            total_warps: 0,
+        }
+    }
+
     /// Per-launch reset: epoch-invalidates the contention and history
-    /// tables and freezes this launch's parameters.
+    /// tables and freezes this launch's parameters. (The metadata table's
+    /// own epoch is the owner's to advance: a table allocated by this
+    /// launch starts valid.)
     pub fn begin_launch(
         &mut self,
         words: usize,
@@ -345,27 +346,34 @@ impl Engine {
     /// (UVM + eviction accounting), contention streak, shared-flag
     /// update, two-tier P/R checks, history, metadata write-back.
     ///
-    /// The caller guarantees `self.table` is `Some` (orphan events are
-    /// counted front-side before routing).
-    pub fn process(&mut self, ctx: &AccessCtx, sync: &SyncMetadata, sink: &mut impl Sink) {
+    /// Only the *serializing* components charge cycles here — UVM faults
+    /// and metadata-lock contention; the data-parallel part of the check
+    /// is charged once per warp split by the front half.
+    pub fn process(&mut self, ctx: &AccessCtx<'_, '_>, sync: &SyncMetadata, out: &mut Sink<'_>) {
         let word = ctx.word;
+        let access = ctx.access;
+        let warp = access.global_warp;
+        let wpb = access.warps_per_block;
 
         // Metadata lookup: UVM touch + contention serialization.
-        let t0 = sink.profiling().then(Instant::now);
-        let loaded = self.table.as_mut().expect("caller guards table").load(word);
+        let t0 = out.clock.profiling().then(Instant::now);
+        let loaded = self.table.load(word);
         if let Some(t) = t0 {
-            sink.uvm_ns(t.elapsed().as_nanos() as u64);
+            out.clock
+                .add_phase_ns(Phase::Uvm, t.elapsed().as_nanos() as u64);
         }
         if loaded.uvm_cycles > 0 {
-            sink.uvm_cycles(loaded.uvm_cycles);
+            out.stats.uvm_cycles += loaded.uvm_cycles;
+            out.clock
+                .charge_serial(CostCategory::Detection, loaded.uvm_cycles);
         }
         if loaded.evicted {
             // The entry's previous accessor was forgotten (capacity
             // pressure or injected fault): the check below degenerates to
             // a first access, so a race could slip by — count it.
-            sink.missed_check();
+            out.stats.missed_checks += 1;
         }
-        let streak = self.contention.update(word, ctx.warp, ctx.step, self.window);
+        let streak = self.contention.update(word, warp, access.step, self.window);
         if streak > 1 {
             let cycles = if self.params.backoff {
                 // Dynamically-adjusted exponential backoff: contenders
@@ -378,7 +386,9 @@ impl Engine {
                 // grows with the number of concurrent contenders.
                 2 * u64::from(streak.min(96))
             };
-            sink.contended(cycles);
+            out.stats.contended_accesses += 1;
+            out.stats.contention_cycles += cycles;
+            out.clock.charge_serial(CostCategory::Detection, cycles);
         }
 
         let mut entry = loaded.entry;
@@ -387,7 +397,7 @@ impl Engine {
 
         if !entry.flags.valid {
             // P1: first access.
-            sink.safe_hit(0);
+            out.stats.safe_hits[0] += 1;
             entry.flags.valid = true;
             entry.accessor = snap;
             if ctx.kind.is_write() {
@@ -400,18 +410,15 @@ impl Engine {
                 }
             }
             self.push_history(word, snap, lock_summary);
-            self.table
-                .as_mut()
-                .expect("caller guards table")
-                .store(word, entry);
+            self.table.store(word, entry);
             return;
         }
 
         // Shared-flag update precedes the checks (§6.2).
-        let last_block = entry.accessor.block_id(ctx.wpb);
-        if last_block != ctx.block {
+        let last_block = entry.accessor.block_id(wpb);
+        if last_block != access.block_id {
             entry.flags.dev_shared = true;
-        } else if entry.accessor.warp_id != ctx.warp {
+        } else if entry.accessor.warp_id != warp {
             entry.flags.blk_shared = true;
         }
 
@@ -423,31 +430,31 @@ impl Engine {
         let md = self.md_view(md_info, sync);
         let mut curr = CurrAccess {
             kind: ctx.kind,
-            warp_id: ctx.warp,
+            warp_id: warp,
             lane: ctx.lane,
-            block_id: ctx.block,
-            active_mask: ctx.active_mask,
+            block_id: access.block_id,
+            active_mask: access.active_mask,
             snap,
             locks: lock_summary,
         };
-        if !self.params.its_support && md_info.warp_id == ctx.warp {
+        if !self.params.its_support && md_info.warp_id == warp {
             // ScoRD mode: the detector predates ITS and assumes lockstep
             // warps -- same-warp accesses are always treated as converged,
             // which is exactly why ScoRD misses ITS races (Sec 4).
             curr.active_mask |= 1 << md_info.lane;
         }
 
-        match preliminary(&entry, &md, &curr, ctx.wpb) {
-            Some(safe) => sink.safe_hit(safe_index(safe)),
+        match preliminary(&entry, &md, &curr, wpb) {
+            Some(safe) => out.stats.safe_hits[safe_index(safe)] += 1,
             None => {
-                let mut verdict = detailed(&entry, &md, &curr, ctx.wpb);
+                let mut verdict = detailed(&entry, &md, &curr, wpb);
                 // §6.7 ablation: with deeper history, also check against
                 // older accessors that the 16-byte entry has forgotten.
                 if verdict.is_none() && self.params.history_depth > 1 {
-                    verdict = self.check_history(word, &entry, &curr, ctx.wpb, sync);
+                    verdict = self.check_history(word, &entry, &curr, wpb, sync);
                 }
-                if let Some(kind_found) = verdict {
-                    sink.race(kind_found, &curr, md_info);
+                if let Some(kind) = verdict {
+                    report_race(kind, ctx, &curr, md_info, out);
                 }
             }
         }
@@ -471,18 +478,14 @@ impl Engine {
             }
         }
         self.push_history(word, snap, lock_summary);
-        self.table
-            .as_mut()
-            .expect("caller guards table")
-            .store(word, entry);
+        self.table.store(word, entry);
     }
 
     /// Resolves a stored accessor into a check view: fence counters are
     /// read *live* from the synchronization metadata when the identity is
     /// within the current grid, otherwise from the stored snapshot. (This
     /// is the only live-sync read on the check path — barrier counters
-    /// are only consumed via access-time snapshots — which is what makes
-    /// fence-broadcast shard replicas sufficient for determinism.)
+    /// are only consumed via access-time snapshots.)
     fn md_view(&self, info: AccessorInfo, sync: &SyncMetadata) -> MdView {
         // Identity is only meaningful within the current launch epoch; a
         // wrapped WarpID outside the grid falls back to stored counters.
@@ -528,4 +531,37 @@ impl Engine {
         }
         None
     }
+}
+
+/// Counts and ships one race verdict — the only place a [`RaceRecord`]
+/// is built. `curr` is the current access after the ScoRD mask twiddle,
+/// `prev` the stored accessor it raced against.
+fn report_race(
+    kind: RaceKind,
+    ctx: &AccessCtx<'_, '_>,
+    curr: &CurrAccess,
+    prev: AccessorInfo,
+    out: &mut Sink<'_>,
+) {
+    if let Some(v) = out.verify.as_deref_mut() {
+        // The detector fired on a provably-safe access: the static
+        // analysis is unsound. Count it loudly; the report still ships.
+        *v += 1;
+    }
+    out.stats.race_hits[race_index(kind)] += 1;
+    let access = ctx.access;
+    let record = RaceRecord {
+        kernel: access.kernel.name.clone(),
+        pc: access.pc,
+        line: access.kernel.line(access.pc).map(str::to_owned),
+        addr: ctx.addr,
+        kind,
+        access: curr.kind,
+        warp: curr.warp_id,
+        lane: curr.lane,
+        block: curr.block_id,
+        prev_warp: prev.warp_id,
+        prev_lane: prev.lane,
+    };
+    out.reporter.report(record, out.clock);
 }

@@ -14,10 +14,6 @@ pub enum IguardError {
     Uvm(UvmError),
     /// The race-report channel could not be created.
     Report(ChannelError),
-    /// Verify-mode pruning requires the serial detector: sharded race
-    /// verdicts surface at merge time, after the per-access context needed
-    /// to attribute a violation is gone.
-    VerifyNeedsSerial,
 }
 
 impl fmt::Display for IguardError {
@@ -26,9 +22,6 @@ impl fmt::Display for IguardError {
             IguardError::EmptyTable => write!(f, "metadata table cannot be empty"),
             IguardError::Uvm(e) => write!(f, "metadata region: {e}"),
             IguardError::Report(e) => write!(f, "race-report channel: {e}"),
-            IguardError::VerifyNeedsSerial => {
-                write!(f, "verify-mode pruning requires the serial detector")
-            }
         }
     }
 }

@@ -7,6 +7,7 @@
 //! the channel; every dynamic occurrence is still counted.
 
 use std::collections::{BTreeMap, HashSet};
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use faults::{FaultConfig, FaultInjector, FaultStats};
@@ -96,15 +97,23 @@ impl RaceReporter {
     /// Like [`RaceReporter::new`], with the fault plane attached to the
     /// report channel (drop / corruption / overflow injection).
     pub fn with_faults(capacity: usize, faults: &FaultConfig) -> Result<Self, ChannelError> {
+        let capacity = NonZeroUsize::new(capacity).ok_or(ChannelError::ZeroCapacity)?;
+        Ok(RaceReporter::with_capacity(capacity, faults))
+    }
+
+    /// [`RaceReporter::with_faults`] for a capacity already known to be
+    /// positive.
+    #[must_use]
+    pub fn with_capacity(capacity: NonZeroUsize, faults: &FaultConfig) -> Self {
         // Shipping a race record is rare; costs are tiny and charged to
         // Misc as "report draining".
-        let mut channel = HostChannel::new(capacity, 30, 2_000, CostCategory::Misc)?;
+        let mut channel = HostChannel::with_capacity(capacity, 30, 2_000, CostCategory::Misc);
         channel.set_faults(FaultInjector::new(faults, "report-channel"));
-        Ok(RaceReporter {
+        RaceReporter {
             channel,
             shipped_keys: HashSet::new(),
             dynamic_races: 0,
-        })
+        }
     }
 
     /// Channel counters (sent / drained / dropped accounting).

@@ -237,7 +237,7 @@ impl TenantVerdict {
     /// Canonical multi-line verdict text: one header line of counters,
     /// then one [`RaceSite::canonical_line`] per merged site. This is the
     /// byte string the determinism proptests compare across stream
-    /// interleavings, shard counts, threading modes, and restarts.
+    /// interleavings, shard counts, and restarts.
     #[must_use]
     pub fn digest(&self) -> String {
         let mut out = format!(

@@ -1,1090 +1,98 @@
-//! Sharded, optionally threaded iGUARD: intra-launch detection
-//! parallelism with a deterministic, serial-identical merge.
+//! Named handle for a multi-shard [`Iguard`].
 //!
-//! [`ShardedIguard`] partitions the flat per-word tables of
-//! [`crate::engine::Engine`] into `S` hashed-address shards (`S` a power
-//! of two): an access to word `w` routes to shard `w & (S-1)` and is
-//! checked against that shard's tables at sub-word `w >> log2(S)` — an
-//! injective per-shard mapping, so shards never share state and need no
-//! locks. Each shard runs the **same** engine code as the serial
-//! detector.
-//!
-//! ## Determinism
-//!
-//! The *front half* (lock inference, coalescing, cost charges,
-//! synchronization snapshots) runs in the instrumentation callback, in
-//! program order, exactly as the serial detector's — so every event
-//! carries its full resolved context plus a global sequence number.
-//! Per-word event order is preserved because a word always maps to the
-//! same shard and each shard consumes its queue FIFO. The one piece of
-//! *live* state the engine reads at check time — fence counters, via
-//! `md_view` — is replicated by broadcasting fence events to every
-//! shard in stream order (barrier counters are only consumed through
-//! access-time snapshots, so they need no replica).
-//!
-//! Race candidates come back seq-tagged; the merge sorts them and
-//! replays through the one central [`RaceReporter`] — same dedup order,
-//! same channel charges, same fault-plane draws as a serial run. Race
-//! *reports* (and every verdict-affecting counter) are therefore
-//! byte-identical to [`crate::Iguard`] for any shard count, threaded or
-//! inline, which `bench/tests/shard_determinism.rs` pins down to fault
-//! injection on the report channel.
-//!
-//! What is **not** serial-identical: the simulated-cycle cost of the
-//! metadata plane. Each shard owns its own (smaller) UVM region, so
-//! page-fault patterns — and hence `uvm_cycles` and Setup/Detection
-//! cycle totals — are a different (still deterministic) timing model.
-//! Verdicts never depend on those cycles.
-//!
-//! ## Execution modes
-//!
-//! - **Inline** (`threaded: false`): shards are processed synchronously
-//!   on the calling thread — the determinism reference, and the right
-//!   choice on single-core hosts.
-//! - **Threaded** (`threaded: true`): one worker thread per shard, fed
-//!   event batches through the bounded [`nvbit_sim::pipeline`] stage, so
-//!   detection drains while the machine continues simulating. Dedicated
-//!   threads (rather than a shared job pool) because the workers are
-//!   long-lived stateful stages, not run-to-completion jobs; harness-
-//!   level fan-out still goes through `bench::driver` (DESIGN.md §12).
+//! Address sharding is a property of the one detector
+//! ([`Iguard::with_shards`]); nothing in this module detects anything.
+//! It exists only because `benchmark/` (frozen) and the service's job
+//! closure name a distinct `ShardedIguard` type and construct it from a
+//! [`ShardConfig`]. Every method forwards to the wrapped detector.
 
-use std::mem;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::ops::{Deref, DerefMut};
 
-use faults::{FaultConfig, FaultStats};
-use gpu_sim::hook::{AccessKind, LaneAccess, LaunchInfo, MemAccess, SyncEvent};
-use gpu_sim::ir::{AtomOp, Scope, Space};
-use gpu_sim::timing::{Clock, CostCategory, Phase};
-use nvbit_sim::channel::ChannelStats;
-use nvbit_sim::pipeline::{self, PipeStats, Receiver, Sender};
+use gpu_sim::hook::{LaunchInfo, MemAccess, SyncEvent};
+use gpu_sim::kernel::Kernel;
+use gpu_sim::timing::Clock;
 use nvbit_sim::Tool;
-use uvm_sim::{UvmConfig, UvmStats};
 
-use crate::bitfield::AccessorInfo;
-use crate::checks::{AccessType, CurrAccess, RaceKind};
 use crate::config::IguardConfig;
-use crate::detector::{Degradation, IguardStats};
-use crate::engine::{race_index, AccessCtx, Engine, EngineParams, Sink};
+use crate::detector::Iguard;
 use crate::error::IguardError;
-use crate::locks::WarpLockState;
-use crate::metadata::{MetaStats, MetadataTable, TableConfig, ENTRY_BYTES};
-use crate::prune::{PruneMode, PruneStats, Pruner, StaticRaceReport};
-use crate::report::{RaceRecord, RaceReporter, RaceSite};
-use crate::syncmeta::SyncMetadata;
 
-/// Concurrency knobs for [`ShardedIguard`]. All default to the inline,
-/// single-threaded shape, which is byte-identical to the serial detector
-/// and safe on any host.
+/// Shard shape of a [`ShardedIguard`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of hashed-address shards; rounded up to a power of two,
     /// clamped to at least 1.
     pub shards: usize,
-    /// Run each shard on its own worker thread, fed through the bounded
-    /// pipeline stage. `false` processes shards inline (deterministic
-    /// reference; no threads).
-    pub threaded: bool,
-    /// Bounded pipeline capacity, in *batches* per shard queue. Full
-    /// queues apply backpressure to the simulation thread; nothing is
-    /// ever dropped.
-    pub queue_capacity: usize,
-    /// Events buffered per shard before a batch is shipped to its
-    /// worker (threaded mode only; inline processes immediately).
-    pub batch_events: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            shards: 4,
-            threaded: false,
-            queue_capacity: 64,
-            batch_events: 1024,
-        }
+        ShardConfig::inline(4)
     }
 }
 
 impl ShardConfig {
-    /// Inline sharding with `shards` shards (the determinism reference).
+    /// `shards` address shards, checked inline in the instrumentation
+    /// callback (the only execution mode).
     #[must_use]
     pub fn inline(shards: usize) -> Self {
-        ShardConfig {
-            shards,
-            threaded: false,
-            ..ShardConfig::default()
-        }
-    }
-
-    /// One worker thread per shard.
-    #[must_use]
-    pub fn threaded(shards: usize) -> Self {
-        ShardConfig {
-            shards,
-            threaded: true,
-            ..ShardConfig::default()
-        }
+        ShardConfig { shards }
     }
 }
 
-/// Table-construction parameters fixed for the detector's lifetime.
-#[derive(Debug, Clone)]
-struct TableParams {
-    uvm: UvmConfig,
-    addr_scale: u64,
-    capacity_words: Option<usize>,
-    faults: FaultConfig,
-}
-
-/// One routed access event, fully resolved by the front half.
-#[derive(Debug, Clone, Copy)]
-struct AccessEvent {
-    /// Global submission order; the merge key.
-    seq: u64,
-    /// Full word index (the shard strips its bits).
-    word: u32,
-    addr: u32,
-    pc: usize,
-    /// Index into the front's kernel registry (name + line table).
-    kernel: u32,
-    warp: u32,
-    lane: u32,
-    block: u32,
-    wpb: u32,
-    step: u64,
-    active_mask: u32,
-    kind: AccessType,
-    snap: AccessorInfo,
-    lock_summary: u16,
-}
-
-/// One event in a shard's stream.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Access(AccessEvent),
-    /// Fence broadcast (every shard sees every fence, in stream order),
-    /// keeping each replica's fence counters equal to the live ones.
-    Fence { warp: u32, lane: u32, scope: Scope },
-}
-
-/// Launch reset broadcast to every shard.
-#[derive(Debug, Clone)]
-struct LaunchMsg {
-    /// Per-shard table words (`ceil(backing_words / shards)`).
-    words: usize,
-    total_warps: u32,
-    window: u64,
-    params: EngineParams,
-    grid_dim: u32,
-    warps_per_block: u32,
-    /// Per-shard slice of the managed region's virtual size.
-    virtual_bytes: u64,
-    /// Per-shard slice of the free-device-memory prefault budget.
-    device_budget_bytes: u64,
-    /// Bytes to prefault on first launch (`None` when prefault is off).
-    prefault_bytes: Option<u64>,
-    /// Measure wall time in the worker (phase profiling).
-    profiling: bool,
-}
-
-/// Worker protocol.
+/// An [`Iguard`] built from a [`ShardConfig`] (see module docs).
 #[derive(Debug)]
-enum ShardMsg {
-    Launch(LaunchMsg),
-    Batch(Vec<Ev>),
-    /// Reply with the accumulated [`ShardReply`] and reset the delta.
-    Flush,
-}
-
-/// A race verdict deferred for the deterministic merge.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    seq: u64,
-    kind: RaceKind,
-    kernel: u32,
-    pc: usize,
-    addr: u32,
-    access: AccessType,
-    warp: u32,
-    lane: u32,
-    block: u32,
-    prev_warp: u32,
-    prev_lane: u32,
-}
-
-/// Everything a shard accumulated since the last flush.
-#[derive(Debug, Default)]
-struct ShardDelta {
-    uvm_cycles: u64,
-    contended_accesses: u64,
-    contention_cycles: u64,
-    missed_checks: u64,
-    orphan_events: u64,
-    table_init_failures: u64,
-    safe_hits: [u64; 6],
-    /// Prefault cycles from this flush window (first launch only).
-    setup_cycles: u64,
-    candidates: Vec<Candidate>,
-    /// Wall time spent checking (threaded mode; profiling only).
-    detect_ns: u64,
-    /// Wall time inside metadata loads (profiling only).
-    uvm_ns: u64,
-}
-
-/// Flush response: the delta plus cumulative table-level snapshots.
-#[derive(Debug)]
-struct ShardReply {
-    delta: ShardDelta,
-    meta: MetaStats,
-    uvm: UvmStats,
-    faults: FaultStats,
-}
-
-/// The engine [`Sink`] of one shard: observations accumulate into the
-/// delta; race verdicts become seq-tagged candidates.
-struct ShardSink<'a> {
-    delta: &'a mut ShardDelta,
-    ev: &'a AccessEvent,
-    profiling: bool,
-}
-
-impl Sink for ShardSink<'_> {
-    fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    fn uvm_ns(&mut self, ns: u64) {
-        self.delta.uvm_ns += ns;
-    }
-
-    fn uvm_cycles(&mut self, cycles: u64) {
-        self.delta.uvm_cycles += cycles;
-    }
-
-    fn missed_check(&mut self) {
-        self.delta.missed_checks += 1;
-    }
-
-    fn contended(&mut self, cycles: u64) {
-        self.delta.contended_accesses += 1;
-        self.delta.contention_cycles += cycles;
-    }
-
-    fn safe_hit(&mut self, idx: usize) {
-        self.delta.safe_hits[idx] += 1;
-    }
-
-    fn race(&mut self, kind: RaceKind, curr: &CurrAccess, md_info: AccessorInfo) {
-        self.delta.candidates.push(Candidate {
-            seq: self.ev.seq,
-            kind,
-            kernel: self.ev.kernel,
-            pc: self.ev.pc,
-            addr: self.ev.addr,
-            access: curr.kind,
-            warp: curr.warp_id,
-            lane: curr.lane,
-            block: curr.block_id,
-            prev_warp: md_info.warp_id,
-            prev_lane: md_info.lane,
-        });
-    }
-}
-
-/// One shard's private state: an engine over its sub-word tables plus a
-/// fence-tracking replica of the synchronization metadata.
-#[derive(Debug)]
-struct ShardState {
-    engine: Engine,
-    sync: Option<SyncMetadata>,
-    delta: ShardDelta,
-    table_params: TableParams,
-    profiling: bool,
-}
-
-impl ShardState {
-    fn new(table_params: TableParams) -> Self {
-        ShardState {
-            engine: Engine::default(),
-            sync: None,
-            delta: ShardDelta::default(),
-            table_params,
-            profiling: false,
-        }
-    }
-
-    fn begin_launch(&mut self, m: &LaunchMsg) {
-        self.profiling = m.profiling;
-        self.sync = Some(SyncMetadata::new(m.grid_dim, m.warps_per_block));
-        self.engine
-            .begin_launch(m.words, m.total_warps, m.window, m.params);
-        match &mut self.engine.table {
-            Some(table) => table.begin_epoch(),
-            None => {
-                match MetadataTable::new(TableConfig {
-                    words: m.words,
-                    uvm: self.table_params.uvm.clone(),
-                    virtual_bytes: m.virtual_bytes,
-                    device_budget_bytes: m.device_budget_bytes,
-                    addr_scale: self.table_params.addr_scale,
-                    capacity_words: self.table_params.capacity_words,
-                    faults: self.table_params.faults.clone(),
-                }) {
-                    Ok(mut table) => {
-                        if let Some(bytes) = m.prefault_bytes {
-                            self.delta.setup_cycles += table.prefault(bytes.max(ENTRY_BYTES));
-                        }
-                        self.engine.table = Some(table);
-                    }
-                    Err(_) => {
-                        // Sub-word tables always cover ≥ 1 word, so this
-                        // only fires on a degenerate zero-word device;
-                        // degrade like the serial detector does.
-                        self.delta.table_init_failures += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply(&mut self, ev: &Ev, shift: u32) {
-        match ev {
-            Ev::Fence { warp, lane, scope } => {
-                if let Some(sync) = self.sync.as_mut() {
-                    sync.fence(*scope, *warp, *lane);
-                }
-            }
-            Ev::Access(a) => {
-                if self.engine.table.is_none() {
-                    self.delta.orphan_events += 1;
-                    return;
-                }
-                let Some(sync) = self.sync.as_ref() else {
-                    self.delta.orphan_events += 1;
-                    return;
-                };
-                let ctx = AccessCtx {
-                    word: a.word >> shift,
-                    warp: a.warp,
-                    lane: a.lane,
-                    block: a.block,
-                    wpb: a.wpb,
-                    step: a.step,
-                    active_mask: a.active_mask,
-                    kind: a.kind,
-                    snap: a.snap,
-                    lock_summary: a.lock_summary,
-                };
-                let mut sink = ShardSink {
-                    delta: &mut self.delta,
-                    ev: a,
-                    profiling: self.profiling,
-                };
-                self.engine.process(&ctx, sync, &mut sink);
-            }
-        }
-    }
-
-    fn take_reply(&mut self) -> ShardReply {
-        ShardReply {
-            delta: mem::take(&mut self.delta),
-            meta: self
-                .engine
-                .table
-                .as_ref()
-                .map(MetadataTable::meta_stats)
-                .unwrap_or_default(),
-            uvm: self
-                .engine
-                .table
-                .as_ref()
-                .map(MetadataTable::uvm_stats)
-                .unwrap_or_default(),
-            faults: self
-                .engine
-                .table
-                .as_ref()
-                .map(MetadataTable::fault_stats)
-                .unwrap_or_default(),
-        }
-    }
-}
-
-fn worker_loop(mut state: ShardState, shift: u32, rx: Receiver<ShardMsg>, reply: Sender<ShardReply>) {
-    while let Some(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Launch(m) => state.begin_launch(&m),
-            ShardMsg::Batch(evs) => {
-                let t0 = state.profiling.then(Instant::now);
-                for ev in &evs {
-                    state.apply(ev, shift);
-                }
-                if let Some(t) = t0 {
-                    state.delta.detect_ns += t.elapsed().as_nanos() as u64;
-                }
-            }
-            ShardMsg::Flush => {
-                if reply.send(state.take_reply()).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// A shard worker's handles on the coordinator side.
-#[derive(Debug)]
-struct Worker {
-    tx: Sender<ShardMsg>,
-    reply_rx: Receiver<ShardReply>,
-    handle: Option<JoinHandle<()>>,
-    /// Events buffered toward the next batch.
-    batch: Vec<Ev>,
-}
-
-#[derive(Debug)]
-enum Exec {
-    Inline(Vec<ShardState>),
-    Threads(Vec<Worker>),
-}
-
-/// A kernel seen by the front half: interned name + line table, so
-/// deferred race candidates can be resolved into full [`RaceRecord`]s
-/// at merge time without per-event allocation.
-#[derive(Debug)]
-struct KernelEntry {
-    name: Arc<str>,
-    lines: Vec<Option<String>>,
-}
-
-/// The sharded iGUARD detector (see module docs). Drop-in replacement
-/// for [`crate::Iguard`] as an `nvbit-sim` [`Tool`]; identical race
-/// reports, shard-parallel checking.
-#[derive(Debug)]
-pub struct ShardedIguard {
-    cfg: IguardConfig,
-    scfg: ShardConfig,
-    /// `shards - 1`; routing mask over the low word bits.
-    mask: u32,
-    /// `log2(shards)`; sub-word shift.
-    shift: u32,
-    sync: Option<SyncMetadata>,
-    locks: Vec<WarpLockState>,
-    stats: IguardStats,
-    reporter: RaceReporter,
-    first_launch: bool,
-    profiling: bool,
-    seq: u64,
-    kernels: Vec<KernelEntry>,
-    kernel_cursor: usize,
-    scratch_words: Vec<u32>,
-    scratch_pairs: Vec<(u32, u32)>,
-    exec: Exec,
-    /// Cumulative per-shard snapshots, refreshed at every flush.
-    shard_meta: Vec<MetaStats>,
-    shard_uvm: Vec<UvmStats>,
-    shard_faults: Vec<FaultStats>,
-    /// Static-pruning plane, shared logic with the serial detector. The
-    /// front half (bitmap predicate, launch-condition checks, static racy
-    /// reports) runs entirely on the coordinator thread, so sharding
-    /// changes nothing about pruning decisions.
-    pruner: Option<Pruner>,
-}
+pub struct ShardedIguard(Iguard);
 
 impl ShardedIguard {
-    /// Creates a sharded detector. Infallible like [`crate::Iguard::new`]
-    /// (zero report capacity clamps to 1).
+    /// [`Iguard::with_shards`].
     #[must_use]
-    pub fn new(mut cfg: IguardConfig, scfg: ShardConfig) -> Self {
-        cfg.report_capacity = cfg.report_capacity.max(1);
-        ShardedIguard::try_new(cfg, scfg).expect("report capacity clamped to >= 1")
+    pub fn new(cfg: IguardConfig, scfg: ShardConfig) -> Self {
+        ShardedIguard(Iguard::with_shards(cfg, scfg.shards))
     }
 
-    /// Fallible constructor surfacing configuration errors.
-    pub fn try_new(cfg: IguardConfig, mut scfg: ShardConfig) -> Result<Self, IguardError> {
-        if cfg.prune == PruneMode::Verify {
-            // Verify tags each access at check time; sharded verdicts only
-            // surface at the merge, so the harness is serial-only.
-            return Err(IguardError::VerifyNeedsSerial);
-        }
-        scfg.shards = scfg.shards.clamp(1, 1 << 16).next_power_of_two();
-        let reporter = RaceReporter::with_faults(cfg.report_capacity, &cfg.faults)?;
-        let pruner = (cfg.prune != PruneMode::Off).then(|| Pruner::new(cfg.prune));
-        let shards = scfg.shards;
-        let shift = shards.trailing_zeros();
-        let table_params = TableParams {
-            uvm: cfg.uvm.clone(),
-            addr_scale: cfg.addr_scale,
-            capacity_words: cfg
-                .table_capacity_words
-                .map(|c| (c / shards).max(1)),
-            faults: cfg.faults.clone(),
-        };
-        let exec = if scfg.threaded {
-            let workers = (0..shards)
-                .map(|i| {
-                    let (tx, rx) = pipeline::bounded::<ShardMsg>(scfg.queue_capacity);
-                    let (reply_tx, reply_rx) = pipeline::bounded::<ShardReply>(1);
-                    let state = ShardState::new(table_params.clone());
-                    let handle = std::thread::Builder::new()
-                        .name(format!("iguard-shard-{i}"))
-                        .spawn(move || worker_loop(state, shift, rx, reply_tx))
-                        .expect("spawn shard worker");
-                    Worker {
-                        tx,
-                        reply_rx,
-                        handle: Some(handle),
-                        batch: Vec::with_capacity(scfg.batch_events.max(1)),
-                    }
-                })
-                .collect();
-            Exec::Threads(workers)
-        } else {
-            Exec::Inline(
-                (0..shards)
-                    .map(|_| ShardState::new(table_params.clone()))
-                    .collect(),
-            )
-        };
-        Ok(ShardedIguard {
-            cfg,
-            mask: (shards - 1) as u32,
-            shift,
-            scfg,
-            sync: None,
-            locks: Vec::new(),
-            stats: IguardStats::default(),
-            reporter,
-            first_launch: true,
-            profiling: false,
-            seq: 0,
-            kernels: Vec::new(),
-            kernel_cursor: 0,
-            scratch_words: Vec::with_capacity(32),
-            scratch_pairs: Vec::with_capacity(32),
-            exec,
-            shard_meta: vec![MetaStats::default(); shards],
-            shard_uvm: vec![UvmStats::default(); shards],
-            shard_faults: vec![FaultStats::default(); shards],
-            pruner,
-        })
+    /// [`Iguard::try_with_shards`].
+    pub fn try_new(cfg: IguardConfig, scfg: ShardConfig) -> Result<Self, IguardError> {
+        Iguard::try_with_shards(cfg, scfg.shards).map(ShardedIguard)
     }
+}
 
-    /// Static-pruning counters (all-zero when pruning is off).
-    #[must_use]
-    pub fn prune_stats(&self) -> PruneStats {
-        self.pruner.as_ref().map(Pruner::stats).unwrap_or_default()
+impl Deref for ShardedIguard {
+    type Target = Iguard;
+
+    fn deref(&self) -> &Iguard {
+        &self.0
     }
+}
 
-    /// Races reported statically at launch time (see
-    /// [`crate::Iguard::static_reports`]).
-    #[must_use]
-    pub fn static_reports(&self) -> &[StaticRaceReport] {
-        self.pruner.as_ref().map_or(&[], Pruner::reports)
-    }
-
-    /// Number of shards (power of two).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.scfg.shards
-    }
-
-    /// Detector counters (complete after each launch's merge).
-    #[must_use]
-    pub fn stats(&self) -> IguardStats {
-        self.stats
-    }
-
-    /// Everything the detector degraded on, aggregated across shards.
-    #[must_use]
-    pub fn degradation(&self) -> Degradation {
-        let mut meta = MetaStats::default();
-        for m in &self.shard_meta {
-            meta.capacity_evictions += m.capacity_evictions;
-            meta.injected_evictions += m.injected_evictions;
-            meta.injected_aliases += m.injected_aliases;
-        }
-        let uvm = self.uvm_stats();
-        Degradation {
-            missed_checks: self.stats.missed_checks,
-            orphan_events: self.stats.orphan_events,
-            table_init_failures: self.stats.table_init_failures,
-            meta,
-            channel: self.reporter.channel_stats(),
-            uvm_injected_evictions: uvm.injected_evictions,
-            uvm_injected_oom_denials: uvm.injected_oom_denials,
-        }
-    }
-
-    /// Injected-fault counters summed over the reporter and every
-    /// shard's metadata plane.
-    #[must_use]
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut total = self.reporter.fault_stats();
-        for f in &self.shard_faults {
-            total.accumulate(f);
-        }
-        total
-    }
-
-    /// Race-report channel accounting (one central channel).
-    #[must_use]
-    pub fn channel_stats(&self) -> ChannelStats {
-        self.reporter.channel_stats()
-    }
-
-    /// UVM statistics summed across every shard's metadata region.
-    #[must_use]
-    pub fn uvm_stats(&self) -> UvmStats {
-        let mut total = UvmStats::default();
-        for u in &self.shard_uvm {
-            total.faults += u.faults;
-            total.evictions += u.evictions;
-            total.prefaulted_pages += u.prefaulted_pages;
-            total.fault_cycles += u.fault_cycles;
-            total.prefault_cycles += u.prefault_cycles;
-            total.injected_evictions += u.injected_evictions;
-            total.injected_oom_denials += u.injected_oom_denials;
-            total.injected_cycles += u.injected_cycles;
-        }
-        total
-    }
-
-    /// Per-shard pipeline counters (empty in inline mode) — the
-    /// backpressure/utilization evidence `bench --bin perf` reports.
-    #[must_use]
-    pub fn pipe_stats(&self) -> Vec<PipeStats> {
-        match &self.exec {
-            Exec::Inline(_) => Vec::new(),
-            Exec::Threads(workers) => workers.iter().map(|w| w.tx.stats()).collect(),
-        }
-    }
-
-    /// Number of unique races detected so far.
-    #[must_use]
-    pub fn unique_races(&self) -> usize {
-        self.reporter.unique_races()
-    }
-
-    /// Dynamic race occurrences (before deduplication).
-    #[must_use]
-    pub fn dynamic_races(&self) -> u64 {
-        self.reporter.dynamic_races
-    }
-
-    /// Drains all shipped race reports.
-    pub fn races(&mut self) -> Vec<RaceRecord> {
-        self.reporter.drain()
-    }
-
-    /// Drains reports grouped into distinct sites (the Table 4 unit).
-    pub fn race_sites(&mut self) -> Vec<RaceSite> {
-        let records = self.reporter.drain();
-        crate::report::group_sites(&records)
-    }
-
-    /// Resolves `kernel` to a registry index, interning on first sight.
-    fn kernel_index(&mut self, kernel: &gpu_sim::kernel::Kernel) -> u32 {
-        if let Some(e) = self.kernels.get(self.kernel_cursor) {
-            if Arc::ptr_eq(&e.name, &kernel.name) {
-                return self.kernel_cursor as u32;
-            }
-        }
-        if let Some(i) = self
-            .kernels
-            .iter()
-            .position(|e| Arc::ptr_eq(&e.name, &kernel.name) || *e.name == *kernel.name)
-        {
-            self.kernel_cursor = i;
-            return i as u32;
-        }
-        self.kernels.push(KernelEntry {
-            name: kernel.name.clone(),
-            lines: kernel.lines.clone(),
-        });
-        self.kernel_cursor = self.kernels.len() - 1;
-        self.kernel_cursor as u32
-    }
-
-    /// Routes one event to its shard (inline: process now; threaded:
-    /// buffer toward a batch).
-    fn dispatch(&mut self, shard: usize, ev: Ev) {
-        match &mut self.exec {
-            Exec::Inline(states) => states[shard].apply(&ev, self.shift),
-            Exec::Threads(workers) => {
-                let w = &mut workers[shard];
-                w.batch.push(ev);
-                if w.batch.len() >= self.scfg.batch_events.max(1) {
-                    let batch = mem::replace(
-                        &mut w.batch,
-                        Vec::with_capacity(self.scfg.batch_events.max(1)),
-                    );
-                    w.tx.send(ShardMsg::Batch(batch))
-                        .expect("shard worker alive");
-                }
-            }
-        }
-    }
-
-    /// Broadcasts one event to every shard (fences).
-    fn broadcast(&mut self, ev: Ev) {
-        for shard in 0..self.scfg.shards {
-            self.dispatch(shard, ev);
-        }
-    }
-
-    /// Flushes every shard and merges: counter deltas fold into
-    /// [`IguardStats`], deferred cycles charge the clock, and race
-    /// candidates replay through the central reporter in global
-    /// submission order.
-    fn flush_shards(&mut self, clock: &mut Clock) {
-        let replies: Vec<ShardReply> = match &mut self.exec {
-            Exec::Inline(states) => states.iter_mut().map(ShardState::take_reply).collect(),
-            Exec::Threads(workers) => {
-                for w in workers.iter_mut() {
-                    if !w.batch.is_empty() {
-                        let batch = mem::take(&mut w.batch);
-                        w.tx.send(ShardMsg::Batch(batch)).expect("shard worker alive");
-                    }
-                    w.tx.send(ShardMsg::Flush).expect("shard worker alive");
-                }
-                workers
-                    .iter()
-                    .map(|w| w.reply_rx.recv().expect("shard worker replies"))
-                    .collect()
-            }
-        };
-
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for (i, r) in replies.into_iter().enumerate() {
-            let d = r.delta;
-            self.stats.uvm_cycles += d.uvm_cycles;
-            self.stats.contended_accesses += d.contended_accesses;
-            self.stats.contention_cycles += d.contention_cycles;
-            self.stats.missed_checks += d.missed_checks;
-            self.stats.orphan_events += d.orphan_events;
-            self.stats.table_init_failures += d.table_init_failures;
-            for (acc, hit) in self.stats.safe_hits.iter_mut().zip(d.safe_hits) {
-                *acc += hit;
-            }
-            // Deferred serial charges: additive, so applying them at the
-            // merge leaves end-of-run category totals exactly where the
-            // serial schedule would have put them.
-            if d.uvm_cycles + d.contention_cycles > 0 {
-                clock.charge_serial(CostCategory::Detection, d.uvm_cycles + d.contention_cycles);
-            }
-            if d.setup_cycles > 0 {
-                clock.charge_serial(CostCategory::Setup, d.setup_cycles);
-            }
-            if self.profiling {
-                if d.detect_ns > 0 {
-                    clock.add_phase_ns(Phase::Detect, d.detect_ns);
-                }
-                if d.uvm_ns > 0 {
-                    clock.add_phase_ns(Phase::Uvm, d.uvm_ns);
-                }
-            }
-            self.shard_meta[i] = r.meta;
-            self.shard_uvm[i] = r.uvm;
-            self.shard_faults[i] = r.faults;
-            candidates.extend(d.candidates);
-        }
-
-        // Deterministic merge: global submission order. Seqs are unique,
-        // so the sort is a total order independent of shard interleaving.
-        candidates.sort_unstable_by_key(|c| c.seq);
-        for c in &candidates {
-            self.stats.race_hits[race_index(c.kind)] += 1;
-            let ke = &self.kernels[c.kernel as usize];
-            let record = RaceRecord {
-                kernel: ke.name.clone(),
-                pc: c.pc,
-                line: ke.lines.get(c.pc).and_then(Clone::clone),
-                addr: c.addr,
-                kind: c.kind,
-                access: c.access,
-                warp: c.warp,
-                lane: c.lane,
-                block: c.block,
-                prev_warp: c.prev_warp,
-                prev_lane: c.prev_lane,
-            };
-            self.reporter.report(record, clock);
-        }
-    }
-
-    /// The front half of one lane access: orphan accounting, sequence
-    /// stamping, live-state capture, and routing.
-    fn route_access(
-        &mut self,
-        lane_access: &LaneAccess,
-        kind: AccessType,
-        access: &MemAccess<'_>,
-    ) {
-        if self.sync.is_none() || self.locks.is_empty() {
-            self.stats.orphan_events += 1;
-            return;
-        }
-        self.stats.accesses += 1;
-
-        let warp = access.global_warp;
-        let lane = lane_access.lane;
-        let word = lane_access.addr / 4;
-        let snap = self
-            .sync
-            .as_ref()
-            .expect("guarded above")
-            .snapshot(warp, lane);
-        let lock_summary = self.locks[warp as usize].summary(lane);
-        let kernel = self.kernel_index(access.kernel);
-        let seq = self.seq;
-        self.seq += 1;
-
-        let ev = Ev::Access(AccessEvent {
-            seq,
-            word,
-            addr: lane_access.addr,
-            pc: access.pc,
-            kernel,
-            warp,
-            lane,
-            block: access.block_id,
-            wpb: access.warps_per_block,
-            step: access.step,
-            active_mask: access.active_mask,
-            kind,
-            snap,
-            lock_summary,
-        });
-        let shard = (word & self.mask) as usize;
-        self.dispatch(shard, ev);
+impl DerefMut for ShardedIguard {
+    fn deref_mut(&mut self) -> &mut Iguard {
+        &mut self.0
     }
 }
 
 impl Tool for ShardedIguard {
-    fn wants_at(&mut self, kernel: &gpu_sim::kernel::Kernel, pc: usize) -> bool {
-        let instr = &kernel.code[pc];
-        match &mut self.pruner {
-            Some(p) if instr.is_global_access() => p.wants_mem(kernel, pc),
-            _ => instr.is_global_access() || instr.is_sync(),
-        }
+    fn wants_at(&mut self, kernel: &Kernel, pc: usize) -> bool {
+        self.0.wants_at(kernel, pc)
     }
 
     fn body_sensitive(&self) -> bool {
-        self.pruner.is_some()
+        self.0.body_sensitive()
     }
 
     fn take_reinstrument(&mut self) -> bool {
-        self.pruner
-            .as_mut()
-            .is_some_and(Pruner::take_reinstrument)
+        self.0.take_reinstrument()
     }
 
     fn at_launch(&mut self, info: &LaunchInfo, clock: &mut Clock) {
-        if let Some(p) = &mut self.pruner {
-            p.on_launch(info);
-        }
-        self.stats.launches += 1;
-        self.profiling = clock.profiling();
-        let window = if self.cfg.contention_window > 0 {
-            self.cfg.contention_window
-        } else {
-            64.max(u64::from(info.total_warps))
-        };
-        self.sync = Some(SyncMetadata::new(info.grid_dim, info.warps_per_block));
-        self.locks = vec![WarpLockState::default(); info.total_warps as usize];
-
-        let shards = self.scfg.shards as u64;
-        let msg = LaunchMsg {
-            words: info.backing_words.div_ceil(self.scfg.shards).max(1),
-            total_warps: info.total_warps,
-            window,
-            params: EngineParams {
-                backoff: self.cfg.backoff,
-                contention_base: self.cfg.contention_base,
-                its_support: self.cfg.its_support,
-                history_depth: self.cfg.history_depth,
-            },
-            grid_dim: info.grid_dim,
-            warps_per_block: info.warps_per_block,
-            virtual_bytes: (4 * info.device_capacity_bytes / shards).max(ENTRY_BYTES),
-            device_budget_bytes: info.free_device_bytes / shards,
-            prefault_bytes: (self.first_launch && self.cfg.prefault).then(|| {
-                (info.app_footprint_bytes.saturating_mul(4) / shards).max(ENTRY_BYTES)
-            }),
-            profiling: self.profiling,
-        };
-        if self.first_launch {
-            // The fixed setup cost is per-detector, not per-shard; the
-            // per-shard prefault cycles arrive with the first flush.
-            clock.charge_serial(CostCategory::Setup, self.cfg.setup_fixed_cost);
-            self.first_launch = false;
-        }
-        match &mut self.exec {
-            Exec::Inline(states) => {
-                for s in states.iter_mut() {
-                    s.begin_launch(&msg);
-                }
-            }
-            Exec::Threads(workers) => {
-                for w in workers.iter_mut() {
-                    w.tx.send(ShardMsg::Launch(msg.clone()))
-                        .expect("shard worker alive");
-                }
-            }
-        }
-        clock.charge_serial(CostCategory::Misc, self.cfg.misc_cost_per_launch);
-    }
-
-    fn at_exit(&mut self, _info: &LaunchInfo, clock: &mut Clock) {
-        // Launch end is the merge barrier: drain every shard, fold the
-        // deltas, and replay race candidates in submission order.
-        self.flush_shards(clock);
+        self.0.at_launch(info, clock);
     }
 
     fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
-        if access.space != Space::Global {
-            return;
-        }
-        let t0 = clock.profiling().then(Instant::now);
-        self.on_global_mem(access, clock);
-        if let Some(t) = t0 {
-            clock.add_phase_ns(Phase::Detect, t.elapsed().as_nanos() as u64);
-        }
+        self.0.on_mem(access, clock);
     }
 
     fn on_sync(&mut self, event: &SyncEvent<'_>, clock: &mut Clock) {
-        clock.charge(CostCategory::Detection, 4);
-        match event {
-            SyncEvent::BlockBarrier { block_id } => {
-                if let Some(s) = self.sync.as_mut() {
-                    s.block_barrier(*block_id);
-                }
-            }
-            SyncEvent::WarpBarrier { global_warp, .. } => {
-                if let Some(s) = self.sync.as_mut() {
-                    s.warp_barrier(*global_warp);
-                }
-            }
-            SyncEvent::Fence {
-                scope,
-                global_warp,
-                tids,
-                ..
-            } => {
-                let Some(sync) = self.sync.as_mut() else {
-                    self.stats.orphan_events += 1;
-                    return;
-                };
-                for &(lane, _tid) in tids.iter() {
-                    sync.fence(*scope, *global_warp, lane);
-                }
-                let lanes: Vec<u32> = tids.iter().map(|&(lane, _)| lane).collect();
-                if let Some(wl) = self.locks.get_mut(*global_warp as usize) {
-                    wl.on_fence(lanes.clone(), *scope);
-                }
-                // Fence counters are the one live read on the check path:
-                // replicate them in every shard, in stream order.
-                for lane in lanes {
-                    self.broadcast(Ev::Fence {
-                        warp: *global_warp,
-                        lane,
-                        scope: *scope,
-                    });
-                }
-            }
-        }
-    }
-}
-
-impl ShardedIguard {
-    /// The global-memory half of [`Tool::on_mem`]: identical front-half
-    /// logic to the serial detector (kind classification, lock
-    /// inference, coalescing, data-parallel cost charges), ending in a
-    /// route instead of an inline check.
-    fn on_global_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
-        let kind = match access.kind {
-            AccessKind::Load => AccessType::Load,
-            AccessKind::Store if access.volatile => AccessType::Atomic { scope_block: false },
-            AccessKind::Store => AccessType::Store,
-            AccessKind::Atomic { op, scope } => {
-                if matches!(op, AtomOp::Cas | AtomOp::Exch) {
-                    let wl = &mut self.locks[access.global_warp as usize];
-                    if let [l] = access.lanes {
-                        let pair = [(l.lane, l.addr)];
-                        match op {
-                            AtomOp::Cas => wl.on_cas(&pair, scope),
-                            AtomOp::Exch => wl.on_exch(&pair, scope),
-                            _ => unreachable!("matched above"),
-                        }
-                    } else {
-                        self.scratch_pairs.clear();
-                        self.scratch_pairs
-                            .extend(access.lanes.iter().map(|l| (l.lane, l.addr)));
-                        match op {
-                            AtomOp::Cas => wl.on_cas(&self.scratch_pairs, scope),
-                            AtomOp::Exch => wl.on_exch(&self.scratch_pairs, scope),
-                            _ => unreachable!("matched above"),
-                        }
-                    }
-                }
-                AccessType::Atomic {
-                    scope_block: scope == Scope::Block,
-                }
-            }
-        };
-
-        clock.charge(
-            CostCategory::Detection,
-            self.cfg.check_cost + self.cfg.md_lock_cost,
-        );
-
-        let coalescible = self.cfg.coalescing
-            && !matches!(kind, AccessType::Store)
-            && access.lanes.len() > 1
-            && access.lanes.iter().all(|l| l.addr == access.lanes[0].addr);
-        if coalescible {
-            self.stats.coalesced_saved += access.lanes.len() as u64 - 1;
-            let rep = access.lanes[0];
-            self.route_access(&rep, kind, access);
-        } else {
-            if access.lanes.len() > 1 {
-                self.scratch_words.clear();
-                self.scratch_words
-                    .extend(access.lanes.iter().map(|l| l.addr / 4));
-                self.scratch_words.sort_unstable();
-                self.scratch_words.dedup();
-                let dup = access.lanes.len() - self.scratch_words.len();
-                if dup > 0 {
-                    clock.charge(
-                        CostCategory::Detection,
-                        dup as u64 * (self.cfg.check_cost + self.cfg.md_lock_cost),
-                    );
-                }
-            }
-            for i in 0..access.lanes.len() {
-                let la = access.lanes[i];
-                self.route_access(&la, kind, access);
-            }
-        }
-    }
-}
-
-impl Drop for ShardedIguard {
-    fn drop(&mut self) {
-        if let Exec::Threads(workers) = &mut self.exec {
-            // Closing the message pipes ends each worker loop; join so no
-            // detached thread outlives the detector.
-            for w in workers.iter_mut() {
-                let (closed_tx, _closed_rx) = pipeline::bounded::<ShardMsg>(1);
-                drop(mem::replace(&mut w.tx, closed_tx));
-            }
-            for w in workers.iter_mut() {
-                if let Some(h) = w.handle.take() {
-                    let _ = h.join();
-                }
-            }
-        }
+        self.0.on_sync(event, clock);
     }
 }

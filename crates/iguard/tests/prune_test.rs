@@ -7,7 +7,7 @@
 use faults::{FaultConfig, FaultSite, RATE_ONE};
 use gpu_sim::prelude::*;
 use iguard::prune::RacyReason;
-use iguard::{Iguard, IguardConfig, IguardError, PruneMode, ShardConfig, ShardedIguard};
+use iguard::{Iguard, IguardConfig, PruneMode, PruneStats};
 use nvbit_sim::Instrumented;
 
 /// The canonical prunable workload: `out[g] = in[g] * 3`.
@@ -200,54 +200,45 @@ fn static_racy_site_is_reported_at_launch_without_running_the_detector() {
     assert_eq!(tool.tool().static_reports().len(), 1);
 }
 
-#[test]
-fn sharded_pruning_matches_serial_pruning() {
-    let run_serial = |cfg: IguardConfig| {
-        let mut gpu = gpu();
-        let a = gpu.alloc(64).unwrap();
-        let b = gpu.alloc(64).unwrap();
-        let c = gpu.alloc(4).unwrap();
-        let mut tool = Instrumented::new(Iguard::new(cfg));
-        gpu.launch(&stream_kernel(), 2, 32, &[a, b], &mut tool).unwrap();
-        gpu.launch(&racy_kernel(), 1, 32, &[c], &mut tool).unwrap();
-        let races: Vec<String> = tool
-            .tool_mut()
-            .races()
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        (races, tool.tool().prune_stats(), tool.instr_stats())
-    };
-    let (serial_races, serial_ps, serial_is) = run_serial(IguardConfig::with_prune());
-
+/// Runs the stream kernel then the racy kernel under `shards` address
+/// shards; returns the dynamic reports and the pruning/dispatch counters.
+fn run_stream_then_racy(
+    cfg: IguardConfig,
+    shards: usize,
+) -> (Vec<String>, PruneStats, nvbit_sim::InstrStats) {
     let mut gpu = gpu();
     let a = gpu.alloc(64).unwrap();
     let b = gpu.alloc(64).unwrap();
     let c = gpu.alloc(4).unwrap();
-    let mut tool = Instrumented::new(ShardedIguard::new(
-        IguardConfig::with_prune(),
-        ShardConfig::inline(4),
-    ));
+    let mut tool = Instrumented::new(Iguard::with_shards(cfg, shards));
     gpu.launch(&stream_kernel(), 2, 32, &[a, b], &mut tool).unwrap();
     gpu.launch(&racy_kernel(), 1, 32, &[c], &mut tool).unwrap();
-    let sharded_races: Vec<String> = tool
+    let races = tool
         .tool_mut()
         .races()
         .iter()
         .map(|r| format!("{r:?}"))
         .collect();
-
-    assert_eq!(serial_races, sharded_races);
-    assert_eq!(serial_ps, tool.tool().prune_stats());
-    assert_eq!(serial_is, tool.instr_stats());
+    (races, tool.tool().prune_stats(), tool.instr_stats())
 }
 
 #[test]
-fn sharded_verify_mode_is_rejected() {
-    match ShardedIguard::try_new(IguardConfig::with_prune_verify(), ShardConfig::inline(2)) {
-        Err(IguardError::VerifyNeedsSerial) => {}
-        other => panic!("expected VerifyNeedsSerial, got {other:?}"),
-    }
+fn sharded_pruning_matches_one_shard_pruning() {
+    let one = run_stream_then_racy(IguardConfig::with_prune(), 1);
+    assert!(!one.0.is_empty());
+    assert_eq!(one, run_stream_then_racy(IguardConfig::with_prune(), 4));
+}
+
+#[test]
+fn verify_mode_is_shard_count_invariant() {
+    // Reports are immediate, so the violation counter is charged at the
+    // check for any shard count: same tagged-access count, same (zero)
+    // violations, same reports.
+    let one = run_stream_then_racy(IguardConfig::with_prune_verify(), 1);
+    assert_eq!(one.1.pruned_accesses, 64 * 2);
+    assert_eq!(one.1.verify_violations, 0);
+    assert!(!one.0.is_empty());
+    assert_eq!(one, run_stream_then_racy(IguardConfig::with_prune_verify(), 4));
 }
 
 #[test]

@@ -21,6 +21,7 @@
 //! drained.
 
 use std::fmt;
+use std::num::NonZeroUsize;
 
 use faults::{FaultInjector, FaultSite, FaultStats};
 use gpu_sim::timing::{Clock, CostCategory};
@@ -101,10 +102,22 @@ impl<T> HostChannel<T> {
         flush_cost: u64,
         category: CostCategory,
     ) -> Result<Self, ChannelError> {
-        if capacity == 0 {
-            return Err(ChannelError::ZeroCapacity);
-        }
-        Ok(HostChannel {
+        let capacity = NonZeroUsize::new(capacity).ok_or(ChannelError::ZeroCapacity)?;
+        Ok(HostChannel::with_capacity(
+            capacity, ship_cost, flush_cost, category,
+        ))
+    }
+
+    /// [`HostChannel::new`] for a capacity already known to be positive.
+    #[must_use]
+    pub fn with_capacity(
+        capacity: NonZeroUsize,
+        ship_cost: u64,
+        flush_cost: u64,
+        category: CostCategory,
+    ) -> Self {
+        let capacity = capacity.get();
+        HostChannel {
             buf: Vec::with_capacity(capacity.min(4096)),
             capacity,
             ship_cost,
@@ -113,7 +126,7 @@ impl<T> HostChannel<T> {
             stats: ChannelStats::default(),
             drained: Vec::new(),
             faults: FaultInjector::disabled(),
-        })
+        }
     }
 
     /// Attaches a fault injector (replacing the default disabled one).

@@ -15,16 +15,12 @@
 //!   dispatch overhead (Figure 13's "Instrumentation" bar);
 //! - [`channel`] — a device→host channel with per-record shipping costs
 //!   (what Barracuda pays for every event, and iGUARD only for race
-//!   reports);
-//! - [`pipeline`] — the host-side bounded producer/consumer stage that
-//!   lets detection drain on worker threads while simulation continues
-//!   (backpressure, never drops, wait-time accounting).
+//!   reports).
 
 #![forbid(unsafe_code)]
 
 pub mod channel;
 pub mod inspect;
-pub mod pipeline;
 
 use gpu_sim::hook::{Hook, LaunchInfo, MemAccess, SyncEvent};
 use gpu_sim::timing::{Clock, CostCategory};
