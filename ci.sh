@@ -24,8 +24,11 @@
 # oracle); any `static-unsound` observation fails the gate.
 # With --chaos, additionally runs the fault-injection smoke: seeded chaos
 # campaigns with every fault site armed (zero panics, every degradation
-# accounted, clean mid-campaign checkpoint resume) plus the
-# accuracy-under-pressure sweep (missed-check accounting).
+# accounted, clean mid-campaign checkpoint resume), the
+# accuracy-under-pressure sweep (missed-check accounting), and a shell-level
+# campaign crash drill: a checkpointed fuzz campaign, the newest generation
+# of its checkpoint store damaged, a resume that must continue from the
+# generation before it and finish on the uninterrupted campaign's totals.
 # With --litmus, additionally runs the weak-memory litmus smoke: replay of
 # the pinned v2 litmus corpus (witness traces re-run on the weak machine,
 # verdicts and explanations byte-compared) plus a time-boxed random litmus
@@ -33,9 +36,10 @@
 # With --service, additionally runs the multi-tenant detector-service
 # soak: a >=1000-launch fleet (clean + chaos arms) whose per-tenant
 # verdicts must be byte-identical across stream/shard reshapes
-# and a checkpoint restart, with the emitted bench-pr9-v1 JSON validated
-# structurally; then the *supervised* chaos soak (poison-job quarantine,
-# retry ladder, checkpoint-v2 store recovery, bench-pr10-v1 JSON) and a
+# and a restart through the checkpoint store, with the emitted bench-pr9-v1
+# JSON validated structurally; then the *supervised* chaos soak (poison-job
+# quarantine, retry ladder, checkpoint-store recovery past forced short,
+# torn and corrupt generations, bench-pr10-v1 JSON) and a
 # shell-level crash-recovery drill: run to a mid-soak save, kill, corrupt
 # the newest on-disk generation, resume, and require the final verdict
 # digests byte-identical to an uninterrupted run.
@@ -145,6 +149,27 @@ if [[ "$CHAOS" -eq 1 ]]; then
   echo "== pressure sweep (--chaos) =="
   # Exits non-zero if any missed check is unaccounted.
   cargo run --release -p bench --bin pressure -- --no-progress
+  echo "== campaign crash drill (--chaos) =="
+  # The service crash drill's twin for bench campaigns: 64 kernels are two
+  # batches, so two generations land in the store; we tear the newest, and
+  # the resume must fall back to generation 1 (not start over), run the
+  # lost batch again, and report the uninterrupted campaign's totals.
+  FUZZ_STORE=target/fuzz-store
+  rm -rf "$FUZZ_STORE"
+  totals() { grep '^fuzz: ' | sed -E 's/ in [0-9.]+s//'; }
+  FULL="$(cargo run --release -p bench --bin fuzz -- --kernels 64 --seed 42 --no-progress \
+    --checkpoint "$FUZZ_STORE" | totals)"
+  NEWEST="$(ls "$FUZZ_STORE"/ckpt-*.v2 | sort | tail -1)"
+  truncate -s -20 "$NEWEST"
+  echo "campaign drill: truncated 20 bytes off $NEWEST"
+  RESUMED="$(cargo run --release -p bench --bin fuzz -- --resume "$FUZZ_STORE" --no-progress \
+    2> target/fuzz-drill.err | totals)"
+  grep 'resumed campaign' target/fuzz-drill.err
+  grep -q 'from generation 1 (2 scanned, 1 invalid skipped)' target/fuzz-drill.err \
+    || { echo "campaign drill: resume did not fall back to generation 1" >&2; exit 1; }
+  [[ -n "$FULL" && "$RESUMED" == "$FULL" ]] \
+    || { echo "campaign drill: resumed totals '$RESUMED' != uninterrupted '$FULL'" >&2; exit 1; }
+  echo "campaign drill: resumed from generation 1, totals match the uninterrupted campaign"
 fi
 
 if [[ "$SERVICE" -eq 1 ]]; then

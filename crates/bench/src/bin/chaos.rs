@@ -27,6 +27,7 @@ use workloads::Size;
 
 use bench::campaign::Checkpoint;
 use bench::{gpu_config, run_iguard_with, run_jobs, DriverConfig, IguardRun, Job, Outcome};
+use iguard::CheckpointStore;
 
 /// Workloads exercised per campaign: racy, clean, and contended kernels.
 const WORKLOADS: [&str; 4] = ["reduction", "graph-color", "uts", "b_reduce"];
@@ -76,7 +77,7 @@ fn parse_args(rest: Vec<String>) -> Args {
 /// the fault streams and the warp schedule.
 fn job_for(name: &'static str, campaign_seed: u64, denom: u32) -> Job<IguardRun> {
     let plane = FaultConfig::uniform(campaign_seed, RATE_ONE / denom);
-    Job::retryable(format!("{name} seed={campaign_seed}"), move || {
+    Job::custom(format!("{name} seed={campaign_seed}"), move || {
         let w = workloads::by_name(name).expect("workload list is static");
         let gcfg = GpuConfig {
             faults: plane.clone(),
@@ -228,8 +229,10 @@ fn run_campaign(
 fn main() {
     let (driver, rest) = DriverConfig::from_env();
     let args = parse_args(rest);
-    let ckpt_path = std::env::temp_dir().join(format!("chaos-ckpt-{}.txt", std::process::id()));
-    let ckpt_path = ckpt_path.to_str().expect("utf-8 temp path").to_string();
+    // One store for the whole run: each campaign's drill saves one more
+    // generation and recovers by its own seed.
+    let store_dir = std::env::temp_dir().join(format!("chaos-store-{}", std::process::id()));
+    let store = CheckpointStore::open(&store_dir).expect("temp dir is writable");
     let mut failures = 0usize;
 
     for c in 0..args.campaigns {
@@ -254,12 +257,13 @@ fn main() {
         for (name, dig) in WORKLOADS.iter().zip(&digests[..half]) {
             ck.push_row(*name, dig.clone());
         }
-        if let Err(e) = ck.save(&ckpt_path) {
+        if let Err(e) = ck.save(&store) {
             eprintln!("chaos campaign {campaign_seed}: cannot write checkpoint: {e}");
             failures += 1;
             continue;
         }
-        let resumed = Checkpoint::load(&ckpt_path).expect("just written");
+        let (resumed, _) = Checkpoint::recover(&store, Some(campaign_seed));
+        let resumed = resumed.expect("just written");
         let from: usize = resumed.meta_as("next").expect("cursor present");
         let tail = match run_campaign(campaign_seed, args.rate_denom, &driver, from) {
             Ok(d) => d,
@@ -287,7 +291,7 @@ fn main() {
             WORKLOADS.len()
         );
     }
-    std::fs::remove_file(&ckpt_path).ok();
+    std::fs::remove_dir_all(&store_dir).ok();
 
     if failures > 0 {
         eprintln!("chaos: {failures}/{} campaigns failed", args.campaigns);

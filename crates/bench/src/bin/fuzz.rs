@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! fuzz [--kernels N] [--budget SECS] [--seed S] [--corpus PATH] [--spec STR]
-//!      [--static] [--checkpoint PATH] [--resume PATH]
+//!      [--static] [--checkpoint DIR] [--resume DIR]
 //!      [--jobs N] [--serial] [--timeout-secs N] [--no-progress]
 //! ```
 //!
@@ -20,12 +20,16 @@
 //!   is expected and reported; any `static-unsound` observation is a
 //!   soundness bug, gets shrunk to a minimal repro, and fails the run.
 //!   Checkpointing is not supported in this mode.
-//! - `--checkpoint P`  snapshot campaign progress to P after every batch.
-//! - `--resume P`   continue an interrupted campaign from checkpoint P
-//!   (restores the seed, stream position, and every counter; keeps
-//!   checkpointing to the same file). The kernel stream is a pure
-//!   function of the campaign seed, so a resumed campaign produces
-//!   exactly the results the uninterrupted one would have.
+//! - `--checkpoint D`  snapshot campaign progress after every batch as a
+//!   new generation of the checkpoint store in directory D
+//!   (`iguard::CheckpointStore`: CRC-framed, atomically promoted).
+//! - `--resume D`   continue an interrupted campaign from the newest
+//!   valid generation in D — a torn or corrupt newest generation falls
+//!   back to the one before it (restores the seed, stream position, and
+//!   every counter; keeps checkpointing to the same store). The kernel
+//!   stream is a pure function of the campaign seed, so a resumed
+//!   campaign produces exactly the results the uninterrupted one would
+//!   have.
 //!
 //! Exit code 1 on any unexplained oracle/detector divergence (after
 //! shrinking it to a minimal repro), 0 otherwise.
@@ -35,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use bench::campaign::Checkpoint;
 use bench::{run_jobs, DriverConfig, Job, Outcome};
+use iguard::CheckpointStore;
 use oracle::corpus;
 use oracle::diff::{diff_spec, generate_specs, DiffConfig, DiffReport};
 use oracle::shrink::shrink_spec;
@@ -263,14 +268,25 @@ fn main() {
     let mut dnf = 0usize;
 
     // Resume: restore the stream cursor and every aggregate from the
-    // checkpoint; keep saving to the same file unless --checkpoint
-    // pointed elsewhere.
-    let ckpt_path = args.checkpoint.clone().or_else(|| args.resume.clone());
-    if let Some(path) = &args.resume {
-        let ck = Checkpoint::load(path).unwrap_or_else(|e| {
-            eprintln!("--resume: {e}");
+    // newest valid generation; keep saving to the same store unless
+    // --checkpoint pointed elsewhere.
+    let open_store = |dir: &String| {
+        CheckpointStore::open(dir).unwrap_or_else(|e| {
+            eprintln!("cannot open checkpoint store {dir}: {e}");
             std::process::exit(2);
-        });
+        })
+    };
+    let resume_store = args.resume.as_ref().map(open_store);
+    if let Some(store) = &resume_store {
+        let (ck, rec) = Checkpoint::recover(store, None);
+        let Some(ck) = ck else {
+            eprintln!(
+                "--resume: no valid checkpoint generation in {} ({} scanned)",
+                store.dir().display(),
+                rec.scanned
+            );
+            std::process::exit(2);
+        };
         stream_seed = ck.meta_as("stream_seed").unwrap_or(stream_seed);
         kernels_target = ck.meta_as("kernels").unwrap_or(kernels_target);
         done = ck.meta_as("done").unwrap_or(0);
@@ -293,10 +309,16 @@ fn main() {
             }
         }
         eprintln!(
-            "resumed campaign seed={} at kernel {done} (stream seed {stream_seed:#x})",
-            ck.meta_as::<u64>("seed").unwrap_or(args.seed)
+            "resumed campaign seed={} at kernel {done} (stream seed {stream_seed:#x}) from \
+             generation {} ({} scanned, {} invalid skipped)",
+            ck.meta_as::<u64>("seed").unwrap_or(args.seed),
+            rec.recovered_generation.unwrap_or(0),
+            rec.scanned,
+            rec.skipped_invalid,
         );
     }
+
+    let ckpt_store = args.checkpoint.as_ref().map(open_store).or(resume_store);
 
     while kernels_target == 0 || done < kernels_target {
         if let Some(b) = args.budget {
@@ -351,7 +373,7 @@ fn main() {
 
         // Batch boundary: snapshot the stream cursor and aggregates so an
         // interrupted campaign resumes without repeating finished work.
-        if let Some(path) = &ckpt_path {
+        if let Some(store) = &ckpt_store {
             let mut ck = Checkpoint::new();
             ck.set_meta("seed", args.seed);
             ck.set_meta("kernels", kernels_target);
@@ -365,8 +387,8 @@ fn main() {
             for r in &unexplained {
                 ck.push_row("unexplained", r.spec.to_compact_string());
             }
-            if let Err(e) = ck.save(path) {
-                eprintln!("cannot write checkpoint {path}: {e}");
+            if let Err(e) = ck.save(store) {
+                eprintln!("cannot write checkpoint to {}: {e}", store.dir().display());
             }
         }
     }

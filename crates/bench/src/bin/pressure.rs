@@ -80,7 +80,7 @@ fn main() {
             ARMS.iter().map(move |arm| {
                 let w = workloads::by_name(name).expect("workload list is static");
                 let arm = *arm;
-                Job::retryable(format!("{name}/{}", arm.label()), move || {
+                Job::custom(format!("{name}/{}", arm.label()), move || {
                     run_iguard_with(&w.clone(), Size::Test, gpu_config(42), arm.config())
                 })
             })

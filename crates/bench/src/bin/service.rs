@@ -9,8 +9,8 @@
 //!    under a different stream count, shard count, and
 //!    slice quantum yields byte-identical per-tenant verdict digests.
 //! 2. **Restart invariance.** A service interrupted at its half-way
-//!    checkpoint and resumed from the checkpoint text converges to the
-//!    same per-tenant verdicts as the uninterrupted incarnation.
+//!    save and recovered from the [`iguard::CheckpointStore`] converges
+//!    to the same per-tenant verdicts as the uninterrupted incarnation.
 //! 3. **Full accounting.** Every tenant's degradation summary satisfies
 //!    `fully_accounted()`, with or without the chaos fault plane armed.
 //!
@@ -26,9 +26,9 @@
 //! (`--poison-denom`) panic on every attempt and must land in the
 //! per-tenant quarantine ledger; chaos-perturbed attempts retry down the
 //! decaying fault ladder and must heal to fault-free verdict bytes; and
-//! the restart arm becomes a crash-recovery drill through the
-//! generation-numbered [`iguard::CheckpointStore`] with all three
-//! write-side fault sites forced (short write → no promote, torn and
+//! the restart arm becomes a crash-recovery drill: a second incarnation
+//! finishes the load and loses every save to a forced write-side fault
+//! site (short write → no promote, torn and
 //! corrupt writes → promoted garbage that recovery must skip). Results
 //! land in `BENCH_PR10.json` (schema `bench-pr10-v1`,
 //! `perfjson::validate_pr10`). `--drill-stage 1|2` exposes the two
@@ -51,17 +51,17 @@
 
 use std::time::{Duration, Instant};
 
-use faults::{splitmix64, FaultConfig, FaultInjector, FaultSite, RATE_ONE};
-use iguard::service::job_seed;
+use faults::{FaultConfig, FaultInjector, FaultSite, RATE_ONE};
 use iguard::{
-    CheckpointStore, DetectorService, IguardConfig, ServiceConfig, ShardConfig,
-    SupervisorConfig, SupervisorStats, TenantVerdict,
+    CheckpointStore, DetectorService, IguardConfig, RecoveryReport, ServiceConfig, ServiceReport,
+    ShardConfig, SupervisorConfig, TenantVerdict,
 };
 use workloads::Size;
 
 use bench::perfjson::{self, Value};
 use bench::{
-    available_jobs, run_jobs, run_service_job, DriverConfig, Job, Outcome, ServiceJob,
+    available_jobs, is_poison, quiet_poison_panics, run_jobs, run_service_job, DriverConfig, Job,
+    Outcome, ServiceJob,
 };
 
 const DEFAULT_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
@@ -75,17 +75,12 @@ const QUICK_OUT_PR10: &str = concat!(
     "/../../target/BENCH_PR10.quick.json"
 );
 
-/// Salt for the deterministic poison-job lottery: a job is poison iff
-/// `splitmix64(job_seed ^ SALT) % poison_denom == 0`, so the poison set
-/// is a pure function of `(service_seed, tenant, job_index)` — identical
-/// in every arm, every reshape, every restart.
-const POISON_SALT: u64 = 0x9015_0D0B_AD5E_ED01;
-
 /// Workload rotation per (tenant, job index): small kernels covering
 /// racy and clean regimes, so verdicts are non-trivial but each job is
 /// cheap enough to queue by the hundreds.
 const ROTATION: [&str; 3] = ["reduction", "b_reduce", "graph-color"];
 
+#[derive(Clone)]
 struct Args {
     tenants: usize,
     jobs_per_tenant: u64,
@@ -233,19 +228,16 @@ fn chaos_plane(args: &Args) -> FaultConfig {
     }
 }
 
-fn service_config(args: &Args, streams: usize, shard: ShardConfig, slice: u64) -> ServiceConfig {
-    service_config_with(args, streams, shard, slice, args.chaos)
-}
-
-/// Like [`service_config`] but with the detector-internal fault plane
-/// armed only when `chaos_armed`. The fault-free reference arm of the
-/// supervised soak needs the *same* capacity-capped table as the chaos
-/// arms (capacity evictions are part of the verdict) with zero injected
-/// faults — that is the byte-identity baseline healing is judged against.
-fn service_config_with(
+/// The service configuration for one arm: `shards` inline shards, and
+/// the detector-internal fault plane armed only when `chaos_armed`. The
+/// fault-free reference arm of the supervised soak needs the *same*
+/// capacity-capped table as the chaos arms (capacity evictions are part
+/// of the verdict) with zero injected faults — that is the byte-identity
+/// baseline healing is judged against.
+fn service_config(
     args: &Args,
     streams: usize,
-    shard: ShardConfig,
+    shards: usize,
     slice: u64,
     chaos_armed: bool,
 ) -> ServiceConfig {
@@ -261,44 +253,33 @@ fn service_config_with(
     ServiceConfig {
         seed: args.seed,
         base,
-        shard,
+        shard: ShardConfig::inline(shards),
         streams_per_tenant: streams,
         slice_cycles: slice,
     }
 }
 
-fn sup_config(args: &Args) -> SupervisorConfig {
-    SupervisorConfig {
+/// The configured fleet shape with the chaos plane as `--chaos` says.
+fn reference_config(args: &Args) -> ServiceConfig {
+    service_config(args, args.streams, args.shards, args.slice, true)
+}
+
+/// The supervision policy (`None` without `--supervised`).
+fn sup_config(args: &Args) -> Option<SupervisorConfig> {
+    args.supervised.then(|| SupervisorConfig {
         max_retries: args.max_retries,
         cycle_budget: args.cycle_budget,
         ..SupervisorConfig::default()
+    })
+}
+
+/// The poison lottery's denominator (0 — nobody — without `--supervised`).
+fn poison_denom(args: &Args) -> u64 {
+    if args.supervised {
+        args.poison_denom
+    } else {
+        0
     }
-}
-
-/// Whether the deterministic poison lottery marks this job: such a job
-/// panics on **every** attempt and must end up quarantined.
-fn is_poison(seed: u64, poison_denom: u64, tenant: &str, job_index: u64) -> bool {
-    poison_denom > 0
-        && splitmix64(job_seed(seed, tenant, job_index) ^ POISON_SALT).is_multiple_of(poison_denom)
-}
-
-/// Suppresses the panic-hook backtrace spam from deliberately poisoned
-/// jobs (they panic with a `poison job:` marker and are caught by the
-/// supervisor); every other panic still reports through the previous
-/// hook, so a genuine bug stays loud.
-fn install_quiet_poison_hook() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let quiet = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .is_some_and(|m| m.contains("poison job"));
-        if !quiet {
-            prev(info);
-        }
-    }));
 }
 
 fn tenant_name(i: usize) -> String {
@@ -322,10 +303,8 @@ fn submit_load(svc: &mut DetectorService<ServiceJob>, args: &Args, upto: u64) {
 
 /// What the supervised recovery arm saw from the checkpoint store.
 struct RecoveryDrill {
-    recovered_generation: u64,
-    scanned: u64,
-    skipped_invalid: u64,
-    skipped_stale: u64,
+    /// The final recovery's scan.
+    report: RecoveryReport,
     /// A fired short write must never promote a generation.
     short_write_promoted: bool,
 }
@@ -333,18 +312,21 @@ struct RecoveryDrill {
 /// One soak arm's results (everything the drills and the JSON need).
 struct Soak {
     verdicts: Vec<TenantVerdict>,
-    jobs_run: u64,
-    jobs_skipped: u64,
-    launches: u64,
-    makespan: u64,
-    streams: usize,
-    front_end_cycles: u64,
-    transport_sent: u64,
-    transport_drained: u64,
+    /// The arm's last incarnation, cumulative.
+    report: ServiceReport,
     wall: Duration,
-    jobs_quarantined: u64,
-    supervisor: SupervisorStats,
     recovery: Option<RecoveryDrill>,
+}
+
+/// One recovery scan, as the drills print it.
+fn recovery_line(rec: &RecoveryReport) -> String {
+    format!(
+        "recovered generation {} (scanned {}, skipped {} invalid, {} stale)",
+        rec.recovered_generation.unwrap_or(0),
+        rec.scanned,
+        rec.skipped_invalid,
+        rec.skipped_stale_seed,
+    )
 }
 
 fn digests(verdicts: &[TenantVerdict]) -> Vec<String> {
@@ -389,20 +371,10 @@ fn finish(
     start: Instant,
 ) -> Soak {
     run_stage(&mut svc, chaos, poison_denom, sup, "soak");
-    let r = svc.report();
     Soak {
         verdicts: svc.verdicts(),
-        jobs_run: r.jobs_run,
-        jobs_skipped: r.jobs_skipped,
-        launches: r.launches,
-        makespan: r.makespan_cycles,
-        streams: r.streams,
-        front_end_cycles: r.front_end_cycles,
-        transport_sent: r.transport.sent,
-        transport_drained: r.transport.drained,
+        report: svc.report().clone(),
         wall: start.elapsed(),
-        jobs_quarantined: r.jobs_quarantined,
-        supervisor: r.supervisor,
         recovery: None,
     }
 }
@@ -417,6 +389,71 @@ fn store_dir(args: &Args) -> String {
     })
 }
 
+/// The restart arm: the reference shape interrupted at its half-way
+/// save and recovered through the checkpoint store. Supervised, it is a
+/// crash-recovery drill — a second incarnation finishes the load and
+/// loses every save to a forced write-side fault, so the final recovery
+/// must skip the damage and land on the clean generation.
+fn restart_arm(args: &Args, chaos: &FaultConfig) -> Job<Soak> {
+    let (args, chaos, dir) = (args.clone(), chaos.clone(), store_dir(args));
+    let label = if args.supervised { "recovery" } else { "restart" };
+    Job::custom(format!("service/{label}"), move || {
+        let start = Instant::now();
+        let (sup, poison) = (sup_config(&args), poison_denom(&args));
+        let cfg = reference_config(&args);
+        let die = |what: &str, e: &dyn std::fmt::Display| -> ! {
+            eprintln!("service: {label} arm {what}: {e}");
+            std::process::exit(1);
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap_or_else(|e| die("store open", &e));
+        // Incarnation 1: half the load, clean save → generation 1; then
+        // "crash" — everything but the store is dropped.
+        let (mut svc, _) = store.recover::<ServiceJob>(&cfg);
+        submit_load(&mut svc, &args, args.jobs_per_tenant / 2);
+        run_stage(&mut svc, &chaos, poison, sup.as_ref(), "restart arm (first incarnation)");
+        store.save(&svc).unwrap_or_else(|e| die("clean save", &e));
+        let mut short_write_promoted = false;
+        if args.supervised {
+            // Incarnation 2: finish the load, then lose every save to a
+            // forced write-side fault (short write abandons the temp
+            // file; torn/corrupt writes promote garbage).
+            let (mut svc, _) = store.recover::<ServiceJob>(&cfg);
+            submit_load(&mut svc, &args, args.jobs_per_tenant);
+            run_stage(&mut svc, &chaos, poison, sup.as_ref(), "recovery arm (second incarnation)");
+            for site in [
+                FaultSite::CkptShortWrite,
+                FaultSite::CkptTornWrite,
+                FaultSite::CkptCorruptWrite,
+            ] {
+                let plane = FaultConfig::disabled()
+                    .with_seed(args.seed ^ site.index() as u64)
+                    .with_rate(site, RATE_ONE);
+                let mut inj = FaultInjector::new(&plane, "ckpt-store");
+                let promoted = svc
+                    .checkpoint_records()
+                    .and_then(|records| store.save_records_with_faults(&records, &mut inj))
+                    .unwrap_or_else(|e| die("faulted save", &e));
+                if site == FaultSite::CkptShortWrite && promoted.is_some() {
+                    short_write_promoted = true;
+                }
+            }
+        }
+        // Last incarnation: recover (past the torn and corrupt
+        // generations, if any) from generation 1 and resubmit the *full*
+        // load; already-covered job indices are skipped, the lost half
+        // deterministically re-runs.
+        let (mut svc, rec) = store.recover::<ServiceJob>(&cfg);
+        submit_load(&mut svc, &args, args.jobs_per_tenant);
+        let mut soak = finish(svc, &chaos, poison, sup.as_ref(), start);
+        soak.recovery = args.supervised.then_some(RecoveryDrill {
+            report: rec,
+            short_write_promoted,
+        });
+        soak
+    })
+}
+
 fn main() {
     let (driver, rest) = DriverConfig::from_env();
     let args = parse_args(rest);
@@ -424,7 +461,7 @@ fn main() {
         validate_file(path);
     }
     if args.supervised {
-        install_quiet_poison_hook();
+        quiet_poison_panics();
     }
     if args.drill_stage > 0 {
         drill_stage(&args);
@@ -465,167 +502,37 @@ fn main() {
     //   reference — the configured fleet shape, inline shards;
     //   reshaped  — different stream count, shard count and slice
     //               quantum;
-    //   restart   — reference shape, interrupted at the half-way
-    //               checkpoint and resumed from its text.
-    // Supervised swaps the restart arm for a checkpoint-store recovery
-    // drill (write-side faults forced, newest-valid-wins recovery) and
-    // adds a fault-free arm the chaos verdicts must heal to.
+    //   restart   — reference shape, interrupted at the half-way save
+    //               and recovered from the checkpoint store.
+    // Supervised layers forced write-side faults over the restart arm's
+    // store (newest-valid-wins recovery) and adds a fault-free arm the
+    // chaos verdicts must heal to.
     // Verdict digests must be byte-identical across every arm.
-    let arms: Vec<Job<Soak>> = {
-        let a = |label: &str| format!("service/{label}");
-        let poison = if args.supervised { args.poison_denom } else { 0 };
-        let reference = {
-            let (args_c, chaos_c) = (clone_args(&args), chaos.clone());
-            Job::custom(a("reference"), move || {
-                let start = Instant::now();
-                let cfg = service_config(
-                    &args_c,
-                    args_c.streams,
-                    ShardConfig::inline(args_c.shards),
-                    args_c.slice,
-                );
-                let mut svc = DetectorService::new(cfg);
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant);
-                let sup = args_c.supervised.then(|| sup_config(&args_c));
-                finish(svc, &chaos_c, poison, sup.as_ref(), start)
-            })
-        };
-        let fault_free = args.supervised.then(|| {
-            let args_c = clone_args(&args);
-            Job::custom(a("fault-free"), move || {
-                let start = Instant::now();
-                let cfg = service_config_with(
-                    &args_c,
-                    args_c.streams,
-                    ShardConfig::inline(args_c.shards),
-                    args_c.slice,
-                    false,
-                );
-                let mut svc = DetectorService::new(cfg);
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant);
-                let sup = sup_config(&args_c);
-                finish(svc, &FaultConfig::disabled(), poison, Some(&sup), start)
-            })
-        });
-        let reshaped = {
-            let (args_c, chaos_c) = (clone_args(&args), chaos.clone());
-            Job::custom(a("reshaped"), move || {
-                let start = Instant::now();
-                let cfg = service_config(
-                    &args_c,
-                    args_c.streams + 1,
-                    ShardConfig::inline(args_c.shards * 2),
-                    (args_c.slice / 2).max(1),
-                );
-                let mut svc = DetectorService::new(cfg);
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant);
-                let sup = args_c.supervised.then(|| sup_config(&args_c));
-                finish(svc, &chaos_c, poison, sup.as_ref(), start)
-            })
-        };
-        let restart = if args.supervised {
-            // Crash-recovery drill through the generation-numbered
-            // store: a clean save, then one save per write-side fault
-            // site forced to fire, then recovery that must skip the
-            // damage and land on the clean generation.
-            let (args_c, chaos_c) = (clone_args(&args), chaos.clone());
-            let dir = store_dir(&args);
-            Job::custom(a("recovery"), move || {
-                let start = Instant::now();
-                let sup = sup_config(&args_c);
-                let mk = || {
-                    service_config(
-                        &args_c,
-                        args_c.streams,
-                        ShardConfig::inline(args_c.shards),
-                        args_c.slice,
-                    )
-                };
-                let die = |what: &str, e: &dyn std::fmt::Display| -> ! {
-                    eprintln!("service: recovery arm {what}: {e}");
-                    std::process::exit(1);
-                };
-                let _ = std::fs::remove_dir_all(&dir);
-                let store =
-                    CheckpointStore::open(&dir).unwrap_or_else(|e| die("store open", &e));
-                // Incarnation 1: half the load, clean save → generation 1.
-                let (mut svc, _) = store.recover::<ServiceJob>(&mk());
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant / 2);
-                run_stage(&mut svc, &chaos_c, poison, Some(&sup), "recovery incarnation 1");
-                store.save(&svc).unwrap_or_else(|e| die("clean save", &e));
-                // Incarnation 2: finish the load, then lose every save
-                // to a forced write-side fault (short write abandons the
-                // temp file; torn/corrupt writes promote garbage).
-                let (mut svc, _) = store.recover::<ServiceJob>(&mk());
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant);
-                run_stage(&mut svc, &chaos_c, poison, Some(&sup), "recovery incarnation 2");
-                let mut short_write_promoted = false;
-                for site in [
-                    FaultSite::CkptShortWrite,
-                    FaultSite::CkptTornWrite,
-                    FaultSite::CkptCorruptWrite,
-                ] {
-                    let plane = FaultConfig::disabled()
-                        .with_seed(args_c.seed ^ site.index() as u64)
-                        .with_rate(site, RATE_ONE);
-                    let mut inj = FaultInjector::new(&plane, "ckpt-store");
-                    let rep = store
-                        .save_with_faults(&svc, &mut inj)
-                        .unwrap_or_else(|e| die("faulted save", &e));
-                    if site == FaultSite::CkptShortWrite && rep.generation.is_some() {
-                        short_write_promoted = true;
-                    }
-                }
-                // Incarnation 3: recovery must reject the torn and
-                // corrupt generations and resume from generation 1,
-                // then deterministically re-run the lost second half.
-                let (mut svc, rec) = store.recover::<ServiceJob>(&mk());
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant);
-                let mut soak = finish(svc, &chaos_c, poison, Some(&sup), start);
-                soak.recovery = Some(RecoveryDrill {
-                    recovered_generation: rec.recovered_generation.unwrap_or(0),
-                    scanned: rec.scanned,
-                    skipped_invalid: rec.skipped_invalid,
-                    skipped_stale: rec.skipped_stale_seed,
-                    short_write_promoted,
-                });
-                soak
-            })
-        } else {
-            let (args_c, chaos_c) = (clone_args(&args), chaos.clone());
-            Job::custom(a("restart"), move || {
-                let start = Instant::now();
-                let mk = || {
-                    service_config(
-                        &args_c,
-                        args_c.streams,
-                        ShardConfig::inline(args_c.shards),
-                        args_c.slice,
-                    )
-                };
-                // First incarnation: half the load, then "crash" —
-                // everything but the checkpoint text is dropped.
-                let mut svc = DetectorService::new(mk());
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant / 2);
-                run_stage(&mut svc, &chaos_c, 0, None, "restart arm (first incarnation)");
-                let ckpt = svc.checkpoint();
-                drop(svc);
-                // Second incarnation: resume, resubmit the *full* load;
-                // already-covered job indices are skipped.
-                let mut svc = DetectorService::resume(mk(), &ckpt).unwrap_or_else(|e| {
-                    eprintln!("service: restart arm resume failed: {e}");
-                    std::process::exit(1);
-                });
-                submit_load(&mut svc, &args_c, args_c.jobs_per_tenant);
-                finish(svc, &chaos_c, 0, None, start)
-            })
-        };
-        let mut arms = vec![reference];
-        arms.extend(fault_free);
-        arms.push(reshaped);
-        arms.push(restart);
-        arms
+    let (sup, poison) = (sup_config(&args), poison_denom(&args));
+    // One uninterrupted incarnation of the full load under `cfg`.
+    let soak_arm = |label: &str, cfg: ServiceConfig, chaos: FaultConfig| {
+        let args = args.clone();
+        Job::custom(format!("service/{label}"), move || {
+            let start = Instant::now();
+            let mut svc = DetectorService::new(cfg);
+            submit_load(&mut svc, &args, args.jobs_per_tenant);
+            finish(svc, &chaos, poison, sup.as_ref(), start)
+        })
     };
+    let mut arms = vec![soak_arm("reference", reference_config(&args), chaos.clone())];
+    if args.supervised {
+        let cfg = service_config(&args, args.streams, args.shards, args.slice, false);
+        arms.push(soak_arm("fault-free", cfg, FaultConfig::disabled()));
+    }
+    let reshaped = service_config(
+        &args,
+        args.streams + 1,
+        args.shards * 2,
+        (args.slice / 2).max(1),
+        true,
+    );
+    arms.push(soak_arm("reshaped", reshaped, chaos.clone()));
+    arms.push(restart_arm(&args, &chaos));
     let mut outcomes = run_jobs(arms, &driver).into_iter();
     let mut next = |label: &str| match outcomes.next().expect("three arms") {
         Outcome::Done { value, .. } => value,
@@ -648,80 +555,76 @@ fn main() {
     let reference = next("reference");
     let fault_free = args.supervised.then(|| next("fault-free"));
     let reshaped = next("reshaped");
-    let restart = next(if args.supervised { "recovery" } else { "restart" });
+    // What the restart arm and its output lines are called.
+    let restart_label = if args.supervised { "recovery" } else { "restart" };
+    let restart = next(restart_label);
 
     let mut failures = 0usize;
 
     // Per-tenant verdict table (simulated cycles only — deterministic).
-    if args.supervised {
-        println!(
-            "{:<12} {:>5} {:>8} {:>6} {:>9} {:>6} {:>5} {:>9} {:>9} {:>9} {:>9}  accounted",
-            "tenant", "jobs", "launches", "sites", "timed_out", "abort", "quar", "lat_p50", "lat_p90", "lat_p99", "lat_max"
-        );
-    } else {
-        println!(
-            "{:<12} {:>5} {:>8} {:>6} {:>9} {:>6} {:>9} {:>9} {:>9} {:>9}  accounted",
-            "tenant", "jobs", "launches", "sites", "timed_out", "abort", "lat_p50", "lat_p90", "lat_p99", "lat_max"
-        );
-    }
+    // The `quar` column exists only under supervision.
+    let quar = |cell: String| {
+        if args.supervised {
+            format!(" {cell:>5}")
+        } else {
+            String::new()
+        }
+    };
+    println!(
+        "{:<12} {:>5} {:>8} {:>6} {:>9} {:>6}{} {:>9} {:>9} {:>9} {:>9}  accounted",
+        "tenant",
+        "jobs",
+        "launches",
+        "sites",
+        "timed_out",
+        "abort",
+        quar("quar".into()),
+        "lat_p50",
+        "lat_p90",
+        "lat_p99",
+        "lat_max"
+    );
     println!("{}", "-".repeat(110));
     for v in &reference.verdicts {
         let accounted = v.degradation.fully_accounted();
         failures += usize::from(!accounted);
-        if args.supervised {
-            println!(
-                "{:<12} {:>5} {:>8} {:>6} {:>9} {:>6} {:>5} {:>9} {:>9} {:>9} {:>9}  {}",
-                v.tenant,
-                v.jobs,
-                v.launches,
-                v.sites.len(),
-                v.timed_out,
-                v.aborted_launches,
-                v.quarantined,
-                v.latency.p50,
-                v.latency.p90,
-                v.latency.p99,
-                v.latency.max,
-                if accounted { "yes" } else { "NO" },
-            );
-        } else {
-            println!(
-                "{:<12} {:>5} {:>8} {:>6} {:>9} {:>6} {:>9} {:>9} {:>9} {:>9}  {}",
-                v.tenant,
-                v.jobs,
-                v.launches,
-                v.sites.len(),
-                v.timed_out,
-                v.aborted_launches,
-                v.latency.p50,
-                v.latency.p90,
-                v.latency.p99,
-                v.latency.max,
-                if accounted { "yes" } else { "NO" },
-            );
-        }
+        println!(
+            "{:<12} {:>5} {:>8} {:>6} {:>9} {:>6}{} {:>9} {:>9} {:>9} {:>9}  {}",
+            v.tenant,
+            v.jobs,
+            v.launches,
+            v.sites.len(),
+            v.timed_out,
+            v.aborted_launches,
+            quar(v.quarantined.to_string()),
+            v.latency.p50,
+            v.latency.p90,
+            v.latency.p99,
+            v.latency.max,
+            if accounted { "yes" } else { "NO" },
+        );
     }
     println!("{}", "-".repeat(110));
     let total_launches: u64 = reference.verdicts.iter().map(|v| v.launches).sum();
     println!(
         "soak totals: jobs {} launches {} makespan {} cycles streams {} front-end {} cycles",
-        reference.jobs_run,
+        reference.report.jobs_run,
         total_launches,
-        reference.makespan,
-        reference.streams,
-        reference.front_end_cycles,
+        reference.report.makespan_cycles,
+        reference.report.streams,
+        reference.report.front_end_cycles,
     );
-    if reference.launches != total_launches {
+    if reference.report.launches != total_launches {
         println!(
             "launch accounting mismatch: service counted {} but tenant verdicts sum to {}",
-            reference.launches, total_launches
+            reference.report.launches, total_launches
         );
         failures += 1;
     }
-    if reference.transport_sent != reference.transport_drained {
+    if reference.report.transport.sent != reference.report.transport.drained {
         println!(
             "verdict transport LOST RECORDS: sent {} drained {}",
-            reference.transport_sent, reference.transport_drained
+            reference.report.transport.sent, reference.report.transport.drained
         );
         failures += 1;
     }
@@ -734,7 +637,7 @@ fn main() {
             // Accepted attempts are fault-free by construction (clean
             // room); the chaos evidence lives in the supervisor's
             // discarded-attempt accounting instead.
-            let s = &reference.supervisor;
+            let s = &reference.report.supervisor;
             if s.discarded_fault_fires == 0 && s.perturbed_attempts == 0 {
                 println!("chaos arm vacuous: no fault fired on any attempt — raise the rate");
                 failures += 1;
@@ -759,7 +662,7 @@ fn main() {
         }
     }
     if args.supervised {
-        let s = &reference.supervisor;
+        let s = &reference.report.supervisor;
         println!(
             "supervisor: {} jobs in {} attempt(s); caught {} panic(s), {} hang(s), {} perturbed; \
              {} retried, {} recovered, {} clean, {} degraded, {} quarantined",
@@ -774,7 +677,7 @@ fn main() {
             s.accepted_degraded,
             s.quarantined,
         );
-        if reference.jobs_quarantined == 0 {
+        if reference.report.jobs_quarantined == 0 {
             println!("poison lottery vacuous: no job quarantined — lower --poison-denom");
             failures += 1;
         }
@@ -800,7 +703,7 @@ fn main() {
         drill_pairs.push(("fault-free", ff));
     }
     drill_pairs.push(("reshaped", &reshaped));
-    drill_pairs.push((if args.supervised { "recovery" } else { "restart" }, &restart));
+    drill_pairs.push((restart_label, &restart));
     for (label, soak) in drill_pairs {
         let got = digests(&soak.verdicts);
         if got == reference_digests {
@@ -816,49 +719,33 @@ fn main() {
             failures += 1;
         }
     }
-    if args.supervised {
-        match &restart.recovery {
-            Some(rec) => {
-                println!(
-                    "drill recovery: recovered generation {} (scanned {}, skipped {} invalid, {} stale)",
-                    rec.recovered_generation, rec.scanned, rec.skipped_invalid, rec.skipped_stale
-                );
-                // Deterministic store shape: gen 1 clean, short write
-                // unpromoted, torn gen 2 + corrupt gen 3 both rejected.
-                if rec.recovered_generation != 1 || rec.skipped_invalid != 2 || rec.scanned != 3 {
-                    println!("drill recovery: UNEXPECTED STORE SHAPE");
-                    failures += 1;
-                }
-                if rec.short_write_promoted {
-                    println!("drill recovery: short write PROMOTED a generation");
-                    failures += 1;
-                }
-                if rec.skipped_stale != 0 {
-                    println!("drill recovery: unexpected stale-seed generation");
-                    failures += 1;
-                }
-            }
-            None => {
-                println!("drill recovery: no recovery report");
-                failures += 1;
-            }
-        }
-        if restart.jobs_skipped == 0 {
-            println!("drill recovery: checkpoint skipped nothing — drill is vacuous");
+    if let Some(drill) = &restart.recovery {
+        let rec = &drill.report;
+        println!("drill recovery: {}", recovery_line(rec));
+        // Deterministic store shape: gen 1 clean, short write
+        // unpromoted, torn gen 2 + corrupt gen 3 both rejected.
+        if rec.recovered_generation != Some(1) || rec.skipped_invalid != 2 || rec.scanned != 3 {
+            println!("drill recovery: UNEXPECTED STORE SHAPE");
             failures += 1;
-        } else {
-            println!(
-                "drill recovery: resumed past {} covered job(s), re-ran {}",
-                restart.jobs_skipped, restart.jobs_run
-            );
         }
-    } else if restart.jobs_skipped == 0 {
-        println!("drill restart: checkpoint skipped nothing — drill is vacuous");
+        if drill.short_write_promoted {
+            println!("drill recovery: short write PROMOTED a generation");
+            failures += 1;
+        }
+        if rec.skipped_stale_seed != 0 {
+            println!("drill recovery: unexpected stale-seed generation");
+            failures += 1;
+        }
+    }
+    if restart.report.jobs_skipped == 0 {
+        println!("drill {restart_label}: checkpoint skipped nothing — drill is vacuous");
         failures += 1;
     } else {
         println!(
-            "drill restart: resumed past {} checkpointed job(s), re-ran {}",
-            restart.jobs_skipped, restart.jobs_run
+            "drill {restart_label}: resumed past {} {} job(s), re-ran {}",
+            restart.report.jobs_skipped,
+            if args.supervised { "covered" } else { "checkpointed" },
+            restart.report.jobs_run
         );
     }
 
@@ -894,41 +781,42 @@ fn main() {
     }
     doc.set("config", cfg);
     let mut soak = Value::obj();
-    soak.set("total_jobs", Value::Num(reference.jobs_run as f64));
+    soak.set("total_jobs", Value::Num(reference.report.jobs_run as f64));
     soak.set("total_launches", Value::Num(total_launches as f64));
-    soak.set("makespan_cycles", Value::Num(reference.makespan as f64));
+    soak.set("makespan_cycles", Value::Num(reference.report.makespan_cycles as f64));
     soak.set(
         "throughput_launches_per_mcycle",
-        Value::Num(total_launches as f64 / (reference.makespan as f64 / 1e6).max(1e-9)),
+        Value::Num(total_launches as f64 / (reference.report.makespan_cycles as f64 / 1e6).max(1e-9)),
     );
     soak.set("wall_ms", Value::Num(reference.wall.as_secs_f64() * 1e3));
-    soak.set("streams", Value::Num(reference.streams as f64));
+    soak.set("streams", Value::Num(reference.report.streams as f64));
     soak.set(
         "front_end_cycles",
-        Value::Num(reference.front_end_cycles as f64),
+        Value::Num(reference.report.front_end_cycles as f64),
     );
     if args.supervised {
         soak.set(
             "jobs_quarantined",
-            Value::Num(reference.jobs_quarantined as f64),
+            Value::Num(reference.report.jobs_quarantined as f64),
         );
-        let s = &reference.supervisor;
+        let s = &reference.report.supervisor;
         let mut sup = Value::obj();
-        sup.set("jobs_supervised", Value::Num(s.jobs_supervised as f64));
-        sup.set("attempts", Value::Num(s.attempts as f64));
-        sup.set("panics_caught", Value::Num(s.panics_caught as f64));
-        sup.set("hangs_caught", Value::Num(s.hangs_caught as f64));
-        sup.set("perturbed_attempts", Value::Num(s.perturbed_attempts as f64));
-        sup.set("retries", Value::Num(s.retries as f64));
-        sup.set("recovered", Value::Num(s.recovered as f64));
-        sup.set("accepted_clean", Value::Num(s.accepted_clean as f64));
-        sup.set("accepted_degraded", Value::Num(s.accepted_degraded as f64));
-        sup.set("quarantined", Value::Num(s.quarantined as f64));
-        sup.set("backoff_cycles", Value::Num(s.backoff_cycles as f64));
-        sup.set(
-            "discarded_fault_fires",
-            Value::Num(s.discarded_fault_fires as f64),
-        );
+        for (key, n) in [
+            ("jobs_supervised", s.jobs_supervised),
+            ("attempts", s.attempts),
+            ("panics_caught", s.panics_caught),
+            ("hangs_caught", s.hangs_caught),
+            ("perturbed_attempts", s.perturbed_attempts),
+            ("retries", s.retries),
+            ("recovered", s.recovered),
+            ("accepted_clean", s.accepted_clean),
+            ("accepted_degraded", s.accepted_degraded),
+            ("quarantined", s.quarantined),
+            ("backoff_cycles", s.backoff_cycles),
+            ("discarded_fault_fires", s.discarded_fault_fires),
+        ] {
+            sup.set(key, Value::Num(n as f64));
+        }
         soak.set("supervisor", sup);
     }
     let tenants_arr: Vec<Value> = reference
@@ -964,55 +852,33 @@ fn main() {
     soak.set("tenants", Value::Arr(tenants_arr));
     doc.set("soak", soak);
     let mut drills = Value::obj();
+    let matched = |soak: &Soak| Value::Bool(digests(&soak.verdicts) == reference_digests);
+    let wall_ms = |soak: &Soak| Value::Num(soak.wall.as_secs_f64() * 1e3);
+    if let Some(ff) = &fault_free {
+        drills.set("fault_free_matched", matched(ff));
+    }
+    drills.set("reshaped_matched", matched(&reshaped));
+    drills.set(&format!("{restart_label}_matched"), matched(&restart));
+    if let Some(RecoveryDrill { report: rec, .. }) = &restart.recovery {
+        drills.set(
+            "recovery_generation",
+            Value::Num(rec.recovered_generation.unwrap_or(0) as f64),
+        );
+        drills.set(
+            "recovery_skipped_invalid",
+            Value::Num(rec.skipped_invalid as f64),
+        );
+    }
+    drills.set(
+        &format!("{restart_label}_jobs_skipped"),
+        Value::Num(restart.report.jobs_skipped as f64),
+    );
     if args.supervised {
-        if let Some(ff) = &fault_free {
-            drills.set(
-                "fault_free_matched",
-                Value::Bool(digests(&ff.verdicts) == reference_digests),
-            );
-        }
-        drills.set(
-            "reshaped_matched",
-            Value::Bool(digests(&reshaped.verdicts) == reference_digests),
-        );
-        drills.set(
-            "recovery_matched",
-            Value::Bool(digests(&restart.verdicts) == reference_digests),
-        );
-        if let Some(rec) = &restart.recovery {
-            drills.set(
-                "recovery_generation",
-                Value::Num(rec.recovered_generation as f64),
-            );
-            drills.set(
-                "recovery_skipped_invalid",
-                Value::Num(rec.skipped_invalid as f64),
-            );
-        }
-        drills.set(
-            "recovery_jobs_skipped",
-            Value::Num(restart.jobs_skipped as f64),
-        );
         // Every arm completed: no panic escaped the supervisor.
         drills.set("zero_panics", Value::Bool(true));
-        drills.set("reshaped_wall_ms", Value::Num(reshaped.wall.as_secs_f64() * 1e3));
-        drills.set("recovery_wall_ms", Value::Num(restart.wall.as_secs_f64() * 1e3));
-    } else {
-        drills.set(
-            "reshaped_matched",
-            Value::Bool(digests(&reshaped.verdicts) == reference_digests),
-        );
-        drills.set(
-            "restart_matched",
-            Value::Bool(digests(&restart.verdicts) == reference_digests),
-        );
-        drills.set(
-            "restart_jobs_skipped",
-            Value::Num(restart.jobs_skipped as f64),
-        );
-        drills.set("reshaped_wall_ms", Value::Num(reshaped.wall.as_secs_f64() * 1e3));
-        drills.set("restart_wall_ms", Value::Num(restart.wall.as_secs_f64() * 1e3));
     }
+    drills.set("reshaped_wall_ms", wall_ms(&reshaped));
+    drills.set(&format!("{restart_label}_wall_ms"), wall_ms(&restart));
     doc.set("drills", drills);
 
     let rendered = doc.pretty();
@@ -1040,13 +906,13 @@ fn main() {
         println!(
             "service: {} jobs / {} launches across {} tenants under supervision: {} poison job(s) \
              quarantined, chaos healed to fault-free bytes, store recovery byte-identical",
-            reference.jobs_run, total_launches, args.tenants, reference.jobs_quarantined,
+            reference.report.jobs_run, total_launches, args.tenants, reference.report.jobs_quarantined,
         );
     } else {
         println!(
             "service: {} jobs / {} launches across {} tenants: verdicts interleaving-, shard-, and \
              restart-invariant; every degradation accounted",
-            reference.jobs_run, total_launches, args.tenants,
+            reference.report.jobs_run, total_launches, args.tenants,
         );
     }
 }
@@ -1062,10 +928,9 @@ fn main() {
 /// in-process control run. Exit status is the assertion.
 fn drill_stage(args: &Args) -> ! {
     let chaos = chaos_plane(args);
-    let sup = args.supervised.then(|| sup_config(args));
-    let poison = if args.supervised { args.poison_denom } else { 0 };
+    let (sup, poison) = (sup_config(args), poison_denom(args));
     let dir = store_dir(args);
-    let mk = || service_config(args, args.streams, ShardConfig::inline(args.shards), args.slice);
+    let mk = || reference_config(args);
     let die = |what: &str, e: &dyn std::fmt::Display| -> ! {
         eprintln!("service: drill stage {} {what}: {e}", args.drill_stage);
         std::process::exit(1);
@@ -1092,13 +957,7 @@ fn drill_stage(args: &Args) -> ! {
         2 => {
             let store = CheckpointStore::open(&dir).unwrap_or_else(|e| die("store open", &e));
             let (mut svc, rec) = store.recover::<ServiceJob>(&mk());
-            println!(
-                "drill stage 2: recovered generation {} (scanned {}, skipped {} invalid, {} stale)",
-                rec.recovered_generation.map_or(0, |g| g),
-                rec.scanned,
-                rec.skipped_invalid,
-                rec.skipped_stale_seed,
-            );
+            println!("drill stage 2: {}", recovery_line(&rec));
             submit_load(&mut svc, args, args.jobs_per_tenant);
             run_stage(&mut svc, &chaos, poison, sup.as_ref(), "drill stage 2 (finish)");
             let got = digests(&svc.verdicts());
@@ -1118,29 +977,5 @@ fn drill_stage(args: &Args) -> ! {
             std::process::exit(1);
         }
         n => usage(&format!("--drill-stage must be 1 or 2, got {n}")),
-    }
-}
-
-/// `Args` minus the I/O-only fields, for moving into driver closures.
-fn clone_args(a: &Args) -> Args {
-    Args {
-        tenants: a.tenants,
-        jobs_per_tenant: a.jobs_per_tenant,
-        reps: a.reps,
-        streams: a.streams,
-        shards: a.shards,
-        slice: a.slice,
-        seed: a.seed,
-        chaos: a.chaos,
-        rate_denom: a.rate_denom,
-        quick: a.quick,
-        out: None,
-        validate: None,
-        supervised: a.supervised,
-        max_retries: a.max_retries,
-        cycle_budget: a.cycle_budget,
-        poison_denom: a.poison_denom,
-        store: None,
-        drill_stage: 0,
     }
 }

@@ -10,42 +10,26 @@
 //! produced; the chaos smoke (`bench --bin chaos`) asserts this
 //! byte-for-byte.
 //!
-//! The on-disk format is line-oriented, human-readable text:
+//! This module is only the record *vocabulary*:
 //!
 //! ```text
-//! # bench campaign checkpoint v1
 //! meta<TAB>seed<TAB>42
 //! meta<TAB>done<TAB>64
 //! row<TAB><label><TAB><value>
 //! ```
 //!
-//! Tabs separate fields, so labels and values may contain spaces (but
-//! not tabs or newlines).
+//! Tabs separate fields, so keys, labels and values may contain spaces
+//! but not tabs or line breaks (saving such a checkpoint fails with
+//! `InvalidInput`). The records are held by [`iguard::CheckpointStore`]
+//! — CRC frames, generation files, atomic promote — so a campaign
+//! checkpoint is a store *directory*, every save is a new generation,
+//! and a damaged newest generation falls back to the one before it
+//! instead of restarting the campaign.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io;
 
-use faults::{FaultInjector, FaultSite};
-
-/// Magic first line; bumping the version invalidates stale checkpoints.
-const HEADER: &str = "# bench campaign checkpoint v1";
-
-/// What a fault-injectable save actually did (see
-/// [`Checkpoint::save_with_faults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SaveOutcome {
-    /// The checkpoint reached disk intact.
-    Saved,
-    /// The write was lost before the atomic rename: the *previous*
-    /// checkpoint (if any) is still on disk, untouched. Resuming simply
-    /// replays a little more work.
-    DroppedWrite,
-    /// The write completed but the payload was corrupted in transit. The
-    /// corrupt file *replaces* the previous checkpoint; [`Checkpoint::parse`]
-    /// rejects it, so a resumer falls back to a fresh start — slower,
-    /// never wrong.
-    CorruptedWrite,
-}
+use iguard::store::{record, CheckpointStore, RecoveryReport, Reject};
 
 /// A resumable snapshot of campaign progress.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -79,101 +63,51 @@ impl Checkpoint {
         self.rows.push((label.into(), value.into()));
     }
 
-    /// Serializes to the text format.
-    #[must_use]
-    pub fn format(&self) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        for (k, v) in &self.meta {
-            let _ = writeln!(out, "meta\t{k}\t{v}");
-        }
-        for (label, value) in &self.rows {
-            let _ = writeln!(out, "row\t{label}\t{value}");
-        }
-        out
+    /// The checkpoint as store records: every `meta`, then every `row`.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] when a key, label or value
+    /// contains a tab (it could never be read back).
+    pub fn records(&self) -> io::Result<Vec<String>> {
+        let meta = self.meta.iter().map(|(k, v)| format!("meta\t{k}\t{v}"));
+        let rows = self.rows.iter().map(|(l, v)| format!("row\t{l}\t{v}"));
+        meta.chain(rows).map(|r| record(3, r)).collect()
     }
 
-    /// Parses the text format, rejecting unknown versions and malformed
-    /// lines (a truncated checkpoint must not silently resume).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h == HEADER => {}
-            Some(h) => return Err(format!("unsupported checkpoint header `{h}`")),
-            None => return Err("empty checkpoint".into()),
-        }
+    /// Parses store records, rejecting unknown kinds and malformed
+    /// records (a foreign checkpoint must not silently resume).
+    fn from_records(records: &[&str]) -> Option<Self> {
         let mut ck = Checkpoint::new();
-        for (no, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, '\t');
-            let kind = parts.next().unwrap_or("");
-            let (Some(a), Some(b)) = (parts.next(), parts.next()) else {
-                return Err(format!("line {}: expected 3 tab-separated fields", no + 2));
-            };
-            match kind {
-                "meta" => {
-                    ck.meta.insert(a.to_string(), b.to_string());
-                }
-                "row" => ck.rows.push((a.to_string(), b.to_string())),
-                other => return Err(format!("line {}: unknown record `{other}`", no + 2)),
+        for record in records {
+            let fields: Vec<&str> = record.split('\t').collect();
+            match fields[..] {
+                ["meta", k, v] => ck.set_meta(k, v),
+                ["row", label, value] => ck.push_row(label, value),
+                _ => return None,
             }
         }
-        Ok(ck)
+        Some(ck)
     }
 
-    /// Writes the checkpoint to `path` atomically (temp file + rename),
-    /// so an interrupt mid-write cannot corrupt a resumable state.
-    pub fn save(&self, path: &str) -> std::io::Result<()> {
-        let tmp = format!("{path}.tmp");
-        std::fs::write(&tmp, self.format())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Loads and parses a checkpoint from `path`.
-    pub fn load(path: &str) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Checkpoint::parse(&text)
-    }
-
-    /// Like [`Checkpoint::save`], but routed through the fault plane so
-    /// chaos campaigns can exercise write-side failures deterministically.
+    /// Saves the checkpoint as a new generation of `store`.
     ///
-    /// - [`FaultSite::ReportDrop`]: the write is lost *before* the atomic
-    ///   rename (a truncated temp file is left behind, never promoted) —
-    ///   the previous checkpoint survives.
-    /// - [`FaultSite::ReportCorrupt`]: the payload is mangled (its header
-    ///   byte flipped) and the rename *does* complete — the resumer's
-    ///   parse rejects it and degrades to a fresh start.
-    ///
-    /// Either way the failure is visible in the returned [`SaveOutcome`]
-    /// and in the injector's counters, so every lost save is accounted.
-    pub fn save_with_faults(
-        &self,
-        path: &str,
-        faults: &mut FaultInjector,
-    ) -> std::io::Result<SaveOutcome> {
-        let tmp = format!("{path}.tmp");
-        let mut payload = self.format();
-        if faults.enabled() && faults.fire(FaultSite::ReportDrop) {
-            // Simulate dying mid-write: a truncated temp file, no rename.
-            let keep = payload.len() / 2;
-            std::fs::write(&tmp, &payload[..keep])?;
-            return Ok(SaveOutcome::DroppedWrite);
-        }
-        let corrupted = faults.enabled() && faults.fire(FaultSite::ReportCorrupt);
-        if corrupted {
-            // Flip the header's first byte: parse must reject the file.
-            payload.replace_range(0..1, "!");
-        }
-        std::fs::write(&tmp, payload)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(if corrupted {
-            SaveOutcome::CorruptedWrite
-        } else {
-            SaveOutcome::Saved
+    /// # Errors
+    /// As [`Checkpoint::records`], plus filesystem failures.
+    pub fn save(&self, store: &CheckpointStore) -> io::Result<u64> {
+        store.save_records(&self.records()?)
+    }
+
+    /// Loads the newest valid checkpoint in `store`. With `seed` set, a
+    /// checkpoint whose `seed` meta differs belongs to another campaign
+    /// and is skipped as stale.
+    #[must_use]
+    pub fn recover(store: &CheckpointStore, seed: Option<u64>) -> (Option<Self>, RecoveryReport) {
+        store.recover_records(|records| {
+            let ck = Checkpoint::from_records(records).ok_or(Reject::Invalid)?;
+            match seed {
+                Some(s) if ck.meta_as("seed") != Some(s) => Err(Reject::Stale),
+                _ => Ok(ck),
+            }
         })
     }
 }
@@ -182,99 +116,69 @@ impl Checkpoint {
 mod tests {
     use super::*;
 
+    fn strs(records: &[String]) -> Vec<&str> {
+        records.iter().map(String::as_str).collect()
+    }
+
     #[test]
     fn roundtrips_meta_and_rows() {
         let mut ck = Checkpoint::new();
         ck.set_meta("seed", 42u64);
         ck.set_meta("stream_seed", 0xDEAD_BEEFu64);
         ck.push_row("job a", "ok sites=2");
-        ck.push_row("job b", "DNF(fault)");
-        let parsed = Checkpoint::parse(&ck.format()).unwrap();
+        ck.push_row("scor/append size=Test seed=7", "DNF(fault)");
+        let records = ck.records().unwrap();
+        assert_eq!(records[0], "meta\tseed\t42");
+        let parsed = Checkpoint::from_records(&strs(&records)).unwrap();
         assert_eq!(parsed, ck);
         assert_eq!(parsed.meta_as::<u64>("seed"), Some(42));
     }
 
     #[test]
-    fn labels_with_spaces_survive() {
-        let mut ck = Checkpoint::new();
-        ck.push_row("scor/append size=Test seed=7", "races=3 missed=0");
-        let parsed = Checkpoint::parse(&ck.format()).unwrap();
-        assert_eq!(parsed.rows[0].0, "scor/append size=Test seed=7");
+    fn rejects_foreign_and_truncated_records() {
+        assert!(Checkpoint::from_records(&["seed\t42"]).is_none());
+        assert!(Checkpoint::from_records(&["meta\tonly-two-fields"]).is_none());
+        assert!(Checkpoint::from_records(&["row\ta\tb\tc"]).is_none());
     }
 
     #[test]
-    fn rejects_foreign_headers_and_truncated_lines() {
-        assert!(Checkpoint::parse("# something else\n").is_err());
-        assert!(Checkpoint::parse("").is_err());
-        let bad = format!("{HEADER}\nmeta\tonly-two-fields\n");
-        assert!(Checkpoint::parse(&bad).is_err());
+    fn tabs_and_line_breaks_fail_the_save_and_promote_nothing() {
+        let dir = std::env::temp_dir().join(format!("bench-ckpt-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap();
+        for bad in ["a\tb", "a\nb", "a\rb"] {
+            let (mut row, mut meta) = (Checkpoint::new(), Checkpoint::new());
+            row.push_row(bad, "v");
+            meta.set_meta("k", bad);
+            for ck in [row, meta] {
+                let err = ck.save(&store).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{ck:?}");
+            }
+        }
+        assert!(store.generations().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn save_and_load_through_disk() {
-        let mut ck = Checkpoint::new();
-        ck.set_meta("done", 7usize);
-        let path = std::env::temp_dir().join("bench-ckpt-test.txt");
-        let path = path.to_str().unwrap().to_string();
-        ck.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded, ck);
-    }
-
-    #[test]
-    fn dropped_write_preserves_the_previous_checkpoint() {
-        use faults::{FaultConfig, RATE_ONE};
-        let path = std::env::temp_dir().join(format!("bench-ckpt-drop-{}.txt", std::process::id()));
-        let path = path.to_str().unwrap().to_string();
-        let mut old = Checkpoint::new();
-        old.set_meta("done", 3usize);
-        old.save(&path).unwrap();
-
-        let cfg = FaultConfig::disabled()
-            .with_seed(7)
-            .with_rate(FaultSite::ReportDrop, RATE_ONE);
-        let mut inj = FaultInjector::new(&cfg, "ckpt-test");
-        let mut newer = Checkpoint::new();
-        newer.set_meta("done", 9usize);
-        let outcome = newer.save_with_faults(&path, &mut inj).unwrap();
-        assert_eq!(outcome, SaveOutcome::DroppedWrite);
-        // The old checkpoint is intact; the loss is counted.
-        assert_eq!(Checkpoint::load(&path).unwrap(), old);
-        assert_eq!(inj.stats().get(FaultSite::ReportDrop), 1);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(format!("{path}.tmp")).ok();
-    }
-
-    #[test]
-    fn corrupted_write_is_rejected_on_load() {
-        use faults::{FaultConfig, RATE_ONE};
-        let path =
-            std::env::temp_dir().join(format!("bench-ckpt-corrupt-{}.txt", std::process::id()));
-        let path = path.to_str().unwrap().to_string();
-        let cfg = FaultConfig::disabled()
-            .with_seed(7)
-            .with_rate(FaultSite::ReportCorrupt, RATE_ONE);
-        let mut inj = FaultInjector::new(&cfg, "ckpt-test");
-        let mut ck = Checkpoint::new();
-        ck.set_meta("done", 5usize);
-        let outcome = ck.save_with_faults(&path, &mut inj).unwrap();
-        assert_eq!(outcome, SaveOutcome::CorruptedWrite);
-        // The file exists but must not silently resume.
-        assert!(Checkpoint::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disabled_faults_save_normally() {
-        let path =
-            std::env::temp_dir().join(format!("bench-ckpt-clean-{}.txt", std::process::id()));
-        let path = path.to_str().unwrap().to_string();
-        let mut inj = FaultInjector::disabled();
-        let mut ck = Checkpoint::new();
-        ck.push_row("unit", "ok");
-        assert_eq!(ck.save_with_faults(&path, &mut inj).unwrap(), SaveOutcome::Saved);
-        assert_eq!(Checkpoint::load(&path).unwrap(), ck);
-        std::fs::remove_file(&path).ok();
+    fn recover_skips_other_campaigns_as_stale() {
+        let dir = std::env::temp_dir().join(format!("bench-ckpt-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap();
+        for seed in [7u64, 8] {
+            let mut ck = Checkpoint::new();
+            ck.set_meta("seed", seed);
+            ck.set_meta("done", seed * 10);
+            ck.save(&store).unwrap();
+        }
+        let (ck, report) = Checkpoint::recover(&store, Some(7));
+        assert_eq!(ck.unwrap().meta_as::<u64>("done"), Some(70));
+        assert_eq!(report.recovered_generation, Some(1));
+        assert_eq!(report.skipped_stale_seed, 1);
+        let (ck, _) = Checkpoint::recover(&store, None);
+        assert_eq!(ck.unwrap().meta_as::<u64>("done"), Some(80));
+        let (ck, report) = Checkpoint::recover(&store, Some(9));
+        assert!(ck.is_none());
+        assert_eq!(report.skipped_stale_seed, 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -41,28 +41,16 @@ pub struct DriverConfig {
     pub timeout: Option<Duration>,
     /// Emit live per-job progress/timing lines on stderr.
     pub progress: bool,
-    /// Re-run attempts granted to a DNF job (panic, deadline, or injected
-    /// fault) before its outcome is final. Only jobs built with
-    /// [`Job::retryable`](crate::job::Job::retryable) can be retried;
-    /// one-shot jobs keep their first outcome regardless.
-    pub retries: usize,
-    /// Delay before a DNF job's first retry; each further attempt doubles
-    /// it (exponential backoff).
-    pub retry_backoff: Duration,
 }
 
 impl Default for DriverConfig {
     /// Parallel across available cores, 120 s deadline, progress on —
-    /// the defaults the bench binaries run with. No retries: a DNF in a
-    /// deterministic sweep would fail identically again unless the job is
-    /// racing a deadline or an injected-fault schedule.
+    /// the defaults the bench binaries run with.
     fn default() -> Self {
         DriverConfig {
             jobs: available_jobs(),
             timeout: Some(Duration::from_secs(120)),
             progress: true,
-            retries: 0,
-            retry_backoff: Duration::from_millis(250),
         }
     }
 }
@@ -80,13 +68,7 @@ impl DriverConfig {
     /// equivalence tests compare against.
     #[must_use]
     pub fn serial() -> Self {
-        DriverConfig {
-            jobs: 1,
-            timeout: None,
-            progress: false,
-            retries: 0,
-            retry_backoff: Duration::from_millis(250),
-        }
+        DriverConfig::parallel(1)
     }
 
     /// `n` workers, no deadline, no progress.
@@ -96,16 +78,14 @@ impl DriverConfig {
             jobs: n.max(1),
             timeout: None,
             progress: false,
-            retries: 0,
-            retry_backoff: Duration::from_millis(250),
         }
     }
 
     /// Parses and strips the shared driver flags from a raw argument
     /// list, returning the remaining arguments for the binary's own
     /// parser. Recognized: `--jobs N` (0 ⇒ all cores), `--serial`
-    /// (alias for `--jobs 1`), `--timeout-secs N` (0 ⇒ no deadline),
-    /// `--retries N`, `--retry-backoff-ms N`, and `--no-progress`.
+    /// (alias for `--jobs 1`), `--timeout-secs N` (0 ⇒ no deadline), and
+    /// `--no-progress`.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> (Self, Vec<String>) {
         let mut cfg = DriverConfig::default();
         let mut rest = Vec::new();
@@ -120,11 +100,6 @@ impl DriverConfig {
                 "--timeout-secs" => {
                     let secs: u64 = numeric(&mut it, "--timeout-secs");
                     cfg.timeout = (secs > 0).then(|| Duration::from_secs(secs));
-                }
-                "--retries" => cfg.retries = numeric(&mut it, "--retries"),
-                "--retry-backoff-ms" => {
-                    let ms: u64 = numeric(&mut it, "--retry-backoff-ms");
-                    cfg.retry_backoff = Duration::from_millis(ms);
                 }
                 "--no-progress" => cfg.progress = false,
                 _ => rest.push(a),
@@ -252,9 +227,6 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig) -> Vec
         return Vec::new();
     }
     let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-    // Rebuildable bodies for retryable jobs; `None` entries are one-shot
-    // and keep their first outcome regardless of `cfg.retries`.
-    let factories: Vec<_> = jobs.iter().map(Job::factory).collect();
 
     // Workers claim the lowest pending index, so with one worker
     // execution order equals submission order.
@@ -271,29 +243,17 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig) -> Vec
 
     let started_at = Instant::now();
     let mut running: HashMap<usize, Instant> = HashMap::new();
-    // Retry attempts consumed per job, and jobs waiting out their backoff
-    // (re-enqueued once `Instant` passes).
-    let mut attempts: Vec<usize> = vec![0; total];
-    let mut retry_at: Vec<(Instant, usize)> = Vec::new();
     let mut done = 0usize;
     while done < total {
-        // Wake at the earliest of: a running job's deadline, a pending
-        // retry's backoff expiry. With neither, block on the channel.
+        // Wake at the earliest running job's deadline; with none, block
+        // on the channel.
         let now = Instant::now();
-        let deadline_wake = cfg.timeout.and_then(|limit| {
+        let next_wake = cfg.timeout.and_then(|limit| {
             running
                 .values()
                 .map(|s| (*s + limit).saturating_duration_since(now))
                 .min()
         });
-        let retry_wake = retry_at
-            .iter()
-            .map(|(t, _)| t.saturating_duration_since(now))
-            .min();
-        let next_wake = match (deadline_wake, retry_wake) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         let msg = match next_wake {
             None => Some(rx.recv().expect("supervisor holds a sender")),
             Some(wake) => match rx.recv_timeout(wake.max(Duration::from_millis(1))) {
@@ -323,11 +283,6 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig) -> Vec
                     }
                     Err(message) => Outcome::Panicked { message, elapsed },
                 };
-                if outcome.is_dnf()
-                    && schedule_retry(idx, cfg, &factories, &labels, &mut attempts, &mut retry_at)
-                {
-                    continue;
-                }
                 done += 1;
                 if cfg.progress {
                     progress_line(done, total, &labels[idx], &outcome, started_at);
@@ -335,10 +290,9 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig) -> Vec
                 results[idx] = Some(outcome);
             }
             None => {
+                // Deadline sweep: declare every overdue job DNF and spawn
+                // replacement workers for their abandoned threads.
                 let now = Instant::now();
-                // Deadline sweep: declare every overdue job DNF (or grant
-                // it a retry) and spawn replacement workers for their
-                // abandoned threads.
                 if let Some(limit) = cfg.timeout {
                     let overdue: Vec<usize> = running
                         .iter()
@@ -348,42 +302,12 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig) -> Vec
                     for idx in overdue {
                         running.remove(&idx);
                         spawn_worker(Arc::clone(&queue), tx.clone());
-                        if schedule_retry(
-                            idx,
-                            cfg,
-                            &factories,
-                            &labels,
-                            &mut attempts,
-                            &mut retry_at,
-                        ) {
-                            continue;
-                        }
                         let outcome = Outcome::TimedOut { elapsed: limit };
                         done += 1;
                         if cfg.progress {
                             progress_line(done, total, &labels[idx], &outcome, started_at);
                         }
                         results[idx] = Some(outcome);
-                    }
-                }
-                // Backoff sweep: re-enqueue every due retry. The original
-                // workers may have drained the queue and exited, so each
-                // re-enqueued job brings its own worker.
-                let mut i = 0;
-                while i < retry_at.len() {
-                    if retry_at[i].0 <= now {
-                        let (_, idx) = retry_at.swap_remove(i);
-                        let job = factories[idx]
-                            .as_ref()
-                            .map(|f| Job::from_factory(labels[idx].clone(), Arc::clone(f)))
-                            .expect("only retryable jobs are scheduled for retry");
-                        queue
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push_back((idx, job));
-                        spawn_worker(Arc::clone(&queue), tx.clone());
-                    } else {
-                        i += 1;
                     }
                 }
             }
@@ -395,38 +319,6 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig) -> Vec
         .into_iter()
         .map(|r| r.expect("every submitted job resolved"))
         .collect()
-}
-
-/// Grants `idx` one more attempt if the configuration and the job allow
-/// it: bumps its attempt count and parks it until its exponential-backoff
-/// delay (`retry_backoff << (attempt-1)`) expires. Returns `false` when
-/// the job's outcome should be final.
-fn schedule_retry<F>(
-    idx: usize,
-    cfg: &DriverConfig,
-    factories: &[Option<F>],
-    labels: &[String],
-    attempts: &mut [usize],
-    retry_at: &mut Vec<(Instant, usize)>,
-) -> bool {
-    if attempts[idx] >= cfg.retries || factories[idx].is_none() {
-        return false;
-    }
-    attempts[idx] += 1;
-    let delay = cfg
-        .retry_backoff
-        .saturating_mul(1u32 << (attempts[idx] - 1).min(16));
-    if cfg.progress {
-        eprintln!(
-            "[retry {}/{}] {:<44} backing off {:.2}s",
-            attempts[idx],
-            cfg.retries,
-            labels[idx],
-            delay.as_secs_f64()
-        );
-    }
-    retry_at.push((Instant::now() + delay, idx));
-    true
 }
 
 /// Convenience: run every job serially on the calling configuration's

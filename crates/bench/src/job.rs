@@ -9,8 +9,6 @@
 //! (`table1`'s probe kernels, `fig14`'s footprint scaling) ride the same
 //! pool via [`Job::custom`].
 
-use std::time::Duration;
-
 use barracuda::BarracudaConfig;
 use gpu_sim::hook::ExecMode;
 use iguard::IguardConfig;
@@ -109,15 +107,11 @@ impl JobSpec {
         }
     }
 
-    /// Converts the spec into a driver job. Specs are cheap to clone and
-    /// fully deterministic, so the job is retryable: under
-    /// `DriverConfig::retries` the driver can re-run it after a DNF
-    /// (useful when the DNF came from an injected-fault schedule or a
-    /// deadline, not a genuine bug).
+    /// Converts the spec into a driver job.
     #[must_use]
     pub fn into_job(self) -> Job<RunOutput> {
         let label = self.label();
-        Job::retryable(label, move || self.clone().run())
+        Job::custom(label, move || self.run())
     }
 }
 
@@ -170,18 +164,7 @@ impl RunOutput {
 pub struct Job<T> {
     /// Identity shown in progress and DNF reporting.
     pub label: String,
-    run: JobFn<T>,
-}
-
-/// A reusable job body, shared between the queued job and the driver's
-/// retry bookkeeping.
-pub(crate) type JobFactory<T> = std::sync::Arc<dyn Fn() -> T + Send + Sync + 'static>;
-
-enum JobFn<T> {
-    /// Consumed on first execution; cannot be retried.
-    Once(Box<dyn FnOnce() -> T + Send + 'static>),
-    /// Re-runnable body: the driver can rebuild the job after a DNF.
-    Retryable(JobFactory<T>),
+    run: Box<dyn FnOnce() -> T + Send + 'static>,
 }
 
 impl<T> Job<T> {
@@ -189,47 +172,13 @@ impl<T> Job<T> {
     pub fn custom(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> Self {
         Job {
             label: label.into(),
-            run: JobFn::Once(Box::new(run)),
-        }
-    }
-
-    /// Wraps a re-runnable closure as a job the driver may retry after a
-    /// DNF (panic, deadline, injected fault) when
-    /// `DriverConfig::retries > 0`. The closure must be deterministic or
-    /// at least idempotent: a retried run replaces the failed one
-    /// wholesale.
-    pub fn retryable(
-        label: impl Into<String>,
-        run: impl Fn() -> T + Send + Sync + 'static,
-    ) -> Self {
-        Job {
-            label: label.into(),
-            run: JobFn::Retryable(std::sync::Arc::new(run)),
-        }
-    }
-
-    /// The shared body, if this job is retryable.
-    pub(crate) fn factory(&self) -> Option<JobFactory<T>> {
-        match &self.run {
-            JobFn::Once(_) => None,
-            JobFn::Retryable(f) => Some(std::sync::Arc::clone(f)),
-        }
-    }
-
-    /// Rebuilds a queueable job from a previously captured factory.
-    pub(crate) fn from_factory(label: String, factory: JobFactory<T>) -> Self {
-        Job {
-            label,
-            run: JobFn::Retryable(factory),
+            run: Box::new(run),
         }
     }
 
     /// Executes the job on the calling thread.
     pub(crate) fn execute(self) -> T {
-        match self.run {
-            JobFn::Once(f) => f(),
-            JobFn::Retryable(f) => f(),
-        }
+        (self.run)()
     }
 }
 
@@ -237,22 +186,4 @@ impl<T> std::fmt::Debug for Job<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Job").field("label", &self.label).finish()
     }
-}
-
-/// Wall-clock outcome classification for DNF reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DnfReason {
-    /// The job panicked; the message is preserved separately.
-    Panicked,
-    /// The job exceeded the driver's per-job deadline.
-    TimedOut,
-}
-
-/// Per-job timing record emitted alongside results.
-#[derive(Debug, Clone)]
-pub struct JobTiming {
-    /// The job's label.
-    pub label: String,
-    /// Wall-clock time from claim to completion (or to the deadline).
-    pub elapsed: Duration,
 }

@@ -296,6 +296,43 @@ pub fn run_service_job(
     outcome
 }
 
+/// Salt for the deterministic poison-job lottery.
+const POISON_SALT: u64 = 0x9015_0D0B_AD5E_ED01;
+
+/// Whether the deterministic poison lottery marks this job: such a job
+/// panics (`poison job: …`) on **every** attempt and must end up
+/// quarantined. A job is poison iff
+/// `splitmix64(job_seed ^ SALT) % poison_denom == 0`, so the poison set is
+/// a pure function of `(service_seed, tenant, job_index)` — identical in
+/// every arm, every reshape, every restart. `poison_denom == 0`: nobody.
+#[must_use]
+pub fn is_poison(service_seed: u64, poison_denom: u64, tenant: &str, job_index: u64) -> bool {
+    let seed = iguard::service::job_seed(service_seed, tenant, job_index);
+    poison_denom > 0 && faults::splitmix64(seed ^ POISON_SALT).is_multiple_of(poison_denom)
+}
+
+/// Suppresses the panic-hook backtrace spam from deliberately poisoned
+/// jobs (installed once; they panic with a `poison job` marker and are
+/// caught by the supervisor). Every other panic still reports through
+/// the previous hook, so a genuine bug stays loud.
+pub fn quiet_poison_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let poisoned = info
+                .payload()
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| info.payload().downcast_ref::<&str>().copied())
+                .is_some_and(|msg| msg.contains("poison job"));
+            if !poisoned {
+                prev(info);
+            }
+        }));
+    });
+}
+
 /// Outcome of one Barracuda run.
 #[derive(Debug)]
 pub enum BarracudaRun {

@@ -2,7 +2,7 @@
 //! job must each be reported as an isolated DNF while the rest of the
 //! sweep completes and keeps its submission-order results.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use bench::{run_jobs, DriverConfig, Job, Outcome};
@@ -43,57 +43,6 @@ fn injected_fault_deaths_are_classified_apart_from_panics() {
     assert_eq!(out[0].dnf_cell(), Some("DNF(fault)"));
     assert!(matches!(out[1], Outcome::Panicked { .. }));
     assert_eq!(out[1].dnf_cell(), Some("DNF(panic)"));
-}
-
-#[test]
-fn retryable_job_recovers_within_its_retry_budget() {
-    static TRIES: AtomicUsize = AtomicUsize::new(0);
-    let mut cfg = DriverConfig::serial();
-    cfg.retries = 3;
-    cfg.retry_backoff = Duration::from_millis(1);
-    let jobs = vec![Job::retryable("flaky", || {
-        // Dies twice (once as an injected fault, once as a plain panic),
-        // then succeeds: both DNF causes must be retried.
-        match TRIES.fetch_add(1, Ordering::SeqCst) {
-            0 => panic!("injected fault: kernel-abort"),
-            1 => panic!("spurious"),
-            n => n as u32,
-        }
-    })];
-    let out = run_jobs(jobs, &cfg);
-    assert_eq!(out[0].value(), Some(&2));
-    assert_eq!(TRIES.load(Ordering::SeqCst), 3);
-}
-
-#[test]
-fn retry_budget_exhaustion_keeps_the_final_outcome() {
-    static TRIES: AtomicUsize = AtomicUsize::new(0);
-    let mut cfg = DriverConfig::serial();
-    cfg.retries = 2;
-    cfg.retry_backoff = Duration::from_millis(1);
-    let jobs = vec![Job::retryable("doomed", || -> u32 {
-        TRIES.fetch_add(1, Ordering::SeqCst);
-        panic!("always fails")
-    })];
-    let out = run_jobs(jobs, &cfg);
-    assert!(matches!(out[0], Outcome::Panicked { .. }));
-    // Initial attempt + 2 retries.
-    assert_eq!(TRIES.load(Ordering::SeqCst), 3);
-}
-
-#[test]
-fn one_shot_jobs_are_never_retried() {
-    static TRIES: AtomicUsize = AtomicUsize::new(0);
-    let mut cfg = DriverConfig::serial();
-    cfg.retries = 5;
-    cfg.retry_backoff = Duration::from_millis(1);
-    let jobs = vec![Job::custom("once", || -> u32 {
-        TRIES.fetch_add(1, Ordering::SeqCst);
-        panic!("dies")
-    })];
-    let out = run_jobs(jobs, &cfg);
-    assert!(matches!(out[0], Outcome::Panicked { .. }));
-    assert_eq!(TRIES.load(Ordering::SeqCst), 1);
 }
 
 #[test]

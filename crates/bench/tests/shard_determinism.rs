@@ -9,10 +9,9 @@
 //! simulated times derived from it) follow a different — still
 //! deterministic, and pinned below — paging pattern.
 
-use faults::{splitmix64, FaultConfig, FaultInjector, FaultSite, RATE_ONE};
+use faults::{FaultConfig, FaultInjector, FaultSite, RATE_ONE};
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::COST_CATEGORIES;
-use iguard::service::job_seed;
 use iguard::{
     CheckpointStore, DetectorService, Iguard, IguardConfig, ServiceConfig, ShardConfig,
     ShardedIguard, SupervisorConfig,
@@ -22,7 +21,8 @@ use proptest::prelude::*;
 use workloads::Size;
 
 use bench::{
-    gpu_config, run_iguard_sharded_with, run_service_job, IguardRun, ServiceJob, DEFAULT_SEED,
+    gpu_config, is_poison, quiet_poison_panics, run_iguard_sharded_with, run_service_job,
+    IguardRun, ServiceJob, DEFAULT_SEED,
 };
 
 /// Asserts everything verdict-relevant matches between a 1-shard and a
@@ -165,9 +165,24 @@ fn four_shard_cycle_totals_are_pinned() {
     }
 }
 
+/// Submits the first `upto` jobs of each of `tenants` tenants, workload
+/// rotated by `(tenant, job)`.
+fn submit_fleet(svc: &mut DetectorService<ServiceJob>, tenants: usize, upto: u64) {
+    for t in 0..tenants {
+        for j in 0..upto {
+            let w = WORKLOADS[(t + j as usize) % WORKLOADS.len()];
+            svc.submit(
+                &format!("t{t}"),
+                j as usize,
+                ServiceJob::new(w, Size::Test, 1),
+            );
+        }
+    }
+}
+
 /// One detector-service soak: `tenants × jobs_per_tenant` jobs through
 /// the shared `run_service_job` exec path, optionally interrupted after
-/// `split` jobs per tenant and resumed from the checkpoint text.
+/// `split` jobs per tenant and resumed from its checkpoint records.
 /// Returns the per-tenant verdict digests, whether every tenant's
 /// degradation is fully accounted, and the resumed incarnation's skip
 /// count (0 without a split).
@@ -178,36 +193,24 @@ fn service_soak(
     chaos: &FaultConfig,
     split: Option<u64>,
 ) -> (Vec<String>, bool, u64) {
-    let submit = |svc: &mut DetectorService<ServiceJob>, upto: u64| {
-        for t in 0..tenants {
-            for j in 0..upto {
-                let w = WORKLOADS[(t + j as usize) % WORKLOADS.len()];
-                svc.submit(
-                    &format!("t{t}"),
-                    j as usize,
-                    ServiceJob::new(w, Size::Test, 1),
-                );
-            }
-        }
-    };
     let mut skipped = 0u64;
     let mut svc = match split {
         // Interrupted service: run a prefix, keep only the checkpoint
-        // text (everything else is "lost in the crash"), resume, and
+        // records (everything else is "lost in the crash"), resume, and
         // resubmit the full load — covered job indices are skipped.
         Some(k) if k > 0 => {
             let mut first = DetectorService::new(cfg.clone());
-            submit(&mut first, k.min(jobs_per_tenant));
+            submit_fleet(&mut first, tenants, k.min(jobs_per_tenant));
             first
                 .run_all(|ctx, tool| run_service_job(ctx, tool, chaos))
                 .expect("first incarnation runs");
-            let ckpt = first.checkpoint();
+            let ckpt = first.checkpoint_records().expect("names are encodable");
             drop(first);
-            DetectorService::resume(cfg, &ckpt).expect("checkpoint resumes")
+            DetectorService::from_records(cfg, &ckpt).expect("checkpoint resumes")
         }
         _ => DetectorService::new(cfg),
     };
-    submit(&mut svc, jobs_per_tenant);
+    submit_fleet(&mut svc, tenants, jobs_per_tenant);
     let report = svc
         .run_all(|ctx, tool| run_service_job(ctx, tool, chaos))
         .expect("soak runs");
@@ -221,42 +224,10 @@ fn service_soak(
     )
 }
 
-/// The deterministic poison lottery the supervised proptest uses to
-/// plant jobs that panic on every attempt (same salt as the service
-/// binary, so the quarantine set is a pure function of identity).
-const POISON_SALT: u64 = 0x9015_0D0B_AD5E_ED01;
-
-fn is_poison(service_seed: u64, poison_denom: u64, tenant: &str, job_index: u64) -> bool {
-    poison_denom > 0
-        && splitmix64(job_seed(service_seed, tenant, job_index) ^ POISON_SALT)
-            .is_multiple_of(poison_denom)
-}
-
-/// Suppresses panic-hook backtrace spam from deliberately poisoned
-/// jobs (installed once; every other panic still reports through the
-/// previous hook).
-fn quiet_poison_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let poisoned = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.as_str())
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .is_some_and(|msg| msg.contains("poison job"));
-            if !poisoned {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// One *supervised* soak: poison jobs panic on every attempt, everything
 /// else goes through the shared chaos-armed exec path. Optionally
 /// interrupted after `split` jobs per tenant: the prefix is saved to a
-/// v2 [`CheckpointStore`], damaged generations are layered on top, and
+/// [`CheckpointStore`], damaged generations are layered on top, and
 /// the fleet resumes from whatever recovery promotes. Returns per-tenant
 /// digests, per-tenant quarantine ledgers `(job_index, reason)`, whether
 /// degradation stayed accounted, and the resumed incarnation's skip
@@ -273,18 +244,6 @@ fn supervised_soak(
 ) -> (Vec<String>, Vec<Vec<(u64, String)>>, bool, u64) {
     quiet_poison_panics();
     let seed = cfg.seed;
-    let submit = |svc: &mut DetectorService<ServiceJob>, upto: u64| {
-        for t in 0..tenants {
-            for j in 0..upto {
-                let w = WORKLOADS[(t + j as usize) % WORKLOADS.len()];
-                svc.submit(
-                    &format!("t{t}"),
-                    j as usize,
-                    ServiceJob::new(w, Size::Test, 1),
-                );
-            }
-        }
-    };
     let exec = |ctx: &iguard::JobCtx<'_, ServiceJob>,
                 tool: &mut Instrumented<ShardedIguard>| {
         if is_poison(seed, poison_denom, ctx.tenant, ctx.job_index) {
@@ -298,7 +257,7 @@ fn supervised_soak(
         // (everything in memory is "lost in the crash").
         Some((store, k, damage)) if k > 0 => {
             let mut first = DetectorService::new(cfg.clone());
-            submit(&mut first, k.min(jobs_per_tenant));
+            submit_fleet(&mut first, tenants, k.min(jobs_per_tenant));
             first
                 .run_all_supervised(sup, exec)
                 .expect("first incarnation runs");
@@ -310,8 +269,9 @@ fn supervised_soak(
                     .with_rate(*site, RATE_ONE);
                 let mut inj = FaultInjector::new(&plane, "proptest-store");
                 let probe = DetectorService::<ServiceJob>::new(cfg.clone());
+                let records = probe.checkpoint_records().expect("names are encodable");
                 store
-                    .save_with_faults(&probe, &mut inj)
+                    .save_records_with_faults(&records, &mut inj)
                     .expect("damaged save completes");
             }
             let (svc, _report) = store.recover(&cfg);
@@ -319,7 +279,7 @@ fn supervised_soak(
         }
         _ => DetectorService::new(cfg),
     };
-    submit(&mut svc, jobs_per_tenant);
+    submit_fleet(&mut svc, tenants, jobs_per_tenant);
     let report = svc.run_all_supervised(sup, exec).expect("soak runs");
     let verdicts = svc.verdicts();
     let accounted = verdicts.iter().all(|v| v.degradation.fully_accounted());

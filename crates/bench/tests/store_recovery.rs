@@ -1,4 +1,4 @@
-//! Crash-consistency proptest for the v2 checkpoint store: arbitrary
+//! Crash-consistency proptest for the checkpoint store: arbitrary
 //! byte-level damage (bit flips, truncation, garbage rewrites) to any
 //! subset of promoted generations — plus a planted valid-but-stale
 //! checkpoint from a different campaign seed — must never panic
@@ -56,14 +56,15 @@ enum GenFate {
 }
 
 fn classify(cfg: &ServiceConfig, bytes: &[u8]) -> GenFate {
-    let Ok(text) = std::str::from_utf8(bytes) else {
+    let Some(records) = std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|text| iguard::store::decode(text).ok())
+    else {
         return GenFate::Invalid;
     };
-    match DetectorService::<ServiceJob>::resume(cfg.clone(), text) {
+    match DetectorService::<ServiceJob>::from_records(cfg.clone(), &records) {
         Ok(_) => GenFate::Valid,
-        Err(iguard::ServiceError::Checkpoint(msg)) if msg.contains("seed mismatch") => {
-            GenFate::StaleSeed
-        }
+        Err(iguard::ServiceError::CheckpointStaleSeed { .. }) => GenFate::StaleSeed,
         Err(_) => GenFate::Invalid,
     }
 }
@@ -125,8 +126,7 @@ proptest! {
         if plant_stale {
             let stale_cfg = service_cfg(seed ^ 0x5157);
             let stale = DetectorService::<ServiceJob>::new(stale_cfg);
-            std::fs::write(store.generation_path(4), stale.checkpoint_v2(4))
-                .expect("stale plant lands");
+            prop_assert_eq!(store.save(&stale).expect("stale plant lands"), 4);
         }
 
         // Oracle: classify every generation file independently, newest

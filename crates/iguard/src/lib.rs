@@ -75,10 +75,10 @@ pub use report::{RaceRecord, RaceSite};
 pub use scratchpad::{ScratchpadGuard, SharedRace};
 pub use service::{
     DetectorService, JobCtx, JobOutcome, LatencyStats, ServiceConfig, ServiceError,
-    ServiceReport, TenantVerdict, CHECKPOINT_V2_HEADER,
+    ServiceReport, TenantVerdict,
 };
 pub use shard::{ShardConfig, ShardedIguard};
-pub use store::{CheckpointStore, RecoveryReport, SaveReport};
+pub use store::{CheckpointStore, RecoveryReport, Reject};
 pub use supervise::{
     QuarantineEntry, QuarantineReason, SupervisorConfig, SupervisorStats,
 };

@@ -39,38 +39,38 @@
 //!
 //! ## Restart contract
 //!
-//! [`DetectorService::checkpoint`] serializes the verdict plane (per-
-//! tenant job counts and merged race sites); [`DetectorService::resume`]
-//! skips already-done jobs and seeds the merge from the checkpoint.
-//! Because job seeds are restart-invariant, *verdicts* (and the
+//! [`DetectorService::checkpoint_records`] serializes the verdict plane
+//! (per-tenant job counts, merged race sites, the quarantine ledger) as
+//! `seed/tenant/site/quar` records; [`DetectorService::from_records`]
+//! skips already-done jobs and seeds the merge from them. Because job
+//! seeds are restart-invariant, *verdicts* (and the
 //! launches/timed-out/aborted counters) are byte-identical to an
 //! uninterrupted run. Latency percentiles and detector cost aggregates
 //! cover only jobs executed by the current incarnation and are
 //! explicitly outside the byte-identity contract.
 //!
-//! Two checkpoint formats coexist (DESIGN.md §15): the legacy v1 text
-//! ([`CHECKPOINT_HEADER`], plain records, no integrity protection) and
-//! the crash-consistent v2 ([`CHECKPOINT_V2_HEADER`], CRC-framed records
-//! with an `end` trailer, carried by the generation-numbered
-//! [`crate::store::CheckpointStore`]). [`DetectorService::resume`]
-//! accepts both — v1 is the compat shim; v2 additionally restores the
-//! quarantine ledger.
+//! This module knows only that record vocabulary. How records are held
+//! on disk — header, CRC frames, `gen` record, `end` trailer, generation
+//! files — is [`crate::store`]'s, whose typed
+//! [`CheckpointStore::save`](crate::store::CheckpointStore::save) /
+//! [`recover`](crate::store::CheckpointStore::recover) are the way a
+//! service crosses a restart (DESIGN.md §15).
 //!
 //! ## Supervision
 //!
-//! [`DetectorService::run_all_supervised`] wraps every job attempt in
-//! `catch_unwind` plus a cycle-budget watchdog, classifies failures via
-//! the typed taxonomy in [`crate::supervise`] (`Transient` → bounded
-//! deterministic retry whose final attempt is a fault-free clean room,
-//! `Poison` → per-tenant quarantine ledger), and folds the ledger into
-//! the widened verdict digest. Supervision off is byte-invisible:
-//! [`DetectorService::run_all`] takes the exact code path it always
-//! did, and the digest's `quarantined 0` column is emitted either way.
+//! [`DetectorService::run_all_supervised`] hands every job to the retry
+//! ladder in [`crate::supervise`] (`catch_unwind` plus a cycle-budget
+//! watchdog, `Transient` → bounded deterministic retry whose final
+//! attempt is a fault-free clean room, `Poison` → per-tenant quarantine
+//! ledger) and folds the ledger into the widened verdict digest.
+//! Supervision off is byte-invisible: [`DetectorService::run_all`] runs
+//! each job once, uncaught, and the digest's `quarantined 0` column is
+//! emitted either way.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io;
 use std::sync::Arc;
 
 use faults::{splitmix64, FaultStats};
@@ -85,9 +85,9 @@ use crate::detector::{Degradation, IguardStats};
 use crate::error::IguardError;
 use crate::report::{merge_sites, RaceSite};
 use crate::shard::{ShardConfig, ShardedIguard};
-use crate::store::{frame_record, unframe_record};
+use crate::store::record;
 use crate::supervise::{
-    self, FailureClass, JobFailure, QuarantineEntry, QuarantineReason, SupervisorConfig,
+    self, Attempt, QuarantineEntry, QuarantineReason, Resolution, SupervisorConfig,
     SupervisorStats,
 };
 
@@ -285,6 +285,22 @@ pub struct ServiceReport {
     pub supervisor: SupervisorStats,
 }
 
+impl ServiceReport {
+    /// Adds another run's summary into this one (`streams` is a shape,
+    /// not a sum: the latest run's wins).
+    pub fn accumulate(&mut self, other: &ServiceReport) {
+        self.jobs_run += other.jobs_run;
+        self.jobs_skipped += other.jobs_skipped;
+        self.launches += other.launches;
+        self.makespan_cycles += other.makespan_cycles;
+        self.streams = other.streams;
+        self.transport.accumulate(&other.transport);
+        self.front_end_cycles += other.front_end_cycles;
+        self.jobs_quarantined += other.jobs_quarantined;
+        self.supervisor.accumulate(&other.supervisor);
+    }
+}
+
 /// Service failure modes.
 #[derive(Debug)]
 pub enum ServiceError {
@@ -294,12 +310,17 @@ pub enum ServiceError {
     Stream(StreamError),
     /// The verdict transport could not be constructed.
     Channel(ChannelError),
-    /// A checkpoint could not be parsed or does not match the config.
+    /// Checkpoint records could not be parsed.
     Checkpoint(String),
-    /// A v2 checkpoint failed integrity verification (torn body, CRC
-    /// mismatch, trailer missing or wrong) — the store skips such a
-    /// generation and falls back.
-    CheckpointCorrupt(String),
+    /// Checkpoint records are well-formed but belong to a different
+    /// campaign seed — the store skips such a generation as stale and
+    /// never resurrects it.
+    CheckpointStaleSeed {
+        /// The seed the records carry.
+        checkpoint: u64,
+        /// The seed this service is configured with.
+        config: u64,
+    },
     /// A job was quarantined as poison (surfaced by
     /// [`DetectorService::assert_no_quarantine`]).
     Quarantined {
@@ -319,7 +340,7 @@ impl ServiceError {
         "streams",
         "transport",
         "checkpoint",
-        "checkpoint-corrupt",
+        "checkpoint-stale-seed",
         "quarantined",
     ];
 
@@ -332,7 +353,7 @@ impl ServiceError {
             ServiceError::Stream(_) => "streams",
             ServiceError::Channel(_) => "transport",
             ServiceError::Checkpoint(_) => "checkpoint",
-            ServiceError::CheckpointCorrupt(_) => "checkpoint-corrupt",
+            ServiceError::CheckpointStaleSeed { .. } => "checkpoint-stale-seed",
             ServiceError::Quarantined { .. } => "quarantined",
         }
     }
@@ -345,9 +366,10 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Stream(e) => write!(f, "service streams: {e}"),
             ServiceError::Channel(e) => write!(f, "service transport: {e}"),
             ServiceError::Checkpoint(msg) => write!(f, "service checkpoint: {msg}"),
-            ServiceError::CheckpointCorrupt(msg) => {
-                write!(f, "service checkpoint-corrupt: {msg}")
-            }
+            ServiceError::CheckpointStaleSeed { checkpoint, config } => write!(
+                f,
+                "service checkpoint-stale-seed: seed mismatch: checkpoint {checkpoint}, config {config}"
+            ),
             ServiceError::Quarantined {
                 tenant,
                 job_index,
@@ -393,14 +415,6 @@ pub fn job_seed(service_seed: u64, tenant: &str, job_index: u64) -> u64 {
     splitmix64(service_seed ^ splitmix64(h) ^ splitmix64(job_index.wrapping_add(0x9e37_79b9_7f4a_7c15)))
 }
 
-/// Checkpoint header line (versioned).
-pub const CHECKPOINT_HEADER: &str = "# iguard detector-service checkpoint v1";
-
-/// Header line of the crash-consistent v2 checkpoint format: every
-/// subsequent line is a CRC-framed record (see [`frame_record`]), the
-/// last being an `end` trailer carrying the record count.
-pub const CHECKPOINT_V2_HEADER: &str = "# iguard detector-service checkpoint v2";
-
 #[derive(Debug)]
 struct TenantState<P> {
     /// Submitted jobs, in submission order: (local stream, payload).
@@ -409,7 +423,7 @@ struct TenantState<P> {
     /// (accepted *or* quarantined — both are accounted, so both skip).
     skip: u64,
     /// Of the skipped prefix, how many were quarantined (restored from
-    /// the v2 ledger; v1 checkpoints carry no ledger, so 0).
+    /// the checkpointed ledger).
     prior_quarantined: u64,
     /// Quarantine ledger: poisoned jobs by index (restored + new).
     quarantine: BTreeMap<u64, QuarantineEntry>,
@@ -449,6 +463,23 @@ impl<P> TenantState<P> {
             idle_cycles: 0,
         }
     }
+
+    /// Folds one accepted attempt into the tenant's counters and returns
+    /// its drained race sites for the verdict transport.
+    fn accept(&mut self, det: &mut ShardedIguard, outcome: &JobOutcome) -> Vec<RaceSite> {
+        // Drain before reading degradation so the channel invariant
+        // (`sent == drained + dropped`) holds for this job's summand.
+        let sites = det.race_sites();
+        self.stats.accumulate(&det.stats());
+        self.degradation.accumulate(&det.degradation());
+        self.fault_stats.accumulate(&det.fault_stats());
+        self.fault_stats.accumulate(&outcome.gpu_faults);
+        self.launches += outcome.launches;
+        self.timed_out += u64::from(outcome.timed_out);
+        self.aborted_launches += outcome.aborted_launches;
+        self.jobs_run += 1;
+        sites
+    }
 }
 
 /// Job as it travels the stream plane.
@@ -480,173 +511,90 @@ impl<P> DetectorService<P> {
         }
     }
 
-    /// Restores a service from checkpoint text — either the legacy v1
-    /// format (the compat shim: no integrity frames, no quarantine
-    /// ledger) or the crash-consistent v2 format (CRC-framed records
-    /// with an `end` trailer; any frame violation is
-    /// [`ServiceError::CheckpointCorrupt`]). Tenants listed there start
-    /// with their verdicts pre-merged and their first `jobs`
-    /// submissions (accepted + quarantined) skipped.
-    pub fn resume(cfg: ServiceConfig, checkpoint: &str) -> Result<Self, ServiceError> {
-        match checkpoint.lines().next() {
-            Some(h) if h == CHECKPOINT_HEADER => Self::resume_v1(cfg, checkpoint),
-            Some(h) if h == CHECKPOINT_V2_HEADER => Self::resume_v2(cfg, checkpoint),
-            other => Err(ServiceError::Checkpoint(format!(
-                "bad header: {other:?} (expected {CHECKPOINT_HEADER:?} or {CHECKPOINT_V2_HEADER:?})"
-            ))),
-        }
-    }
-
-    fn resume_v1(cfg: ServiceConfig, checkpoint: &str) -> Result<Self, ServiceError> {
+    /// Restores a service from the records of one checkpoint generation
+    /// (what [`DetectorService::checkpoint_records`] wrote). Tenants
+    /// listed there start with their verdicts pre-merged, their
+    /// quarantine ledgers restored, and their first `jobs` submissions
+    /// (accepted + quarantined) skipped.
+    ///
+    /// # Errors
+    /// [`ServiceError::CheckpointStaleSeed`] when the records belong to a
+    /// different service seed, [`ServiceError::Checkpoint`] when they do
+    /// not parse.
+    pub fn from_records<S: AsRef<str>>(
+        cfg: ServiceConfig,
+        records: &[S],
+    ) -> Result<Self, ServiceError> {
         let mut svc = DetectorService::new(cfg);
-        for line in checkpoint.lines().skip(1) {
-            if line.is_empty() {
-                continue;
-            }
-            svc.apply_checkpoint_record(line, false)?;
-        }
-        svc.seal_resumed_ledgers();
-        Ok(svc)
-    }
-
-    fn resume_v2(cfg: ServiceConfig, checkpoint: &str) -> Result<Self, ServiceError> {
-        let mut svc = DetectorService::new(cfg);
-        let mut records: Vec<&str> = Vec::new();
-        let mut end_count: Option<u64> = None;
-        for line in checkpoint.lines().skip(1) {
-            if end_count.is_some() {
-                return Err(ServiceError::CheckpointCorrupt(format!(
-                    "record after end trailer: {line:?}"
-                )));
-            }
-            let record = unframe_record(line).map_err(ServiceError::CheckpointCorrupt)?;
-            if let Some(n) = record.strip_prefix("end\t") {
-                end_count = Some(n.parse().map_err(|_| {
-                    ServiceError::CheckpointCorrupt(format!("bad end trailer: {record:?}"))
-                })?);
-            } else {
-                records.push(record);
-            }
-        }
-        match end_count {
-            None => {
-                return Err(ServiceError::CheckpointCorrupt(
-                    "missing end trailer (torn write?)".into(),
-                ))
-            }
-            Some(n) if n != records.len() as u64 => {
-                return Err(ServiceError::CheckpointCorrupt(format!(
-                    "end trailer claims {n} records, found {}",
-                    records.len()
-                )))
-            }
-            Some(_) => {}
-        }
         for record in records {
-            svc.apply_checkpoint_record(record, true)?;
+            svc.apply_record(record.as_ref())?;
         }
-        svc.seal_resumed_ledgers();
+        // Every restored ledger entry belongs to the covered prefix:
+        // mark it prior so digests keep counting accepted jobs and
+        // quarantined jobs separately.
+        for st in svc.tenants.values_mut() {
+            st.prior_quarantined = st.quarantine.len() as u64;
+        }
         Ok(svc)
     }
 
-    /// Applies one (already unframed) checkpoint record. `v2` admits
-    /// the records v1 never emits (`gen`, `quar`).
-    fn apply_checkpoint_record(&mut self, line: &str, v2: bool) -> Result<(), ServiceError> {
-        let bad = |line: &str| ServiceError::Checkpoint(format!("malformed line: {line:?}"));
+    fn tenant_mut(&mut self, name: &str) -> &mut TenantState<P> {
+        self.tenants
+            .entry(name.to_string())
+            .or_insert_with(TenantState::new)
+    }
+
+    fn apply_record(&mut self, line: &str) -> Result<(), ServiceError> {
+        let bad = || ServiceError::Checkpoint(format!("malformed record: {line:?}"));
         let fields: Vec<&str> = line.split('\t').collect();
-        match fields[0] {
-            "seed" => {
-                let seed: u64 = fields
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad(line))?;
+        match (fields[0], fields.len()) {
+            ("seed", 2) => {
+                let seed: u64 = fields[1].parse().map_err(|_| bad())?;
                 if seed != self.cfg.seed {
-                    return Err(ServiceError::Checkpoint(format!(
-                        "seed mismatch: checkpoint {seed}, config {}",
-                        self.cfg.seed
-                    )));
+                    return Err(ServiceError::CheckpointStaleSeed {
+                        checkpoint: seed,
+                        config: self.cfg.seed,
+                    });
                 }
             }
-            "gen" if v2 => {
-                // Informational: the store's filename is authoritative.
-                let _: u64 = fields
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad(line))?;
-            }
-            "tenant" => {
-                if fields.len() != 6 {
-                    return Err(bad(line));
-                }
-                let parse = |s: &str| s.parse::<u64>().map_err(|_| bad(line));
-                let st = self
-                    .tenants
-                    .entry(fields[1].to_string())
-                    .or_insert_with(TenantState::new);
+            ("tenant", 6) => {
+                let parse = |s: &str| s.parse::<u64>().map_err(|_| bad());
+                let st = self.tenant_mut(fields[1]);
                 st.skip = parse(fields[2])?;
                 st.launches = parse(fields[3])?;
                 st.timed_out = parse(fields[4])?;
                 st.aborted_launches = parse(fields[5])?;
             }
-            "site" => {
-                if fields.len() != 6 {
-                    return Err(bad(line));
-                }
-                let kernel: Arc<str> = Arc::from(fields[2]);
-                let pc: usize = fields[3].parse().map_err(|_| bad(line))?;
-                let kinds = fields[4]
-                    .split(',')
-                    .map(RaceKind::parse)
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| bad(line))?;
-                let line_info = match fields[5] {
-                    "-" => None,
-                    l => Some(l.to_string()),
+            ("site", 6) => {
+                let site = RaceSite {
+                    kernel: Arc::from(fields[2]),
+                    pc: fields[3].parse().map_err(|_| bad())?,
+                    kinds: fields[4]
+                        .split(',')
+                        .map(RaceKind::parse)
+                        .collect::<Option<Vec<_>>>()
+                        .ok_or_else(bad)?,
+                    line: (fields[5] != "-").then(|| fields[5].to_string()),
                 };
-                let st = self
-                    .tenants
-                    .entry(fields[1].to_string())
-                    .or_insert_with(TenantState::new);
-                merge_sites(
-                    &mut st.sites,
-                    vec![RaceSite {
-                        kernel,
-                        pc,
-                        kinds,
-                        line: line_info,
-                    }],
-                );
+                merge_sites(&mut self.tenant_mut(fields[1]).sites, vec![site]);
             }
-            "quar" if v2 => {
-                if fields.len() != 5 {
-                    return Err(bad(line));
-                }
-                let job_index: u64 = fields[2].parse().map_err(|_| bad(line))?;
-                let reason = QuarantineReason::parse(fields[3]).ok_or_else(|| bad(line))?;
-                let attempts: u32 = fields[4].parse().map_err(|_| bad(line))?;
-                let st = self
-                    .tenants
-                    .entry(fields[1].to_string())
-                    .or_insert_with(TenantState::new);
-                st.quarantine.entry(job_index).or_insert(QuarantineEntry {
-                    job_index,
-                    reason,
-                    attempts,
-                    detail: String::new(),
-                });
+            ("quar", 5) => {
+                let job_index: u64 = fields[2].parse().map_err(|_| bad())?;
+                let reason = QuarantineReason::parse(fields[3]).ok_or_else(bad)?;
+                let attempts: u32 = fields[4].parse().map_err(|_| bad())?;
+                self.tenant_mut(fields[1])
+                    .quarantine
+                    .entry(job_index)
+                    .or_insert(QuarantineEntry {
+                        job_index,
+                        reason,
+                        attempts,
+                        detail: String::new(),
+                    });
             }
-            _ => return Err(bad(line)),
+            _ => return Err(bad()),
         }
         Ok(())
-    }
-
-    /// After a resume, every restored ledger entry belongs to the
-    /// covered prefix: mark it prior so digests keep counting accepted
-    /// jobs and quarantined jobs separately.
-    fn seal_resumed_ledgers(&mut self) {
-        for st in self.tenants.values_mut() {
-            st.prior_quarantined = st.quarantine.len() as u64;
-        }
     }
 
     /// The service configuration.
@@ -661,11 +609,7 @@ impl<P> DetectorService<P> {
     /// [`run_all`]: DetectorService::run_all
     pub fn submit(&mut self, tenant: &str, stream: usize, payload: P) {
         let stream = stream % self.cfg.streams_per_tenant;
-        self.tenants
-            .entry(tenant.to_string())
-            .or_insert_with(TenantState::new)
-            .jobs
-            .push((stream, payload));
+        self.tenant_mut(tenant).jobs.push((stream, payload));
     }
 
     /// Jobs queued and not yet run.
@@ -715,52 +659,72 @@ impl<P> DetectorService<P> {
     where
         F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
     {
-        let spt = self.cfg.streams_per_tenant;
         let names: Vec<String> = self.tenants.keys().cloned().collect();
-        let total_streams = (names.len() * spt).max(1);
+        let mut report = ServiceReport {
+            streams: (names.len() * self.cfg.streams_per_tenant).max(1),
+            ..ServiceReport::default()
+        };
+        let queued = self.schedule(&names, report.streams);
+        let bank = self.execute(&names, queued, sup, exec, &mut report)?;
+        self.merge(&names, bank, &mut report);
+        self.latency(&names, &mut report);
+        self.report.accumulate(&report);
+        Ok(report)
+    }
 
-        // Ordering plane: queue every submission, per-tenant FIFO on its
-        // global streams, then drain with cross-stream round-robin.
-        let mut streams: StreamSet<QueuedJob<P>> = StreamSet::new(total_streams);
+    /// Stage 1 — ordering plane: queue every submission, per-tenant FIFO
+    /// on its global streams, for a cross-stream round-robin drain.
+    fn schedule(&mut self, names: &[String], total_streams: usize) -> StreamSet<QueuedJob<P>> {
+        let spt = self.cfg.streams_per_tenant;
+        let mut streams = StreamSet::new(total_streams);
         for (rank, name) in names.iter().enumerate() {
             let Some(st) = self.tenants.get_mut(name) else {
                 continue; // names came from the same map
             };
             for (job_index, (local_stream, payload)) in st.jobs.drain(..).enumerate() {
-                let job_index = job_index as u64;
                 streams.push(
                     rank * spt + local_stream,
                     QueuedJob {
                         tenant_rank: rank,
                         local_stream,
-                        job_index,
+                        job_index: job_index as u64,
                         payload,
                     },
                 );
             }
         }
+        streams
+    }
 
-        // Per-stream verdict transport between the planes (lossless; its
-        // stream-major drain order is absorbed by the order-independent
-        // site merge).
-        let mut bank: ChannelBank<(usize, RaceSite)> = ChannelBank::new(
-            total_streams,
+    /// Stage 2 — detection plane: drain the queue, run each non-covered
+    /// job through the supervisor's ladder (a single uncaught attempt
+    /// when `sup` is unset), fold accepted attempts into their tenant and
+    /// ship their sites on the per-stream verdict transport (lossless;
+    /// its stream-major drain order is absorbed by the order-independent
+    /// site merge).
+    fn execute<F>(
+        &mut self,
+        names: &[String],
+        mut queued: StreamSet<QueuedJob<P>>,
+        sup: Option<&SupervisorConfig>,
+        exec: &mut F,
+        report: &mut ServiceReport,
+    ) -> Result<ChannelBank<(usize, RaceSite)>, ServiceError>
+    where
+        F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
+    {
+        let mut bank = ChannelBank::new(
+            report.streams,
             self.cfg.base.report_capacity.max(1),
             30,
             2_000,
             CostCategory::Misc,
         )?;
         let mut front_clock = Clock::new();
-
-        let mut jobs_run = 0u64;
-        let mut jobs_skipped = 0u64;
-        let mut jobs_quarantined = 0u64;
-        let mut launches = 0u64;
-        let mut sup_stats = SupervisorStats::default();
+        let max_retries = sup.map_or(0, |s| s.max_retries);
         let mut drain_err = None;
-        let cfg = self.cfg.clone();
-        let tenants = &mut self.tenants;
-        streams.drain(|global_stream, job: QueuedJob<P>| {
+        let (cfg, tenants) = (&self.cfg, &mut self.tenants);
+        queued.drain(|global_stream, job: QueuedJob<P>| {
             if drain_err.is_some() {
                 return; // fail fast, but let the queue empty
             }
@@ -769,235 +733,122 @@ impl<P> DetectorService<P> {
                 return; // unreachable: names is the tenant key set
             };
             if job.job_index < st.skip || st.quarantine.contains_key(&job.job_index) {
-                jobs_skipped += 1;
+                report.jobs_skipped += 1;
                 return;
             }
             let seed = job_seed(cfg.seed, name, job.job_index);
-            let max_retries = sup.map_or(0, |s| s.max_retries);
-            if sup.is_some() {
-                sup_stats.jobs_supervised += 1;
-            }
-            let mut attempt = 0u32;
-            let mut backoff_total = 0u64;
-            loop {
+            let run_attempt = |n: u32| -> Result<Attempt<_>, ServiceError> {
                 let mut det_cfg = cfg.base.clone();
-                det_cfg.faults =
-                    supervise::attempt_faults(&cfg.base.faults, seed, attempt, max_retries);
-                let detector = match ShardedIguard::try_new(det_cfg, cfg.shard.clone()) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        drain_err = Some(ServiceError::Detector(e));
-                        return;
-                    }
-                };
-                let mut tool = Instrumented::new(detector);
+                det_cfg.faults = supervise::attempt_faults(&cfg.base.faults, seed, n, max_retries);
+                let mut tool =
+                    Instrumented::new(ShardedIguard::try_new(det_cfg, cfg.shard.clone())?);
                 let ctx = JobCtx {
                     tenant: name,
                     stream: job.local_stream,
                     global_stream,
                     job_index: job.job_index,
                     seed,
-                    attempt,
+                    attempt: n,
                     max_retries,
                     payload: &job.payload,
                 };
-                // Supervised attempts run inside catch_unwind; the
-                // unsupervised path calls exec directly so panics
-                // propagate exactly as before.
-                let attempt_result = match sup {
-                    Some(_) => {
-                        sup_stats.attempts += 1;
-                        catch_unwind(AssertUnwindSafe(|| exec(&ctx, &mut tool)))
-                            .map_err(panic_message)
-                    }
-                    None => Ok(exec(&ctx, &mut tool)),
+                let (outcome, panic) = match supervise::guard(sup, || exec(&ctx, &mut tool)) {
+                    Ok(outcome) => (outcome, None),
+                    Err(msg) => (JobOutcome::default(), Some(msg)),
                 };
-                let failure = match (sup, &attempt_result) {
-                    (None, _) => None,
-                    (Some(_), Err(msg)) => Some(JobFailure::Panic(msg.clone())),
-                    (Some(s), Ok(outcome)) => {
-                        let fires =
-                            tool.tool().fault_stats().total() + outcome.gpu_faults.total();
-                        if outcome.timed_out
-                            || (s.cycle_budget > 0 && outcome.kernel_cycles > s.cycle_budget)
-                        {
-                            Some(JobFailure::Hang {
-                                kernel_cycles: outcome.kernel_cycles,
-                                cycle_budget: s.cycle_budget,
-                                timed_out: outcome.timed_out,
-                            })
-                        } else if fires > 0 {
-                            Some(JobFailure::Perturbed { fires })
-                        } else {
-                            None
-                        }
-                    }
-                };
-                let final_attempt = attempt >= max_retries;
-                let accept = match &failure {
-                    None => true,
-                    Some(fail) => {
-                        match fail {
-                            JobFailure::Panic(_) => sup_stats.panics_caught += 1,
-                            JobFailure::Hang { .. } => sup_stats.hangs_caught += 1,
-                            JobFailure::Perturbed { .. } => sup_stats.perturbed_attempts += 1,
-                        }
-                        match fail.classify(final_attempt) {
-                            FailureClass::Transient if !final_attempt => {
-                                // Discard this attempt wholesale; its
-                                // fires are accounted, its detector
-                                // state never reaches any verdict.
-                                sup_stats.discarded_fault_fires +=
-                                    tool.tool().fault_stats().total()
-                                        + attempt_result
-                                            .as_ref()
-                                            .map_or(0, |o| o.gpu_faults.total());
-                                if let Some(s) = sup {
-                                    let backoff = supervise::backoff_cycles(s, seed, attempt);
-                                    backoff_total += backoff;
-                                    sup_stats.backoff_cycles += backoff;
-                                }
-                                sup_stats.retries += 1;
-                                attempt += 1;
-                                continue;
-                            }
-                            // Out of retries but only perturbed (no
-                            // clean room exists): accept degraded.
-                            FailureClass::Transient => {
-                                sup_stats.accepted_degraded += 1;
-                                true
-                            }
-                            FailureClass::Poison => {
-                                sup_stats.quarantined += 1;
-                                jobs_quarantined += 1;
-                                sup_stats.discarded_fault_fires +=
-                                    tool.tool().fault_stats().total();
-                                let reason = fail
-                                    .quarantine_reason()
-                                    .unwrap_or(QuarantineReason::Panic);
-                                st.quarantine.insert(
-                                    job.job_index,
-                                    QuarantineEntry {
-                                        job_index: job.job_index,
-                                        reason,
-                                        attempts: attempt + 1,
-                                        detail: fail.detail(),
-                                    },
-                                );
-                                false
-                            }
-                        }
-                    }
-                };
-                if !accept {
-                    break;
+                Ok(Attempt {
+                    panic,
+                    fires: tool.tool().fault_stats().total() + outcome.gpu_faults.total(),
+                    kernel_cycles: outcome.kernel_cycles,
+                    timed_out: outcome.timed_out,
+                    product: (tool, outcome),
+                })
+            };
+            match supervise::run_job(sup, seed, &mut report.supervisor, run_attempt) {
+                Err(e) => drain_err = Some(e),
+                Ok(Resolution::Quarantined {
+                    reason,
+                    attempts,
+                    detail,
+                }) => {
+                    report.jobs_quarantined += 1;
+                    let job_index = job.job_index;
+                    st.quarantine.insert(
+                        job_index,
+                        QuarantineEntry {
+                            job_index,
+                            reason,
+                            attempts,
+                            detail,
+                        },
+                    );
                 }
-                let Ok(outcome) = attempt_result else {
-                    break; // unreachable: accepted attempts have outcomes
-                };
-                if sup.is_some() {
-                    if attempt == 0 && failure.is_none() {
-                        sup_stats.accepted_clean += 1;
-                    } else if attempt > 0 {
-                        sup_stats.recovered += 1;
+                Ok(Resolution::Accepted {
+                    product: (mut tool, outcome),
+                    backoff_cycles,
+                }) => {
+                    let cycles = outcome.kernel_cycles + backoff_cycles;
+                    st.executed.push((job.job_index, global_stream, cycles));
+                    for site in st.accept(tool.tool_mut(), &outcome) {
+                        bank.send(global_stream, (job.tenant_rank, site), &mut front_clock);
                     }
+                    report.jobs_run += 1;
+                    report.launches += outcome.launches;
                 }
-                let det = tool.tool_mut();
-                // Drain before reading degradation so the channel
-                // invariant (`sent == drained + dropped`) holds for
-                // this job's summand.
-                let sites = det.race_sites();
-                st.stats.accumulate(&det.stats());
-                st.degradation.accumulate(&det.degradation());
-                st.fault_stats.accumulate(&det.fault_stats());
-                st.fault_stats.accumulate(&outcome.gpu_faults);
-                st.launches += outcome.launches;
-                st.timed_out += u64::from(outcome.timed_out);
-                st.aborted_launches += outcome.aborted_launches;
-                st.jobs_run += 1;
-                // Retry backoff is latency-plane cost only: it shifts
-                // this job's completion time, never its verdict bytes.
-                st.executed.push((
-                    job.job_index,
-                    global_stream,
-                    outcome.kernel_cycles + backoff_total,
-                ));
-                for site in sites {
-                    bank.send(global_stream, (job.tenant_rank, site), &mut front_clock);
-                }
-                jobs_run += 1;
-                launches += outcome.launches;
-                break;
             }
         })?;
-        if let Some(e) = drain_err {
-            return Err(e);
-        }
+        report.front_end_cycles = front_clock.time(CostCategory::Misc) as u64;
+        drain_err.map_or(Ok(bank), Err)
+    }
 
-        // Merge shipped verdicts (stream-major order; merge is keyed and
-        // idempotent, so order is immaterial).
+    /// Stage 3 — verdict plane: merge the shipped sites (stream-major
+    /// order; the merge is keyed and idempotent, so order is immaterial).
+    fn merge(
+        &mut self,
+        names: &[String],
+        mut bank: ChannelBank<(usize, RaceSite)>,
+        report: &mut ServiceReport,
+    ) {
         for (rank, site) in bank.drain_all() {
-            if let Some(st) = tenants.get_mut(&names[rank]) {
+            if let Some(st) = self.tenants.get_mut(&names[rank]) {
                 merge_sites(&mut st.sites, vec![site]);
             }
         }
+        report.transport = bank.stats();
+    }
 
-        // Latency plane: executed jobs queue on their global stream in
-        // per-tenant submission order; one device round-robins across
-        // streams in slice quanta.
-        let mut sched = SliceSchedule::new(total_streams, cfg.slice_cycles);
+    /// Stage 4 — latency plane: executed jobs queue on their global
+    /// stream in per-tenant submission order; one device round-robins
+    /// across streams in slice quanta.
+    fn latency(&mut self, names: &[String], report: &mut ServiceReport) {
+        let spt = self.cfg.streams_per_tenant;
+        let mut sched = SliceSchedule::new(report.streams, self.cfg.slice_cycles);
         let mut item_owner: Vec<usize> = Vec::new();
         for (rank, name) in names.iter().enumerate() {
-            let Some(st) = tenants.get_mut(name) else {
+            let Some(st) = self.tenants.get_mut(name) else {
                 continue;
             };
             st.executed.sort_unstable_by_key(|&(idx, _, _)| idx);
-            for &(_, stream, cycles) in &st.executed {
+            for (_, stream, cycles) in st.executed.drain(..) {
                 sched.push(stream, cycles);
                 item_owner.push(rank);
             }
         }
         let slice = sched.run();
         for (item, &rank) in item_owner.iter().enumerate() {
-            if let Some(st) = tenants.get_mut(&names[rank]) {
+            if let Some(st) = self.tenants.get_mut(&names[rank]) {
                 st.latencies.push(slice.finish[item]);
             }
         }
         for (rank, name) in names.iter().enumerate() {
-            let Some(st) = tenants.get_mut(name) else {
+            let Some(st) = self.tenants.get_mut(name) else {
                 continue;
             };
-            st.busy_cycles = 0;
-            st.idle_cycles = 0;
-            for lane in slice.streams[rank * spt..(rank + 1) * spt].iter() {
-                st.busy_cycles += lane.busy;
-                st.idle_cycles += lane.idle;
-            }
-            st.executed.clear();
+            let lanes = &slice.streams[rank * spt..(rank + 1) * spt];
+            st.busy_cycles = lanes.iter().map(|lane| lane.busy).sum();
+            st.idle_cycles = lanes.iter().map(|lane| lane.idle).sum();
         }
-
-        let transport = bank.stats();
-        let report = ServiceReport {
-            jobs_run,
-            jobs_skipped,
-            launches,
-            makespan_cycles: slice.makespan,
-            streams: total_streams,
-            transport,
-            front_end_cycles: front_clock.time(CostCategory::Misc) as u64,
-            jobs_quarantined,
-            supervisor: sup_stats,
-        };
-        self.report.jobs_run += report.jobs_run;
-        self.report.jobs_skipped += report.jobs_skipped;
-        self.report.launches += report.launches;
-        self.report.makespan_cycles += report.makespan_cycles;
-        self.report.streams = report.streams;
-        self.report.transport.accumulate(&report.transport);
-        self.report.front_end_cycles += report.front_end_cycles;
-        self.report.jobs_quarantined += report.jobs_quarantined;
-        self.report.supervisor.accumulate(&report.supervisor);
-        Ok(report)
+        report.makespan_cycles = slice.makespan;
     }
 
     /// Cumulative summary across every `run_all` of this incarnation.
@@ -1068,82 +919,41 @@ impl<P> DetectorService<P> {
     }
 
     /// Serializes the verdict plane (see module docs for what survives a
-    /// restart). Stable text: sorted tenants, sorted sites. Legacy v1
-    /// format: unframed, no quarantine ledger — a quarantine-bearing
-    /// service still counts quarantined jobs in the covered prefix so a
-    /// v1 resume never re-runs (and re-poisons on) them.
-    #[must_use]
-    pub fn checkpoint(&self) -> String {
-        let mut out = String::new();
-        out.push_str(CHECKPOINT_HEADER);
-        out.push('\n');
-        out.push_str(&format!("seed\t{}\n", self.cfg.seed));
+    /// restart) as checkpoint records: one `seed`, then per tenant (sorted)
+    /// a `tenant` record, its sorted `site`s and its `quar` ledger.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] when a tenant name, kernel name or
+    /// source line contains a tab (the record could never be read back).
+    pub fn checkpoint_records(&self) -> io::Result<Vec<String>> {
+        let mut records = vec![format!("seed\t{}", self.cfg.seed)];
         for (name, st) in &self.tenants {
-            out.push_str(&format!(
-                "tenant\t{name}\t{}\t{}\t{}\t{}\n",
-                Self::covered(st),
-                st.launches,
-                st.timed_out,
-                st.aborted_launches,
-            ));
+            records.push(record(
+                6,
+                format!(
+                    "tenant\t{name}\t{}\t{}\t{}\t{}",
+                    Self::covered(st),
+                    st.launches,
+                    st.timed_out,
+                    st.aborted_launches,
+                ),
+            )?);
             for site in st.sites.values() {
-                out.push_str(&format!("site\t{name}\t{}\n", site.canonical_line()));
-            }
-        }
-        out
-    }
-
-    /// Serializes the crash-consistent v2 checkpoint: every record
-    /// CRC-framed ([`crate::store::frame_record`]), a `gen` record
-    /// carrying the store generation, `quar` records persisting the
-    /// quarantine ledger, and an `end` trailer with the record count so
-    /// torn tails are detectable. Same verdict-plane payload as v1.
-    #[must_use]
-    pub fn checkpoint_v2(&self, generation: u64) -> String {
-        let mut records: Vec<String> = Vec::new();
-        records.push(format!("gen\t{generation}"));
-        records.push(format!("seed\t{}", self.cfg.seed));
-        for (name, st) in &self.tenants {
-            records.push(format!(
-                "tenant\t{name}\t{}\t{}\t{}\t{}",
-                Self::covered(st),
-                st.launches,
-                st.timed_out,
-                st.aborted_launches,
-            ));
-            for site in st.sites.values() {
-                records.push(format!("site\t{name}\t{}", site.canonical_line()));
+                records.push(record(6, format!("site\t{name}\t{}", site.canonical_line()))?);
             }
             for entry in st.quarantine.values() {
-                records.push(format!(
-                    "quar\t{name}\t{}\t{}\t{}",
-                    entry.job_index,
-                    entry.reason.name(),
-                    entry.attempts,
-                ));
+                records.push(record(
+                    5,
+                    format!(
+                        "quar\t{name}\t{}\t{}\t{}",
+                        entry.job_index,
+                        entry.reason.name(),
+                        entry.attempts,
+                    ),
+                )?);
             }
         }
-        records.push(format!("end\t{}", records.len()));
-        let mut out = String::new();
-        out.push_str(CHECKPOINT_V2_HEADER);
-        out.push('\n');
-        for record in &records {
-            out.push_str(&frame_record(record));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Renders a `catch_unwind` payload as text (the common `&str`/`String`
-/// panic payloads; anything else gets a placeholder).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        Ok(records)
     }
 }
 
@@ -1246,46 +1056,21 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_and_resume_skips_done_jobs() {
-        let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig::default());
-        for i in 0..3 {
-            svc.submit("acme", 0, i);
-        }
-        let mut calls = Vec::new();
-        svc.run_all(fake_exec(&mut calls)).unwrap();
-        let ckpt = svc.checkpoint();
-        assert!(ckpt.starts_with(CHECKPOINT_HEADER));
-
-        let mut resumed: DetectorService<u64> =
-            DetectorService::resume(ServiceConfig::default(), &ckpt).unwrap();
-        // Re-submit the same workload: all three jobs are already covered.
-        for i in 0..3 {
-            resumed.submit("acme", 0, i);
-        }
-        let mut calls2 = Vec::new();
-        let report = resumed.run_all(fake_exec(&mut calls2)).unwrap();
-        assert_eq!(report.jobs_run, 0);
-        assert_eq!(report.jobs_skipped, 3);
-        assert!(calls2.is_empty());
-        // The verdict counters survive the restart byte-for-byte.
-        let digest = |svc: &DetectorService<u64>| {
-            svc.verdicts().iter().map(TenantVerdict::digest).collect::<String>()
+    fn from_records_rejects_garbage_and_seed_mismatch() {
+        let resume = |records: &[&str]| {
+            DetectorService::<u64>::from_records(ServiceConfig::default(), records).unwrap_err()
         };
-        assert_eq!(digest(&svc), digest(&resumed));
-        assert_eq!(resumed.checkpoint(), ckpt);
-    }
-
-    #[test]
-    fn resume_rejects_garbage_and_seed_mismatch() {
-        let err = DetectorService::<u64>::resume(ServiceConfig::default(), "nonsense")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("bad header"));
-        let ckpt = format!("{CHECKPOINT_HEADER}\nseed\t7\n");
-        let err = DetectorService::<u64>::resume(ServiceConfig::default(), &ckpt).unwrap_err();
+        assert_eq!(resume(&["nonsense"]).kind(), "checkpoint");
+        let err = resume(&["seed\t7"]);
+        assert!(matches!(
+            err,
+            ServiceError::CheckpointStaleSeed {
+                checkpoint: 7,
+                config: 42
+            }
+        ));
         assert!(err.to_string().contains("seed mismatch"));
-        let ckpt = format!("{CHECKPOINT_HEADER}\ntenant\tacme\tnot-a-number\t0\t0\t0\n");
-        let err = DetectorService::<u64>::resume(ServiceConfig::default(), &ckpt).unwrap_err();
+        let err = resume(&["seed\t42", "tenant\tacme\tnot-a-number\t0\t0\t0"]);
         assert!(err.to_string().contains("malformed"));
     }
 
@@ -1354,7 +1139,10 @@ mod tests {
             .unwrap();
         assert_eq!(calls, calls2);
         assert_eq!(digest_all(&plain), digest_all(&sup));
-        assert_eq!(plain.checkpoint(), sup.checkpoint());
+        assert_eq!(
+            plain.checkpoint_records().unwrap(),
+            sup.checkpoint_records().unwrap()
+        );
         assert_eq!(report.supervisor.accepted_clean, 8);
         assert_eq!(report.supervisor.attempts, 8);
         assert_eq!(report.jobs_quarantined, 0);
@@ -1451,7 +1239,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_v2_roundtrips_ledger_and_skips_quarantined() {
+    fn checkpoint_records_roundtrip_ledger_and_skip_quarantined() {
         let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig::default());
         submit_two_tenants(&mut svc, 3);
         svc.run_all_supervised(&SupervisorConfig::default(), |ctx, tool| {
@@ -1461,11 +1249,12 @@ mod tests {
             fake_exec(&mut Vec::new())(ctx, tool)
         })
         .unwrap();
-        let ckpt = svc.checkpoint_v2(7);
-        assert!(ckpt.starts_with(CHECKPOINT_V2_HEADER));
+        let ckpt = svc.checkpoint_records().unwrap();
+        assert_eq!(ckpt[0], "seed\t42");
+        assert!(ckpt.contains(&"quar\tacme\t1\tpanic\t3".to_string()));
 
         let mut resumed: DetectorService<u64> =
-            DetectorService::resume(ServiceConfig::default(), &ckpt).unwrap();
+            DetectorService::from_records(ServiceConfig::default(), &ckpt).unwrap();
         assert_eq!(digest_all(&svc), digest_all(&resumed));
         // Resubmitting the same workload re-runs nothing: accepted and
         // quarantined jobs are both covered.
@@ -1477,52 +1266,17 @@ mod tests {
         assert_eq!(report.jobs_skipped, 6);
         assert_eq!(report.jobs_quarantined, 0);
         assert_eq!(digest_all(&svc), digest_all(&resumed));
-        assert_eq!(resumed.checkpoint_v2(7), ckpt);
-
-        // The v1 writer of the same service also resumes to the same
-        // covered prefix (ledger entries collapse into `skip`).
-        let v1 = svc.checkpoint();
-        let mut via_v1: DetectorService<u64> =
-            DetectorService::resume(ServiceConfig::default(), &v1).unwrap();
-        submit_two_tenants(&mut via_v1, 3);
-        let report = via_v1.run_all(fake_exec(&mut Vec::new())).unwrap();
-        assert_eq!(report.jobs_run, 0);
-        assert_eq!(report.jobs_skipped, 6);
-    }
-
-    #[test]
-    fn corrupt_v2_checkpoints_are_rejected_as_checkpoint_corrupt() {
-        let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig::default());
-        submit_two_tenants(&mut svc, 2);
-        svc.run_all(fake_exec(&mut Vec::new())).unwrap();
-        let ckpt = svc.checkpoint_v2(1);
-
-        let expect_corrupt = |text: &str, what: &str| {
-            let err =
-                DetectorService::<u64>::resume(ServiceConfig::default(), text).unwrap_err();
-            assert_eq!(err.kind(), "checkpoint-corrupt", "{what}: {err}");
-        };
-        // Torn tail: the end trailer is gone.
-        let torn: String = ckpt.lines().take(3).map(|l| format!("{l}\n")).collect();
-        expect_corrupt(&torn, "torn");
-        // Flipped byte inside a record body: CRC mismatch.
-        let flipped = ckpt.replacen("tenant\tacme", "tenant\tacml", 1);
-        expect_corrupt(&flipped, "flipped");
-        // Record after the trailer.
-        let trailing = format!("{ckpt}{}\n", frame_record("seed\t0"));
-        expect_corrupt(&trailing, "trailing");
-        // Miscounted trailer.
-        let mut lines: Vec<&str> = ckpt.lines().collect();
-        lines.remove(2);
-        let short: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        expect_corrupt(&short, "miscount");
+        assert_eq!(resumed.checkpoint_records().unwrap(), ckpt);
     }
 
     #[test]
     fn service_error_display_round_trips_kind() {
         let errors = vec![
             ServiceError::Checkpoint("x".into()),
-            ServiceError::CheckpointCorrupt("y".into()),
+            ServiceError::CheckpointStaleSeed {
+                checkpoint: 7,
+                config: 42,
+            },
             ServiceError::Quarantined {
                 tenant: "acme".into(),
                 job_index: 3,

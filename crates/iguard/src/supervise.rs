@@ -4,10 +4,12 @@
 //! `(service seed, tenant, job index)` — which is exactly what makes
 //! crash-only supervision possible: a failed attempt can be discarded
 //! wholesale and retried (or quarantined) without perturbing any other
-//! job's bytes. This module holds the typed failure taxonomy, the
-//! deterministic retry ladder, and the quarantine ledger types; the
-//! supervised execution loop itself lives in
-//! [`DetectorService::run_all_supervised`].
+//! job's bytes. This module is the one home of the retry policy: the
+//! typed failure taxonomy, the per-attempt fault planes, the backoff,
+//! the quarantine ledger types, and [`run_job`] — the attempt loop that
+//! decides retry / accept / quarantine and keeps every
+//! [`SupervisorStats`] counter. [`DetectorService::run_all_supervised`]
+//! only supplies the closure that runs one attempt.
 //!
 //! ## Failure taxonomy
 //!
@@ -41,6 +43,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use faults::{splitmix64, FaultConfig, FaultSite};
 
@@ -75,16 +78,6 @@ impl Default for SupervisorConfig {
             backoff_base_cycles: 1_000,
         }
     }
-}
-
-/// What the supervisor decides to do about a failed attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureClass {
-    /// Retry with a decayed fault plane (or accept degraded if the
-    /// retry budget is exhausted and the failure cannot poison).
-    Transient,
-    /// Deterministically broken: quarantine the job.
-    Poison,
 }
 
 /// Why a quarantined job was poisoned (checkpointed, so no payload).
@@ -148,26 +141,10 @@ pub enum JobFailure {
 }
 
 impl JobFailure {
-    /// Classifies this failure given whether the attempt that produced
-    /// it was the last one in the ladder. `Perturbed` never poisons
-    /// (the clean room cannot fire); `Panic`/`Hang` poison once they
-    /// survive into the final attempt.
-    #[must_use]
-    pub fn classify(&self, final_attempt: bool) -> FailureClass {
-        match self {
-            JobFailure::Perturbed { .. } => FailureClass::Transient,
-            JobFailure::Panic(_) | JobFailure::Hang { .. } => {
-                if final_attempt {
-                    FailureClass::Poison
-                } else {
-                    FailureClass::Transient
-                }
-            }
-        }
-    }
-
-    /// The quarantine reason for a poisoned failure (`None` for
-    /// `Perturbed`, which cannot poison).
+    /// Why this failure, surviving into the final attempt, poisons the
+    /// job: `Panic`/`Hang` there are deterministic. `None` for
+    /// `Perturbed`, which never poisons — it is transient while retries
+    /// remain and accepted degraded when none do.
     #[must_use]
     pub fn quarantine_reason(&self) -> Option<QuarantineReason> {
         match self {
@@ -264,26 +241,6 @@ impl SupervisorStats {
     }
 }
 
-impl fmt::Display for SupervisorStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "jobs {} attempts {} panics {} hangs {} perturbed {} retries {} \
-             recovered {} clean {} degraded {} quarantined {}",
-            self.jobs_supervised,
-            self.attempts,
-            self.panics_caught,
-            self.hangs_caught,
-            self.perturbed_attempts,
-            self.retries,
-            self.recovered,
-            self.accepted_clean,
-            self.accepted_degraded,
-            self.quarantined,
-        )
-    }
-}
-
 /// The fault plane for one attempt of the retry ladder.
 ///
 /// - attempt 0: the template reseeded with the job seed — the exact
@@ -323,6 +280,157 @@ pub fn backoff_cycles(cfg: &SupervisorConfig, job_seed: u64, attempt: u32) -> u6
     let exp = base << attempt.min(16);
     let jitter = splitmix64(job_seed ^ u64::from(attempt) ^ BACKOFF_SALT) % base;
     exp + jitter
+}
+
+/// Runs `f`, catching a panic as its message when supervised; with
+/// supervision off (`sup` is `None`) a panic propagates as it always did.
+///
+/// # Errors
+/// The stringified panic payload.
+pub fn guard<T>(sup: Option<&SupervisorConfig>, f: impl FnOnce() -> T) -> Result<T, String> {
+    if sup.is_none() {
+        return Ok(f());
+    }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
+}
+
+/// One finished attempt, as reported to [`run_job`] by the per-attempt
+/// closure.
+#[derive(Debug)]
+pub struct Attempt<T> {
+    /// Whatever the attempt left behind (detector state, outcome); read
+    /// only if the attempt is accepted.
+    pub product: T,
+    /// The message of the panic [`guard`] caught, if the attempt died.
+    pub panic: Option<String>,
+    /// Injected-fault fires the attempt observed (detector side, plus
+    /// simulator side when the attempt returned an outcome).
+    pub fires: u64,
+    /// Kernel cycles the attempt consumed (the watchdog's input).
+    pub kernel_cycles: u64,
+    /// Whether the simulator's own step budget tripped.
+    pub timed_out: bool,
+}
+
+impl<T> Attempt<T> {
+    /// What, if anything, is wrong with this attempt under `cfg`.
+    fn failure(&self, cfg: &SupervisorConfig) -> Option<JobFailure> {
+        if let Some(msg) = &self.panic {
+            Some(JobFailure::Panic(msg.clone()))
+        } else if self.timed_out || (cfg.cycle_budget > 0 && self.kernel_cycles > cfg.cycle_budget)
+        {
+            Some(JobFailure::Hang {
+                kernel_cycles: self.kernel_cycles,
+                cycle_budget: cfg.cycle_budget,
+                timed_out: self.timed_out,
+            })
+        } else if self.fires > 0 {
+            Some(JobFailure::Perturbed { fires: self.fires })
+        } else {
+            None
+        }
+    }
+}
+
+/// How the ladder ended for one job.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Resolution<T> {
+    /// An attempt was accepted: fold its product into the verdict.
+    Accepted {
+        /// The accepted attempt's [`Attempt::product`].
+        product: T,
+        /// Retry backoff accrued on the way (latency plane only: it
+        /// shifts the job's completion time, never its verdict bytes).
+        backoff_cycles: u64,
+    },
+    /// The job is poison: add it to the quarantine ledger.
+    Quarantined {
+        /// Why it was poisoned.
+        reason: QuarantineReason,
+        /// Attempts consumed (retries + 1).
+        attempts: u32,
+        /// The last failure's detail line.
+        detail: String,
+    },
+}
+
+/// The attempt loop for one job: runs `attempt(n)` for `n = 0, 1, …`
+/// until an attempt is accepted or the job is quarantined, and keeps
+/// every counter in `stats`.
+///
+/// A failed attempt short of the final one is transient: discarded
+/// wholesale (its fires accounted, [`backoff_cycles`] charged) and
+/// retried. On the final attempt a `Panic` or `Hang` is deterministic —
+/// poison, quarantined — while `Perturbed` (no clean room to retreat
+/// to) is accepted degraded. With `sup` unset there is no ladder:
+/// attempt 0 runs once, is accepted as it stands, and `stats` is
+/// untouched.
+///
+/// # Errors
+/// Propagates the closure's error (an attempt that could not be set up).
+pub fn run_job<T, E>(
+    sup: Option<&SupervisorConfig>,
+    job_seed: u64,
+    stats: &mut SupervisorStats,
+    mut attempt: impl FnMut(u32) -> Result<Attempt<T>, E>,
+) -> Result<Resolution<T>, E> {
+    let Some(cfg) = sup else {
+        return Ok(Resolution::Accepted {
+            product: attempt(0)?.product,
+            backoff_cycles: 0,
+        });
+    };
+    stats.jobs_supervised += 1;
+    let mut backoff_total = 0u64;
+    let mut n = 0u32;
+    loop {
+        stats.attempts += 1;
+        let a = attempt(n)?;
+        if let Some(fail) = a.failure(cfg) {
+            match fail {
+                JobFailure::Panic(_) => stats.panics_caught += 1,
+                JobFailure::Hang { .. } => stats.hangs_caught += 1,
+                JobFailure::Perturbed { .. } => stats.perturbed_attempts += 1,
+            }
+            if n < cfg.max_retries {
+                // Transient: discard the attempt wholesale and retry.
+                stats.discarded_fault_fires += a.fires;
+                let backoff = backoff_cycles(cfg, job_seed, n);
+                backoff_total += backoff;
+                stats.backoff_cycles += backoff;
+                stats.retries += 1;
+                n += 1;
+                continue;
+            }
+            if let Some(reason) = fail.quarantine_reason() {
+                stats.quarantined += 1;
+                stats.discarded_fault_fires += a.fires;
+                return Ok(Resolution::Quarantined {
+                    reason,
+                    attempts: n + 1,
+                    detail: fail.detail(),
+                });
+            }
+            stats.accepted_degraded += 1;
+        } else if n == 0 {
+            stats.accepted_clean += 1;
+        }
+        if n > 0 {
+            stats.recovered += 1;
+        }
+        return Ok(Resolution::Accepted {
+            product: a.product,
+            backoff_cycles: backoff_total,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -384,24 +492,74 @@ mod tests {
         assert_ne!(backoff_cycles(&cfg, 43, 0), b0);
     }
 
-    #[test]
-    fn taxonomy_classifies_as_documented() {
-        let panic = JobFailure::Panic("boom".into());
-        let hang = JobFailure::Hang {
-            kernel_cycles: 10,
-            cycle_budget: 5,
-            timed_out: false,
+    fn finished(fires: u64, timed_out: bool) -> Result<Attempt<u32>, ()> {
+        Ok(Attempt {
+            product: 7,
+            panic: None,
+            fires,
+            kernel_cycles: 100,
+            timed_out,
+        })
+    }
+
+    fn accepted_as_is(r: &Resolution<u32>) -> bool {
+        let want = Resolution::Accepted {
+            product: 7,
+            backoff_cycles: 0,
         };
-        let perturbed = JobFailure::Perturbed { fires: 3 };
-        assert_eq!(panic.classify(false), FailureClass::Transient);
-        assert_eq!(panic.classify(true), FailureClass::Poison);
-        assert_eq!(hang.classify(false), FailureClass::Transient);
-        assert_eq!(hang.classify(true), FailureClass::Poison);
-        assert_eq!(perturbed.classify(false), FailureClass::Transient);
-        assert_eq!(perturbed.classify(true), FailureClass::Transient);
-        assert_eq!(panic.quarantine_reason(), Some(QuarantineReason::Panic));
-        assert_eq!(hang.quarantine_reason(), Some(QuarantineReason::Hang));
-        assert_eq!(perturbed.quarantine_reason(), None);
+        *r == want
+    }
+
+    #[test]
+    fn run_job_without_a_clean_room_accepts_degraded_and_poisons_hangs() {
+        let cfg = SupervisorConfig {
+            max_retries: 0,
+            ..SupervisorConfig::default()
+        };
+        let mut stats = SupervisorStats::default();
+        // Perturbed with nowhere to retreat: accepted as it stands.
+        let got = run_job(Some(&cfg), 1, &mut stats, |_| finished(3, false)).unwrap();
+        assert!(accepted_as_is(&got));
+        // A hang on the only attempt is poison; every fire it observed
+        // (simulator side included) is accounted as discarded.
+        let got = run_job(Some(&cfg), 1, &mut stats, |_| finished(5, true)).unwrap();
+        assert!(matches!(
+            got,
+            Resolution::Quarantined {
+                reason: QuarantineReason::Hang,
+                attempts: 1,
+                ..
+            }
+        ));
+        let want = SupervisorStats {
+            jobs_supervised: 2,
+            attempts: 2,
+            perturbed_attempts: 1,
+            hangs_caught: 1,
+            accepted_degraded: 1,
+            quarantined: 1,
+            discarded_fault_fires: 5,
+            ..SupervisorStats::default()
+        };
+        assert_eq!(stats, want);
+    }
+
+    #[test]
+    fn run_job_unsupervised_is_one_unaccounted_attempt() {
+        let mut stats = SupervisorStats::default();
+        let mut calls = 0;
+        let got = run_job(None, 1, &mut stats, |n| {
+            calls += 1;
+            assert_eq!(n, 0);
+            finished(9, true)
+        })
+        .unwrap();
+        assert!(accepted_as_is(&got));
+        assert_eq!((calls, stats), (1, SupervisorStats::default()));
+        assert_eq!(guard(None, || 3), Ok(3));
+        let sup = SupervisorConfig::default();
+        let caught = guard(Some(&sup), || -> u32 { panic!("poison job") });
+        assert_eq!(caught, Err("poison job".to_string()));
     }
 
     #[test]
