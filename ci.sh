@@ -11,9 +11,15 @@
 # (prune rates in [0,1], safe+racy+unknown == mem points,
 # dispatched+skipped == total accesses, host-gated speedup fields).
 # With --perf, additionally runs the perf tier: the shard-determinism
-# suite, the perf smoke, and structural validation of the emitted
-# bench-pr8-v1 JSON (plus the previous bench-pr7-v1 trajectory, if
-# present — `--validate` dispatches on the schema tag). Wall-clock
+# suite, the hot-path counter-identity test (every `IguardStats` field,
+# the metadata `UvmStats` and the raw Detection cycle pools of the
+# benchmark's detector traffic against a recorded table, so a hot-path
+# edit that moves a counter fails here rather than in a benchmark run;
+# `benches/detector_hot_path.rs` itself is compiled by the tier-1
+# `clippy --all-targets` — the vendored criterion shim has no `--test`
+# mode to run it under), the perf smoke, and structural validation of the
+# emitted bench-pr8-v1 JSON (plus the previous bench-pr7-v1 trajectory,
+# if present — `--validate` dispatches on the schema tag). Wall-clock
 # speedup assertions are host-gated by the harness itself (single-core
 # boxes record but never compare), so this tier is safe on any machine.
 # With --fuzz, additionally runs a time-boxed differential fuzz campaign
@@ -96,6 +102,8 @@ fi
 if [[ "$PERF" -eq 1 ]]; then
   echo "== shard determinism suite (--perf) =="
   cargo test -q -p bench --release --test shard_determinism
+  echo "== hot-path counter identity (--perf) =="
+  cargo test -q -p bench --release --test counter_identity
   echo "== perf smoke (--perf) =="
   cargo run --release -p bench --bin perf -- --quick --no-progress
   echo "== perf JSON validation (--perf) =="

@@ -6,15 +6,17 @@
 //! cargo bench -p bench
 //! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use gpu_sim::hook::{AccessKind, ExecMode, LaneAccess, LaunchInfo, MemAccess};
 use gpu_sim::prelude::*;
-use iguard::bitfield::{AccessorInfo, Flags, MetadataEntry};
+use gpu_sim::timing::Clock;
+use iguard::bitfield::{AccessorInfo, Flags, MetadataEntry, VALID};
 use iguard::checks::{detailed, preliminary, AccessType, CurrAccess, MdView};
 use iguard::locks::LockTable;
 use iguard::{Iguard, IguardConfig};
-use nvbit_sim::Instrumented;
+use nvbit_sim::{Instrumented, Tool};
 
 /// A small device configuration so wall-clock measurements reflect the
 /// simulation and detection work, not zeroing the default 16 MiB backing
@@ -24,34 +26,6 @@ fn small_device() -> GpuConfig {
         mem_words: 1 << 14,
         ..GpuConfig::default()
     }
-}
-
-fn bench_bitfield(c: &mut Criterion) {
-    let entry = MetadataEntry {
-        tag: 0x2A5,
-        flags: Flags {
-            valid: true,
-            modified: true,
-            ..Flags::default()
-        },
-        accessor: AccessorInfo {
-            warp_id: 77,
-            lane: 13,
-            ..AccessorInfo::default()
-        },
-        writer: AccessorInfo {
-            warp_id: 3,
-            lane: 1,
-            ..AccessorInfo::default()
-        },
-        locks: 0xBEEF,
-    };
-    c.bench_function("metadata_pack_unpack", |b| {
-        b.iter(|| {
-            let (a, w) = black_box(entry).pack();
-            black_box(MetadataEntry::unpack(a, w))
-        });
-    });
 }
 
 fn bench_checks(c: &mut Criterion) {
@@ -216,6 +190,7 @@ fn bench_metadata_table_slots(c: &mut Criterion) {
         writer: AccessorInfo::default(),
         locks: 0,
     };
+    let (acc_word, wr_word) = entry.pack();
     c.bench_function("metadata_table_strided_load_store", |b| {
         b.iter(|| {
             table.begin_epoch();
@@ -224,8 +199,8 @@ fn bench_metadata_table_slots(c: &mut Criterion) {
             // into occupied slots with a different tag.
             for i in (0..4096u32).map(|i| i * 3) {
                 let m = table.load(black_box(i));
-                acc += u64::from(m.entry.flags.valid);
-                table.store(i, entry);
+                acc += m.acc & VALID;
+                table.store(i, acc_word, wr_word);
             }
             black_box(acc)
         });
@@ -260,6 +235,142 @@ fn bench_flat_history_path(c: &mut Criterion) {
             gpu.launch(black_box(&k), 4, 64, &[buf], &mut tool).unwrap()
         });
     });
+}
+
+/// Warps (of 32 lanes, 4 to a block) the split shapes below launch.
+const SPLIT_WARPS: u32 = 512;
+
+/// A launched detector fed warp splits directly, without the interpreter:
+/// the detector's own cost per lane, the quantity the benchmark reports as
+/// `iguard.ns_per_access`.
+struct SplitDriver {
+    det: Iguard,
+    clock: Clock,
+    kernel: Kernel,
+    info: LaunchInfo,
+    step: u64,
+}
+
+impl SplitDriver {
+    fn new() -> Self {
+        let mut b = KernelBuilder::new("bench_split");
+        let base = b.param(0);
+        let v = b.ld(base, 0);
+        b.st(base, 0, v);
+        let kernel = b.build();
+        let info = LaunchInfo {
+            kernel_name: kernel.name.clone(),
+            grid_dim: SPLIT_WARPS / 4,
+            block_dim: 128,
+            warps_per_block: 4,
+            total_threads: SPLIT_WARPS * 32,
+            total_warps: SPLIT_WARPS,
+            mode: ExecMode::Its,
+            num_sms: 72,
+            free_device_bytes: 20 << 30,
+            app_footprint_bytes: 1 << 20,
+            device_capacity_bytes: 24 << 30,
+            backing_words: 1 << 16,
+            code_len: kernel.code.len(),
+            params: vec![0],
+        };
+        let mut driver = SplitDriver {
+            det: Iguard::new(IguardConfig::default()),
+            clock: Clock::new(),
+            kernel,
+            info,
+            step: 0,
+        };
+        driver.launch();
+        driver
+    }
+
+    /// A new launch: every word is untouched again.
+    fn launch(&mut self) {
+        self.det.at_launch(&self.info, &mut self.clock);
+    }
+
+    /// One full-warp split by `warp` over 32 consecutive words, lane `i`
+    /// on word `first_word + i`.
+    fn split(&mut self, warp: u32, kind: AccessKind, first_word: u32) {
+        let mut lanes = [LaneAccess {
+            lane: 0,
+            tid_in_block: 0,
+            addr: 0,
+        }; 32];
+        for (i, l) in lanes.iter_mut().enumerate() {
+            l.lane = i as u32;
+            l.tid_in_block = (warp % 4) * 32 + i as u32;
+            l.addr = (first_word + i as u32) * 4;
+        }
+        self.step += 1;
+        let access = MemAccess {
+            kernel: &self.kernel,
+            pc: usize::from(kind != AccessKind::Load),
+            kind,
+            space: Space::Global,
+            block_id: warp / 4,
+            warp_in_block: warp % 4,
+            global_warp: warp,
+            active_mask: u32::MAX,
+            volatile: false,
+            lanes: &lanes,
+            warps_per_block: 4,
+            sm: 0,
+            step: self.step,
+        };
+        self.det.on_mem(black_box(&access), &mut self.clock);
+    }
+}
+
+/// The two split shapes that carry the benchmark's detector traffic,
+/// timed per lane.
+fn bench_split_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("detector_split");
+
+    // interac's shape: every thread loads, then stores, its own cell, over
+    // and over — after the first round each access is decided by P3.
+    let mut d = SplitDriver::new();
+    let mut warp = 0;
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("own_cell_reaccess_p3", |b| {
+        b.iter(|| {
+            d.split(warp, AccessKind::Load, warp * 32);
+            d.split(warp, AccessKind::Store, warp * 32);
+            warp = (warp + 1) % SPLIT_WARPS;
+        });
+    });
+    let hits = d.det.stats().safe_hits;
+    assert!(
+        hits[2] > 9 * (hits[0] + hits[1]),
+        "P3 must dominate: {hits:?}"
+    );
+    assert_eq!(d.det.unique_races(), 0);
+
+    // The stencil's shape: each launch reads three neighbouring source
+    // words per thread and writes one destination word — a first touch
+    // (P1) or a read of a never-written word (P2) every time.
+    let mut d = SplitDriver::new();
+    let dst = SPLIT_WARPS * 32 + 32;
+    group.throughput(Throughput::Elements(u64::from(SPLIT_WARPS) * 32 * 4));
+    group.bench_function("first_touch_sweep_p1_p2", |b| {
+        b.iter(|| {
+            d.launch();
+            for warp in 0..SPLIT_WARPS {
+                for offset in 0..3 {
+                    d.split(warp, AccessKind::Load, warp * 32 + offset);
+                }
+                d.split(warp, AccessKind::Store, dst + warp * 32);
+            }
+        });
+    });
+    let stats = d.det.stats();
+    assert_eq!(
+        stats.safe_hits[0] + stats.safe_hits[1],
+        stats.accesses,
+        "P1/P2 must decide every access: {stats:?}"
+    );
+    group.finish();
 }
 
 fn bench_workloads_under_detectors(c: &mut Criterion) {
@@ -297,13 +408,13 @@ fn bench_workloads_under_detectors(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_bitfield,
     bench_checks,
     bench_lock_table,
     bench_simulator_throughput,
     bench_detector_end_to_end,
     bench_barracuda_end_to_end,
     bench_metadata_table_slots,
+    bench_split_shapes,
     bench_flat_contention_path,
     bench_flat_history_path,
     bench_workloads_under_detectors

@@ -20,6 +20,8 @@
 //! e.g., exactly 256 `syncthreads` between two accesses (§6.7). The
 //! reproduction keeps the same widths so it inherits the same behaviour.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Width of the WarpID field (bits).
 pub const WARP_ID_BITS: u32 = 15;
 /// Width of the ThreadID (lane) field (bits).
@@ -37,6 +39,37 @@ pub const LOCK_BITS: u32 = 16;
 
 const fn mask(bits: u32) -> u64 {
     (1u64 << bits) - 1
+}
+
+/// Flag bits of the accessor word, in place ([53-48]). The engine decides
+/// P1–P3 and writes back on these without decoding the entry.
+pub const VALID: u64 = 1 << 48;
+/// Location has been written.
+pub const MODIFIED: u64 = 1 << 49;
+/// Location's last write was an atomic.
+pub const ATOMIC: u64 = 1 << 50;
+/// Scope of that atomic: set = block.
+pub const SCOPE_BLOCK: u64 = 1 << 51;
+/// Accessors span multiple threadblocks.
+pub const DEV_SHARED: u64 = 1 << 52;
+/// Accessors span multiple warps of one threadblock.
+pub const BLK_SHARED: u64 = 1 << 53;
+/// Bits [45-0] of either word: identity + synchronization snapshot.
+pub const INFO_MASK: u64 = mask(46);
+/// The address tag of the accessor word ([63-54]): position and field.
+pub const TAG_SHIFT: u32 = 64 - TAG_BITS;
+pub const TAG_FIELD: u64 = mask(TAG_BITS) << TAG_SHIFT;
+
+/// The stored (15-bit) WarpID of a packed word.
+#[must_use]
+pub const fn stored_warp(word: u64) -> u32 {
+    ((word >> 31) & mask(WARP_ID_BITS)) as u32
+}
+
+/// The stored (5-bit) ThreadID of a packed word.
+#[must_use]
+pub const fn stored_lane(word: u64) -> u32 {
+    ((word >> 26) & mask(THREAD_ID_BITS)) as u32
 }
 
 /// Synchronization counters snapshot shared by both metadata words:
@@ -59,7 +92,9 @@ pub struct AccessorInfo {
 }
 
 impl AccessorInfo {
-    fn pack(self) -> u64 {
+    /// Encodes to bits [45-0] of a metadata word (fields truncate).
+    #[must_use]
+    pub fn pack(self) -> u64 {
         ((self.warp_id as u64 & mask(WARP_ID_BITS)) << 31)
             | ((self.lane as u64 & mask(THREAD_ID_BITS)) << 26)
             | ((self.dev_fence as u64 & mask(FENCE_BITS)) << 20)
@@ -70,8 +105,8 @@ impl AccessorInfo {
 
     fn unpack(w: u64) -> Self {
         AccessorInfo {
-            warp_id: ((w >> 31) & mask(WARP_ID_BITS)) as u32,
-            lane: ((w >> 26) & mask(THREAD_ID_BITS)) as u32,
+            warp_id: stored_warp(w),
+            lane: stored_lane(w),
             dev_fence: ((w >> 20) & mask(FENCE_BITS)) as u8,
             blk_fence: ((w >> 14) & mask(FENCE_BITS)) as u8,
             blk_bar: ((w >> 6) & mask(BLK_BAR_BITS)) as u8,
@@ -106,22 +141,23 @@ pub struct Flags {
 
 impl Flags {
     fn pack(self) -> u64 {
-        u64::from(self.valid)
-            | (u64::from(self.modified) << 1)
-            | (u64::from(self.atomic) << 2)
-            | (u64::from(self.scope_block) << 3)
-            | (u64::from(self.dev_shared) << 4)
-            | (u64::from(self.blk_shared) << 5)
+        let bit = |on: bool, flag: u64| if on { flag } else { 0 };
+        bit(self.valid, VALID)
+            | bit(self.modified, MODIFIED)
+            | bit(self.atomic, ATOMIC)
+            | bit(self.scope_block, SCOPE_BLOCK)
+            | bit(self.dev_shared, DEV_SHARED)
+            | bit(self.blk_shared, BLK_SHARED)
     }
 
-    fn unpack(bits: u64) -> Self {
+    fn unpack(acc: u64) -> Self {
         Flags {
-            valid: bits & 1 != 0,
-            modified: bits & 2 != 0,
-            atomic: bits & 4 != 0,
-            scope_block: bits & 8 != 0,
-            dev_shared: bits & 16 != 0,
-            blk_shared: bits & 32 != 0,
+            valid: acc & VALID != 0,
+            modified: acc & MODIFIED != 0,
+            atomic: acc & ATOMIC != 0,
+            scope_block: acc & SCOPE_BLOCK != 0,
+            dev_shared: acc & DEV_SHARED != 0,
+            blk_shared: acc & BLK_SHARED != 0,
         }
     }
 }
@@ -146,8 +182,8 @@ impl MetadataEntry {
     /// Encodes to the two raw 64-bit words of Figure 4.
     #[must_use]
     pub fn pack(self) -> (u64, u64) {
-        let acc = ((self.tag as u64 & mask(TAG_BITS)) << 54)
-            | (self.flags.pack() << 48)
+        let acc = ((self.tag as u64 & mask(TAG_BITS)) << TAG_SHIFT)
+            | self.flags.pack()
             | self.accessor.pack();
         let wr = ((self.locks as u64) << 48) | self.writer.pack();
         (acc, wr)
@@ -157,8 +193,8 @@ impl MetadataEntry {
     #[must_use]
     pub fn unpack(acc: u64, wr: u64) -> Self {
         MetadataEntry {
-            tag: ((acc >> 54) & mask(TAG_BITS)) as u16,
-            flags: Flags::unpack((acc >> 48) & mask(6)),
+            tag: (acc >> TAG_SHIFT) as u16,
+            flags: Flags::unpack(acc),
             accessor: AccessorInfo::unpack(acc),
             writer: AccessorInfo::unpack(wr),
             locks: ((wr >> 48) & mask(LOCK_BITS)) as u16,
@@ -174,6 +210,7 @@ pub fn wrapping_inc(value: u8, bits: u32) -> u8 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

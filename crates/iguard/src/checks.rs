@@ -18,6 +18,8 @@
 //! - barrier comparisons use the shared per-block / per-warp counters,
 //!   which both threads of the pair observe identically.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::bitfield::{AccessorInfo, MetadataEntry};
 
 /// Classification of the current access.
@@ -299,6 +301,7 @@ pub fn detailed(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::bitfield::Flags;

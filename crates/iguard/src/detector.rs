@@ -37,9 +37,10 @@ use gpu_sim::timing::{Clock, CostCategory, Phase};
 use nvbit_sim::channel::ChannelStats;
 use nvbit_sim::Tool;
 
+use crate::bitfield::AccessorInfo;
 use crate::checks::AccessType;
 use crate::config::IguardConfig;
-use crate::engine::{AccessCtx, Engine, EngineParams, Sink};
+use crate::engine::{Engine, EngineParams, LaneCtx, Sink, SplitCtx};
 use crate::error::IguardError;
 use crate::locks::WarpLockState;
 use crate::metadata::{MetaStats, MetadataTable, TableConfig, ENTRY_BYTES};
@@ -313,59 +314,72 @@ impl Iguard {
         crate::report::group_sites(&records)
     }
 
-    /// The front half of one lane access: orphan accounting, live-state
-    /// capture (synchronization snapshot, lock summary), and routing to
-    /// the word's engine, which runs the check and reports immediately.
-    fn process_access(
+    /// The front half of one warp split (or of the one lane that stands
+    /// for a coalesced split): orphan accounting, one capture of the live
+    /// state the lanes share (synchronization counters, lock state, the
+    /// pruner's verify handle, the sink), then each lane routed to its
+    /// word's engine, which runs the check and reports immediately.
+    fn process_split(
         &mut self,
-        lane_access: &LaneAccess,
+        lanes: &[LaneAccess],
         kind: AccessType,
         access: &MemAccess<'_>,
         clock: &mut Clock,
         verify_safe: bool,
     ) {
-        let word = lane_access.addr / 4;
         let warp = access.global_warp;
-        let lane = lane_access.lane;
-        // Graceful degradation: an access with no live launch state
-        // (table allocation failed, or the event arrived before any
-        // launch) is dropped and counted instead of panicking.
-        let (Some(sync), Some(locks), Some(engine)) = (
+        // Graceful degradation: accesses with no live launch state (table
+        // allocation failed, or the event arrived before any launch) are
+        // dropped and counted instead of panicking.
+        let (Some(sync), Some(locks), false) = (
             self.sync.as_ref(),
             self.locks.get(warp as usize),
-            self.engines.get_mut(word as usize & (self.shards - 1)),
+            self.engines.is_empty(),
         ) else {
-            self.stats.orphan_events += 1;
+            self.stats.orphan_events += lanes.len() as u64;
             return;
         };
-        self.stats.accesses += 1;
-        // Verify-mode pruning: tag the access and hand the engine a handle
-        // on the violation counter, charged if it reports a race.
-        let verify = verify_safe
-            .then(|| {
-                self.pruner.as_mut().map(|p| {
-                    p.count_pruned_access();
-                    p.verify_violations_mut()
-                })
-            })
-            .flatten();
-
-        let ctx = AccessCtx {
-            access,
-            word: word >> self.shards.trailing_zeros(),
-            addr: lane_access.addr,
-            lane,
-            kind,
-            snap: sync.snapshot(warp, lane),
-            lock_summary: locks.summary(lane),
+        self.stats.accesses += lanes.len() as u64;
+        // Verify-mode pruning: tag the accesses and hand the engine a
+        // handle on the violation counter, charged if it reports a race.
+        let verify = match &mut self.pruner {
+            Some(p) if verify_safe => {
+                p.count_pruned_accesses(lanes.len() as u64);
+                Some(p.verify_violations_mut())
+            }
+            _ => None,
         };
+
+        let split = SplitCtx::new(access, kind, clock.profiling());
+        let warp_bar = sync.warp_bar(warp);
+        let blk_bar = sync.blk_bar(warp / sync.warps_per_block().max(1));
+        let (dev_fences, blk_fences) = sync.warp_fences(warp);
+        // Until `isThread` escalates every lane holds the warp's locks.
+        let warp_locks = (!locks.is_thread()).then(|| locks.summary(0));
+        let (shard_shift, shard_mask) = (self.shards.trailing_zeros(), self.shards - 1);
         let mut sink = Sink {
             stats: &mut self.stats,
             reporter: &mut self.reporter,
             clock,
             verify,
         };
-        engine.process(&ctx, sync, &mut sink);
+        for la in lanes {
+            let word = la.addr / 4;
+            let lane = LaneCtx {
+                word: word >> shard_shift,
+                addr: la.addr,
+                snap: AccessorInfo {
+                    warp_id: warp,
+                    lane: la.lane,
+                    dev_fence: dev_fences[la.lane as usize],
+                    blk_fence: blk_fences[la.lane as usize],
+                    blk_bar,
+                    warp_bar,
+                },
+                lock_summary: warp_locks.unwrap_or_else(|| locks.summary(la.lane)),
+            };
+            self.engines[word as usize & shard_mask].process(&split, &lane, sync, &mut sink);
+        }
     }
 
     /// First-launch allocation of the managed metadata region (~4× device
@@ -438,7 +452,9 @@ impl Tool for Iguard {
             64.max(u64::from(info.total_warps))
         };
         self.sync = Some(SyncMetadata::new(info.grid_dim, info.warps_per_block));
-        self.locks = vec![WarpLockState::default(); info.total_warps as usize];
+        self.locks.clear();
+        self.locks
+            .resize(info.total_warps as usize, WarpLockState::default());
 
         // Each engine's tables cover its shard's sub-words.
         let words = info.backing_words.div_ceil(self.shards);
@@ -501,9 +517,8 @@ impl Tool for Iguard {
                 for &(lane, _tid) in tids.iter() {
                     sync.fence(*scope, *global_warp, lane);
                 }
-                let lanes: Vec<u32> = tids.iter().map(|&(lane, _)| lane).collect();
                 if let Some(wl) = self.locks.get_mut(*global_warp as usize) {
-                    wl.on_fence(lanes, *scope);
+                    wl.on_fence(tids.iter().map(|&(lane, _)| lane), *scope);
                 }
             }
         }
@@ -573,8 +588,7 @@ impl Iguard {
             && access.lanes.iter().all(|l| l.addr == access.lanes[0].addr);
         if coalescible {
             self.stats.coalesced_saved += access.lanes.len() as u64 - 1;
-            let rep = access.lanes[0];
-            self.process_access(&rep, kind, access, clock, verify_safe);
+            self.process_split(&access.lanes[..1], kind, access, clock, verify_safe);
         } else {
             // Lanes hitting the *same* metadata entry serialize on its
             // lock; lanes on distinct entries proceed in parallel. Charge
@@ -594,10 +608,335 @@ impl Iguard {
                     );
                 }
             }
-            for i in 0..access.lanes.len() {
-                let la = access.lanes[i];
-                self.process_access(&la, kind, access, clock, verify_safe);
+            self.process_split(access.lanes, kind, access, clock, verify_safe);
+        }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use gpu_sim::asm::KernelBuilder;
+    use gpu_sim::hook::ExecMode;
+    use gpu_sim::kernel::Kernel;
+
+    use super::*;
+    use crate::bitfield::{Flags, MetadataEntry};
+    use crate::checks::{detailed, preliminary, CurrAccess, MdView, Safe};
+    use crate::engine::{race_index, safe_index};
+    use crate::locks::{bloom_bits, lock_hash};
+
+    /// Two blocks of two warps; the current access is always by warp 1
+    /// (block 0), lane 3.
+    const WPB: u32 = 2;
+    const TOTAL_WARPS: u32 = 4;
+    const WARP: u32 = 1;
+    const LANE: u32 = 3;
+    const ADDR: u32 = 40;
+    const PC: usize = 0;
+    /// Stored identities: same thread, same warp other lane, same block
+    /// other warp (same lane number), other block.
+    const IDENTITIES: [(u32, u32); 4] = [(WARP, LANE), (WARP, 5), (0, LANE), (2, LANE)];
+    /// Lock variables whose Bloom summaries are disjoint (asserted below).
+    const LOCK_ADDRS: [Option<u32>; 3] = [None, Some(0x100), Some(0x204)];
+    const KINDS: [(AccessKind, bool); 5] = [
+        (AccessKind::Load, false),
+        (AccessKind::Store, false),
+        (AccessKind::Store, true),
+        (
+            AccessKind::Atomic {
+                op: AtomOp::Add,
+                scope: Scope::Device,
+            },
+            false,
+        ),
+        (
+            AccessKind::Atomic {
+                op: AtomOp::Add,
+                scope: Scope::Block,
+            },
+            false,
+        ),
+    ];
+
+    fn summary_of(lock: Option<u32>) -> u16 {
+        lock.map_or(0, |addr| bloom_bits(lock_hash(addr)))
+    }
+
+    fn kernel() -> Kernel {
+        let mut b = KernelBuilder::new("one_word");
+        let base = b.param(0);
+        let _ = b.ld(base, 0);
+        b.build()
+    }
+
+    fn launch_info() -> LaunchInfo {
+        LaunchInfo {
+            kernel_name: "one_word".into(),
+            grid_dim: TOTAL_WARPS / WPB,
+            block_dim: WPB * 32,
+            warps_per_block: WPB,
+            total_threads: TOTAL_WARPS * 32,
+            total_warps: TOTAL_WARPS,
+            mode: ExecMode::Its,
+            num_sms: 1,
+            free_device_bytes: 1 << 30,
+            app_footprint_bytes: 1 << 10,
+            device_capacity_bytes: 1 << 30,
+            backing_words: 64,
+            code_len: 2,
+            params: vec![0],
+        }
+    }
+
+    /// What one access did to one word.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        safe_slot: Option<usize>,
+        race_slot: Option<usize>,
+        words: (u64, u64),
+        records: Vec<RaceRecord>,
+    }
+
+    /// The sequence the engine ran before it worked on packed words —
+    /// decode, flag update, `preliminary`/`detailed`, field-wise
+    /// write-back, encode — kept as the reference the early-outs and the
+    /// masked write-back are pinned against.
+    fn reference(
+        det: &Iguard,
+        k: &Kernel,
+        (acc, wr): (u64, u64),
+        (access_kind, volatile): (AccessKind, bool),
+    ) -> Outcome {
+        let sync = det.sync.as_ref().unwrap();
+        let kind = match access_kind {
+            AccessKind::Load => AccessType::Load,
+            AccessKind::Store if volatile => AccessType::Atomic { scope_block: false },
+            AccessKind::Store => AccessType::Store,
+            AccessKind::Atomic { scope, .. } => AccessType::Atomic {
+                scope_block: scope == Scope::Block,
+            },
+        };
+        let snap = sync.snapshot(WARP, LANE);
+        let locks = det.locks[WARP as usize].summary(LANE);
+        let block = WARP / WPB;
+        let mut entry = MetadataEntry::unpack(acc, wr);
+        let (mut race, mut records) = (None, Vec::new());
+        let safe = if entry.flags.valid {
+            if entry.accessor.block_id(WPB) != block {
+                entry.flags.dev_shared = true;
+            } else if entry.accessor.warp_id != WARP {
+                entry.flags.blk_shared = true;
+            }
+            let info = if kind.is_write() {
+                entry.accessor
+            } else {
+                entry.writer
+            };
+            let md = MdView {
+                info,
+                live_dev_fence: sync.dev_fence(info.warp_id, info.lane),
+                live_blk_fence: sync.blk_fence(info.warp_id, info.lane),
+            };
+            let mut curr = CurrAccess {
+                kind,
+                warp_id: WARP,
+                lane: LANE,
+                block_id: block,
+                active_mask: 1 << LANE,
+                snap,
+                locks,
+            };
+            if !det.cfg.its_support && info.warp_id == WARP {
+                curr.active_mask |= 1 << info.lane;
+            }
+            let safe = preliminary(&entry, &md, &curr, WPB);
+            if safe.is_none() {
+                race = detailed(&entry, &md, &curr, WPB);
+            }
+            records.extend(race.map(|kind| RaceRecord {
+                kernel: k.name.clone(),
+                pc: PC,
+                line: k.line(PC).map(str::to_owned),
+                addr: ADDR,
+                kind,
+                access: curr.kind,
+                warp: WARP,
+                lane: LANE,
+                block,
+                prev_warp: info.warp_id,
+                prev_lane: info.lane,
+            }));
+            safe
+        } else {
+            Some(Safe::FirstAccess)
+        };
+        entry.flags.valid = true;
+        entry.accessor = snap;
+        if kind.is_write() {
+            entry.writer = snap;
+            entry.locks = locks;
+            entry.flags.modified = true;
+            (entry.flags.atomic, entry.flags.scope_block) = match kind {
+                AccessType::Atomic { scope_block } => (true, scope_block),
+                _ => (false, false),
+            };
+        }
+        Outcome {
+            safe_slot: safe.map(safe_index),
+            race_slot: race.map(race_index),
+            words: entry.pack(),
+            records,
+        }
+    }
+
+    /// Runs the access through `on_mem` and reads back what it did.
+    fn observed(det: &mut Iguard, k: &Kernel, (kind, volatile): (AccessKind, bool)) -> Outcome {
+        let lanes = [LaneAccess {
+            lane: LANE,
+            tid_in_block: (WARP % WPB) * 32 + LANE,
+            addr: ADDR,
+        }];
+        let access = MemAccess {
+            kernel: k,
+            pc: PC,
+            kind,
+            space: Space::Global,
+            block_id: WARP / WPB,
+            warp_in_block: WARP % WPB,
+            global_warp: WARP,
+            active_mask: 1 << LANE,
+            volatile,
+            lanes: &lanes,
+            warps_per_block: WPB,
+            sm: 0,
+            step: 1,
+        };
+        let before = det.stats;
+        det.reporter = RaceReporter::new(16).unwrap();
+        det.on_mem(&access, &mut Clock::new());
+        let moved = |now: &[u64], was: &[u64]| {
+            let hits: Vec<usize> = (0..now.len()).filter(|&i| now[i] != was[i]).collect();
+            assert!(hits.len() <= 1 && hits.iter().all(|&i| now[i] == was[i] + 1));
+            hits.first().copied()
+        };
+        let loaded = det.engines[0].table.load(ADDR / 4);
+        Outcome {
+            safe_slot: moved(&det.stats.safe_hits, &before.safe_hits),
+            race_slot: moved(&det.stats.race_hits, &before.race_hits),
+            words: (loaded.acc, loaded.wr),
+            records: det.races(),
+        }
+    }
+
+    /// One stored state of the word: flag bits, accessor and writer
+    /// identity, their counters (1 = the live ones, 0 = behind them), and
+    /// the lock held by the last writer.
+    type Stored = (u64, (u32, u32), (u32, u32), u8, Option<u32>);
+
+    fn stored_states() -> impl Iterator<Item = Stored> {
+        (0..64u64)
+            .flat_map(|bits| IDENTITIES.map(|acc| (bits, acc)))
+            .flat_map(|(bits, acc)| IDENTITIES.map(|wr| (bits, acc, wr)))
+            .flat_map(|(bits, acc, wr)| [0u8, 1].map(|counter| (bits, acc, wr, counter)))
+            .flat_map(|(bits, acc, wr, counter)| {
+                LOCK_ADDRS.map(|lock| (bits, acc, wr, counter, lock))
+            })
+    }
+
+    /// The raw words of a stored state, or `None` when its Valid bit is
+    /// clear: the table only ever holds entries with Valid set, so such a
+    /// state is an untouched word.
+    fn stored_words((bits, accessor, writer, counter, lock): Stored) -> Option<(u64, u64)> {
+        let info = |(warp_id, lane): (u32, u32)| AccessorInfo {
+            warp_id,
+            lane,
+            dev_fence: counter,
+            blk_fence: counter,
+            blk_bar: counter,
+            warp_bar: counter,
+        };
+        let entry = MetadataEntry {
+            tag: 0,
+            flags: Flags {
+                valid: bits & 1 != 0,
+                modified: bits & 2 != 0,
+                atomic: bits & 4 != 0,
+                scope_block: bits & 8 != 0,
+                dev_shared: bits & 16 != 0,
+                blk_shared: bits & 32 != 0,
+            },
+            accessor: info(accessor),
+            writer: info(writer),
+            locks: summary_of(lock),
+        };
+        entry.flags.valid.then(|| entry.pack())
+    }
+
+    /// Every stored-flag combination × stored accessor and writer identity
+    /// × stored counters × stored lockset × held lockset × access kind,
+    /// with and without ITS support: the packed-word engine must hit the
+    /// same `safe_hits`/`race_hits` slot, leave the same two words and
+    /// ship the same record as the reference.
+    #[test]
+    fn packed_word_engine_matches_the_decoded_reference_exhaustively() {
+        let [_, a, b] = LOCK_ADDRS.map(summary_of);
+        assert!(
+            a != 0 && b != 0 && a & b == 0,
+            "lock summaries must be disjoint"
+        );
+        let k = kernel();
+        let (mut cases, mut safe_seen, mut race_seen) = (0u32, [0u32; 6], [0u32; 5]);
+        for its_support in [true, false] {
+            let mut det = Iguard::new(IguardConfig {
+                its_support,
+                ..IguardConfig::default()
+            });
+            det.at_launch(&launch_info(), &mut Clock::new());
+            // Live counters all at 1, so stored counters of 0 lie behind.
+            let sync = det.sync.as_mut().unwrap();
+            (0..TOTAL_WARPS / WPB).for_each(|blk| sync.block_barrier(blk));
+            for warp in 0..TOTAL_WARPS {
+                sync.warp_barrier(warp);
+                for lane in 0..32 {
+                    sync.fence(Scope::Device, warp, lane);
+                    sync.fence(Scope::Block, warp, lane);
+                }
+            }
+            for stored in stored_states() {
+                for (held, kind) in LOCK_ADDRS.iter().flat_map(|h| KINDS.map(|k| (*h, k))) {
+                    let mut wl = WarpLockState::default();
+                    if let Some(addr) = held {
+                        wl.on_cas(&[(LANE, addr)], Scope::Device);
+                        wl.on_fence([LANE], Scope::Device);
+                    }
+                    det.locks[WARP as usize] = wl;
+                    // A new epoch empties the word.
+                    det.engines[0].table.begin_epoch();
+                    let words = stored_words(stored);
+                    if let Some((acc, wr)) = words {
+                        det.engines[0].table.store(ADDR / 4, acc, wr);
+                    }
+                    let want = reference(&det, &k, words.unwrap_or((0, 0)), kind);
+                    let got = observed(&mut det, &k, kind);
+                    assert_eq!(
+                        got, want,
+                        "stored {stored:?} held {held:?} kind {kind:?} its {its_support}"
+                    );
+                    cases += 1;
+                    if let Some(i) = got.safe_slot {
+                        safe_seen[i] += 1;
+                    }
+                    if let Some(i) = got.race_slot {
+                        race_seen[i] += 1;
+                    }
+                }
             }
         }
+        assert_eq!(cases, 2 * 64 * 4 * 4 * 2 * 3 * 3 * 5);
+        assert!(
+            safe_seen.iter().chain(&race_seen).all(|&n| n > 0),
+            "every P and R condition must decide some case: {safe_seen:?} {race_seen:?}"
+        );
     }
 }

@@ -9,6 +9,8 @@
 //! engines never share state. Both halves run inside the instrumentation
 //! callback, in program order: every observation (counter increment,
 //! clock charge, race report) lands immediately.
+//! The packed Figure-4 word pair is the working form: an entry is decoded
+//! only for the accesses P1–P3 cannot decide on its bits (DESIGN.md §8).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -17,7 +19,10 @@ use std::time::Instant;
 use gpu_sim::hook::MemAccess;
 use gpu_sim::timing::{Clock, CostCategory, Phase};
 
-use crate::bitfield::{AccessorInfo, MetadataEntry};
+use crate::bitfield::{
+    stored_lane, stored_warp, AccessorInfo, MetadataEntry, ATOMIC, BLK_SHARED, DEV_SHARED,
+    INFO_MASK, LOCK_BITS, MODIFIED, SCOPE_BLOCK, VALID,
+};
 use crate::checks::{detailed, preliminary, AccessType, CurrAccess, MdView, RaceKind, Safe};
 use crate::detector::IguardStats;
 use crate::metadata::MetadataTable;
@@ -30,7 +35,7 @@ pub(crate) const HISTORY_RING: usize = 8;
 
 /// Maps a preliminary-check outcome to its `safe_hits` slot.
 #[must_use]
-fn safe_index(safe: Safe) -> usize {
+pub(crate) fn safe_index(safe: Safe) -> usize {
     match safe {
         Safe::FirstAccess => 0,
         Safe::NoWrite => 1,
@@ -43,7 +48,7 @@ fn safe_index(safe: Safe) -> usize {
 
 /// Maps a race kind to its `race_hits` slot.
 #[must_use]
-fn race_index(kind: RaceKind) -> usize {
+pub(crate) fn race_index(kind: RaceKind) -> usize {
     match kind {
         RaceKind::AtomicScope => 0,
         RaceKind::IntraWarp => 1,
@@ -53,6 +58,17 @@ fn race_index(kind: RaceKind) -> usize {
     }
 }
 
+/// One contention slot, packed to 4-byte alignment: 20 bytes, what the
+/// four parallel vectors it replaces cost.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, packed(4))]
+struct ContentionSlot {
+    last_step: u64,
+    epoch: u32,
+    last_warp: u32,
+    streak: u32,
+}
+
 /// Flat, epoch-invalidated per-word contention state.
 ///
 /// Indexed by metadata word exactly like `MetadataTable` (power-of-two
@@ -60,22 +76,19 @@ fn race_index(kind: RaceKind) -> usize {
 /// injectively to its own slot): a slot whose epoch is stale reads as the
 /// zeroed default the old `HashMap::entry(word).or_default()` produced,
 /// so the replacement is behaviour-identical while removing hashing and
-/// allocation from the per-access path. Backing vectors are zero-filled
-/// allocations, so untouched slots never cost physical pages.
+/// allocation from the per-access path. The backing vector is a
+/// zero-filled allocation, so untouched slots never cost physical pages.
 #[derive(Debug, Default)]
 struct ContentionTable {
     mask: usize,
     epoch: u32,
-    slot_epoch: Vec<u32>,
-    last_step: Vec<u64>,
-    last_warp: Vec<u32>,
-    streak: Vec<u32>,
+    slots: Vec<ContentionSlot>,
 }
 
 impl ContentionTable {
     /// Sets the slot mask for `words` and invalidates every slot (the old
     /// per-launch `HashMap::clear`), without touching the backing pages.
-    /// Storage itself grows lazily (see [`ContentionTable::ensure`]).
+    /// Storage itself grows lazily (see [`ContentionTable::update`]).
     fn begin_launch(&mut self, words: usize) {
         let cap = words.next_power_of_two();
         self.mask = cap - 1;
@@ -87,34 +100,28 @@ impl ContentionTable {
         if self.epoch == 0 {
             // The 32-bit epoch wrapped: stale slots could masquerade as
             // live, so pay one real clear every 2^32 launches.
-            self.slot_epoch.fill(0);
+            self.slots.fill(ContentionSlot::default());
             self.epoch = 1;
-        }
-    }
-
-    /// Grows the slot arrays to cover `slot`. The mapping is identity
-    /// for in-range words, so growing to the touched high-water mark is
-    /// equivalent to full preallocation — without zeroing tens of
-    /// megabytes per detector for the device's whole address space.
-    /// Fresh slots get epoch 0, which never equals the live epoch.
-    #[inline]
-    fn ensure(&mut self, slot: usize) {
-        if slot >= self.slot_epoch.len() {
-            let n = (slot + 1).next_power_of_two();
-            self.slot_epoch.resize(n, 0);
-            self.last_step.resize(n, 0);
-            self.last_warp.resize(n, 0);
-            self.streak.resize(n, 0);
         }
     }
 
     /// Applies the streak update for one access and returns the updated
     /// streak (the state machine of the contention charge, unchanged).
+    ///
+    /// Storage grows to the touched high-water mark: the mapping is
+    /// identity for in-range words, so that is equivalent to full
+    /// preallocation — without zeroing tens of megabytes per detector for
+    /// the device's whole address space. Fresh slots get epoch 0, which
+    /// never equals the live epoch.
     fn update(&mut self, word: u32, warp: u32, step: u64, window: u64) -> u32 {
         let slot = word as usize & self.mask;
-        self.ensure(slot);
-        let (last_step, last_warp, mut streak) = if self.slot_epoch[slot] == self.epoch {
-            (self.last_step[slot], self.last_warp[slot], self.streak[slot])
+        if slot >= self.slots.len() {
+            let n = (slot + 1).next_power_of_two();
+            self.slots.resize(n, ContentionSlot::default());
+        }
+        let s = &mut self.slots[slot];
+        let (last_step, last_warp, mut streak) = if s.epoch == self.epoch {
+            (s.last_step, s.last_warp, s.streak)
         } else {
             (0, 0, 0)
         };
@@ -124,10 +131,12 @@ impl ContentionTable {
         } else if !close {
             streak = 1;
         }
-        self.slot_epoch[slot] = self.epoch;
-        self.last_step[slot] = step;
-        self.last_warp[slot] = warp;
-        self.streak[slot] = streak;
+        *s = ContentionSlot {
+            last_step: step,
+            epoch: self.epoch,
+            last_warp: warp,
+            streak,
+        };
         streak
     }
 }
@@ -177,7 +186,7 @@ impl HistoryTable {
     }
 
     /// Grows the slot and record arrays to cover `slot` — same lazy
-    /// high-water scheme as [`ContentionTable::ensure`] (the record
+    /// high-water scheme as [`ContentionTable::update`] (the record
     /// arrays are `HISTORY_RING` entries per slot, so eager sizing
     /// would be hundreds of megabytes at device scale).
     #[inline]
@@ -264,22 +273,62 @@ pub(crate) struct EngineParams {
     pub history_depth: usize,
 }
 
-/// One lane access, fully resolved by the front half: everything the
-/// back half needs that depends on *live* launch state (synchronization
-/// snapshot, lock summary) is captured here at access time.
+/// What the front half captures once per warp split: everything the
+/// back half needs that is the same for every lane of the split.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct AccessCtx<'a, 'b> {
-    /// The warp split this lane belongs to (accessor identity, step,
-    /// active mask, and the kernel/pc a race report names).
+pub(crate) struct SplitCtx<'a, 'b> {
+    /// The warp split (accessor identity, step, active mask, and the
+    /// kernel/pc a race report names).
     pub access: &'a MemAccess<'b>,
+    pub kind: AccessType,
+    /// Flag bits the write-back keeps from the loaded accessor word
+    /// (with its tag) and sets on top; a function of `kind` alone.
+    pub keep: u64,
+    pub set: u64,
+    /// The accessing block's warp range, as (first WarpID, length): a
+    /// stored WarpID is in the block iff it lies in the range —
+    /// `WarpID / warps_per_block == block_id` without the division.
+    pub block_first: u64,
+    pub block_warps: u64,
+    /// `clock.profiling()`, read once.
+    pub profiling: bool,
+}
+
+impl<'a, 'b> SplitCtx<'a, 'b> {
+    pub fn new(access: &'a MemAccess<'b>, kind: AccessType, profiling: bool) -> Self {
+        // Every access validates the entry; a write marks it modified; an
+        // atomic records its scope, and a plain store supersedes the
+        // atomic history of the location: P6 must not treat a plain
+        // last-write as a safe atomic (engineering choice, DESIGN.md).
+        const WRITE: u64 = VALID | MODIFIED;
+        let (set, clear) = match kind {
+            AccessType::Load => (VALID, 0),
+            AccessType::Store => (WRITE, ATOMIC | SCOPE_BLOCK),
+            AccessType::Atomic { scope_block: true } => (WRITE | ATOMIC | SCOPE_BLOCK, 0),
+            AccessType::Atomic { scope_block: false } => (WRITE | ATOMIC, SCOPE_BLOCK),
+        };
+        let block_warps = u64::from(access.warps_per_block.max(1));
+        SplitCtx {
+            access,
+            kind,
+            keep: !(INFO_MASK | clear),
+            set,
+            block_first: u64::from(access.block_id) * block_warps,
+            block_warps,
+            profiling,
+        }
+    }
+}
+
+/// One lane of a split: the per-thread remainder, captured at access time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneCtx {
     /// Index into this engine's tables: the accessed word with the
     /// shard-routing bits stripped.
     pub word: u32,
     /// Byte address of the accessed word (for reports).
     pub addr: u32,
-    pub lane: u32,
-    pub kind: AccessType,
-    /// Synchronization snapshot taken at access time.
+    /// Identity and synchronization snapshot taken at access time.
     pub snap: AccessorInfo,
     /// Lock Bloom summary of the accessing lane at access time.
     pub lock_summary: u16,
@@ -349,14 +398,19 @@ impl Engine {
     /// Only the *serializing* components charge cycles here — UVM faults
     /// and metadata-lock contention; the data-parallel part of the check
     /// is charged once per warp split by the front half.
-    pub fn process(&mut self, ctx: &AccessCtx<'_, '_>, sync: &SyncMetadata, out: &mut Sink<'_>) {
-        let word = ctx.word;
-        let access = ctx.access;
+    pub fn process(
+        &mut self,
+        split: &SplitCtx<'_, '_>,
+        lane: &LaneCtx,
+        sync: &SyncMetadata,
+        out: &mut Sink<'_>,
+    ) {
+        let word = lane.word;
+        let access = split.access;
         let warp = access.global_warp;
-        let wpb = access.warps_per_block;
 
         // Metadata lookup: UVM touch + contention serialization.
-        let t0 = out.clock.profiling().then(Instant::now);
+        let t0 = split.profiling.then(Instant::now);
         let loaded = self.table.load(word);
         if let Some(t) = t0 {
             out.clock
@@ -391,94 +445,94 @@ impl Engine {
             out.clock.charge_serial(CostCategory::Detection, cycles);
         }
 
-        let mut entry = loaded.entry;
-        let snap = ctx.snap;
-        let lock_summary = ctx.lock_summary;
-
-        if !entry.flags.valid {
-            // P1: first access.
-            out.stats.safe_hits[0] += 1;
-            entry.flags.valid = true;
-            entry.accessor = snap;
-            if ctx.kind.is_write() {
-                entry.writer = snap;
-                entry.locks = lock_summary;
-                entry.flags.modified = true;
-                if let AccessType::Atomic { scope_block } = ctx.kind {
-                    entry.flags.atomic = true;
-                    entry.flags.scope_block = scope_block;
-                }
+        let (mut acc, wr) = (loaded.acc, loaded.wr);
+        let safe = if acc & VALID == 0 {
+            Some(Safe::FirstAccess)
+        } else {
+            // Shared-flag update precedes the checks (§6.2).
+            let prev_warp = stored_warp(acc);
+            if u64::from(prev_warp).wrapping_sub(split.block_first) >= split.block_warps {
+                acc |= DEV_SHARED;
+            } else if prev_warp != warp {
+                acc |= BLK_SHARED;
             }
-            self.push_history(word, snap, lock_summary);
-            self.table.store(word, entry);
-            return;
+            // P2 and P3 as `checks::preliminary` states them, on the raw
+            // bits; everything else decodes (the engine tests pin the two
+            // against each other over every flag/identity combination).
+            let md_lane = stored_lane(if split.kind.is_write() { acc } else { wr });
+            if acc & MODIFIED == 0 && split.kind == AccessType::Load {
+                Some(Safe::NoWrite)
+            } else if acc & (DEV_SHARED | BLK_SHARED) == 0 && lane.snap.lane == md_lane {
+                Some(Safe::ProgramOrder)
+            } else {
+                self.check_decoded(split, lane, MetadataEntry::unpack(acc, wr), sync, out)
+            }
+        };
+        if let Some(safe) = safe {
+            out.stats.safe_hits[safe_index(safe)] += 1;
         }
 
-        // Shared-flag update precedes the checks (§6.2).
-        let last_block = entry.accessor.block_id(wpb);
-        if last_block != access.block_id {
-            entry.flags.dev_shared = true;
-        } else if entry.accessor.warp_id != warp {
-            entry.flags.blk_shared = true;
-        }
+        // Metadata write-back: identity + synchronization of the accessor,
+        // and of the writer (with its locks) for writes (§6.2).
+        let snap = lane.snap.pack();
+        let wr = if split.kind.is_write() {
+            (u64::from(lane.lock_summary) << (64 - LOCK_BITS)) | snap
+        } else {
+            wr
+        };
+        let acc = (acc & split.keep) | split.set | snap;
+        self.push_history(word, lane.snap, lane.lock_summary);
+        self.table.store(word, acc, wr);
+    }
 
-        let md_info = if ctx.kind.is_write() {
+    /// The accesses P1–P3 cannot decide: P4–P6, then R1–R5 (and the
+    /// history ring) over the decoded entry. Reports a race if one is
+    /// found; returns the preliminary condition that held, if any.
+    fn check_decoded(
+        &self,
+        split: &SplitCtx<'_, '_>,
+        lane: &LaneCtx,
+        entry: MetadataEntry,
+        sync: &SyncMetadata,
+        out: &mut Sink<'_>,
+    ) -> Option<Safe> {
+        let access = split.access;
+        let wpb = access.warps_per_block;
+        let md_info = if split.kind.is_write() {
             entry.accessor
         } else {
             entry.writer
         };
         let md = self.md_view(md_info, sync);
         let mut curr = CurrAccess {
-            kind: ctx.kind,
-            warp_id: warp,
-            lane: ctx.lane,
+            kind: split.kind,
+            warp_id: access.global_warp,
+            lane: lane.snap.lane,
             block_id: access.block_id,
             active_mask: access.active_mask,
-            snap,
-            locks: lock_summary,
+            snap: lane.snap,
+            locks: lane.lock_summary,
         };
-        if !self.params.its_support && md_info.warp_id == warp {
+        if !self.params.its_support && md_info.warp_id == access.global_warp {
             // ScoRD mode: the detector predates ITS and assumes lockstep
             // warps -- same-warp accesses are always treated as converged,
             // which is exactly why ScoRD misses ITS races (Sec 4).
             curr.active_mask |= 1 << md_info.lane;
         }
 
-        match preliminary(&entry, &md, &curr, wpb) {
-            Some(safe) => out.stats.safe_hits[safe_index(safe)] += 1,
-            None => {
-                let mut verdict = detailed(&entry, &md, &curr, wpb);
-                // §6.7 ablation: with deeper history, also check against
-                // older accessors that the 16-byte entry has forgotten.
-                if verdict.is_none() && self.params.history_depth > 1 {
-                    verdict = self.check_history(word, &entry, &curr, wpb, sync);
-                }
-                if let Some(kind) = verdict {
-                    report_race(kind, ctx, &curr, md_info, out);
-                }
+        let safe = preliminary(&entry, &md, &curr, wpb);
+        if safe.is_none() {
+            let mut verdict = detailed(&entry, &md, &curr, wpb);
+            // §6.7 ablation: with deeper history, also check against
+            // older accessors that the 16-byte entry has forgotten.
+            if verdict.is_none() && self.params.history_depth > 1 {
+                verdict = self.check_history(lane.word, &entry, &curr, wpb, sync);
+            }
+            if let Some(kind) = verdict {
+                report_race(kind, access, lane.addr, &curr, md_info, out);
             }
         }
-
-        // Metadata write-back: identity + synchronization of the accessor,
-        // and of the writer for writes (§6.2).
-        entry.accessor = snap;
-        if ctx.kind.is_write() {
-            entry.writer = snap;
-            entry.locks = lock_summary;
-            entry.flags.modified = true;
-            if let AccessType::Atomic { scope_block } = ctx.kind {
-                entry.flags.atomic = true;
-                entry.flags.scope_block = scope_block;
-            } else {
-                // A plain store supersedes the atomic history of the
-                // location: P6 must not treat a plain last-write as a safe
-                // atomic (engineering choice documented in DESIGN.md).
-                entry.flags.atomic = false;
-                entry.flags.scope_block = false;
-            }
-        }
-        self.push_history(word, snap, lock_summary);
-        self.table.store(word, entry);
+        safe
     }
 
     /// Resolves a stored accessor into a check view: fence counters are
@@ -538,7 +592,8 @@ impl Engine {
 /// `prev` the stored accessor it raced against.
 fn report_race(
     kind: RaceKind,
-    ctx: &AccessCtx<'_, '_>,
+    access: &MemAccess<'_>,
+    addr: u32,
     curr: &CurrAccess,
     prev: AccessorInfo,
     out: &mut Sink<'_>,
@@ -549,12 +604,11 @@ fn report_race(
         *v += 1;
     }
     out.stats.race_hits[race_index(kind)] += 1;
-    let access = ctx.access;
     let record = RaceRecord {
         kernel: access.kernel.name.clone(),
         pc: access.pc,
         line: access.kernel.line(access.pc).map(str::to_owned),
-        addr: ctx.addr,
+        addr,
         kind,
         access: curr.kind,
         warp: curr.warp_id,

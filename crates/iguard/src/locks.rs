@@ -19,6 +19,8 @@
 //! **per-thread locking** and the warp permanently switches to the
 //! per-thread tables (`isThread` is never unset, §6.3).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use gpu_sim::ir::{Scope, WARP_SIZE};
 
 /// Entries per lock table ("up to 3 separate locks held ... at any given
@@ -146,21 +148,13 @@ impl LockTable {
 
 /// All lock state for one warp: the warp table, the per-lane shadow tables,
 /// and the `isThread` escalation bit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WarpLockState {
     warp_table: LockTable,
+    /// Empty until `isThread` escalates: nothing reads or writes the
+    /// shadow tables before that, and most warps never get there.
     thread_tables: Vec<LockTable>,
     is_thread: bool,
-}
-
-impl Default for WarpLockState {
-    fn default() -> Self {
-        WarpLockState {
-            warp_table: LockTable::default(),
-            thread_tables: vec![LockTable::default(); WARP_SIZE],
-            is_thread: false,
-        }
-    }
 }
 
 impl WarpLockState {
@@ -174,8 +168,9 @@ impl WarpLockState {
     /// per active lane. More than one active lane CASing at once ⇒ infer
     /// per-thread locking and set `isThread` permanently (§6.3).
     pub fn on_cas(&mut self, lanes_addrs: &[(u32, u32)], scope: Scope) {
-        if lanes_addrs.len() > 1 {
+        if lanes_addrs.len() > 1 && !self.is_thread {
             self.is_thread = true;
+            self.thread_tables = vec![LockTable::default(); WARP_SIZE];
         }
         if self.is_thread {
             for &(lane, addr) in lanes_addrs {
@@ -226,6 +221,7 @@ impl WarpLockState {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

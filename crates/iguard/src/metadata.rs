@@ -10,11 +10,15 @@
 //! so carrying metadata over would only manufacture false positives.
 //! (The paper's detector reinitializes metadata at tool setup; the epoch is
 //! the zero-cost equivalent for a long-lived table.)
+//! The table hands out and takes back the *raw* word pair; decoding is
+//! the engine's business, and only for what the packed bits cannot decide.
 
-use crate::bitfield::MetadataEntry;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::bitfield::{TAG_FIELD, TAG_SHIFT, VALID};
 use crate::error::IguardError;
 use faults::{FaultConfig, FaultInjector, FaultSite, FaultStats};
-use uvm_sim::{ManagedRegion, Touch, UvmConfig};
+use uvm_sim::{ManagedRegion, UvmConfig};
 
 /// Bytes of metadata per 4-byte word (Figure 4).
 pub const ENTRY_BYTES: u64 = 16;
@@ -89,12 +93,22 @@ impl MetaStats {
     }
 }
 
+/// One table slot: the Figure-4 word pair plus the launch epoch that
+/// wrote it. Packed to 4-byte alignment so a slot is 20 bytes — what the
+/// three parallel vectors it replaces cost — and one cache line serves the
+/// whole load.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, packed(4))]
+struct Slot {
+    acc: u64,
+    wr: u64,
+    epoch: u32,
+}
+
 /// The UVM-backed metadata table.
 #[derive(Debug)]
 pub struct MetadataTable {
-    acc: Vec<u64>,
-    wr: Vec<u64>,
-    epoch: Vec<u32>,
+    slots: Vec<Slot>,
     cur_epoch: u32,
     /// `capacity - 1`; capacity is rounded up to a power of two so the
     /// per-access direct mapping is a mask, not a division.
@@ -116,9 +130,11 @@ pub struct MetadataTable {
 /// Result of a metadata load.
 #[derive(Debug, Clone, Copy)]
 pub struct MetaLoad {
-    /// Decoded entry; `entry.flags.valid == false` means first access
-    /// (slot empty, reused for a new tag, or stale epoch).
-    pub entry: MetadataEntry,
+    /// Raw accessor word; [`VALID`] clear means first access (slot empty,
+    /// reused for a new tag, or stale epoch) and only the tag is set.
+    pub acc: u64,
+    /// Raw writer word (0 on a first access).
+    pub wr: u64,
     /// UVM cycles incurred touching the entry's page (0 when resident).
     pub uvm_cycles: u64,
     /// Previous-accessor information was lost for this load (capacity
@@ -155,9 +171,7 @@ impl MetadataTable {
         // mapping is identity for in-bounds words, so this is equivalent
         // to full preallocation); only the mask/shift use `capacity`.
         Ok(MetadataTable {
-            acc: Vec::new(),
-            wr: Vec::new(),
-            epoch: Vec::new(),
+            slots: Vec::new(),
             cur_epoch: 0,
             slot_mask: capacity - 1,
             tag_shift: capacity.trailing_zeros(),
@@ -195,19 +209,6 @@ impl MetadataTable {
         false
     }
 
-    /// Grows the slot arrays to cover `slot`. Fresh slots read as
-    /// epoch-stale (see `load`), exactly what a zeroed preallocation
-    /// yields for a never-written entry.
-    #[inline]
-    fn ensure(&mut self, slot: usize) {
-        if slot >= self.acc.len() {
-            let n = (slot + 1).next_power_of_two().min(self.slot_mask + 1);
-            self.acc.resize(n, 0);
-            self.wr.resize(n, 0);
-            self.epoch.resize(n, 0);
-        }
-    }
-
     /// Invalidates every entry (new kernel launch).
     pub fn begin_epoch(&mut self) {
         self.cur_epoch = self.cur_epoch.wrapping_add(1);
@@ -229,34 +230,35 @@ impl MetadataTable {
         word_idx as usize & self.slot_mask
     }
 
-    fn tag(&self, word_idx: u32) -> u16 {
-        ((word_idx as usize >> self.tag_shift) & 0x3FF) as u16
+    /// The tag of `word_idx`, in place at the top of the accessor word
+    /// (the shift drops all but its low `TAG_BITS` bits).
+    fn tag(&self, word_idx: u32) -> u64 {
+        (u64::from(word_idx) >> self.tag_shift) << TAG_SHIFT
     }
 
-    /// Loads the entry for `word_idx`, touching its UVM page.
+    /// Loads the raw words for `word_idx`, touching its UVM page.
     #[must_use]
     pub fn load(&mut self, word_idx: u32) -> MetaLoad {
-        let off = (u64::from(word_idx) * ENTRY_BYTES * self.addr_scale) % self.uvm.len_bytes();
-        let uvm_cycles = match self.uvm.touch(off) {
-            Touch::Hit => 0,
-            Touch::Fault { cycles } => cycles,
-        };
-        let slot = self.slot(word_idx);
+        let mut off = u64::from(word_idx) * ENTRY_BYTES * self.addr_scale;
+        if off >= self.uvm.len_bytes() {
+            off %= self.uvm.len_bytes();
+        }
+        let uvm_cycles = self.uvm.touch(off).cycles();
         let tag = self.tag(word_idx);
-        // An unmaterialized slot reads as (0, 0) at a stale epoch — the
-        // same first-access result a zeroed preallocated slot produces.
-        let (a, w, ep) = if slot < self.acc.len() {
-            (self.acc[slot], self.wr[slot], self.epoch[slot])
-        } else {
-            (0, 0, self.cur_epoch.wrapping_add(1))
-        };
-        let mut entry = MetadataEntry::unpack(a, w);
+        // An unmaterialized slot, like a stale one, reads as a first
+        // access — what a zeroed preallocated slot would produce.
+        let live = self
+            .slots
+            .get(self.slot(word_idx))
+            .copied()
+            .filter(|s| s.epoch == self.cur_epoch);
+        let (acc, wr) = live.map_or((0, 0), |s| (s.acc, s.wr));
+        let tag_matches = acc & TAG_FIELD == tag;
         // A live, valid entry with a different tag is a *capacity
         // eviction*: the slot is being reused for another address and its
         // previous-accessor information is lost. Only possible when a
         // capacity override lets in-bounds words alias.
-        let mut evicted =
-            self.can_alias && ep == self.cur_epoch && entry.flags.valid && entry.tag != tag;
+        let mut evicted = self.can_alias && live.is_some() && acc & VALID != 0 && !tag_matches;
         if evicted {
             self.meta_stats.capacity_evictions += 1;
         } else if self.faults.enabled() {
@@ -271,41 +273,49 @@ impl MetadataTable {
                 evicted = true;
             }
         }
-        if ep != self.cur_epoch || entry.tag != tag || evicted {
-            entry = MetadataEntry {
-                tag,
-                ..MetadataEntry::default()
-            };
-        }
+        let (acc, wr) = if live.is_none() || !tag_matches || evicted {
+            (tag, 0)
+        } else {
+            (acc, wr)
+        };
         MetaLoad {
-            entry,
+            acc,
+            wr,
             uvm_cycles,
             evicted,
         }
     }
 
-    /// Stores the entry for `word_idx` (stamps tag and epoch).
-    pub fn store(&mut self, word_idx: u32, mut entry: MetadataEntry) {
+    /// Stores the raw words for `word_idx` (stamps tag and epoch). Slot
+    /// storage grows to the touched high-water mark; fresh slots carry
+    /// epoch 0 and all-zero words, which `load` reads as a first access
+    /// whether or not 0 is the live epoch.
+    pub fn store(&mut self, word_idx: u32, acc: u64, wr: u64) {
         let slot = self.slot(word_idx);
-        self.ensure(slot);
-        entry.tag = self.tag(word_idx);
-        let (a, w) = entry.pack();
-        self.acc[slot] = a;
-        self.wr[slot] = w;
-        self.epoch[slot] = self.cur_epoch;
+        if slot >= self.slots.len() {
+            let n = (slot + 1).next_power_of_two().min(self.slot_mask + 1);
+            self.slots.resize(n, Slot::default());
+        }
+        self.slots[slot] = Slot {
+            acc: (acc & !TAG_FIELD) | self.tag(word_idx),
+            wr,
+            epoch: self.cur_epoch,
+        };
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::bitfield::{AccessorInfo, Flags};
+    use crate::bitfield::{AccessorInfo, Flags, MetadataEntry};
 
     fn table(words: usize) -> MetadataTable {
         MetadataTable::new(TableConfig::covering(words)).unwrap()
     }
 
-    fn valid_entry(warp: u32) -> MetadataEntry {
+    /// The raw words of a valid entry last accessed by `warp`.
+    fn valid_entry(warp: u32) -> (u64, u64) {
         MetadataEntry {
             tag: 0,
             flags: Flags {
@@ -319,30 +329,39 @@ mod tests {
             writer: AccessorInfo::default(),
             locks: 0,
         }
+        .pack()
+    }
+
+    fn store(t: &mut MetadataTable, word: u32, (acc, wr): (u64, u64)) {
+        t.store(word, acc, wr);
+    }
+
+    fn entry(l: MetaLoad) -> MetadataEntry {
+        MetadataEntry::unpack(l.acc, l.wr)
     }
 
     #[test]
     fn fresh_table_yields_invalid_entries() {
         let mut t = table(64);
-        assert!(!t.load(7).entry.flags.valid);
+        assert!(!entry(t.load(7)).flags.valid);
     }
 
     #[test]
     fn store_then_load_round_trips() {
         let mut t = table(64);
-        t.store(7, valid_entry(42));
+        store(&mut t, 7, valid_entry(42));
         let l = t.load(7);
-        assert!(l.entry.flags.valid);
-        assert_eq!(l.entry.accessor.warp_id, 42);
+        assert!(entry(l).flags.valid);
+        assert_eq!(entry(l).accessor.warp_id, 42);
     }
 
     #[test]
     fn epoch_invalidates_all_entries() {
         let mut t = table(64);
-        t.store(7, valid_entry(42));
+        store(&mut t, 7, valid_entry(42));
         t.begin_epoch();
         assert!(
-            !t.load(7).entry.flags.valid,
+            !entry(t.load(7)).flags.valid,
             "new kernel must see fresh metadata"
         );
     }
@@ -350,14 +369,14 @@ mod tests {
     #[test]
     fn tag_mismatch_reinitializes_slot() {
         let mut t = table(64);
-        t.store(7, valid_entry(42));
+        store(&mut t, 7, valid_entry(42));
         // word 71 maps to the same slot (71 % 64 == 7) with a different tag.
         let l = t.load(71);
         assert!(
-            !l.entry.flags.valid,
+            !entry(l).flags.valid,
             "aliased slot must present as first access"
         );
-        assert_eq!(l.entry.tag, 1);
+        assert_eq!(entry(l).tag, 1);
     }
 
     #[test]
@@ -419,7 +438,7 @@ mod tests {
     fn full_capacity_never_counts_capacity_evictions() {
         let mut t = table(64);
         for w in 0..64u32 {
-            t.store(w, valid_entry(w));
+            store(&mut t, w, valid_entry(w));
         }
         for w in 0..64u32 {
             assert!(!t.load(w).evicted);
@@ -435,16 +454,19 @@ mod tests {
         })
         .unwrap();
         assert_eq!(t.len(), 8);
-        t.store(3, valid_entry(1));
+        store(&mut t, 3, valid_entry(1));
         // Word 11 maps to slot 3 under the 8-entry table: loading it
         // evicts word 3's live entry.
         let l = t.load(11);
         assert!(l.evicted);
-        assert!(!l.entry.flags.valid, "evicted slot presents as first access");
+        assert!(
+            !entry(l).flags.valid,
+            "evicted slot presents as first access"
+        );
         assert_eq!(t.meta_stats().capacity_evictions, 1);
         // A re-load of the same word without an intervening store does not
         // evict again (the slot no longer holds live info for it).
-        t.store(11, valid_entry(2));
+        store(&mut t, 11, valid_entry(2));
         assert!(!t.load(11).evicted);
     }
 
@@ -458,10 +480,10 @@ mod tests {
             ..TableConfig::covering(64)
         })
         .unwrap();
-        t.store(5, valid_entry(9));
+        store(&mut t, 5, valid_entry(9));
         let l = t.load(5);
         assert!(l.evicted);
-        assert!(!l.entry.flags.valid);
+        assert!(!entry(l).flags.valid);
         let ms = t.meta_stats();
         assert_eq!(ms.injected_evictions, 1);
         assert_eq!(ms.capacity_evictions, 0);
@@ -475,9 +497,9 @@ mod tests {
         let mut a = table(64);
         let mut b = table(64);
         for w in 0..64u32 {
-            a.store(w, valid_entry(w));
-            b.store(w, valid_entry(w));
-            assert_eq!(a.load(w).entry.pack(), b.load(w).entry.pack());
+            store(&mut a, w, valid_entry(w));
+            store(&mut b, w, valid_entry(w));
+            assert_eq!(entry(a.load(w)), entry(b.load(w)));
         }
         assert_eq!(a.fault_stats().total(), 0);
     }

@@ -335,9 +335,9 @@ impl Pruner {
         self.prune_decision(idx, pc)
     }
 
-    /// Verify-mode counter: a tagged access reached the detector.
-    pub fn count_pruned_access(&mut self) {
-        self.stats.pruned_accesses += 1;
+    /// Verify-mode counter: `n` tagged accesses reached the detector.
+    pub fn count_pruned_accesses(&mut self, n: u64) {
+        self.stats.pruned_accesses += n;
     }
 
     /// Mutable handle on the verify-violation counter, so the detector's

@@ -12,6 +12,8 @@
 //!
 //! Total size in the paper is ~2 MB; here it is sized per launch.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::bitfield::{wrapping_inc, BLK_BAR_BITS, FENCE_BITS, WARP_BAR_BITS};
 use gpu_sim::ir::{Scope, WARP_SIZE};
 
@@ -97,6 +99,16 @@ impl SyncMetadata {
         self.blk_fence[self.thread_slot(global_warp, lane)]
     }
 
+    /// The (device-scope, block-scope) fence counters of `global_warp`'s
+    /// 32 threads, indexed by lane: one slice per warp split instead of
+    /// two slot computations per lane.
+    #[must_use]
+    pub fn warp_fences(&self, global_warp: u32) -> (&[u8], &[u8]) {
+        let first = self.thread_slot(global_warp, 0);
+        let lanes = first..first + WARP_SIZE;
+        (&self.dev_fence[lanes.clone()], &self.blk_fence[lanes])
+    }
+
     /// Warps per block of the running kernel (constant per launch, §6.2).
     #[must_use]
     pub fn warps_per_block(&self) -> u32 {
@@ -120,6 +132,7 @@ impl SyncMetadata {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

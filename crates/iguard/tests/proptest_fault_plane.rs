@@ -10,8 +10,9 @@ use iguard::bitfield::{AccessorInfo, Flags, MetadataEntry};
 use iguard::metadata::{MetadataTable, TableConfig};
 use proptest::prelude::*;
 
-fn live_entry(warp: u32) -> MetadataEntry {
-    MetadataEntry {
+/// Stores a live entry last accessed by `warp` at `word`.
+fn store_live(t: &mut MetadataTable, word: u32, warp: u32) {
+    let (acc, wr) = MetadataEntry {
         tag: 0,
         flags: Flags {
             valid: true,
@@ -24,13 +25,15 @@ fn live_entry(warp: u32) -> MetadataEntry {
         writer: AccessorInfo::default(),
         locks: 0,
     }
+    .pack();
+    t.store(word, acc, wr);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// For any fault schedule, capacity cap, and access pattern: the
-    /// number of evicted loads (what `Iguard::process_access` counts as
+    /// number of evicted loads (what `Iguard::process_split` counts as
     /// missed checks) equals `MetaStats::total_evictions()`, and the
     /// injected counters equal the fault plane's own fire counts — no
     /// degradation is silent, none is double-counted.
@@ -57,7 +60,7 @@ proptest! {
         for w in words {
             let load = t.load(w);
             missed_checks += u64::from(load.evicted);
-            t.store(w, live_entry(w));
+            store_live(&mut t, w, w);
         }
 
         let ms = t.meta_stats();
@@ -83,10 +86,10 @@ proptest! {
         for w in words {
             let a = plain.load(w);
             let b = planed.load(w);
-            prop_assert_eq!(a.entry.pack(), b.entry.pack());
+            prop_assert_eq!((a.acc, a.wr), (b.acc, b.wr));
             prop_assert!(!b.evicted);
-            plain.store(w, live_entry(w));
-            planed.store(w, live_entry(w));
+            store_live(&mut plain, w, w);
+            store_live(&mut planed, w, w);
         }
         prop_assert_eq!(planed.meta_stats().total_evictions(), 0);
         prop_assert_eq!(planed.fault_stats().total(), 0);

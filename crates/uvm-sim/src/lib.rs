@@ -151,6 +151,9 @@ impl UvmStats {
 pub struct ManagedRegion {
     cfg: UvmConfig,
     len_bytes: u64,
+    /// `log2(page_bytes)` when the page size is a power of two (every
+    /// real UVM granularity is), so the per-touch page index is a shift.
+    page_shift: Option<u32>,
     device_budget_pages: u64,
     /// Residency bitmap indexed by page, grown lazily to the touched
     /// high-water page. A flat flag per page replaces the old
@@ -177,6 +180,10 @@ impl ManagedRegion {
         }
         let device_budget_pages = device_budget_bytes / cfg.page_bytes;
         Ok(ManagedRegion {
+            page_shift: cfg
+                .page_bytes
+                .is_power_of_two()
+                .then(|| cfg.page_bytes.trailing_zeros()),
             cfg,
             len_bytes,
             device_budget_pages,
@@ -272,13 +279,17 @@ impl ManagedRegion {
     /// Panics if `offset` is beyond the allocation — touching unmapped
     /// managed memory is a tool bug, not a runtime condition. Fallible
     /// callers use [`ManagedRegion::try_touch`].
+    #[inline]
     pub fn touch(&mut self, offset: u64) -> Touch {
         self.try_touch(offset)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`ManagedRegion::touch`]: out-of-range offsets become a
-    /// typed error instead of a panic.
+    /// typed error instead of a panic. The resident hit — all a detector
+    /// pays per metadata access once its pages are in — is inlined into
+    /// the caller; faults and injected storms are serviced out of line.
+    #[inline]
     pub fn try_touch(&mut self, offset: u64) -> Result<Touch, UvmError> {
         if offset >= self.len_bytes {
             return Err(UvmError::OutOfRange {
@@ -286,18 +297,30 @@ impl ManagedRegion {
                 len_bytes: self.len_bytes,
             });
         }
-        let page = offset / self.cfg.page_bytes;
+        let page = match self.page_shift {
+            Some(shift) => offset >> shift,
+            None => offset / self.cfg.page_bytes,
+        };
+        if self.is_resident(page) && !self.faults.enabled() {
+            return Ok(Touch::Hit);
+        }
+        Ok(self.touch_slow(page))
+    }
+
+    /// A touch that is not a plain resident hit: a resident page under an
+    /// armed fault plane (which may steal it), or a demand fault.
+    fn touch_slow(&mut self, page: u64) -> Touch {
         if self.is_resident(page) {
-            if self.faults.enabled() && self.faults.fire(FaultSite::UvmEvictStorm) {
+            if self.faults.fire(FaultSite::UvmEvictStorm) {
                 // An eviction storm stole the page behind our back: pay a
                 // re-migration (fault + evict) without disturbing the
                 // zero-fault residency bookkeeping.
                 let cycles = self.cfg.fault_cost + self.cfg.evict_cost;
                 self.stats.injected_evictions += 1;
                 self.stats.injected_cycles += cycles;
-                return Ok(Touch::Fault { cycles });
+                return Touch::Fault { cycles };
             }
-            return Ok(Touch::Hit);
+            return Touch::Hit;
         }
         let mut cycles = self.cfg.fault_cost;
         self.stats.faults += 1;
@@ -307,7 +330,7 @@ impl ManagedRegion {
             cycles += self.cfg.evict_cost;
             self.stats.evictions += 1;
             self.stats.fault_cycles += cycles;
-            return Ok(Touch::Fault { cycles });
+            return Touch::Fault { cycles };
         }
         if self.resident_count >= self.device_budget_pages {
             let victim = self.fifo.pop_front().expect("resident set non-empty");
@@ -319,7 +342,7 @@ impl ManagedRegion {
         self.set_resident(page);
         self.fifo.push_back(page);
         self.stats.fault_cycles += cycles;
-        Ok(Touch::Fault { cycles })
+        Touch::Fault { cycles }
     }
 }
 
@@ -418,6 +441,24 @@ mod tests {
     fn touch_beyond_region_panics() {
         let mut r = ManagedRegion::new(cfg(), 4096, 1 << 20).unwrap();
         let _ = r.touch(4096);
+    }
+
+    #[test]
+    fn page_index_agrees_between_shift_and_division() {
+        // 4096 takes the shift, 3000 the division: either way every
+        // offset of a page lands on that page, so ten pages fault ten times.
+        for page_bytes in [4096u64, 3000] {
+            let cfg = UvmConfig {
+                page_bytes,
+                ..cfg()
+            };
+            let mut r = ManagedRegion::new(cfg, 10 * page_bytes, 1 << 20).unwrap();
+            for off in (0..10 * page_bytes).step_by(500) {
+                let _ = r.touch(off);
+            }
+            assert_eq!(r.stats().faults, 10, "page_bytes {page_bytes}");
+            assert_eq!(r.resident_pages(), 10);
+        }
     }
 
     #[test]
