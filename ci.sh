@@ -11,13 +11,18 @@
 # (prune rates in [0,1], safe+racy+unknown == mem points,
 # dispatched+skipped == total accesses, host-gated speedup fields).
 # With --perf, additionally runs the perf tier: the shard-determinism
-# suite, the hot-path counter-identity test (every `IguardStats` field,
-# the metadata `UvmStats` and the raw Detection cycle pools of the
-# benchmark's detector traffic against a recorded table, so a hot-path
-# edit that moves a counter fails here rather than in a benchmark run;
-# `benches/detector_hot_path.rs` itself is compiled by the tier-1
+# suite, the two hot-path identity tests — `counter_identity` (every
+# `IguardStats` field, the metadata `UvmStats` and the raw Detection cycle
+# pools of the benchmark's detector traffic) and `schedule_digest` (a
+# hook-level digest of every memory access and sync event the interpreter
+# delivers, with its launch counters and simulated clock, over the zoo
+# under ITS and lockstep at three seeds plus the benchmark's detector
+# members and stencil rungs) — each against a recorded table, so a
+# hot-path edit that moves a counter or a scheduling decision fails here
+# rather than in a benchmark run (`benches/detector_hot_path.rs` and
+# `benches/interpreter_hot_path.rs` themselves are compiled by the tier-1
 # `clippy --all-targets` — the vendored criterion shim has no `--test`
-# mode to run it under), the perf smoke, and structural validation of the
+# mode to run them under), the perf smoke, and structural validation of the
 # emitted bench-pr8-v1 JSON (plus the previous bench-pr7-v1 trajectory,
 # if present — `--validate` dispatches on the schema tag). Wall-clock
 # speedup assertions are host-gated by the harness itself (single-core
@@ -104,6 +109,8 @@ if [[ "$PERF" -eq 1 ]]; then
   cargo test -q -p bench --release --test shard_determinism
   echo "== hot-path counter identity (--perf) =="
   cargo test -q -p bench --release --test counter_identity
+  echo "== interpreter schedule digest (--perf) =="
+  cargo test -q -p bench --release --test schedule_digest
   echo "== perf smoke (--perf) =="
   cargo run --release -p bench --bin perf -- --quick --no-progress
   echo "== perf JSON validation (--perf) =="

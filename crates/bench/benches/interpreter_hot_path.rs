@@ -1,0 +1,147 @@
+//! Criterion microbenchmarks of `gpu_sim::machine`'s scheduler-and-execute
+//! loop, reported per lane-instruction so the figures line up with the
+//! benchmark's `gpu_sim.lane_instrs_per_s` (1e9 / ns-per-element):
+//!
+//! - a converged ALU loop on full warps (the dense `0..32` path),
+//! - a lane-dependent loop under ITS (diverged pcs, subdivision, the
+//!   `trailing_zeros` path),
+//! - a `bar.sync`-heavy kernel at `block_dim` 1024 (barrier arrival and
+//!   release across 32 warps),
+//! - the launch-dominated shape: the top `ladder_stencil` rung, 128 Ki
+//!   threads running 15 instructions each.
+//!
+//! ```text
+//! cargo bench -p bench --bench interpreter_hot_path
+//! ```
+
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
+use std::hint::black_box;
+
+use gpu_sim::prelude::*;
+use workloads::Launch;
+
+/// A device small enough that `Gpu::new` is not what a sample measures.
+fn device(mem_words: usize, its_split_prob: f64) -> Gpu {
+    Gpu::new(GpuConfig {
+        mem_words,
+        its_split_prob,
+        ..bench::gpu_config(bench::DEFAULT_SEED)
+    })
+}
+
+/// `x = x * 3 + tid`, `rounds` times, then one store: every warp stays
+/// converged.
+fn alu_loop(rounds: u32) -> Kernel {
+    let mut b = KernelBuilder::new("bench_alu_loop");
+    let out = b.param(0);
+    let g = b.special(Special::GlobalTid);
+    let x = b.imm(1);
+    let i = b.imm(0);
+    let top = b.here();
+    let x3 = b.mul(x, 3u32);
+    b.assign_add(x, x3, g);
+    b.assign_add(i, i, 1u32);
+    let more = b.lt(i, rounds);
+    b.bra_if(more, top);
+    let off = b.mul(g, 4u32);
+    let a = b.add(out, off);
+    b.st(a, 0, x);
+    b.build()
+}
+
+/// The same loop with a lane-dependent trip count (`1 + lane % 8` times
+/// `rounds`): lanes leave the loop at eight different times.
+fn divergent_loop(rounds: u32) -> Kernel {
+    let mut b = KernelBuilder::new("bench_divergent_loop");
+    let out = b.param(0);
+    let g = b.special(Special::GlobalTid);
+    let lane = b.special(Special::LaneId);
+    let group = b.rem(lane, 8u32);
+    let scaled = b.mul(group, rounds);
+    let trips = b.add(scaled, rounds);
+    let x = b.imm(1);
+    let i = b.imm(0);
+    let top = b.here();
+    let x3 = b.mul(x, 3u32);
+    b.assign_add(x, x3, g);
+    b.assign_add(i, i, 1u32);
+    let more = b.lt(i, trips);
+    b.bra_if(more, top);
+    let off = b.mul(g, 4u32);
+    let a = b.add(out, off);
+    b.st(a, 0, x);
+    b.build()
+}
+
+/// `rounds` times: publish to the scratchpad, `bar.sync`.
+fn barrier_loop(rounds: u32) -> Kernel {
+    let mut b = KernelBuilder::new("bench_barrier_loop");
+    b.shared(1024);
+    let tid = b.special(Special::Tid);
+    let soff = b.mul(tid, 4u32);
+    let i = b.imm(0);
+    let top = b.here();
+    b.st_shared(soff, 0, i);
+    b.syncthreads();
+    b.assign_add(i, i, 1u32);
+    let more = b.lt(i, rounds);
+    b.bra_if(more, top);
+    b.build()
+}
+
+/// Runs `launches` once for their lane-instruction count, then times them.
+fn bench_launches(group: &mut BenchmarkGroup<'_>, id: &str, gpu: &mut Gpu, launches: &[Launch]) {
+    let run = |gpu: &mut Gpu| -> u64 {
+        launches
+            .iter()
+            .map(|l| {
+                gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut NullHook)
+                    .expect("benchmark kernel runs")
+                    .lane_instrs
+            })
+            .sum()
+    };
+    group.throughput(Throughput::Elements(run(gpu)));
+    group.bench_function(id, |b| b.iter(|| black_box(run(gpu))));
+}
+
+fn one_launch(kernel: Kernel, grid: u32, block: u32, out: u32) -> Vec<Launch> {
+    vec![Launch {
+        kernel,
+        grid,
+        block,
+        params: vec![out],
+    }]
+}
+
+fn bench_interpreter(c: &mut Criterion) {
+    let split_prob = GpuConfig::default().its_split_prob;
+    let mut group = c.benchmark_group("interpreter");
+    group.sample_size(10);
+
+    // No subdivision: every step is a full, converged warp.
+    let mut gpu = device(1 << 14, 0.0);
+    let out = gpu.alloc(4096).expect("output fits");
+    let launches = one_launch(alu_loop(256), 32, 128, out);
+    bench_launches(&mut group, "converged_alu_32x128", &mut gpu, &launches);
+
+    let mut gpu = device(1 << 14, split_prob);
+    let out = gpu.alloc(4096).expect("output fits");
+    let launches = one_launch(divergent_loop(32), 32, 128, out);
+    bench_launches(&mut group, "divergent_its_32x128", &mut gpu, &launches);
+
+    let launches = one_launch(barrier_loop(64), 4, 1024, 0);
+    bench_launches(&mut group, "bar_sync_4x1024", &mut gpu, &launches);
+
+    let mut gpu = device(1 << 19, split_prob);
+    let launches = common::stencil_launches(&mut gpu, common::LADDER_THREADS[2]);
+    bench_launches(&mut group, "stencil_128Ki_threads", &mut gpu, &launches);
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_interpreter);
+criterion_main!(benches);

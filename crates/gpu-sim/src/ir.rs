@@ -12,12 +12,13 @@
 
 /// A per-thread general-purpose 32-bit register.
 ///
-/// Each thread owns [`NUM_REGS`] registers, `r0..r{NUM_REGS-1}`.
+/// A thread owns as many as its kernel names (`Kernel::num_regs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
-/// Number of general-purpose registers per thread (NVIDIA SASS allows up
-/// to 255 per thread; the builder's SSA-ish style leans on this).
+/// Registers `KernelBuilder` will allocate per thread (NVIDIA SASS allows
+/// up to 255; the builder's SSA-ish style leans on this). A raw
+/// instruction stream may name any `Reg` a `u8` holds.
 pub const NUM_REGS: usize = 255;
 
 /// Number of threads in a warp (CUDA fixes this at 32 on all shipped GPUs).
@@ -261,6 +262,37 @@ impl Instr {
             self,
             Instr::Bra { .. } | Instr::BraIf { .. } | Instr::BraIfNot { .. }
         )
+    }
+
+    /// The highest-numbered register this instruction reads or writes, if
+    /// it names any.
+    #[must_use]
+    pub fn max_reg(&self) -> Option<Reg> {
+        let op = |o: Operand| match o {
+            Operand::Reg(r) => Some(r.0),
+            Operand::Imm(_) => None,
+        };
+        let max = match *self {
+            Instr::Mov { rd, src } => op(src).max(Some(rd.0)),
+            Instr::Read { rd, .. } | Instr::Param { rd, .. } => Some(rd.0),
+            Instr::Alu { rd, ra, b, .. } | Instr::Setp { rd, ra, b, .. } => {
+                op(b).max(Some(rd.0.max(ra.0)))
+            }
+            Instr::Sel { rd, cond, a, b } => op(a).max(op(b)).max(Some(rd.0.max(cond.0))),
+            Instr::BraIf { cond, .. } | Instr::BraIfNot { cond, .. } => Some(cond.0),
+            Instr::Ld { rd, addr, .. } => Some(rd.0.max(addr.0)),
+            Instr::St { addr, val, .. } => Some(addr.0.max(val.0)),
+            Instr::Atom {
+                rd, addr, src, cmp, ..
+            } => Some(rd.0.max(addr.0).max(src.0).max(cmp.0)),
+            Instr::Bra { .. }
+            | Instr::Membar { .. }
+            | Instr::BarSync
+            | Instr::BarWarp
+            | Instr::Exit
+            | Instr::Nop => None,
+        };
+        max.map(Reg)
     }
 
     /// Branch target (absolute instruction index) of a control-transfer

@@ -23,6 +23,8 @@ pub struct Kernel {
     /// Optional per-instruction source annotation ("line info"); present when
     /// the workload was "compiled with debug info". Race reports quote it.
     pub lines: Vec<Option<String>>,
+    /// Highest register the code names, plus one (see [`Kernel::num_regs`]).
+    num_regs: usize,
 }
 
 impl Kernel {
@@ -35,23 +37,34 @@ impl Kernel {
     #[must_use]
     pub fn new(name: impl Into<Arc<str>>, code: Vec<Instr>, shared_words: usize) -> Self {
         let lines = vec![None; code.len()];
-        let k = Kernel {
+        let mut k = Kernel {
             name: name.into(),
             code,
             shared_words,
             lines,
+            num_regs: 0,
         };
         k.validate();
         k
     }
 
-    fn validate(&self) {
+    /// Checks the branch targets and sizes the register file.
+    fn validate(&mut self) {
         assert!(
             !self.code.is_empty(),
             "kernel `{}` has no instructions",
             self.name
         );
+        // The machine keeps one `u32` pc per lane.
+        assert!(
+            u32::try_from(self.code.len()).is_ok(),
+            "kernel `{}` has more than 2^32 instructions",
+            self.name
+        );
         for (pc, instr) in self.code.iter().enumerate() {
+            if let Some(r) = instr.max_reg() {
+                self.num_regs = self.num_regs.max(r.0 as usize + 1);
+            }
             if let Some(t) = instr.branch_target() {
                 assert!(
                     t < self.code.len(),
@@ -67,6 +80,15 @@ impl Kernel {
     #[must_use]
     pub fn line(&self, pc: usize) -> Option<&str> {
         self.lines.get(pc).and_then(|l| l.as_deref())
+    }
+
+    /// Registers a thread of this kernel needs: the highest register any
+    /// instruction names, plus one. The machine's register file and the
+    /// static analysis' abstract state are sized by it, so every `Reg` a
+    /// raw instruction stream can hold is in range by construction.
+    #[must_use]
+    pub fn num_regs(&self) -> usize {
+        self.num_regs
     }
 
     /// Whether the kernel contains no control-transfer instructions at all

@@ -22,10 +22,20 @@
 //! Fairness of the round-robin guarantees that spin-wait loops cannot
 //! starve their producer; true livelocks (e.g. per-thread locks under
 //! lockstep, §6.6) hit the step watchdog and report [`SimError::Timeout`].
+//!
+//! # State
+//!
+//! A launch owns one warp-major state (`RunState`): a register file
+//! `[warp][reg][lane]` sized by [`Kernel::num_regs`], one pc per lane, and
+//! per warp three lane masks — ready / at the block barrier / at the warp
+//! barrier; a lane in none has exited. A warp split is a `u32` lane mask
+//! from the scheduler's pick to the hook's `active_mask` (DESIGN.md §8).
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::SimError;
 use crate::hook::{AccessKind, ExecMode, Hook, LaneAccess, LaunchInfo, MemAccess, SyncEvent};
-use crate::ir::{AluOp, CmpOp, Instr, Operand, Reg, Space, Special, NUM_REGS, WARP_SIZE};
+use crate::ir::{AluOp, CmpOp, Instr, Operand, Space, Special, WARP_SIZE};
 use crate::kernel::Kernel;
 use crate::mem::GlobalMem;
 use crate::overlap::{CopyModel, OverlapReport, Timeline};
@@ -134,54 +144,6 @@ impl PartialEq for LaunchStats {
 }
 
 impl Eq for LaunchStats {}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Ready,
-    AtBlockBar,
-    AtWarpBar,
-    Exited,
-}
-
-#[derive(Debug)]
-struct Thread {
-    regs: Vec<u32>,
-    pc: usize,
-    status: Status,
-}
-
-impl Thread {
-    fn new() -> Self {
-        Thread {
-            regs: vec![0; NUM_REGS],
-            pc: 0,
-            status: Status::Ready,
-        }
-    }
-
-    fn get(&self, r: Reg) -> u32 {
-        self.regs[r.0 as usize]
-    }
-
-    fn set(&mut self, r: Reg, v: u32) {
-        self.regs[r.0 as usize] = v;
-    }
-
-    fn operand(&self, o: Operand) -> u32 {
-        match o {
-            Operand::Reg(r) => self.get(r),
-            Operand::Imm(v) => v,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Block {
-    id: u32,
-    sm: usize,
-    shared: Vec<u32>,
-    threads: Vec<Thread>,
-}
 
 /// The simulated GPU.
 pub struct Gpu {
@@ -425,12 +387,18 @@ impl Gpu {
                 });
             }
             if self.faults.fire(FaultSite::KernelHang) {
-                step_limit = step_limit.min(self.faults.draw(FaultSite::KernelHang, self.cfg.max_steps));
+                step_limit =
+                    step_limit.min(self.faults.draw(FaultSite::KernelHang, self.cfg.max_steps));
             }
         }
 
         let warps_per_block = block_dim.div_ceil(WARP_SIZE as u32);
-        let total_threads = grid_dim * block_dim;
+        let Some(total_threads) = grid_dim.checked_mul(block_dim) else {
+            return Err(SimError::BadLaunch {
+                reason: format!("grid {grid_dim} x block {block_dim} exceeds 2^32 threads"),
+            });
+        };
+        // No more warps than threads, so this product fits as well.
         let total_warps = grid_dim * warps_per_block;
         let info = LaunchInfo {
             kernel_name: kernel.name.clone(),
@@ -456,52 +424,20 @@ impl Gpu {
         let launch_t0 = self.clock.profiling().then(Instant::now);
         timed_hook_call(&mut self.clock, |clock| hook.on_kernel_launch(&info, clock));
 
-        let mut blocks: Vec<Block> = (0..grid_dim)
-            .map(|b| Block {
-                id: b,
-                sm: (b as usize) % self.cfg.num_sms,
-                shared: vec![0; kernel.shared_words],
-                threads: (0..block_dim).map(|_| Thread::new()).collect(),
-            })
-            .collect();
-
         sched.begin_launch(&LaunchContext {
             grid_dim,
             block_dim,
             mode: self.cfg.mode,
         });
-        let mut run = RunState {
-            kernel,
-            code: predecode(&kernel.code, &self.cfg.cost),
-            params,
-            warps_per_block,
-            block_dim,
-            grid_dim,
-            stats: LaunchStats::default(),
-            live: total_threads as u64,
-            lane_scratch: Vec::with_capacity(WARP_SIZE),
-            tid_scratch: Vec::with_capacity(WARP_SIZE),
-        };
-
-        // Flattened (block, warp) schedule order.
-        let warp_list: Vec<(usize, usize)> = (0..grid_dim as usize)
-            .flat_map(|b| (0..warps_per_block as usize).map(move |w| (b, w)))
-            .collect();
+        let mut run = RunState::new(kernel, &self.cfg.cost, params, &info);
+        let num_warps = run.warps.len();
         let mut cursor = 0usize;
-        // Scheduler scratch, reused every step (the hot loop allocates
-        // nothing).
-        let mut pcs_scratch: Vec<usize> = Vec::with_capacity(WARP_SIZE);
-        let mut lanes_scratch: Vec<usize> = Vec::with_capacity(WARP_SIZE);
         let warp_choice = sched.wants_warp_choice();
         // Eager-invisible mode (partial-order reduction): instructions that
         // cannot touch memory run without consulting the scheduler, so only
         // memory operations branch a systematic enumeration.
         let eager = sched.wants_eager_invisible();
-        let mut runnable_scratch: Vec<usize> = if warp_choice {
-            Vec::with_capacity(warp_list.len())
-        } else {
-            Vec::new()
-        };
+        let mut runnable_scratch: Vec<usize> = Vec::new();
 
         while run.live > 0 {
             run.stats.steps += 1;
@@ -512,82 +448,50 @@ impl Gpu {
                     steps: run.stats.steps,
                 });
             }
-            let mut executed = false;
-            if warp_choice {
+            let pick = if warp_choice {
                 // Systematic mode: offer the scheduler every warp with a
                 // runnable lane, in flat (block, warp) order.
                 runnable_scratch.clear();
-                for (idx, &(bi, wi)) in warp_list.iter().enumerate() {
-                    if warp_has_runnable(&blocks[bi], wi) {
-                        runnable_scratch.push(idx);
-                    }
-                }
-                if !runnable_scratch.is_empty() {
-                    // Eager mode: a warp with a runnable lane at an
-                    // invisible instruction runs first, deterministically
-                    // and without a scheduling decision — such transitions
-                    // commute with every other enabled transition.
-                    let eager_pick = if eager {
-                        runnable_scratch
-                            .iter()
-                            .copied()
-                            .find(|&idx| {
-                                let (bi, wi) = warp_list[idx];
-                                warp_has_invisible_runnable(&blocks[bi], wi, &run.code)
-                            })
-                    } else {
-                        None
-                    };
-                    let pick = if let Some(p) = eager_pick {
-                        p
-                    } else if runnable_scratch.len() == 1 {
-                        runnable_scratch[0]
-                    } else {
-                        let i = sched.choose_warp(runnable_scratch.len());
-                        runnable_scratch[i.min(runnable_scratch.len() - 1)]
-                    };
-                    let (bi, wi) = warp_list[pick];
-                    let ok = pick_split(
-                        &blocks[bi],
-                        wi,
-                        self.cfg.mode,
-                        sched,
-                        eager,
-                        &run.code,
-                        &mut pcs_scratch,
-                        &mut lanes_scratch,
-                    );
-                    debug_assert!(ok, "chosen warp lost its runnable lanes");
-                    self.exec_split(&mut blocks, bi, wi, &lanes_scratch, &mut run, hook, sched)?;
-                    executed = true;
+                runnable_scratch.extend((0..num_warps).filter(|&w| run.warps[w].ready != 0));
+                // Eager mode: a warp with a runnable lane at an invisible
+                // instruction runs first, deterministically and without a
+                // scheduling decision — such transitions commute with
+                // every other enabled transition.
+                let eager_pick = runnable_scratch
+                    .iter()
+                    .copied()
+                    .find(|&w| eager && run.has_invisible_runnable(w));
+                match (eager_pick, runnable_scratch.len()) {
+                    (_, 0) => None,
+                    (Some(w), _) => Some(w),
+                    (None, 1) => Some(runnable_scratch[0]),
+                    (None, n) => Some(runnable_scratch[sched.choose_warp(n).min(n - 1)]),
                 }
             } else {
                 // Production mode: fair round-robin scan for the next warp
-                // with a runnable split.
-                for scan in 0..warp_list.len() {
-                    let (bi, wi) = warp_list[(cursor + scan) % warp_list.len()];
-                    if pick_split(
-                        &blocks[bi],
-                        wi,
-                        self.cfg.mode,
-                        sched,
-                        eager,
-                        &run.code,
-                        &mut pcs_scratch,
-                        &mut lanes_scratch,
-                    ) {
-                        cursor = (cursor + scan + 1) % warp_list.len();
-                        self.exec_split(&mut blocks, bi, wi, &lanes_scratch, &mut run, hook, sched)?;
-                        executed = true;
-                        break;
-                    }
+                // with a runnable lane (a dead warp costs one load).
+                let next = (cursor..num_warps)
+                    .chain(0..cursor)
+                    .find(|&w| run.warps[w].ready != 0);
+                if let Some(w) = next {
+                    cursor = if w + 1 == num_warps { 0 } else { w + 1 };
                 }
-            }
-            if !executed {
+                next
+            };
+            let Some(w) = pick else {
                 return Err(SimError::Deadlock {
                     kernel: kernel.name.to_string(),
                 });
-            }
+            };
+            let split = pick_split(
+                run.warps[w].ready,
+                &run.pcs[w],
+                self.cfg.mode,
+                sched,
+                eager,
+                &run.code,
+            );
+            self.exec_split(&mut run, w, split, hook, sched)?;
         }
 
         // Implicit device-wide barrier at grid completion (§2.1).
@@ -606,75 +510,89 @@ impl Gpu {
         Ok(run.stats)
     }
 
+    /// Executes one instruction for the lanes of `split` (non-empty, all
+    /// at one pc) of warp `w`.
     #[allow(clippy::too_many_lines)]
-    #[allow(clippy::too_many_arguments)]
     fn exec_split(
         &mut self,
-        blocks: &mut [Block],
-        bi: usize,
-        wi: usize,
-        lanes: &[usize],
         run: &mut RunState<'_>,
+        w: usize,
+        split: u32,
         hook: &mut dyn Hook,
         sched: &mut dyn Scheduler,
     ) -> Result<(), SimError> {
         let kernel = run.kernel;
-        let block = &mut blocks[bi];
-        let block_id = block.id;
-        let sm = block.sm;
-        let warp_base = wi * WARP_SIZE;
-        let pc = block.threads[warp_base + lanes[0]].pc;
-        let d = run.code[pc];
-        let instr = d.instr;
-        let active_mask: u32 = lanes.iter().fold(0u32, |m, &l| m | (1 << l));
-        let global_warp = block_id * run.warps_per_block + wi as u32;
+        let global_warp = w as u32;
+        let block_id = global_warp / run.warps_per_block;
+        let wi = global_warp % run.warps_per_block;
+        let bi = block_id as usize;
+        let sm = bi % self.cfg.num_sms;
+        let warp_base = wi * WARP_SIZE as u32;
+        let pc = run.pcs[w][split.trailing_zeros() as usize];
+        let d = run.code[pc as usize];
+        let lanes = split.count_ones();
+        let at = SplitSite {
+            kernel,
+            pc: pc as usize,
+            block_id,
+            warp_in_block: wi,
+            global_warp,
+            active_mask: split,
+            warps_per_block: run.warps_per_block,
+            sm: sm as u32,
+            step: run.stats.steps,
+        };
 
         run.stats.dyn_instrs += 1;
-        run.stats.lane_instrs += lanes.len() as u64;
+        run.stats.lane_instrs += u64::from(lanes);
 
         // Predecoded static cost: atomics serialize per lane (L2 ROP / SM
         // atomic unit), everything else charges a fixed per-split cost.
-        if matches!(instr, Instr::Atom { .. }) {
+        if matches!(d.instr, Instr::Atom { .. }) {
             self.clock
-                .charge(CostCategory::Native, d.cost * lanes.len() as u64);
+                .charge(CostCategory::Native, d.cost * u64::from(lanes));
             self.clock
-                .charge_serial(CostCategory::Native, d.serial_cost * lanes.len() as u64);
+                .charge_serial(CostCategory::Native, d.serial_cost * u64::from(lanes));
         } else {
             self.clock.charge(CostCategory::Native, d.cost);
         }
 
-        macro_rules! thread {
-            ($lane:expr) => {
-                block.threads[warp_base + $lane]
-            };
-        }
+        // This warp's rows of the register file, and its block's scratchpad.
+        let regs = &mut run.regs[w * run.num_regs..(w + 1) * run.num_regs];
+        let shared = &mut run.shared[bi * kernel.shared_words..(bi + 1) * kernel.shared_words];
+        let mut next_pc = Some(pc + 1);
 
-        match instr {
+        match d.instr {
             Instr::Mov { rd, src } => {
-                for &l in lanes {
-                    let v = thread!(l).operand(src);
-                    let t = &mut thread!(l);
-                    t.set(rd, v);
-                    t.pc = pc + 1;
-                }
+                let v = operand(regs, src);
+                let out = &mut regs[rd.0 as usize];
+                for_lanes(split, |l| out[l] = v[l]);
             }
             Instr::Read { rd, sp } => {
-                for &l in lanes {
-                    let tid = (warp_base + l) as u32;
-                    let v = match sp {
-                        Special::Tid => tid,
-                        Special::BlockId => block_id,
-                        Special::BlockDim => run.block_dim,
-                        Special::GridDim => run.grid_dim,
-                        Special::LaneId => l as u32,
-                        Special::WarpInBlock => wi as u32,
-                        Special::GlobalWarpId => global_warp,
-                        Special::GlobalTid => block_id * run.block_dim + tid,
-                        Special::ActiveMask => active_mask,
-                    };
-                    let t = &mut thread!(l);
-                    t.set(rd, v);
-                    t.pc = pc + 1;
+                let out = &mut regs[rd.0 as usize];
+                let uniform = match sp {
+                    Special::Tid => {
+                        for_lanes(split, |l| out[l] = warp_base + l as u32);
+                        None
+                    }
+                    Special::LaneId => {
+                        for_lanes(split, |l| out[l] = l as u32);
+                        None
+                    }
+                    Special::GlobalTid => {
+                        let base = block_id * run.block_dim + warp_base;
+                        for_lanes(split, |l| out[l] = base + l as u32);
+                        None
+                    }
+                    Special::BlockId => Some(block_id),
+                    Special::BlockDim => Some(run.block_dim),
+                    Special::GridDim => Some(run.grid_dim),
+                    Special::WarpInBlock => Some(wi),
+                    Special::GlobalWarpId => Some(global_warp),
+                    Special::ActiveMask => Some(split),
+                };
+                if let Some(v) = uniform {
+                    for_lanes(split, |l| out[l] = v);
                 }
             }
             Instr::Param { rd, idx } => {
@@ -684,70 +602,40 @@ impl Gpu {
                     .ok_or_else(|| SimError::BadLaunch {
                         reason: format!("kernel `{}` reads missing param {idx}", kernel.name),
                     })?;
-                for &l in lanes {
-                    let t = &mut thread!(l);
-                    t.set(rd, v);
-                    t.pc = pc + 1;
-                }
+                let out = &mut regs[rd.0 as usize];
+                for_lanes(split, |l| out[l] = v);
             }
             Instr::Alu { op, rd, ra, b } => {
-                for &l in lanes {
-                    let (a, bv) = {
-                        let t = &thread!(l);
-                        (t.get(ra), t.operand(b))
-                    };
-                    let v = eval_alu(op, a, bv).ok_or_else(|| SimError::DivideByZero {
+                let (a, b) = (regs[ra.0 as usize], operand(regs, b));
+                if !alu_lanes(op, split, &a, &b, &mut regs[rd.0 as usize]) {
+                    return Err(SimError::DivideByZero {
                         kernel: kernel.name.to_string(),
-                        pc,
-                    })?;
-                    let t = &mut thread!(l);
-                    t.set(rd, v);
-                    t.pc = pc + 1;
+                        pc: pc as usize,
+                    });
                 }
             }
             Instr::Setp { op, rd, ra, b } => {
-                for &l in lanes {
-                    let (a, bv) = {
-                        let t = &thread!(l);
-                        (t.get(ra), t.operand(b))
-                    };
-                    let v = u32::from(eval_cmp(op, a, bv));
-                    let t = &mut thread!(l);
-                    t.set(rd, v);
-                    t.pc = pc + 1;
-                }
+                let (a, b) = (regs[ra.0 as usize], operand(regs, b));
+                cmp_lanes(op, split, &a, &b, &mut regs[rd.0 as usize]);
             }
             Instr::Sel { rd, cond, a, b } => {
-                for &l in lanes {
-                    let v = {
-                        let t = &thread!(l);
-                        if t.get(cond) != 0 {
-                            t.operand(a)
-                        } else {
-                            t.operand(b)
-                        }
+                let (c, a, b) = (regs[cond.0 as usize], operand(regs, a), operand(regs, b));
+                let out = &mut regs[rd.0 as usize];
+                for_lanes(split, |l| out[l] = if c[l] != 0 { a[l] } else { b[l] });
+            }
+            Instr::Bra { target } => next_pc = Some(target as u32),
+            Instr::BraIf { cond, target } | Instr::BraIfNot { cond, target } => {
+                let c = &regs[cond.0 as usize];
+                let on_zero = matches!(d.instr, Instr::BraIfNot { .. });
+                let pcs = &mut run.pcs[w];
+                for_lanes(split, |l| {
+                    pcs[l] = if (c[l] == 0) == on_zero {
+                        target as u32
+                    } else {
+                        pc + 1
                     };
-                    let t = &mut thread!(l);
-                    t.set(rd, v);
-                    t.pc = pc + 1;
-                }
-            }
-            Instr::Bra { target } => {
-                for &l in lanes {
-                    thread!(l).pc = target;
-                }
-            }
-            Instr::BraIf { cond, target } => {
-                for &l in lanes {
-                    let taken = thread!(l).get(cond) != 0;
-                    thread!(l).pc = if taken { target } else { pc + 1 };
-                }
-            }
-            Instr::BraIfNot { cond, target } => {
-                for &l in lanes {
-                    let taken = thread!(l).get(cond) == 0;
-                    thread!(l).pc = if taken { target } else { pc + 1 };
-                }
+                });
+                next_pc = None;
             }
             Instr::Ld {
                 rd,
@@ -755,132 +643,62 @@ impl Gpu {
                 offset,
                 space,
                 volatile,
-            } => match space {
-                Space::Shared => {
-                    gather_lanes(block, warp_base, lanes, addr, offset, &mut run.lane_scratch);
-                    self.fire_mem_hook(
-                        kernel,
-                        pc,
-                        AccessKind::Load,
-                        Space::Shared,
-                        block_id,
-                        wi as u32,
-                        global_warp,
-                        active_mask,
-                        run,
-                        sm,
-                        volatile,
-                        hook,
-                    );
-                    for &l in lanes {
-                        let a = effective_addr(thread!(l).get(addr), offset);
-                        let v = load_shared(&block.shared, a)?;
-                        let t = &mut thread!(l);
-                        t.set(rd, v);
-                        t.pc = pc + 1;
+            } => {
+                let accesses = &mut run.lane_scratch;
+                gather_accesses(split, warp_base, &regs[addr.0 as usize], offset, accesses);
+                at.fire_mem_hook(
+                    &mut self.clock,
+                    hook,
+                    AccessKind::Load,
+                    space,
+                    volatile,
+                    accesses,
+                );
+                let out = &mut regs[rd.0 as usize];
+                // Weak visibility implies recording the observed values.
+                let weak = self.cfg.weak_visibility && !volatile;
+                let record = self.cfg.record_load_values || self.cfg.weak_visibility;
+                for la in accesses.iter() {
+                    let v = match space {
+                        Space::Shared => load_shared(shared, la.addr)?,
+                        Space::Global if weak => self
+                            .mem
+                            .load_weak(sm, la.addr, &mut |n| sched.choose_visibility(n))?,
+                        Space::Global => self.mem.load(sm, la.addr, volatile)?,
+                    };
+                    if record && space == Space::Global {
+                        hook.on_load_value(block_id, la.tid_in_block, la.addr, pc as usize, v);
                     }
+                    out[la.lane as usize] = v;
                 }
-                Space::Global => {
-                    gather_lanes(block, warp_base, lanes, addr, offset, &mut run.lane_scratch);
-                    self.fire_mem_hook(
-                        kernel,
-                        pc,
-                        AccessKind::Load,
-                        Space::Global,
-                        block_id,
-                        wi as u32,
-                        global_warp,
-                        active_mask,
-                        run,
-                        sm,
-                        volatile,
-                        hook,
-                    );
-                    if self.cfg.weak_visibility && !volatile {
-                        for (i, &l) in lanes.iter().enumerate() {
-                            let a = run.lane_scratch[i].addr;
-                            let v = self
-                                .mem
-                                .load_weak(sm, a, &mut |n| sched.choose_visibility(n))?;
-                            hook.on_load_value(block_id, (warp_base + l) as u32, a, pc, v);
-                            let t = &mut thread!(l);
-                            t.set(rd, v);
-                            t.pc = pc + 1;
-                        }
-                    } else if self.cfg.record_load_values || self.cfg.weak_visibility {
-                        for (i, &l) in lanes.iter().enumerate() {
-                            let a = run.lane_scratch[i].addr;
-                            let v = self.mem.load(sm, a, volatile)?;
-                            hook.on_load_value(block_id, (warp_base + l) as u32, a, pc, v);
-                            let t = &mut thread!(l);
-                            t.set(rd, v);
-                            t.pc = pc + 1;
-                        }
-                    } else {
-                        for (i, &l) in lanes.iter().enumerate() {
-                            let v = self.mem.load(sm, run.lane_scratch[i].addr, volatile)?;
-                            let t = &mut thread!(l);
-                            t.set(rd, v);
-                            t.pc = pc + 1;
-                        }
-                    }
-                }
-            },
+            }
             Instr::St {
                 addr,
                 offset,
                 val,
                 space,
                 volatile,
-            } => match space {
-                Space::Shared => {
-                    gather_lanes(block, warp_base, lanes, addr, offset, &mut run.lane_scratch);
-                    self.fire_mem_hook(
-                        kernel,
-                        pc,
-                        AccessKind::Store,
-                        Space::Shared,
-                        block_id,
-                        wi as u32,
-                        global_warp,
-                        active_mask,
-                        run,
-                        sm,
-                        volatile,
-                        hook,
-                    );
-                    for &l in lanes {
-                        let (a, v) = {
-                            let t = &thread!(l);
-                            (effective_addr(t.get(addr), offset), t.get(val))
-                        };
-                        store_shared(&mut block.shared, a, v)?;
-                        thread!(l).pc = pc + 1;
+            } => {
+                let accesses = &mut run.lane_scratch;
+                gather_accesses(split, warp_base, &regs[addr.0 as usize], offset, accesses);
+                at.fire_mem_hook(
+                    &mut self.clock,
+                    hook,
+                    AccessKind::Store,
+                    space,
+                    volatile,
+                    accesses,
+                );
+                let v = &regs[val.0 as usize];
+                for la in accesses.iter() {
+                    match space {
+                        Space::Shared => store_shared(shared, la.addr, v[la.lane as usize])?,
+                        Space::Global => {
+                            self.mem.store(sm, la.addr, v[la.lane as usize], volatile)?;
+                        }
                     }
                 }
-                Space::Global => {
-                    gather_lanes(block, warp_base, lanes, addr, offset, &mut run.lane_scratch);
-                    self.fire_mem_hook(
-                        kernel,
-                        pc,
-                        AccessKind::Store,
-                        Space::Global,
-                        block_id,
-                        wi as u32,
-                        global_warp,
-                        active_mask,
-                        run,
-                        sm,
-                        volatile,
-                        hook,
-                    );
-                    for (i, &l) in lanes.iter().enumerate() {
-                        let v = thread!(l).get(val);
-                        self.mem.store(sm, run.lane_scratch[i].addr, v, volatile)?;
-                        thread!(l).pc = pc + 1;
-                    }
-                }
-            },
+            }
             Instr::Atom {
                 op,
                 scope,
@@ -890,157 +708,72 @@ impl Gpu {
                 src,
                 cmp,
             } => {
-                gather_lanes(block, warp_base, lanes, addr, offset, &mut run.lane_scratch);
-                self.fire_mem_hook(
-                    kernel,
-                    pc,
-                    AccessKind::Atomic { op, scope },
-                    Space::Global,
-                    block_id,
-                    wi as u32,
-                    global_warp,
-                    active_mask,
-                    run,
-                    sm,
-                    false,
-                    hook,
-                );
-                for (i, &l) in lanes.iter().enumerate() {
-                    let (s, c) = {
-                        let t = &thread!(l);
-                        (t.get(src), t.get(cmp))
-                    };
-                    let old = self
-                        .mem
-                        .atomic(sm, run.lane_scratch[i].addr, op, s, c, scope)?;
-                    let t = &mut thread!(l);
-                    t.set(rd, old);
-                    t.pc = pc + 1;
+                let accesses = &mut run.lane_scratch;
+                gather_accesses(split, warp_base, &regs[addr.0 as usize], offset, accesses);
+                let kind = AccessKind::Atomic { op, scope };
+                at.fire_mem_hook(&mut self.clock, hook, kind, Space::Global, false, accesses);
+                let (s, c) = (regs[src.0 as usize], regs[cmp.0 as usize]);
+                let out = &mut regs[rd.0 as usize];
+                for la in accesses.iter() {
+                    let l = la.lane as usize;
+                    out[l] = self.mem.atomic(sm, la.addr, op, s[l], c[l], scope)?;
                 }
             }
             Instr::Membar { scope } => {
                 self.mem.fence(sm, scope);
-                run.tid_scratch.clear();
-                run.tid_scratch
-                    .extend(lanes.iter().map(|&l| (l as u32, (warp_base + l) as u32)));
-                let step = run.stats.steps;
-                timed_hook_call(&mut self.clock, |clock| {
-                    hook.on_sync(
-                        &SyncEvent::Fence {
-                            scope,
-                            block_id,
-                            global_warp,
-                            tids: &run.tid_scratch,
-                            active_mask,
-                            pc,
-                            step,
-                        },
-                        clock,
-                    );
-                });
-                for &l in lanes {
-                    thread!(l).pc = pc + 1;
-                }
+                let tids = &mut run.tid_scratch;
+                tids.clear();
+                for_lanes(split, |l| tids.push((l as u32, warp_base + l as u32)));
+                let fence = SyncEvent::Fence {
+                    scope,
+                    block_id,
+                    global_warp,
+                    tids,
+                    active_mask: split,
+                    pc: pc as usize,
+                    step: at.step,
+                };
+                timed_hook_call(&mut self.clock, |clock| hook.on_sync(&fence, clock));
             }
             Instr::BarSync => {
-                for &l in lanes {
-                    let t = &mut thread!(l);
-                    t.status = Status::AtBlockBar;
-                    t.pc = pc + 1;
-                }
-                if release_block_barrier(block) {
-                    timed_hook_call(&mut self.clock, |clock| {
-                        hook.on_sync(&SyncEvent::BlockBarrier { block_id }, clock);
-                    });
-                }
+                run.warps[w].ready &= !split;
+                run.warps[w].at_block_bar |= split;
+                run.blocks[bi].arrived += lanes;
             }
             Instr::BarWarp => {
-                for &l in lanes {
-                    let t = &mut thread!(l);
-                    t.status = Status::AtWarpBar;
-                    t.pc = pc + 1;
-                }
-                if release_warp_barrier(block, warp_base, run.block_dim as usize) {
-                    timed_hook_call(&mut self.clock, |clock| {
-                        hook.on_sync(
-                            &SyncEvent::WarpBarrier {
-                                block_id,
-                                warp_in_block: wi as u32,
-                                global_warp,
-                            },
-                            clock,
-                        );
-                    });
-                }
+                run.warps[w].ready &= !split;
+                run.warps[w].at_warp_bar |= split;
             }
             Instr::Exit => {
-                for &l in lanes {
-                    thread!(l).status = Status::Exited;
-                    run.live -= 1;
-                }
-                // Exiting threads release waiters (CUDA treats exited
-                // threads as having arrived at subsequent barriers).
-                if release_block_barrier(block) {
-                    timed_hook_call(&mut self.clock, |clock| {
-                        hook.on_sync(&SyncEvent::BlockBarrier { block_id }, clock);
-                    });
-                }
-                if release_warp_barrier(block, warp_base, run.block_dim as usize) {
-                    timed_hook_call(&mut self.clock, |clock| {
-                        hook.on_sync(
-                            &SyncEvent::WarpBarrier {
-                                block_id,
-                                warp_in_block: wi as u32,
-                                global_warp,
-                            },
-                            clock,
-                        );
-                    });
-                }
+                run.warps[w].ready &= !split;
+                run.blocks[bi].exited += lanes;
+                run.live -= u64::from(lanes);
+                next_pc = None;
             }
-            Instr::Nop => {
-                for &l in lanes {
-                    thread!(l).pc = pc + 1;
-                }
-            }
+            Instr::Nop => {}
+        }
+        if let Some(next) = next_pc {
+            let pcs = &mut run.pcs[w];
+            for_lanes(split, |l| pcs[l] = next);
+        }
+
+        // An arrival or an exit may complete a barrier: exiting threads
+        // release waiters (CUDA treats exited threads as having arrived at
+        // subsequent barriers).
+        if matches!(d.instr, Instr::BarSync | Instr::Exit) && run.release_block_barrier(bi) {
+            timed_hook_call(&mut self.clock, |clock| {
+                hook.on_sync(&SyncEvent::BlockBarrier { block_id }, clock);
+            });
+        }
+        if matches!(d.instr, Instr::BarWarp | Instr::Exit) && run.warps[w].release_warp_barrier() {
+            let released = SyncEvent::WarpBarrier {
+                block_id,
+                warp_in_block: wi,
+                global_warp,
+            };
+            timed_hook_call(&mut self.clock, |clock| hook.on_sync(&released, clock));
         }
         Ok(())
-    }
-
-    /// Fires the memory hook for the lanes gathered in
-    /// [`RunState::lane_scratch`].
-    #[allow(clippy::too_many_arguments)]
-    fn fire_mem_hook(
-        &mut self,
-        kernel: &Kernel,
-        pc: usize,
-        kind: AccessKind,
-        space: Space,
-        block_id: u32,
-        warp_in_block: u32,
-        global_warp: u32,
-        active_mask: u32,
-        run: &RunState<'_>,
-        sm: usize,
-        volatile: bool,
-        hook: &mut dyn Hook,
-    ) {
-        let access = MemAccess {
-            kernel,
-            pc,
-            kind,
-            space,
-            block_id,
-            warp_in_block,
-            global_warp,
-            active_mask,
-            volatile,
-            lanes: &run.lane_scratch,
-            warps_per_block: run.warps_per_block,
-            sm: sm as u32,
-            step: run.stats.steps,
-        };
-        timed_hook_call(&mut self.clock, |clock| hook.on_mem_access(&access, clock));
     }
 }
 
@@ -1054,6 +787,92 @@ fn timed_hook_call(clock: &mut Clock, f: impl FnOnce(&mut Clock)) {
     }
 }
 
+/// Where and when a warp split executes: the launch-position half of a
+/// [`MemAccess`].
+struct SplitSite<'a> {
+    kernel: &'a Kernel,
+    pc: usize,
+    block_id: u32,
+    warp_in_block: u32,
+    global_warp: u32,
+    active_mask: u32,
+    warps_per_block: u32,
+    sm: u32,
+    step: u64,
+}
+
+impl SplitSite<'_> {
+    /// Fires the memory hook for the split's gathered `lanes`.
+    fn fire_mem_hook(
+        &self,
+        clock: &mut Clock,
+        hook: &mut dyn Hook,
+        kind: AccessKind,
+        space: Space,
+        volatile: bool,
+        lanes: &[LaneAccess],
+    ) {
+        let access = MemAccess {
+            kernel: self.kernel,
+            pc: self.pc,
+            kind,
+            space,
+            block_id: self.block_id,
+            warp_in_block: self.warp_in_block,
+            global_warp: self.global_warp,
+            active_mask: self.active_mask,
+            volatile,
+            lanes,
+            warps_per_block: self.warps_per_block,
+            sm: self.sm,
+            step: self.step,
+        };
+        timed_hook_call(clock, |clock| hook.on_mem_access(&access, clock));
+    }
+}
+
+/// One register — or the pc — of every lane of a warp.
+type Row = [u32; WARP_SIZE];
+
+/// Every lane of a warp.
+const FULL_MASK: u32 = u32::MAX;
+
+/// The state of a warp's lanes, one bit per lane. A lane in none of the
+/// three masks has exited (or lies beyond `block_dim` in a partial last
+/// warp).
+#[derive(Debug, Clone, Copy)]
+struct WarpMasks {
+    /// Lanes that can issue.
+    ready: u32,
+    /// Lanes waiting at `bar.sync`.
+    at_block_bar: u32,
+    /// Lanes waiting at `bar.warp`.
+    at_warp_bar: u32,
+}
+
+impl WarpMasks {
+    /// Releases the warp barrier if every live lane has arrived; true if
+    /// a release happened.
+    fn release_warp_barrier(&mut self) -> bool {
+        if self.ready != 0 || self.at_block_bar != 0 || self.at_warp_bar == 0 {
+            return false;
+        }
+        self.ready = std::mem::take(&mut self.at_warp_bar);
+        true
+    }
+}
+
+/// Block-barrier bookkeeping: threads of the block waiting at `bar.sync`
+/// and threads that exited.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockSync {
+    arrived: u32,
+    exited: u32,
+}
+
+/// Everything one launch owns, warp-major. Warp `w` is warp
+/// `w % warps_per_block` of block `w / warps_per_block`; `w` is also its
+/// `global_warp` id and its place in the round-robin order.
 struct RunState<'a> {
     kernel: &'a Kernel,
     /// Predecoded instruction stream (one entry per pc of `kernel.code`).
@@ -1064,10 +883,83 @@ struct RunState<'a> {
     grid_dim: u32,
     stats: LaunchStats,
     live: u64,
+    /// `kernel.num_regs()`: rows of `regs` per warp.
+    num_regs: usize,
+    /// The register file, `regs[w * num_regs + reg][lane]`.
+    regs: Vec<Row>,
+    /// `pcs[w][lane]`; meaningful for lanes in one of the warp's masks.
+    pcs: Vec<Row>,
+    warps: Vec<WarpMasks>,
+    blocks: Vec<BlockSync>,
+    /// The blocks' scratchpads, `kernel.shared_words` each.
+    shared: Vec<u32>,
     /// Reused per-split lane-access buffer (no per-access allocation).
     lane_scratch: Vec<LaneAccess>,
     /// Reused fence `(lane, tid)` buffer.
     tid_scratch: Vec<(u32, u32)>,
+}
+
+impl<'a> RunState<'a> {
+    /// All-zero registers, every thread ready at pc 0.
+    fn new(kernel: &'a Kernel, cost: &CostModel, params: &'a [u32], info: &LaunchInfo) -> Self {
+        let (grid_dim, block_dim, warps_per_block) =
+            (info.grid_dim, info.block_dim, info.warps_per_block);
+        let num_warps = info.total_warps as usize;
+        let num_regs = kernel.num_regs();
+        let warps = (0..num_warps as u32)
+            .map(|w| {
+                let threads = block_dim - (w % warps_per_block) * WARP_SIZE as u32;
+                WarpMasks {
+                    ready: FULL_MASK >> (WARP_SIZE as u32 - threads.min(WARP_SIZE as u32)),
+                    at_block_bar: 0,
+                    at_warp_bar: 0,
+                }
+            })
+            .collect();
+        RunState {
+            kernel,
+            code: predecode(&kernel.code, cost),
+            params,
+            warps_per_block,
+            block_dim,
+            grid_dim,
+            stats: LaunchStats::default(),
+            live: u64::from(info.total_threads),
+            num_regs,
+            regs: vec![[0; WARP_SIZE]; num_warps * num_regs],
+            pcs: vec![[0; WARP_SIZE]; num_warps],
+            warps,
+            blocks: vec![BlockSync::default(); grid_dim as usize],
+            shared: vec![0; grid_dim as usize * kernel.shared_words],
+            lane_scratch: Vec::with_capacity(WARP_SIZE),
+            tid_scratch: Vec::with_capacity(WARP_SIZE),
+        }
+    }
+
+    /// Whether warp `w` has a runnable lane whose next instruction is
+    /// invisible (eligible for eager execution).
+    fn has_invisible_runnable(&self, w: usize) -> bool {
+        let mut found = false;
+        for_lanes(self.warps[w].ready, |l| {
+            found |= !instr_is_visible(&self.code[self.pcs[w][l] as usize].instr);
+        });
+        found
+    }
+
+    /// Releases block `bi`'s barrier if every live thread has arrived;
+    /// true if a release happened.
+    fn release_block_barrier(&mut self, bi: usize) -> bool {
+        let b = &mut self.blocks[bi];
+        if b.arrived == 0 || b.arrived + b.exited != self.block_dim {
+            return false;
+        }
+        b.arrived = 0;
+        let wpb = self.warps_per_block as usize;
+        for warp in &mut self.warps[bi * wpb..(bi + 1) * wpb] {
+            warp.ready |= std::mem::take(&mut warp.at_block_bar);
+        }
+        true
+    }
 }
 
 /// One predecoded instruction: the raw [`Instr`] plus its launch-invariant
@@ -1122,16 +1014,6 @@ fn predecode(code: &[Instr], cost: &CostModel) -> Vec<Decoded> {
         .collect()
 }
 
-/// Whether warp `wi` of `block` has at least one runnable lane (cheap
-/// pre-filter for the warp-choice scheduling path).
-fn warp_has_runnable(block: &Block, wi: usize) -> bool {
-    let warp_base = wi * WARP_SIZE;
-    let end = (warp_base + WARP_SIZE).min(block.threads.len());
-    block.threads[warp_base..end]
-        .iter()
-        .any(|t| t.status == Status::Ready)
-}
-
 /// Whether an instruction can affect or observe memory shared between
 /// threads. Everything else (ALU, branches, moves, barrier arrivals,
 /// exits) commutes with every concurrently enabled transition: it touches
@@ -1148,156 +1030,136 @@ fn instr_is_visible(instr: &Instr) -> bool {
     )
 }
 
-/// Whether warp `wi` has a runnable lane whose next instruction is
-/// invisible (eligible for eager execution).
-fn warp_has_invisible_runnable(block: &Block, wi: usize, code: &[Decoded]) -> bool {
-    let warp_base = wi * WARP_SIZE;
-    let end = (warp_base + WARP_SIZE).min(block.threads.len());
-    block.threads[warp_base..end]
-        .iter()
-        .any(|t| t.status == Status::Ready && !instr_is_visible(&code[t.pc].instr))
+/// Calls `f(lane)` for every lane of `mask`, ascending. A full mask — the
+/// common case — takes a dense `0..32` loop that the compiler unrolls and
+/// vectorises over contiguous rows.
+#[inline(always)]
+fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
+    if mask == FULL_MASK {
+        for l in 0..WARP_SIZE {
+            f(l);
+        }
+    } else {
+        let mut rest = mask;
+        while rest != 0 {
+            f(rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
 }
 
-/// Chooses the lanes (indices within the warp) to execute next for warp
-/// `wi` of `block` into `out`; returns false if no lane is runnable. The
-/// caller-owned `pcs`/`out` scratch buffers make this allocation-free.
-/// All non-forced choices are delegated to `sched`; the scheduler is not
-/// consulted at all when the warp has no runnable lane, so the production
-/// round-robin scan consumes no randomness while skipping idle warps.
-#[allow(clippy::too_many_arguments)]
+/// The lanes of a warp whose pc is `pc`.
+fn lanes_at(pcs: &Row, pc: u32) -> u32 {
+    let mut mask = 0;
+    for (l, &p) in pcs.iter().enumerate() {
+        mask |= u32::from(p == pc) << l;
+    }
+    mask
+}
+
+/// Chooses the lanes of a warp to execute next, as a mask: `ready` are the
+/// warp's runnable lanes and `pcs` their program counters; 0 iff no lane
+/// is runnable. All non-forced choices are delegated to `sched`; the
+/// scheduler is not consulted at all when the warp has no runnable lane,
+/// so the production round-robin scan consumes no randomness while
+/// skipping idle warps.
 fn pick_split(
-    block: &Block,
-    wi: usize,
+    ready: u32,
+    pcs: &Row,
     mode: ExecMode,
     sched: &mut dyn Scheduler,
     eager: bool,
     code: &[Decoded],
-    pcs: &mut Vec<usize>,
-    out: &mut Vec<usize>,
-) -> bool {
-    let warp_base = wi * WARP_SIZE;
-    let end = (warp_base + WARP_SIZE).min(block.threads.len());
-    out.clear();
-    for t in warp_base..end {
-        if block.threads[t].status == Status::Ready {
-            out.push(t - warp_base);
+) -> u32 {
+    if ready == 0 {
+        return 0;
+    }
+    let its = mode == ExecMode::Its;
+    // Eager mode: the lowest invisible PC runs deterministically — no
+    // decision, no branch in the enumeration tree.
+    let runs_eagerly = |pc: u32| eager && !instr_is_visible(&code[pc as usize].instr);
+    let first = pcs[ready.trailing_zeros() as usize];
+    let mut split = ready & lanes_at(pcs, first);
+    if split == ready {
+        // Converged: one candidate, nothing to gather or sort. The
+        // scheduler is still consulted: the production scheduler
+        // historically drew from its RNG here, and the byte-identity
+        // contract preserves every draw.
+        if its && !runs_eagerly(first) {
+            let _ = sched.choose_pc(1);
         }
-    }
-    if out.is_empty() {
-        return false;
-    }
-    let chosen_pc = match mode {
-        ExecMode::Lockstep => out
-            .iter()
-            .map(|&l| block.threads[warp_base + l].pc)
-            .min()
-            .unwrap(),
-        ExecMode::Its => {
-            pcs.clear();
-            pcs.extend(out.iter().map(|&l| block.threads[warp_base + l].pc));
-            pcs.sort_unstable();
-            pcs.dedup();
-            // Eager mode: the lowest invisible PC runs deterministically —
-            // no decision, no branch in the enumeration tree.
-            let eager_pc = if eager {
-                pcs.iter()
-                    .copied()
-                    .find(|&p| !instr_is_visible(&code[p].instr))
-            } else {
-                None
-            };
-            match eager_pc {
-                Some(p) => p,
-                // Consulted even for a single candidate: the production
-                // scheduler historically drew from its RNG here, and the
-                // byte-identity contract preserves every draw.
-                None => pcs[sched.choose_pc(pcs.len()).min(pcs.len() - 1)],
+    } else {
+        let chosen = if its {
+            let mut sorted = [0u32; WARP_SIZE];
+            let mut n = 0;
+            for_lanes(ready, |l| {
+                sorted[n] = pcs[l];
+                n += 1;
+            });
+            sorted[..n].sort_unstable();
+            let mut distinct = 1;
+            for i in 1..n {
+                if sorted[i] != sorted[distinct - 1] {
+                    sorted[distinct] = sorted[i];
+                    distinct += 1;
+                }
             }
-        }
-    };
-    out.retain(|&l| block.threads[warp_base + l].pc == chosen_pc);
+            let candidates = &sorted[..distinct];
+            match candidates.iter().copied().find(|&p| runs_eagerly(p)) {
+                Some(p) => p,
+                None => candidates[sched.choose_pc(distinct).min(distinct - 1)],
+            }
+        } else {
+            // Lockstep: the split at the minimum PC, so diverged lanes
+            // reconverge eagerly.
+            let mut min = u32::MAX;
+            for_lanes(ready, |l| min = min.min(pcs[l]));
+            min
+        };
+        split = ready & lanes_at(pcs, chosen);
+    }
     // Under ITS, converged threads may split apart at any time. Eager mode
     // skips subdivision: the oracle's completeness argument covers intact
     // splits only, and skipping keeps eager traces free of filler tokens.
-    if mode == ExecMode::Its && out.len() > 1 && !eager {
-        if let Some((start, keep)) = sched.choose_subdivision(out.len()) {
-            let keep = keep.clamp(1, out.len() - 1);
-            let start = start.min(out.len() - keep);
-            out.drain(..start);
-            out.truncate(keep);
+    let len = split.count_ones() as usize;
+    if its && len > 1 && !eager {
+        if let Some((start, keep)) = sched.choose_subdivision(len) {
+            let keep = keep.clamp(1, len - 1);
+            let start = start.min(len - keep);
+            // Keep the set bits of rank `start..start + keep`.
+            let mut rest = split;
+            for _ in 0..start {
+                rest &= rest - 1;
+            }
+            split = 0;
+            for _ in 0..keep {
+                split |= rest & rest.wrapping_neg();
+                rest &= rest - 1;
+            }
         }
     }
-    true
+    split
 }
 
-/// Releases the block barrier if every live thread has arrived.
-/// Returns true if a release happened.
-fn release_block_barrier(block: &mut Block) -> bool {
-    let mut any_waiting = false;
-    for t in &block.threads {
-        match t.status {
-            Status::AtBlockBar => any_waiting = true,
-            Status::Exited => {}
-            _ => return false,
-        }
+/// A register row, or an immediate in every lane.
+fn operand(regs: &[Row], o: Operand) -> Row {
+    match o {
+        Operand::Reg(r) => regs[r.0 as usize],
+        Operand::Imm(v) => [v; WARP_SIZE],
     }
-    if !any_waiting {
-        return false;
-    }
-    for t in &mut block.threads {
-        if t.status == Status::AtBlockBar {
-            t.status = Status::Ready;
-        }
-    }
-    true
-}
-
-/// Releases warp `warp_base/WARP_SIZE`'s warp barrier if every live lane has
-/// arrived. Returns true if a release happened.
-fn release_warp_barrier(block: &mut Block, warp_base: usize, block_dim: usize) -> bool {
-    let end = (warp_base + WARP_SIZE).min(block_dim);
-    let mut any_waiting = false;
-    for t in &block.threads[warp_base..end] {
-        match t.status {
-            Status::AtWarpBar => any_waiting = true,
-            Status::Exited => {}
-            _ => return false,
-        }
-    }
-    if !any_waiting {
-        return false;
-    }
-    for t in &mut block.threads[warp_base..end] {
-        if t.status == Status::AtWarpBar {
-            t.status = Status::Ready;
-        }
-    }
-    true
 }
 
 /// Computes each participating lane's effective address into the reused
-/// `out` scratch buffer.
-fn gather_lanes(
-    block: &Block,
-    warp_base: usize,
-    lanes: &[usize],
-    addr: Reg,
-    offset: i32,
-    out: &mut Vec<LaneAccess>,
-) {
+/// `out` scratch buffer, ascending by lane.
+fn gather_accesses(split: u32, warp_base: u32, base: &Row, offset: i32, out: &mut Vec<LaneAccess>) {
     out.clear();
-    out.extend(lanes.iter().map(|&l| {
-        let t = &block.threads[warp_base + l];
-        LaneAccess {
+    for_lanes(split, |l| {
+        out.push(LaneAccess {
             lane: l as u32,
-            tid_in_block: (warp_base + l) as u32,
-            addr: effective_addr(t.get(addr), offset),
-        }
-    }));
-}
-
-fn effective_addr(base: u32, offset: i32) -> u32 {
-    base.wrapping_add(offset as u32)
+            tid_in_block: warp_base + l as u32,
+            addr: base[l].wrapping_add(offset as u32),
+        });
+    });
 }
 
 fn load_shared(shared: &[u32], addr: u32) -> Result<u32, SimError> {
@@ -1328,32 +1190,402 @@ fn store_shared(shared: &mut [u32], addr: u32, v: u32) -> Result<(), SimError> {
     }
 }
 
-fn eval_alu(op: AluOp, a: u32, b: u32) -> Option<u32> {
-    Some(match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => a.checked_div(b)?,
-        AluOp::Rem => a.checked_rem(b)?,
-        AluOp::Min => a.min(b),
-        AluOp::Max => a.max(b),
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a.wrapping_shl(b),
-        AluOp::Shr => a.wrapping_shr(b),
-    })
+/// `out[l] = a[l] <op> b[l]` over the lanes of `split`, dispatched once
+/// per split; false (and nothing written) if an active lane divides by
+/// zero.
+fn alu_lanes(op: AluOp, split: u32, a: &Row, b: &Row, out: &mut Row) -> bool {
+    macro_rules! lanes {
+        ($f:expr) => {
+            for_lanes(split, |l| out[l] = $f(a[l], b[l]))
+        };
+    }
+    match op {
+        AluOp::Add => lanes!(u32::wrapping_add),
+        AluOp::Sub => lanes!(u32::wrapping_sub),
+        AluOp::Mul => lanes!(u32::wrapping_mul),
+        AluOp::Div | AluOp::Rem => {
+            let mut by_zero = false;
+            for_lanes(split, |l| by_zero |= b[l] == 0);
+            if by_zero {
+                return false;
+            }
+            if op == AluOp::Div {
+                lanes!(|x, y| x / y);
+            } else {
+                lanes!(|x, y| x % y);
+            }
+        }
+        AluOp::Min => lanes!(u32::min),
+        AluOp::Max => lanes!(u32::max),
+        AluOp::And => lanes!(|x, y| x & y),
+        AluOp::Or => lanes!(|x, y| x | y),
+        AluOp::Xor => lanes!(|x, y| x ^ y),
+        AluOp::Shl => lanes!(u32::wrapping_shl),
+        AluOp::Shr => lanes!(u32::wrapping_shr),
+    }
+    true
 }
 
-fn eval_cmp(op: CmpOp, a: u32, b: u32) -> bool {
+/// `out[l] = (a[l] <op> b[l]) as u32` over the lanes of `split`.
+fn cmp_lanes(op: CmpOp, split: u32, a: &Row, b: &Row, out: &mut Row) {
+    macro_rules! lanes {
+        ($f:expr) => {
+            for_lanes(split, |l| out[l] = u32::from($f(a[l], b[l])))
+        };
+    }
     match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::SLt => (a as i32) < (b as i32),
-        CmpOp::SGt => (a as i32) > (b as i32),
+        CmpOp::Eq => lanes!(|x, y| x == y),
+        CmpOp::Ne => lanes!(|x, y| x != y),
+        CmpOp::Lt => lanes!(|x, y| x < y),
+        CmpOp::Le => lanes!(|x, y| x <= y),
+        CmpOp::Gt => lanes!(|x, y| x > y),
+        CmpOp::Ge => lanes!(|x, y| x >= y),
+        CmpOp::SLt => lanes!(|x: u32, y: u32| (x as i32) < (y as i32)),
+        CmpOp::SGt => lanes!(|x: u32, y: u32| (x as i32) > (y as i32)),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::asm::KernelBuilder;
+    use crate::hook::NullHook;
+    use proptest::prelude::*;
+
+    /// A lane's state as the per-thread machine of PR 14 kept it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum LaneState {
+        Ready,
+        AtBlockBar,
+        AtWarpBar,
+        Exited,
+    }
+
+    /// The `Vec`-based split choice the mask `pick_split` replaced, kept
+    /// verbatim as the reference: gather the ready lanes, sort and dedup
+    /// their pcs, choose, retain, subdivide by draining.
+    fn reference_pick_split(
+        threads: &[(LaneState, usize)],
+        mode: ExecMode,
+        sched: &mut dyn Scheduler,
+        eager: bool,
+        code: &[Decoded],
+    ) -> Vec<usize> {
+        let mut out: Vec<usize> = (0..threads.len())
+            .filter(|&l| threads[l].0 == LaneState::Ready)
+            .collect();
+        if out.is_empty() {
+            return out;
+        }
+        let chosen_pc = match mode {
+            ExecMode::Lockstep => out.iter().map(|&l| threads[l].1).min().unwrap(),
+            ExecMode::Its => {
+                let mut pcs: Vec<usize> = out.iter().map(|&l| threads[l].1).collect();
+                pcs.sort_unstable();
+                pcs.dedup();
+                let eager_pc = if eager {
+                    pcs.iter()
+                        .copied()
+                        .find(|&p| !instr_is_visible(&code[p].instr))
+                } else {
+                    None
+                };
+                match eager_pc {
+                    Some(p) => p,
+                    None => pcs[sched.choose_pc(pcs.len()).min(pcs.len() - 1)],
+                }
+            }
+        };
+        out.retain(|&l| threads[l].1 == chosen_pc);
+        if mode == ExecMode::Its && out.len() > 1 && !eager {
+            if let Some((start, keep)) = sched.choose_subdivision(out.len()) {
+                let keep = keep.clamp(1, out.len() - 1);
+                let start = start.min(out.len() - keep);
+                out.drain(..start);
+                out.truncate(keep);
+            }
+        }
+        out
+    }
+
+    /// Answers from a seeded stream — in and out of range, so the clamps
+    /// are exercised — and records every question it is asked.
+    struct Scripted {
+        rng: proptest::TestRng,
+        calls: Vec<(&'static str, usize)>,
+    }
+
+    impl Scripted {
+        fn new(seed: u64) -> Self {
+            Scripted {
+                rng: proptest::TestRng::from_seed(seed),
+                calls: Vec::new(),
+            }
+        }
+    }
+
+    impl Scheduler for Scripted {
+        fn begin_launch(&mut self, _ctx: &LaunchContext) {}
+
+        fn choose_pc(&mut self, n: usize) -> usize {
+            self.calls.push(("pc", n));
+            self.rng.below(n as u64 + 2) as usize
+        }
+
+        fn choose_subdivision(&mut self, len: usize) -> Option<(usize, usize)> {
+            self.calls.push(("subdivision", len));
+            let (start, keep) = (self.rng.below(40), self.rng.below(40));
+            (self.rng.below(3) > 0).then_some((start as usize, keep as usize))
+        }
+    }
+
+    /// Eight pcs, visible and invisible interleaved.
+    fn mixed_code() -> Vec<Decoded> {
+        let ld = Instr::Ld {
+            rd: crate::ir::Reg(0),
+            addr: crate::ir::Reg(1),
+            offset: 0,
+            space: Space::Global,
+            volatile: false,
+        };
+        let code = [ld, Instr::Nop, ld, ld, Instr::BarSync, ld, Instr::Exit, ld];
+        predecode(&code, &CostModel::default())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The mask `pick_split` picks the lanes the `Vec` one picked and
+        /// asks the scheduler the same questions in the same order, in
+        /// ITS, lockstep and eager modes.
+        #[test]
+        fn mask_pick_split_matches_the_vec_reference(
+            lanes in prop::collection::vec((0u32..6, 0usize..8), 1..WARP_SIZE + 1),
+            // 1 makes every lane share a pc (the converged fast path).
+            spread in 1usize..9,
+            its in any::<bool>(),
+            eager in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let code = mixed_code();
+            let mode = if its { ExecMode::Its } else { ExecMode::Lockstep };
+            let threads: Vec<(LaneState, usize)> = lanes
+                .iter()
+                .map(|&(s, pc)| {
+                    let status = match s {
+                        0 => LaneState::AtBlockBar,
+                        1 => LaneState::AtWarpBar,
+                        2 => LaneState::Exited,
+                        _ => LaneState::Ready,
+                    };
+                    (status, lanes[0].1 + pc % spread)
+                })
+                .map(|(s, pc)| (s, pc % code.len()))
+                .collect();
+            let mut ready = 0u32;
+            // Lanes past a partial warp's end keep whatever pc they had.
+            let mut pcs = [7u32; WARP_SIZE];
+            for (l, &(status, pc)) in threads.iter().enumerate() {
+                ready |= u32::from(status == LaneState::Ready) << l;
+                pcs[l] = pc as u32;
+            }
+
+            let mut want_sched = Scripted::new(seed);
+            let want = reference_pick_split(&threads, mode, &mut want_sched, eager, &code);
+            let mut got_sched = Scripted::new(seed);
+            let got = pick_split(ready, &pcs, mode, &mut got_sched, eager, &code);
+
+            let want_mask = want.iter().fold(0u32, |m, &l| m | 1 << l);
+            prop_assert_eq!(got, want_mask, "lanes differ");
+            prop_assert_eq!(got_sched.calls, want_sched.calls, "scheduler calls differ");
+        }
+    }
+
+    /// Counts barrier releases.
+    #[derive(Default)]
+    struct Releases {
+        block: u32,
+        warp: u32,
+    }
+
+    impl Hook for Releases {
+        fn on_sync(&mut self, e: &SyncEvent<'_>, _clock: &mut Clock) {
+            match e {
+                SyncEvent::BlockBarrier { .. } => self.block += 1,
+                SyncEvent::WarpBarrier { .. } => self.warp += 1,
+                SyncEvent::Fence { .. } => {}
+            }
+        }
+    }
+
+    fn gpu(mode: ExecMode, seed: u64) -> Gpu {
+        Gpu::new(GpuConfig {
+            mem_words: 1 << 14,
+            mode,
+            seed,
+            ..GpuConfig::default()
+        })
+    }
+
+    const MODES: [(ExecMode, u64); 4] = [
+        (ExecMode::Lockstep, 0),
+        (ExecMode::Its, 1),
+        (ExecMode::Its, 2),
+        (ExecMode::Its, 3),
+    ];
+
+    /// Every thread passes a block barrier and a warp barrier, then
+    /// records its lane id + 1 at `out[gtid]`.
+    fn barrier_then_store() -> Kernel {
+        let mut b = KernelBuilder::new("barrier_then_store");
+        let out = b.param(0);
+        let g = b.special(Special::GlobalTid);
+        let lane = b.special(Special::LaneId);
+        b.syncthreads();
+        b.syncwarp();
+        let off = b.mul(g, 4u32);
+        let a = b.add(out, off);
+        let v = b.add(lane, 1u32);
+        b.st(a, 0, v);
+        b.build()
+    }
+
+    #[test]
+    fn partial_last_warp_runs_only_its_live_lanes() {
+        for block_dim in [1u32, 33] {
+            for (mode, seed) in MODES {
+                let mut gpu = gpu(mode, seed);
+                let grid = 3;
+                let n = (grid * block_dim) as usize;
+                let out = gpu.alloc(n + 64).unwrap();
+                let k = barrier_then_store();
+                let mut hook = Releases::default();
+                let stats = gpu.launch(&k, grid, block_dim, &[out], &mut hook).unwrap();
+                let want: Vec<u32> = (0..n as u32).map(|i| (i % block_dim) % 32 + 1).collect();
+                assert_eq!(
+                    gpu.read_slice(out, n),
+                    want,
+                    "block_dim {block_dim} {mode:?}"
+                );
+                // Lanes beyond `block_dim` never ran: nothing past `n`.
+                assert_eq!(gpu.read_slice(out, n + 64)[n..], [0; 64]);
+                assert_eq!(stats.lane_instrs, k.code.len() as u64 * n as u64);
+                assert_eq!(hook.block, grid);
+                assert_eq!(hook.warp, grid * block_dim.div_ceil(32));
+            }
+        }
+    }
+
+    /// Threads with `tid < quitters` leave without reaching the barrier;
+    /// with `late`, they leave after the others have arrived, so the exit
+    /// is what releases the barrier.
+    fn barrier_with_quitters(quitters: u32, warp_level: bool, late: bool) -> Kernel {
+        let mut b = KernelBuilder::new("barrier_with_quitters");
+        let out = b.param(0);
+        let tid = b.special(Special::Tid);
+        let quits = b.lt(tid, quitters);
+        let quit_l = b.fwd_label();
+        let wait_l = b.fwd_label();
+        // Lockstep runs the lowest pc first: place the quitters' path
+        // after the barrier to make them late, before it to make them
+        // early.
+        if late {
+            b.bra_if(quits, quit_l);
+        } else {
+            b.bra_ifnot(quits, wait_l);
+            b.exit();
+        }
+        b.bind(wait_l);
+        if warp_level {
+            b.syncwarp();
+        } else {
+            b.syncthreads();
+        }
+        let off = b.mul(tid, 4u32);
+        let a = b.add(out, off);
+        let one = b.imm(1);
+        b.st(a, 0, one);
+        b.exit();
+        b.bind(quit_l);
+        b.exit();
+        b.build()
+    }
+
+    #[test]
+    fn barriers_release_when_the_missing_lanes_have_exited() {
+        let (block_dim, quitters) = (96u32, 40u32);
+        for warp_level in [false, true] {
+            for late in [false, true] {
+                for (mode, seed) in MODES {
+                    let mut gpu = gpu(mode, seed);
+                    let out = gpu.alloc(block_dim as usize).unwrap();
+                    let k = barrier_with_quitters(quitters, warp_level, late);
+                    let mut hook = Releases::default();
+                    gpu.launch(&k, 1, block_dim, &[out], &mut hook)
+                        .unwrap_or_else(|e| panic!("warp {warp_level} late {late} {mode:?}: {e}"));
+                    let want: Vec<u32> = (0..block_dim).map(|t| u32::from(t >= quitters)).collect();
+                    assert_eq!(gpu.read_slice(out, block_dim as usize), want);
+                    if warp_level {
+                        // Warp 0 exits whole; warps 1 (partly) and 2 wait.
+                        assert!(hook.warp >= 2, "warp barriers released: {}", hook.warp);
+                        assert_eq!(hook.block, 0);
+                    } else {
+                        assert_eq!(hook.block, 1, "late {late} {mode:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_barrier_spans_a_1024_thread_block() {
+        // Each thread publishes to the scratchpad, then reads its right
+        // neighbour's slot across the barrier: 32 warps, one release each
+        // of two rounds.
+        let mut b = KernelBuilder::new("rotate_1024");
+        b.shared(1024);
+        let out = b.param(0);
+        let tid = b.special(Special::Tid);
+        let soff = b.mul(tid, 4u32);
+        b.st_shared(soff, 0, tid);
+        b.syncthreads();
+        let next = b.add(tid, 1u32);
+        let wrapped = b.rem(next, 1024u32);
+        let noff = b.mul(wrapped, 4u32);
+        let v = b.ld_shared(noff, 0);
+        b.syncthreads();
+        let g = b.special(Special::GlobalTid);
+        let goff = b.mul(g, 4u32);
+        let a = b.add(out, goff);
+        b.st(a, 0, v);
+        let k = b.build();
+        for (mode, seed) in MODES {
+            let mut gpu = gpu(mode, seed);
+            let out = gpu.alloc(2048).unwrap();
+            let mut hook = Releases::default();
+            gpu.launch(&k, 2, 1024, &[out], &mut hook).unwrap();
+            let want: Vec<u32> = (0..2048u32).map(|i| (i % 1024 + 1) % 1024).collect();
+            assert!(gpu.read_slice(out, 2048) == want, "{mode:?}");
+            assert_eq!(hook.block, 4);
+        }
+    }
+
+    #[test]
+    fn launch_geometry_overflow_is_a_bad_launch() {
+        let k = barrier_then_store();
+        let mut gpu = gpu(ExecMode::Its, 0);
+        // `grid * block` overflows; `grid * warps_per_block` (2^27) fits.
+        let threads = gpu.launch(&k, 1 << 22, 1024, &[0], &mut NullHook);
+        assert!(
+            matches!(threads, Err(SimError::BadLaunch { .. })),
+            "{threads:?}"
+        );
+        // Both products overflow (33 threads round up to two warps).
+        let warps = gpu.launch(&k, 1 << 31, 33, &[0], &mut NullHook);
+        assert!(
+            matches!(warps, Err(SimError::BadLaunch { .. })),
+            "{warps:?}"
+        );
     }
 }

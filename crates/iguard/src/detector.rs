@@ -363,22 +363,34 @@ impl Iguard {
             clock,
             verify,
         };
-        for la in lanes {
-            let word = la.addr / 4;
-            let lane = LaneCtx {
-                word: word >> shard_shift,
-                addr: la.addr,
-                snap: AccessorInfo {
-                    warp_id: warp,
-                    lane: la.lane,
-                    dev_fence: dev_fences[la.lane as usize],
-                    blk_fence: blk_fences[la.lane as usize],
-                    blk_bar,
-                    warp_bar,
-                },
-                lock_summary: warp_locks.unwrap_or_else(|| locks.summary(la.lane)),
-            };
-            self.engines[word as usize & shard_mask].process(&split, &lane, sync, &mut sink);
+        let lane_ctx = |la: &LaneAccess, word: u32| LaneCtx {
+            word,
+            addr: la.addr,
+            snap: AccessorInfo {
+                warp_id: warp,
+                lane: la.lane,
+                dev_fence: dev_fences[la.lane as usize],
+                blk_fence: blk_fences[la.lane as usize],
+                blk_bar,
+                warp_bar,
+            },
+            lock_summary: warp_locks.unwrap_or_else(|| locks.summary(la.lane)),
+        };
+        if let [engine] = &mut self.engines[..] {
+            // One shard: every word is this engine's, borrowed once.
+            for la in lanes {
+                engine.process(&split, &lane_ctx(la, la.addr / 4), sync, &mut sink);
+            }
+        } else {
+            for la in lanes {
+                let word = la.addr / 4;
+                self.engines[word as usize & shard_mask].process(
+                    &split,
+                    &lane_ctx(la, word >> shard_shift),
+                    sync,
+                    &mut sink,
+                );
+            }
         }
     }
 
@@ -594,7 +606,10 @@ impl Iguard {
             // lock; lanes on distinct entries proceed in parallel. Charge
             // the intra-warp serialization the coalescing optimization
             // exists to remove.
-            if access.lanes.len() > 1 {
+            // Ascending words (a unit-stride split, the common shape)
+            // are distinct: nothing to sort, nothing serializes.
+            let ascending = access.lanes.windows(2).all(|w| w[0].addr / 4 < w[1].addr / 4);
+            if !ascending {
                 self.scratch_words.clear();
                 self.scratch_words
                     .extend(access.lanes.iter().map(|l| l.addr / 4));

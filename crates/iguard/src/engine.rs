@@ -113,6 +113,7 @@ impl ContentionTable {
     /// preallocation — without zeroing tens of megabytes per detector for
     /// the device's whole address space. Fresh slots get epoch 0, which
     /// never equals the live epoch.
+    #[inline]
     fn update(&mut self, word: u32, warp: u32, step: u64, window: u64) -> u32 {
         let slot = word as usize & self.mask;
         if slot >= self.slots.len() {
@@ -398,6 +399,11 @@ impl Engine {
     /// Only the *serializing* components charge cycles here — UVM faults
     /// and metadata-lock contention; the data-parallel part of the check
     /// is charged once per warp split by the front half.
+    ///
+    /// Inlined into the front half's lane loop, with the table accessors
+    /// it calls, so what a split's lanes share stays in registers; the
+    /// decoded check is the cold few per cent and stays a call.
+    #[inline(always)]
     pub fn process(
         &mut self,
         split: &SplitCtx<'_, '_>,
@@ -488,6 +494,7 @@ impl Engine {
     /// The accesses P1–P3 cannot decide: P4–P6, then R1–R5 (and the
     /// history ring) over the decoded entry. Reports a race if one is
     /// found; returns the preliminary condition that held, if any.
+    #[inline(never)]
     fn check_decoded(
         &self,
         split: &SplitCtx<'_, '_>,
@@ -558,6 +565,7 @@ impl Engine {
         }
     }
 
+    #[inline]
     fn push_history(&mut self, word: u32, info: AccessorInfo, locks: u16) {
         if self.history.depth <= 1 {
             return;

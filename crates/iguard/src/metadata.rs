@@ -226,18 +226,21 @@ impl MetadataTable {
         self.uvm.stats()
     }
 
+    #[inline]
     fn slot(&self, word_idx: u32) -> usize {
         word_idx as usize & self.slot_mask
     }
 
     /// The tag of `word_idx`, in place at the top of the accessor word
     /// (the shift drops all but its low `TAG_BITS` bits).
+    #[inline]
     fn tag(&self, word_idx: u32) -> u64 {
         (u64::from(word_idx) >> self.tag_shift) << TAG_SHIFT
     }
 
     /// Loads the raw words for `word_idx`, touching its UVM page.
     #[must_use]
+    #[inline(always)]
     pub fn load(&mut self, word_idx: u32) -> MetaLoad {
         let mut off = u64::from(word_idx) * ENTRY_BYTES * self.addr_scale;
         if off >= self.uvm.len_bytes() {
@@ -290,6 +293,7 @@ impl MetadataTable {
     /// storage grows to the touched high-water mark; fresh slots carry
     /// epoch 0 and all-zero words, which `load` reads as a first access
     /// whether or not 0 is the live epoch.
+    #[inline(always)]
     pub fn store(&mut self, word_idx: u32, acc: u64, wr: u64) {
         let slot = self.slot(word_idx);
         if slot >= self.slots.len() {

@@ -21,7 +21,7 @@
 //! relying on integer reasoning, and any coefficient overflowing `i64`
 //! range during transfer collapses to `Top`.
 
-use gpu_sim::ir::{AluOp, Instr, Operand, Reg, Special, NUM_REGS};
+use gpu_sim::ir::{AluOp, Instr, Operand, Reg, Special};
 use gpu_sim::kernel::Kernel;
 
 /// A linear form `[param] + k_tid·tid + k_bb·(blockId·blockDim) + off`.
@@ -294,7 +294,7 @@ pub fn run(kernel: &Kernel) -> Dataflow {
     let mut in_states: Vec<Option<State>> = vec![None; n];
     // Registers are zero-initialized by the machine, so the entry state is
     // the exact constant 0 everywhere.
-    in_states[0] = Some(vec![AbsVal::Lin(Lin::constant(0)); NUM_REGS]);
+    in_states[0] = Some(vec![AbsVal::Lin(Lin::constant(0)); kernel.num_regs()]);
     let mut work: Vec<usize> = vec![0];
     let mut on_work = vec![false; n];
     on_work[0] = true;

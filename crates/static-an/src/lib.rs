@@ -773,4 +773,57 @@ mod tests {
         assert!(c.all_mem_safe());
         assert_eq!(c.prune_rate(), 0.0);
     }
+    /// `Reg` wraps a `u8`, so a raw instruction stream can name r255 —
+    /// one past what `KernelBuilder` allocates. Both the machine's
+    /// register file and the abstract state are sized by the kernel, so
+    /// the case runs instead of indexing out of bounds.
+    #[test]
+    fn raw_kernel_naming_r255_launches_and_analyzes() {
+        use gpu_sim::ir::{AluOp, Instr, Operand, Reg, Space};
+        use gpu_sim::prelude::{Gpu, GpuConfig, NullHook};
+
+        let (base, top) = (Reg(0), Reg(255));
+        let code = vec![
+            Instr::Param { rd: base, idx: 0 },
+            Instr::Read {
+                rd: top,
+                sp: Special::GlobalTid,
+            },
+            Instr::Alu {
+                op: AluOp::Mul,
+                rd: top,
+                ra: top,
+                b: Operand::Imm(4),
+            },
+            Instr::Alu {
+                op: AluOp::Add,
+                rd: top,
+                ra: top,
+                b: Operand::Reg(base),
+            },
+            Instr::St {
+                addr: top,
+                offset: 0,
+                val: top,
+                space: Space::Global,
+                volatile: false,
+            },
+            Instr::Exit,
+        ];
+        let k = Kernel::new("r255", code, 0);
+        assert_eq!(k.num_regs(), 256);
+
+        let mut gpu = Gpu::new(GpuConfig {
+            mem_words: 1 << 12,
+            ..GpuConfig::default()
+        });
+        let buf = gpu.alloc(40).unwrap();
+        gpu.launch(&k, 1, 40, &[buf], &mut NullHook).unwrap();
+        let want: Vec<u32> = (0..40).map(|i| buf + 4 * i).collect();
+        assert_eq!(gpu.read_slice(buf, 40), want);
+
+        let c = analyze(&k);
+        assert_eq!(c.mem_points, 1);
+        assert!(c.all_mem_safe(), "own-cell store is thread-private");
+    }
 }
