@@ -11,14 +11,21 @@
 # (prune rates in [0,1], safe+racy+unknown == mem points,
 # dispatched+skipped == total accesses, host-gated speedup fields).
 # With --perf, additionally runs the perf tier: the shard-determinism
-# suite, the two hot-path identity tests — `counter_identity` (every
-# `IguardStats` field, the metadata `UvmStats` and the raw Detection cycle
-# pools of the benchmark's detector traffic) and `schedule_digest` (a
-# hook-level digest of every memory access and sync event the interpreter
-# delivers, with its launch counters and simulated clock, over the zoo
-# under ITS and lockstep at three seeds plus the benchmark's detector
-# members and stencil rungs) — each against a recorded table, so a
-# hot-path edit that moves a counter or a scheduling decision fails here
+# suite and the three recorded tables of the hot paths —
+# `counter_identity` pins what the detector counts (every `IguardStats`
+# field, the metadata `UvmStats` and the raw Detection cycle pools of the
+# benchmark's detector traffic, under one and four shards, a capacity
+# cap, a history ring, scaled addresses and an armed fault plane);
+# `schedule_digest` pins what the interpreter delivers (a hook-level
+# digest of every memory access and sync event, with its launch counters
+# and simulated clock, over the zoo under ITS and lockstep at three seeds
+# plus the benchmark's detector members and stencil rungs); `split_shapes`
+# pins what that traffic looks like (per benchmark member, the
+# global-memory splits and lanes that are single-lane, uniform, rows on
+# consecutive words — contiguous or gapped mask — or anything else: the
+# premise of the detector's row path) — so a hot-path edit that moves a
+# counter or a scheduling decision, or a workload edit that moves the
+# traffic the fast paths were built for, fails here
 # rather than in a benchmark run (`benches/detector_hot_path.rs` and
 # `benches/interpreter_hot_path.rs` themselves are compiled by the tier-1
 # `clippy --all-targets` — the vendored criterion shim has no `--test`
@@ -111,6 +118,8 @@ if [[ "$PERF" -eq 1 ]]; then
   cargo test -q -p bench --release --test counter_identity
   echo "== interpreter schedule digest (--perf) =="
   cargo test -q -p bench --release --test schedule_digest
+  echo "== benchmark split shapes (--perf) =="
+  cargo test -q -p bench --release --test split_shapes
   echo "== perf smoke (--perf) =="
   cargo run --release -p bench --bin perf -- --quick --no-progress
   echo "== perf JSON validation (--perf) =="

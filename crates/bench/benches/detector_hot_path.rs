@@ -293,16 +293,31 @@ impl SplitDriver {
     /// One full-warp split by `warp` over 32 consecutive words, lane `i`
     /// on word `first_word + i`.
     fn split(&mut self, warp: u32, kind: AccessKind, first_word: u32) {
+        self.split_shaped(warp, kind, first_word, 1, 1);
+    }
+
+    /// One split by every `lane_step`-th lane of `warp`, lane `i` on word
+    /// `first_word + i * word_stride`.
+    fn split_shaped(
+        &mut self,
+        warp: u32,
+        kind: AccessKind,
+        first_word: u32,
+        lane_step: usize,
+        word_stride: u32,
+    ) {
         let mut lanes = [LaneAccess {
             lane: 0,
             tid_in_block: 0,
             addr: 0,
         }; 32];
-        for (i, l) in lanes.iter_mut().enumerate() {
-            l.lane = i as u32;
-            l.tid_in_block = (warp % 4) * 32 + i as u32;
-            l.addr = (first_word + i as u32) * 4;
+        let active = 32usize.div_ceil(lane_step);
+        for (l, i) in lanes.iter_mut().zip((0..32u32).step_by(lane_step)) {
+            l.lane = i;
+            l.tid_in_block = (warp % 4) * 32 + i;
+            l.addr = (first_word + i * word_stride) * 4;
         }
+        let lanes = &lanes[..active];
         self.step += 1;
         let access = MemAccess {
             kernel: &self.kernel,
@@ -312,40 +327,67 @@ impl SplitDriver {
             block_id: warp / 4,
             warp_in_block: warp % 4,
             global_warp: warp,
-            active_mask: u32::MAX,
+            active_mask: lanes.iter().fold(0, |m, l| m | 1 << l.lane),
             volatile: false,
-            lanes: &lanes,
+            lanes,
             warps_per_block: 4,
             sm: 0,
             step: self.step,
         };
         self.det.on_mem(black_box(&access), &mut self.clock);
     }
+
+    /// interac's round — every thread loads, then stores, its own cell —
+    /// by the next warp in turn, in the given split shape.
+    fn own_cell_round(&mut self, lane_step: usize, word_stride: u32) {
+        let warp = self.step as u32 / 2 % SPLIT_WARPS;
+        let first_word = warp * 32 * word_stride;
+        self.split_shaped(warp, AccessKind::Load, first_word, lane_step, word_stride);
+        self.split_shaped(warp, AccessKind::Store, first_word, lane_step, word_stride);
+    }
+
+    /// After rounds of own-cell traffic P3 decides nearly everything.
+    fn assert_p3_dominates(&self) {
+        let hits = self.det.stats().safe_hits;
+        assert!(
+            hits[2] > 9 * (hits[0] + hits[1]),
+            "P3 must dominate: {hits:?}"
+        );
+        assert_eq!(self.det.unique_races(), 0);
+    }
 }
 
-/// The two split shapes that carry the benchmark's detector traffic,
-/// timed per lane.
+/// The split shapes that carry the benchmark's detector traffic, and the
+/// one the row path does not take, timed per lane.
 fn bench_split_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("detector_split");
 
     // interac's shape: every thread loads, then stores, its own cell, over
     // and over — after the first round each access is decided by P3.
     let mut d = SplitDriver::new();
-    let mut warp = 0;
     group.throughput(Throughput::Elements(64));
     group.bench_function("own_cell_reaccess_p3", |b| {
-        b.iter(|| {
-            d.split(warp, AccessKind::Load, warp * 32);
-            d.split(warp, AccessKind::Store, warp * 32);
-            warp = (warp + 1) % SPLIT_WARPS;
-        });
+        b.iter(|| d.own_cell_round(1, 1));
     });
-    let hits = d.det.stats().safe_hits;
-    assert!(
-        hits[2] > 9 * (hits[0] + hits[1]),
-        "P3 must dominate: {hits:?}"
-    );
-    assert_eq!(d.det.unique_races(), 0);
+    d.assert_p3_dominates();
+
+    // The same traffic from a diverged warp: every other lane active, so
+    // the words are still `base + lane` but the mask has holes.
+    let mut d = SplitDriver::new();
+    group.throughput(Throughput::Elements(32));
+    group.bench_function("gapped_mask_row", |b| {
+        b.iter(|| d.own_cell_round(2, 1));
+    });
+    d.assert_p3_dominates();
+
+    // And at stride 2 — lane `i` on word `base + 2i` — which is not a row:
+    // these lanes go one by one, and must not pay for the row path.
+    let mut d = SplitDriver::new();
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("strided_per_lane", |b| {
+        b.iter(|| d.own_cell_round(1, 2));
+    });
+    d.assert_p3_dominates();
 
     // The stencil's shape: each launch reads three neighbouring source
     // words per thread and writes one destination word — a first touch

@@ -23,6 +23,34 @@ pub const ZOO_DETECT: [&str; 10] = [
     "dwt2d",
 ];
 
+/// `benchmark/src/spec.rs`'s `ZOO_SIM`.
+pub const ZOO_SIM: [&str; 14] = [
+    "1dconv",
+    "graph-con",
+    "rule-110",
+    "uts",
+    "graph-color",
+    "louvain",
+    "pr_nibble",
+    "sm",
+    "color",
+    "mis",
+    "cc",
+    "slabhash_test",
+    "hashtable",
+    "shocbfs",
+];
+
+/// `benchmark/src/spec.rs`'s service `ROTATION` (run at `Size::Test`).
+pub const ROTATION: [&str; 6] = [
+    "reduction",
+    "b_reduce",
+    "graph-color",
+    "d_scan",
+    "hashtable",
+    "matrix-mult",
+];
+
 /// `benchmark/src/spec.rs`'s `LADDER_THREADS` / `LADDER_BLOCK`.
 pub const LADDER_THREADS: [u32; 3] = [1 << 10, 1 << 14, 1 << 17];
 pub const LADDER_BLOCK: u32 = 128;

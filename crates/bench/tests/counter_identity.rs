@@ -8,7 +8,11 @@
 //! raw Detection cycle pools with a table recorded at the commit before
 //! the packed-word engine (PR 14's parent), for one and four address
 //! shards, each with and without a `table_capacity_words` cap (the
-//! aliasing mode `bench --bin pressure` uses).
+//! aliasing mode `bench --bin pressure` uses) — and, recorded at the
+//! commit before the row-at-a-time engine (PR 16's parent), for the three
+//! other shapes that engine hands back to the per-lane path: a history
+//! ring, a scaled metadata address space and an armed fault plane. "Falls
+//! back" has to mean "same counters".
 //!
 //! ```text
 //! GOLDEN_WRITE=1 cargo test -p bench --release --test counter_identity
@@ -20,6 +24,7 @@
 mod common;
 
 use common::{stencil_launches, LADDER_THREADS, ZOO_DETECT};
+use faults::{FaultConfig, FaultSite, RATE_ONE};
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::CostCategory;
 use iguard::{Iguard, IguardConfig};
@@ -30,20 +35,54 @@ use workloads::{Launch, Size};
 const CONFIGS: [(usize, Option<usize>); 4] =
     [(1, None), (4, None), (1, Some(1024)), (4, Some(1024))];
 
+/// The detector shapes beside `(shards, cap)`, as (row label, shards,
+/// configuration).
+fn shapes() -> Vec<(String, usize, IguardConfig)> {
+    let mut shapes: Vec<(String, usize, IguardConfig)> = CONFIGS
+        .iter()
+        .map(|&(shards, cap)| {
+            let cfg = IguardConfig {
+                table_capacity_words: cap,
+                ..IguardConfig::default()
+            };
+            (format!("shards={shards} cap={cap:?}"), shards, cfg)
+        })
+        .collect();
+    let armed = FaultConfig::disabled()
+        .with_seed(7)
+        .with_rate(FaultSite::MetaEviction, RATE_ONE / 64)
+        .with_rate(FaultSite::MetaTagAlias, RATE_ONE / 64)
+        .with_rate(FaultSite::UvmEvictStorm, RATE_ONE / 256);
+    let one_shard = [
+        ("history=4", IguardConfig::with_history(4)),
+        (
+            "addr_scale=4",
+            IguardConfig {
+                addr_scale: 4,
+                ..IguardConfig::default()
+            },
+        ),
+        (
+            "faults=meta+uvm@7",
+            IguardConfig {
+                faults: armed,
+                ..IguardConfig::default()
+            },
+        ),
+    ];
+    shapes.extend(one_shard.map(|(label, cfg)| (label.to_owned(), 1, cfg)));
+    shapes
+}
+
 /// Runs one member under one detector shape and renders every counter.
 fn row(
     name: &str,
     build: &dyn Fn(&mut Gpu) -> Vec<Launch>,
-    shards: usize,
-    cap: Option<usize>,
+    (label, shards, cfg): &(String, usize, IguardConfig),
 ) -> String {
     let mut gpu = Gpu::new(bench::gpu_config(bench::DEFAULT_SEED));
     let launches = build(&mut gpu);
-    let cfg = IguardConfig {
-        table_capacity_words: cap,
-        ..IguardConfig::default()
-    };
-    let mut tool = Instrumented::new(Iguard::with_shards(cfg, shards));
+    let mut tool = Instrumented::new(Iguard::with_shards(cfg.clone(), *shards));
     for l in &launches {
         // A watchdog timeout still leaves every counter deterministic.
         let _ = gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool);
@@ -51,7 +90,7 @@ fn row(
     let det = tool.tool_mut();
     let sites = det.race_sites().len();
     format!(
-        "{name} shards={shards} cap={cap:?} | sites={sites} | {:?} | {:?} | detection={:?}",
+        "{name} {label} | sites={sites} | {:?} | {:?} | detection={:?}",
         det.stats(),
         det.uvm_stats(),
         gpu.clock().raw(CostCategory::Detection),
@@ -60,15 +99,15 @@ fn row(
 
 fn rows() -> Vec<String> {
     let mut out = Vec::new();
-    for (shards, cap) in CONFIGS {
+    for shape in shapes() {
         for name in ZOO_DETECT {
             let w = workloads::by_name(name).expect("workload exists");
-            out.push(row(name, &|gpu| w.build(gpu, Size::Bench), shards, cap));
+            out.push(row(name, &|gpu| w.build(gpu, Size::Bench), &shape));
         }
         for threads in LADDER_THREADS {
             let name = format!("stencil-{}Ki", threads >> 10);
             let build = |gpu: &mut Gpu| stencil_launches(gpu, threads);
-            out.push(row(&name, &build, shards, cap));
+            out.push(row(&name, &build, &shape));
         }
     }
     out

@@ -103,7 +103,7 @@ impl AccessorInfo {
             | (self.warp_bar as u64 & mask(WARP_BAR_BITS))
     }
 
-    fn unpack(w: u64) -> Self {
+    pub(crate) fn unpack(w: u64) -> Self {
         AccessorInfo {
             warp_id: stored_warp(w),
             lane: stored_lane(w),

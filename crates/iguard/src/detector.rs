@@ -318,10 +318,12 @@ impl Iguard {
     /// for a coalesced split): orphan accounting, one capture of the live
     /// state the lanes share (synchronization counters, lock state, the
     /// pruner's verify handle, the sink), then each lane routed to its
-    /// word's engine, which runs the check and reports immediately.
+    /// word's engine, which runs the check and reports immediately — or,
+    /// with one engine and a `row` of lanes, the split handed over whole.
     fn process_split(
         &mut self,
         lanes: &[LaneAccess],
+        row: bool,
         kind: AccessType,
         access: &MemAccess<'_>,
         clock: &mut Clock,
@@ -351,8 +353,15 @@ impl Iguard {
         };
 
         let split = SplitCtx::new(access, kind, clock.profiling());
-        let warp_bar = sync.warp_bar(warp);
         let blk_bar = sync.blk_bar(warp / sync.warps_per_block().max(1));
+        // The snapshot bits every lane of the split shares.
+        let split_snap = AccessorInfo {
+            warp_id: warp,
+            blk_bar,
+            warp_bar: sync.warp_bar(warp),
+            ..AccessorInfo::default()
+        }
+        .pack();
         let (dev_fences, blk_fences) = sync.warp_fences(warp);
         // Until `isThread` escalates every lane holds the warp's locks.
         let warp_locks = (!locks.is_thread()).then(|| locks.summary(0));
@@ -366,18 +375,22 @@ impl Iguard {
         let lane_ctx = |la: &LaneAccess, word: u32| LaneCtx {
             word,
             addr: la.addr,
-            snap: AccessorInfo {
-                warp_id: warp,
-                lane: la.lane,
-                dev_fence: dev_fences[la.lane as usize],
-                blk_fence: blk_fences[la.lane as usize],
-                blk_bar,
-                warp_bar,
-            },
+            snap: split_snap
+                | AccessorInfo {
+                    lane: la.lane,
+                    dev_fence: dev_fences[la.lane as usize],
+                    blk_fence: blk_fences[la.lane as usize],
+                    ..AccessorInfo::default()
+                }
+                .pack(),
             lock_summary: warp_locks.unwrap_or_else(|| locks.summary(la.lane)),
         };
         if let [engine] = &mut self.engines[..] {
-            // One shard: every word is this engine's, borrowed once.
+            // One shard: every word is this engine's, borrowed once. With
+            // more, routing deals a row's words out across the engines.
+            if row && engine.process_row(&split, lanes, lane_ctx, sync, &mut sink) {
+                return;
+            }
             for la in lanes {
                 engine.process(&split, &lane_ctx(la, la.addr / 4), sync, &mut sink);
             }
@@ -592,48 +605,60 @@ impl Iguard {
             self.cfg.check_cost + self.cfg.md_lock_cost,
         );
 
+        // One scan for how the lanes sit on the metadata words: `uniform`
+        // — one address; `row` — `word − lane` constant, i.e. consecutive
+        // words (mask gaps allowed); `ascending` — distinct, increasing.
+        let first = access.lanes[0];
+        let offset = (first.addr / 4).wrapping_sub(first.lane);
+        let (mut uniform, mut row, mut ascending) = (access.lanes.len() > 1, true, true);
+        let mut prev = first.addr / 4;
+        for l in &access.lanes[1..] {
+            let word = l.addr / 4;
+            uniform &= l.addr == first.addr;
+            row &= word.wrapping_sub(l.lane) == offset;
+            ascending &= prev < word;
+            prev = word;
+        }
         // §6.5 optimization 1: same-address loads/atomics of the active
         // lanes cannot race with each other — one lane checks for all.
-        let coalescible = self.cfg.coalescing
-            && !matches!(kind, AccessType::Store)
-            && access.lanes.len() > 1
-            && access.lanes.iter().all(|l| l.addr == access.lanes[0].addr);
-        if coalescible {
+        if uniform && self.cfg.coalescing && !matches!(kind, AccessType::Store) {
             self.stats.coalesced_saved += access.lanes.len() as u64 - 1;
-            self.process_split(&access.lanes[..1], kind, access, clock, verify_safe);
-        } else {
-            // Lanes hitting the *same* metadata entry serialize on its
-            // lock; lanes on distinct entries proceed in parallel. Charge
-            // the intra-warp serialization the coalescing optimization
-            // exists to remove.
-            // Ascending words (a unit-stride split, the common shape)
-            // are distinct: nothing to sort, nothing serializes.
-            let ascending = access.lanes.windows(2).all(|w| w[0].addr / 4 < w[1].addr / 4);
-            if !ascending {
-                self.scratch_words.clear();
-                self.scratch_words
-                    .extend(access.lanes.iter().map(|l| l.addr / 4));
-                self.scratch_words.sort_unstable();
-                self.scratch_words.dedup();
-                let dup = access.lanes.len() - self.scratch_words.len();
-                if dup > 0 {
-                    clock.charge(
-                        CostCategory::Detection,
-                        dup as u64 * (self.cfg.check_cost + self.cfg.md_lock_cost),
-                    );
-                }
-            }
-            self.process_split(access.lanes, kind, access, clock, verify_safe);
+            self.process_split(&access.lanes[..1], true, kind, access, clock, verify_safe);
+            return;
         }
+        // Lanes hitting the *same* metadata entry serialize on its lock;
+        // lanes on distinct entries proceed in parallel. Charge the
+        // intra-warp serialization the coalescing optimization exists to
+        // remove. Ascending words (a unit-stride split, the common shape)
+        // are distinct: nothing to sort, nothing serializes.
+        if !ascending {
+            self.scratch_words.clear();
+            self.scratch_words
+                .extend(access.lanes.iter().map(|l| l.addr / 4));
+            self.scratch_words.sort_unstable();
+            self.scratch_words.dedup();
+            let dup = access.lanes.len() - self.scratch_words.len();
+            if dup > 0 {
+                clock.charge(
+                    CostCategory::Detection,
+                    dup as u64 * (self.cfg.check_cost + self.cfg.md_lock_cost),
+                );
+            }
+        }
+        let row = row && ascending;
+        self.process_split(access.lanes, row, kind, access, clock, verify_safe);
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use faults::{FaultConfig, FaultSite, RATE_ONE};
     use gpu_sim::asm::KernelBuilder;
     use gpu_sim::hook::ExecMode;
     use gpu_sim::kernel::Kernel;
+    use gpu_sim::timing::COST_CATEGORIES;
+    use proptest::prelude::*;
 
     use super::*;
     use crate::bitfield::{Flags, MetadataEntry};
@@ -642,16 +667,17 @@ mod tests {
     use crate::locks::{bloom_bits, lock_hash};
 
     /// Two blocks of two warps; the current access is always by warp 1
-    /// (block 0), lane 3.
+    /// (block 0) — in the one-lane arm by lane 3.
     const WPB: u32 = 2;
     const TOTAL_WARPS: u32 = 4;
     const WARP: u32 = 1;
     const LANE: u32 = 3;
     const ADDR: u32 = 40;
     const PC: usize = 0;
-    /// Stored identities: same thread, same warp other lane, same block
-    /// other warp (same lane number), other block.
-    const IDENTITIES: [(u32, u32); 4] = [(WARP, LANE), (WARP, 5), (0, LANE), (2, LANE)];
+    /// Stored identities, as (warp, lanes above the accessing lane): same
+    /// thread, same warp other lane, same block other warp (same lane
+    /// number), other block.
+    const IDENTITIES: [(u32, u32); 4] = [(WARP, 0), (WARP, 2), (0, 0), (2, 0)];
     /// Lock variables whose Bloom summaries are disjoint (asserted below).
     const LOCK_ADDRS: [Option<u32>; 3] = [None, Some(0x100), Some(0x204)];
     const KINDS: [(AccessKind, bool); 5] = [
@@ -704,6 +730,60 @@ mod tests {
         }
     }
 
+    /// The lane whose access is checked, and the split it arrives in.
+    #[derive(Debug, Clone, Copy)]
+    struct Who {
+        lane: u32,
+        addr: u32,
+        active_mask: u32,
+    }
+
+    const ONE_LANE: Who = Who {
+        lane: LANE,
+        addr: ADDR,
+        active_mask: 1 << LANE,
+    };
+
+    fn mem_access<'a>(
+        k: &'a Kernel,
+        (kind, volatile): (AccessKind, bool),
+        warp: u32,
+        lanes: &'a [LaneAccess],
+        step: u64,
+    ) -> MemAccess<'a> {
+        MemAccess {
+            kernel: k,
+            pc: PC,
+            kind,
+            space: Space::Global,
+            block_id: warp / WPB,
+            warp_in_block: warp % WPB,
+            global_warp: warp,
+            active_mask: lanes.iter().fold(0, |m, l| m | 1 << l.lane),
+            volatile,
+            lanes,
+            warps_per_block: WPB,
+            sm: 0,
+            step,
+        }
+    }
+
+    /// The lanes of `mask`, lane `l` on word `word(l)`.
+    fn lanes_of(warp: u32, mask: u32, word: impl Fn(u32) -> u32) -> Vec<LaneAccess> {
+        (0..32)
+            .filter(|lane| mask >> lane & 1 != 0)
+            .map(|lane| LaneAccess {
+                lane,
+                tid_in_block: (warp % WPB) * 32 + lane,
+                addr: word(lane) * 4,
+            })
+            .collect()
+    }
+
+    fn pools(clock: &Clock) -> [(u64, u64); 6] {
+        COST_CATEGORIES.map(|c| clock.raw(c))
+    }
+
     /// What one access did to one word.
     #[derive(Debug, PartialEq)]
     struct Outcome {
@@ -722,6 +802,7 @@ mod tests {
         k: &Kernel,
         (acc, wr): (u64, u64),
         (access_kind, volatile): (AccessKind, bool),
+        who: Who,
     ) -> Outcome {
         let sync = det.sync.as_ref().unwrap();
         let kind = match access_kind {
@@ -732,8 +813,8 @@ mod tests {
                 scope_block: scope == Scope::Block,
             },
         };
-        let snap = sync.snapshot(WARP, LANE);
-        let locks = det.locks[WARP as usize].summary(LANE);
+        let snap = sync.snapshot(WARP, who.lane);
+        let locks = det.locks[WARP as usize].summary(who.lane);
         let block = WARP / WPB;
         let mut entry = MetadataEntry::unpack(acc, wr);
         let (mut race, mut records) = (None, Vec::new());
@@ -756,9 +837,9 @@ mod tests {
             let mut curr = CurrAccess {
                 kind,
                 warp_id: WARP,
-                lane: LANE,
+                lane: who.lane,
                 block_id: block,
-                active_mask: 1 << LANE,
+                active_mask: who.active_mask,
                 snap,
                 locks,
             };
@@ -773,11 +854,11 @@ mod tests {
                 kernel: k.name.clone(),
                 pc: PC,
                 line: k.line(PC).map(str::to_owned),
-                addr: ADDR,
+                addr: who.addr,
                 kind,
                 access: curr.kind,
                 warp: WARP,
-                lane: LANE,
+                lane: who.lane,
                 block,
                 prev_warp: info.warp_id,
                 prev_lane: info.lane,
@@ -806,30 +887,11 @@ mod tests {
     }
 
     /// Runs the access through `on_mem` and reads back what it did.
-    fn observed(det: &mut Iguard, k: &Kernel, (kind, volatile): (AccessKind, bool)) -> Outcome {
-        let lanes = [LaneAccess {
-            lane: LANE,
-            tid_in_block: (WARP % WPB) * 32 + LANE,
-            addr: ADDR,
-        }];
-        let access = MemAccess {
-            kernel: k,
-            pc: PC,
-            kind,
-            space: Space::Global,
-            block_id: WARP / WPB,
-            warp_in_block: WARP % WPB,
-            global_warp: WARP,
-            active_mask: 1 << LANE,
-            volatile,
-            lanes: &lanes,
-            warps_per_block: WPB,
-            sm: 0,
-            step: 1,
-        };
+    fn observed(det: &mut Iguard, k: &Kernel, kind: (AccessKind, bool)) -> Outcome {
+        let lanes = lanes_of(WARP, 1 << LANE, |_| ADDR / 4);
         let before = det.stats;
         det.reporter = RaceReporter::new(16).unwrap();
-        det.on_mem(&access, &mut Clock::new());
+        det.on_mem(&mem_access(k, kind, WARP, &lanes, 1), &mut Clock::new());
         let moved = |now: &[u64], was: &[u64]| {
             let hits: Vec<usize> = (0..now.len()).filter(|&i| now[i] != was[i]).collect();
             assert!(hits.len() <= 1 && hits.iter().all(|&i| now[i] == was[i] + 1));
@@ -859,13 +921,16 @@ mod tests {
             })
     }
 
-    /// The raw words of a stored state, or `None` when its Valid bit is
-    /// clear: the table only ever holds entries with Valid set, so such a
-    /// state is an untouched word.
-    fn stored_words((bits, accessor, writer, counter, lock): Stored) -> Option<(u64, u64)> {
-        let info = |(warp_id, lane): (u32, u32)| AccessorInfo {
+    /// The raw words of a stored state as the access of `lane` finds it,
+    /// or `None` when its Valid bit is clear: the table only ever holds
+    /// entries with Valid set, so such a state is an untouched word.
+    fn stored_words(
+        (bits, accessor, writer, counter, lock): Stored,
+        lane: u32,
+    ) -> Option<(u64, u64)> {
+        let info = |(warp_id, above): (u32, u32)| AccessorInfo {
             warp_id,
-            lane,
+            lane: (lane + above) % 32,
             dev_fence: counter,
             blk_fence: counter,
             blk_bar: counter,
@@ -888,11 +953,103 @@ mod tests {
         entry.flags.valid.then(|| entry.pack())
     }
 
+    /// The row arm of the exhaustive comparison: whole splits of warp 1 —
+    /// full, every other lane, ragged — on consecutive words, each word
+    /// starting in its own stored state (over the rounds every state meets
+    /// every kind and held lockset once per lane mask). The reference runs
+    /// lane by lane in lane order; the detector must leave the same words,
+    /// move every counter and clock pool as the sum does, and ship the
+    /// same records in the same order. Returns the lanes compared.
+    fn row_arm(det: &mut Iguard, k: &Kernel) -> u32 {
+        const FIRST_WORD: u32 = 16;
+        let states: Vec<Stored> = stored_states().collect();
+        let mut compared = 0;
+        for mask in [u32::MAX, 0x5555_5555, 0x0F0F_0F0F] {
+            let lanes = lanes_of(WARP, mask, |lane| FIRST_WORD + lane);
+            for (held, kind) in LOCK_ADDRS.iter().flat_map(|h| KINDS.map(|k| (*h, k))) {
+                for round in 0..states.len() / 32 {
+                    let mut wl = WarpLockState::default();
+                    match held {
+                        // One lane takes the lock: the warp's, so every
+                        // lane's; or the even lanes take it together —
+                        // `isThread`, and only they hold it.
+                        Some(addr) if round % 2 == 0 => {
+                            wl.on_cas(&[(0, addr)], Scope::Device);
+                            wl.on_fence([0], Scope::Device);
+                        }
+                        Some(addr) => {
+                            let pairs: Vec<(u32, u32)> =
+                                (0..32).step_by(2).map(|l| (l, addr)).collect();
+                            wl.on_cas(&pairs, Scope::Device);
+                            wl.on_fence(pairs.iter().map(|p| p.0), Scope::Device);
+                        }
+                        None => {}
+                    }
+                    det.locks[WARP as usize] = wl;
+                    det.engines[0].table.begin_epoch();
+                    det.reporter = RaceReporter::new(64).unwrap();
+
+                    let mut want_stats = det.stats;
+                    want_stats.accesses += lanes.len() as u64;
+                    let mut want_reporter = RaceReporter::new(64).unwrap();
+                    let mut want_clock = Clock::new();
+                    let per_split = det.cfg.check_cost + det.cfg.md_lock_cost;
+                    want_clock.charge(CostCategory::Detection, per_split);
+                    let mut want_words = Vec::new();
+                    for la in &lanes {
+                        // An odd multiplier walks the states in a scrambled
+                        // order, so neighbouring words are unrelated.
+                        let at = (round * 32 + la.lane as usize) * 1237 % states.len();
+                        let words = stored_words(states[at], la.lane);
+                        if let Some((acc, wr)) = words {
+                            det.engines[0].table.store(la.addr / 4, acc, wr);
+                        }
+                        let who = Who {
+                            lane: la.lane,
+                            addr: la.addr,
+                            active_mask: mask,
+                        };
+                        let want = reference(det, k, words.unwrap_or((0, 0)), kind, who);
+                        want_stats.safe_hits[want.safe_slot.unwrap_or(0)] +=
+                            u64::from(want.safe_slot.is_some());
+                        want_stats.race_hits[want.race_slot.unwrap_or(0)] +=
+                            u64::from(want.race_slot.is_some());
+                        for record in want.records {
+                            want_reporter.report(record, &mut want_clock);
+                        }
+                        want_words.push(want.words);
+                    }
+
+                    let mut clock = Clock::new();
+                    det.on_mem(&mem_access(k, kind, WARP, &lanes, 1), &mut clock);
+                    let table = &mut det.engines[0].table;
+                    let got_words: Vec<(u64, u64)> = lanes
+                        .iter()
+                        .map(|la| table.load(la.addr / 4))
+                        .map(|l| (l.acc, l.wr))
+                        .collect();
+                    let case = format!("mask {mask:#x} held {held:?} kind {kind:?} round {round}");
+                    assert_eq!(got_words, want_words, "{case}");
+                    assert_eq!(
+                        format!("{:?}", det.stats),
+                        format!("{want_stats:?}"),
+                        "{case}"
+                    );
+                    assert_eq!(pools(&clock), pools(&want_clock), "{case}");
+                    assert_eq!(det.races(), want_reporter.drain(), "{case}");
+                    compared += lanes.len() as u32;
+                }
+            }
+        }
+        compared
+    }
+
     /// Every stored-flag combination × stored accessor and writer identity
     /// × stored counters × stored lockset × held lockset × access kind,
     /// with and without ITS support: the packed-word engine must hit the
     /// same `safe_hits`/`race_hits` slot, leave the same two words and
-    /// ship the same record as the reference.
+    /// ship the same record as the reference — one lane at a time, then
+    /// ([`row_arm`]) a split at a time.
     #[test]
     fn packed_word_engine_matches_the_decoded_reference_exhaustively() {
         let [_, a, b] = LOCK_ADDRS.map(summary_of);
@@ -902,6 +1059,7 @@ mod tests {
         );
         let k = kernel();
         let (mut cases, mut safe_seen, mut race_seen) = (0u32, [0u32; 6], [0u32; 5]);
+        let mut row_lanes = 0;
         for its_support in [true, false] {
             let mut det = Iguard::new(IguardConfig {
                 its_support,
@@ -928,11 +1086,11 @@ mod tests {
                     det.locks[WARP as usize] = wl;
                     // A new epoch empties the word.
                     det.engines[0].table.begin_epoch();
-                    let words = stored_words(stored);
+                    let words = stored_words(stored, LANE);
                     if let Some((acc, wr)) = words {
                         det.engines[0].table.store(ADDR / 4, acc, wr);
                     }
-                    let want = reference(&det, &k, words.unwrap_or((0, 0)), kind);
+                    let want = reference(&det, &k, words.unwrap_or((0, 0)), kind, ONE_LANE);
                     let got = observed(&mut det, &k, kind);
                     assert_eq!(
                         got, want,
@@ -947,11 +1105,244 @@ mod tests {
                     }
                 }
             }
+            row_lanes += row_arm(&mut det, &k);
         }
         assert_eq!(cases, 2 * 64 * 4 * 4 * 2 * 3 * 3 * 5);
+        assert_eq!(
+            row_lanes,
+            2 * (32 + 16 + 16) * 3 * 5 * (64 * 4 * 4 * 2 * 3 / 32)
+        );
         assert!(
             safe_seen.iter().chain(&race_seen).all(|&n| n > 0),
             "every P and R condition must decide some case: {safe_seen:?} {race_seen:?}"
         );
+    }
+
+    /// One scripted event: (selector, warp, shape bits, steps since the
+    /// previous event).
+    type Event = (u8, u32, u32, u32);
+
+    /// Drives a detector through a script: mostly warp splits over a
+    /// 64-word table — rows (full, gapped, ragged, short; some starting so
+    /// late they end at the last slot or run past it), stride-2 and
+    /// uniform splits — with barriers, fences, lock CASes/exchanges and
+    /// new launches in between.
+    fn run_script(det: &mut Iguard, clock: &mut Clock, info: &LaunchInfo, script: &[Event]) {
+        const MASKS: [u32; 4] = [u32::MAX, 0x5555_5555, 0x0F0F_0F0F, 0x0000_0FF0];
+        let k = kernel();
+        let cas = |op| AccessKind::Atomic {
+            op,
+            scope: Scope::Device,
+        };
+        det.at_launch(info, clock);
+        let mut step = 0;
+        for &(selector, warp, bits, gap) in script {
+            step += u64::from(gap);
+            let tids: Vec<(u32, u32)> = lanes_of(warp, bits | 1, |_| 0)
+                .iter()
+                .map(|l| (l.lane, l.tid_in_block))
+                .collect();
+            let fence = |scope| SyncEvent::Fence {
+                scope,
+                block_id: warp / WPB,
+                global_warp: warp,
+                tids: &tids,
+                active_mask: bits | 1,
+                pc: PC,
+                step,
+            };
+            let lock_word = |_| 60 + (bits >> 5 & 1);
+            match selector {
+                0..=9 => {
+                    let first = (bits >> 2) % 44;
+                    let lanes = match bits >> 8 & 7 {
+                        0 => lanes_of(warp, MASKS[bits as usize & 3], |lane| first % 8 + 2 * lane),
+                        1 => lanes_of(warp, MASKS[bits as usize & 3], |_| first),
+                        _ => lanes_of(warp, MASKS[bits as usize & 3], |lane| first + lane),
+                    };
+                    let kind = KINDS[selector as usize % 5];
+                    det.on_mem(&mem_access(&k, kind, warp, &lanes, step), clock);
+                }
+                10 => det.on_sync(
+                    &SyncEvent::BlockBarrier {
+                        block_id: warp / WPB,
+                    },
+                    clock,
+                ),
+                11 => det.on_sync(
+                    &SyncEvent::WarpBarrier {
+                        block_id: warp / WPB,
+                        warp_in_block: warp % WPB,
+                        global_warp: warp,
+                    },
+                    clock,
+                ),
+                12 => det.on_sync(&fence(Scope::Device), clock),
+                13 => det.on_sync(&fence(Scope::Block), clock),
+                14 => {
+                    let lanes = lanes_of(warp, 1 << (bits & 31), lock_word);
+                    let kind = (cas(AtomOp::Cas), false);
+                    det.on_mem(&mem_access(&k, kind, warp, &lanes, step), clock);
+                }
+                _ if bits % 4 == 0 => {
+                    // Every other relaunch shadows half as many words, so
+                    // the contention table folds words the metadata table
+                    // (sized by the first launch) keeps apart.
+                    let relaunch = LaunchInfo {
+                        backing_words: if bits % 8 == 0 { 32 } else { 64 },
+                        ..info.clone()
+                    };
+                    det.at_launch(&relaunch, clock);
+                }
+                _ => {
+                    let lanes = lanes_of(warp, 1 << (bits & 31), lock_word);
+                    let kind = (cas(AtomOp::Exch), false);
+                    det.on_mem(&mem_access(&k, kind, warp, &lanes, step), clock);
+                }
+            }
+        }
+    }
+
+    /// Everything a script leaves behind that the row path could move.
+    fn aftermath(det: &mut Iguard, clock: &Clock) -> String {
+        let observed = format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?}",
+            det.stats(),
+            det.uvm_stats(),
+            det.degradation(),
+            det.fault_stats(),
+            pools(clock),
+            det.races(),
+        );
+        let words: Vec<(u64, u64)> = det
+            .engines
+            .iter_mut()
+            .flat_map(|e| (0..72).map(|w| e.table.load(w)).collect::<Vec<_>>())
+            .map(|l| (l.acc, l.wr))
+            .collect();
+        format!("{observed} {words:?}")
+    }
+
+    /// The detector shapes of the fallback edges, as (what, configuration,
+    /// shards, free device bytes): the first takes rows wherever the
+    /// split allows; every other one names a precondition that sends some
+    /// or all of its rows down the per-lane path.
+    fn edge_shapes() -> Vec<(&'static str, IguardConfig, usize, u64)> {
+        let base = IguardConfig::default;
+        let armed = FaultConfig::disabled()
+            .with_seed(3)
+            .with_rate(FaultSite::MetaEviction, RATE_ONE / 16)
+            .with_rate(FaultSite::MetaTagAlias, RATE_ONE / 16)
+            .with_rate(FaultSite::UvmEvictStorm, RATE_ONE / 16);
+        // 16 entries a page, nothing prefaulted, four pages of budget: a
+        // row crosses pages, finds some absent, and FIFO eviction keeps
+        // taking them away again.
+        let paged = IguardConfig {
+            uvm: uvm_sim::UvmConfig {
+                page_bytes: 256,
+                ..uvm_sim::UvmConfig::default()
+            },
+            prefault: false,
+            ..base()
+        };
+        vec![
+            ("resident", base(), 1, 1 << 30),
+            ("demand-paged", paged.clone(), 1, 4 * 256),
+            ("two shards", base(), 2, 1 << 30),
+            ("four shards", base(), 4, 1 << 30),
+            (
+                "capacity cap",
+                IguardConfig {
+                    table_capacity_words: Some(16),
+                    ..base()
+                },
+                1,
+                1 << 30,
+            ),
+            (
+                "armed fault plane",
+                IguardConfig {
+                    faults: armed,
+                    ..base()
+                },
+                1,
+                1 << 30,
+            ),
+            ("history ring", IguardConfig::with_history(2), 1, 1 << 30),
+            (
+                "scaled addresses",
+                IguardConfig {
+                    addr_scale: 4,
+                    ..paged.clone()
+                },
+                1,
+                4 * 256,
+            ),
+        ]
+    }
+
+    /// Runs `script` under every edge shape twice — on a plain clock, where
+    /// eligible splits take the row path, and on a profiling clock, which
+    /// sends every lane down the per-lane path — and requires the same
+    /// aftermath.
+    fn rows_agree_with_lanes(script: &[Event]) {
+        for (what, cfg, shards, free_device_bytes) in edge_shapes() {
+            let info = LaunchInfo {
+                free_device_bytes,
+                device_capacity_bytes: 1 << 12,
+                ..launch_info()
+            };
+            let run = |profiling: bool| {
+                let mut det = Iguard::with_shards(cfg.clone(), shards);
+                let mut clock = Clock::new();
+                clock.set_profiling(profiling);
+                run_script(&mut det, &mut clock, &info, script);
+                aftermath(&mut det, &clock)
+            };
+            assert_eq!(run(false), run(true), "{what}");
+        }
+    }
+
+    /// The edges by hand: a row as the first touch of unmaterialized slot
+    /// storage; rows ending at the last slot and one past it; the same
+    /// rows by another warp inside the contention window; a new launch
+    /// (both epochs move, and the contention table now folds at word 32)
+    /// between two rows; short rows on one page, then a full row crossing
+    /// into the next.
+    #[test]
+    fn row_path_matches_the_lane_path_at_the_table_edges() {
+        let row = |kind: u8, warp, first: u32, mask: u32, gap| {
+            (kind, warp, 0x200 | first << 2 | mask, gap)
+        };
+        rows_agree_with_lanes(&[
+            row(1, 1, 0, 0, 1),
+            row(0, 1, 32, 0, 1),
+            row(1, 2, 32, 0, 1),
+            row(1, 1, 33, 0, 1),
+            row(0, 3, 33, 1, 1),
+            row(3, 0, 0, 2, 1),
+            (15, 0, 0, 1),
+            row(0, 1, 0, 0, 1),
+            row(1, 2, 20, 0, 1),
+            row(0, 3, 20, 0, 1),
+            row(1, 0, 0, 3, 1),
+            row(1, 0, 4, 3, 1),
+            row(1, 2, 8, 0, 100),
+            row(0, 3, 8, 0, 1),
+        ]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn row_path_matches_the_lane_path_on_random_traffic(
+            script in prop::collection::vec(
+                (0u8..16, 0..TOTAL_WARPS, any::<u32>(), 0u32..40),
+                1..80,
+            )
+        ) {
+            rows_agree_with_lanes(&script);
+        }
     }
 }

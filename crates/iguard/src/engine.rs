@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use gpu_sim::hook::MemAccess;
+use gpu_sim::hook::{LaneAccess, MemAccess};
 use gpu_sim::timing::{Clock, CostCategory, Phase};
 
 use crate::bitfield::{
@@ -25,7 +25,7 @@ use crate::bitfield::{
 };
 use crate::checks::{detailed, preliminary, AccessType, CurrAccess, MdView, RaceKind, Safe};
 use crate::detector::IguardStats;
-use crate::metadata::MetadataTable;
+use crate::metadata::{materialize, MetadataTable};
 use crate::report::{RaceRecord, RaceReporter};
 use crate::syncmeta::SyncMetadata;
 
@@ -88,7 +88,7 @@ struct ContentionTable {
 impl ContentionTable {
     /// Sets the slot mask for `words` and invalidates every slot (the old
     /// per-launch `HashMap::clear`), without touching the backing pages.
-    /// Storage itself grows lazily (see [`ContentionTable::update`]).
+    /// Storage itself grows lazily (see [`materialize`]).
     fn begin_launch(&mut self, words: usize) {
         let cap = words.next_power_of_two();
         self.mask = cap - 1;
@@ -105,24 +105,35 @@ impl ContentionTable {
         }
     }
 
-    /// Applies the streak update for one access and returns the updated
-    /// streak (the state machine of the contention charge, unchanged).
-    ///
-    /// Storage grows to the touched high-water mark: the mapping is
-    /// identity for in-range words, so that is equivalent to full
-    /// preallocation — without zeroing tens of megabytes per detector for
-    /// the device's whole address space. Fresh slots get epoch 0, which
-    /// never equals the live epoch.
-    #[inline]
-    fn update(&mut self, word: u32, warp: u32, step: u64, window: u64) -> u32 {
+    /// The slot of `word`, with the live epoch. Fresh slots get epoch 0,
+    /// which never equals the live epoch.
+    #[inline(always)]
+    fn slot(&mut self, word: u32) -> (&mut ContentionSlot, u32) {
         let slot = word as usize & self.mask;
-        if slot >= self.slots.len() {
-            let n = (slot + 1).next_power_of_two();
-            self.slots.resize(n, ContentionSlot::default());
+        materialize(&mut self.slots, slot);
+        (&mut self.slots[slot], self.epoch)
+    }
+
+    /// The slots of words `first..=last`, when each word is its own slot.
+    #[inline(always)]
+    fn row(&mut self, first: u32, last: u32) -> Option<(&mut [ContentionSlot], u32)> {
+        if last as usize > self.mask {
+            return None;
         }
-        let s = &mut self.slots[slot];
-        let (last_step, last_warp, mut streak) = if s.epoch == self.epoch {
-            (s.last_step, s.last_warp, s.streak)
+        materialize(&mut self.slots, last as usize);
+        let slots = self.slots.get_mut(first as usize..=last as usize)?;
+        Some((slots, self.epoch))
+    }
+}
+
+impl ContentionSlot {
+    /// Applies the streak update for one access and returns the updated
+    /// streak (the state machine of the contention charge). A slot last
+    /// written in another epoch reads as zeroed.
+    #[inline(always)]
+    fn update(&mut self, epoch: u32, warp: u32, step: u64, window: u64) -> u32 {
+        let (last_step, last_warp, mut streak) = if self.epoch == epoch {
+            (self.last_step, self.last_warp, self.streak)
         } else {
             (0, 0, 0)
         };
@@ -132,9 +143,9 @@ impl ContentionTable {
         } else if !close {
             streak = 1;
         }
-        *s = ContentionSlot {
+        *self = ContentionSlot {
             last_step: step,
-            epoch: self.epoch,
+            epoch,
             last_warp: warp,
             streak,
         };
@@ -187,7 +198,7 @@ impl HistoryTable {
     }
 
     /// Grows the slot and record arrays to cover `slot` — same lazy
-    /// high-water scheme as [`ContentionTable::update`] (the record
+    /// high-water scheme as [`materialize`] (the record
     /// arrays are `HISTORY_RING` entries per slot, so eager sizing
     /// would be hundreds of megabytes at device scale).
     #[inline]
@@ -329,10 +340,19 @@ pub(crate) struct LaneCtx {
     pub word: u32,
     /// Byte address of the accessed word (for reports).
     pub addr: u32,
-    /// Identity and synchronization snapshot taken at access time.
-    pub snap: AccessorInfo,
+    /// Identity and synchronization snapshot taken at access time, packed
+    /// as bits [45-0] of a metadata word — the form the write-back stores.
+    pub snap: u64,
     /// Lock Bloom summary of the accessing lane at access time.
     pub lock_summary: u16,
+}
+
+impl LaneCtx {
+    /// The snapshot decoded, with the WarpID the packed field truncates.
+    fn info(&self, warp_id: u32) -> AccessorInfo {
+        let snap = AccessorInfo::unpack(self.snap);
+        AccessorInfo { warp_id, ..snap }
+    }
 }
 
 /// Where the engine's observations land: the detector's counters, the
@@ -356,6 +376,13 @@ pub(crate) struct Engine {
     /// Packed 16-byte-entry metadata table over this shard's UVM region.
     pub table: MetadataTable,
     contention: ContentionTable,
+    checks: Checks,
+}
+
+/// What the per-word step works with besides the word's two slots; apart
+/// from the two tables so a row can hold slices of both while it steps.
+#[derive(Debug, Default)]
+struct Checks {
     history: HistoryTable,
     params: EngineParams,
     window: u64,
@@ -367,10 +394,7 @@ impl Engine {
         Engine {
             table,
             contention: ContentionTable::default(),
-            history: HistoryTable::default(),
-            params: EngineParams::default(),
-            window: 0,
-            total_warps: 0,
+            checks: Checks::default(),
         }
     }
 
@@ -385,16 +409,15 @@ impl Engine {
         window: u64,
         params: EngineParams,
     ) {
-        self.total_warps = total_warps;
-        self.window = window;
-        self.params = params;
+        let checks = &mut self.checks;
+        (checks.total_warps, checks.window, checks.params) = (total_warps, window, params);
+        checks.history.begin_launch(words, params.history_depth);
         self.contention.begin_launch(words);
-        self.history.begin_launch(words, params.history_depth);
     }
 
-    /// The per-access detection pipeline (§6.2, §6.4): metadata load
-    /// (UVM + eviction accounting), contention streak, shared-flag
-    /// update, two-tier P/R checks, history, metadata write-back.
+    /// The per-access detection pipeline (§6.2, §6.4), for any word under
+    /// any table configuration: metadata load (UVM + eviction accounting),
+    /// [`Checks::step`] on the word's two slots, metadata store.
     ///
     /// Only the *serializing* components charge cycles here — UVM faults
     /// and metadata-lock contention; the data-parallel part of the check
@@ -411,13 +434,9 @@ impl Engine {
         sync: &SyncMetadata,
         out: &mut Sink<'_>,
     ) {
-        let word = lane.word;
-        let access = split.access;
-        let warp = access.global_warp;
-
         // Metadata lookup: UVM touch + contention serialization.
         let t0 = split.profiling.then(Instant::now);
-        let loaded = self.table.load(word);
+        let loaded = self.table.load(lane.word);
         if let Some(t) = t0 {
             out.clock
                 .add_phase_ns(Phase::Uvm, t.elapsed().as_nanos() as u64);
@@ -433,7 +452,68 @@ impl Engine {
             // a first access, so a race could slip by — count it.
             out.stats.missed_checks += 1;
         }
-        let streak = self.contention.update(word, warp, access.step, self.window);
+        let contention = self.contention.slot(lane.word);
+        let words = (loaded.acc, loaded.wr);
+        let (acc, wr) = self.checks.step(split, lane, words, contention, sync, out);
+        self.table.store(lane.word, acc, wr);
+    }
+
+    /// A whole split at once, for lanes on ascending consecutive words
+    /// (`word − lane` constant): both tables' slots for the span are
+    /// resolved once and [`Checks::step`] runs over the two slices in lane
+    /// order, so counters, charges and reports land as [`Engine::process`]
+    /// lane by lane would land them. Returns `false`, having done nothing,
+    /// when that is not known to hold — see [`MetadataTable::row`]; a
+    /// history ring and a profiling clock also want the per-word path.
+    #[inline(always)]
+    pub fn process_row(
+        &mut self,
+        split: &SplitCtx<'_, '_>,
+        lanes: &[LaneAccess],
+        lane_ctx: impl Fn(&LaneAccess, u32) -> LaneCtx,
+        sync: &SyncMetadata,
+        out: &mut Sink<'_>,
+    ) -> bool {
+        let (first, last) = (lanes[0].addr / 4, lanes[lanes.len() - 1].addr / 4);
+        if self.checks.history.depth > 1 || split.profiling {
+            return false;
+        }
+        let Some((contention, contention_epoch)) = self.contention.row(first, last) else {
+            return false;
+        };
+        let Some((meta, epoch)) = self.table.row(first, last) else {
+            return false;
+        };
+        let checks = &mut self.checks;
+        for la in lanes {
+            let word = la.addr / 4;
+            let at = (word - first) as usize;
+            let contention = (&mut contention[at], contention_epoch);
+            let words = meta[at].read(epoch, 0);
+            let words = checks.step(split, &lane_ctx(la, word), words, contention, sync, out);
+            meta[at].write(epoch, 0, words);
+        }
+        true
+    }
+}
+
+impl Checks {
+    /// One word's step, shared by the per-lane and the row path:
+    /// contention streak and charge, shared-flag update, two-tier P/R
+    /// checks on the `(accessor, writer)` words, history, write-back.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        split: &SplitCtx<'_, '_>,
+        lane: &LaneCtx,
+        (mut acc, wr): (u64, u64),
+        (contention, contention_epoch): (&mut ContentionSlot, u32),
+        sync: &SyncMetadata,
+        out: &mut Sink<'_>,
+    ) -> (u64, u64) {
+        let access = split.access;
+        let warp = access.global_warp;
+        let streak = contention.update(contention_epoch, warp, access.step, self.window);
         if streak > 1 {
             let cycles = if self.params.backoff {
                 // Dynamically-adjusted exponential backoff: contenders
@@ -451,7 +531,6 @@ impl Engine {
             out.clock.charge_serial(CostCategory::Detection, cycles);
         }
 
-        let (mut acc, wr) = (loaded.acc, loaded.wr);
         let safe = if acc & VALID == 0 {
             Some(Safe::FirstAccess)
         } else {
@@ -468,7 +547,7 @@ impl Engine {
             let md_lane = stored_lane(if split.kind.is_write() { acc } else { wr });
             if acc & MODIFIED == 0 && split.kind == AccessType::Load {
                 Some(Safe::NoWrite)
-            } else if acc & (DEV_SHARED | BLK_SHARED) == 0 && lane.snap.lane == md_lane {
+            } else if acc & (DEV_SHARED | BLK_SHARED) == 0 && stored_lane(lane.snap) == md_lane {
                 Some(Safe::ProgramOrder)
             } else {
                 self.check_decoded(split, lane, MetadataEntry::unpack(acc, wr), sync, out)
@@ -480,15 +559,16 @@ impl Engine {
 
         // Metadata write-back: identity + synchronization of the accessor,
         // and of the writer (with its locks) for writes (§6.2).
-        let snap = lane.snap.pack();
         let wr = if split.kind.is_write() {
-            (u64::from(lane.lock_summary) << (64 - LOCK_BITS)) | snap
+            (u64::from(lane.lock_summary) << (64 - LOCK_BITS)) | lane.snap
         } else {
             wr
         };
-        let acc = (acc & split.keep) | split.set | snap;
-        self.push_history(word, lane.snap, lane.lock_summary);
-        self.table.store(word, acc, wr);
+        if self.history.depth > 1 {
+            self.history
+                .push(lane.word, lane.info(warp), lane.lock_summary);
+        }
+        ((acc & split.keep) | split.set | lane.snap, wr)
     }
 
     /// The accesses P1–P3 cannot decide: P4–P6, then R1–R5 (and the
@@ -514,10 +594,10 @@ impl Engine {
         let mut curr = CurrAccess {
             kind: split.kind,
             warp_id: access.global_warp,
-            lane: lane.snap.lane,
+            lane: stored_lane(lane.snap),
             block_id: access.block_id,
             active_mask: access.active_mask,
-            snap: lane.snap,
+            snap: lane.info(access.global_warp),
             locks: lane.lock_summary,
         };
         if !self.params.its_support && md_info.warp_id == access.global_warp {
@@ -563,14 +643,6 @@ impl Engine {
                 live_blk_fence: info.blk_fence,
             }
         }
-    }
-
-    #[inline]
-    fn push_history(&mut self, word: u32, info: AccessorInfo, locks: u16) {
-        if self.history.depth <= 1 {
-            return;
-        }
-        self.history.push(word, info, locks);
     }
 
     fn check_history(

@@ -99,10 +99,30 @@ impl MetaStats {
 /// whole load.
 #[derive(Debug, Clone, Copy, Default)]
 #[repr(C, packed(4))]
-struct Slot {
+pub(crate) struct Slot {
     acc: u64,
     wr: u64,
     epoch: u32,
+}
+
+impl Slot {
+    /// The pair stored here in `epoch` under `tag`; anything else — an
+    /// empty slot, a stale epoch, another address's entry — reads as a
+    /// first access: [`VALID`] clear and only the tag set.
+    #[inline(always)]
+    pub(crate) fn read(&self, epoch: u32, tag: u64) -> (u64, u64) {
+        if self.epoch == epoch && self.acc & TAG_FIELD == tag {
+            (self.acc, self.wr)
+        } else {
+            (tag, 0)
+        }
+    }
+
+    /// Stores the pair, stamped with `tag` and `epoch`.
+    #[inline(always)]
+    pub(crate) fn write(&mut self, epoch: u32, tag: u64, (acc, wr): (u64, u64)) {
+        (self.acc, self.wr, self.epoch) = ((acc & !TAG_FIELD) | tag, wr, epoch);
+    }
 }
 
 /// The UVM-backed metadata table.
@@ -246,22 +266,22 @@ impl MetadataTable {
         if off >= self.uvm.len_bytes() {
             off %= self.uvm.len_bytes();
         }
-        let uvm_cycles = self.uvm.touch(off).cycles();
+        // `off` is inside the region, so the touch cannot be refused.
+        let uvm_cycles = self.uvm.try_touch(off).map_or(0, |t| t.cycles());
         let tag = self.tag(word_idx);
         // An unmaterialized slot, like a stale one, reads as a first
         // access — what a zeroed preallocated slot would produce.
-        let live = self
-            .slots
-            .get(self.slot(word_idx))
-            .copied()
-            .filter(|s| s.epoch == self.cur_epoch);
-        let (acc, wr) = live.map_or((0, 0), |s| (s.acc, s.wr));
-        let tag_matches = acc & TAG_FIELD == tag;
+        let slot = self.slots.get(self.slot(word_idx));
+        let slot = slot.copied().unwrap_or_default();
+        let (mut acc, mut wr) = slot.read(self.cur_epoch, tag);
         // A live, valid entry with a different tag is a *capacity
         // eviction*: the slot is being reused for another address and its
         // previous-accessor information is lost. Only possible when a
         // capacity override lets in-bounds words alias.
-        let mut evicted = self.can_alias && live.is_some() && acc & VALID != 0 && !tag_matches;
+        let mut evicted = self.can_alias
+            && slot.epoch == self.cur_epoch
+            && slot.acc & VALID != 0
+            && slot.acc & TAG_FIELD != tag;
         if evicted {
             self.meta_stats.capacity_evictions += 1;
         } else if self.faults.enabled() {
@@ -275,12 +295,10 @@ impl MetadataTable {
                 self.meta_stats.injected_aliases += 1;
                 evicted = true;
             }
+            if evicted {
+                (acc, wr) = (tag, 0);
+            }
         }
-        let (acc, wr) = if live.is_none() || !tag_matches || evicted {
-            (tag, 0)
-        } else {
-            (acc, wr)
-        };
         MetaLoad {
             acc,
             wr,
@@ -289,22 +307,50 @@ impl MetadataTable {
         }
     }
 
-    /// Stores the raw words for `word_idx` (stamps tag and epoch). Slot
-    /// storage grows to the touched high-water mark; fresh slots carry
-    /// epoch 0 and all-zero words, which `load` reads as a first access
-    /// whether or not 0 is the live epoch.
+    /// Stores the raw words for `word_idx` (stamps tag and epoch). Fresh
+    /// slots carry epoch 0 and all-zero words, which read as a first
+    /// access whether or not 0 is the live epoch.
     #[inline(always)]
     pub fn store(&mut self, word_idx: u32, acc: u64, wr: u64) {
-        let slot = self.slot(word_idx);
-        if slot >= self.slots.len() {
-            let n = (slot + 1).next_power_of_two().min(self.slot_mask + 1);
-            self.slots.resize(n, Slot::default());
+        let (slot, tag) = (self.slot(word_idx), self.tag(word_idx));
+        materialize(&mut self.slots, slot);
+        self.slots[slot].write(self.cur_epoch, tag, (acc, wr));
+    }
+
+    /// The slots of words `first..=last` with the live epoch, when loading
+    /// and storing each word is known to be a plain slot access under tag
+    /// 0 and nothing else: the words are their own slots (inside the
+    /// table, no capacity cap folding other words onto them), no fault
+    /// plane can forget an entry, and the span's pages are resident in an
+    /// unscaled region with no UVM fault armed, so the touches would all
+    /// be free hits. `None` sends the caller down the per-word path.
+    #[inline(always)]
+    pub(crate) fn row(&mut self, first: u32, last: u32) -> Option<(&mut [Slot], u32)> {
+        let off = |word: u32| u64::from(word) * ENTRY_BYTES;
+        let plain = last as usize <= self.slot_mask
+            && !self.can_alias
+            && self.addr_scale == 1
+            && !self.faults.enabled()
+            && self.uvm.span_resident(off(first), off(last));
+        if !plain {
+            return None;
         }
-        self.slots[slot] = Slot {
-            acc: (acc & !TAG_FIELD) | self.tag(word_idx),
-            wr,
-            epoch: self.cur_epoch,
-        };
+        materialize(&mut self.slots, last as usize);
+        let slots = self.slots.get_mut(first as usize..=last as usize)?;
+        Some((slots, self.cur_epoch))
+    }
+}
+
+/// Grows per-word slot storage to cover `slot`. Storage follows the touched
+/// high-water mark (rounded up to a power of two, so never past a
+/// power-of-two capacity that holds `slot`): the mapping is identity for
+/// in-range words, so that is equivalent to full preallocation — without
+/// zeroing tens of megabytes per detector for the device's whole address
+/// space.
+#[inline(always)]
+pub(crate) fn materialize<T: Clone + Default>(slots: &mut Vec<T>, slot: usize) {
+    if slot >= slots.len() {
+        slots.resize((slot + 1).next_power_of_two(), T::default());
     }
 }
 

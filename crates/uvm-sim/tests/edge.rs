@@ -1,7 +1,12 @@
 //! Residency-bitmap edge cases: zero-length allocations, page-boundary
 //! addressing, and the degenerate device budgets.
 
-use uvm_sim::{ManagedRegion, Touch, UvmConfig};
+use uvm_sim::{ManagedRegion, Touch, UvmConfig, UvmError};
+
+/// A touch the test knows is inside the region.
+fn touch(r: &mut ManagedRegion, offset: u64) -> Touch {
+    r.try_touch(offset).expect("offset inside the region")
+}
 
 fn cfg() -> UvmConfig {
     UvmConfig {
@@ -25,10 +30,14 @@ fn zero_length_region_is_inert() {
 }
 
 #[test]
-#[should_panic(expected = "beyond region")]
-fn touching_a_zero_length_region_panics() {
+fn touching_a_zero_length_region_is_refused() {
     let mut r = ManagedRegion::new(cfg(), 0, 1 << 20).unwrap();
-    let _ = r.touch(0);
+    let refused = UvmError::OutOfRange {
+        offset: 0,
+        len_bytes: 0,
+    };
+    assert_eq!(r.try_touch(0), Err(refused));
+    assert_eq!(r.stats(), uvm_sim::UvmStats::default());
 }
 
 #[test]
@@ -39,27 +48,31 @@ fn page_boundary_addresses_resolve_to_the_right_page() {
     assert_eq!(r.total_pages(), 3);
 
     // Last byte of page 0 and first byte of page 1 are different pages.
-    assert!(matches!(r.touch(page - 1), Touch::Fault { .. }));
+    assert!(matches!(touch(&mut r, page - 1), Touch::Fault { .. }));
     assert_eq!(r.resident_pages(), 1);
-    assert!(matches!(r.touch(page), Touch::Fault { .. }));
+    assert!(matches!(touch(&mut r, page), Touch::Fault { .. }));
     assert_eq!(r.resident_pages(), 2);
     // Same pages again: hits, no new residency.
-    assert_eq!(r.touch(page - 1), Touch::Hit);
-    assert_eq!(r.touch(page), Touch::Hit);
+    assert_eq!(touch(&mut r, page - 1), Touch::Hit);
+    assert_eq!(touch(&mut r, page), Touch::Hit);
     assert_eq!(r.resident_pages(), 2);
 
     // The final one-byte tail page is addressable...
-    assert!(matches!(r.touch(2 * page), Touch::Fault { .. }));
+    assert!(matches!(touch(&mut r, 2 * page), Touch::Fault { .. }));
     assert_eq!(r.resident_pages(), 3);
     assert_eq!(r.stats().faults, 3);
 }
 
 #[test]
-#[should_panic(expected = "beyond region")]
-fn first_byte_past_the_region_panics() {
+fn first_byte_past_the_region_is_refused() {
     let page = cfg().page_bytes;
     let mut r = ManagedRegion::new(cfg(), 2 * page + 1, 1 << 30).unwrap();
-    let _ = r.touch(2 * page + 1);
+    let refused = UvmError::OutOfRange {
+        offset: 2 * page + 1,
+        len_bytes: 2 * page + 1,
+    };
+    assert_eq!(r.try_touch(2 * page + 1), Err(refused));
+    assert_eq!(r.resident_pages(), 0);
 }
 
 #[test]
@@ -86,7 +99,7 @@ fn zero_budget_region_faults_remotely_forever() {
     let mut r = ManagedRegion::new(cfg(), 4 * page, 0).unwrap();
     // Every touch pays fault + evict and residency never grows.
     for _ in 0..3 {
-        let t = r.touch(0);
+        let t = touch(&mut r, 0);
         assert_eq!(t, Touch::Fault { cycles: 100 + 150 });
     }
     assert_eq!(r.resident_pages(), 0);
@@ -103,13 +116,13 @@ fn zero_budget_region_faults_remotely_forever() {
 fn fifo_eviction_cycles_through_pages_at_the_budget_edge() {
     let page = cfg().page_bytes;
     let mut r = ManagedRegion::new(cfg(), 4 * page, 2 * page).unwrap();
-    assert!(matches!(r.touch(0), Touch::Fault { .. }));
-    assert!(matches!(r.touch(page), Touch::Fault { .. }));
+    assert!(matches!(touch(&mut r, 0), Touch::Fault { .. }));
+    assert!(matches!(touch(&mut r, page), Touch::Fault { .. }));
     assert_eq!(r.resident_pages(), 2);
     // Page 2 evicts page 0 (FIFO head): re-touching 0 faults again.
-    let t = r.touch(2 * page);
+    let t = touch(&mut r, 2 * page);
     assert_eq!(t, Touch::Fault { cycles: 100 + 150 });
     assert_eq!(r.resident_pages(), 2);
-    assert!(matches!(r.touch(0), Touch::Fault { .. }));
+    assert!(matches!(touch(&mut r, 0), Touch::Fault { .. }));
     assert_eq!(r.stats().evictions, 2);
 }
