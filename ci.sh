@@ -15,7 +15,11 @@
 # `counter_identity` pins what the detector counts (every `IguardStats`
 # field, the metadata `UvmStats` and the raw Detection cycle pools of the
 # benchmark's detector traffic, under one and four shards, a capacity
-# cap, a history ring, scaled addresses and an armed fault plane);
+# cap, a history ring, scaled addresses and an armed fault plane) and,
+# beside it, `heap_ceiling` pins what the per-word shadows cost (peak live
+# heap of the 128 Ki stencil rung under 64 MB natively and under the
+# detector, the 1 Mi rung within 1.25 x its recorded peak, by a counting
+# allocator);
 # `schedule_digest` pins what the interpreter delivers (a hook-level
 # digest of every memory access and sync event, with its launch counters
 # and simulated clock, over the zoo under ITS and lockstep at three seeds
@@ -116,6 +120,8 @@ if [[ "$PERF" -eq 1 ]]; then
   cargo test -q -p bench --release --test shard_determinism
   echo "== hot-path counter identity (--perf) =="
   cargo test -q -p bench --release --test counter_identity
+  echo "== stencil heap ceilings (--perf) =="
+  cargo test -q -p bench --release --test heap_ceiling
   echo "== interpreter schedule digest (--perf) =="
   cargo test -q -p bench --release --test schedule_digest
   echo "== benchmark split shapes (--perf) =="

@@ -237,8 +237,10 @@ fn bench_flat_history_path(c: &mut Criterion) {
     });
 }
 
-/// Warps (of 32 lanes, 4 to a block) the split shapes below launch.
+/// Warps (of 32 lanes, 4 to a block) the warm split shapes below launch.
 const SPLIT_WARPS: u32 = 512;
+/// And the cold one: the top `ladder_stencil` rung's 128 Ki threads.
+const COLD_WARPS: u32 = 4096;
 
 /// A launched detector fed warp splits directly, without the interpreter:
 /// the detector's own cost per lane, the quantity the benchmark reports as
@@ -252,7 +254,9 @@ struct SplitDriver {
 }
 
 impl SplitDriver {
-    fn new() -> Self {
+    /// A detector launched over `warps` warps and two buffers of a word
+    /// per thread.
+    fn new(warps: u32) -> Self {
         let mut b = KernelBuilder::new("bench_split");
         let base = b.param(0);
         let v = b.ld(base, 0);
@@ -260,17 +264,17 @@ impl SplitDriver {
         let kernel = b.build();
         let info = LaunchInfo {
             kernel_name: kernel.name.clone(),
-            grid_dim: SPLIT_WARPS / 4,
+            grid_dim: warps / 4,
             block_dim: 128,
             warps_per_block: 4,
-            total_threads: SPLIT_WARPS * 32,
-            total_warps: SPLIT_WARPS,
+            total_threads: warps * 32,
+            total_warps: warps,
             mode: ExecMode::Its,
             num_sms: 72,
             free_device_bytes: 20 << 30,
             app_footprint_bytes: 1 << 20,
             device_capacity_bytes: 24 << 30,
-            backing_words: 1 << 16,
+            backing_words: (warps as usize * 64 + 64).next_power_of_two(),
             code_len: kernel.code.len(),
             params: vec![0],
         };
@@ -337,6 +341,20 @@ impl SplitDriver {
         self.det.on_mem(black_box(&access), &mut self.clock);
     }
 
+    /// The stencil's launch: each warp reads three neighbouring rows of the
+    /// source buffer and writes one row of the destination.
+    fn stencil_launch(&mut self) {
+        let warps = self.info.total_warps;
+        let dst = warps * 32 + 32;
+        self.launch();
+        for warp in 0..warps {
+            for offset in 0..3 {
+                self.split(warp, AccessKind::Load, warp * 32 + offset);
+            }
+            self.split(warp, AccessKind::Store, dst + warp * 32);
+        }
+    }
+
     /// interac's round — every thread loads, then stores, its own cell —
     /// by the next warp in turn, in the given split shape.
     fn own_cell_round(&mut self, lane_step: usize, word_stride: u32) {
@@ -364,7 +382,7 @@ fn bench_split_shapes(c: &mut Criterion) {
 
     // interac's shape: every thread loads, then stores, its own cell, over
     // and over — after the first round each access is decided by P3.
-    let mut d = SplitDriver::new();
+    let mut d = SplitDriver::new(SPLIT_WARPS);
     group.throughput(Throughput::Elements(64));
     group.bench_function("own_cell_reaccess_p3", |b| {
         b.iter(|| d.own_cell_round(1, 1));
@@ -373,7 +391,7 @@ fn bench_split_shapes(c: &mut Criterion) {
 
     // The same traffic from a diverged warp: every other lane active, so
     // the words are still `base + lane` but the mask has holes.
-    let mut d = SplitDriver::new();
+    let mut d = SplitDriver::new(SPLIT_WARPS);
     group.throughput(Throughput::Elements(32));
     group.bench_function("gapped_mask_row", |b| {
         b.iter(|| d.own_cell_round(2, 1));
@@ -382,7 +400,7 @@ fn bench_split_shapes(c: &mut Criterion) {
 
     // And at stride 2 — lane `i` on word `base + 2i` — which is not a row:
     // these lanes go one by one, and must not pay for the row path.
-    let mut d = SplitDriver::new();
+    let mut d = SplitDriver::new(SPLIT_WARPS);
     group.throughput(Throughput::Elements(64));
     group.bench_function("strided_per_lane", |b| {
         b.iter(|| d.own_cell_round(1, 2));
@@ -392,19 +410,10 @@ fn bench_split_shapes(c: &mut Criterion) {
     // The stencil's shape: each launch reads three neighbouring source
     // words per thread and writes one destination word — a first touch
     // (P1) or a read of a never-written word (P2) every time.
-    let mut d = SplitDriver::new();
-    let dst = SPLIT_WARPS * 32 + 32;
+    let mut d = SplitDriver::new(SPLIT_WARPS);
     group.throughput(Throughput::Elements(u64::from(SPLIT_WARPS) * 32 * 4));
     group.bench_function("first_touch_sweep_p1_p2", |b| {
-        b.iter(|| {
-            d.launch();
-            for warp in 0..SPLIT_WARPS {
-                for offset in 0..3 {
-                    d.split(warp, AccessKind::Load, warp * 32 + offset);
-                }
-                d.split(warp, AccessKind::Store, dst + warp * 32);
-            }
-        });
+        b.iter(|| d.stencil_launch());
     });
     let stats = d.det.stats();
     assert_eq!(
@@ -412,6 +421,14 @@ fn bench_split_shapes(c: &mut Criterion) {
         stats.accesses,
         "P1/P2 must decide every access: {stats:?}"
     );
+
+    // The same launch at the top rung's size by a detector that has never
+    // run: 256 Ki words of both slot tables are touched for the first
+    // time, which is what every benchmark pass pays.
+    group.throughput(Throughput::Elements(u64::from(COLD_WARPS) * 32 * 4));
+    group.bench_function("first_touch_cold_table_128Ki", |b| {
+        b.iter(|| SplitDriver::new(COLD_WARPS).stencil_launch());
+    });
     group.finish();
 }
 

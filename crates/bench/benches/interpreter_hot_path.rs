@@ -8,7 +8,10 @@
 //! - a `bar.sync`-heavy kernel at `block_dim` 1024 (barrier arrival and
 //!   release across 32 warps),
 //! - the launch-dominated shape: the top `ladder_stencil` rung, 128 Ki
-//!   threads running 15 instructions each.
+//!   threads running 15 instructions each — on one long-lived `Gpu` whose
+//!   L1s have seen the addresses before, and on a fresh `Gpu` per
+//!   iteration (`Gpu::new`, inputs, both launches), which is what a
+//!   benchmark pass pays and where the per-SM shadow's first touch shows.
 //!
 //! ```text
 //! cargo bench -p bench --bench interpreter_hot_path
@@ -92,20 +95,22 @@ fn barrier_loop(rounds: u32) -> Kernel {
     b.build()
 }
 
+/// Runs `launches` natively; returns their lane-instruction count.
+fn run(gpu: &mut Gpu, launches: &[Launch]) -> u64 {
+    launches
+        .iter()
+        .map(|l| {
+            gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut NullHook)
+                .expect("benchmark kernel runs")
+                .lane_instrs
+        })
+        .sum()
+}
+
 /// Runs `launches` once for their lane-instruction count, then times them.
 fn bench_launches(group: &mut BenchmarkGroup<'_>, id: &str, gpu: &mut Gpu, launches: &[Launch]) {
-    let run = |gpu: &mut Gpu| -> u64 {
-        launches
-            .iter()
-            .map(|l| {
-                gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut NullHook)
-                    .expect("benchmark kernel runs")
-                    .lane_instrs
-            })
-            .sum()
-    };
-    group.throughput(Throughput::Elements(run(gpu)));
-    group.bench_function(id, |b| b.iter(|| black_box(run(gpu))));
+    group.throughput(Throughput::Elements(run(gpu, launches)));
+    group.bench_function(id, |b| b.iter(|| black_box(run(gpu, launches))));
 }
 
 fn one_launch(kernel: Kernel, grid: u32, block: u32, out: u32) -> Vec<Launch> {
@@ -139,6 +144,15 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut gpu = device(1 << 19, split_prob);
     let launches = common::stencil_launches(&mut gpu, common::LADDER_THREADS[2]);
     bench_launches(&mut group, "stencil_128Ki_threads", &mut gpu, &launches);
+
+    // Same throughput setting: the two launches' lane-instructions.
+    group.bench_function("stencil_128Ki_fresh_gpu", |b| {
+        b.iter(|| {
+            let mut gpu = device(1 << 19, split_prob);
+            let launches = common::stencil_launches(&mut gpu, common::LADDER_THREADS[2]);
+            black_box(run(&mut gpu, &launches))
+        });
+    });
 
     group.finish();
 }

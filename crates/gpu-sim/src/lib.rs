@@ -48,6 +48,7 @@ pub mod kernel;
 pub mod machine;
 pub mod mem;
 pub mod overlap;
+pub mod paged;
 pub mod sched;
 pub mod stream;
 pub mod timing;

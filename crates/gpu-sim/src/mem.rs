@@ -51,121 +51,118 @@
 //! The scheduler's `choose_visibility` picks among the candidates, which is
 //! what lets the oracle enumerate visibility orders alongside schedules.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::SimError;
 use crate::ir::{AtomOp, Scope};
+use crate::paged::Paged;
 
-/// One cached word in an SM's L1.
-#[derive(Debug, Clone, Copy)]
+/// Words per L1 page (1.5 KB of lines). An SM caches what its blocks
+/// touch, `num_sms` blocks apart, so its pages are mostly part-used and
+/// want to be small; each also costs 8 bytes of page table in every L1
+/// whose highest cached word lies beyond it, so not too small. Measured on
+/// the 1 Mi-thread stencil (native peak heap): 64 words 131.5 MB, 128
+/// 134.4, 256 153.8, with no difference in time.
+const L1_PAGE: usize = 128;
+
+/// One cached word in an SM's L1; present iff `epoch` is the L1's live
+/// epoch, which the default 0 never is.
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
+    epoch: u32,
     value: u32,
     dirty: bool,
 }
 
-/// One SM's L1: a flat word-indexed array instead of a hash map, so the
-/// per-access hot path is two array reads (epoch check + value) with no
-/// hashing or allocation. Presence is an epoch match — a device fence
-/// "drops all lines" by bumping the epoch (O(1)) — and dirty lines are
-/// additionally tracked in a write-back list so a fence only visits words
-/// this SM actually wrote. The backing arrays are zero-filled and
-/// lazily paged by the OS, so untouched words cost no physical memory.
+/// Weak-mode bookkeeping of one word on one SM. Neither is epoch-gated:
+/// `ver` is only read through valid lines, `floor` persists across fences.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seen {
+    /// Global version of the write the line holds.
+    ver: u32,
+    /// Minimum version a load on this SM may still observe.
+    floor: u32,
+}
+
+/// One SM's L1: word-indexed pages instead of a hash map, so the
+/// per-access hot path is a page lookup and an epoch check with no
+/// hashing. Presence is an epoch match — a device fence "drops all lines"
+/// by bumping the epoch (O(1)) — and dirty lines are additionally tracked
+/// in a write-back list so a fence only visits words this SM actually
+/// wrote. Only pages the SM has cached a word of exist (12 bytes a word),
+/// plus 8 bytes of page table per page of address range below the highest
+/// word cached.
 #[derive(Debug)]
 struct SmL1 {
+    /// Starts at 1 and a wrap resets it to 1.
     epoch: u32,
-    slot_epoch: Vec<u32>,
-    value: Vec<u32>,
-    dirty: Vec<bool>,
+    lines: Paged<Line, L1_PAGE>,
     /// Words that transitioned to dirty since the last device fence (may
     /// hold duplicates/stale entries; validity is re-checked at flush).
     dirty_list: Vec<u32>,
-    /// Weak mode only (empty otherwise): global version of the write each
-    /// valid line holds. Not epoch-gated — only read through valid lines.
-    ver: Vec<u32>,
-    /// Weak mode only: per-word read floor (minimum version a load on this
-    /// SM may still observe). Persists across fences.
-    floor: Vec<u32>,
-    /// Whether the version/floor arrays are maintained.
-    weak: bool,
+    /// Written in weak mode only (no page otherwise).
+    seen: Paged<Seen, L1_PAGE>,
 }
 
 impl SmL1 {
     fn new() -> Self {
         SmL1 {
             epoch: 1,
-            slot_epoch: Vec::new(),
-            value: Vec::new(),
-            dirty: Vec::new(),
+            lines: Paged::default(),
             dirty_list: Vec::new(),
-            ver: Vec::new(),
-            floor: Vec::new(),
-            weak: false,
-        }
-    }
-
-    /// Grows the slot arrays to cover word `w`. Lazy growth keeps each
-    /// L1's footprint O(touched high-water address), not O(device
-    /// memory) — eagerly sizing 72 caches to `mem_words` costs hundreds
-    /// of megabytes of zeroing per `Gpu`. New slots get epoch 0, which
-    /// never equals the live epoch (it starts at 1 and wrap resets it
-    /// to 1), so they are born invalid.
-    #[inline]
-    fn ensure(&mut self, w: usize) {
-        if w >= self.slot_epoch.len() {
-            let n = (w + 1).next_power_of_two();
-            self.slot_epoch.resize(n, 0);
-            self.value.resize(n, 0);
-            self.dirty.resize(n, false);
-            if self.weak {
-                self.ver.resize(n, 0);
-                self.floor.resize(n, 0);
-            }
+            seen: Paged::default(),
         }
     }
 
     #[inline]
     fn get(&self, w: usize) -> Option<Line> {
-        if w < self.slot_epoch.len() && self.slot_epoch[w] == self.epoch {
-            Some(Line {
-                value: self.value[w],
-                dirty: self.dirty[w],
-            })
-        } else {
-            None
-        }
+        let line = self.lines.read(w);
+        (line.epoch == self.epoch).then_some(line)
     }
 
     #[inline]
-    fn insert(&mut self, w: usize, line: Line) {
-        self.ensure(w);
-        if line.dirty && !(self.slot_epoch[w] == self.epoch && self.dirty[w]) {
+    fn insert(&mut self, w: usize, value: u32, dirty: bool) {
+        let line = self.lines.entry(w);
+        if dirty && !(line.epoch == self.epoch && line.dirty) {
             self.dirty_list.push(w as u32);
         }
-        self.slot_epoch[w] = self.epoch;
-        self.value[w] = line.value;
-        self.dirty[w] = line.dirty;
+        *line = Line {
+            epoch: self.epoch,
+            value,
+            dirty,
+        };
     }
 
     #[inline]
     fn remove(&mut self, w: usize) {
-        if w < self.slot_epoch.len() {
-            self.slot_epoch[w] = self.epoch.wrapping_sub(1);
+        if let Some(line) = self.lines.get_mut(w) {
+            line.epoch = self.epoch.wrapping_sub(1);
         }
+    }
+
+    /// Raises the read floor of `w` to at least `ver`.
+    fn raise_floor(&mut self, w: usize, ver: u32) {
+        let seen = self.seen.entry(w);
+        seen.floor = seen.floor.max(ver);
     }
 
     /// Writes back every dirty line and drops all lines. In weak mode a
     /// dirty line only lands in L2 if it is not older than the L2 copy
     /// (write serialization: L2 never goes backwards in version order).
     fn flush(&mut self, l2: &mut [u32], mut l2_ver: Option<&mut [u32]>) {
-        for i in 0..self.dirty_list.len() {
-            let w = self.dirty_list[i] as usize;
-            if self.slot_epoch[w] == self.epoch && self.dirty[w] {
+        for &w in &self.dirty_list {
+            let w = w as usize;
+            let line = self.lines.read(w);
+            if line.epoch == self.epoch && line.dirty {
                 match l2_ver.as_deref_mut() {
                     Some(lv) => {
-                        if self.ver[w] >= lv[w] {
-                            l2[w] = self.value[w];
-                            lv[w] = self.ver[w];
+                        let ver = self.seen.read(w).ver;
+                        if ver >= lv[w] {
+                            l2[w] = line.value;
+                            lv[w] = ver;
                         }
                     }
-                    None => l2[w] = self.value[w],
+                    None => l2[w] = line.value,
                 }
             }
         }
@@ -173,8 +170,8 @@ impl SmL1 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Epoch wrapped (needs 2^32 device fences): hard-reset so no
-            // stale slot can alias the restarted epoch counter.
-            self.slot_epoch.fill(0);
+            // stale line can alias the restarted epoch counter.
+            self.lines.for_each_mapped(|line| line.epoch = 0);
             self.epoch = 1;
         }
     }
@@ -228,19 +225,13 @@ impl GlobalMem {
         }
     }
 
-    /// Switches on weak-visibility bookkeeping. Must be called before any
-    /// traffic (the `Gpu` does this at construction when configured).
+    /// Switches on weak-visibility bookkeeping (the `Gpu` does this at
+    /// construction when configured). Whatever was written before reads as
+    /// version 0.
     pub fn enable_weak(&mut self) {
-        let words = self.l2.len();
-        for l1 in &mut self.l1 {
-            l1.weak = true;
-            let n = l1.slot_epoch.len();
-            l1.ver.resize(n, 0);
-            l1.floor.resize(n, 0);
-        }
         self.weak = Some(WeakState {
             next_ver: 0,
-            l2_ver: vec![0; words],
+            l2_ver: vec![0; self.l2.len()],
         });
     }
 
@@ -283,10 +274,7 @@ impl GlobalMem {
                 self.l1[sm].remove(w);
             }
             if let Some(wk) = &self.weak {
-                let lv = wk.l2_ver[w];
-                let l1 = &mut self.l1[sm];
-                l1.ensure(w);
-                l1.floor[w] = l1.floor[w].max(lv);
+                self.l1[sm].raise_floor(w, wk.l2_ver[w]);
             }
             return Ok(self.l2[w]);
         }
@@ -294,13 +282,7 @@ impl GlobalMem {
             return Ok(line.value);
         }
         let v = self.l2[w];
-        self.l1[sm].insert(
-            w,
-            Line {
-                value: v,
-                dirty: false,
-            },
-        );
+        self.l1[sm].insert(w, v, false);
         Ok(v)
     }
 
@@ -321,10 +303,9 @@ impl GlobalMem {
                 wk.l2_ver[w] = v;
             }
         } else {
-            self.l1[sm].insert(w, Line { value, dirty: true });
+            self.l1[sm].insert(w, value, true);
             if let Some(wk) = &mut self.weak {
-                let v = wk.bump();
-                self.l1[sm].ver[w] = v;
+                self.l1[sm].seen.entry(w).ver = wk.bump();
             }
         }
         Ok(())
@@ -359,33 +340,15 @@ impl GlobalMem {
             Scope::Block => {
                 // RMW on the SM-local view: atomic w.r.t. this SM only.
                 let (old, old_ver) = match self.l1[sm].get(w) {
-                    Some(line) => {
-                        let v = if self.weak.is_some() {
-                            self.l1[sm].ver[w]
-                        } else {
-                            0
-                        };
-                        (line.value, v)
-                    }
-                    None => (
-                        self.l2[w],
-                        self.weak.as_ref().map_or(0, |wk| wk.l2_ver[w]),
-                    ),
+                    Some(line) => (line.value, self.l1[sm].seen.read(w).ver),
+                    None => (self.l2[w], self.weak.as_ref().map_or(0, |wk| wk.l2_ver[w])),
                 };
                 let new = apply_atom(op, old, src, cmp);
-                self.l1[sm].insert(
-                    w,
-                    Line {
-                        value: new,
-                        dirty: true,
-                    },
-                );
+                self.l1[sm].insert(w, new, true);
                 if let Some(wk) = &mut self.weak {
-                    let v = wk.bump();
-                    let l1 = &mut self.l1[sm];
-                    l1.ver[w] = v;
                     // The RMW read the old value: coherence floor rises.
-                    l1.floor[w] = l1.floor[w].max(old_ver);
+                    let seen = self.l1[sm].seen.entry(w);
+                    (seen.ver, seen.floor) = (wk.bump(), seen.floor.max(old_ver));
                 }
                 Ok(old)
             }
@@ -396,7 +359,7 @@ impl GlobalMem {
                     if line.dirty {
                         match &mut self.weak {
                             Some(wk) => {
-                                let ver = self.l1[sm].ver[w];
+                                let ver = self.l1[sm].seen.read(w).ver;
                                 if ver >= wk.l2_ver[w] {
                                     self.l2[w] = line.value;
                                     wk.l2_ver[w] = ver;
@@ -412,9 +375,7 @@ impl GlobalMem {
                 if let Some(wk) = &mut self.weak {
                     let v = wk.bump();
                     wk.l2_ver[w] = v;
-                    let l1 = &mut self.l1[sm];
-                    l1.ensure(w);
-                    l1.floor[w] = l1.floor[w].max(v);
+                    self.l1[sm].raise_floor(w, v);
                 }
                 Ok(old)
             }
@@ -433,31 +394,33 @@ impl GlobalMem {
         choose: &mut dyn FnMut(usize) -> usize,
     ) -> Result<u32, SimError> {
         let w = self.word_index(addr)?;
-        assert!(self.weak.is_some(), "load_weak requires enable_weak()");
-        self.l1[sm].ensure(w);
-        let floor = self.l1[sm].floor[w];
+        let Some(wk) = &self.weak else {
+            return Err(SimError::BadConfig {
+                reason: "load_weak requires enable_weak()".into(),
+            });
+        };
+        let l2v = wk.l2_ver[w];
+        let floor = self.l1[sm].seen.read(w).floor;
 
         // This SM's own dirty line is its program-order-latest write: no
         // other value may legally be observed.
-        if let Some(line) = self.l1[sm].get(w) {
-            if line.dirty {
-                let v = self.l1[sm].ver[w];
-                self.l1[sm].floor[w] = floor.max(v);
-                return Ok(line.value);
-            }
+        let local = self.l1[sm].get(w);
+        if let Some(line) = local.filter(|line| line.dirty) {
+            let v = self.l1[sm].seen.read(w).ver;
+            self.l1[sm].raise_floor(w, v);
+            return Ok(line.value);
         }
 
         // Candidates in legacy-first order, deduplicated by value (two
         // observable copies holding the same value are indistinguishable,
         // so offering both would only pad the enumeration).
         let mut cands: Vec<(u32, u32, CandSource)> = Vec::new();
-        if let Some(line) = self.l1[sm].get(w) {
-            let v = self.l1[sm].ver[w];
+        if let Some(line) = local {
+            let v = self.l1[sm].seen.read(w).ver;
             if v >= floor {
                 cands.push((line.value, v, CandSource::Local));
             }
         }
-        let l2v = self.weak.as_ref().unwrap().l2_ver[w];
         if l2v >= floor && !cands.iter().any(|c| c.0 == self.l2[w]) {
             cands.push((self.l2[w], l2v, CandSource::L2));
         }
@@ -465,12 +428,10 @@ impl GlobalMem {
             if r == sm {
                 continue;
             }
-            if let Some(line) = self.l1[r].get(w) {
-                if line.dirty {
-                    let v = self.l1[r].ver[w];
-                    if v >= floor && !cands.iter().any(|c| c.0 == line.value) {
-                        cands.push((line.value, v, CandSource::Remote));
-                    }
+            if let Some(line) = self.l1[r].get(w).filter(|line| line.dirty) {
+                let v = self.l1[r].seen.read(w).ver;
+                if v >= floor && !cands.iter().any(|c| c.0 == line.value) {
+                    cands.push((line.value, v, CandSource::Remote));
                 }
             }
         }
@@ -490,18 +451,11 @@ impl GlobalMem {
             CandSource::L2 | CandSource::Remote => {
                 // Cache the observed copy locally (clean), as the legacy
                 // fill does; a snooped copy is cached the same way.
-                self.l1[sm].insert(
-                    w,
-                    Line {
-                        value,
-                        dirty: false,
-                    },
-                );
-                self.l1[sm].ver[w] = ver;
+                self.l1[sm].insert(w, value, false);
+                self.l1[sm].seen.entry(w).ver = ver;
             }
         }
-        let l1 = &mut self.l1[sm];
-        l1.floor[w] = l1.floor[w].max(ver);
+        self.l1[sm].raise_floor(w, ver);
         Ok(value)
     }
 
@@ -554,6 +508,7 @@ fn apply_atom(op: AtomOp, old: u32, src: u32, cmp: u32) -> u32 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -722,6 +677,30 @@ mod tests {
         assert_eq!(m.load(0, 8, false).unwrap(), 0); // cache clean 0 on SM0
         m.write_coherent(8, 5);
         assert_eq!(m.load(0, 8, false).unwrap(), 5);
+    }
+
+    /// A line cached 2^32 device fences ago carries the epoch the wrap
+    /// restarts at: the wrap must drop it, and the one cached at
+    /// `u32::MAX`, while lines cached afterwards work as ever.
+    #[test]
+    fn l1_epoch_wrap_drops_every_line() {
+        let mut m = mem();
+        assert_eq!(m.load(1, 8, false).unwrap(), 0); // clean 0 at epoch 1
+        m.l1[1].epoch = u32::MAX;
+        assert_eq!(m.load(1, 16, false).unwrap(), 0); // clean 0 at MAX
+        for addr in [8, 16] {
+            m.store(0, addr, 7, false).unwrap();
+        }
+        m.fence(0, Scope::Device);
+        assert_eq!(m.load(1, 16, false).unwrap(), 0, "stale until SM1 fences");
+        m.fence(1, Scope::Device);
+        assert_eq!(m.l1[1].epoch, 1, "wrapped");
+        assert_eq!(m.load(1, 8, false).unwrap(), 7, "epoch-1 line from before");
+        assert_eq!(m.load(1, 16, false).unwrap(), 7, "epoch-MAX line");
+        m.store(1, 20, 9, false).unwrap();
+        assert_eq!(m.load(1, 20, false).unwrap(), 9, "cached after the wrap");
+        m.fence(1, Scope::Device);
+        assert_eq!(m.read_coherent(20), 9);
     }
 
     // ---- weak-visibility mode ----

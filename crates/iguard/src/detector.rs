@@ -665,6 +665,7 @@ mod tests {
     use crate::checks::{detailed, preliminary, CurrAccess, MdView, Safe};
     use crate::engine::{race_index, safe_index};
     use crate::locks::{bloom_bits, lock_hash};
+    use crate::metadata::SLOT_PAGE;
 
     /// Two blocks of two warps; the current access is always by warp 1
     /// (block 0) — in the one-lane arm by lane 3.
@@ -1122,13 +1123,14 @@ mod tests {
     /// previous event).
     type Event = (u8, u32, u32, u32);
 
-    /// Drives a detector through a script: mostly warp splits over a
-    /// 64-word table — rows (full, gapped, ragged, short; some starting so
-    /// late they end at the last slot or run past it), stride-2 and
-    /// uniform splits — with barriers, fences, lock CASes/exchanges and
-    /// new launches in between.
+    /// Drives a detector through a script: mostly warp splits over the
+    /// last 64 words `info` shadows — rows (full, gapped, ragged, short;
+    /// some starting so late they end at the last slot or run past it),
+    /// stride-2 and uniform splits — with barriers, fences, lock
+    /// CASes/exchanges and new launches in between.
     fn run_script(det: &mut Iguard, clock: &mut Clock, info: &LaunchInfo, script: &[Event]) {
         const MASKS: [u32; 4] = [u32::MAX, 0x5555_5555, 0x0F0F_0F0F, 0x0000_0FF0];
+        let base = info.backing_words as u32 - 64;
         let k = kernel();
         let cas = |op| AccessKind::Atomic {
             op,
@@ -1151,12 +1153,13 @@ mod tests {
                 pc: PC,
                 step,
             };
-            let lock_word = |_| 60 + (bits >> 5 & 1);
+            let lock_word = |_| base + 60 + (bits >> 5 & 1);
             match selector {
                 0..=9 => {
-                    let first = (bits >> 2) % 44;
+                    let first = base + (bits >> 2) % 44;
+                    let strided = base + (bits >> 2) % 44 % 8;
                     let lanes = match bits >> 8 & 7 {
-                        0 => lanes_of(warp, MASKS[bits as usize & 3], |lane| first % 8 + 2 * lane),
+                        0 => lanes_of(warp, MASKS[bits as usize & 3], |lane| strided + 2 * lane),
                         1 => lanes_of(warp, MASKS[bits as usize & 3], |_| first),
                         _ => lanes_of(warp, MASKS[bits as usize & 3], |lane| first + lane),
                     };
@@ -1189,7 +1192,7 @@ mod tests {
                     // the contention table folds words the metadata table
                     // (sized by the first launch) keeps apart.
                     let relaunch = LaunchInfo {
-                        backing_words: if bits % 8 == 0 { 32 } else { 64 },
+                        backing_words: info.backing_words - if bits % 8 == 0 { 32 } else { 0 },
                         ..info.clone()
                     };
                     det.at_launch(&relaunch, clock);
@@ -1204,7 +1207,7 @@ mod tests {
     }
 
     /// Everything a script leaves behind that the row path could move.
-    fn aftermath(det: &mut Iguard, clock: &Clock) -> String {
+    fn aftermath(det: &mut Iguard, clock: &Clock, base: u32) -> String {
         let observed = format!(
             "{:?} {:?} {:?} {:?} {:?} {:?}",
             det.stats(),
@@ -1217,7 +1220,11 @@ mod tests {
         let words: Vec<(u64, u64)> = det
             .engines
             .iter_mut()
-            .flat_map(|e| (0..72).map(|w| e.table.load(w)).collect::<Vec<_>>())
+            .flat_map(|e| {
+                (base..base + 72)
+                    .map(|w| e.table.load(w))
+                    .collect::<Vec<_>>()
+            })
             .map(|l| (l.acc, l.wr))
             .collect();
         format!("{observed} {words:?}")
@@ -1281,15 +1288,16 @@ mod tests {
         ]
     }
 
-    /// Runs `script` under every edge shape twice — on a plain clock, where
-    /// eligible splits take the row path, and on a profiling clock, which
-    /// sends every lane down the per-lane path — and requires the same
-    /// aftermath.
-    fn rows_agree_with_lanes(script: &[Event]) {
+    /// Runs `script`, its 64 words starting at word `base`, under every
+    /// edge shape twice — on a plain clock, where eligible splits take the
+    /// row path, and on a profiling clock, which sends every lane down the
+    /// per-lane path — and requires the same aftermath.
+    fn rows_agree_with_lanes(base: u32, script: &[Event]) {
         for (what, cfg, shards, free_device_bytes) in edge_shapes() {
             let info = LaunchInfo {
                 free_device_bytes,
                 device_capacity_bytes: 1 << 12,
+                backing_words: base as usize + 64,
                 ..launch_info()
             };
             let run = |profiling: bool| {
@@ -1297,39 +1305,76 @@ mod tests {
                 let mut clock = Clock::new();
                 clock.set_profiling(profiling);
                 run_script(&mut det, &mut clock, &info, script);
-                aftermath(&mut det, &clock)
+                aftermath(&mut det, &clock, base)
             };
-            assert_eq!(run(false), run(true), "{what}");
+            assert_eq!(run(false), run(true), "{what} at word {base}");
         }
     }
 
-    /// The edges by hand: a row as the first touch of unmaterialized slot
-    /// storage; rows ending at the last slot and one past it; the same
+    /// A scripted row: `kind` of [`KINDS`] by `warp` over `MASKS[mask]`,
+    /// lane `l` on the script's word `first + l`, `gap` steps on.
+    fn row(kind: u8, warp: u32, first: u32, mask: u32, gap: u32) -> Event {
+        // 132 = 3 * 44 keeps `first` through `run_script`'s `% 44` and
+        // sets the shape bits to "row".
+        (kind, warp, (132 + first) << 2 | mask, gap)
+    }
+
+    /// The edges by hand: a row as the first touch of an unmapped page of
+    /// slots; rows ending at the last slot and one past it; the same
     /// rows by another warp inside the contention window; a new launch
     /// (both epochs move, and the contention table now folds at word 32)
     /// between two rows; short rows on one page, then a full row crossing
     /// into the next.
     #[test]
     fn row_path_matches_the_lane_path_at_the_table_edges() {
-        let row = |kind: u8, warp, first: u32, mask: u32, gap| {
-            (kind, warp, 0x200 | first << 2 | mask, gap)
-        };
-        rows_agree_with_lanes(&[
-            row(1, 1, 0, 0, 1),
-            row(0, 1, 32, 0, 1),
-            row(1, 2, 32, 0, 1),
-            row(1, 1, 33, 0, 1),
-            row(0, 3, 33, 1, 1),
-            row(3, 0, 0, 2, 1),
-            (15, 0, 0, 1),
-            row(0, 1, 0, 0, 1),
-            row(1, 2, 20, 0, 1),
-            row(0, 3, 20, 0, 1),
-            row(1, 0, 0, 3, 1),
-            row(1, 0, 4, 3, 1),
-            row(1, 2, 8, 0, 100),
-            row(0, 3, 8, 0, 1),
-        ]);
+        rows_agree_with_lanes(
+            0,
+            &[
+                row(1, 1, 0, 0, 1),
+                row(0, 1, 32, 0, 1),
+                row(1, 2, 32, 0, 1),
+                row(1, 1, 33, 0, 1),
+                row(0, 3, 33, 1, 1),
+                row(3, 0, 0, 2, 1),
+                (15, 0, 0, 1),
+                row(0, 1, 0, 0, 1),
+                row(1, 2, 20, 0, 1),
+                row(0, 3, 20, 0, 1),
+                row(1, 0, 0, 3, 1),
+                row(1, 0, 4, 3, 1),
+                row(1, 2, 8, 0, 100),
+                row(0, 3, 8, 0, 1),
+            ],
+        );
+    }
+
+    /// The same where a page of slots ends after the script's 32nd word: a
+    /// full row straddling the boundary as the first touch of both pages,
+    /// and again by another warp inside the contention window; a full and
+    /// a gapped row ending on the page's last slot; a gapped and a short
+    /// row straddling; a row from the next page's first slot; then a new
+    /// launch whose contention table folds at the boundary, and the rows
+    /// again. A row that is not on one page of both tables goes lane by
+    /// lane, having done nothing as a row.
+    #[test]
+    fn row_path_matches_the_lane_path_across_a_slot_page_boundary() {
+        rows_agree_with_lanes(
+            SLOT_PAGE as u32 - 32,
+            &[
+                row(1, 1, 16, 0, 1),
+                row(0, 2, 16, 0, 1),
+                row(1, 1, 0, 0, 1),
+                row(0, 3, 1, 1, 1),
+                row(1, 3, 10, 1, 1),
+                row(1, 0, 32, 0, 1),
+                row(3, 2, 24, 3, 1),
+                (15, 0, 0, 1),
+                row(0, 1, 16, 0, 1),
+                row(1, 2, 0, 0, 1),
+                row(1, 0, 1, 1, 1),
+                row(0, 3, 32, 0, 100),
+            ],
+        );
     }
 
     proptest! {
@@ -1337,12 +1382,13 @@ mod tests {
 
         #[test]
         fn row_path_matches_the_lane_path_on_random_traffic(
+            base in prop_oneof![Just(0), Just(SLOT_PAGE as u32 - 32)],
             script in prop::collection::vec(
                 (0u8..16, 0..TOTAL_WARPS, any::<u32>(), 0u32..40),
                 1..80,
             )
         ) {
-            rows_agree_with_lanes(&script);
+            rows_agree_with_lanes(base, &script);
         }
     }
 }

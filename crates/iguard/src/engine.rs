@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use gpu_sim::hook::{LaneAccess, MemAccess};
+use gpu_sim::paged::Paged;
 use gpu_sim::timing::{Clock, CostCategory, Phase};
 
 use crate::bitfield::{
@@ -25,7 +26,7 @@ use crate::bitfield::{
 };
 use crate::checks::{detailed, preliminary, AccessType, CurrAccess, MdView, RaceKind, Safe};
 use crate::detector::IguardStats;
-use crate::metadata::{materialize, MetadataTable};
+use crate::metadata::{MetadataTable, SLOT_PAGE};
 use crate::report::{RaceRecord, RaceReporter};
 use crate::syncmeta::SyncMetadata;
 
@@ -69,26 +70,25 @@ struct ContentionSlot {
     streak: u32,
 }
 
-/// Flat, epoch-invalidated per-word contention state.
+/// Epoch-invalidated per-word contention state.
 ///
 /// Indexed by metadata word exactly like `MetadataTable` (power-of-two
 /// capacity ≥ the backing words, so every in-bounds word index maps
 /// injectively to its own slot): a slot whose epoch is stale reads as the
 /// zeroed default the old `HashMap::entry(word).or_default()` produced,
-/// so the replacement is behaviour-identical while removing hashing and
-/// allocation from the per-access path. The backing vector is a
-/// zero-filled allocation, so untouched slots never cost physical pages.
+/// so the replacement is behaviour-identical while removing hashing from
+/// the per-access path. Storage is the pages of slots the traffic has
+/// visited, 20 KB each.
 #[derive(Debug, Default)]
 struct ContentionTable {
     mask: usize,
     epoch: u32,
-    slots: Vec<ContentionSlot>,
+    slots: Paged<ContentionSlot, SLOT_PAGE>,
 }
 
 impl ContentionTable {
     /// Sets the slot mask for `words` and invalidates every slot (the old
-    /// per-launch `HashMap::clear`), without touching the backing pages.
-    /// Storage itself grows lazily (see [`materialize`]).
+    /// per-launch `HashMap::clear`) without visiting one.
     fn begin_launch(&mut self, words: usize) {
         let cap = words.next_power_of_two();
         self.mask = cap - 1;
@@ -100,7 +100,8 @@ impl ContentionTable {
         if self.epoch == 0 {
             // The 32-bit epoch wrapped: stale slots could masquerade as
             // live, so pay one real clear every 2^32 launches.
-            self.slots.fill(ContentionSlot::default());
+            self.slots
+                .for_each_mapped(|slot| *slot = ContentionSlot::default());
             self.epoch = 1;
         }
     }
@@ -109,19 +110,17 @@ impl ContentionTable {
     /// which never equals the live epoch.
     #[inline(always)]
     fn slot(&mut self, word: u32) -> (&mut ContentionSlot, u32) {
-        let slot = word as usize & self.mask;
-        materialize(&mut self.slots, slot);
-        (&mut self.slots[slot], self.epoch)
+        (self.slots.entry(word as usize & self.mask), self.epoch)
     }
 
-    /// The slots of words `first..=last`, when each word is its own slot.
+    /// The slots of words `first..=last`, when each word is its own slot
+    /// and the span lies on one page.
     #[inline(always)]
     fn row(&mut self, first: u32, last: u32) -> Option<(&mut [ContentionSlot], u32)> {
         if last as usize > self.mask {
             return None;
         }
-        materialize(&mut self.slots, last as usize);
-        let slots = self.slots.get_mut(first as usize..=last as usize)?;
+        let slots = self.slots.row(first as usize, last as usize)?;
         Some((slots, self.epoch))
     }
 }
@@ -153,12 +152,24 @@ impl ContentionSlot {
     }
 }
 
-/// Flat fixed-capacity history rings (§6.7 ablation depths > 1), indexed
-/// like [`ContentionTable`] and invalidated the same way. Replaces the
-/// old `HashMap<u32, VecDeque<HistRecord>>`: per-word rings of at most
-/// [`HISTORY_RING`] records live inline in flat arrays, so pushing a
-/// record allocates nothing. Records store the accessor identity
-/// losslessly (unlike the packed 16-byte entry, whose fields truncate).
+/// Words per page of history rings (17 KB a page).
+const HISTORY_PAGE: usize = 128;
+
+/// One word's ring of at most [`HISTORY_RING`] records, inline, so pushing
+/// a record allocates nothing. Records store the accessor identity
+/// losslessly (unlike the packed 16-byte entry, whose fields truncate)
+/// next to the accessor's lock Bloom summary.
+#[derive(Debug, Clone, Copy, Default)]
+struct HistoryRing {
+    epoch: u32,
+    head: u8,
+    len: u8,
+    recs: [(AccessorInfo, u16); HISTORY_RING],
+}
+
+/// Fixed-capacity history rings (§6.7 ablation depths > 1), indexed like
+/// [`ContentionTable`] and invalidated the same way. Replaces the old
+/// `HashMap<u32, VecDeque<HistRecord>>`.
 #[derive(Debug, Default)]
 struct HistoryTable {
     /// Records kept per word: `min(cfg.history_depth, HISTORY_RING)`.
@@ -166,16 +177,7 @@ struct HistoryTable {
     depth: usize,
     mask: usize,
     epoch: u32,
-    slot_epoch: Vec<u32>,
-    /// Per-slot ring control: `head << 4 | len` (both fit: depth ≤ 8).
-    ctl: Vec<u8>,
-    /// Per-record identity: `warp_id << 32 | lane`.
-    id: Vec<u64>,
-    /// Per-record sync counters, one byte each:
-    /// `dev_fence | blk_fence << 8 | blk_bar << 16 | warp_bar << 24`.
-    sync: Vec<u32>,
-    /// Per-record lock Bloom summary.
-    locks: Vec<u16>,
+    rings: Paged<HistoryRing, HISTORY_PAGE>,
 }
 
 impl HistoryTable {
@@ -192,83 +194,38 @@ impl HistoryTable {
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.slot_epoch.fill(0);
+            self.rings.for_each_mapped(|ring| ring.epoch = 0);
             self.epoch = 1;
-        }
-    }
-
-    /// Grows the slot and record arrays to cover `slot` — same lazy
-    /// high-water scheme as [`materialize`] (the record
-    /// arrays are `HISTORY_RING` entries per slot, so eager sizing
-    /// would be hundreds of megabytes at device scale).
-    #[inline]
-    fn ensure(&mut self, slot: usize) {
-        if slot >= self.slot_epoch.len() {
-            let n = (slot + 1).next_power_of_two();
-            self.slot_epoch.resize(n, 0);
-            self.ctl.resize(n, 0);
-            self.id.resize(n * HISTORY_RING, 0);
-            self.sync.resize(n * HISTORY_RING, 0);
-            self.locks.resize(n * HISTORY_RING, 0);
         }
     }
 
     /// Appends a record, evicting the oldest once the ring is full (the
     /// old `push_back` + trim-to-depth).
     fn push(&mut self, word: u32, info: AccessorInfo, locks: u16) {
-        let slot = word as usize & self.mask;
-        self.ensure(slot);
-        let (mut head, mut len) = if self.slot_epoch[slot] == self.epoch {
-            let c = self.ctl[slot];
-            ((c >> 4) as usize, (c & 0xF) as usize)
-        } else {
-            (0, 0)
-        };
+        let ring = self.rings.entry(word as usize & self.mask);
+        if ring.epoch != self.epoch {
+            (ring.epoch, ring.head, ring.len) = (self.epoch, 0, 0);
+        }
+        let (head, len) = (ring.head as usize, ring.len as usize);
         let pos = if len == self.depth {
-            let oldest = head;
-            head = (head + 1) % self.depth;
-            oldest
+            ring.head = ((head + 1) % self.depth) as u8;
+            head
         } else {
-            let p = (head + len) % self.depth;
-            len += 1;
-            p
+            ring.len += 1;
+            (head + len) % self.depth
         };
-        let at = slot * HISTORY_RING + pos;
-        self.id[at] = (u64::from(info.warp_id) << 32) | u64::from(info.lane);
-        self.sync[at] = u32::from(info.dev_fence)
-            | (u32::from(info.blk_fence) << 8)
-            | (u32::from(info.blk_bar) << 16)
-            | (u32::from(info.warp_bar) << 24);
-        self.locks[at] = locks;
-        self.slot_epoch[slot] = self.epoch;
-        self.ctl[slot] = ((head as u8) << 4) | len as u8;
+        ring.recs[pos] = (info, locks);
     }
 
     /// Yields `word`'s records newest-first, skipping the newest (which
     /// duplicates the entry's own accessor) — the `iter().rev().skip(1)`
     /// order of the old `VecDeque`.
-    fn rev_skip_newest(&self, word: u32) -> impl Iterator<Item = (AccessorInfo, u16)> + '_ {
-        let slot = word as usize & self.mask;
-        let (head, len) = if self.depth > 1 && self.slot_epoch.get(slot) == Some(&self.epoch) {
-            let c = self.ctl[slot];
-            ((c >> 4) as usize, (c & 0xF) as usize)
-        } else {
-            (0, 0)
-        };
-        (0..len.saturating_sub(1)).rev().map(move |i| {
-            let at = slot * HISTORY_RING + (head + i) % self.depth;
-            let id = self.id[at];
-            let sync = self.sync[at];
-            let info = AccessorInfo {
-                warp_id: (id >> 32) as u32,
-                lane: id as u32,
-                dev_fence: sync as u8,
-                blk_fence: (sync >> 8) as u8,
-                blk_bar: (sync >> 16) as u8,
-                warp_bar: (sync >> 24) as u8,
-            };
-            (info, self.locks[at])
-        })
+    fn rev_skip_newest(&self, word: u32) -> impl Iterator<Item = (AccessorInfo, u16)> {
+        let ring = self.rings.read(word as usize & self.mask);
+        let live = self.depth > 1 && ring.epoch == self.epoch;
+        let (head, len, depth) = (ring.head as usize, ring.len as usize, self.depth);
+        let older = if live { len.saturating_sub(1) } else { 0 };
+        (0..older).rev().map(move |i| ring.recs[(head + i) % depth])
     }
 }
 
@@ -417,7 +374,8 @@ impl Engine {
 
     /// The per-access detection pipeline (§6.2, §6.4), for any word under
     /// any table configuration: metadata load (UVM + eviction accounting),
-    /// [`Checks::step`] on the word's two slots, metadata store.
+    /// [`Checks::step`] on the word's two slots — each resolved once —
+    /// and the write-back into the metadata slot.
     ///
     /// Only the *serializing* components charge cycles here — UVM faults
     /// and metadata-lock contention; the data-parallel part of the check
@@ -436,7 +394,7 @@ impl Engine {
     ) {
         // Metadata lookup: UVM touch + contention serialization.
         let t0 = split.profiling.then(Instant::now);
-        let loaded = self.table.load(lane.word);
+        let (loaded, slot, epoch, tag) = self.table.open(lane.word);
         if let Some(t) = t0 {
             out.clock
                 .add_phase_ns(Phase::Uvm, t.elapsed().as_nanos() as u64);
@@ -454,8 +412,8 @@ impl Engine {
         }
         let contention = self.contention.slot(lane.word);
         let words = (loaded.acc, loaded.wr);
-        let (acc, wr) = self.checks.step(split, lane, words, contention, sync, out);
-        self.table.store(lane.word, acc, wr);
+        let words = self.checks.step(split, lane, words, contention, sync, out);
+        slot.write(epoch, tag, words);
     }
 
     /// A whole split at once, for lanes on ascending consecutive words
@@ -698,4 +656,60 @@ fn report_race(
         prev_lane: prev.lane,
     };
     out.reporter.report(record, out.clock);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A contention slot written 2^32 launches ago carries the epoch the
+    /// wrap restarts at: the wrap must clear it, and the one written at
+    /// `u32::MAX`, while slots written afterwards work as ever.
+    #[test]
+    fn contention_epoch_wrap_forgets_every_slot() {
+        let mut t = ContentionTable::default();
+        t.begin_launch(64);
+        let streak = |t: &mut ContentionTable, word, warp, step| {
+            let (slot, epoch) = t.slot(word);
+            slot.update(epoch, warp, step, 100)
+        };
+        assert_eq!(streak(&mut t, 5, 3, 10), 1);
+        t.epoch = u32::MAX - 1;
+        t.begin_launch(64);
+        assert_eq!(t.epoch, u32::MAX);
+        assert_eq!(streak(&mut t, 6, 3, 10), 1);
+        assert_eq!(streak(&mut t, 6, 4, 11), 2, "live at the last epoch");
+        t.begin_launch(64);
+        assert_eq!(t.epoch, 1, "wrapped");
+        // Were the old slots live, another warp a step on would read 2.
+        assert_eq!(streak(&mut t, 5, 4, 11), 1, "epoch-1 slot from before");
+        assert_eq!(streak(&mut t, 6, 5, 12), 1, "epoch-MAX slot");
+        assert_eq!(streak(&mut t, 6, 6, 13), 2, "written after the wrap");
+    }
+
+    #[test]
+    fn history_epoch_wrap_forgets_every_ring() {
+        let info = |warp_id| AccessorInfo {
+            warp_id,
+            ..AccessorInfo::default()
+        };
+        let older = |h: &HistoryTable, word| -> Vec<u32> {
+            h.rev_skip_newest(word).map(|(i, _)| i.warp_id).collect()
+        };
+        let mut h = HistoryTable::default();
+        h.begin_launch(64, 4);
+        (1..=3).for_each(|w| h.push(5, info(w), 0));
+        assert_eq!(older(&h, 5), [2, 1]);
+        h.epoch = u32::MAX - 1;
+        h.begin_launch(64, 4);
+        assert_eq!(h.epoch, u32::MAX);
+        (4..=5).for_each(|w| h.push(6, info(w), 0));
+        assert_eq!(older(&h, 6), [4], "live at the last epoch");
+        h.begin_launch(64, 4);
+        assert_eq!(h.epoch, 1, "wrapped");
+        assert_eq!(older(&h, 5), [0u32; 0], "epoch-1 ring from before");
+        assert_eq!(older(&h, 6), [0u32; 0], "epoch-MAX ring");
+        (7..=8).for_each(|w| h.push(5, info(w), 0));
+        assert_eq!(older(&h, 5), [7], "written after the wrap");
+    }
 }

@@ -18,10 +18,16 @@
 use crate::bitfield::{TAG_FIELD, TAG_SHIFT, VALID};
 use crate::error::IguardError;
 use faults::{FaultConfig, FaultInjector, FaultSite, FaultStats};
+use gpu_sim::paged::Paged;
 use uvm_sim::{ManagedRegion, UvmConfig};
 
 /// Bytes of metadata per 4-byte word (Figure 4).
 pub const ENTRY_BYTES: u64 = 16;
+
+/// Slots per host page of the per-word tables (this one and the engine's
+/// contention table, so a row lies on one page of both or of neither):
+/// 20 KB a page, and a 32-word row crosses a boundary once in 32.
+pub(crate) const SLOT_PAGE: usize = 1024;
 
 /// Construction parameters of a [`MetadataTable`].
 #[derive(Debug, Clone)]
@@ -128,7 +134,7 @@ impl Slot {
 /// The UVM-backed metadata table.
 #[derive(Debug)]
 pub struct MetadataTable {
-    slots: Vec<Slot>,
+    slots: Paged<Slot, SLOT_PAGE>,
     cur_epoch: u32,
     /// `capacity - 1`; capacity is rounded up to a power of two so the
     /// per-access direct mapping is a mask, not a division.
@@ -187,11 +193,11 @@ impl MetadataTable {
             cfg.device_budget_bytes,
         )?;
         uvm.set_faults(FaultInjector::new(&cfg.faults, "metadata-uvm"));
-        // Slot storage grows lazily to the touched high-water mark (the
-        // mapping is identity for in-bounds words, so this is equivalent
-        // to full preallocation); only the mask/shift use `capacity`.
+        // Slot storage is the pages that get written (an unwritten slot
+        // reads as the zeroed slot preallocation would hold); only the
+        // mask/shift use `capacity`.
         Ok(MetadataTable {
-            slots: Vec::new(),
+            slots: Paged::default(),
             cur_epoch: 0,
             slot_mask: capacity - 1,
             tag_shift: capacity.trailing_zeros(),
@@ -262,17 +268,23 @@ impl MetadataTable {
     #[must_use]
     #[inline(always)]
     pub fn load(&mut self, word_idx: u32) -> MetaLoad {
+        self.open(word_idx).0
+    }
+
+    /// [`MetadataTable::load`], plus the slot it read and the epoch and
+    /// tag a write-back stamps it with: a load-check-store visit resolves
+    /// its slot once.
+    #[inline(always)]
+    pub(crate) fn open(&mut self, word_idx: u32) -> (MetaLoad, &mut Slot, u32, u64) {
         let mut off = u64::from(word_idx) * ENTRY_BYTES * self.addr_scale;
         if off >= self.uvm.len_bytes() {
             off %= self.uvm.len_bytes();
         }
         // `off` is inside the region, so the touch cannot be refused.
         let uvm_cycles = self.uvm.try_touch(off).map_or(0, |t| t.cycles());
-        let tag = self.tag(word_idx);
-        // An unmaterialized slot, like a stale one, reads as a first
-        // access — what a zeroed preallocated slot would produce.
-        let slot = self.slots.get(self.slot(word_idx));
-        let slot = slot.copied().unwrap_or_default();
+        let (at, tag) = (self.slot(word_idx), self.tag(word_idx));
+        // A slot nobody wrote, like a stale one, reads as a first access.
+        let slot = self.slots.entry(at);
         let (mut acc, mut wr) = slot.read(self.cur_epoch, tag);
         // A live, valid entry with a different tag is a *capacity
         // eviction*: the slot is being reused for another address and its
@@ -299,12 +311,13 @@ impl MetadataTable {
                 (acc, wr) = (tag, 0);
             }
         }
-        MetaLoad {
+        let loaded = MetaLoad {
             acc,
             wr,
             uvm_cycles,
             evicted,
-        }
+        };
+        (loaded, slot, self.cur_epoch, tag)
     }
 
     /// Stores the raw words for `word_idx` (stamps tag and epoch). Fresh
@@ -312,9 +325,8 @@ impl MetadataTable {
     /// access whether or not 0 is the live epoch.
     #[inline(always)]
     pub fn store(&mut self, word_idx: u32, acc: u64, wr: u64) {
-        let (slot, tag) = (self.slot(word_idx), self.tag(word_idx));
-        materialize(&mut self.slots, slot);
-        self.slots[slot].write(self.cur_epoch, tag, (acc, wr));
+        let (at, tag) = (self.slot(word_idx), self.tag(word_idx));
+        self.slots.entry(at).write(self.cur_epoch, tag, (acc, wr));
     }
 
     /// The slots of words `first..=last` with the live epoch, when loading
@@ -323,7 +335,8 @@ impl MetadataTable {
     /// table, no capacity cap folding other words onto them), no fault
     /// plane can forget an entry, and the span's pages are resident in an
     /// unscaled region with no UVM fault armed, so the touches would all
-    /// be free hits. `None` sends the caller down the per-word path.
+    /// be free hits — and the span lies on one host page of slots (one row
+    /// in 32 does not). `None` sends the caller down the per-word path.
     #[inline(always)]
     pub(crate) fn row(&mut self, first: u32, last: u32) -> Option<(&mut [Slot], u32)> {
         let off = |word: u32| u64::from(word) * ENTRY_BYTES;
@@ -335,22 +348,8 @@ impl MetadataTable {
         if !plain {
             return None;
         }
-        materialize(&mut self.slots, last as usize);
-        let slots = self.slots.get_mut(first as usize..=last as usize)?;
+        let slots = self.slots.row(first as usize, last as usize)?;
         Some((slots, self.cur_epoch))
-    }
-}
-
-/// Grows per-word slot storage to cover `slot`. Storage follows the touched
-/// high-water mark (rounded up to a power of two, so never past a
-/// power-of-two capacity that holds `slot`): the mapping is identity for
-/// in-range words, so that is equivalent to full preallocation — without
-/// zeroing tens of megabytes per detector for the device's whole address
-/// space.
-#[inline(always)]
-pub(crate) fn materialize<T: Clone + Default>(slots: &mut Vec<T>, slot: usize) {
-    if slot >= slots.len() {
-        slots.resize((slot + 1).next_power_of_two(), T::default());
     }
 }
 
