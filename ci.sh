@@ -3,73 +3,37 @@
 # build of the standalone `benchmark/` package (it names `Iguard`,
 # `ShardedIguard`, `ShardConfig::inline` and the service closure type, so
 # breaking that frozen surface fails here rather than in a benchmark run).
-# With --quick, additionally runs `benchmark/run.sh --smoke` (every
-# workload and arm once, verdicts checked against their references) and
-# the perf-harness smoke: a small
-# `perf --quick` sweep whose JSON is validated structurally — schema tag,
-# host blocks, overlap accounting, and the static_prune invariants
-# (prune rates in [0,1], safe+racy+unknown == mem points,
-# dispatched+skipped == total accesses, host-gated speedup fields).
-# With --perf, additionally runs the perf tier: the shard-determinism
-# suite and the three recorded tables of the hot paths —
-# `counter_identity` pins what the detector counts (every `IguardStats`
-# field, the metadata `UvmStats` and the raw Detection cycle pools of the
-# benchmark's detector traffic, under one and four shards, a capacity
-# cap, a history ring, scaled addresses and an armed fault plane) and,
-# beside it, `heap_ceiling` pins what the per-word shadows cost (peak live
-# heap of the 128 Ki stencil rung under 64 MB natively and under the
-# detector, the 1 Mi rung within 1.25 x its recorded peak, by a counting
-# allocator);
-# `schedule_digest` pins what the interpreter delivers (a hook-level
-# digest of every memory access and sync event, with its launch counters
-# and simulated clock, over the zoo under ITS and lockstep at three seeds
-# plus the benchmark's detector members and stencil rungs); `split_shapes`
-# pins what that traffic looks like (per benchmark member, the
-# global-memory splits and lanes that are single-lane, uniform, rows on
-# consecutive words — contiguous or gapped mask — or anything else: the
-# premise of the detector's row path) — so a hot-path edit that moves a
-# counter or a scheduling decision, or a workload edit that moves the
-# traffic the fast paths were built for, fails here
-# rather than in a benchmark run (`benches/detector_hot_path.rs` and
-# `benches/interpreter_hot_path.rs` themselves are compiled by the tier-1
-# `clippy --all-targets` — the vendored criterion shim has no `--test`
-# mode to run them under), the perf smoke, and structural validation of the
-# emitted bench-pr8-v1 JSON (plus the previous bench-pr7-v1 trajectory,
-# if present — `--validate` dispatches on the schema tag). Wall-clock
-# speedup assertions are host-gated by the harness itself (single-core
-# boxes record but never compare), so this tier is safe on any machine.
-# With --fuzz, additionally runs a time-boxed differential fuzz campaign
-# (generated kernels vs the schedule-space oracle vs both detectors); any
-# unexplained divergence fails the gate. A second time-boxed arm
-# (`fuzz --static`) replays the pinned corpus and a fresh stream through
-# the static-pruning differential (static verdict x pruned x full x
-# oracle); any `static-unsound` observation fails the gate.
-# With --chaos, additionally runs the fault-injection smoke: seeded chaos
-# campaigns with every fault site armed (zero panics, every degradation
-# accounted, clean mid-campaign checkpoint resume), the
-# accuracy-under-pressure sweep (missed-check accounting), and a shell-level
-# campaign crash drill: a checkpointed fuzz campaign, the newest generation
-# of its checkpoint store damaged, a resume that must continue from the
-# generation before it and finish on the uninterrupted campaign's totals.
-# With --litmus, additionally runs the weak-memory litmus smoke: replay of
-# the pinned v2 litmus corpus (witness traces re-run on the weak machine,
-# verdicts and explanations byte-compared) plus a time-boxed random litmus
-# campaign; any unexplained divergence or replay drift fails the gate.
-# With --service, additionally runs the multi-tenant detector-service
-# soak: a >=1000-launch fleet (clean + chaos arms) whose per-tenant
-# verdicts must be byte-identical across stream/shard reshapes
-# and a restart through the checkpoint store, with the emitted bench-pr9-v1
-# JSON validated structurally; then the *supervised* chaos soak (poison-job
-# quarantine, retry ladder, checkpoint-store recovery past forced short,
-# torn and corrupt generations, bench-pr10-v1 JSON) and a
-# shell-level crash-recovery drill: run to a mid-soak save, kill, corrupt
-# the newest on-disk generation, resume, and require the final verdict
-# digests byte-identical to an uninterrupted run.
+# The workspace tests already byte-compare the stdout of `table4`, `table5`,
+# `fig11`, `pressure`, `chaos` and both `service` soaks (`golden_stdout`)
+# and pin the hot paths (`counter_identity`, `heap_ceiling`,
+# `schedule_digest`, `split_shapes`, `shard_determinism`); each flag below
+# adds only what that step does not run.
+# --quick    `benchmark/run.sh --smoke`: every benchmark workload and arm
+#            once, verdicts checked against their references.
+# --fuzz     a 45 s differential fuzz campaign (generated kernels vs the
+#            schedule-space oracle vs both detectors; any unexplained
+#            divergence fails), a 30 s `fuzz --static` arm (pinned corpus +
+#            fresh stream through the static-pruning differential; any
+#            `static-unsound` observation fails), and the corpus drift
+#            check (both pinned corpora regenerate byte-identically).
+# --chaos    five seeded chaos campaigns with every fault site armed (zero
+#            panics, every degradation accounted, checkpoint resume
+#            byte-exact) and the campaign crash drill: a checkpointed fuzz
+#            campaign, its newest generation truncated, a resume that must
+#            fall back one generation and finish on the same totals.
+# --litmus   replay of the pinned v2 litmus corpus through the `litmus`
+#            binary, then a 30 s random litmus campaign; any unexplained
+#            divergence or replay drift fails.
+# --service  the unsupervised chaos soak (>= 1000 launches with the per-job
+#            fault plane armed; verdicts byte-identical across reshapes and
+#            a restart, every degradation accounted) and the shell-level
+#            crash-recovery drill: run to a mid-soak save, exit, truncate
+#            the newest generation, resume, and require the final digests
+#            byte-identical to an uninterrupted run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 QUICK=0
-PERF=0
 FUZZ=0
 CHAOS=0
 LITMUS=0
@@ -77,7 +41,6 @@ SERVICE=0
 for arg in "$@"; do
   case "$arg" in
     --quick) QUICK=1 ;;
-    --perf) PERF=1 ;;
     --fuzz) FUZZ=1 ;;
     --chaos) CHAOS=1 ;;
     --litmus) LITMUS=1 ;;
@@ -101,47 +64,6 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-di
 if [[ "$QUICK" -eq 1 ]]; then
   echo "== benchmark smoke (--quick) =="
   benchmark/run.sh --smoke
-  echo "== perf smoke (--quick) =="
-  cargo run --release -p bench --bin perf -- --quick --no-progress
-  test -s target/BENCH_PR8.quick.json || { echo "perf smoke: missing/empty JSON" >&2; exit 1; }
-  cargo run --release -p bench --bin perf -- --validate target/BENCH_PR8.quick.json
-  echo "== service smoke (--quick) =="
-  cargo run --release -p bench --bin service -- --quick --no-progress
-  test -s target/BENCH_PR9.quick.json || { echo "service smoke: missing/empty JSON" >&2; exit 1; }
-  cargo run --release -p bench --bin service -- --validate target/BENCH_PR9.quick.json
-  echo "== supervised service smoke (--quick) =="
-  cargo run --release -p bench --bin service -- --quick --supervised --chaos --no-progress
-  test -s target/BENCH_PR10.quick.json || { echo "supervised smoke: missing/empty JSON" >&2; exit 1; }
-  cargo run --release -p bench --bin service -- --validate target/BENCH_PR10.quick.json
-fi
-
-if [[ "$PERF" -eq 1 ]]; then
-  echo "== shard determinism suite (--perf) =="
-  cargo test -q -p bench --release --test shard_determinism
-  echo "== hot-path counter identity (--perf) =="
-  cargo test -q -p bench --release --test counter_identity
-  echo "== stencil heap ceilings (--perf) =="
-  cargo test -q -p bench --release --test heap_ceiling
-  echo "== interpreter schedule digest (--perf) =="
-  cargo test -q -p bench --release --test schedule_digest
-  echo "== benchmark split shapes (--perf) =="
-  cargo test -q -p bench --release --test split_shapes
-  echo "== perf smoke (--perf) =="
-  cargo run --release -p bench --bin perf -- --quick --no-progress
-  echo "== perf JSON validation (--perf) =="
-  # Checks the schema tag, the host block on every recorded run, the
-  # overlap invariants (busy + idle == total per engine, overlapped <=
-  # serial), and the static_prune accounting on the file the smoke just
-  # wrote; older trajectory files validate under their own schema.
-  cargo run --release -p bench --bin perf -- --validate target/BENCH_PR8.quick.json
-  for f in BENCH_PR8.json BENCH_PR7.json; do
-    if [[ -s "$f" ]]; then
-      cargo run --release -p bench --bin perf -- --validate "$f"
-    fi
-  done
-  if [[ "$(nproc)" -lt 2 ]]; then
-    echo "perf tier: single-core host, skipping wall-clock speedup checks"
-  fi
 fi
 
 if [[ "$FUZZ" -eq 1 ]]; then
@@ -176,9 +98,6 @@ if [[ "$CHAOS" -eq 1 ]]; then
   # 5 seeded campaigns, all 9 fault sites armed at ~1.6%: no panics, every
   # injected fault traceable to a counter, checkpoint resume byte-exact.
   cargo run --release -p bench --bin chaos -- --campaigns 5 --seed 42 --no-progress
-  echo "== pressure sweep (--chaos) =="
-  # Exits non-zero if any missed check is unaccounted.
-  cargo run --release -p bench --bin pressure -- --no-progress
   echo "== campaign crash drill (--chaos) =="
   # The service crash drill's twin for bench campaigns: 64 kernels are two
   # batches, so two generations land in the store; we tear the newest, and
@@ -203,31 +122,12 @@ if [[ "$CHAOS" -eq 1 ]]; then
 fi
 
 if [[ "$SERVICE" -eq 1 ]]; then
-  echo "== detector-service soak, clean arm (--service) =="
-  # Quick fleet (3 tenants x 8 jobs x 48 reps >= 1000 launches) plus the
-  # in-binary reshape + restart determinism drills; exits non-zero on any
-  # verdict divergence or unaccounted degradation.
-  cargo run --release -p bench --bin service -- --quick --no-progress
   echo "== detector-service soak, chaos arm (--service) =="
-  # Same fleet with the per-job fault plane armed (GPU launch boundary +
-  # detector internals): verdicts must stay byte-stable and accounted.
-  cargo run --release -p bench --bin service -- --quick --chaos --no-progress \
-    --out target/BENCH_PR9.chaos.json
-  echo "== service JSON validation (--service) =="
-  cargo run --release -p bench --bin service -- --validate target/BENCH_PR9.quick.json
-  cargo run --release -p bench --bin service -- --validate target/BENCH_PR9.chaos.json
-  if [[ -s BENCH_PR9.json ]]; then
-    cargo run --release -p bench --bin perf -- --validate BENCH_PR9.json
-  fi
-  echo "== supervised chaos soak (--service) =="
-  # Quick fleet under supervision with every fault site armed plus the
-  # deterministic poison lottery: zero process panics, non-quarantined
-  # verdicts healed to fault-free bytes, quarantine ledger deterministic,
-  # in-binary store-recovery drill (torn + corrupt + short-written
-  # generations) byte-identical.
-  cargo run --release -p bench --bin service -- --quick --supervised --chaos --no-progress \
-    --out target/BENCH_PR10.ci.json --store target/service-store-ci
-  cargo run --release -p bench --bin service -- --validate target/BENCH_PR10.ci.json
+  # Quick fleet (3 tenants x 8 jobs x 48 reps >= 1000 launches) with the
+  # per-job fault plane armed (GPU launch boundary + detector internals),
+  # plus the in-binary reshape + restart drills; exits non-zero on any
+  # verdict divergence or unaccounted degradation.
+  cargo run --release -p bench --bin service -- --quick --chaos --no-progress
   echo "== crash-recovery drill (--service) =="
   # Shell-level kill/corrupt/resume: stage 1 runs two partial incarnations
   # and exits (simulating a crash between saves); we then damage the
@@ -241,9 +141,6 @@ if [[ "$SERVICE" -eq 1 ]]; then
   echo "crash drill: truncated 20 bytes off $NEWEST"
   cargo run --release -p bench --bin service -- --quick --supervised --chaos --no-progress \
     --store "$DRILL_STORE" --drill-stage 2
-  if [[ -s BENCH_PR10.json ]]; then
-    cargo run --release -p bench --bin service -- --validate BENCH_PR10.json
-  fi
 fi
 
 if [[ "$LITMUS" -eq 1 ]]; then

@@ -17,9 +17,7 @@
 //! The PR 1 driver is the load generator (the soak arms run as parallel
 //! driver jobs); `--chaos` arms the PR 4 fault plane (GPU launch
 //! boundary + detector internals) per job, reseeded from the job seed so
-//! the drills above still hold bit-for-bit. Results land in
-//! `BENCH_PR9.json` (schema `bench-pr9-v1`, validated before writing and
-//! by `perfjson::validate_pr9` in CI).
+//! the drills above still hold bit-for-bit.
 //!
 //! `--supervised` (DESIGN.md §15) runs the soak under the self-healing
 //! supervisor instead: a deterministic fraction of jobs
@@ -29,27 +27,24 @@
 //! the restart arm becomes a crash-recovery drill: a second incarnation
 //! finishes the load and loses every save to a forced write-side fault
 //! site (short write → no promote, torn and
-//! corrupt writes → promoted garbage that recovery must skip). Results
-//! land in `BENCH_PR10.json` (schema `bench-pr10-v1`,
-//! `perfjson::validate_pr10`). `--drill-stage 1|2` exposes the two
-//! halves of the CI crash-recovery drill: stage 1 soaks and saves two
-//! generations into `--store`, CI corrupts the newest, stage 2 recovers,
-//! finishes the load, and byte-compares against an uninterrupted run.
+//! corrupt writes → promoted garbage that recovery must skip).
+//! `--drill-stage 1|2` exposes the two halves of the CI crash-recovery
+//! drill: stage 1 soaks and saves two generations into `--store`, CI
+//! corrupts the newest, stage 2 recovers, finishes the load, and
+//! byte-compares against an uninterrupted run.
 //!
 //! ```text
 //! service [--tenants N] [--jobs-per-tenant N] [--reps N] [--streams N]
 //!         [--shards N] [--slice CYCLES] [--seed S] [--chaos]
-//!         [--rate-denom D] [--quick] [--out PATH] [--validate PATH]
+//!         [--rate-denom D] [--quick]
 //!         [--supervised] [--max-retries N] [--cycle-budget CYCLES]
 //!         [--poison-denom D] [--store DIR] [--drill-stage 1|2]
 //!         [--jobs N | --serial] [--timeout-secs N] [--no-progress]
 //! ```
 //!
-//! Stdout is deterministic for a fixed flag set (wall-clock numbers go
-//! only to the JSON file), so a seeded run is golden-testable — with or
+//! Stdout is deterministic for a fixed flag set (simulated cycles only,
+//! no wall-clock number), so a seeded run is golden-testable — with or
 //! without `--supervised`.
-
-use std::time::{Duration, Instant};
 
 use faults::{FaultConfig, FaultInjector, FaultSite, RATE_ONE};
 use iguard::{
@@ -58,22 +53,10 @@ use iguard::{
 };
 use workloads::Size;
 
-use bench::perfjson::{self, Value};
 use bench::{
-    available_jobs, is_poison, quiet_poison_panics, run_jobs, run_service_job, DriverConfig, Job,
-    Outcome, ServiceJob,
+    is_poison, quiet_poison_panics, run_jobs, run_service_job, DriverConfig, Job, Outcome,
+    ServiceJob,
 };
-
-const DEFAULT_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
-const QUICK_OUT: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../target/BENCH_PR9.quick.json"
-);
-const DEFAULT_OUT_PR10: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-const QUICK_OUT_PR10: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../target/BENCH_PR10.quick.json"
-);
 
 /// Workload rotation per (tenant, job index): small kernels covering
 /// racy and clean regimes, so verdicts are non-trivial but each job is
@@ -92,8 +75,6 @@ struct Args {
     chaos: bool,
     rate_denom: u32,
     quick: bool,
-    out: Option<String>,
-    validate: Option<String>,
     supervised: bool,
     max_retries: u32,
     cycle_budget: u64,
@@ -109,7 +90,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: service [--tenants N] [--jobs-per-tenant N] [--reps N] [--streams N]\n\
          \x20              [--shards N] [--slice CYCLES] [--seed S] [--chaos]\n\
-         \x20              [--rate-denom D] [--quick] [--out PATH] [--validate PATH]\n\
+         \x20              [--rate-denom D] [--quick]\n\
          \x20              [--supervised] [--max-retries N] [--cycle-budget CYCLES]\n\
          \x20              [--poison-denom D] [--store DIR] [--drill-stage 1|2]\n\
          \x20              [--jobs N | --serial] [--timeout-secs N] [--no-progress]"
@@ -129,8 +110,6 @@ fn parse_args(rest: Vec<String>) -> Args {
         chaos: false,
         rate_denom: 64,
         quick: false,
-        out: None,
-        validate: None,
         supervised: false,
         max_retries: 1,
         cycle_budget: 0,
@@ -161,8 +140,6 @@ fn parse_args(rest: Vec<String>) -> Args {
             "--chaos" => args.chaos = true,
             "--rate-denom" => args.rate_denom = numeric("--rate-denom", value("--rate-denom")),
             "--quick" => args.quick = true,
-            "--out" => args.out = Some(value("--out")),
-            "--validate" => args.validate = Some(value("--validate")),
             "--supervised" => args.supervised = true,
             "--max-retries" => args.max_retries = numeric("--max-retries", value("--max-retries")),
             "--cycle-budget" => {
@@ -177,7 +154,7 @@ fn parse_args(rest: Vec<String>) -> Args {
             other => usage(&format!("unknown flag `{other}`")),
         }
     }
-    // Fleet shape defaults: both modes clear the schema's 1000-launch
+    // Fleet shape defaults: both modes clear the soak's 1000-launch
     // floor with margin (each job replays its workload `reps` times, and
     // the chaos arm loses a few percent of launches to injected aborts).
     if args.tenants == 0 {
@@ -190,31 +167,6 @@ fn parse_args(rest: Vec<String>) -> Args {
         args.reps = if args.quick { 48 } else { 15 };
     }
     args
-}
-
-fn validate_file(path: &str) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("service: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = perfjson::parse(&text).unwrap_or_else(|e| {
-        eprintln!("service: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    // Dispatch on the document's own schema tag: plain soaks carry
-    // bench-pr9-v1, supervised soaks bench-pr10-v1.
-    let (schema, result) = match doc.get("schema").and_then(Value::as_str) {
-        Some(s) if s == perfjson::SCHEMA_PR10 => {
-            (perfjson::SCHEMA_PR10, perfjson::validate_pr10(&doc))
-        }
-        _ => (perfjson::SCHEMA_PR9, perfjson::validate_pr9(&doc)),
-    };
-    if let Err(e) = result {
-        eprintln!("service: {path} fails {schema} validation: {e}");
-        std::process::exit(1);
-    }
-    println!("service: {path} is valid {schema}");
-    std::process::exit(0);
 }
 
 /// The chaos plane for this invocation (disabled without `--chaos`).
@@ -309,12 +261,11 @@ struct RecoveryDrill {
     short_write_promoted: bool,
 }
 
-/// One soak arm's results (everything the drills and the JSON need).
+/// One soak arm's results (everything the drills need).
 struct Soak {
     verdicts: Vec<TenantVerdict>,
     /// The arm's last incarnation, cumulative.
     report: ServiceReport,
-    wall: Duration,
     recovery: Option<RecoveryDrill>,
 }
 
@@ -368,13 +319,11 @@ fn finish(
     chaos: &FaultConfig,
     poison_denom: u64,
     sup: Option<&SupervisorConfig>,
-    start: Instant,
 ) -> Soak {
     run_stage(&mut svc, chaos, poison_denom, sup, "soak");
     Soak {
         verdicts: svc.verdicts(),
         report: svc.report().clone(),
-        wall: start.elapsed(),
         recovery: None,
     }
 }
@@ -398,7 +347,6 @@ fn restart_arm(args: &Args, chaos: &FaultConfig) -> Job<Soak> {
     let (args, chaos, dir) = (args.clone(), chaos.clone(), store_dir(args));
     let label = if args.supervised { "recovery" } else { "restart" };
     Job::custom(format!("service/{label}"), move || {
-        let start = Instant::now();
         let (sup, poison) = (sup_config(&args), poison_denom(&args));
         let cfg = reference_config(&args);
         let die = |what: &str, e: &dyn std::fmt::Display| -> ! {
@@ -445,7 +393,7 @@ fn restart_arm(args: &Args, chaos: &FaultConfig) -> Job<Soak> {
         // deterministically re-runs.
         let (mut svc, rec) = store.recover::<ServiceJob>(&cfg);
         submit_load(&mut svc, &args, args.jobs_per_tenant);
-        let mut soak = finish(svc, &chaos, poison, sup.as_ref(), start);
+        let mut soak = finish(svc, &chaos, poison, sup.as_ref());
         soak.recovery = args.supervised.then_some(RecoveryDrill {
             report: rec,
             short_write_promoted,
@@ -457,24 +405,12 @@ fn restart_arm(args: &Args, chaos: &FaultConfig) -> Job<Soak> {
 fn main() {
     let (driver, rest) = DriverConfig::from_env();
     let args = parse_args(rest);
-    if let Some(path) = &args.validate {
-        validate_file(path);
-    }
     if args.supervised {
         quiet_poison_panics();
     }
     if args.drill_stage > 0 {
         drill_stage(&args);
     }
-    let out_path = args.out.clone().unwrap_or_else(|| {
-        match (args.supervised, args.quick) {
-            (true, true) => QUICK_OUT_PR10,
-            (true, false) => DEFAULT_OUT_PR10,
-            (false, true) => QUICK_OUT,
-            (false, false) => DEFAULT_OUT,
-        }
-        .to_string()
-    });
     let chaos = chaos_plane(&args);
 
     println!(
@@ -513,10 +449,9 @@ fn main() {
     let soak_arm = |label: &str, cfg: ServiceConfig, chaos: FaultConfig| {
         let args = args.clone();
         Job::custom(format!("service/{label}"), move || {
-            let start = Instant::now();
             let mut svc = DetectorService::new(cfg);
             submit_load(&mut svc, &args, args.jobs_per_tenant);
-            finish(svc, &chaos, poison, sup.as_ref(), start)
+            finish(svc, &chaos, poison, sup.as_ref())
         })
     };
     let mut arms = vec![soak_arm("reference", reference_config(&args), chaos.clone())];
@@ -748,155 +683,6 @@ fn main() {
             restart.report.jobs_run
         );
     }
-
-    // JSON trajectory (schema bench-pr9-v1, or bench-pr10-v1 when
-    // supervised). Wall-clock lives only here.
-    let mut doc = Value::obj();
-    let schema = if args.supervised {
-        perfjson::SCHEMA_PR10
-    } else {
-        perfjson::SCHEMA_PR9
-    };
-    doc.set("schema", Value::Str(schema.into()));
-    doc.set("host", perfjson::host_info(available_jobs(), driver.jobs));
-    let mut cfg = Value::obj();
-    cfg.set("tenants", Value::Num(args.tenants as f64));
-    cfg.set("jobs_per_tenant", Value::Num(args.jobs_per_tenant as f64));
-    cfg.set("reps", Value::Num(f64::from(args.reps)));
-    cfg.set("streams_per_tenant", Value::Num(args.streams as f64));
-    cfg.set("shards", Value::Num(args.shards as f64));
-    cfg.set("slice_cycles", Value::Num(args.slice as f64));
-    cfg.set("seed", Value::Num(args.seed as f64));
-    cfg.set("chaos", Value::Bool(args.chaos));
-    cfg.set(
-        "workload_rotation",
-        Value::Arr(ROTATION.iter().map(|w| Value::Str((*w).into())).collect()),
-    );
-    if args.supervised {
-        cfg.set("supervised", Value::Bool(true));
-        cfg.set("max_retries", Value::Num(f64::from(args.max_retries)));
-        cfg.set("cycle_budget", Value::Num(args.cycle_budget as f64));
-        cfg.set("poison_denom", Value::Num(args.poison_denom as f64));
-        cfg.set("rate_denom", Value::Num(f64::from(args.rate_denom)));
-    }
-    doc.set("config", cfg);
-    let mut soak = Value::obj();
-    soak.set("total_jobs", Value::Num(reference.report.jobs_run as f64));
-    soak.set("total_launches", Value::Num(total_launches as f64));
-    soak.set("makespan_cycles", Value::Num(reference.report.makespan_cycles as f64));
-    soak.set(
-        "throughput_launches_per_mcycle",
-        Value::Num(total_launches as f64 / (reference.report.makespan_cycles as f64 / 1e6).max(1e-9)),
-    );
-    soak.set("wall_ms", Value::Num(reference.wall.as_secs_f64() * 1e3));
-    soak.set("streams", Value::Num(reference.report.streams as f64));
-    soak.set(
-        "front_end_cycles",
-        Value::Num(reference.report.front_end_cycles as f64),
-    );
-    if args.supervised {
-        soak.set(
-            "jobs_quarantined",
-            Value::Num(reference.report.jobs_quarantined as f64),
-        );
-        let s = &reference.report.supervisor;
-        let mut sup = Value::obj();
-        for (key, n) in [
-            ("jobs_supervised", s.jobs_supervised),
-            ("attempts", s.attempts),
-            ("panics_caught", s.panics_caught),
-            ("hangs_caught", s.hangs_caught),
-            ("perturbed_attempts", s.perturbed_attempts),
-            ("retries", s.retries),
-            ("recovered", s.recovered),
-            ("accepted_clean", s.accepted_clean),
-            ("accepted_degraded", s.accepted_degraded),
-            ("quarantined", s.quarantined),
-            ("backoff_cycles", s.backoff_cycles),
-            ("discarded_fault_fires", s.discarded_fault_fires),
-        ] {
-            sup.set(key, Value::Num(n as f64));
-        }
-        soak.set("supervisor", sup);
-    }
-    let tenants_arr: Vec<Value> = reference
-        .verdicts
-        .iter()
-        .map(|v| {
-            let mut t = Value::obj();
-            t.set("name", Value::Str(v.tenant.clone()));
-            t.set("jobs", Value::Num(v.jobs as f64));
-            t.set("launches", Value::Num(v.launches as f64));
-            t.set("sites", Value::Num(v.sites.len() as f64));
-            t.set("timed_out", Value::Num(v.timed_out as f64));
-            t.set("aborted_launches", Value::Num(v.aborted_launches as f64));
-            t.set("busy_cycles", Value::Num(v.busy_cycles as f64));
-            t.set("idle_cycles", Value::Num(v.idle_cycles as f64));
-            let mut lat = Value::obj();
-            lat.set("p50", Value::Num(v.latency.p50 as f64));
-            lat.set("p90", Value::Num(v.latency.p90 as f64));
-            lat.set("p99", Value::Num(v.latency.p99 as f64));
-            lat.set("max", Value::Num(v.latency.max as f64));
-            t.set("latency_cycles", lat);
-            t.set("fault_fires", Value::Num(v.fault_stats.total() as f64));
-            t.set(
-                "fully_accounted",
-                Value::Bool(v.degradation.fully_accounted()),
-            );
-            if args.supervised {
-                t.set("quarantined", Value::Num(v.quarantined as f64));
-            }
-            t
-        })
-        .collect();
-    soak.set("tenants", Value::Arr(tenants_arr));
-    doc.set("soak", soak);
-    let mut drills = Value::obj();
-    let matched = |soak: &Soak| Value::Bool(digests(&soak.verdicts) == reference_digests);
-    let wall_ms = |soak: &Soak| Value::Num(soak.wall.as_secs_f64() * 1e3);
-    if let Some(ff) = &fault_free {
-        drills.set("fault_free_matched", matched(ff));
-    }
-    drills.set("reshaped_matched", matched(&reshaped));
-    drills.set(&format!("{restart_label}_matched"), matched(&restart));
-    if let Some(RecoveryDrill { report: rec, .. }) = &restart.recovery {
-        drills.set(
-            "recovery_generation",
-            Value::Num(rec.recovered_generation.unwrap_or(0) as f64),
-        );
-        drills.set(
-            "recovery_skipped_invalid",
-            Value::Num(rec.skipped_invalid as f64),
-        );
-    }
-    drills.set(
-        &format!("{restart_label}_jobs_skipped"),
-        Value::Num(restart.report.jobs_skipped as f64),
-    );
-    if args.supervised {
-        // Every arm completed: no panic escaped the supervisor.
-        drills.set("zero_panics", Value::Bool(true));
-    }
-    drills.set("reshaped_wall_ms", wall_ms(&reshaped));
-    drills.set(&format!("{restart_label}_wall_ms"), wall_ms(&restart));
-    doc.set("drills", drills);
-
-    let rendered = doc.pretty();
-    let reparsed = perfjson::parse(&rendered).expect("emitted JSON must re-parse");
-    let self_check = if args.supervised {
-        perfjson::validate_pr10(&reparsed)
-    } else {
-        perfjson::validate_pr9(&reparsed)
-    };
-    if let Err(e) = self_check {
-        println!("emitted document fails its own schema: {e}");
-        failures += 1;
-    }
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&out_path, &rendered).expect("write service trajectory file");
-    println!("service: wrote {out_path} (schema {schema})");
 
     if failures > 0 {
         eprintln!("service: {failures} check(s) failed");

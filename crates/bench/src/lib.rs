@@ -4,27 +4,28 @@
 //! paper's evaluation (§7): run a workload natively, under iGUARD, or
 //! under Barracuda, and report simulated time, detected races, and
 //! detector statistics. Each table/figure has a dedicated binary
-//! (`table4`, `table5`, `fig11`, `fig12`, `fig13`, `fig14`,
-//! `fence_scope_cost`, `ablation_history`).
+//! (`table1`, `table4`, `table5`, `fig11`, `fig12`, `fig13`, `fig14`,
+//! `fence_scope_cost`, `ablation_history`); beside them sit the CLI
+//! (`iguard_run`), the test-plane campaigns (`fuzz`, `litmus`, `chaos`,
+//! `pressure`) and the multi-tenant soak (`service`). Host time is not
+//! measured here: that is the standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod driver;
 pub mod job;
-pub mod perfjson;
 
 use barracuda::{Barracuda, BarracudaConfig, BarracudaFailure, BinaryKind};
 use gpu_sim::hook::{ExecMode, NullHook};
 use gpu_sim::machine::{Gpu, GpuConfig, LaunchStats};
-use gpu_sim::overlap::{CopyModel, OverlapReport, Segment};
-use gpu_sim::timing::{CostCategory, COST_CATEGORIES};
+use gpu_sim::timing::COST_CATEGORIES;
 use iguard::service::{JobCtx, JobOutcome};
 use iguard::{Iguard, IguardConfig, RaceSite, ShardedIguard};
 use nvbit_sim::Instrumented;
 use workloads::{Size, Workload};
 
-pub use driver::{available_jobs, run_jobs, run_jobs_strict, DriverConfig, Outcome, FAULT_MARKER};
+pub use driver::{run_jobs, run_jobs_strict, DriverConfig, Outcome, FAULT_MARKER};
 pub use job::{Job, JobSpec, RunOutput, ToolSpec};
 
 /// Default schedule seed used by every harness (deterministic results).
@@ -90,7 +91,6 @@ fn accumulate(acc: &mut LaunchStats, s: &LaunchStats) {
     acc.steps += s.steps;
     acc.dyn_instrs += s.dyn_instrs;
     acc.lane_instrs += s.lane_instrs;
-    acc.phases.accumulate(&s.phases);
 }
 
 /// Outcome of one iGUARD-instrumented run.
@@ -120,17 +120,6 @@ pub struct IguardRun {
     /// Injected-fault counters aggregated across the detector's
     /// components and the GPU launch boundary.
     pub fault_stats: faults::FaultStats,
-    /// Copy/compute overlap schedule of the run (H2D upload → kernel →
-    /// report-drain D2H), with per-engine busy/idle accounting. The D2H
-    /// words are the race-report records shipped per launch, so a
-    /// multi-launch run shows launch *i*'s report drain overlapping
-    /// kernel *i + 1*.
-    pub overlap: OverlapReport,
-    /// The raw overlap-timeline segments behind [`IguardRun::overlap`].
-    /// Callers can concatenate segments from several runs and reschedule
-    /// them (`gpu_sim::overlap::schedule`) to model a *streamed* sweep
-    /// where one workload's report drain overlaps the next's kernel.
-    pub overlap_segments: Vec<Segment>,
     /// Static-pruning counters (all zero with pruning off, the default).
     pub prune: iguard::PruneStats,
     /// Races reported statically at launch time (empty with pruning off).
@@ -174,7 +163,6 @@ pub fn run_iguard_sharded_with(
     let mut timed_out = false;
     let mut aborted_launches = 0u64;
     let mut stats_exec = LaunchStats::default();
-    let mut last_sent = 0u64;
     for l in &launches {
         match gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool) {
             Ok(s) => accumulate(&mut stats_exec, &s),
@@ -182,19 +170,12 @@ pub fn run_iguard_sharded_with(
             Err(gpu_sim::error::SimError::InjectedFault { .. }) => aborted_launches += 1,
             Err(e) => panic!("{} failed under iGUARD: {e}", w.name),
         }
-        // Race-report records shipped by this launch are its D2H traffic:
-        // draining them can overlap the next kernel in the pipeline model.
-        let sent = tool.tool().channel_stats().sent;
-        gpu.overlap_timeline().record_d2h(sent - last_sent);
-        last_sent = sent;
     }
     let mut breakdown = [0.0; 6];
     for (i, &c) in COST_CATEGORIES.iter().enumerate() {
         breakdown[i] = gpu.clock().time(c);
     }
     let time = gpu.clock().total_time();
-    let overlap = gpu.overlap_report(&CopyModel::default());
-    let overlap_segments = gpu.overlap_timeline().segments();
     let instr = tool.instr_stats();
     let det = tool.tool_mut();
     // `race_sites` drains the report channel, so the degradation summary
@@ -214,8 +195,6 @@ pub fn run_iguard_sharded_with(
         aborted_launches,
         degradation,
         fault_stats,
-        overlap,
-        overlap_segments,
         prune: det.prune_stats(),
         static_races: det.static_reports().to_vec(),
         instr,
@@ -419,14 +398,6 @@ pub fn barracuda_config_for(_w: &Workload) -> BarracudaConfig {
     }
 }
 
-/// Convenience: iGUARD's overhead over native for one workload.
-#[must_use]
-pub fn iguard_overhead(w: &Workload, size: Size, seed: u64, cfg: IguardConfig) -> f64 {
-    let native = run_native(w, size, seed);
-    let ig = run_iguard(w, size, seed, cfg);
-    ig.time / native.time
-}
-
 /// Pretty one-line summary of detected kinds at a site list.
 #[must_use]
 pub fn kinds_summary(sites: &[RaceSite]) -> String {
@@ -457,19 +428,6 @@ pub const BREAKDOWN_LABELS: [&str; 6] = [
     "Detection",
     "Misc.",
 ];
-
-/// Asserts the name maps into `COST_CATEGORIES` order (compile-time doc).
-#[must_use]
-pub fn category_label(c: CostCategory) -> &'static str {
-    match c {
-        CostCategory::Native => "Native",
-        CostCategory::Nvbit => "NVBit",
-        CostCategory::Setup => "Setup",
-        CostCategory::Instrumentation => "Instrumentation",
-        CostCategory::Detection => "Detection",
-        CostCategory::Misc => "Misc.",
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,7 @@
 //! table or figure. The `pressure`/`chaos`/`service` transcripts extend
 //! the same contract to the degradation-accounting table, the chaos
 //! campaign summary, and the multi-tenant service verdict table (all of
-//! which print simulated cycles only — wall clock goes to JSON files,
-//! never stdout).
+//! which print simulated cycles only, never wall clock).
 //!
 //! Regenerate after a *deliberate* output change:
 //!
@@ -84,20 +83,18 @@ fn chaos_stdout_matches_seed() {
 
 #[test]
 fn service_stdout_matches_seed() {
-    // The JSON lands in a scratch file; the --out string is relative so
-    // the transcript has no host-specific path in it.
     check(
         "service",
         env!("CARGO_BIN_EXE_service"),
-        &["--quick", "--seed", "42", "--out", "target/BENCH_PR9.golden.json"],
+        &["--quick", "--seed", "42"],
     );
 }
 
 #[test]
 fn service_supervised_stdout_matches_seed() {
     // Supervised + chaos + poison lottery: covers the quarantine lines,
-    // the supervisor summary, and the recovery drill. Both --out and
-    // --store stay relative so the transcript has no host paths.
+    // the supervisor summary, and the recovery drill. `--store` is
+    // relative: the store lands under this crate's `target/`.
     check(
         "service-supervised",
         env!("CARGO_BIN_EXE_service"),
@@ -107,8 +104,6 @@ fn service_supervised_stdout_matches_seed() {
             "42",
             "--supervised",
             "--chaos",
-            "--out",
-            "target/BENCH_PR10.golden.json",
             "--store",
             "target/service-store-golden",
         ],

@@ -47,7 +47,6 @@ pub mod ir;
 pub mod kernel;
 pub mod machine;
 pub mod mem;
-pub mod overlap;
 pub mod paged;
 pub mod sched;
 pub mod stream;

@@ -38,11 +38,9 @@ use crate::hook::{AccessKind, ExecMode, Hook, LaneAccess, LaunchInfo, MemAccess,
 use crate::ir::{AluOp, CmpOp, Instr, Operand, Space, Special, WARP_SIZE};
 use crate::kernel::Kernel;
 use crate::mem::GlobalMem;
-use crate::overlap::{CopyModel, OverlapReport, Timeline};
 use crate::sched::{LaunchContext, RandomScheduler, Scheduler};
-use crate::timing::{Clock, CostCategory, CostModel, Phase, PhaseTimes};
+use crate::timing::{Clock, CostCategory, CostModel};
 use faults::{FaultConfig, FaultInjector, FaultSite, FaultStats};
-use std::time::Instant;
 
 /// Static configuration of the simulated device.
 #[derive(Debug, Clone)]
@@ -68,10 +66,6 @@ pub struct GpuConfig {
     pub warp_slots_per_sm: usize,
     /// Instruction cost table.
     pub cost: CostModel,
-    /// Measure wall-clock phase times (simulate / instrument / detect /
-    /// UVM) into [`LaunchStats::phases`]. Off by default: the hot path
-    /// then performs no clock reads.
-    pub profile_phases: bool,
     /// Fault-injection plane (disabled by default; a disabled config is
     /// behaviour-identical to a build without the plane).
     pub faults: FaultConfig,
@@ -97,7 +91,6 @@ impl Default for GpuConfig {
             its_split_prob: 0.02,
             warp_slots_per_sm: 4,
             cost: CostModel::default(),
-            profile_phases: false,
             faults: FaultConfig::disabled(),
             weak_visibility: false,
             record_load_values: false,
@@ -117,12 +110,7 @@ pub struct Allocation {
 }
 
 /// Summary of a completed launch.
-///
-/// Equality compares only the *semantic* execution counters — the
-/// wall-clock [`LaunchStats::phases`] are a measurement artifact of the
-/// host machine and deliberately excluded, so determinism witnesses
-/// (`assert_eq!` on two runs) hold whether or not profiling is enabled.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Scheduler steps (warp-split executions).
     pub steps: u64,
@@ -130,20 +118,7 @@ pub struct LaunchStats {
     pub dyn_instrs: u64,
     /// Dynamic lane-instructions (instructions × participating lanes).
     pub lane_instrs: u64,
-    /// Wall-clock self-profiling phases for this launch (all zero unless
-    /// [`GpuConfig::profile_phases`] is set).
-    pub phases: PhaseTimes,
 }
-
-impl PartialEq for LaunchStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.steps == other.steps
-            && self.dyn_instrs == other.dyn_instrs
-            && self.lane_instrs == other.lane_instrs
-    }
-}
-
-impl Eq for LaunchStats {}
 
 /// The simulated GPU.
 pub struct Gpu {
@@ -154,9 +129,6 @@ pub struct Gpu {
     bump_word: usize,
     logical_allocated: u64,
     faults: FaultInjector,
-    /// Copy/compute overlap recorder (pure bookkeeping; never touches the
-    /// clock, so golden outputs are unaffected).
-    timeline: Timeline,
 }
 
 impl Gpu {
@@ -200,19 +172,16 @@ impl Gpu {
         if cfg.weak_visibility {
             mem.enable_weak();
         }
-        let mut clock = Clock::new();
-        clock.set_profiling(cfg.profile_phases);
         let faults = FaultInjector::new(&cfg.faults, "gpu-launch");
         Ok(Gpu {
             cfg,
             mem,
-            clock,
+            clock: Clock::new(),
             allocs: Vec::new(),
             // Reserve the first words so address 0 stays "null".
             bump_word: 16,
             logical_allocated: 64,
             faults,
-            timeline: Timeline::default(),
         })
     }
 
@@ -287,38 +256,16 @@ impl Gpu {
 
     /// Host write of word `idx` of the buffer at `base`.
     pub fn write(&mut self, base: u32, idx: usize, value: u32) {
-        self.timeline.record_h2d(1);
         self.mem.write_coherent(base + (idx * 4) as u32, value);
     }
 
     /// Host read of word `idx` of the buffer at `base` (coherent view).
     #[must_use]
     pub fn read(&self, base: u32, idx: usize) -> u32 {
-        self.timeline.record_d2h(1);
         self.mem.read_coherent(base + (idx * 4) as u32)
     }
 
-    /// The copy/compute overlap recorder (one segment per successful
-    /// launch; host writes/reads become H2D/D2H words).
-    #[must_use]
-    pub fn overlap_timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Mutable overlap recorder — harnesses use this to attribute
-    /// detector traffic (e.g. drained race-report records) as D2H words.
-    pub fn overlap_timeline_mut(&mut self) -> &mut Timeline {
-        &mut self.timeline
-    }
-
-    /// Schedules the recorded launch timeline under `model`, yielding the
-    /// pipelined-vs-serial latency comparison with per-engine busy/idle.
-    #[must_use]
-    pub fn overlap_report(&self, model: &CopyModel) -> OverlapReport {
-        self.timeline.report(model)
-    }
-
-    /// Fills `idx..idx+data.len()` of the buffer at `base`.
+    /// Host write of `data` to words `0..data.len()` of the buffer at `base`.
     pub fn write_slice(&mut self, base: u32, data: &[u32]) {
         for (i, &v) in data.iter().enumerate() {
             self.write(base, i, v);
@@ -419,10 +366,7 @@ impl Gpu {
 
         let eff = (total_warps as usize).min(self.cfg.num_sms * self.cfg.warp_slots_per_sm);
         self.clock.set_parallelism(eff.max(1) as f64);
-        let seg_time_before = self.clock.total_time();
-        let phases_before = self.clock.phases();
-        let launch_t0 = self.clock.profiling().then(Instant::now);
-        timed_hook_call(&mut self.clock, |clock| hook.on_kernel_launch(&info, clock));
+        hook.on_kernel_launch(&info, &mut self.clock);
 
         sched.begin_launch(&LaunchContext {
             grid_dim,
@@ -496,17 +440,7 @@ impl Gpu {
 
         // Implicit device-wide barrier at grid completion (§2.1).
         self.mem.flush_all();
-        timed_hook_call(&mut self.clock, |clock| hook.on_kernel_end(&info, clock));
-        if let Some(t) = launch_t0 {
-            self.clock
-                .add_phase_ns(Phase::Total, t.elapsed().as_nanos() as u64);
-        }
-        // Close this launch's overlap segment (timeout/fault paths return
-        // earlier and record nothing: an aborted launch has no well-defined
-        // pipeline slot).
-        let seg_cycles = (self.clock.total_time() - seg_time_before).max(0.0).round() as u64;
-        self.timeline.end_segment(kernel.name.clone(), seg_cycles);
-        run.stats.phases = self.clock.phases().since(&phases_before);
+        hook.on_kernel_end(&info, &mut self.clock);
         Ok(run.stats)
     }
 
@@ -733,7 +667,7 @@ impl Gpu {
                     pc: pc as usize,
                     step: at.step,
                 };
-                timed_hook_call(&mut self.clock, |clock| hook.on_sync(&fence, clock));
+                hook.on_sync(&fence, &mut self.clock);
             }
             Instr::BarSync => {
                 run.warps[w].ready &= !split;
@@ -761,9 +695,7 @@ impl Gpu {
         // release waiters (CUDA treats exited threads as having arrived at
         // subsequent barriers).
         if matches!(d.instr, Instr::BarSync | Instr::Exit) && run.release_block_barrier(bi) {
-            timed_hook_call(&mut self.clock, |clock| {
-                hook.on_sync(&SyncEvent::BlockBarrier { block_id }, clock);
-            });
+            hook.on_sync(&SyncEvent::BlockBarrier { block_id }, &mut self.clock);
         }
         if matches!(d.instr, Instr::BarWarp | Instr::Exit) && run.warps[w].release_warp_barrier() {
             let released = SyncEvent::WarpBarrier {
@@ -771,19 +703,9 @@ impl Gpu {
                 warp_in_block: wi,
                 global_warp,
             };
-            timed_hook_call(&mut self.clock, |clock| hook.on_sync(&released, clock));
+            hook.on_sync(&released, &mut self.clock);
         }
         Ok(())
-    }
-}
-
-/// Runs one hook callback, attributing its wall time to [`Phase::Hook`]
-/// when profiling is enabled (a single branch when it is not).
-fn timed_hook_call(clock: &mut Clock, f: impl FnOnce(&mut Clock)) {
-    let t0 = clock.profiling().then(Instant::now);
-    f(clock);
-    if let Some(t) = t0 {
-        clock.add_phase_ns(Phase::Hook, t.elapsed().as_nanos() as u64);
     }
 }
 
@@ -827,7 +749,7 @@ impl SplitSite<'_> {
             sm: self.sm,
             step: self.step,
         };
-        timed_hook_call(clock, |clock| hook.on_mem_access(&access, clock));
+        hook.on_mem_access(&access, clock);
     }
 }
 

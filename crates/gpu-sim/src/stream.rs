@@ -21,15 +21,10 @@
 //!   per-item finish times and per-stream busy/idle/turnaround with exact
 //!   accounting (`busy + idle == turnaround` per stream, `Σ busy ==
 //!   makespan` for the work-conserving device).
-//!
-//! Per-stream copy/compute overlap reuses the PR 7 [`crate::overlap`]
-//! model unchanged: feed each stream's recorded [`Segment`]s to
-//! [`per_stream_overlap`] and every stream gets its own three-engine
-//! busy/idle report.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::VecDeque;
-
-use crate::overlap::{schedule, CopyModel, OverlapReport, Segment};
 
 /// A cross-stream ordering point returned by [`StreamSet::record_event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,9 +147,13 @@ impl<T> StreamSet<T> {
                     }
                     Some(_) => {}
                 }
+                // The peek above saw an op, so the `else` is never taken.
+                let Some(op) = self.queues[s].pop_front() else {
+                    continue;
+                };
                 any_pending = true;
                 progressed = true;
-                match self.queues[s].pop_front().expect("front checked above") {
+                match op {
                     StreamOp::Exec(item) => {
                         exec(s, item);
                         executed += 1;
@@ -293,16 +292,8 @@ impl SliceSchedule {
     }
 }
 
-/// Schedules each stream's recorded overlap segments independently under
-/// the PR 7 three-engine model, giving per-stream H2D/kernel/D2H
-/// busy/idle accounting (each report satisfies the usual invariants:
-/// `busy + idle == overlapped` per engine, `overlapped <= serial`).
-#[must_use]
-pub fn per_stream_overlap(per_stream: &[Vec<Segment>], model: &CopyModel) -> Vec<OverlapReport> {
-    per_stream.iter().map(|segs| schedule(segs, model)).collect()
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -429,34 +420,5 @@ mod tests {
         assert_eq!(sched.run(), sched.run());
         assert_eq!(sched.len(), 2);
         assert!(!sched.is_empty());
-    }
-
-    #[test]
-    fn per_stream_overlap_reports_are_independent() {
-        use std::sync::Arc;
-        let seg = |k: u64| Segment {
-            name: Arc::from("k"),
-            h2d_words: 10,
-            kernel_cycles: k,
-            d2h_words: 10,
-        };
-        let model = CopyModel {
-            h2d_cycles_per_word: 1,
-            d2h_cycles_per_word: 1,
-            fixed_per_transfer: 0,
-        };
-        let reports = per_stream_overlap(&[vec![seg(100), seg(100)], vec![seg(50)]], &model);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].segments, 2);
-        assert_eq!(reports[1].segments, 1);
-        for r in &reports {
-            assert!(r.overlapped_cycles <= r.serial_cycles);
-            for e in r.engines {
-                assert_eq!(e.busy + e.idle, r.overlapped_cycles);
-            }
-        }
-        // Two equal segments overlap; a single segment cannot.
-        assert!(reports[0].saved_cycles() > 0);
-        assert_eq!(reports[1].saved_cycles(), 0);
     }
 }

@@ -16,6 +16,8 @@
 //! (Native / NVBit / Setup / Instrumentation / Detection / Misc) falls out
 //! of the same accounting.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Cost buckets matching Figure 13 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostCategory {
@@ -99,81 +101,6 @@ impl Default for CostModel {
     }
 }
 
-/// Wall-clock self-profiling phases of the *reproduction itself* (not the
-/// simulated GPU): where the host CPU time of one launch went.
-///
-/// The raw counters nest — `hook_ns` is contained in `total_ns`, and
-/// `detect_ns`/`uvm_ns` are contained in `hook_ns` — so the exclusive
-/// per-phase breakdown (simulate / instrument / detect / UVM) is derived
-/// by the accessor methods. Counters are only advanced when profiling is
-/// enabled ([`Clock::set_profiling`]); otherwise every field stays 0 and
-/// the hot path pays a single branch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTimes {
-    /// Wall nanoseconds for the whole launch (interpreter + hooks).
-    pub total_ns: u64,
-    /// Wall nanoseconds inside instrumentation hook dispatch (includes
-    /// the detector's work).
-    pub hook_ns: u64,
-    /// Wall nanoseconds inside the detector's per-access pipeline
-    /// (includes UVM metadata touches).
-    pub detect_ns: u64,
-    /// Wall nanoseconds servicing UVM faults on metadata pages.
-    pub uvm_ns: u64,
-}
-
-impl PhaseTimes {
-    /// Pure interpretation work: total minus everything hook-side.
-    #[must_use]
-    pub fn simulate_ns(&self) -> u64 {
-        self.total_ns.saturating_sub(self.hook_ns)
-    }
-
-    /// Framework dispatch overhead: hook window minus detector work.
-    #[must_use]
-    pub fn instrument_ns(&self) -> u64 {
-        self.hook_ns.saturating_sub(self.detect_ns)
-    }
-
-    /// Detection work excluding UVM fault servicing.
-    #[must_use]
-    pub fn detect_exclusive_ns(&self) -> u64 {
-        self.detect_ns.saturating_sub(self.uvm_ns)
-    }
-
-    /// Adds another measurement (used to aggregate across launches).
-    pub fn accumulate(&mut self, other: &PhaseTimes) {
-        self.total_ns += other.total_ns;
-        self.hook_ns += other.hook_ns;
-        self.detect_ns += other.detect_ns;
-        self.uvm_ns += other.uvm_ns;
-    }
-
-    /// Per-field difference against an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            total_ns: self.total_ns - earlier.total_ns,
-            hook_ns: self.hook_ns - earlier.hook_ns,
-            detect_ns: self.detect_ns - earlier.detect_ns,
-            uvm_ns: self.uvm_ns - earlier.uvm_ns,
-        }
-    }
-}
-
-/// Which [`PhaseTimes`] counter a measured wall-clock span belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// The whole launch (interpreter loop).
-    Total,
-    /// Instrumentation hook dispatch (tool callbacks included).
-    Hook,
-    /// The detector's per-access pipeline.
-    Detect,
-    /// UVM fault servicing on metadata pages.
-    Uvm,
-}
-
 /// Accumulates parallel and serial cycle charges per category.
 #[derive(Debug, Clone)]
 pub struct Clock {
@@ -182,10 +109,6 @@ pub struct Clock {
     /// Warp-level parallelism the parallel pool is divided by; set per
     /// launch from grid size and SM count.
     eff_parallelism: f64,
-    /// Wall-clock self-profiling counters (all 0 unless profiling is on).
-    phases: PhaseTimes,
-    /// Whether wall-clock phase profiling is enabled.
-    profiling: bool,
 }
 
 impl Default for Clock {
@@ -202,44 +125,13 @@ impl Clock {
             parallel: [0; NUM_CATEGORIES],
             serial: [0; NUM_CATEGORIES],
             eff_parallelism: 1.0,
-            phases: PhaseTimes::default(),
-            profiling: false,
         }
     }
 
-    /// Enables or disables wall-clock phase profiling. Off by default:
-    /// the hot path then performs no `Instant` reads at all.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    /// Whether wall-clock phase profiling is enabled.
-    #[must_use]
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// Accumulated wall-clock phase counters.
-    #[must_use]
-    pub fn phases(&self) -> PhaseTimes {
-        self.phases
-    }
-
-    /// Adds `ns` wall nanoseconds to `phase` (profiled layers call this
-    /// only after checking [`Clock::profiling`]).
-    pub fn add_phase_ns(&mut self, phase: Phase, ns: u64) {
-        match phase {
-            Phase::Total => self.phases.total_ns += ns,
-            Phase::Hook => self.phases.hook_ns += ns,
-            Phase::Detect => self.phases.detect_ns += ns,
-            Phase::Uvm => self.phases.uvm_ns += ns,
-        }
-    }
-
-    /// Sets the effective parallelism used to amortize parallel charges.
+    /// Sets the effective parallelism used to amortize parallel charges,
+    /// clamped to at least 1 (`f64::max` also absorbs a NaN).
     pub fn set_parallelism(&mut self, p: f64) {
-        assert!(p >= 1.0, "parallelism must be >= 1");
-        self.eff_parallelism = p;
+        self.eff_parallelism = p.max(1.0);
     }
 
     /// Current effective parallelism.
@@ -278,16 +170,15 @@ impl Clock {
         (self.parallel[i], self.serial[i])
     }
 
-    /// Clears all charges and phase counters, keeping the parallelism and
-    /// profiling settings.
+    /// Clears all charges, keeping the parallelism.
     pub fn reset(&mut self) {
         self.parallel = [0; NUM_CATEGORIES];
         self.serial = [0; NUM_CATEGORIES];
-        self.phases = PhaseTimes::default();
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -332,8 +223,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parallelism")]
-    fn zero_parallelism_rejected() {
-        Clock::new().set_parallelism(0.5);
+    fn parallelism_below_one_is_clamped() {
+        let mut clk = Clock::new();
+        for p in [0.5, 0.0, -3.0, f64::NAN] {
+            clk.set_parallelism(p);
+            assert_eq!(clk.parallelism(), 1.0);
+        }
     }
 }

@@ -28,12 +28,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::num::NonZeroUsize;
-use std::time::Instant;
 
 use faults::FaultStats;
 use gpu_sim::hook::{AccessKind, LaneAccess, LaunchInfo, MemAccess, SyncEvent};
 use gpu_sim::ir::{AtomOp, Scope, Space};
-use gpu_sim::timing::{Clock, CostCategory, Phase};
+use gpu_sim::timing::{Clock, CostCategory};
 use nvbit_sim::channel::ChannelStats;
 use nvbit_sim::Tool;
 
@@ -171,6 +170,10 @@ pub struct Iguard {
     /// Static-pruning plane (`None` when `cfg.prune` is `Off`, keeping the
     /// pruning-disabled detector byte-identical to the pre-pruning one).
     pruner: Option<Pruner>,
+    /// Test seam: withholds the row from [`Iguard::process_split`], so every
+    /// lane takes the per-lane path — the row-vs-lane tests' reference.
+    #[cfg(test)]
+    per_lane_only: bool,
 }
 
 impl Default for Iguard {
@@ -221,6 +224,8 @@ impl Iguard {
             scratch_words: Vec::with_capacity(32),
             scratch_pairs: Vec::with_capacity(32),
             pruner,
+            #[cfg(test)]
+            per_lane_only: false,
         }
     }
 
@@ -329,6 +334,8 @@ impl Iguard {
         clock: &mut Clock,
         verify_safe: bool,
     ) {
+        #[cfg(test)]
+        let row = row && !self.per_lane_only;
         let warp = access.global_warp;
         // Graceful degradation: accesses with no live launch state (table
         // allocation failed, or the event arrived before any launch) are
@@ -352,7 +359,7 @@ impl Iguard {
             _ => None,
         };
 
-        let split = SplitCtx::new(access, kind, clock.profiling());
+        let split = SplitCtx::new(access, kind);
         let blk_bar = sync.blk_bar(warp / sync.warps_per_block().max(1));
         // The snapshot bits every lane of the split shares.
         let split_snap = AccessorInfo {
@@ -509,11 +516,7 @@ impl Tool for Iguard {
         if access.space != Space::Global {
             return;
         }
-        let t0 = clock.profiling().then(Instant::now);
         self.on_global_mem(access, clock);
-        if let Some(t) = t0 {
-            clock.add_phase_ns(Phase::Detect, t.elapsed().as_nanos() as u64);
-        }
     }
 
     fn on_sync(&mut self, event: &SyncEvent<'_>, clock: &mut Clock) {
@@ -551,8 +554,7 @@ impl Tool for Iguard {
 }
 
 impl Iguard {
-    /// The global-memory half of [`Tool::on_mem`], separated so the wrapper
-    /// can attribute its wall time to [`Phase::Detect`].
+    /// The global-memory half of [`Tool::on_mem`].
     fn on_global_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
         // Verify-mode pruning: decide once per split whether `On` mode
         // would have skipped this callback (constant per (kernel, pc)).
@@ -1289,8 +1291,8 @@ mod tests {
     }
 
     /// Runs `script`, its 64 words starting at word `base`, under every
-    /// edge shape twice — on a plain clock, where eligible splits take the
-    /// row path, and on a profiling clock, which sends every lane down the
+    /// edge shape twice — as built, where eligible splits take the row
+    /// path, and with the row withheld, which sends every lane down the
     /// per-lane path — and requires the same aftermath.
     fn rows_agree_with_lanes(base: u32, script: &[Event]) {
         for (what, cfg, shards, free_device_bytes) in edge_shapes() {
@@ -1300,10 +1302,10 @@ mod tests {
                 backing_words: base as usize + 64,
                 ..launch_info()
             };
-            let run = |profiling: bool| {
+            let run = |per_lane_only: bool| {
                 let mut det = Iguard::with_shards(cfg.clone(), shards);
+                det.per_lane_only = per_lane_only;
                 let mut clock = Clock::new();
-                clock.set_profiling(profiling);
                 run_script(&mut det, &mut clock, &info, script);
                 aftermath(&mut det, &clock, base)
             };

@@ -14,11 +14,9 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::time::Instant;
-
 use gpu_sim::hook::{LaneAccess, MemAccess};
 use gpu_sim::paged::Paged;
-use gpu_sim::timing::{Clock, CostCategory, Phase};
+use gpu_sim::timing::{Clock, CostCategory};
 
 use crate::bitfield::{
     stored_lane, stored_warp, AccessorInfo, MetadataEntry, ATOMIC, BLK_SHARED, DEV_SHARED,
@@ -259,12 +257,10 @@ pub(crate) struct SplitCtx<'a, 'b> {
     /// `WarpID / warps_per_block == block_id` without the division.
     pub block_first: u64,
     pub block_warps: u64,
-    /// `clock.profiling()`, read once.
-    pub profiling: bool,
 }
 
 impl<'a, 'b> SplitCtx<'a, 'b> {
-    pub fn new(access: &'a MemAccess<'b>, kind: AccessType, profiling: bool) -> Self {
+    pub fn new(access: &'a MemAccess<'b>, kind: AccessType) -> Self {
         // Every access validates the entry; a write marks it modified; an
         // atomic records its scope, and a plain store supersedes the
         // atomic history of the location: P6 must not treat a plain
@@ -284,7 +280,6 @@ impl<'a, 'b> SplitCtx<'a, 'b> {
             set,
             block_first: u64::from(access.block_id) * block_warps,
             block_warps,
-            profiling,
         }
     }
 }
@@ -393,12 +388,7 @@ impl Engine {
         out: &mut Sink<'_>,
     ) {
         // Metadata lookup: UVM touch + contention serialization.
-        let t0 = split.profiling.then(Instant::now);
         let (loaded, slot, epoch, tag) = self.table.open(lane.word);
-        if let Some(t) = t0 {
-            out.clock
-                .add_phase_ns(Phase::Uvm, t.elapsed().as_nanos() as u64);
-        }
         if loaded.uvm_cycles > 0 {
             out.stats.uvm_cycles += loaded.uvm_cycles;
             out.clock
@@ -422,7 +412,7 @@ impl Engine {
     /// order, so counters, charges and reports land as [`Engine::process`]
     /// lane by lane would land them. Returns `false`, having done nothing,
     /// when that is not known to hold — see [`MetadataTable::row`]; a
-    /// history ring and a profiling clock also want the per-word path.
+    /// history ring also wants the per-word path.
     #[inline(always)]
     pub fn process_row(
         &mut self,
@@ -433,7 +423,7 @@ impl Engine {
         out: &mut Sink<'_>,
     ) -> bool {
         let (first, last) = (lanes[0].addr / 4, lanes[lanes.len() - 1].addr / 4);
-        if self.checks.history.depth > 1 || split.profiling {
+        if self.checks.history.depth > 1 {
             return false;
         }
         let Some((contention, contention_epoch)) = self.contention.row(first, last) else {

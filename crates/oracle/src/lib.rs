@@ -23,6 +23,8 @@
 //! with weak-memory divergence classes ([`diff::diff_litmus`]), and its
 //! own versioned corpus (`tests/corpus/litmus_v2.corpus`).
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod diff;
 pub mod explore;
