@@ -2,7 +2,9 @@
 # Tier-1 gate: release build, full workspace tests, clippy clean, and a
 # build of the standalone `benchmark/` package (it names `Iguard`,
 # `ShardedIguard`, `ShardConfig::inline` and the service closure type, so
-# breaking that frozen surface fails here rather than in a benchmark run).
+# breaking that frozen surface fails here rather than in a benchmark run)
+# followed by that package's own unit tests, among them the check that
+# `BENCHMARK.json` on disk equals `spec::contract()`.
 # The workspace tests already byte-compare the stdout of `table4`, `table5`,
 # `fig11`, `pressure`, `chaos` and both `service` soaks (`golden_stdout`)
 # and pin the hot paths (`counter_identity`, `heap_ceiling`,
@@ -60,6 +62,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== benchmark/ builds against the workspace crates =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
+echo "== benchmark/ unit tests =="
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
 if [[ "$QUICK" -eq 1 ]]; then
   echo "== benchmark smoke (--quick) =="

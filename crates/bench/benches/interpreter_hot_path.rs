@@ -7,6 +7,11 @@
 //!   `trailing_zeros` path),
 //! - a `bar.sync`-heavy kernel at `block_dim` 1024 (barrier arrival and
 //!   release across 32 warps),
+//! - the zoo's shape: a 16 × 128 grid of `workloads::util::busy_work` at
+//!   the `Size::Bench` trip count under the default `its_split_prob`, so
+//!   warps are split at random and reconverge at the loop's branches —
+//!   reported per scheduler step as well, which is the unit the scheduling
+//!   front end is paid in,
 //! - the launch-dominated shape: the top `ladder_stencil` rung, 128 Ki
 //!   threads running 15 instructions each — on one long-lived `Gpu` whose
 //!   L1s have seen the addresses before, and on a fresh `Gpu` per
@@ -24,7 +29,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Thro
 use std::hint::black_box;
 
 use gpu_sim::prelude::*;
-use workloads::Launch;
+use workloads::util::{busy_work, work_iters};
+use workloads::{Launch, Size};
 
 /// A device small enough that `Gpu::new` is not what a sample measures.
 fn device(mem_words: usize, its_split_prob: f64) -> Gpu {
@@ -95,21 +101,32 @@ fn barrier_loop(rounds: u32) -> Kernel {
     b.build()
 }
 
-/// Runs `launches` natively; returns their lane-instruction count.
-fn run(gpu: &mut Gpu, launches: &[Launch]) -> u64 {
-    launches
-        .iter()
-        .map(|l| {
-            gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut NullHook)
-                .expect("benchmark kernel runs")
-                .lane_instrs
-        })
-        .sum()
+/// What most zoo members spend their instructions on: the busy loop, then
+/// one store.
+fn busy_work_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("bench_busy_work");
+    let out = b.param(0);
+    busy_work(&mut b, work_iters(Size::Bench));
+    let g = b.special(Special::GlobalTid);
+    let off = b.mul(g, 4u32);
+    let a = b.add(out, off);
+    b.st(a, 0, g);
+    b.build()
+}
+
+/// Runs `launches` natively; returns their `(steps, lane_instrs)`.
+fn run(gpu: &mut Gpu, launches: &[Launch]) -> (u64, u64) {
+    launches.iter().fold((0, 0), |(steps, lanes), l| {
+        let stats = gpu
+            .launch(&l.kernel, l.grid, l.block, &l.params, &mut NullHook)
+            .expect("benchmark kernel runs");
+        (steps + stats.steps, lanes + stats.lane_instrs)
+    })
 }
 
 /// Runs `launches` once for their lane-instruction count, then times them.
 fn bench_launches(group: &mut BenchmarkGroup<'_>, id: &str, gpu: &mut Gpu, launches: &[Launch]) {
-    group.throughput(Throughput::Elements(run(gpu, launches)));
+    group.throughput(Throughput::Elements(run(gpu, launches).1));
     group.bench_function(id, |b| b.iter(|| black_box(run(gpu, launches))));
 }
 
@@ -140,6 +157,14 @@ fn bench_interpreter(c: &mut Criterion) {
 
     let launches = one_launch(barrier_loop(64), 4, 1024, 0);
     bench_launches(&mut group, "bar_sync_4x1024", &mut gpu, &launches);
+
+    let out = gpu.alloc(2048).expect("output fits");
+    let launches = one_launch(busy_work_kernel(), 16, 128, out);
+    bench_launches(&mut group, "busy_work_its_16x128", &mut gpu, &launches);
+    group.throughput(Throughput::Elements(run(&mut gpu, &launches).0));
+    group.bench_function("busy_work_its_16x128_per_step", |b| {
+        b.iter(|| black_box(run(&mut gpu, &launches)));
+    });
 
     let mut gpu = device(1 << 19, split_prob);
     let launches = common::stencil_launches(&mut gpu, common::LADDER_THREADS[2]);

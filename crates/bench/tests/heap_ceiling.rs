@@ -80,13 +80,14 @@ static ALLOCATOR: Counting = Counting;
 
 const MB: f64 = 1024.0 * 1024.0;
 
-/// The 1 Mi rung's peaks (native, detector) measured when this test was
-/// written, in MB, on the default 16 MiB device. Native: L2 16.8, the
-/// register file 54.5 (13 registers x 1 Mi lanes), the 72 L1s 58.6 (49 of
-/// 1.5 KB pages, most of them part-used, 9.4 of page tables). The
-/// detector adds 2 Mi words of two 20-byte slot tables, 83.9. The ceiling
-/// is 1.25 x these.
-const MI_RUNG_PEAK_MB: (f64, f64) = (134.4, 218.3);
+/// The 1 Mi rung's peaks (native, detector) as last recorded, in MB, on
+/// the default 16 MiB device. Native: L2 16.8, the register file 54.5 (13
+/// registers x 1 Mi lanes), the 32,768 warps' split tables 8.3 (264 B
+/// each; the per-lane pc rows they replaced were 128 B, 4.0 in all), the
+/// 72 L1s 58.6 (49 of 1.5 KB pages, most of them part-used, 9.4 of page
+/// tables). The detector adds 2 Mi words of two 20-byte slot tables, 83.9.
+/// The ceiling is 1.25 x these.
+const MI_RUNG_PEAK_MB: (f64, f64) = (138.6, 222.5);
 
 /// Peak live heap, in MB above what was live before, of one stencil rung
 /// on a fresh default-sized `Gpu`: construction, inputs, both launches

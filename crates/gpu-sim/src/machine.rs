@@ -26,10 +26,11 @@
 //! # State
 //!
 //! A launch owns one warp-major state (`RunState`): a register file
-//! `[warp][reg][lane]` sized by [`Kernel::num_regs`], one pc per lane, and
-//! per warp three lane masks — ready / at the block barrier / at the warp
-//! barrier; a lane in none has exited. A warp split is a `u32` lane mask
-//! from the scheduler's pick to the hook's `active_mask` (DESIGN.md §8).
+//! `[warp][reg][lane]` sized by [`Kernel::num_regs`], and per warp a split
+//! table — its un-exited lanes grouped by pc — and three lane masks —
+//! ready / at the block barrier / at the warp barrier; a lane in none has
+//! exited. A warp split is a `u32` lane mask from the scheduler's pick to
+//! the hook's `active_mask` (DESIGN.md §8).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -322,6 +323,13 @@ impl Gpu {
                 reason: "more than 16 params".into(),
             });
         }
+        // `Kernel::code` is a public field, so `Kernel::new`'s checks are
+        // not the only way in: every pc a split table holds must index it.
+        if !matches!(kernel.code.last(), Some(Instr::Exit | Instr::Bra { .. })) {
+            return Err(SimError::BadLaunch {
+                reason: format!("kernel `{}` can run past its last instruction", kernel.name),
+            });
+        }
 
         // Fault plane: a launch can abort at the boundary (sticky device
         // fault) or hang partway and be killed by the watchdog. The hang
@@ -427,15 +435,15 @@ impl Gpu {
                     kernel: kernel.name.to_string(),
                 });
             };
-            let split = pick_split(
+            let (group, split) = pick_split(
                 run.warps[w].ready,
-                &run.pcs[w],
+                &run.splits[w],
                 self.cfg.mode,
                 sched,
                 eager,
                 &run.code,
             );
-            self.exec_split(&mut run, w, split, hook, sched)?;
+            self.exec_split(&mut run, w, group, split, hook, sched)?;
         }
 
         // Implicit device-wide barrier at grid completion (§2.1).
@@ -444,13 +452,14 @@ impl Gpu {
         Ok(run.stats)
     }
 
-    /// Executes one instruction for the lanes of `split` (non-empty, all
-    /// at one pc) of warp `w`.
+    /// Executes one instruction for the lanes of `split` (non-empty, part
+    /// of group `group` of warp `w`'s split table).
     #[allow(clippy::too_many_lines)]
     fn exec_split(
         &mut self,
         run: &mut RunState<'_>,
         w: usize,
+        group: usize,
         split: u32,
         hook: &mut dyn Hook,
         sched: &mut dyn Scheduler,
@@ -462,7 +471,7 @@ impl Gpu {
         let bi = block_id as usize;
         let sm = bi % self.cfg.num_sms;
         let warp_base = wi * WARP_SIZE as u32;
-        let pc = run.pcs[w][split.trailing_zeros() as usize];
+        let pc = run.splits[w].groups()[group].pc;
         let d = run.code[pc as usize];
         let lanes = split.count_ones();
         let at = SplitSite {
@@ -494,6 +503,10 @@ impl Gpu {
         // This warp's rows of the register file, and its block's scratchpad.
         let regs = &mut run.regs[w * run.num_regs..(w + 1) * run.num_regs];
         let shared = &mut run.shared[bi * kernel.shared_words..(bi + 1) * kernel.shared_words];
+        // The split leaves its group here and joins the group at wherever
+        // it goes next (nowhere, on `Exit`).
+        let table = &mut run.splits[w];
+        table.remove(group, split);
         let mut next_pc = Some(pc + 1);
 
         match d.instr {
@@ -561,14 +574,10 @@ impl Gpu {
             Instr::BraIf { cond, target } | Instr::BraIfNot { cond, target } => {
                 let c = &regs[cond.0 as usize];
                 let on_zero = matches!(d.instr, Instr::BraIfNot { .. });
-                let pcs = &mut run.pcs[w];
-                for_lanes(split, |l| {
-                    pcs[l] = if (c[l] == 0) == on_zero {
-                        target as u32
-                    } else {
-                        pc + 1
-                    };
-                });
+                let mut taken = 0;
+                for_lanes(split, |l| taken |= u32::from((c[l] == 0) == on_zero) << l);
+                table.insert(target as u32, taken);
+                table.insert(pc + 1, split & !taken);
                 next_pc = None;
             }
             Instr::Ld {
@@ -687,8 +696,7 @@ impl Gpu {
             Instr::Nop => {}
         }
         if let Some(next) = next_pc {
-            let pcs = &mut run.pcs[w];
-            for_lanes(split, |l| pcs[l] = next);
+            table.insert(next, split);
         }
 
         // An arrival or an exit may complete a barrier: exiting threads
@@ -753,7 +761,7 @@ impl SplitSite<'_> {
     }
 }
 
-/// One register — or the pc — of every lane of a warp.
+/// One register of every lane of a warp.
 type Row = [u32; WARP_SIZE];
 
 /// Every lane of a warp.
@@ -784,6 +792,73 @@ impl WarpMasks {
     }
 }
 
+/// The lanes of a warp that share a pc.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Group {
+    pc: u32,
+    mask: u32,
+}
+
+/// A warp's un-exited lanes — ready or waiting at a barrier — grouped by
+/// pc. Three invariants hold between scheduler steps: the groups' pcs are
+/// ascending and distinct; their masks are non-empty and disjoint; and the
+/// masks' union is exactly the union of the warp's three [`WarpMasks`].
+/// A scheduler step therefore reads its candidate pcs already in order,
+/// and almost always reads one (DESIGN.md §8 has the traffic).
+#[derive(Debug, Clone, Copy)]
+struct SplitTable {
+    len: usize,
+    groups: [Group; WARP_SIZE],
+}
+
+impl SplitTable {
+    /// Every lane of `mask` at pc 0.
+    fn new(mask: u32) -> Self {
+        let mut table = SplitTable {
+            len: 0,
+            groups: [Group::default(); WARP_SIZE],
+        };
+        table.insert(0, mask);
+        table
+    }
+
+    fn groups(&self) -> &[Group] {
+        &self.groups[..self.len]
+    }
+
+    /// Takes the lanes of `mask` out of group `g`, closing the gap if that
+    /// empties it.
+    fn remove(&mut self, g: usize, mask: u32) {
+        self.groups[g].mask &= !mask;
+        if self.groups[g].mask == 0 {
+            self.groups.copy_within(g + 1..self.len, g);
+            self.len -= 1;
+        }
+    }
+
+    /// Adds the lanes of `mask` (none of them in the table) at `pc`,
+    /// merging into the group already there if there is one. No-op for an
+    /// empty mask.
+    fn insert(&mut self, pc: u32, mask: u32) {
+        if mask == 0 {
+            return;
+        }
+        let at = self
+            .groups()
+            .iter()
+            .position(|g| g.pc >= pc)
+            .unwrap_or(self.len);
+        if at < self.len && self.groups[at].pc == pc {
+            self.groups[at].mask |= mask;
+        } else {
+            // Disjoint non-empty masks: at most `WARP_SIZE` groups.
+            self.groups.copy_within(at..self.len, at + 1);
+            self.groups[at] = Group { pc, mask };
+            self.len += 1;
+        }
+    }
+}
+
 /// Block-barrier bookkeeping: threads of the block waiting at `bar.sync`
 /// and threads that exited.
 #[derive(Debug, Clone, Copy, Default)]
@@ -809,8 +884,8 @@ struct RunState<'a> {
     num_regs: usize,
     /// The register file, `regs[w * num_regs + reg][lane]`.
     regs: Vec<Row>,
-    /// `pcs[w][lane]`; meaningful for lanes in one of the warp's masks.
-    pcs: Vec<Row>,
+    /// Where each warp's lanes are.
+    splits: Vec<SplitTable>,
     warps: Vec<WarpMasks>,
     blocks: Vec<BlockSync>,
     /// The blocks' scratchpads, `kernel.shared_words` each.
@@ -828,7 +903,7 @@ impl<'a> RunState<'a> {
             (info.grid_dim, info.block_dim, info.warps_per_block);
         let num_warps = info.total_warps as usize;
         let num_regs = kernel.num_regs();
-        let warps = (0..num_warps as u32)
+        let warps: Vec<WarpMasks> = (0..num_warps as u32)
             .map(|w| {
                 let threads = block_dim - (w % warps_per_block) * WARP_SIZE as u32;
                 WarpMasks {
@@ -849,7 +924,7 @@ impl<'a> RunState<'a> {
             live: u64::from(info.total_threads),
             num_regs,
             regs: vec![[0; WARP_SIZE]; num_warps * num_regs],
-            pcs: vec![[0; WARP_SIZE]; num_warps],
+            splits: warps.iter().map(|w| SplitTable::new(w.ready)).collect(),
             warps,
             blocks: vec![BlockSync::default(); grid_dim as usize],
             shared: vec![0; grid_dim as usize * kernel.shared_words],
@@ -861,11 +936,11 @@ impl<'a> RunState<'a> {
     /// Whether warp `w` has a runnable lane whose next instruction is
     /// invisible (eligible for eager execution).
     fn has_invisible_runnable(&self, w: usize) -> bool {
-        let mut found = false;
-        for_lanes(self.warps[w].ready, |l| {
-            found |= !instr_is_visible(&self.code[self.pcs[w][l] as usize].instr);
-        });
-        found
+        let ready = self.warps[w].ready;
+        self.splits[w]
+            .groups()
+            .iter()
+            .any(|g| g.mask & ready != 0 && !instr_is_visible(&self.code[g.pc as usize].instr))
     }
 
     /// Releases block `bi`'s barrier if every live thread has arrived;
@@ -970,76 +1045,52 @@ fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
     }
 }
 
-/// The lanes of a warp whose pc is `pc`.
-fn lanes_at(pcs: &Row, pc: u32) -> u32 {
-    let mut mask = 0;
-    for (l, &p) in pcs.iter().enumerate() {
-        mask |= u32::from(p == pc) << l;
-    }
-    mask
-}
-
-/// Chooses the lanes of a warp to execute next, as a mask: `ready` are the
-/// warp's runnable lanes and `pcs` their program counters; 0 iff no lane
-/// is runnable. All non-forced choices are delegated to `sched`; the
-/// scheduler is not consulted at all when the warp has no runnable lane,
-/// so the production round-robin scan consumes no randomness while
-/// skipping idle warps.
+/// Chooses the lanes of a warp to execute next: the index of their group
+/// in `table` and, as a mask, the lanes themselves — `ready` are the
+/// warp's runnable lanes; the mask is 0 iff no lane is runnable. All
+/// non-forced choices are delegated to `sched`; the scheduler is not
+/// consulted at all when the warp has no runnable lane, so the production
+/// round-robin scan consumes no randomness while skipping idle warps.
 fn pick_split(
     ready: u32,
-    pcs: &Row,
+    table: &SplitTable,
     mode: ExecMode,
     sched: &mut dyn Scheduler,
     eager: bool,
     code: &[Decoded],
-) -> u32 {
-    if ready == 0 {
-        return 0;
-    }
+) -> (usize, u32) {
     let its = mode == ExecMode::Its;
-    // Eager mode: the lowest invisible PC runs deterministically — no
-    // decision, no branch in the enumeration tree.
-    let runs_eagerly = |pc: u32| eager && !instr_is_visible(&code[pc as usize].instr);
-    let first = pcs[ready.trailing_zeros() as usize];
-    let mut split = ready & lanes_at(pcs, first);
-    if split == ready {
-        // Converged: one candidate, nothing to gather or sort. The
-        // scheduler is still consulted: the production scheduler
-        // historically drew from its RNG here, and the byte-identity
-        // contract preserves every draw.
-        if its && !runs_eagerly(first) {
-            let _ = sched.choose_pc(1);
-        }
-    } else {
-        let chosen = if its {
-            let mut sorted = [0u32; WARP_SIZE];
-            let mut n = 0;
-            for_lanes(ready, |l| {
-                sorted[n] = pcs[l];
-                n += 1;
-            });
-            sorted[..n].sort_unstable();
-            let mut distinct = 1;
-            for i in 1..n {
-                if sorted[i] != sorted[distinct - 1] {
-                    sorted[distinct] = sorted[i];
-                    distinct += 1;
-                }
-            }
-            let candidates = &sorted[..distinct];
-            match candidates.iter().copied().find(|&p| runs_eagerly(p)) {
-                Some(p) => p,
-                None => candidates[sched.choose_pc(distinct).min(distinct - 1)],
-            }
+    // The groups with a runnable lane, i.e. the runnable lanes' distinct
+    // pcs in ascending order.
+    let candidates = || {
+        let groups = table.groups().iter().enumerate();
+        groups.filter(|(_, g)| g.mask & ready != 0)
+    };
+    let chosen = if its {
+        // Eager mode: the lowest invisible pc runs deterministically — no
+        // decision, no branch in the enumeration tree.
+        let invisible = |g: &Group| !instr_is_visible(&code[g.pc as usize].instr);
+        let eager_pick = if eager {
+            candidates().find(|(_, g)| invisible(g))
         } else {
-            // Lockstep: the split at the minimum PC, so diverged lanes
-            // reconverge eagerly.
-            let mut min = u32::MAX;
-            for_lanes(ready, |l| min = min.min(pcs[l]));
-            min
+            None
         };
-        split = ready & lanes_at(pcs, chosen);
-    }
+        // One candidate is a converged warp. The scheduler is still
+        // consulted: the production scheduler historically drew from its
+        // RNG there, and the byte-identity contract preserves every draw.
+        eager_pick.or_else(|| match candidates().count() {
+            0 => None,
+            n => candidates().nth(sched.choose_pc(n).min(n - 1)),
+        })
+    } else {
+        // Lockstep: the split at the minimum pc, so diverged lanes
+        // reconverge eagerly.
+        candidates().next()
+    };
+    let Some((group, &Group { mask, .. })) = chosen else {
+        return (0, 0);
+    };
+    let mut split = mask & ready;
     // Under ITS, converged threads may split apart at any time. Eager mode
     // skips subdivision: the oracle's completeness argument covers intact
     // splits only, and skipping keeps eager traces free of filler tokens.
@@ -1060,7 +1111,7 @@ fn pick_split(
             }
         }
     }
-    split
+    (group, split)
 }
 
 /// A register row, or an immediate in every lane.
@@ -1305,23 +1356,159 @@ mod tests {
                 })
                 .map(|(s, pc)| (s, pc % code.len()))
                 .collect();
+            // Exited lanes (and those past a partial warp's end) are not in
+            // the table; barrier lanes are, but not ready.
             let mut ready = 0u32;
-            // Lanes past a partial warp's end keep whatever pc they had.
-            let mut pcs = [7u32; WARP_SIZE];
+            let mut table = SplitTable::new(0);
             for (l, &(status, pc)) in threads.iter().enumerate() {
                 ready |= u32::from(status == LaneState::Ready) << l;
-                pcs[l] = pc as u32;
+                if status != LaneState::Exited {
+                    table.insert(pc as u32, 1 << l);
+                }
             }
 
             let mut want_sched = Scripted::new(seed);
             let want = reference_pick_split(&threads, mode, &mut want_sched, eager, &code);
             let mut got_sched = Scripted::new(seed);
-            let got = pick_split(ready, &pcs, mode, &mut got_sched, eager, &code);
+            let (group, got) = pick_split(ready, &table, mode, &mut got_sched, eager, &code);
 
             let want_mask = want.iter().fold(0u32, |m, &l| m | 1 << l);
             prop_assert_eq!(got, want_mask, "lanes differ");
             prop_assert_eq!(got_sched.calls, want_sched.calls, "scheduler calls differ");
+            if let Some(&l) = want.first() {
+                prop_assert_eq!(table.groups()[group].pc as usize, threads[l].1, "group differs");
+            }
         }
+
+        /// Random advances, two-way branches, exits and barrier arrivals
+        /// and releases on random sub-masks: after each, the table is the
+        /// pc row's un-exited lanes grouped by pc.
+        #[test]
+        fn split_table_matches_a_pc_row(
+            ops in prop::collection::vec((0u32..5, any::<u32>(), any::<u32>(), 0u32..12), 1..200),
+        ) {
+            let mut row = ModelWarp::new(FULL_MASK);
+            for (op, pick, part, target) in ops {
+                let waiting = row.live & !row.ready;
+                if op == 4 && waiting != 0 {
+                    // Barrier release: waiting lanes become ready where
+                    // they are.
+                    row.ready |= waiting & (part | 1 << waiting.trailing_zeros());
+                    row.check();
+                    continue;
+                }
+                if row.ready == 0 {
+                    continue;
+                }
+                // A split: some of the ready lanes of one group.
+                let ready_groups: Vec<usize> = (0..row.table.len)
+                    .filter(|&g| row.table.groups()[g].mask & row.ready != 0)
+                    .collect();
+                let g = ready_groups[pick as usize % ready_groups.len()];
+                let Group { pc, mask } = row.table.groups()[g];
+                let runnable = mask & row.ready;
+                let split = runnable & (part | 1 << runnable.trailing_zeros());
+                row.table.remove(g, split);
+                match op {
+                    // (4 with nobody waiting is one more advance.)
+                    0 | 4 => row.advance(split, pc + 1),
+                    1 => {
+                        let taken = split & pick.rotate_left(7);
+                        row.advance(taken, target);
+                        row.advance(split & !taken, pc + 1);
+                    }
+                    2 => {
+                        row.live &= !split;
+                        row.ready &= !split;
+                    }
+                    // Barrier arrival.
+                    _ => {
+                        row.advance(split, pc + 1);
+                        row.ready &= !split;
+                    }
+                }
+                row.check();
+            }
+        }
+    }
+
+    /// The lanes of a warp whose pc is `pc`.
+    fn lanes_at(pcs: &Row, pc: u32) -> u32 {
+        let mut mask = 0;
+        for (l, &p) in pcs.iter().enumerate() {
+            mask |= u32::from(p == pc) << l;
+        }
+        mask
+    }
+
+    /// A [`SplitTable`] beside the per-lane pc row it replaced.
+    struct ModelWarp {
+        pcs: Row,
+        /// Un-exited lanes, and those of them not waiting at a barrier.
+        live: u32,
+        ready: u32,
+        table: SplitTable,
+    }
+
+    impl ModelWarp {
+        fn new(live: u32) -> Self {
+            ModelWarp {
+                pcs: [0; WARP_SIZE],
+                live,
+                ready: live,
+                table: SplitTable::new(live),
+            }
+        }
+
+        /// Moves the lanes of `mask`, already removed from their group.
+        fn advance(&mut self, mask: u32, pc: u32) {
+            for_lanes(mask, |l| self.pcs[l] = pc);
+            self.table.insert(pc, mask);
+        }
+
+        /// The groups are exactly the sorted distinct pcs of the un-exited
+        /// lanes, each with the lanes the row has there.
+        fn check(&self) {
+            let mut want: Vec<u32> = Vec::new();
+            for_lanes(self.live, |l| want.push(self.pcs[l]));
+            want.sort_unstable();
+            want.dedup();
+            let want: Vec<Group> = want
+                .into_iter()
+                .map(|pc| Group {
+                    pc,
+                    mask: self.live & lanes_at(&self.pcs, pc),
+                })
+                .collect();
+            assert_eq!(self.table.groups(), &want[..]);
+        }
+    }
+
+    #[test]
+    fn split_table_holds_32_groups_and_reconverges() {
+        let mut row = ModelWarp::new(FULL_MASK);
+        // Peel one lane off the bottom group at a time: lane `l` ends at
+        // pc `32 - l`, descending inserts at the front.
+        for l in 0..WARP_SIZE as u32 {
+            row.table.remove(0, 1 << l);
+            row.advance(1 << l, 32 - l);
+            row.check();
+        }
+        assert_eq!(row.table.len, WARP_SIZE);
+        // Walk every group up to pc 40: each merges into its neighbour.
+        while row.table.len > 1 || row.table.groups()[0].pc < 40 {
+            let Group { pc, mask } = row.table.groups()[0];
+            row.table.remove(0, mask);
+            row.advance(mask, pc + 1);
+            row.check();
+        }
+        assert_eq!(
+            row.table.groups(),
+            [Group {
+                pc: 40,
+                mask: FULL_MASK
+            }]
+        );
     }
 
     /// Counts barrier releases.
@@ -1491,6 +1678,30 @@ mod tests {
             assert!(gpu.read_slice(out, 2048) == want, "{mode:?}");
             assert_eq!(hook.block, 4);
         }
+    }
+
+    #[test]
+    fn a_kernel_that_can_fall_off_its_end_is_a_bad_launch() {
+        let cond = crate::ir::Reg(0);
+        let mut gpu = gpu(ExecMode::Its, 0);
+        for tail in [Instr::Nop, Instr::BraIf { cond, target: 0 }] {
+            let k = Kernel::new("k", vec![tail], 0);
+            let run = gpu.launch(&k, 1, 32, &[], &mut NullHook);
+            let Err(SimError::BadLaunch { reason }) = run else {
+                panic!("{tail:?}: {run:?}");
+            };
+            assert_eq!(reason, "kernel `k` can run past its last instruction");
+        }
+        // Ending in an unconditional branch is fine: pc 1 exits, pc 2
+        // jumps back to it.
+        let code = vec![
+            Instr::Bra { target: 2 },
+            Instr::Exit,
+            Instr::Bra { target: 1 },
+        ];
+        let k = Kernel::new("k", code, 0);
+        let stats = gpu.launch(&k, 1, 32, &[], &mut NullHook).unwrap();
+        assert_eq!(stats.lane_instrs, 3 * 32);
     }
 
     #[test]
