@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full workspace tests, clippy clean, and a
-# build of the standalone `benchmark/` package (it names `Iguard`,
-# `ShardedIguard`, `ShardConfig::inline` and the service closure type, so
-# breaking that frozen surface fails here rather than in a benchmark run)
-# followed by that package's own unit tests, among them the check that
-# `BENCHMARK.json` on disk equals `spec::contract()`.
+# build of the standalone `benchmark/` package followed by that package's
+# own unit tests, among them the check that `BENCHMARK.json` on disk
+# equals `spec::contract()`. That build is what checks the
+# `iguard::shard` shim: the frozen benchmark names `ShardedIguard` (a
+# second `impl Detector`, and the service job closure's parameter type)
+# and `ShardConfig::inline`, so breaking that surface fails here rather
+# than in a benchmark run.
 # The workspace tests already byte-compare the stdout of `table4`, `table5`,
 # `fig11`, `pressure`, `chaos` and both `service` soaks (`golden_stdout`)
 # and pin the hot paths (`counter_identity`, `heap_ceiling`,
-# `schedule_digest`, `split_shapes`, `shard_determinism`); each flag below
+# `schedule_digest`, `split_shapes`, `service_determinism`); each flag below
 # adds only what that step does not run.
 # --quick    `benchmark/run.sh --smoke`: every benchmark workload and arm
 #            once, verdicts checked against their references.

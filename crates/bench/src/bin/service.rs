@@ -1,13 +1,13 @@
 //! `service`: the long-lived multi-tenant detector service soak.
 //!
 //! Drives thousands of queued kernel launches from N tenants through the
-//! [`iguard::DetectorService`] — per-tenant CUDA-style streams, sharded
-//! per-job detection, per-tenant race verdicts and latency SLOs — and
+//! [`iguard::DetectorService`] — per-tenant CUDA-style streams, a fresh
+//! detector per job, per-tenant race verdicts and latency SLOs — and
 //! asserts the service's determinism contract in-process:
 //!
-//! 1. **Interleaving/shard invariance.** The same submission set run
-//!    under a different stream count, shard count, and
-//!    slice quantum yields byte-identical per-tenant verdict digests.
+//! 1. **Interleaving invariance.** The same submission set run under a
+//!    different stream count and slice quantum yields byte-identical
+//!    per-tenant verdict digests.
 //! 2. **Restart invariance.** A service interrupted at its half-way
 //!    save and recovered from the [`iguard::CheckpointStore`] converges
 //!    to the same per-tenant verdicts as the uninterrupted incarnation.
@@ -22,8 +22,8 @@
 //! `--supervised` (DESIGN.md §15) runs the soak under the self-healing
 //! supervisor instead: a deterministic fraction of jobs
 //! (`--poison-denom`) panic on every attempt and must land in the
-//! per-tenant quarantine ledger; chaos-perturbed attempts retry down the
-//! decaying fault ladder and must heal to fault-free verdict bytes; and
+//! per-tenant quarantine ledger; chaos-perturbed attempts retry in the
+//! fault-free clean room and must heal to fault-free verdict bytes; and
 //! the restart arm becomes a crash-recovery drill: a second incarnation
 //! finishes the load and loses every save to a forced write-side fault
 //! site (short write → no promote, torn and
@@ -35,7 +35,7 @@
 //!
 //! ```text
 //! service [--tenants N] [--jobs-per-tenant N] [--reps N] [--streams N]
-//!         [--shards N] [--slice CYCLES] [--seed S] [--chaos]
+//!         [--slice CYCLES] [--seed S] [--chaos]
 //!         [--rate-denom D] [--quick]
 //!         [--supervised] [--max-retries N] [--cycle-budget CYCLES]
 //!         [--poison-denom D] [--store DIR] [--drill-stage 1|2]
@@ -49,7 +49,7 @@
 use faults::{FaultConfig, FaultInjector, FaultSite, RATE_ONE};
 use iguard::{
     CheckpointStore, DetectorService, IguardConfig, RecoveryReport, ServiceConfig, ServiceReport,
-    ShardConfig, SupervisorConfig, TenantVerdict,
+    SupervisorConfig, TenantVerdict,
 };
 use workloads::Size;
 
@@ -69,7 +69,6 @@ struct Args {
     jobs_per_tenant: u64,
     reps: u32,
     streams: usize,
-    shards: usize,
     slice: u64,
     seed: u64,
     chaos: bool,
@@ -89,7 +88,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: service [--tenants N] [--jobs-per-tenant N] [--reps N] [--streams N]\n\
-         \x20              [--shards N] [--slice CYCLES] [--seed S] [--chaos]\n\
+         \x20              [--slice CYCLES] [--seed S] [--chaos]\n\
          \x20              [--rate-denom D] [--quick]\n\
          \x20              [--supervised] [--max-retries N] [--cycle-budget CYCLES]\n\
          \x20              [--poison-denom D] [--store DIR] [--drill-stage 1|2]\n\
@@ -104,7 +103,6 @@ fn parse_args(rest: Vec<String>) -> Args {
         jobs_per_tenant: 0,
         reps: 0,
         streams: 2,
-        shards: 2,
         slice: 50_000,
         seed: 42,
         chaos: false,
@@ -134,7 +132,6 @@ fn parse_args(rest: Vec<String>) -> Args {
             }
             "--reps" => args.reps = numeric("--reps", value("--reps")),
             "--streams" => args.streams = numeric("--streams", value("--streams")),
-            "--shards" => args.shards = numeric("--shards", value("--shards")),
             "--slice" => args.slice = numeric("--slice", value("--slice")),
             "--seed" => args.seed = numeric("--seed", value("--seed")),
             "--chaos" => args.chaos = true,
@@ -180,19 +177,13 @@ fn chaos_plane(args: &Args) -> FaultConfig {
     }
 }
 
-/// The service configuration for one arm: `shards` inline shards, and
-/// the detector-internal fault plane armed only when `chaos_armed`. The
-/// fault-free reference arm of the supervised soak needs the *same*
-/// capacity-capped table as the chaos arms (capacity evictions are part
-/// of the verdict) with zero injected faults — that is the byte-identity
-/// baseline healing is judged against.
-fn service_config(
-    args: &Args,
-    streams: usize,
-    shards: usize,
-    slice: u64,
-    chaos_armed: bool,
-) -> ServiceConfig {
+/// The service configuration for one arm, the detector-internal fault
+/// plane armed only when `chaos_armed`. The fault-free reference arm of
+/// the supervised soak needs the *same* capacity-capped table as the
+/// chaos arms (capacity evictions are part of the verdict) with zero
+/// injected faults — that is the byte-identity baseline healing is
+/// judged against.
+fn service_config(args: &Args, streams: usize, slice: u64, chaos_armed: bool) -> ServiceConfig {
     let mut base = IguardConfig::default();
     if args.chaos {
         // Capacity-capped table so genuine capacity evictions mix with
@@ -205,7 +196,6 @@ fn service_config(
     ServiceConfig {
         seed: args.seed,
         base,
-        shard: ShardConfig::inline(shards),
         streams_per_tenant: streams,
         slice_cycles: slice,
     }
@@ -213,7 +203,7 @@ fn service_config(
 
 /// The configured fleet shape with the chaos plane as `--chaos` says.
 fn reference_config(args: &Args) -> ServiceConfig {
-    service_config(args, args.streams, args.shards, args.slice, true)
+    service_config(args, args.streams, args.slice, true)
 }
 
 /// The supervision policy (`None` without `--supervised`).
@@ -415,13 +405,12 @@ fn main() {
 
     println!(
         "service soak: {} tenants x {} jobs x {} reps over {} \
-         (streams/tenant {}, shards {} inline, slice {}, seed {}, chaos {})",
+         (streams/tenant {}, slice {}, seed {}, chaos {})",
         args.tenants,
         args.jobs_per_tenant,
         args.reps,
         ROTATION.join("/"),
         args.streams,
-        args.shards,
         args.slice,
         args.seed,
         if args.chaos { "on" } else { "off" },
@@ -435,9 +424,8 @@ fn main() {
 
     // Soak arms as parallel driver jobs (the PR 1 driver is the load
     // generator's harness). Unsupervised:
-    //   reference — the configured fleet shape, inline shards;
-    //   reshaped  — different stream count, shard count and slice
-    //               quantum;
+    //   reference — the configured fleet shape;
+    //   reshaped  — different stream count and slice quantum;
     //   restart   — reference shape, interrupted at the half-way save
     //               and recovered from the checkpoint store.
     // Supervised layers forced write-side faults over the restart arm's
@@ -456,16 +444,10 @@ fn main() {
     };
     let mut arms = vec![soak_arm("reference", reference_config(&args), chaos.clone())];
     if args.supervised {
-        let cfg = service_config(&args, args.streams, args.shards, args.slice, false);
+        let cfg = service_config(&args, args.streams, args.slice, false);
         arms.push(soak_arm("fault-free", cfg, FaultConfig::disabled()));
     }
-    let reshaped = service_config(
-        &args,
-        args.streams + 1,
-        args.shards * 2,
-        (args.slice / 2).max(1),
-        true,
-    );
+    let reshaped = service_config(&args, args.streams + 1, (args.slice / 2).max(1), true);
     arms.push(soak_arm("reshaped", reshaped, chaos.clone()));
     arms.push(restart_arm(&args, &chaos));
     let mut outcomes = run_jobs(arms, &driver).into_iter();
@@ -696,7 +678,7 @@ fn main() {
         );
     } else {
         println!(
-            "service: {} jobs / {} launches across {} tenants: verdicts interleaving-, shard-, and \
+            "service: {} jobs / {} launches across {} tenants: verdicts interleaving-, and \
              restart-invariant; every degradation accounted",
             reference.report.jobs_run, total_launches, args.tenants,
         );

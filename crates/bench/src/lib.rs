@@ -136,30 +136,12 @@ pub fn run_iguard(w: &Workload, size: Size, seed: u64, cfg: IguardConfig) -> Igu
     run_iguard_with(w, size, gpu_config(seed), cfg)
 }
 
-/// Runs `w` under iGUARD (one address shard) with an explicit GPU
-/// configuration.
+/// Runs `w` under iGUARD with an explicit GPU configuration.
 #[must_use]
 pub fn run_iguard_with(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardConfig) -> IguardRun {
-    run_iguard_sharded_with(w, size, gcfg, cfg, 1)
-}
-
-/// Runs `w` under iGUARD with `shards` address shards.
-///
-/// Race reports and verdict-relevant counters are byte-identical for any
-/// shard count; the metadata plane's cycle costs (UVM faults, setup)
-/// follow the per-shard regions, so `time`/`breakdown`/`uvm` are
-/// deterministic but differ between shard counts.
-#[must_use]
-pub fn run_iguard_sharded_with(
-    w: &Workload,
-    size: Size,
-    gcfg: GpuConfig,
-    cfg: IguardConfig,
-    shards: usize,
-) -> IguardRun {
     let mut gpu = Gpu::new(gcfg);
     let launches = w.build(&mut gpu, size);
-    let mut tool = Instrumented::new(Iguard::with_shards(cfg, shards));
+    let mut tool = Instrumented::new(Iguard::new(cfg));
     let mut timed_out = false;
     let mut aborted_launches = 0u64;
     let mut stats_exec = LaunchStats::default();
@@ -233,13 +215,12 @@ impl ServiceJob {
 /// divergence can never hide in harness skew. The GPU is seeded from
 /// `ctx.seed` (a pure function of the service seed, tenant name, and
 /// job index), which makes the job's simulation — and therefore the
-/// tenant's verdict — independent of stream interleaving, shard layout,
-/// and service restarts. When `chaos` is enabled it is reseeded per-job
-/// the same way and installed as the GPU launch-boundary fault plane —
-/// descending the supervised retry ladder
-/// ([`iguard::supervise::attempt_faults`]) when the service retries the
-/// job, so attempt 0 is byte-identical to the unsupervised plane and
-/// the final retry runs fault-free.
+/// tenant's verdict — independent of stream interleaving and service
+/// restarts. When `chaos` is enabled it is reseeded per-job the same way
+/// and installed as the GPU launch-boundary fault plane on attempt 0 —
+/// byte-identical to the unsupervised plane — and left off on every
+/// retry, as the supervised ladder
+/// ([`iguard::supervise::attempt_faults`]) has it.
 pub fn run_service_job(
     ctx: &JobCtx<'_, ServiceJob>,
     tool: &mut Instrumented<ShardedIguard>,

@@ -3,11 +3,22 @@
 //! on, so its member list and stencil kernel are restated here once.
 #![allow(dead_code)] // each test file uses its own subset
 
+use faults::{FaultConfig, FaultSite, RATE_ONE};
 use gpu_sim::asm::KernelBuilder;
 use gpu_sim::ir::Special;
 use gpu_sim::kernel::Kernel;
 use gpu_sim::machine::Gpu;
 use workloads::Launch;
+
+/// The armed metadata plane of `counter_identity`'s `faults=meta+uvm@7`
+/// rows: entry evictions, tag aliases and UVM eviction storms.
+pub fn meta_uvm_plane() -> FaultConfig {
+    FaultConfig::disabled()
+        .with_seed(7)
+        .with_rate(FaultSite::MetaEviction, RATE_ONE / 64)
+        .with_rate(FaultSite::MetaTagAlias, RATE_ONE / 64)
+        .with_rate(FaultSite::UvmEvictStorm, RATE_ONE / 256)
+}
 
 /// `benchmark/src/spec.rs`'s `ZOO_DETECT`.
 pub const ZOO_DETECT: [&str; 10] = [

@@ -6,13 +6,13 @@
 //! shape of the three `ladder_stencil` rungs — at seed 42 and compares
 //! every `IguardStats` field, the metadata regions' `UvmStats` and the
 //! raw Detection cycle pools with a table recorded at the commit before
-//! the packed-word engine (PR 14's parent), for one and four address
-//! shards, each with and without a `table_capacity_words` cap (the
-//! aliasing mode `bench --bin pressure` uses) — and, recorded at the
-//! commit before the row-at-a-time engine (PR 16's parent), for the three
-//! other shapes that engine hands back to the per-lane path: a history
-//! ring, a scaled metadata address space and an armed fault plane. "Falls
-//! back" has to mean "same counters".
+//! the packed-word engine (PR 14's parent), with and without a
+//! `table_capacity_words` cap (the aliasing mode `bench --bin pressure`
+//! uses; the rows keep the `shards=1` label they were recorded under) —
+//! and, recorded at the commit before the row-at-a-time engine (PR 16's
+//! parent), for the three other shapes that engine hands back to the
+//! per-lane path: a history ring, a scaled metadata address space and an
+//! armed fault plane. "Falls back" has to mean "same counters".
 //!
 //! ```text
 //! GOLDEN_WRITE=1 cargo test -p bench --release --test counter_identity
@@ -23,37 +23,29 @@
 
 mod common;
 
-use common::{stencil_launches, LADDER_THREADS, ZOO_DETECT};
-use faults::{FaultConfig, FaultSite, RATE_ONE};
+use common::{meta_uvm_plane, stencil_launches, LADDER_THREADS, ZOO_DETECT};
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::CostCategory;
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 use workloads::{Launch, Size};
 
-/// (address shards, `table_capacity_words`).
-const CONFIGS: [(usize, Option<usize>); 4] =
-    [(1, None), (4, None), (1, Some(1024)), (4, Some(1024))];
+/// `table_capacity_words`.
+const CAPS: [Option<usize>; 2] = [None, Some(1024)];
 
-/// The detector shapes beside `(shards, cap)`, as (row label, shards,
-/// configuration).
-fn shapes() -> Vec<(String, usize, IguardConfig)> {
-    let mut shapes: Vec<(String, usize, IguardConfig)> = CONFIGS
+/// The detector shapes, as (row label, configuration).
+fn shapes() -> Vec<(String, IguardConfig)> {
+    let mut shapes: Vec<(String, IguardConfig)> = CAPS
         .iter()
-        .map(|&(shards, cap)| {
+        .map(|&cap| {
             let cfg = IguardConfig {
                 table_capacity_words: cap,
                 ..IguardConfig::default()
             };
-            (format!("shards={shards} cap={cap:?}"), shards, cfg)
+            (format!("shards=1 cap={cap:?}"), cfg)
         })
         .collect();
-    let armed = FaultConfig::disabled()
-        .with_seed(7)
-        .with_rate(FaultSite::MetaEviction, RATE_ONE / 64)
-        .with_rate(FaultSite::MetaTagAlias, RATE_ONE / 64)
-        .with_rate(FaultSite::UvmEvictStorm, RATE_ONE / 256);
-    let one_shard = [
+    let fallbacks = [
         ("history=4", IguardConfig::with_history(4)),
         (
             "addr_scale=4",
@@ -65,12 +57,12 @@ fn shapes() -> Vec<(String, usize, IguardConfig)> {
         (
             "faults=meta+uvm@7",
             IguardConfig {
-                faults: armed,
+                faults: meta_uvm_plane(),
                 ..IguardConfig::default()
             },
         ),
     ];
-    shapes.extend(one_shard.map(|(label, cfg)| (label.to_owned(), 1, cfg)));
+    shapes.extend(fallbacks.map(|(label, cfg)| (label.to_owned(), cfg)));
     shapes
 }
 
@@ -78,11 +70,11 @@ fn shapes() -> Vec<(String, usize, IguardConfig)> {
 fn row(
     name: &str,
     build: &dyn Fn(&mut Gpu) -> Vec<Launch>,
-    (label, shards, cfg): &(String, usize, IguardConfig),
+    (label, cfg): &(String, IguardConfig),
 ) -> String {
     let mut gpu = Gpu::new(bench::gpu_config(bench::DEFAULT_SEED));
     let launches = build(&mut gpu);
-    let mut tool = Instrumented::new(Iguard::with_shards(cfg.clone(), *shards));
+    let mut tool = Instrumented::new(Iguard::new(cfg.clone()));
     for l in &launches {
         // A watchdog timeout still leaves every counter deterministic.
         let _ = gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool);

@@ -1,98 +1,33 @@
-//! Address-shard determinism: every check runs in program order inside
-//! the instrumentation callback against one report channel, so for *any*
-//! shard count the detector's race reports and verdict-relevant counters
-//! are byte-identical to the 1-shard detector — including under injected
-//! report-channel faults, where both must also stay `fully_accounted`.
-//!
-//! The one accepted divergence is the metadata plane's *cycle* costs:
-//! each shard owns a private UVM region, so `uvm_cycles` (and the
-//! simulated times derived from it) follow a different — still
-//! deterministic, and pinned below — paging pattern.
+//! Service determinism: a job is a pure function of `(service seed,
+//! tenant, job index)`, so per-tenant verdicts are byte-identical across
+//! stream counts, slice quanta, per-job fault schedules, a mid-soak
+//! checkpoint/restart and — supervised — chaos, poison and a damaged
+//! checkpoint store, with every degradation accounted; and the detector a
+//! job runs against is the plain [`Iguard`], whatever name it travels
+//! under.
+
+mod common;
 
 use faults::{FaultConfig, FaultInjector, FaultSite, RATE_ONE};
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::COST_CATEGORIES;
+use iguard::supervise::attempt_faults;
 use iguard::{
-    CheckpointStore, DetectorService, Iguard, IguardConfig, ServiceConfig, ShardConfig,
-    ShardedIguard, SupervisorConfig,
+    CheckpointStore, DetectorService, Iguard, IguardConfig, ServiceConfig, ShardedIguard,
+    SupervisorConfig,
 };
 use nvbit_sim::{Instrumented, Tool};
 use proptest::prelude::*;
 use workloads::Size;
 
 use bench::{
-    gpu_config, is_poison, quiet_poison_panics, run_iguard_sharded_with, run_service_job,
-    IguardRun, ServiceJob, DEFAULT_SEED,
+    gpu_config, is_poison, quiet_poison_panics, run_iguard_with, run_service_job, ServiceJob,
+    DEFAULT_SEED,
 };
-
-/// Asserts everything verdict-relevant matches between a 1-shard and a
-/// multi-shard run (excluding `uvm_cycles` / simulated time, see module
-/// docs). Returns an error string on mismatch so proptest can shrink.
-fn assert_equivalent(one: &IguardRun, sharded: &IguardRun) -> Result<(), String> {
-    macro_rules! eq {
-        ($field:expr, $a:expr, $b:expr) => {
-            if $a != $b {
-                return Err(format!("{}: 1 shard {:?} != sharded {:?}", $field, $a, $b));
-            }
-        };
-    }
-    eq!("sites", &one.sites, &sharded.sites);
-    let (a, b) = (&one.stats, &sharded.stats);
-    eq!("accesses", a.accesses, b.accesses);
-    eq!("coalesced_saved", a.coalesced_saved, b.coalesced_saved);
-    eq!("safe_hits", a.safe_hits, b.safe_hits);
-    eq!("race_hits", a.race_hits, b.race_hits);
-    eq!("contended_accesses", a.contended_accesses, b.contended_accesses);
-    eq!("contention_cycles", a.contention_cycles, b.contention_cycles);
-    eq!("launches", a.launches, b.launches);
-    eq!("missed_checks", a.missed_checks, b.missed_checks);
-    eq!("orphan_events", a.orphan_events, b.orphan_events);
-    eq!("table_init_failures", a.table_init_failures, b.table_init_failures);
-    // The one report channel sees the same record sequence, so its
-    // accounting — including fault-plane drops — matches exactly.
-    eq!("channel", one.degradation.channel, sharded.degradation.channel);
-    eq!("fault_stats", one.fault_stats, sharded.fault_stats);
-    eq!("timed_out", one.timed_out, sharded.timed_out);
-    eq!("exec steps", one.stats_exec.steps, sharded.stats_exec.steps);
-    Ok(())
-}
 
 /// The racey workloads the suite sweeps (fast at `Size::Test`, multiple
 /// kernels/launches between them).
 const WORKLOADS: [&str; 3] = ["reduction", "graph-color", "interac"];
-
-/// Shard counts the suite sweeps against the 1-shard reference.
-const SHARDS: [usize; 5] = [1, 2, 4, 8, 16];
-
-fn run_default(name: &str, shards: usize) -> IguardRun {
-    let w = workloads::by_name(name).expect("workload exists");
-    run_iguard_sharded_with(
-        &w,
-        Size::Test,
-        gpu_config(DEFAULT_SEED),
-        IguardConfig::default(),
-        shards,
-    )
-}
-
-#[test]
-fn every_shard_count_matches_one_shard() {
-    for name in WORKLOADS {
-        let one = run_default(name, 1);
-        assert!(!one.sites.is_empty(), "{name} should race");
-        for shards in SHARDS {
-            if let Err(e) = assert_equivalent(&one, &run_default(name, shards)) {
-                panic!("{name} with {shards} shards diverged: {e}");
-            }
-        }
-    }
-}
-
-#[test]
-fn clean_workload_stays_clean_under_sharding() {
-    let run = run_default("b_reduce", 8);
-    assert!(run.sites.is_empty(), "got {:?}", run.sites);
-}
 
 /// Runs `name` under `tool` and returns the launch clock's raw
 /// `(parallel, serial)` cycles per cost category, plus the mounted tool.
@@ -122,47 +57,83 @@ fn observe(det: &mut Iguard) -> String {
     )
 }
 
-/// `ShardedIguard` with one shard *is* `Iguard`: same reports, counters,
-/// UVM statistics, and raw clock charges in every cost category.
+/// The `ShardedIguard` shim forwards everything to the `Iguard` it wraps:
+/// same reports, counters, UVM statistics, and raw clock charges in every
+/// cost category.
 #[test]
-fn one_shard_sharded_iguard_is_iguard() {
+fn sharded_iguard_shim_forwards_everything() {
     for w in workloads::racey() {
         let (plain_raw, mut plain) = run_tool(w.name, Iguard::new(IguardConfig::default()));
-        let (one_raw, mut one) = run_tool(
-            w.name,
-            ShardedIguard::new(IguardConfig::default(), ShardConfig::inline(1)),
-        );
-        assert_eq!(plain_raw, one_raw, "{}: clock charges", w.name);
-        assert_eq!(plain.instr_stats(), one.instr_stats(), "{}", w.name);
+        let shim = ShardedIguard::try_new(IguardConfig::default()).expect("default config");
+        let (shim_raw, mut shim) = run_tool(w.name, shim);
+        assert_eq!(plain_raw, shim_raw, "{}: clock charges", w.name);
+        assert_eq!(plain.instr_stats(), shim.instr_stats(), "{}", w.name);
         assert_eq!(
             observe(plain.tool_mut()),
-            observe(one.tool_mut()),
+            observe(shim.tool_mut()),
             "{}: detector state",
             w.name
         );
     }
 }
 
-/// Per-shard table sizing (words, virtual size, prefault budget) decides
-/// the 4-shard cycle totals the service goldens and the benchmark's
-/// `sim_makespan_cycles_per_job` rest on. Pinned at the values the
-/// pre-fold `ShardedIguard` produced, so the formulas cannot drift.
+/// The service's detector *is* the plain detector. Under an armed
+/// metadata plane (the `counter_identity` `faults=meta+uvm@7` rates) a
+/// job's accepted detector leaves the counters, UVM statistics, fault
+/// fires, degradation and sites of a direct `Iguard::new` run of the same
+/// launches under the same per-job plane — one table, one injector per
+/// site, one draw stream.
 #[test]
-fn four_shard_cycle_totals_are_pinned() {
-    for (name, parallel, serial) in [
-        ("reduction", 10_590u64, 679u64),
-        ("graph-color", 3_666, 712),
-        ("interac", 10_730_867, 874_809),
-    ] {
-        let (raw, _) = run_tool(
-            name,
-            ShardedIguard::new(IguardConfig::default(), ShardConfig::inline(4)),
-        );
-        let total = raw
-            .iter()
-            .fold((0, 0), |(p, s), &(dp, ds)| (p + dp, s + ds));
-        assert_eq!(total, (parallel, serial), "{name}: (parallel, serial) cycles");
+fn service_job_detector_is_the_plain_detector() {
+    let plane = common::meta_uvm_plane();
+    let base = IguardConfig {
+        faults: plane.clone(),
+        ..IguardConfig::default()
+    };
+    let mut svc = DetectorService::new(ServiceConfig {
+        seed: DEFAULT_SEED,
+        base: base.clone(),
+        ..ServiceConfig::default()
+    });
+    // One tenant per workload, one job each: a tenant's verdict is its
+    // job's detector.
+    for name in WORKLOADS {
+        svc.submit(name, 0, ServiceJob::new(name, Size::Test, 1));
     }
+    let mut uvm = std::collections::BTreeMap::new();
+    svc.run_all(|ctx, tool| {
+        let outcome = run_service_job(ctx, tool, &FaultConfig::disabled());
+        uvm.insert(ctx.tenant.to_string(), tool.tool().uvm_stats());
+        outcome
+    })
+    .expect("soak runs");
+    let mut fires = 0;
+    for v in svc.verdicts() {
+        let seed = iguard::service::job_seed(DEFAULT_SEED, &v.tenant, 0);
+        let w = workloads::by_name(&v.tenant).expect("workload exists");
+        let cfg = IguardConfig {
+            faults: attempt_faults(&plane, seed, 0, 0),
+            ..base.clone()
+        };
+        let direct = run_iguard_with(&w, Size::Test, gpu_config(seed), cfg);
+        let job = (
+            &v.stats,
+            &uvm[&v.tenant],
+            &v.fault_stats,
+            &v.degradation,
+            &v.sites,
+        );
+        let plain = (
+            &direct.stats,
+            &direct.uvm,
+            &direct.fault_stats,
+            &direct.degradation,
+            &direct.sites,
+        );
+        assert_eq!(format!("{job:?}"), format!("{plain:?}"), "{}", v.tenant);
+        fires += v.fault_stats.total();
+    }
+    assert!(fires > 0, "the metadata plane never fired");
 }
 
 /// Submits the first `upto` jobs of each of `tenants` tenants, workload
@@ -302,61 +273,17 @@ fn supervised_soak(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any shard count × report-channel fault schedules: reports stay
-    /// byte-identical to one shard and degradation stays fully accounted
-    /// on both sides.
-    #[test]
-    fn sharded_reports_match_one_shard_under_channel_faults(
-        seed in 0u64..1 << 32,
-        shards_pow in 0u32..5, // 1, 2, 4, 8, 16 shards
-        drop_rate in 0u32..=RATE_ONE / 4,
-        overflow_rate in 0u32..=RATE_ONE / 8,
-        small_capacity in any::<bool>(),
-        wl in 0usize..WORKLOADS.len(),
-    ) {
-        // Only report-channel sites: the channel is shared by every
-        // shard, so its fault draws must replay identically. (Metadata-plane
-        // sites act on per-shard tables whose draw sequences are a
-        // different — deterministic — schedule by design.)
-        let faults = FaultConfig::disabled()
-            .with_seed(seed)
-            .with_rate(FaultSite::ReportDrop, drop_rate)
-            .with_rate(FaultSite::ChannelOverflow, overflow_rate);
-        let icfg = IguardConfig {
-            faults,
-            report_capacity: if small_capacity { 4 } else { 16 * 1024 },
-            ..IguardConfig::default()
-        };
-        let w = workloads::by_name(WORKLOADS[wl]).expect("workload exists");
-        let shards = 1usize << shards_pow;
-        let one = run_iguard_sharded_with(&w, Size::Test, gpu_config(seed), icfg.clone(), 1);
-        let sharded = run_iguard_sharded_with(&w, Size::Test, gpu_config(seed), icfg, shards);
-
-        if let Err(e) = assert_equivalent(&one, &sharded) {
-            panic!("{shards}-shard run diverged from one shard: {e}");
-        }
-        prop_assert!(one.degradation.fully_accounted());
-        prop_assert!(
-            sharded.degradation.fully_accounted(),
-            "sharded degradation must stay accounted: {:?}",
-            sharded.degradation
-        );
-    }
-
     /// The detector service's determinism contract: for any tenant
     /// fleet, per-tenant verdicts are byte-identical across stream
-    /// counts, shard counts, slice quanta,
-    /// report-channel fault schedules (reseeded per job from the job's
-    /// identity), and a mid-soak checkpoint/restart — and every tenant's
-    /// degradation stays fully accounted throughout.
+    /// counts, slice quanta, report-channel fault schedules (reseeded per
+    /// job from the job's identity), and a mid-soak checkpoint/restart —
+    /// and every tenant's degradation stays fully accounted throughout.
     #[test]
     fn service_verdicts_survive_reshaping_faults_and_restarts(
         seed in 0u64..1 << 32,
         tenants in 1usize..=3,
         jobs_per_tenant in 1u64..=4,
         streams_b in 1usize..=3,
-        shards_pow_a in 0u32..3,
-        shards_pow_b in 0u32..3,
         slice_b in prop_oneof![Just(1_000u64), Just(25_000), Just(200_000)],
         drop_rate in 0u32..=RATE_ONE / 4,
         overflow_rate in 0u32..=RATE_ONE / 8,
@@ -378,14 +305,12 @@ proptest! {
         let cfg_a = ServiceConfig {
             seed,
             base: base.clone(),
-            shard: ShardConfig::inline(1 << shards_pow_a),
             streams_per_tenant: 2,
             slice_cycles: 50_000,
         };
         let cfg_b = ServiceConfig {
             seed,
             base,
-            shard: ShardConfig::inline(1 << shards_pow_b),
             streams_per_tenant: streams_b,
             slice_cycles: slice_b,
         };
@@ -439,7 +364,6 @@ proptest! {
         let cfg = ServiceConfig {
             seed,
             base: IguardConfig::default(),
-            shard: ShardConfig::inline(2),
             streams_per_tenant: 2,
             slice_cycles: 50_000,
         };

@@ -7,7 +7,7 @@
 //! finish the fleet to bytes identical to an uninterrupted control run.
 
 use faults::FaultConfig;
-use iguard::{CheckpointStore, DetectorService, IguardConfig, ServiceConfig, ShardConfig};
+use iguard::{CheckpointStore, DetectorService, IguardConfig, ServiceConfig};
 use proptest::prelude::*;
 use workloads::Size;
 
@@ -21,7 +21,6 @@ fn service_cfg(seed: u64) -> ServiceConfig {
     ServiceConfig {
         seed,
         base: IguardConfig::default(),
-        shard: ShardConfig::inline(2),
         streams_per_tenant: 2,
         slice_cycles: 50_000,
     }

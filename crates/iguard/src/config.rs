@@ -1,6 +1,8 @@
 //! Detector configuration, including the §6.5 optimization toggles used by
 //! the Figure 12 ablation and the §6.7 accessor-history ablation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use faults::FaultConfig;
 use uvm_sim::UvmConfig;
 
@@ -141,6 +143,7 @@ impl IguardConfig {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -14,16 +14,10 @@
 //! 6. reports races to the host buffer without stopping execution (§5).
 //!
 //! The table-keyed back half (steps 3–5) lives in
-//! [`crate::engine::Engine`]. The detector owns `S` of them, one per
-//! hashed-address shard (`S` a power of two, 1 by default): word `w`
-//! routes to engine `w & (S-1)` and is checked there at sub-word
-//! `w >> log2(S)` — an injective per-engine mapping, so engines never
-//! share table state. Everything else — the live synchronization
-//! metadata, lock state, counters, the report channel — exists once, and
-//! every check runs in program order inside the callback, so race
-//! reports and every verdict-relevant counter are the same for any `S`.
-//! What differs with `S` is the metadata plane's simulated cost: each
-//! engine pages its own `1/S` slice of the managed region (DESIGN.md §12).
+//! [`crate::engine::Engine`]; the detector owns one, over one metadata
+//! table in one UVM-managed region (§5, §6.1). The live synchronization
+//! metadata, lock state, counters and the report channel are the front
+//! half, and every check runs in program order inside the callback.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -85,21 +79,36 @@ impl IguardStats {
     /// the sum is the exact stats a single detector would have reported
     /// had it processed the same work.
     pub fn accumulate(&mut self, other: &IguardStats) {
-        self.accesses += other.accesses;
-        self.coalesced_saved += other.coalesced_saved;
-        for (a, b) in self.safe_hits.iter_mut().zip(other.safe_hits.iter()) {
+        // Exhaustive: a new counter is a compile error here, not a field
+        // silently missing from every aggregate.
+        let IguardStats {
+            accesses,
+            coalesced_saved,
+            safe_hits,
+            race_hits,
+            contended_accesses,
+            contention_cycles,
+            uvm_cycles,
+            launches,
+            missed_checks,
+            orphan_events,
+            table_init_failures,
+        } = *other;
+        self.accesses += accesses;
+        self.coalesced_saved += coalesced_saved;
+        for (a, b) in self.safe_hits.iter_mut().zip(safe_hits) {
             *a += b;
         }
-        for (a, b) in self.race_hits.iter_mut().zip(other.race_hits.iter()) {
+        for (a, b) in self.race_hits.iter_mut().zip(race_hits) {
             *a += b;
         }
-        self.contended_accesses += other.contended_accesses;
-        self.contention_cycles += other.contention_cycles;
-        self.uvm_cycles += other.uvm_cycles;
-        self.launches += other.launches;
-        self.missed_checks += other.missed_checks;
-        self.orphan_events += other.orphan_events;
-        self.table_init_failures += other.table_init_failures;
+        self.contended_accesses += contended_accesses;
+        self.contention_cycles += contention_cycles;
+        self.uvm_cycles += uvm_cycles;
+        self.launches += launches;
+        self.missed_checks += missed_checks;
+        self.orphan_events += orphan_events;
+        self.table_init_failures += table_init_failures;
     }
 }
 
@@ -139,13 +148,22 @@ impl Degradation {
     /// summation (sums of per-instance equalities), so an aggregate over
     /// fully-drained detectors is fully accounted iff every summand is.
     pub fn accumulate(&mut self, other: &Degradation) {
-        self.missed_checks += other.missed_checks;
-        self.orphan_events += other.orphan_events;
-        self.table_init_failures += other.table_init_failures;
-        self.meta.accumulate(&other.meta);
-        self.channel.accumulate(&other.channel);
-        self.uvm_injected_evictions += other.uvm_injected_evictions;
-        self.uvm_injected_oom_denials += other.uvm_injected_oom_denials;
+        let Degradation {
+            missed_checks,
+            orphan_events,
+            table_init_failures,
+            meta,
+            channel,
+            uvm_injected_evictions,
+            uvm_injected_oom_denials,
+        } = *other;
+        self.missed_checks += missed_checks;
+        self.orphan_events += orphan_events;
+        self.table_init_failures += table_init_failures;
+        self.meta.accumulate(&meta);
+        self.channel.accumulate(&channel);
+        self.uvm_injected_evictions += uvm_injected_evictions;
+        self.uvm_injected_oom_denials += uvm_injected_oom_denials;
     }
 }
 
@@ -153,13 +171,11 @@ impl Degradation {
 #[derive(Debug)]
 pub struct Iguard {
     cfg: IguardConfig,
-    /// Number of address shards (a power of two).
-    shards: usize,
     sync: Option<SyncMetadata>,
     locks: Vec<WarpLockState>,
-    /// One engine per address shard; empty until a launch allocates the
-    /// metadata tables (and again empty if that allocation failed).
-    engines: Vec<Engine>,
+    /// `None` until a launch allocates the metadata table (and still
+    /// `None` if that allocation failed).
+    engine: Option<Engine>,
     reporter: RaceReporter,
     stats: IguardStats,
     /// Reusable scratch for the uncoalesced same-entry dedup check, so the
@@ -183,42 +199,31 @@ impl Default for Iguard {
 }
 
 impl Iguard {
-    /// Creates a detector with the given configuration and one address
-    /// shard.
+    /// Creates a detector with the given configuration.
     ///
     /// Infallible for ergonomics: a zero report capacity is clamped to 1.
-    /// Use [`Iguard::try_with_shards`] to surface configuration errors
-    /// instead.
+    /// Use [`Iguard::try_new`] to surface configuration errors instead.
     #[must_use]
     pub fn new(cfg: IguardConfig) -> Self {
-        Iguard::with_shards(cfg, 1)
-    }
-
-    /// Like [`Iguard::new`], with the per-word tables split into `shards`
-    /// hashed-address shards (rounded up to a power of two, clamped to
-    /// `1..=65536`).
-    #[must_use]
-    pub fn with_shards(cfg: IguardConfig, shards: usize) -> Self {
         let capacity = NonZeroUsize::new(cfg.report_capacity).unwrap_or(NonZeroUsize::MIN);
         let reporter = RaceReporter::with_capacity(capacity, &cfg.faults);
-        Iguard::build(cfg, shards, reporter)
+        Iguard::build(cfg, reporter)
     }
 
-    /// Fallible [`Iguard::with_shards`]: returns a typed error on an
-    /// unusable configuration (e.g. a zero-capacity report buffer).
-    pub fn try_with_shards(cfg: IguardConfig, shards: usize) -> Result<Self, IguardError> {
+    /// Fallible [`Iguard::new`]: returns a typed error on an unusable
+    /// configuration (e.g. a zero-capacity report buffer).
+    pub fn try_new(cfg: IguardConfig) -> Result<Self, IguardError> {
         let reporter = RaceReporter::with_faults(cfg.report_capacity, &cfg.faults)?;
-        Ok(Iguard::build(cfg, shards, reporter))
+        Ok(Iguard::build(cfg, reporter))
     }
 
-    fn build(cfg: IguardConfig, shards: usize, reporter: RaceReporter) -> Self {
+    fn build(cfg: IguardConfig, reporter: RaceReporter) -> Self {
         let pruner = (cfg.prune != PruneMode::Off).then(|| Pruner::new(cfg.prune));
         Iguard {
             cfg,
-            shards: shards.clamp(1, 1 << 16).next_power_of_two(),
             sync: None,
             locks: Vec::new(),
-            engines: Vec::new(),
+            engine: None,
             reporter,
             stats: IguardStats::default(),
             scratch_words: Vec::with_capacity(32),
@@ -252,10 +257,7 @@ impl Iguard {
     /// Everything the detector degraded on, with per-cause accounting.
     #[must_use]
     pub fn degradation(&self) -> Degradation {
-        let mut meta = MetaStats::default();
-        for e in &self.engines {
-            meta.accumulate(&e.table.meta_stats());
-        }
+        let meta = self.table().map(MetadataTable::meta_stats).unwrap_or_default();
         let uvm = self.uvm_stats();
         Degradation {
             missed_checks: self.stats.missed_checks,
@@ -269,12 +271,12 @@ impl Iguard {
     }
 
     /// Aggregated injected-fault counters across the detector's
-    /// components (metadata tables, their UVM regions, report channel).
+    /// components (metadata table, its UVM region, report channel).
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
         let mut total = self.reporter.fault_stats();
-        for e in &self.engines {
-            total.accumulate(&e.table.fault_stats());
+        if let Some(table) = self.table() {
+            total.accumulate(&table.fault_stats());
         }
         total
     }
@@ -285,15 +287,18 @@ impl Iguard {
         self.reporter.channel_stats()
     }
 
-    /// UVM statistics of the metadata regions, summed over the shards
-    /// (empty before first launch).
+    /// UVM statistics of the metadata region (empty before first
+    /// launch).
     #[must_use]
     pub fn uvm_stats(&self) -> uvm_sim::UvmStats {
-        let mut total = uvm_sim::UvmStats::default();
-        for e in &self.engines {
-            total.accumulate(&e.table.uvm_stats());
-        }
-        total
+        self.table()
+            .map(MetadataTable::uvm_stats)
+            .unwrap_or_default()
+    }
+
+    /// The metadata table, once a launch has allocated it.
+    fn table(&self) -> Option<&MetadataTable> {
+        self.engine.as_ref().map(|e| &e.table)
     }
 
     /// Number of unique races detected so far.
@@ -322,9 +327,9 @@ impl Iguard {
     /// The front half of one warp split (or of the one lane that stands
     /// for a coalesced split): orphan accounting, one capture of the live
     /// state the lanes share (synchronization counters, lock state, the
-    /// pruner's verify handle, the sink), then each lane routed to its
-    /// word's engine, which runs the check and reports immediately — or,
-    /// with one engine and a `row` of lanes, the split handed over whole.
+    /// pruner's verify handle, the sink), then the split handed to the
+    /// engine whole when it is a `row` the engine takes, else lane by
+    /// lane; the engine runs the check and reports immediately.
     fn process_split(
         &mut self,
         lanes: &[LaneAccess],
@@ -340,10 +345,10 @@ impl Iguard {
         // Graceful degradation: accesses with no live launch state (table
         // allocation failed, or the event arrived before any launch) are
         // dropped and counted instead of panicking.
-        let (Some(sync), Some(locks), false) = (
+        let (Some(sync), Some(locks), Some(engine)) = (
             self.sync.as_ref(),
             self.locks.get(warp as usize),
-            self.engines.is_empty(),
+            self.engine.as_mut(),
         ) else {
             self.stats.orphan_events += lanes.len() as u64;
             return;
@@ -372,15 +377,14 @@ impl Iguard {
         let (dev_fences, blk_fences) = sync.warp_fences(warp);
         // Until `isThread` escalates every lane holds the warp's locks.
         let warp_locks = (!locks.is_thread()).then(|| locks.summary(0));
-        let (shard_shift, shard_mask) = (self.shards.trailing_zeros(), self.shards - 1);
         let mut sink = Sink {
             stats: &mut self.stats,
             reporter: &mut self.reporter,
             clock,
             verify,
         };
-        let lane_ctx = |la: &LaneAccess, word: u32| LaneCtx {
-            word,
+        let lane_ctx = |la: &LaneAccess| LaneCtx {
+            word: la.addr / 4,
             addr: la.addr,
             snap: split_snap
                 | AccessorInfo {
@@ -392,60 +396,39 @@ impl Iguard {
                 .pack(),
             lock_summary: warp_locks.unwrap_or_else(|| locks.summary(la.lane)),
         };
-        if let [engine] = &mut self.engines[..] {
-            // One shard: every word is this engine's, borrowed once. With
-            // more, routing deals a row's words out across the engines.
-            if row && engine.process_row(&split, lanes, lane_ctx, sync, &mut sink) {
-                return;
-            }
-            for la in lanes {
-                engine.process(&split, &lane_ctx(la, la.addr / 4), sync, &mut sink);
-            }
-        } else {
-            for la in lanes {
-                let word = la.addr / 4;
-                self.engines[word as usize & shard_mask].process(
-                    &split,
-                    &lane_ctx(la, word >> shard_shift),
-                    sync,
-                    &mut sink,
-                );
-            }
+        if row && engine.process_row(&split, lanes, lane_ctx, sync, &mut sink) {
+            return;
+        }
+        for la in lanes {
+            engine.process(&split, &lane_ctx(la), sync, &mut sink);
         }
     }
 
     /// First-launch allocation of the managed metadata region (~4× device
-    /// capacity, §6.1), one `1/shards` slice per engine, prefaulting what
-    /// fits. On failure the detector keeps running blind: every access
-    /// becomes an orphan event, and the next launch tries again.
-    fn allocate_engines(&mut self, info: &LaunchInfo, words: usize, clock: &mut Clock) {
-        let shards = self.shards as u64;
-        let table_cfg = TableConfig {
-            words,
+    /// capacity, §6.1), prefaulting what fits. On failure the detector
+    /// keeps running blind: every access becomes an orphan event, and the
+    /// next launch tries again.
+    fn allocate_engine(&mut self, info: &LaunchInfo, clock: &mut Clock) {
+        let Ok(mut table) = MetadataTable::new(TableConfig {
+            words: info.backing_words,
             uvm: self.cfg.uvm.clone(),
-            virtual_bytes: 4 * info.device_capacity_bytes / shards,
-            device_budget_bytes: info.free_device_bytes / shards,
+            virtual_bytes: 4 * info.device_capacity_bytes,
+            device_budget_bytes: info.free_device_bytes,
             addr_scale: self.cfg.addr_scale,
-            capacity_words: self.cfg.table_capacity_words.map(|c| c / self.shards),
+            capacity_words: self.cfg.table_capacity_words,
             faults: self.cfg.faults.clone(),
-        };
-        let tables: Result<Vec<MetadataTable>, IguardError> = (0..self.shards)
-            .map(|_| MetadataTable::new(table_cfg.clone()))
-            .collect();
-        let Ok(tables) = tables else {
+        }) else {
             self.stats.table_init_failures += 1;
             return;
         };
         let mut setup = self.cfg.setup_fixed_cost;
-        for mut table in tables {
-            if self.cfg.prefault {
-                // Metadata is 4x the data it shadows (Sec 6.1); prefault as
-                // much of it as free device memory allows.
-                let needed = info.app_footprint_bytes.saturating_mul(4) / shards;
-                setup += table.prefault(needed.max(ENTRY_BYTES));
-            }
-            self.engines.push(Engine::new(table));
+        if self.cfg.prefault {
+            // Metadata is 4x the data it shadows (Sec 6.1); prefault as
+            // much of it as free device memory allows.
+            let needed = info.app_footprint_bytes.saturating_mul(4);
+            setup += table.prefault(needed.max(ENTRY_BYTES));
         }
+        self.engine = Some(Engine::new(table));
         clock.charge_serial(CostCategory::Setup, setup);
     }
 }
@@ -488,23 +471,18 @@ impl Tool for Iguard {
         self.locks
             .resize(info.total_warps as usize, WarpLockState::default());
 
-        // Each engine's tables cover its shard's sub-words.
-        let words = info.backing_words.div_ceil(self.shards);
-        if self.engines.is_empty() {
-            self.allocate_engines(info, words, clock);
-        } else {
-            for e in &mut self.engines {
-                e.table.begin_epoch();
-            }
+        match &mut self.engine {
+            Some(e) => e.table.begin_epoch(),
+            None => self.allocate_engine(info, clock),
         }
-        let params = EngineParams {
-            backoff: self.cfg.backoff,
-            contention_base: self.cfg.contention_base,
-            its_support: self.cfg.its_support,
-            history_depth: self.cfg.history_depth,
-        };
-        for e in &mut self.engines {
-            e.begin_launch(words, info.total_warps, window, params);
+        if let Some(e) = &mut self.engine {
+            let params = EngineParams {
+                backoff: self.cfg.backoff,
+                contention_base: self.cfg.contention_base,
+                its_support: self.cfg.its_support,
+                history_depth: self.cfg.history_depth,
+            };
+            e.begin_launch(info.backing_words, info.total_warps, window, params);
         }
         clock.charge_serial(CostCategory::Misc, self.cfg.misc_cost_per_launch);
     }
@@ -889,6 +867,11 @@ mod tests {
         }
     }
 
+    /// The launched detector's metadata table.
+    fn table_mut(det: &mut Iguard) -> &mut MetadataTable {
+        &mut det.engine.as_mut().unwrap().table
+    }
+
     /// Runs the access through `on_mem` and reads back what it did.
     fn observed(det: &mut Iguard, k: &Kernel, kind: (AccessKind, bool)) -> Outcome {
         let lanes = lanes_of(WARP, 1 << LANE, |_| ADDR / 4);
@@ -900,7 +883,7 @@ mod tests {
             assert!(hits.len() <= 1 && hits.iter().all(|&i| now[i] == was[i] + 1));
             hits.first().copied()
         };
-        let loaded = det.engines[0].table.load(ADDR / 4);
+        let loaded = table_mut(det).load(ADDR / 4);
         Outcome {
             safe_slot: moved(&det.stats.safe_hits, &before.safe_hits),
             race_slot: moved(&det.stats.race_hits, &before.race_hits),
@@ -989,7 +972,7 @@ mod tests {
                         None => {}
                     }
                     det.locks[WARP as usize] = wl;
-                    det.engines[0].table.begin_epoch();
+                    table_mut(det).begin_epoch();
                     det.reporter = RaceReporter::new(64).unwrap();
 
                     let mut want_stats = det.stats;
@@ -1005,7 +988,7 @@ mod tests {
                         let at = (round * 32 + la.lane as usize) * 1237 % states.len();
                         let words = stored_words(states[at], la.lane);
                         if let Some((acc, wr)) = words {
-                            det.engines[0].table.store(la.addr / 4, acc, wr);
+                            table_mut(det).store(la.addr / 4, acc, wr);
                         }
                         let who = Who {
                             lane: la.lane,
@@ -1025,10 +1008,9 @@ mod tests {
 
                     let mut clock = Clock::new();
                     det.on_mem(&mem_access(k, kind, WARP, &lanes, 1), &mut clock);
-                    let table = &mut det.engines[0].table;
                     let got_words: Vec<(u64, u64)> = lanes
                         .iter()
-                        .map(|la| table.load(la.addr / 4))
+                        .map(|la| table_mut(det).load(la.addr / 4))
                         .map(|l| (l.acc, l.wr))
                         .collect();
                     let case = format!("mask {mask:#x} held {held:?} kind {kind:?} round {round}");
@@ -1088,10 +1070,10 @@ mod tests {
                     }
                     det.locks[WARP as usize] = wl;
                     // A new epoch empties the word.
-                    det.engines[0].table.begin_epoch();
+                    table_mut(&mut det).begin_epoch();
                     let words = stored_words(stored, LANE);
                     if let Some((acc, wr)) = words {
-                        det.engines[0].table.store(ADDR / 4, acc, wr);
+                        table_mut(&mut det).store(ADDR / 4, acc, wr);
                     }
                     let want = reference(&det, &k, words.unwrap_or((0, 0)), kind, ONE_LANE);
                     let got = observed(&mut det, &k, kind);
@@ -1219,24 +1201,18 @@ mod tests {
             pools(clock),
             det.races(),
         );
-        let words: Vec<(u64, u64)> = det
-            .engines
-            .iter_mut()
-            .flat_map(|e| {
-                (base..base + 72)
-                    .map(|w| e.table.load(w))
-                    .collect::<Vec<_>>()
-            })
+        let words: Vec<(u64, u64)> = (base..base + 72)
+            .map(|w| table_mut(det).load(w))
             .map(|l| (l.acc, l.wr))
             .collect();
         format!("{observed} {words:?}")
     }
 
     /// The detector shapes of the fallback edges, as (what, configuration,
-    /// shards, free device bytes): the first takes rows wherever the
-    /// split allows; every other one names a precondition that sends some
-    /// or all of its rows down the per-lane path.
-    fn edge_shapes() -> Vec<(&'static str, IguardConfig, usize, u64)> {
+    /// free device bytes): the first takes rows wherever the split
+    /// allows; every other one names a precondition that sends some or
+    /// all of its rows down the per-lane path.
+    fn edge_shapes() -> Vec<(&'static str, IguardConfig, u64)> {
         let base = IguardConfig::default;
         let armed = FaultConfig::disabled()
             .with_seed(3)
@@ -1255,17 +1231,14 @@ mod tests {
             ..base()
         };
         vec![
-            ("resident", base(), 1, 1 << 30),
-            ("demand-paged", paged.clone(), 1, 4 * 256),
-            ("two shards", base(), 2, 1 << 30),
-            ("four shards", base(), 4, 1 << 30),
+            ("resident", base(), 1 << 30),
+            ("demand-paged", paged.clone(), 4 * 256),
             (
                 "capacity cap",
                 IguardConfig {
                     table_capacity_words: Some(16),
                     ..base()
                 },
-                1,
                 1 << 30,
             ),
             (
@@ -1274,17 +1247,15 @@ mod tests {
                     faults: armed,
                     ..base()
                 },
-                1,
                 1 << 30,
             ),
-            ("history ring", IguardConfig::with_history(2), 1, 1 << 30),
+            ("history ring", IguardConfig::with_history(2), 1 << 30),
             (
                 "scaled addresses",
                 IguardConfig {
                     addr_scale: 4,
                     ..paged.clone()
                 },
-                1,
                 4 * 256,
             ),
         ]
@@ -1295,7 +1266,7 @@ mod tests {
     /// path, and with the row withheld, which sends every lane down the
     /// per-lane path — and requires the same aftermath.
     fn rows_agree_with_lanes(base: u32, script: &[Event]) {
-        for (what, cfg, shards, free_device_bytes) in edge_shapes() {
+        for (what, cfg, free_device_bytes) in edge_shapes() {
             let info = LaunchInfo {
                 free_device_bytes,
                 device_capacity_bytes: 1 << 12,
@@ -1303,7 +1274,7 @@ mod tests {
                 ..launch_info()
             };
             let run = |per_lane_only: bool| {
-                let mut det = Iguard::with_shards(cfg.clone(), shards);
+                let mut det = Iguard::new(cfg.clone());
                 det.per_lane_only = per_lane_only;
                 let mut clock = Clock::new();
                 run_script(&mut det, &mut clock, &info, script);

@@ -4,11 +4,10 @@
 //! *front half* (lock inference, coalescing, synchronization snapshots —
 //! everything that reads live launch state) and a *back half* that only
 //! needs the flat metadata/contention/history tables keyed by word index.
-//! This module is that back half. The detector owns one [`Engine`] per
-//! hashed-address shard; a word always routes to the same engine, so
-//! engines never share state. Both halves run inside the instrumentation
-//! callback, in program order: every observation (counter increment,
-//! clock charge, race report) lands immediately.
+//! This module is that back half; the detector owns one [`Engine`]. Both
+//! halves run inside the instrumentation callback, in program order:
+//! every observation (counter increment, clock charge, race report)
+//! lands immediately.
 //! The packed Figure-4 word pair is the working form: an entry is decoded
 //! only for the accesses P1–P3 cannot decide on its bits (DESIGN.md §8).
 
@@ -287,8 +286,7 @@ impl<'a, 'b> SplitCtx<'a, 'b> {
 /// One lane of a split: the per-thread remainder, captured at access time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LaneCtx {
-    /// Index into this engine's tables: the accessed word with the
-    /// shard-routing bits stripped.
+    /// Index into the engine's tables: the accessed word.
     pub word: u32,
     /// Byte address of the accessed word (for reports).
     pub addr: u32,
@@ -320,12 +318,11 @@ pub(crate) struct Sink<'a> {
     pub verify: Option<&'a mut u64>,
 }
 
-/// The flat per-word detection state of one address shard: metadata +
-/// contention + history tables plus the check pipeline over them (§6.2,
-/// §6.4).
+/// The flat per-word detection state: metadata + contention + history
+/// tables plus the check pipeline over them (§6.2, §6.4).
 #[derive(Debug)]
 pub(crate) struct Engine {
-    /// Packed 16-byte-entry metadata table over this shard's UVM region.
+    /// Packed 16-byte-entry metadata table over the UVM region.
     pub table: MetadataTable,
     contention: ContentionTable,
     checks: Checks,
@@ -418,7 +415,7 @@ impl Engine {
         &mut self,
         split: &SplitCtx<'_, '_>,
         lanes: &[LaneAccess],
-        lane_ctx: impl Fn(&LaneAccess, u32) -> LaneCtx,
+        lane_ctx: impl Fn(&LaneAccess) -> LaneCtx,
         sync: &SyncMetadata,
         out: &mut Sink<'_>,
     ) -> bool {
@@ -434,11 +431,11 @@ impl Engine {
         };
         let checks = &mut self.checks;
         for la in lanes {
-            let word = la.addr / 4;
-            let at = (word - first) as usize;
+            let lane = lane_ctx(la);
+            let at = (lane.word - first) as usize;
             let contention = (&mut contention[at], contention_epoch);
             let words = meta[at].read(epoch, 0);
-            let words = checks.step(split, &lane_ctx(la, word), words, contention, sync, out);
+            let words = checks.step(split, &lane, words, contention, sync, out);
             meta[at].write(epoch, 0, words);
         }
         true

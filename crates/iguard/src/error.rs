@@ -1,5 +1,7 @@
 //! Typed construction errors for the detector's public API.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 
 use nvbit_sim::channel::ChannelError;

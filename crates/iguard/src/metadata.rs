@@ -90,12 +90,17 @@ impl MetaStats {
     }
 
     /// Field-wise sum, for aggregating detector instances (a service
-    /// tenant's jobs, a shard fleet). `total_evictions` distributes over
-    /// the sum, so accounting invariants survive accumulation.
+    /// tenant's jobs). `total_evictions` distributes over the sum, so
+    /// accounting invariants survive accumulation.
     pub fn accumulate(&mut self, other: &MetaStats) {
-        self.capacity_evictions += other.capacity_evictions;
-        self.injected_evictions += other.injected_evictions;
-        self.injected_aliases += other.injected_aliases;
+        let MetaStats {
+            capacity_evictions,
+            injected_evictions,
+            injected_aliases,
+        } = *other;
+        self.capacity_evictions += capacity_evictions;
+        self.injected_evictions += injected_evictions;
+        self.injected_aliases += injected_aliases;
     }
 }
 

@@ -6,6 +6,8 @@
 //! before shipping so a racing instruction inside a hot loop does not flood
 //! the channel; every dynamic occurrence is still counted.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{BTreeMap, HashSet};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -216,6 +218,7 @@ pub fn group_sites(records: &[RaceRecord]) -> Vec<RaceSite> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

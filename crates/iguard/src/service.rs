@@ -9,13 +9,15 @@
 //! ## Architecture: two decoupled planes
 //!
 //! **Detection plane.** Each `(tenant, stream, payload)` job runs against
-//! a *fresh* [`ShardedIguard`] whose fault plane is reseeded from
-//! `(service seed, tenant name, per-tenant job index)` — a pure function,
-//! so a job's verdict depends only on its own identity, never on which
-//! other tenants' jobs ran before it, on which stream it was queued, on
-//! the shard count, or on whether the service restarted in between. (A
-//! persistent per-tenant detector would break exactly that: its report
-//! channel's fault-draw counters are process state, lost on restart.
+//! a *fresh* detector (an [`Iguard`](crate::detector::Iguard) under the
+//! [`ShardedIguard`] name the frozen benchmark's job closure uses) whose
+//! fault plane is reseeded from `(service seed, tenant name, per-tenant
+//! job index)` — a pure function, so a job's verdict depends only on its
+//! own identity, never on which other tenants' jobs ran before it, on
+//! which stream it was queued, or on whether the service restarted in
+//! between. (A persistent per-tenant detector would break exactly that:
+//! its report channel's fault-draw counters are process state, lost on
+//! restart.
 //! Per-launch detector state is epoch-reset anyway, so the only thing
 //! persistence would add is reporter dedup — which the idempotent
 //! site-set union of [`merge_sites`] reproduces.) Jobs drain through a
@@ -60,9 +62,9 @@
 //!
 //! [`DetectorService::run_all_supervised`] hands every job to the retry
 //! ladder in [`crate::supervise`] (`catch_unwind` plus a cycle-budget
-//! watchdog, `Transient` → bounded deterministic retry whose final
-//! attempt is a fault-free clean room, `Poison` → per-tenant quarantine
-//! ledger) and folds the ledger into the widened verdict digest.
+//! watchdog, `Transient` → bounded deterministic retry, every retry a
+//! fault-free clean room, `Poison` → per-tenant quarantine ledger) and
+//! folds the ledger into the widened verdict digest.
 //! Supervision off is byte-invisible: [`DetectorService::run_all`] runs
 //! each job once, uncaught, and the digest's `quarantined 0` column is
 //! emitted either way.
@@ -84,7 +86,7 @@ use crate::config::IguardConfig;
 use crate::detector::{Degradation, IguardStats};
 use crate::error::IguardError;
 use crate::report::{merge_sites, RaceSite};
-use crate::shard::{ShardConfig, ShardedIguard};
+use crate::shard::ShardedIguard;
 use crate::store::record;
 use crate::supervise::{
     self, Attempt, QuarantineEntry, QuarantineReason, Resolution, SupervisorConfig,
@@ -99,8 +101,6 @@ pub struct ServiceConfig {
     /// Detector configuration template for every job (its `faults` field
     /// is reseeded per job; everything else is used as-is).
     pub base: IguardConfig,
-    /// Shard shape for every job's detector.
-    pub shard: ShardConfig,
     /// CUDA streams per tenant (clamped to at least 1).
     pub streams_per_tenant: usize,
     /// Device time-slice quantum for the latency plane.
@@ -112,7 +112,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             seed: 42,
             base: IguardConfig::default(),
-            shard: ShardConfig::default(),
             streams_per_tenant: 2,
             slice_cycles: 50_000,
         }
@@ -237,7 +236,7 @@ impl TenantVerdict {
     /// Canonical multi-line verdict text: one header line of counters,
     /// then one [`RaceSite::canonical_line`] per merged site. This is the
     /// byte string the determinism proptests compare across stream
-    /// interleavings, shard counts, and restarts.
+    /// interleavings and restarts.
     #[must_use]
     pub fn digest(&self) -> String {
         let mut out = format!(
@@ -621,7 +620,7 @@ impl<P> DetectorService<P> {
     /// Runs every queued job to completion (`cudaDeviceSynchronize` over
     /// the whole fleet), then plays the latency plane. `exec` is called
     /// once per non-skipped job with the job's identity/seed and its
-    /// fresh sharded detector; it drives the simulation and reports the
+    /// fresh detector; it drives the simulation and reports the
     /// outcome. Results accumulate into per-tenant verdicts.
     pub fn run_all<F>(&mut self, mut exec: F) -> Result<ServiceReport, ServiceError>
     where
@@ -740,8 +739,7 @@ impl<P> DetectorService<P> {
             let run_attempt = |n: u32| -> Result<Attempt<_>, ServiceError> {
                 let mut det_cfg = cfg.base.clone();
                 det_cfg.faults = supervise::attempt_faults(&cfg.base.faults, seed, n, max_retries);
-                let mut tool =
-                    Instrumented::new(ShardedIguard::try_new(det_cfg, cfg.shard.clone())?);
+                let mut tool = Instrumented::new(ShardedIguard::try_new(det_cfg)?);
                 let ctx = JobCtx {
                     tenant: name,
                     stream: job.local_stream,

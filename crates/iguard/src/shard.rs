@@ -1,10 +1,15 @@
-//! Named handle for a multi-shard [`Iguard`].
+//! Compatibility shim for the frozen benchmark; no logic lives here.
 //!
-//! Address sharding is a property of the one detector
-//! ([`Iguard::with_shards`]); nothing in this module detects anything.
-//! It exists only because `benchmark/` (frozen) and the service's job
-//! closure name a distinct `ShardedIguard` type and construct it from a
-//! [`ShardConfig`]. Every method forwards to the wrapped detector.
+//! Address sharding is gone (DESIGN.md §12): there is one detector,
+//! [`Iguard`], with one engine. `benchmark/` (frozen) still implements
+//! its `Detector` trait for both `Iguard` and `ShardedIguard`, builds
+//! `ShardedIguard::new(cfg, ShardConfig::inline(4))`, and names
+//! `Instrumented<ShardedIguard>` as the service job closure's parameter,
+//! so `ShardedIguard` stays a distinct type that forwards everything and
+//! [`ShardConfig`] a field-less token. Benchmark v2 (ROADMAP item 1(e))
+//! drops that arm, and this module with it.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::ops::{Deref, DerefMut};
 
@@ -17,43 +22,34 @@ use crate::config::IguardConfig;
 use crate::detector::Iguard;
 use crate::error::IguardError;
 
-/// Shard shape of a [`ShardedIguard`].
-#[derive(Debug, Clone)]
-pub struct ShardConfig {
-    /// Number of hashed-address shards; rounded up to a power of two,
-    /// clamped to at least 1.
-    pub shards: usize,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig::inline(4)
-    }
-}
+/// What [`ShardedIguard::new`] takes beside the configuration; carries
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardConfig;
 
 impl ShardConfig {
-    /// `shards` address shards, checked inline in the instrumentation
-    /// callback (the only execution mode).
+    /// The token; the count is ignored.
     #[must_use]
-    pub fn inline(shards: usize) -> Self {
-        ShardConfig { shards }
+    pub fn inline(_: usize) -> Self {
+        ShardConfig
     }
 }
 
-/// An [`Iguard`] built from a [`ShardConfig`] (see module docs).
+/// An [`Iguard`] under the name the benchmark and the service's job
+/// closure use (see module docs).
 #[derive(Debug)]
 pub struct ShardedIguard(Iguard);
 
 impl ShardedIguard {
-    /// [`Iguard::with_shards`].
+    /// [`Iguard::new`].
     #[must_use]
-    pub fn new(cfg: IguardConfig, scfg: ShardConfig) -> Self {
-        ShardedIguard(Iguard::with_shards(cfg, scfg.shards))
+    pub fn new(cfg: IguardConfig, _: ShardConfig) -> Self {
+        ShardedIguard(Iguard::new(cfg))
     }
 
-    /// [`Iguard::try_with_shards`].
-    pub fn try_new(cfg: IguardConfig, scfg: ShardConfig) -> Result<Self, IguardError> {
-        Iguard::try_with_shards(cfg, scfg.shards).map(ShardedIguard)
+    /// [`Iguard::try_new`].
+    pub fn try_new(cfg: IguardConfig) -> Result<Self, IguardError> {
+        Iguard::try_new(cfg).map(ShardedIguard)
     }
 }
 

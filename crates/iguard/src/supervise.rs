@@ -24,15 +24,22 @@
 //!
 //! ## Retry ladder
 //!
-//! Attempt 0 runs the configured fault plane reseeded from the job seed —
-//! byte-identical to an unsupervised run when it is accepted. Each retry
-//! halves every site's rate and salts the fault seed (never the
-//! simulation seed: the job's *semantics* are pinned; only the injected
-//! weather changes). The final attempt runs with the fault plane fully
-//! disabled — the **clean room** — so any job whose only problem was
-//! injected faults converges to the byte-exact fault-free verdict. A job
-//! that still panics or hangs in the clean room is deterministically
-//! broken: `Poison`, quarantined.
+//! Two cases. Attempt 0 runs the configured fault plane reseeded from
+//! the job seed — byte-identical to an unsupervised run when it is
+//! accepted. Every retry runs with the fault plane fully disabled — the
+//! **clean room** (the simulation seed is never touched: the job's
+//! *semantics* are pinned) — so a job whose only problem was injected
+//! faults converges to the byte-exact fault-free verdict on its first
+//! retry. A job that panics or hangs in the clean room on every retry it
+//! is given is deterministically broken: `Poison`, quarantined.
+//!
+//! Until PR 21 the retries short of the last halved every rate under a
+//! salted fault seed. Such a rung never beat the clean room — of 94
+//! accepted jobs in a `service_chaos` wave 71 / 15 / 8 were accepted at
+//! attempt 0 / 1 / 2, either rung costing one retry — and a job
+//! perturbed on it paid a second retry: 172 / 196 / 193 attempts a wave
+//! at seeds 42 / 92 / 95 with it, 150 / 170 / 166 without
+//! (EXPERIMENTS.md, "One engine per detector").
 //!
 //! Backoff between retries is deterministic and drawn from the fault
 //! plane's RNG primitive ([`splitmix64`]); it is charged to the
@@ -45,11 +52,8 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use faults::{splitmix64, FaultConfig, FaultSite};
+use faults::{splitmix64, FaultConfig};
 
-/// Salt mixed into retry fault-seed derivation (never applied to the
-/// simulation seed).
-const RETRY_SEED_SALT: u64 = 0x52E7_52E7_9D1C_E51D;
 /// Salt for backoff jitter draws.
 const BACKOFF_SALT: u64 = 0xBAC0_FF5E_ED00_0001;
 
@@ -58,8 +62,8 @@ const BACKOFF_SALT: u64 = 0xBAC0_FF5E_ED00_0001;
 /// [`run_all_supervised`]: crate::service::DetectorService::run_all_supervised
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// Retry attempts after the first try. With `max_retries > 0` the
-    /// last attempt always runs fault-free (the clean room).
+    /// Retry attempts after the first try; each runs fault-free (the
+    /// clean room).
     pub max_retries: u32,
     /// Cycle-budget watchdog fed by the slice-latency plane: an attempt
     /// whose kernel cycles exceed this budget is classified as a hang.
@@ -226,18 +230,32 @@ pub struct SupervisorStats {
 impl SupervisorStats {
     /// Adds another run's counters into this one.
     pub fn accumulate(&mut self, other: &SupervisorStats) {
-        self.jobs_supervised += other.jobs_supervised;
-        self.attempts += other.attempts;
-        self.panics_caught += other.panics_caught;
-        self.hangs_caught += other.hangs_caught;
-        self.perturbed_attempts += other.perturbed_attempts;
-        self.retries += other.retries;
-        self.recovered += other.recovered;
-        self.accepted_clean += other.accepted_clean;
-        self.accepted_degraded += other.accepted_degraded;
-        self.quarantined += other.quarantined;
-        self.backoff_cycles += other.backoff_cycles;
-        self.discarded_fault_fires += other.discarded_fault_fires;
+        let SupervisorStats {
+            jobs_supervised,
+            attempts,
+            panics_caught,
+            hangs_caught,
+            perturbed_attempts,
+            retries,
+            recovered,
+            accepted_clean,
+            accepted_degraded,
+            quarantined,
+            backoff_cycles,
+            discarded_fault_fires,
+        } = *other;
+        self.jobs_supervised += jobs_supervised;
+        self.attempts += attempts;
+        self.panics_caught += panics_caught;
+        self.hangs_caught += hangs_caught;
+        self.perturbed_attempts += perturbed_attempts;
+        self.retries += retries;
+        self.recovered += recovered;
+        self.accepted_clean += accepted_clean;
+        self.accepted_degraded += accepted_degraded;
+        self.quarantined += quarantined;
+        self.backoff_cycles += backoff_cycles;
+        self.discarded_fault_fires += discarded_fault_fires;
     }
 }
 
@@ -246,29 +264,22 @@ impl SupervisorStats {
 /// - attempt 0: the template reseeded with the job seed — the exact
 ///   configuration an unsupervised run uses, so an accepted first
 ///   attempt is byte-identical to supervision-off.
-/// - attempts `1..max_retries`: every site's rate halved per attempt,
-///   fault seed salted with the attempt number (the simulation seed is
-///   untouched).
-/// - attempt `max_retries` (when > 0): fully disabled — the clean room.
+/// - any retry: fully disabled — the clean room.
+///
+/// The retry budget does not enter the rule; the parameter stays for the
+/// frozen benchmark, which passes it.
 #[must_use]
 pub fn attempt_faults(
     template: &FaultConfig,
     job_seed: u64,
     attempt: u32,
-    max_retries: u32,
+    _max_retries: u32,
 ) -> FaultConfig {
     if attempt == 0 {
-        return template.clone().with_seed(job_seed);
+        template.clone().with_seed(job_seed)
+    } else {
+        FaultConfig::disabled()
     }
-    if attempt >= max_retries {
-        return FaultConfig::disabled();
-    }
-    let salted = splitmix64(job_seed ^ (u64::from(attempt) << 32) ^ RETRY_SEED_SALT);
-    let mut cfg = FaultConfig::disabled().with_seed(salted);
-    for site in FaultSite::ALL {
-        cfg = cfg.with_rate(site, template.rate(site) >> attempt);
-    }
-    cfg
 }
 
 /// Deterministic exponential backoff (cycles) charged before retry
@@ -437,44 +448,22 @@ pub fn run_job<T, E>(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use faults::{FaultInjector, RATE_ONE};
+    use faults::RATE_ONE;
 
+    /// Attempt 0 is the unsupervised plane whatever the budget; every
+    /// retry — short of the budget, at it, past it — is the clean room.
     #[test]
-    fn attempt_zero_is_the_unsupervised_plane() {
-        let template = FaultConfig::uniform(7, RATE_ONE / 8);
-        let got = attempt_faults(&template, 99, 0, 2);
-        assert_eq!(got, template.clone().with_seed(99));
-    }
-
-    #[test]
-    fn final_attempt_is_a_clean_room() {
-        let template = FaultConfig::uniform(7, RATE_ONE / 8);
-        for max_retries in [1, 2, 5] {
-            let got = attempt_faults(&template, 99, max_retries, max_retries);
-            assert!(!got.enabled());
-        }
-        // And any attempt beyond the ladder is clean too.
-        assert!(!attempt_faults(&template, 99, 9, 2).enabled());
-    }
-
-    #[test]
-    fn retries_decay_rates_and_salt_the_fault_seed_only() {
+    fn every_retry_is_the_clean_room() {
         let template = FaultConfig::uniform(7, RATE_ONE / 4);
-        let a1 = attempt_faults(&template, 99, 1, 3);
-        let a2 = attempt_faults(&template, 99, 2, 3);
-        for site in FaultSite::ALL {
-            assert_eq!(a1.rate(site), (RATE_ONE / 4) >> 1);
-            assert_eq!(a2.rate(site), (RATE_ONE / 4) >> 2);
+        for max_retries in [0, 1, 2, 5] {
+            let first = attempt_faults(&template, 99, 0, max_retries);
+            assert_eq!(first, template.clone().with_seed(99));
         }
-        assert_ne!(a1.seed, a2.seed);
-        assert_ne!(a1.seed, 99, "retry seed must be salted");
-        // Deterministic: same inputs, same plane, same streams.
-        let b1 = attempt_faults(&template, 99, 1, 3);
-        assert_eq!(a1, b1);
-        let mut x = FaultInjector::new(&a1, "d");
-        let mut y = FaultInjector::new(&b1, "d");
-        for _ in 0..64 {
-            assert_eq!(x.fire(FaultSite::ReportDrop), y.fire(FaultSite::ReportDrop));
+        for max_retries in [1, 2, 5] {
+            for attempt in 1..=5 {
+                let got = attempt_faults(&template, 99, attempt, max_retries);
+                assert_eq!(got, FaultConfig::disabled(), "{attempt} of {max_retries}");
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 use faults::{FaultConfig, FaultSite, RATE_ONE};
 use gpu_sim::prelude::*;
 use iguard::prune::RacyReason;
-use iguard::{Iguard, IguardConfig, PruneMode, PruneStats};
+use iguard::{Iguard, IguardConfig, PruneMode};
 use nvbit_sim::Instrumented;
 
 /// The canonical prunable workload: `out[g] = in[g] * 3`.
@@ -198,47 +198,6 @@ fn static_racy_site_is_reported_at_launch_without_running_the_detector() {
     // The site is deduplicated across further launches.
     gpu.launch(&k, 1, 32, &[buf], &mut tool).unwrap();
     assert_eq!(tool.tool().static_reports().len(), 1);
-}
-
-/// Runs the stream kernel then the racy kernel under `shards` address
-/// shards; returns the dynamic reports and the pruning/dispatch counters.
-fn run_stream_then_racy(
-    cfg: IguardConfig,
-    shards: usize,
-) -> (Vec<String>, PruneStats, nvbit_sim::InstrStats) {
-    let mut gpu = gpu();
-    let a = gpu.alloc(64).unwrap();
-    let b = gpu.alloc(64).unwrap();
-    let c = gpu.alloc(4).unwrap();
-    let mut tool = Instrumented::new(Iguard::with_shards(cfg, shards));
-    gpu.launch(&stream_kernel(), 2, 32, &[a, b], &mut tool).unwrap();
-    gpu.launch(&racy_kernel(), 1, 32, &[c], &mut tool).unwrap();
-    let races = tool
-        .tool_mut()
-        .races()
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect();
-    (races, tool.tool().prune_stats(), tool.instr_stats())
-}
-
-#[test]
-fn sharded_pruning_matches_one_shard_pruning() {
-    let one = run_stream_then_racy(IguardConfig::with_prune(), 1);
-    assert!(!one.0.is_empty());
-    assert_eq!(one, run_stream_then_racy(IguardConfig::with_prune(), 4));
-}
-
-#[test]
-fn verify_mode_is_shard_count_invariant() {
-    // Reports are immediate, so the violation counter is charged at the
-    // check for any shard count: same tagged-access count, same (zero)
-    // violations, same reports.
-    let one = run_stream_then_racy(IguardConfig::with_prune_verify(), 1);
-    assert_eq!(one.1.pruned_accesses, 64 * 2);
-    assert_eq!(one.1.verify_violations, 0);
-    assert!(!one.0.is_empty());
-    assert_eq!(one, run_stream_then_racy(IguardConfig::with_prune_verify(), 4));
 }
 
 #[test]

@@ -20,6 +20,8 @@
 //! invariant `sent == drained + dropped` once the channel is fully
 //! drained.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 use std::num::NonZeroUsize;
 
@@ -68,12 +70,20 @@ impl ChannelStats {
     /// the total, so a bank (or fleet) of fully-drained channels is
     /// fully accounted iff each member is.
     pub fn accumulate(&mut self, other: &ChannelStats) {
-        self.sent += other.sent;
-        self.drained += other.drained;
-        self.full_flushes += other.full_flushes;
-        self.dropped += other.dropped;
-        self.corrupted += other.corrupted;
-        self.overflow_drops += other.overflow_drops;
+        let ChannelStats {
+            sent,
+            drained,
+            full_flushes,
+            dropped,
+            corrupted,
+            overflow_drops,
+        } = *other;
+        self.sent += sent;
+        self.drained += drained;
+        self.full_flushes += full_flushes;
+        self.dropped += dropped;
+        self.corrupted += corrupted;
+        self.overflow_drops += overflow_drops;
     }
 }
 
@@ -300,6 +310,7 @@ impl<T> ChannelBank<T> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use faults::{FaultConfig, RATE_ONE};

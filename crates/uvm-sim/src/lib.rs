@@ -116,33 +116,6 @@ pub struct UvmStats {
     pub injected_cycles: u64,
 }
 
-impl UvmStats {
-    /// Field-wise sum, for aggregating regions (a detector's per-shard
-    /// metadata tables). The destructuring is exhaustive on purpose: a
-    /// new counter fails to compile here instead of vanishing from
-    /// aggregated reports.
-    pub fn accumulate(&mut self, other: &UvmStats) {
-        let UvmStats {
-            faults,
-            evictions,
-            prefaulted_pages,
-            fault_cycles,
-            prefault_cycles,
-            injected_evictions,
-            injected_oom_denials,
-            injected_cycles,
-        } = *other;
-        self.faults += faults;
-        self.evictions += evictions;
-        self.prefaulted_pages += prefaulted_pages;
-        self.fault_cycles += fault_cycles;
-        self.prefault_cycles += prefault_cycles;
-        self.injected_evictions += injected_evictions;
-        self.injected_oom_denials += injected_oom_denials;
-        self.injected_cycles += injected_cycles;
-    }
-}
-
 /// One `cudaMallocManaged` region with demand-paged device residency.
 ///
 /// Residency is bounded by `device_budget_bytes`: the device memory left
