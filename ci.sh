@@ -10,8 +10,9 @@
 # The workspace tests already byte-compare the stdout of `table4`, `table5`,
 # `fig11`, `pressure`, `chaos` and both `service` soaks (`golden_stdout`)
 # and pin the hot paths (`counter_identity`, `heap_ceiling`,
-# `schedule_digest`, `split_shapes`, `service_determinism`); each flag below
-# adds only what that step does not run.
+# `schedule_digest`, `split_shapes`, `service_determinism`, and
+# `paged_l2_agrees_with_a_flat_memory` for the device memory under all of
+# them); each flag below adds only what that step does not run.
 # --quick    `benchmark/run.sh --smoke`: every benchmark workload and arm
 #            once, verdicts checked against their references.
 # --fuzz     a 45 s differential fuzz campaign (generated kernels vs the

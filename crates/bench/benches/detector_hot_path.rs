@@ -310,6 +310,18 @@ impl SplitDriver {
         lane_step: usize,
         word_stride: u32,
     ) {
+        self.split_on(warp, kind, lane_step, |i| first_word + i * word_stride);
+    }
+
+    /// One split by every `lane_step`-th lane of `warp`, lane `i` on word
+    /// `word(i)`.
+    fn split_on(
+        &mut self,
+        warp: u32,
+        kind: AccessKind,
+        lane_step: usize,
+        word: impl Fn(u32) -> u32,
+    ) {
         let mut lanes = [LaneAccess {
             lane: 0,
             tid_in_block: 0,
@@ -319,7 +331,7 @@ impl SplitDriver {
         for (l, i) in lanes.iter_mut().zip((0..32u32).step_by(lane_step)) {
             l.lane = i;
             l.tid_in_block = (warp % 4) * 32 + i;
-            l.addr = (first_word + i * word_stride) * 4;
+            l.addr = word(i) * 4;
         }
         let lanes = &lanes[..active];
         self.step += 1;
@@ -364,6 +376,19 @@ impl SplitDriver {
         self.split_shaped(warp, AccessKind::Store, first_word, lane_step, word_stride);
     }
 
+    /// matrix-mult's inner step on a 16-wide tile, by the next warp in
+    /// turn: its two rows load `A[row][k]` — two words, sixteen lanes on
+    /// each — then its sixteen columns load `B[k][col]` — sixteen
+    /// consecutive words, twice over.
+    fn matmul_step(&mut self) {
+        const N: u32 = 16;
+        let i = self.step as u32 / 2;
+        let (warp, k) = (i % SPLIT_WARPS, i / SPLIT_WARPS % N);
+        let b = SPLIT_WARPS * 2 * N;
+        self.split_on(warp, AccessKind::Load, 1, |l| (2 * warp + l / 16) * N + k);
+        self.split_on(warp, AccessKind::Load, 1, |l| b + k * N + l % 16);
+    }
+
     /// After rounds of own-cell traffic P3 decides nearly everything.
     fn assert_p3_dominates(&self) {
         let hits = self.det.stats().safe_hits;
@@ -406,6 +431,17 @@ fn bench_split_shapes(c: &mut Criterion) {
         b.iter(|| d.own_cell_round(1, 2));
     });
     d.assert_p3_dominates();
+
+    // matrix-mult's shape: splits whose lanes share words in groups, which
+    // coalescing folds to a lane per word — 2 + 16 engine visits for the
+    // 64 lanes, the sixteen as a row. Per lane issued, not per visit.
+    let mut d = SplitDriver::new(SPLIT_WARPS);
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("word_groups_matmul_2_and_16", |b| {
+        b.iter(|| d.matmul_step());
+    });
+    let stats = d.det.stats();
+    assert_eq!(stats.coalesced_saved * 18, stats.accesses * 46, "{stats:?}");
 
     // The stencil's shape: each launch reads three neighbouring source
     // words per thread and writes one destination word — a first touch

@@ -16,7 +16,10 @@
 //!   threads running 15 instructions each — on one long-lived `Gpu` whose
 //!   L1s have seen the addresses before, and on a fresh `Gpu` per
 //!   iteration (`Gpu::new`, inputs, both launches), which is what a
-//!   benchmark pass pays and where the per-SM shadow's first touch shows.
+//!   benchmark pass pays and where the per-SM shadow's first touch shows,
+//! - and `Gpu::new` alone at the default 16 MiB, per construction: what
+//!   every job of a service wave pays before its first instruction (the
+//!   L2 is paged, so it is the 72 empty L1s, not a clear of the device).
 //!
 //! ```text
 //! cargo bench -p bench --bench interpreter_hot_path
@@ -177,6 +180,11 @@ fn bench_interpreter(c: &mut Criterion) {
             let launches = common::stencil_launches(&mut gpu, common::LADDER_THREADS[2]);
             black_box(run(&mut gpu, &launches))
         });
+    });
+
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("gpu_new_default", |b| {
+        b.iter(|| black_box(Gpu::new(bench::gpu_config(bench::DEFAULT_SEED))));
     });
 
     group.finish();

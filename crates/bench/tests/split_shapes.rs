@@ -12,6 +12,11 @@
 //! - `gapped`: `word − lane` constant over a mask with holes;
 //! - `other`: strided, scattered or repeated words —
 //!
+//! and `folded`, the lanes coalescing saves beyond the uniform splits: in
+//! a load or atomic split on several words, every lane but the lowest on
+//! each word (matrix-mult and kmeans among these members; interac's is 0,
+//! its folds are all the one-address kind) —
+//!
 //! for the benchmark's `zoo_detect`, `zoo_sim` and stencil members at
 //! `Size::Bench` and the service rotation at `Size::Test`, seed 42. The
 //! table shows where the row path reaches (interac, the stencil, the
@@ -28,7 +33,7 @@
 mod common;
 
 use common::{stencil_launches, LADDER_THREADS, ROTATION, ZOO_DETECT, ZOO_SIM};
-use gpu_sim::hook::{Hook, MemAccess};
+use gpu_sim::hook::{AccessKind, Hook, MemAccess};
 use gpu_sim::ir::Space;
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::Clock;
@@ -36,9 +41,10 @@ use workloads::{Launch, Size};
 
 const SHAPES: [&str; 5] = ["single", "uniform", "row", "gapped", "other"];
 
-/// (splits, lanes) per shape, in `SHAPES` order.
+/// (splits, lanes) per shape, in `SHAPES` order, then the lanes folded in
+/// splits on more than one word.
 #[derive(Default)]
-struct Census([(u64, u64); 5]);
+struct Census([(u64, u64); 5], u64);
 
 impl Hook for Census {
     fn on_mem_access(&mut self, a: &MemAccess<'_>, _clock: &mut Clock) {
@@ -67,6 +73,12 @@ impl Hook for Census {
         };
         self.0[shape].0 += 1;
         self.0[shape].1 += a.lanes.len() as u64;
+        if shape > 1 && (a.kind != AccessKind::Store || a.volatile) {
+            let mut words: Vec<u32> = a.lanes.iter().map(|l| l.addr / 4).collect();
+            words.sort_unstable();
+            words.dedup();
+            self.1 += (a.lanes.len() - words.len()) as u64;
+        }
     }
 }
 
@@ -89,10 +101,11 @@ fn row(label: &str, build: &dyn Fn(&mut Gpu) -> Vec<Launch>) -> String {
         .collect();
     let share = |i: usize| 100.0 * census.0[i].1 as f64 / per_lane.max(1) as f64;
     format!(
-        "{label} | {} | lanes={lanes} non-uniform={per_lane} row%={:.1} row+gapped%={:.1}",
+        "{label} | {} | lanes={lanes} non-uniform={per_lane} row%={:.1} row+gapped%={:.1} folded={}",
         cells.join(" "),
         share(2),
         share(2) + share(3),
+        census.1,
     )
 }
 

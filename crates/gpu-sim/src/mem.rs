@@ -65,6 +65,16 @@ use crate::paged::Paged;
 /// 134.4, 256 153.8, with no difference in time.
 const L1_PAGE: usize = 128;
 
+/// Words per L2 page (16 KB). Buffers are written in long dense runs, so
+/// L2 pages fill, and the size is not what the time depends on: 1 Ki, 4 Ki
+/// and 16 Ki words read the same `pass_wall_s` on `service_clean`,
+/// `ladder_stencil` and `zoo_sim` and the same 128 Ki-thread stencil
+/// microbenchmark, inside the host's noise (EXPERIMENTS.md, "Lazily paged
+/// L2"). What moves is what a small job holds: a service job seeds a few
+/// hundred words and maps a page or two, 4.03 MB of peak heap a wave at
+/// 4 Ki against 4.07 at 16 Ki, while 1 Ki only quadruples the page table.
+const L2_PAGE: usize = 4096;
+
 /// One cached word in an SM's L1; present iff `epoch` is the L1's live
 /// epoch, which the default 0 never is.
 #[derive(Debug, Clone, Copy, Default)]
@@ -149,21 +159,13 @@ impl SmL1 {
     /// Writes back every dirty line and drops all lines. In weak mode a
     /// dirty line only lands in L2 if it is not older than the L2 copy
     /// (write serialization: L2 never goes backwards in version order).
-    fn flush(&mut self, l2: &mut [u32], mut l2_ver: Option<&mut [u32]>) {
+    fn flush(&mut self, l2: &mut L2, mut weak: Option<&mut WeakState>) {
         for &w in &self.dirty_list {
             let w = w as usize;
             let line = self.lines.read(w);
             if line.epoch == self.epoch && line.dirty {
-                match l2_ver.as_deref_mut() {
-                    Some(lv) => {
-                        let ver = self.seen.read(w).ver;
-                        if ver >= lv[w] {
-                            l2[w] = line.value;
-                            lv[w] = ver;
-                        }
-                    }
-                    None => l2[w] = line.value,
-                }
+                let ver = self.seen.read(w).ver;
+                write_back(l2, weak.as_deref_mut(), w, line.value, ver);
             }
         }
         self.dirty_list.clear();
@@ -177,12 +179,17 @@ impl SmL1 {
     }
 }
 
+/// The L2: only pages some write has landed on exist, and a word on any
+/// other reads 0 — what a freshly cleared flat array would hold.
+type L2 = Paged<u32, L2_PAGE>;
+
 /// Weak-mode bookkeeping: a global write-version counter and the version
-/// of each L2 word.
+/// of each L2 word, paged like the L2. Version 0 is "written before weak
+/// mode", which is what a word nobody versioned reads.
 #[derive(Debug)]
 struct WeakState {
     next_ver: u32,
-    l2_ver: Vec<u32>,
+    l2_ver: L2,
 }
 
 impl WeakState {
@@ -190,6 +197,27 @@ impl WeakState {
         self.next_ver += 1;
         self.next_ver
     }
+
+    /// Stamps L2 word `w` with a fresh version and returns it.
+    fn stamp(&mut self, w: usize) -> u32 {
+        let v = self.bump();
+        *self.l2_ver.entry(w) = v;
+        v
+    }
+}
+
+/// Lands a dirty line's `value` (written at version `ver`) in L2 word `w`.
+/// In weak mode only if it is not older than the L2 copy (write
+/// serialization: L2 never goes backwards in version order).
+#[inline]
+fn write_back(l2: &mut L2, weak: Option<&mut WeakState>, w: usize, value: u32, ver: u32) {
+    if let Some(wk) = weak {
+        if ver < wk.l2_ver.read(w) {
+            return;
+        }
+        *wk.l2_ver.entry(w) = ver;
+    }
+    *l2.entry(w) = value;
 }
 
 /// Source of one weak-load visibility candidate.
@@ -203,10 +231,13 @@ enum CandSource {
     Remote,
 }
 
-/// The global-memory hierarchy: one L2 array plus one L1 per SM.
+/// The global-memory hierarchy: one L2 plus one L1 per SM.
 #[derive(Debug)]
 pub struct GlobalMem {
-    l2: Vec<u32>,
+    l2: L2,
+    /// The device's size in words: every address is checked against it,
+    /// whatever the pages mapped so far.
+    words: usize,
     l1: Vec<SmL1>,
     /// Weak-visibility bookkeeping; `None` keeps the strong model with
     /// zero overhead on the hot paths.
@@ -219,7 +250,8 @@ impl GlobalMem {
     #[must_use]
     pub fn new(words: usize, num_sms: usize) -> Self {
         GlobalMem {
-            l2: vec![0; words],
+            l2: L2::default(),
+            words,
             l1: (0..num_sms).map(|_| SmL1::new()).collect(),
             weak: None,
         }
@@ -231,7 +263,7 @@ impl GlobalMem {
     pub fn enable_weak(&mut self) {
         self.weak = Some(WeakState {
             next_ver: 0,
-            l2_ver: vec![0; self.l2.len()],
+            l2_ver: L2::default(),
         });
     }
 
@@ -244,7 +276,19 @@ impl GlobalMem {
     /// Total words of backing storage.
     #[must_use]
     pub fn words(&self) -> usize {
-        self.l2.len()
+        self.words
+    }
+
+    /// The word a host copy addresses (the word holding `addr`, as ever);
+    /// a copy past the device is a bug in the caller, not a simulated fault.
+    fn host_word(&self, addr: u32) -> usize {
+        let w = (addr / 4) as usize;
+        assert!(
+            w < self.words,
+            "host access at address {addr:#x} is past the device's {} words",
+            self.words
+        );
+        w
     }
 
     fn word_index(&self, addr: u32) -> Result<usize, SimError> {
@@ -252,10 +296,10 @@ impl GlobalMem {
             return Err(SimError::UnalignedAccess { addr });
         }
         let w = (addr / 4) as usize;
-        if w >= self.l2.len() {
+        if w >= self.words {
             return Err(SimError::OutOfBounds {
                 addr,
-                words: self.l2.len(),
+                words: self.words,
             });
         }
         Ok(w)
@@ -274,14 +318,14 @@ impl GlobalMem {
                 self.l1[sm].remove(w);
             }
             if let Some(wk) = &self.weak {
-                self.l1[sm].raise_floor(w, wk.l2_ver[w]);
+                self.l1[sm].raise_floor(w, wk.l2_ver.read(w));
             }
-            return Ok(self.l2[w]);
+            return Ok(self.l2.read(w));
         }
         if let Some(line) = self.l1[sm].get(w) {
             return Ok(line.value);
         }
-        let v = self.l2[w];
+        let v = self.l2.read(w);
         self.l1[sm].insert(w, v, false);
         Ok(v)
     }
@@ -297,10 +341,9 @@ impl GlobalMem {
         let w = self.word_index(addr)?;
         if volatile {
             self.l1[sm].remove(w);
-            self.l2[w] = value;
+            *self.l2.entry(w) = value;
             if let Some(wk) = &mut self.weak {
-                let v = wk.bump();
-                wk.l2_ver[w] = v;
+                wk.stamp(w);
             }
         } else {
             self.l1[sm].insert(w, value, true);
@@ -318,8 +361,8 @@ impl GlobalMem {
     /// immediate, so only ordering (tracked by the detector) is affected.
     pub fn fence(&mut self, sm: usize, scope: Scope) {
         if scope == Scope::Device {
-            let GlobalMem { l2, l1, weak } = self;
-            l1[sm].flush(l2, weak.as_mut().map(|wk| wk.l2_ver.as_mut_slice()));
+            let GlobalMem { l2, l1, weak, .. } = self;
+            l1[sm].flush(l2, weak.as_mut());
         }
     }
 
@@ -341,7 +384,10 @@ impl GlobalMem {
                 // RMW on the SM-local view: atomic w.r.t. this SM only.
                 let (old, old_ver) = match self.l1[sm].get(w) {
                     Some(line) => (line.value, self.l1[sm].seen.read(w).ver),
-                    None => (self.l2[w], self.weak.as_ref().map_or(0, |wk| wk.l2_ver[w])),
+                    None => (
+                        self.l2.read(w),
+                        self.weak.as_ref().map_or(0, |wk| wk.l2_ver.read(w)),
+                    ),
                 };
                 let new = apply_atom(op, old, src, cmp);
                 self.l1[sm].insert(w, new, true);
@@ -357,24 +403,16 @@ impl GlobalMem {
                 // keep a local copy (atomics bypass L1 on real hardware).
                 if let Some(line) = self.l1[sm].get(w) {
                     if line.dirty {
-                        match &mut self.weak {
-                            Some(wk) => {
-                                let ver = self.l1[sm].seen.read(w).ver;
-                                if ver >= wk.l2_ver[w] {
-                                    self.l2[w] = line.value;
-                                    wk.l2_ver[w] = ver;
-                                }
-                            }
-                            None => self.l2[w] = line.value,
-                        }
+                        let ver = self.l1[sm].seen.read(w).ver;
+                        write_back(&mut self.l2, self.weak.as_mut(), w, line.value, ver);
                     }
                     self.l1[sm].remove(w);
                 }
-                let old = self.l2[w];
-                self.l2[w] = apply_atom(op, old, src, cmp);
+                let cell = self.l2.entry(w);
+                let old = *cell;
+                *cell = apply_atom(op, old, src, cmp);
                 if let Some(wk) = &mut self.weak {
-                    let v = wk.bump();
-                    wk.l2_ver[w] = v;
+                    let v = wk.stamp(w);
                     self.l1[sm].raise_floor(w, v);
                 }
                 Ok(old)
@@ -399,7 +437,7 @@ impl GlobalMem {
                 reason: "load_weak requires enable_weak()".into(),
             });
         };
-        let l2v = wk.l2_ver[w];
+        let (l2, l2v) = (self.l2.read(w), wk.l2_ver.read(w));
         let floor = self.l1[sm].seen.read(w).floor;
 
         // This SM's own dirty line is its program-order-latest write: no
@@ -421,8 +459,8 @@ impl GlobalMem {
                 cands.push((line.value, v, CandSource::Local));
             }
         }
-        if l2v >= floor && !cands.iter().any(|c| c.0 == self.l2[w]) {
-            cands.push((self.l2[w], l2v, CandSource::L2));
+        if l2v >= floor && !cands.iter().any(|c| c.0 == l2) {
+            cands.push((l2, l2v, CandSource::L2));
         }
         for r in 0..self.l1.len() {
             if r == sm {
@@ -440,7 +478,7 @@ impl GlobalMem {
         // the candidate list cannot be empty; fall back to L2 defensively.
         let (value, ver, source) = if cands.is_empty() {
             debug_assert!(false, "weak load found no candidate");
-            (self.l2[w], l2v, CandSource::L2)
+            (l2, l2v, CandSource::L2)
         } else if cands.len() == 1 {
             cands[0]
         } else {
@@ -461,18 +499,25 @@ impl GlobalMem {
 
     /// Host-side read of the coherent (L2) value, used to seed inputs and
     /// check results after all SM state has been flushed by kernel exit.
+    ///
+    /// # Panics
+    /// Panics on an address past the device, as a host copy through a bad
+    /// pointer should: over pages a stray read would otherwise return 0.
     #[must_use]
     pub fn read_coherent(&self, addr: u32) -> u32 {
-        self.l2[(addr / 4) as usize]
+        self.l2.read(self.host_word(addr))
     }
 
     /// Host-side coherent write (cudaMemcpy-to-device analogue).
+    ///
+    /// # Panics
+    /// Panics on an address past the device; a stray write would otherwise
+    /// quietly map a page beyond it.
     pub fn write_coherent(&mut self, addr: u32, value: u32) {
-        let w = (addr / 4) as usize;
-        self.l2[w] = value;
+        let w = self.host_word(addr);
+        *self.l2.entry(w) = value;
         if let Some(wk) = &mut self.weak {
-            let v = wk.bump();
-            wk.l2_ver[w] = v;
+            wk.stamp(w);
         }
         for l1 in &mut self.l1 {
             l1.remove(w);
@@ -510,6 +555,8 @@ fn apply_atom(op: AtomOp, old: u32, src: u32, cmp: u32) -> u32 {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn mem() -> GlobalMem {
@@ -701,6 +748,406 @@ mod tests {
         assert_eq!(m.load(1, 20, false).unwrap(), 9, "cached after the wrap");
         m.fence(1, Scope::Device);
         assert_eq!(m.read_coherent(20), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "host access at address 0x100 is past the device's 64 words")]
+    fn host_write_past_the_device_panics() {
+        mem().write_coherent(4 * 64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "host access at address 0x4000 is past the device's 64 words")]
+    fn host_read_past_the_device_panics() {
+        // One page in: not a word the page table could simply lack.
+        let _ = mem().read_coherent(4 * L2_PAGE as u32);
+    }
+
+    // ---- the paged L2 against a flat memory ----
+
+    /// Three whole L2 pages and a part-used fourth.
+    const DEVICE: usize = 3 * L2_PAGE + 40;
+    const SMS: usize = 3;
+
+    /// One SM of [`Flat`]: every word's line, line version and read floor.
+    struct FlatSm {
+        line: Vec<Option<(u32, bool)>>,
+        ver: Vec<u32>,
+        floor: Vec<u32>,
+    }
+
+    /// The reference: the hierarchy of the module docs over arrays that
+    /// hold every word of the device from the start — no page, no epoch,
+    /// no dirty list — one `Vec<u32>` for the L2.
+    struct Flat {
+        l2: Vec<u32>,
+        /// Weak mode: the last version handed out and each L2 word's.
+        weak: Option<(u32, Vec<u32>)>,
+        sms: Vec<FlatSm>,
+    }
+
+    impl Flat {
+        fn new(weak: bool) -> Self {
+            Flat {
+                l2: vec![0; DEVICE],
+                weak: weak.then(|| (0, vec![0; DEVICE])),
+                sms: (0..SMS)
+                    .map(|_| FlatSm {
+                        line: vec![None; DEVICE],
+                        ver: vec![0; DEVICE],
+                        floor: vec![0; DEVICE],
+                    })
+                    .collect(),
+            }
+        }
+
+        fn word(&self, addr: u32) -> Result<usize, SimError> {
+            if !addr.is_multiple_of(4) {
+                return Err(SimError::UnalignedAccess { addr });
+            }
+            if addr as usize / 4 >= DEVICE {
+                return Err(SimError::OutOfBounds {
+                    addr,
+                    words: DEVICE,
+                });
+            }
+            Ok(addr as usize / 4)
+        }
+
+        fn bump(&mut self) -> u32 {
+            self.weak.as_mut().map_or(0, |(next, _)| {
+                *next += 1;
+                *next
+            })
+        }
+
+        fn l2_ver(&self, w: usize) -> u32 {
+            self.weak.as_ref().map_or(0, |(_, ver)| ver[w])
+        }
+
+        fn stamp_l2(&mut self, w: usize) -> u32 {
+            let v = self.bump();
+            if let Some((_, ver)) = &mut self.weak {
+                ver[w] = v;
+            }
+            v
+        }
+
+        fn write_back(&mut self, sm: usize, w: usize, value: u32) {
+            let ver = self.sms[sm].ver[w];
+            if let Some((_, l2_ver)) = &mut self.weak {
+                if ver < l2_ver[w] {
+                    return;
+                }
+                l2_ver[w] = ver;
+            }
+            self.l2[w] = value;
+        }
+
+        fn raise_floor(&mut self, sm: usize, w: usize, ver: u32) {
+            let floor = &mut self.sms[sm].floor[w];
+            *floor = (*floor).max(ver);
+        }
+
+        fn load(&mut self, sm: usize, addr: u32, volatile: bool) -> Result<u32, SimError> {
+            let w = self.word(addr)?;
+            match (self.sms[sm].line[w], volatile) {
+                (Some((value, true)), true) | (Some((value, _)), false) => Ok(value),
+                (_, true) => {
+                    self.sms[sm].line[w] = None;
+                    let l2_ver = self.l2_ver(w);
+                    self.raise_floor(sm, w, l2_ver);
+                    Ok(self.l2[w])
+                }
+                (None, false) => {
+                    self.sms[sm].line[w] = Some((self.l2[w], false));
+                    Ok(self.l2[w])
+                }
+            }
+        }
+
+        fn store(
+            &mut self,
+            sm: usize,
+            addr: u32,
+            value: u32,
+            volatile: bool,
+        ) -> Result<(), SimError> {
+            let w = self.word(addr)?;
+            if volatile {
+                self.sms[sm].line[w] = None;
+                self.l2[w] = value;
+                self.stamp_l2(w);
+            } else {
+                self.sms[sm].line[w] = Some((value, true));
+                if self.weak.is_some() {
+                    self.sms[sm].ver[w] = self.bump();
+                }
+            }
+            Ok(())
+        }
+
+        fn fence(&mut self, sm: usize, scope: Scope) {
+            if scope == Scope::Block {
+                return;
+            }
+            for w in 0..DEVICE {
+                if let Some((value, true)) = self.sms[sm].line[w] {
+                    self.write_back(sm, w, value);
+                }
+                self.sms[sm].line[w] = None;
+            }
+        }
+
+        fn atomic(
+            &mut self,
+            sm: usize,
+            addr: u32,
+            (op, src, cmp): (AtomOp, u32, u32),
+            scope: Scope,
+        ) -> Result<u32, SimError> {
+            let w = self.word(addr)?;
+            let line = self.sms[sm].line[w];
+            if scope == Scope::Block {
+                let (old, old_ver) = match line {
+                    Some((value, _)) => (value, self.sms[sm].ver[w]),
+                    None => (self.l2[w], self.l2_ver(w)),
+                };
+                self.sms[sm].line[w] = Some((apply_atom(op, old, src, cmp), true));
+                if self.weak.is_some() {
+                    self.sms[sm].ver[w] = self.bump();
+                    self.raise_floor(sm, w, old_ver);
+                }
+                return Ok(old);
+            }
+            if let Some((value, true)) = line {
+                self.write_back(sm, w, value);
+            }
+            self.sms[sm].line[w] = None;
+            let old = self.l2[w];
+            self.l2[w] = apply_atom(op, old, src, cmp);
+            let v = self.stamp_l2(w);
+            self.raise_floor(sm, w, v);
+            Ok(old)
+        }
+
+        fn load_weak(&mut self, sm: usize, addr: u32, last: bool) -> Result<u32, SimError> {
+            let w = self.word(addr)?;
+            let (l2_ver, floor) = (self.l2_ver(w), self.sms[sm].floor[w]);
+            let own = self.sms[sm].ver[w];
+            if let Some((value, true)) = self.sms[sm].line[w] {
+                self.raise_floor(sm, w, own);
+                return Ok(value);
+            }
+            // (value, version, whether choosing it refills the local line)
+            let mut cands: Vec<(u32, u32, bool)> = Vec::new();
+            let mut offer = |value, ver, fill| {
+                if ver >= floor && !cands.iter().any(|c| c.0 == value) {
+                    cands.push((value, ver, fill));
+                }
+            };
+            if let Some((value, _)) = self.sms[sm].line[w] {
+                offer(value, own, false);
+            }
+            offer(self.l2[w], l2_ver, true);
+            for r in (0..SMS).filter(|&r| r != sm) {
+                if let Some((value, true)) = self.sms[r].line[w] {
+                    offer(value, self.sms[r].ver[w], true);
+                }
+            }
+            let (value, ver, fill) = cands[if last { cands.len() - 1 } else { 0 }];
+            if fill {
+                self.sms[sm].line[w] = Some((value, false));
+                self.sms[sm].ver[w] = ver;
+            }
+            self.raise_floor(sm, w, ver);
+            Ok(value)
+        }
+
+        fn write_coherent(&mut self, addr: u32, value: u32) {
+            let w = addr as usize / 4;
+            self.l2[w] = value;
+            self.stamp_l2(w);
+            self.sms.iter_mut().for_each(|sm| sm.line[w] = None);
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// SM, address, volatile, and — weak mode, chooser not fixed —
+        /// whether it takes its last candidate or its first.
+        Load(usize, u32, bool, bool),
+        Store(usize, u32, u32, bool),
+        Atomic(usize, u32, (AtomOp, u32, u32), Scope),
+        Fence(usize, Scope),
+        FlushAll,
+        HostRead(u32),
+        HostWrite(u32, u32),
+    }
+
+    /// What an operation observed.
+    type Seen = Result<Option<u32>, SimError>;
+
+    /// `None` is the strong mode; `Some(Some(last))` the weak one with
+    /// every plain load taking its last candidate, or every one its first;
+    /// `Some(None)` leaves the choice to each load.
+    type Mode = Option<Option<bool>>;
+
+    fn on_paged(m: &mut GlobalMem, op: Op, weak: Mode) -> Seen {
+        Ok(match op {
+            Op::Load(sm, addr, volatile, last) => Some(match weak {
+                Some(fixed) if !volatile => {
+                    let last = fixed.unwrap_or(last);
+                    m.load_weak(sm, addr, &mut |n| if last { n - 1 } else { 0 })?
+                }
+                _ => m.load(sm, addr, volatile)?,
+            }),
+            Op::Store(sm, addr, value, volatile) => {
+                m.store(sm, addr, value, volatile)?;
+                None
+            }
+            Op::Atomic(sm, addr, (op, src, cmp), scope) => {
+                Some(m.atomic(sm, addr, op, src, cmp, scope)?)
+            }
+            Op::Fence(sm, scope) => {
+                m.fence(sm, scope);
+                None
+            }
+            Op::FlushAll => {
+                m.flush_all();
+                None
+            }
+            Op::HostRead(addr) => Some(m.read_coherent(addr)),
+            Op::HostWrite(addr, value) => {
+                m.write_coherent(addr, value);
+                None
+            }
+        })
+    }
+
+    fn on_flat(m: &mut Flat, op: Op, weak: Mode) -> Seen {
+        Ok(match op {
+            Op::Load(sm, addr, volatile, last) => Some(match weak {
+                Some(fixed) if !volatile => m.load_weak(sm, addr, fixed.unwrap_or(last))?,
+                _ => m.load(sm, addr, volatile)?,
+            }),
+            Op::Store(sm, addr, value, volatile) => {
+                m.store(sm, addr, value, volatile)?;
+                None
+            }
+            Op::Atomic(sm, addr, rmw, scope) => Some(m.atomic(sm, addr, rmw, scope)?),
+            Op::Fence(sm, scope) => {
+                m.fence(sm, scope);
+                None
+            }
+            Op::FlushAll => {
+                (0..SMS).for_each(|sm| m.fence(sm, Scope::Device));
+                None
+            }
+            Op::HostRead(addr) => Some(m.l2[addr as usize / 4]),
+            Op::HostWrite(addr, value) => {
+                m.write_coherent(addr, value);
+                None
+            }
+        })
+    }
+
+    /// A byte address from `pick` and `at < 4`: mostly one of the three
+    /// words at either end of the device or around its first page boundary
+    /// (few, and unevenly drawn, so that operations meet); from `pick` 9 up
+    /// (host copies stop short of it) unaligned, or past the end by a
+    /// word, by pages, by most of the address space.
+    fn address(pick: u32, at: u32) -> u32 {
+        let (device, page) = (DEVICE as u32, L2_PAGE as u32);
+        let at = at.saturating_sub(1);
+        let word = match pick {
+            0..=4 | 9 => at,
+            5..=7 | 10 => device - 1 - at,
+            8 => page - 2 + at,
+            _ => [device, device + page, u32::MAX / 4][at as usize],
+        };
+        word * 4 + if matches!(pick, 9 | 10) { 2 } else { 0 }
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        const ATOMS: [AtomOp; 7] = [
+            AtomOp::Add,
+            AtomOp::Exch,
+            AtomOp::Cas,
+            AtomOp::Min,
+            AtomOp::Max,
+            AtomOp::Or,
+            AtomOp::And,
+        ];
+        // Few distinct values, so CAS compares hit and two copies of a
+        // word often hold the same one (the candidate list drops those).
+        let op = (
+            0..17u32,
+            0..SMS,
+            (0..12u32, 0..4u32),
+            (0..ATOMS.len(), 0..6u32, 0..6u32),
+            (any::<bool>(), any::<bool>()),
+        )
+            .prop_map(|(what, sm, (pick, at), (atom, x, cmp), (flag, last))| {
+                let addr = address(pick, at);
+                let scope = if flag { Scope::Block } else { Scope::Device };
+                match what {
+                    0..=5 => Op::Load(sm, addr, flag, last),
+                    6..=8 => Op::Store(sm, addr, x, flag),
+                    9..=11 => Op::Atomic(sm, addr, (ATOMS[atom], x, cmp), scope),
+                    12..=13 => Op::Fence(sm, scope),
+                    14 => Op::FlushAll,
+                    15 => Op::HostRead(address(pick % 9, at)),
+                    _ => Op::HostWrite(address(pick % 9, at), x),
+                }
+            });
+        prop::collection::vec(op, 1..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every operation of the memory, across three SMs, at both ends of
+        /// a multi-page device and off it, strong and weak (loads taking
+        /// their first candidate, their last, or either): each value and each
+        /// error equals the flat reference's, as does every word after the
+        /// kernel-exit flush — and reading maps no page.
+        #[test]
+        fn paged_l2_agrees_with_a_flat_memory(
+            weak in prop_oneof![
+                Just(None),
+                Just(Some(Some(false))),
+                Just(Some(Some(true))),
+                Just(Some(None)),
+            ],
+            script in ops(),
+        ) {
+            let mut paged = GlobalMem::new(DEVICE, SMS);
+            if weak.is_some() {
+                paged.enable_weak();
+            }
+            let mut flat = Flat::new(weak.is_some());
+            // The script with every write left out: all it reads is 0.
+            for op in &script {
+                if matches!(op, Op::Load(..) | Op::Fence(..) | Op::FlushAll | Op::HostRead(_)) {
+                    let seen = on_paged(&mut paged, *op, weak);
+                    prop_assert_eq!(&seen, &on_flat(&mut flat, *op, weak), "read-only {:?}", op);
+                    prop_assert!(matches!(seen, Ok(None | Some(0)) | Err(_)));
+                }
+            }
+            let versions = paged.weak.as_ref().map_or(0, |wk| wk.l2_ver.mapped_pages());
+            prop_assert_eq!((paged.l2.mapped_pages(), versions), (0, 0), "a load mapped a page");
+            for (i, op) in script.iter().enumerate() {
+                let seen = on_paged(&mut paged, *op, weak);
+                prop_assert_eq!(seen, on_flat(&mut flat, *op, weak), "op {} {:?}", i, op);
+            }
+            paged.flush_all();
+            (0..SMS).for_each(|sm| flat.fence(sm, Scope::Device));
+            for (w, value) in flat.l2.iter().enumerate() {
+                prop_assert_eq!(paged.read_coherent(w as u32 * 4), *value, "word {}", w);
+            }
+            prop_assert!(paged.l2.mapped_pages() <= 4);
+        }
     }
 
     // ---- weak-visibility mode ----

@@ -178,9 +178,9 @@ pub struct Iguard {
     engine: Option<Engine>,
     reporter: RaceReporter,
     stats: IguardStats,
-    /// Reusable scratch for the uncoalesced same-entry dedup check, so the
-    /// per-split hot path does not heap-allocate.
-    scratch_words: Vec<u32>,
+    /// Reusable scratch for the lowest lane of each same-word group of a
+    /// split, so the per-split hot path does not heap-allocate.
+    scratch_reps: Vec<LaneAccess>,
     /// Reusable scratch for lock-inference (lane, addr) pairs.
     scratch_pairs: Vec<(u32, u32)>,
     /// Static-pruning plane (`None` when `cfg.prune` is `Off`, keeping the
@@ -226,7 +226,7 @@ impl Iguard {
             engine: None,
             reporter,
             stats: IguardStats::default(),
-            scratch_words: Vec::with_capacity(32),
+            scratch_reps: Vec::with_capacity(32),
             scratch_pairs: Vec::with_capacity(32),
             pruner,
             #[cfg(test)]
@@ -324,12 +324,12 @@ impl Iguard {
         crate::report::group_sites(&records)
     }
 
-    /// The front half of one warp split (or of the one lane that stands
-    /// for a coalesced split): orphan accounting, one capture of the live
-    /// state the lanes share (synchronization counters, lock state, the
-    /// pruner's verify handle, the sink), then the split handed to the
-    /// engine whole when it is a `row` the engine takes, else lane by
-    /// lane; the engine runs the check and reports immediately.
+    /// The front half of one warp split (or of the lanes that stand for
+    /// the word groups of a coalesced one): orphan accounting, one capture
+    /// of the live state the lanes share (synchronization counters, lock
+    /// state, the pruner's verify handle, the sink), then the split handed
+    /// to the engine whole when it is a `row` the engine takes, else lane
+    /// by lane; the engine runs the check and reports immediately.
     fn process_split(
         &mut self,
         lanes: &[LaneAccess],
@@ -585,48 +585,51 @@ impl Iguard {
             self.cfg.check_cost + self.cfg.md_lock_cost,
         );
 
-        // One scan for how the lanes sit on the metadata words: `uniform`
-        // — one address; `row` — `word − lane` constant, i.e. consecutive
-        // words (mask gaps allowed); `ascending` — distinct, increasing.
+        // One scan for how the lanes sit on the metadata words: `row` —
+        // `word − lane` constant, i.e. consecutive words (mask gaps
+        // allowed); `ascending` — distinct, increasing (a unit-stride
+        // split, the common shape: nothing to group, nothing serializes).
         let first = access.lanes[0];
         let offset = (first.addr / 4).wrapping_sub(first.lane);
-        let (mut uniform, mut row, mut ascending) = (access.lanes.len() > 1, true, true);
+        let (mut row, mut ascending) = (true, true);
         let mut prev = first.addr / 4;
         for l in &access.lanes[1..] {
             let word = l.addr / 4;
-            uniform &= l.addr == first.addr;
             row &= word.wrapping_sub(l.lane) == offset;
             ascending &= prev < word;
             prev = word;
         }
-        // §6.5 optimization 1: same-address loads/atomics of the active
-        // lanes cannot race with each other — one lane checks for all.
-        if uniform && self.cfg.coalescing && !matches!(kind, AccessType::Store) {
-            self.stats.coalesced_saved += access.lanes.len() as u64 - 1;
-            self.process_split(&access.lanes[..1], true, kind, access, clock, verify_safe);
+        if ascending {
+            self.process_split(access.lanes, row, kind, access, clock, verify_safe);
             return;
         }
-        // Lanes hitting the *same* metadata entry serialize on its lock;
-        // lanes on distinct entries proceed in parallel. Charge the
-        // intra-warp serialization the coalescing optimization exists to
-        // remove. Ascending words (a unit-stride split, the common shape)
-        // are distinct: nothing to sort, nothing serializes.
-        if !ascending {
-            self.scratch_words.clear();
-            self.scratch_words
-                .extend(access.lanes.iter().map(|l| l.addr / 4));
-            self.scratch_words.sort_unstable();
-            self.scratch_words.dedup();
-            let dup = access.lanes.len() - self.scratch_words.len();
-            if dup > 0 {
-                clock.charge(
-                    CostCategory::Detection,
-                    dup as u64 * (self.cfg.check_cost + self.cfg.md_lock_cost),
-                );
+        // The lowest lane of each same-word group, in lane order, and
+        // whether those lanes are a row among themselves.
+        let mut reps = std::mem::take(&mut self.scratch_reps);
+        reps.clear();
+        let mut reps_row = true;
+        for l in access.lanes {
+            if !reps.iter().any(|r| r.addr / 4 == l.addr / 4) {
+                reps_row &= (l.addr / 4).wrapping_sub(l.lane) == offset;
+                reps.push(*l);
             }
         }
-        let row = row && ascending;
-        self.process_split(access.lanes, row, kind, access, clock, verify_safe);
+        let dup = (access.lanes.len() - reps.len()) as u64;
+        if self.cfg.coalescing && !matches!(kind, AccessType::Store) {
+            // §6.5 optimization 1: same-word loads/atomics of the active
+            // lanes cannot race with each other — one lane checks for its
+            // whole group, under the split's full active mask.
+            self.stats.coalesced_saved += dup;
+            self.process_split(&reps, reps_row, kind, access, clock, verify_safe);
+        } else {
+            // Lanes hitting the *same* metadata entry serialize on its
+            // lock; lanes on distinct entries proceed in parallel. Charge
+            // the intra-warp serialization coalescing exists to remove.
+            let serial = dup * (self.cfg.check_cost + self.cfg.md_lock_cost);
+            clock.charge(CostCategory::Detection, serial);
+            self.process_split(access.lanes, false, kind, access, clock, verify_safe);
+        }
+        self.scratch_reps = reps;
     }
 }
 
@@ -641,7 +644,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::bitfield::{Flags, MetadataEntry};
+    use crate::bitfield::{stored_lane, Flags, MetadataEntry};
     use crate::checks::{detailed, preliminary, CurrAccess, MdView, Safe};
     use crate::engine::{race_index, safe_index};
     use crate::locks::{bloom_bits, lock_hash};
@@ -1110,8 +1113,8 @@ mod tests {
     /// Drives a detector through a script: mostly warp splits over the
     /// last 64 words `info` shadows — rows (full, gapped, ragged, short;
     /// some starting so late they end at the last slot or run past it),
-    /// stride-2 and uniform splits — with barriers, fences, lock
-    /// CASes/exchanges and new launches in between.
+    /// stride-2, uniform, two-word and row-twice-over splits — with
+    /// barriers, fences, lock CASes/exchanges and new launches in between.
     fn run_script(det: &mut Iguard, clock: &mut Clock, info: &LaunchInfo, script: &[Event]) {
         const MASKS: [u32; 4] = [u32::MAX, 0x5555_5555, 0x0F0F_0F0F, 0x0000_0FF0];
         let base = info.backing_words as u32 - 64;
@@ -1145,6 +1148,8 @@ mod tests {
                     let lanes = match bits >> 8 & 7 {
                         0 => lanes_of(warp, MASKS[bits as usize & 3], |lane| strided + 2 * lane),
                         1 => lanes_of(warp, MASKS[bits as usize & 3], |_| first),
+                        3 => lanes_of(warp, MASKS[bits as usize & 3], |l| first + l / 16 * 9),
+                        4 => lanes_of(warp, MASKS[bits as usize & 3], |l| first + l % 16),
                         _ => lanes_of(warp, MASKS[bits as usize & 3], |lane| first + lane),
                     };
                     let kind = KINDS[selector as usize % 5];
@@ -1282,6 +1287,101 @@ mod tests {
             };
             assert_eq!(run(false), run(true), "{what} at word {base}");
         }
+    }
+
+    /// What one full-warp split of `kind` by warp 1, lane `l` on word
+    /// `word(l)`, does to a freshly launched detector: engine visits, lanes
+    /// folded, (parallel, serial) detection cycles, and the lane each of
+    /// `probe`'s words remembers as its last accessor.
+    fn one_split(
+        cfg: IguardConfig,
+        kind: (AccessKind, bool),
+        word: impl Fn(u32) -> u32,
+        probe: &[u32],
+    ) -> (u64, u64, (u64, u64), Vec<u32>) {
+        let mut det = Iguard::new(cfg);
+        let mut clock = Clock::new();
+        det.at_launch(&launch_info(), &mut clock);
+        let before = clock.raw(CostCategory::Detection);
+        let lanes = lanes_of(WARP, u32::MAX, word);
+        det.on_mem(&mem_access(&kernel(), kind, WARP, &lanes, 1), &mut clock);
+        let after = clock.raw(CostCategory::Detection);
+        let last = probe
+            .iter()
+            .map(|&w| stored_lane(table_mut(&mut det).load(w).acc))
+            .collect();
+        let charged = (after.0 - before.0, after.1 - before.1);
+        (det.stats.accesses, det.stats.coalesced_saved, charged, last)
+    }
+
+    /// §6.5 optimization 1 is per word group: a load or atomic split
+    /// visits the engine once per distinct word, through the group's
+    /// lowest lane, and pays one SIMD issue; a plain store — or any split
+    /// with coalescing off — visits once per lane and is charged one more
+    /// issue for every lane that queues behind another on its entry.
+    #[test]
+    fn a_split_folds_to_the_lowest_lane_of_each_word_group() {
+        let on = IguardConfig::default;
+        let off = || IguardConfig {
+            coalescing: false,
+            ..on()
+        };
+        let issue = on().check_cost + on().md_lock_cost;
+        let [load, store, volatile_store, atomic, _] = KINDS;
+        let two_words = |l: u32| if l < 16 { 8 } else { 40 };
+        let folded = (2, 30, (issue, 0), vec![0, 16]);
+        let per_lane = (32, 0, (31 * issue, 0), vec![15, 31]);
+        for kind in [load, volatile_store, atomic] {
+            assert_eq!(
+                one_split(on(), kind, two_words, &[8, 40]),
+                folded,
+                "{kind:?}"
+            );
+            assert_eq!(
+                one_split(off(), kind, two_words, &[8, 40]),
+                per_lane,
+                "{kind:?}"
+            );
+        }
+        for cfg in [on(), off()] {
+            assert_eq!(one_split(cfg, store, two_words, &[8, 40]), per_lane);
+        }
+        // One word is the one-group case of the same fold.
+        assert_eq!(
+            one_split(on(), load, |_| 8, &[8]),
+            (1, 31, (issue, 0), vec![0])
+        );
+        assert_eq!(
+            one_split(on(), store, |_| 8, &[8]),
+            (32, 0, (32 * issue, 0), vec![31])
+        );
+        // Sixteen consecutive words twice over: the sixteen low lanes.
+        let probe: Vec<u32> = (8..24).collect();
+        let twice = one_split(on(), load, |l| 8 + l % 16, &probe);
+        assert_eq!(twice, (16, 16, (issue, 0), (0..16).collect()));
+    }
+
+    /// The representatives of a row-twice-over split are a row, and go to
+    /// the engine as one: alone, by a second warp inside the contention
+    /// window, gapped, and over words a row of stores wrote.
+    #[test]
+    fn folded_rows_match_the_lane_path() {
+        // 264 = 6 * 44 keeps `first` through `run_script`'s `% 44` and
+        // sets the shape bits to 4, words `first + lane % 16`.
+        let twice =
+            |kind: u8, warp, first: u32, mask, gap| (kind, warp, (264 + first) << 2 | mask, gap);
+        rows_agree_with_lanes(
+            0,
+            &[
+                twice(0, 1, 0, 0, 1),
+                twice(0, 2, 0, 0, 1),
+                row(1, 3, 4, 0, 1),
+                twice(0, 0, 4, 1, 1),
+                twice(3, 1, 20, 0, 1),
+                twice(2, 2, 20, 2, 1),
+                twice(0, 3, 40, 3, 100),
+            ],
+        );
     }
 
     /// A scripted row: `kind` of [`KINDS`] by `warp` over `MASKS[mask]`,

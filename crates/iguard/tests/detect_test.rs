@@ -369,51 +369,72 @@ fn race_free_tree_reduction_is_clean() {
 
 #[test]
 fn coalescing_does_not_miss_races() {
-    // All 32 lanes load a word another warp wrote without synchronization:
-    // with coalescing one lane checks for all — the race must still appear.
-    let mut b = KernelBuilder::new("broadcast_racy");
-    let tid = b.special(Special::Tid);
-    let base = b.param(0);
-    // Warp 1's lane 0 writes.
-    let is32 = b.eq(tid, 32u32);
-    let after = b.fwd_label();
-    b.bra_ifnot(is32, after);
-    let v = b.imm(1);
-    b.st(base, 0, v);
-    b.bind(after);
-    // Warp 0 (all lanes) reads the same word.
-    let lt32 = b.lt(tid, 32u32);
-    let fin = b.fwd_label();
-    b.bra_ifnot(lt32, fin);
-    let _ = b.ld(base, 0);
-    b.bind(fin);
-    let k = b.build();
-    let mut with = run(&k, 1, 64, 4, 5);
-    let mut without = run_with(
-        &k,
-        1,
-        64,
-        4,
-        5,
-        IguardConfig {
-            coalescing: false,
-            ..IguardConfig::default()
-        },
-    );
-    let kw = kinds(&mut with);
-    let kwo = kinds(&mut without);
-    assert!(
-        kw.contains(&RaceKind::IntraBlock),
-        "coalesced run must catch the race: {kw:?}"
-    );
-    assert_eq!(
-        kw, kwo,
-        "§6.5: optimizations must not change detection results"
-    );
-    assert!(
-        with.tool().stats().coalesced_saved > 0,
-        "coalescing must actually trigger"
-    );
+    // Warp 0 loads words warp 1 wrote without synchronization, its lanes
+    // grouped on them three ways: all 32 on one word; 16 on each of two;
+    // 16 consecutive words twice over. With coalescing the lowest lane of
+    // each group checks for it — every word's race must still appear.
+    type Index = fn(&mut KernelBuilder, Reg) -> Reg;
+    let shapes: [(&str, u32, Index); 3] = [
+        ("one word", 1, |b, _| b.imm(0)),
+        ("two words", 2, |b, tid| b.shr(tid, 4u32)),
+        ("sixteen words twice", 16, |b, tid| b.and(tid, 15u32)),
+    ];
+    for (shape, words, index) in shapes {
+        let mut b = KernelBuilder::new("broadcast_racy");
+        let tid = b.special(Special::Tid);
+        let base = b.param(0);
+        // Warp 1's first `words` lanes write one word each.
+        let lane = b.sub(tid, 32u32);
+        let writes = b.lt(lane, words);
+        let after = b.fwd_label();
+        b.bra_ifnot(writes, after);
+        let off = b.mul(lane, 4u32);
+        let a = b.add(base, off);
+        let v = b.imm(1);
+        b.st(a, 0, v);
+        b.bind(after);
+        // Warp 0 (all lanes) reads them.
+        let lt32 = b.lt(tid, 32u32);
+        let fin = b.fwd_label();
+        b.bra_ifnot(lt32, fin);
+        let word = index(&mut b, tid);
+        let off = b.mul(word, 4u32);
+        let a = b.add(base, off);
+        let _ = b.ld(a, 0);
+        b.bind(fin);
+        let k = b.build();
+        for seed in [5, 6, 9] {
+            let mut with = run(&k, 1, 64, 16, seed);
+            let mut without = run_with(
+                &k,
+                1,
+                64,
+                16,
+                seed,
+                IguardConfig {
+                    coalescing: false,
+                    ..IguardConfig::default()
+                },
+            );
+            let (kw, kwo) = (kinds(&mut with), kinds(&mut without));
+            assert_eq!(kw, [RaceKind::IntraBlock], "{shape}, seed {seed}");
+            assert_eq!(
+                kw, kwo,
+                "{shape}, seed {seed}: §6.5 optimizations must not change detection results"
+            );
+            // Whichever side ran second finds the race, once a word: a
+            // store per word, or the one lane standing for a load group.
+            assert_eq!(
+                with.tool().stats().race_hits[2],
+                u64::from(words),
+                "{shape}, seed {seed}: one hit per racy word"
+            );
+            assert!(
+                with.tool().stats().coalesced_saved > 0,
+                "{shape}, seed {seed}: coalescing must actually trigger"
+            );
+        }
+    }
 }
 
 #[test]
