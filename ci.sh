@@ -7,28 +7,29 @@
 # second `impl Detector`, and the service job closure's parameter type)
 # and `ShardConfig::inline`, so breaking that surface fails here rather
 # than in a benchmark run.
-# The workspace tests already byte-compare the stdout of `table4`, `table5`,
-# `fig11`, `pressure`, `chaos` and both `service` soaks (`golden_stdout`)
-# and pin the hot paths (`counter_identity`, `heap_ceiling`,
-# `schedule_digest`, `split_shapes`, `service_determinism`, and
-# `paged_l2_agrees_with_a_flat_memory` for the device memory under all of
-# them); each flag below adds only what that step does not run.
+# The workspace tests already byte-compare the stdout of every paper
+# artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`,
+# `fence_scope_cost`, `ablation_history`) plus `pressure`, `chaos` and
+# both `service` soaks (`golden_stdout`), replay the oracle corpus
+# (`regressions_replay`), and pin the hot paths (`counter_identity`,
+# `heap_ceiling`, `schedule_digest`, `split_shapes`,
+# `service_determinism`, and `paged_l2_agrees_with_a_flat_memory` for the
+# device memory under all of them); each flag below adds only what that
+# step does not run.
 # --quick    `benchmark/run.sh --smoke`: every benchmark workload and arm
 #            once, verdicts checked against their references.
 # --fuzz     a 45 s differential fuzz campaign (generated kernels vs the
 #            schedule-space oracle vs both detectors; any unexplained
-#            divergence fails), a 30 s `fuzz --static` arm (pinned corpus +
+#            divergence fails), a 30 s `fuzz --static` arm (oracle corpus +
 #            fresh stream through the static-pruning differential; any
 #            `static-unsound` observation fails), and the corpus drift
-#            check (both pinned corpora regenerate byte-identically).
+#            check (the oracle corpus regenerates byte-identically).
 # --chaos    five seeded chaos campaigns with every fault site armed (zero
 #            panics, every degradation accounted, checkpoint resume
-#            byte-exact) and the campaign crash drill: a checkpointed fuzz
-#            campaign, its newest generation truncated, a resume that must
-#            fall back one generation and finish on the same totals.
-# --litmus   replay of the pinned v2 litmus corpus through the `litmus`
-#            binary, then a 30 s random litmus campaign; any unexplained
-#            divergence or replay drift fails.
+#            byte-exact).
+# --litmus   replay of the oracle corpus through the `litmus` binary, then
+#            a 30 s random litmus campaign; any unexplained divergence or
+#            replay drift fails.
 # --service  the unsupervised chaos soak (>= 1000 launches with the per-job
 #            fault plane armed; verdicts byte-identical across reshapes and
 #            a restart, every degradation accounted) and the shell-level
@@ -85,20 +86,16 @@ if [[ "$FUZZ" -eq 1 ]]; then
   # empty — static-incomplete is the expected class and does not fail).
   cargo run --release -p bench --bin fuzz -- --static --kernels 0 --budget 30 --seed 42 --no-progress
   echo "== corpus drift check (--fuzz) =="
-  # Regenerating both pinned corpora into a scratch dir must reproduce
-  # the committed files byte-for-byte: a semantic drift that keeps every
-  # entry individually verifiable still fails here.
+  # Regenerating the oracle corpus into a scratch dir must reproduce the
+  # committed file byte-for-byte: a semantic drift that keeps every entry
+  # individually verifiable still fails here.
   CORPUS_TMP="$(mktemp -d)"
   trap 'rm -rf "$CORPUS_TMP"' EXIT
   ORACLE_CORPUS_REGEN=1 CORPUS_REGEN_DIR="$CORPUS_TMP" \
     cargo test -q --release --test regressions_replay oracle_corpus_replays_deterministically
-  LITMUS_CORPUS_REGEN=1 CORPUS_REGEN_DIR="$CORPUS_TMP" \
-    cargo test -q --release --test regressions_replay litmus_corpus_replays_deterministically
-  cmp "$CORPUS_TMP/oracle_v1.corpus" tests/corpus/oracle_v1.corpus \
-    || { echo "corpus drift: oracle_v1.corpus no longer regenerates byte-identically" >&2; exit 1; }
-  cmp "$CORPUS_TMP/litmus_v2.corpus" tests/corpus/litmus_v2.corpus \
-    || { echo "corpus drift: litmus_v2.corpus no longer regenerates byte-identically" >&2; exit 1; }
-  echo "corpus drift check: both corpora regenerate byte-identically"
+  cmp "$CORPUS_TMP/oracle.corpus" tests/corpus/oracle.corpus \
+    || { echo "corpus drift: oracle.corpus no longer regenerates byte-identically" >&2; exit 1; }
+  echo "corpus drift check: oracle.corpus regenerates byte-identically"
 fi
 
 if [[ "$CHAOS" -eq 1 ]]; then
@@ -106,27 +103,6 @@ if [[ "$CHAOS" -eq 1 ]]; then
   # 5 seeded campaigns, all 9 fault sites armed at ~1.6%: no panics, every
   # injected fault traceable to a counter, checkpoint resume byte-exact.
   cargo run --release -p bench --bin chaos -- --campaigns 5 --seed 42 --no-progress
-  echo "== campaign crash drill (--chaos) =="
-  # The service crash drill's twin for bench campaigns: 64 kernels are two
-  # batches, so two generations land in the store; we tear the newest, and
-  # the resume must fall back to generation 1 (not start over), run the
-  # lost batch again, and report the uninterrupted campaign's totals.
-  FUZZ_STORE=target/fuzz-store
-  rm -rf "$FUZZ_STORE"
-  totals() { grep '^fuzz: ' | sed -E 's/ in [0-9.]+s//'; }
-  FULL="$(cargo run --release -p bench --bin fuzz -- --kernels 64 --seed 42 --no-progress \
-    --checkpoint "$FUZZ_STORE" | totals)"
-  NEWEST="$(ls "$FUZZ_STORE"/ckpt-*.v2 | sort | tail -1)"
-  truncate -s -20 "$NEWEST"
-  echo "campaign drill: truncated 20 bytes off $NEWEST"
-  RESUMED="$(cargo run --release -p bench --bin fuzz -- --resume "$FUZZ_STORE" --no-progress \
-    2> target/fuzz-drill.err | totals)"
-  grep 'resumed campaign' target/fuzz-drill.err
-  grep -q 'from generation 1 (2 scanned, 1 invalid skipped)' target/fuzz-drill.err \
-    || { echo "campaign drill: resume did not fall back to generation 1" >&2; exit 1; }
-  [[ -n "$FULL" && "$RESUMED" == "$FULL" ]] \
-    || { echo "campaign drill: resumed totals '$RESUMED' != uninterrupted '$FULL'" >&2; exit 1; }
-  echo "campaign drill: resumed from generation 1, totals match the uninterrupted campaign"
 fi
 
 if [[ "$SERVICE" -eq 1 ]]; then
@@ -153,7 +129,7 @@ fi
 
 if [[ "$LITMUS" -eq 1 ]]; then
   echo "== litmus corpus replay (--litmus) =="
-  cargo run --release -p bench --bin litmus -- --corpus tests/corpus/litmus_v2.corpus --no-progress
+  cargo run --release -p bench --bin litmus -- --corpus tests/corpus/oracle.corpus --no-progress
   echo "== litmus fuzz smoke (--litmus) =="
   # Unlimited spec stream, hard 30 s budget; exits non-zero on any
   # unexplained oracle/detector divergence.

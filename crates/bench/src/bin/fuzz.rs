@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! fuzz [--kernels N] [--budget SECS] [--seed S] [--corpus PATH] [--spec STR]
-//!      [--static] [--checkpoint DIR] [--resume DIR]
-//!      [--jobs N] [--serial] [--timeout-secs N] [--no-progress]
+//!      [--static] [--jobs N] [--serial] [--timeout-secs N] [--no-progress]
 //! ```
 //!
 //! - `--kernels N`  kernels to generate (default 200; 0 = unlimited,
@@ -19,17 +18,6 @@
 //!   corpus, then the fresh random stream. The `static-incomplete` class
 //!   is expected and reported; any `static-unsound` observation is a
 //!   soundness bug, gets shrunk to a minimal repro, and fails the run.
-//!   Checkpointing is not supported in this mode.
-//! - `--checkpoint D`  snapshot campaign progress after every batch as a
-//!   new generation of the checkpoint store in directory D
-//!   (`iguard::CheckpointStore`: CRC-framed, atomically promoted).
-//! - `--resume D`   continue an interrupted campaign from the newest
-//!   valid generation in D — a torn or corrupt newest generation falls
-//!   back to the one before it (restores the seed, stream position, and
-//!   every counter; keeps checkpointing to the same store). The kernel
-//!   stream is a pure function of the campaign seed, so a resumed
-//!   campaign produces exactly the results the uninterrupted one would
-//!   have.
 //!
 //! Exit code 1 on any unexplained oracle/detector divergence (after
 //! shrinking it to a minimal repro), 0 otherwise.
@@ -37,13 +25,11 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use bench::campaign::Checkpoint;
 use bench::{run_jobs, DriverConfig, Job, Outcome};
-use iguard::CheckpointStore;
 use oracle::corpus;
-use oracle::diff::{diff_spec, generate_specs, DiffConfig, DiffReport};
-use oracle::shrink::shrink_spec;
-use oracle::spec::KernelSpec;
+use oracle::diff::{diff, generate_specs, DiffConfig, DiffReport};
+use oracle::shrink::shrink;
+use oracle::spec::Spec;
 use oracle::static_diff::{diff_static, StaticDiffReport};
 
 const BATCH: usize = 32;
@@ -51,7 +37,7 @@ const BATCH: usize = 32;
 /// The pinned differential corpus the `--static` arm replays before the
 /// random stream (path relative to the workspace root, where `ci.sh`
 /// runs; silently skipped when absent, e.g. under an odd cwd).
-const STATIC_REPLAY_CORPUS: &str = "tests/corpus/oracle_v1.corpus";
+const STATIC_REPLAY_CORPUS: &str = "tests/corpus/oracle.corpus";
 
 struct Args {
     kernels: usize,
@@ -60,8 +46,6 @@ struct Args {
     corpus_path: Option<String>,
     spec: Option<String>,
     static_arm: bool,
-    checkpoint: Option<String>,
-    resume: Option<String>,
 }
 
 fn parse_args(rest: Vec<String>) -> Args {
@@ -72,8 +56,6 @@ fn parse_args(rest: Vec<String>) -> Args {
         corpus_path: None,
         spec: None,
         static_arm: false,
-        checkpoint: None,
-        resume: None,
     };
     let mut it = rest.into_iter();
     while let Some(a) = it.next() {
@@ -106,8 +88,6 @@ fn parse_args(rest: Vec<String>) -> Args {
             "--corpus" => args.corpus_path = Some(value("--corpus")),
             "--spec" => args.spec = Some(value("--spec")),
             "--static" => args.static_arm = true,
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")),
-            "--resume" => args.resume = Some(value("--resume")),
             other => {
                 eprintln!("unknown flag `{other}`");
                 std::process::exit(2);
@@ -116,10 +96,6 @@ fn parse_args(rest: Vec<String>) -> Args {
     }
     if args.kernels == 0 && args.budget.is_none() {
         eprintln!("--kernels 0 (unlimited) requires --budget");
-        std::process::exit(2);
-    }
-    if args.static_arm && (args.checkpoint.is_some() || args.resume.is_some()) {
-        eprintln!("--static does not support --checkpoint/--resume");
         std::process::exit(2);
     }
     args
@@ -137,7 +113,7 @@ fn static_campaign(args: &Args, driver: &DriverConfig, cfg: &DiffConfig) -> i32 
     let mut classes: BTreeMap<String, usize> = BTreeMap::new();
     let mut unsound: Vec<StaticDiffReport> = Vec::new();
 
-    let mut run_batch = |specs: Vec<KernelSpec>| -> usize {
+    let mut run_batch = |specs: Vec<Spec>| -> usize {
         let jobs: Vec<Job<StaticDiffReport>> = specs
             .into_iter()
             .map(|spec| {
@@ -221,7 +197,7 @@ fn static_campaign(args: &Args, driver: &DriverConfig, cfg: &DiffConfig) -> i32 
     }
 
     for r in &unsound {
-        let small = shrink_spec(&r.spec, |s| !diff_static(s, cfg).unsound().is_empty());
+        let small = shrink(&r.spec, |s| !diff_static(s, cfg).unsound().is_empty());
         let shrunk = diff_static(&small, cfg);
         eprintln!("STATIC-UNSOUND: {}", r.describe());
         eprintln!("  shrunk repro: {}", shrunk.describe());
@@ -240,7 +216,7 @@ fn main() {
 
     // Single-spec repro mode.
     if let Some(s) = &args.spec {
-        let spec = KernelSpec::parse(s).unwrap_or_else(|e| {
+        let spec = Spec::parse(s).unwrap_or_else(|e| {
             eprintln!("bad --spec: {e}");
             std::process::exit(2);
         });
@@ -249,7 +225,7 @@ fn main() {
             println!("{}", r.describe());
             std::process::exit(i32::from(!r.unsound().is_empty()));
         }
-        let r = diff_spec(&spec, &cfg);
+        let r = diff(&spec, &cfg);
         println!("{}", r.describe());
         std::process::exit(i32::from(!r.unexplained().is_empty()));
     }
@@ -260,76 +236,22 @@ fn main() {
 
     let started = Instant::now();
     let mut stream_seed = args.seed;
-    let mut kernels_target = args.kernels;
     let mut done = 0usize;
     let mut racy = 0usize;
     let mut explained: BTreeMap<String, usize> = BTreeMap::new();
     let mut unexplained: Vec<DiffReport> = Vec::new();
     let mut dnf = 0usize;
 
-    // Resume: restore the stream cursor and every aggregate from the
-    // newest valid generation; keep saving to the same store unless
-    // --checkpoint pointed elsewhere.
-    let open_store = |dir: &String| {
-        CheckpointStore::open(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open checkpoint store {dir}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let resume_store = args.resume.as_ref().map(open_store);
-    if let Some(store) = &resume_store {
-        let (ck, rec) = Checkpoint::recover(store, None);
-        let Some(ck) = ck else {
-            eprintln!(
-                "--resume: no valid checkpoint generation in {} ({} scanned)",
-                store.dir().display(),
-                rec.scanned
-            );
-            std::process::exit(2);
-        };
-        stream_seed = ck.meta_as("stream_seed").unwrap_or(stream_seed);
-        kernels_target = ck.meta_as("kernels").unwrap_or(kernels_target);
-        done = ck.meta_as("done").unwrap_or(0);
-        racy = ck.meta_as("racy").unwrap_or(0);
-        dnf = ck.meta_as("dnf").unwrap_or(0);
-        for (k, v) in &ck.meta {
-            if let Some(reason) = k.strip_prefix("explained:") {
-                explained.insert(reason.to_string(), v.parse().unwrap_or(0));
-            }
-        }
-        // Stored unexplained specs are deterministic; re-diff to rebuild
-        // their full reports for the final shrink/corpus stage.
-        for (kind, spec_str) in &ck.rows {
-            if kind != "unexplained" {
-                continue;
-            }
-            match KernelSpec::parse(spec_str) {
-                Ok(spec) => unexplained.push(diff_spec(&spec, &cfg)),
-                Err(e) => eprintln!("checkpointed spec `{spec_str}` unreadable: {e}"),
-            }
-        }
-        eprintln!(
-            "resumed campaign seed={} at kernel {done} (stream seed {stream_seed:#x}) from \
-             generation {} ({} scanned, {} invalid skipped)",
-            ck.meta_as::<u64>("seed").unwrap_or(args.seed),
-            rec.recovered_generation.unwrap_or(0),
-            rec.scanned,
-            rec.skipped_invalid,
-        );
-    }
-
-    let ckpt_store = args.checkpoint.as_ref().map(open_store).or(resume_store);
-
-    while kernels_target == 0 || done < kernels_target {
+    while args.kernels == 0 || done < args.kernels {
         if let Some(b) = args.budget {
             if started.elapsed() >= b {
                 break;
             }
         }
-        let batch = if kernels_target == 0 {
+        let batch = if args.kernels == 0 {
             BATCH
         } else {
-            BATCH.min(kernels_target - done)
+            BATCH.min(args.kernels - done)
         };
         // A fresh generator seed per batch keeps the stream deterministic
         // for a given campaign seed regardless of batch boundaries.
@@ -340,7 +262,7 @@ fn main() {
             .into_iter()
             .map(|spec| {
                 let cfg = cfg.clone();
-                Job::custom(spec.to_compact_string(), move || diff_spec(&spec, &cfg))
+                Job::custom(spec.to_compact_string(), move || diff(&spec, &cfg))
             })
             .collect();
         for outcome in run_jobs(jobs, &driver) {
@@ -370,27 +292,6 @@ fn main() {
             }
             done += 1;
         }
-
-        // Batch boundary: snapshot the stream cursor and aggregates so an
-        // interrupted campaign resumes without repeating finished work.
-        if let Some(store) = &ckpt_store {
-            let mut ck = Checkpoint::new();
-            ck.set_meta("seed", args.seed);
-            ck.set_meta("kernels", kernels_target);
-            ck.set_meta("stream_seed", stream_seed);
-            ck.set_meta("done", done);
-            ck.set_meta("racy", racy);
-            ck.set_meta("dnf", dnf);
-            for (reason, n) in &explained {
-                ck.set_meta(&format!("explained:{reason}"), n);
-            }
-            for r in &unexplained {
-                ck.push_row("unexplained", r.spec.to_compact_string());
-            }
-            if let Err(e) = ck.save(store) {
-                eprintln!("cannot write checkpoint to {}: {e}", store.dir().display());
-            }
-        }
     }
 
     println!(
@@ -409,8 +310,8 @@ fn main() {
 
     let mut entries = Vec::new();
     for r in &unexplained {
-        let small = shrink_spec(&r.spec, |s| !diff_spec(s, &cfg).unexplained().is_empty());
-        let shrunk = diff_spec(&small, &cfg);
+        let small = shrink(&r.spec, |s| !diff(s, &cfg).unexplained().is_empty());
+        let shrunk = diff(&small, &cfg);
         eprintln!("UNEXPLAINED: {}", r.describe());
         eprintln!("  shrunk repro: {}", shrunk.describe());
         eprintln!(

@@ -1,5 +1,8 @@
-//! Weak-memory litmus campaign: v2 litmus specs vs the relaxed-visibility
-//! oracle vs both detectors, fanned out over the work-stealing driver.
+//! Weak-memory litmus campaign: 2–4-actor specs with final-state
+//! assertions vs the relaxed-visibility oracle vs both detectors, fanned
+//! out over the work-stealing driver. `fuzz` diffs the two-actor race
+//! stream of the same spec language; the two stay separate binaries
+//! because a litmus spec costs about 700× more to explore.
 //!
 //! ```text
 //! litmus [--tests N] [--budget SECS] [--seed S]
@@ -9,16 +12,16 @@
 //!
 //! Three modes, checked in order:
 //!
-//! - `--spec STR`    diff a single compact v2 litmus spec and print the
+//! - `--spec STR`    diff a single compact v2 spec and print the
 //!   full report (outcome matrix size, assertion verdict, divergences).
-//! - `--corpus P`    replay a pinned litmus corpus: every entry is
-//!   re-diffed and its witness trace re-run on the weak machine; any
-//!   drift from the pinned verdicts fails the run.
+//! - `--corpus P`    replay a pinned corpus (`tests/corpus/oracle.corpus`):
+//!   every entry is re-diffed and its witness trace re-run on the weak
+//!   machine; any drift from the pinned verdicts fails the run.
 //! - campaign        generate `--tests N` random specs (default 100;
 //!   0 = unlimited, requires `--budget`) from `--seed S` (default 42),
 //!   diff each, tally explained-divergence classes, and shrink any
 //!   unexplained divergence to a 1-minimal repro. `--corpus-out P`
-//!   appends shrunk repros to a litmus corpus file.
+//!   appends shrunk repros to a corpus file.
 //!
 //! Exit code 1 on any unexplained divergence, replay failure, or DNF;
 //! 0 otherwise.
@@ -28,9 +31,9 @@ use std::time::{Duration, Instant};
 
 use bench::{run_jobs, DriverConfig, Job, Outcome};
 use oracle::corpus;
-use oracle::diff::{diff_litmus, generate_litmus, DiffConfig, LitmusDiffReport};
-use oracle::litmus::LitmusSpec;
-use oracle::shrink::shrink_litmus;
+use oracle::diff::{diff, generate_litmus, DiffConfig, DiffReport};
+use oracle::shrink::shrink;
+use oracle::spec::Spec;
 
 const BATCH: usize = 32;
 
@@ -96,13 +99,13 @@ fn parse_args(rest: Vec<String>) -> Args {
     args
 }
 
-/// Replay a pinned litmus corpus file; returns the process exit code.
+/// Replay a pinned corpus file; returns the process exit code.
 fn replay_corpus(path: &str, cfg: &DiffConfig, driver: &DriverConfig) -> i32 {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read corpus {path}: {e}");
         std::process::exit(2);
     });
-    let entries = corpus::parse_litmus(&text).unwrap_or_else(|e| {
+    let entries = corpus::parse(&text).unwrap_or_else(|e| {
         eprintln!("corpus {path} unreadable: {e}");
         std::process::exit(2);
     });
@@ -116,7 +119,7 @@ fn replay_corpus(path: &str, cfg: &DiffConfig, driver: &DriverConfig) -> i32 {
         .map(|entry| {
             let cfg = cfg.clone();
             Job::custom(entry.spec.to_compact_string(), move || {
-                corpus::verify_litmus(&entry, &cfg)
+                corpus::verify(&entry, &cfg)
             })
         })
         .collect();
@@ -145,7 +148,7 @@ fn replay_corpus(path: &str, cfg: &DiffConfig, driver: &DriverConfig) -> i32 {
             }
         }
     }
-    println!("litmus corpus: {}/{total} entries verified", total - failures);
+    println!("corpus: {}/{total} entries verified", total - failures);
     i32::from(failures > 0)
 }
 
@@ -156,11 +159,11 @@ fn main() {
 
     // Single-spec repro mode.
     if let Some(s) = &args.spec {
-        let spec = LitmusSpec::parse(s).unwrap_or_else(|e| {
+        let spec = Spec::parse(s).unwrap_or_else(|e| {
             eprintln!("bad --spec: {e}");
             std::process::exit(2);
         });
-        let r = diff_litmus(&spec, &cfg);
+        let r = diff(&spec, &cfg);
         println!("{}", r.describe());
         std::process::exit(i32::from(!r.unexplained().is_empty()));
     }
@@ -177,7 +180,7 @@ fn main() {
     let mut racy = 0usize;
     let mut weak_anomalies = 0usize;
     let mut explained: BTreeMap<String, usize> = BTreeMap::new();
-    let mut unexplained: Vec<LitmusDiffReport> = Vec::new();
+    let mut unexplained: Vec<DiffReport> = Vec::new();
     let mut dnf = 0usize;
 
     while args.tests == 0 || done < args.tests {
@@ -196,11 +199,11 @@ fn main() {
         let specs = generate_litmus(batch, stream_seed);
         stream_seed = stream_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
 
-        let jobs: Vec<Job<LitmusDiffReport>> = specs
+        let jobs: Vec<Job<DiffReport>> = specs
             .into_iter()
             .map(|spec| {
                 let cfg = cfg.clone();
-                Job::custom(spec.to_compact_string(), move || diff_litmus(&spec, &cfg))
+                Job::custom(spec.to_compact_string(), move || diff(&spec, &cfg))
             })
             .collect();
         for outcome in run_jobs(jobs, &driver) {
@@ -254,24 +257,24 @@ fn main() {
 
     let mut entries = Vec::new();
     for r in &unexplained {
-        let small = shrink_litmus(&r.spec, |s| !diff_litmus(s, &cfg).unexplained().is_empty());
-        let shrunk = diff_litmus(&small, &cfg);
+        let small = shrink(&r.spec, |s| !diff(s, &cfg).unexplained().is_empty());
+        let shrunk = diff(&small, &cfg);
         eprintln!("UNEXPLAINED: {}", r.describe());
         eprintln!("  shrunk repro: {}", shrunk.describe());
         eprintln!("  rerun: litmus --spec '{}'", small.to_compact_string());
-        entries.push(corpus::entry_for_litmus(&small, &cfg));
+        entries.push(corpus::entry_for(&small, &cfg));
     }
     if let Some(path) = &args.corpus_out {
         let text = match std::fs::read_to_string(path) {
             Ok(existing) => {
-                let mut all = corpus::parse_litmus(&existing).unwrap_or_else(|e| {
+                let mut all = corpus::parse(&existing).unwrap_or_else(|e| {
                     eprintln!("existing corpus {path} unreadable: {e}");
                     std::process::exit(2);
                 });
                 all.extend(entries);
-                corpus::format_litmus(&all)
+                corpus::format(&all)
             }
-            Err(_) => corpus::format_litmus(&entries),
+            Err(_) => corpus::format(&entries),
         };
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("cannot write corpus {path}: {e}");

@@ -1,7 +1,7 @@
 //! Mid-campaign checkpointing for long-running sweeps.
 //!
-//! A campaign (differential fuzzing, chaos testing) is a deterministic
-//! sequence of independent units of work. A [`Checkpoint`] snapshots the
+//! A campaign (the `chaos` sweep) is a deterministic sequence of
+//! independent units of work. A [`Checkpoint`] snapshots the
 //! campaign's cursor — arbitrary `meta` key/values naming where the
 //! stream stands — plus one `row` per completed unit, in completion
 //! order. Because the unit stream is a pure function of the campaign

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 /// The synthetic campaign's unit stream: a pure function of the
 /// campaign seed and unit index, standing in for a real (deterministic)
-/// fuzz or chaos unit.
+/// chaos unit.
 fn unit(seed: u64, i: u64) -> (String, String) {
     let h = splitmix64(seed ^ splitmix64(i.wrapping_add(0x9e37)));
     (format!("unit-{i}"), format!("digest={h:016x}"))

@@ -293,24 +293,17 @@ fn its_decision_stream_digest_is_pinned() {
 /// 1869 decisions for `uts` at the default seed.
 const PINNED_UTS_ITS_DIGEST: u64 = 0x9af2_f5a0_8ea1_1890;
 
-/// The weak-memory litmus plane must be byte-invisible to every v1 path:
-/// the default machine config keeps weak visibility and load recording
-/// off, legacy schedule traces stay non-eager with an unchanged compact
-/// header, and a canonical v1 oracle exploration reproduces its pinned
-/// schedule count and witness digest exactly. (The golden-matrix tests
-/// above already pin every seed workload output; this arm pins the v1
-/// *oracle* plane the litmus engine was grafted onto.)
+/// The weak-memory plane is opt-in: the default machine config keeps weak
+/// visibility and load recording off, and schedule traces that do not
+/// request eager-invisible execution keep their historical compact header.
+/// (The oracle's full-interleaving pin lives with its exhaustive reference
+/// search in `oracle::explore`'s tests.)
 #[test]
-fn litmus_machinery_is_invisible_to_v1_oracle_runs() {
-    use oracle::explore::{explore, ExploreConfig};
-    use oracle::spec::KernelSpec;
-
-    // Machine defaults: the weak plane is opt-in only.
+fn weak_plane_is_opt_in_and_legacy_traces_keep_their_header() {
     let d = GpuConfig::default();
     assert!(!d.weak_visibility, "weak visibility must default off");
     assert!(!d.record_load_values, "load recording must default off");
 
-    // Legacy traces never carry the eager flag and keep the v1 header.
     let trace = ScheduleTrace::default();
     assert!(!trace.eager);
     let header = trace.to_compact_string();
@@ -318,28 +311,4 @@ fn litmus_machinery_is_invisible_to_v1_oracle_runs() {
         header.starts_with("v1;w;") || header.starts_with("v1;r;"),
         "legacy trace header changed: {header}"
     );
-
-    // Canonical v1 exploration: counts and witness bytes pinned.
-    let spec = KernelSpec::parse("v1;CB;S0.L1/L0").expect("v1 spec parses");
-    let r = explore(&spec, &ExploreConfig::default());
-    assert!(r.complete && r.racy);
-    let witness = r.witness.expect("racy exploration has a witness");
-    assert!(!witness.eager, "v1 oracle witnesses must stay non-eager");
-    if std::env::var_os("GOLDEN_WRITE").is_some() {
-        eprintln!(
-            "v1 oracle pin: schedules={} witness_digest={:#018x}",
-            r.schedules,
-            witness.digest()
-        );
-        return;
-    }
-    assert_eq!(r.schedules, PINNED_V1_ORACLE_SCHEDULES);
-    assert_eq!(witness.digest(), PINNED_V1_ORACLE_WITNESS_DIGEST);
 }
-
-/// Recorded via `GOLDEN_WRITE=1` before the litmus plane landed. The
-/// schedule count is exactly C(14,8) = 3003: the two single-thread blocks
-/// run 8- and 6-instruction straight-line paths and the DFS enumerates
-/// every interleaving of the two program orders.
-const PINNED_V1_ORACLE_SCHEDULES: u64 = 3003;
-const PINNED_V1_ORACLE_WITNESS_DIGEST: u64 = 0x9f1a_1e4d_9d10_6c85;

@@ -1,9 +1,10 @@
 //! Byte-identity gate for experiment stdout.
 //!
-//! Runs the `table4`, `table5`, `fig11`, `pressure`, `chaos`, and
-//! `service` binaries at their default seeds and compares stdout
-//! byte-for-byte against transcripts recorded from the seed build
-//! (`tests/golden/` at the repo root). Together with
+//! Runs every paper-artifact binary — `table1`, `table4`, `table5`,
+//! `fig11`–`fig14`, `fence_scope_cost` and `ablation_history` — plus
+//! `pressure`, `chaos` and `service` at their default seeds and compares
+//! stdout byte-for-byte against recorded transcripts (`tests/golden/` at
+//! the repo root). Together with
 //! `golden_equivalence.rs` this enforces the PR-2 contract: hot-path
 //! optimizations may change wall-clock time only, never a byte of any
 //! table or figure. The `pressure`/`chaos`/`service` transcripts extend
@@ -53,6 +54,11 @@ fn check(bin: &str, exe: &str, extra_args: &[&str]) {
 }
 
 #[test]
+fn table1_stdout_matches_seed() {
+    check("table1", env!("CARGO_BIN_EXE_table1"), &[]);
+}
+
+#[test]
 fn table4_stdout_matches_seed() {
     check("table4", env!("CARGO_BIN_EXE_table4"), &[]);
 }
@@ -65,6 +71,31 @@ fn table5_stdout_matches_seed() {
 #[test]
 fn fig11_stdout_matches_seed() {
     check("fig11", env!("CARGO_BIN_EXE_fig11"), &[]);
+}
+
+#[test]
+fn fig12_stdout_matches_seed() {
+    check("fig12", env!("CARGO_BIN_EXE_fig12"), &[]);
+}
+
+#[test]
+fn fig13_stdout_matches_seed() {
+    check("fig13", env!("CARGO_BIN_EXE_fig13"), &[]);
+}
+
+#[test]
+fn fig14_stdout_matches_seed() {
+    check("fig14", env!("CARGO_BIN_EXE_fig14"), &[]);
+}
+
+#[test]
+fn fence_scope_cost_stdout_matches_seed() {
+    check("fence_scope_cost", env!("CARGO_BIN_EXE_fence_scope_cost"), &[]);
+}
+
+#[test]
+fn ablation_history_stdout_matches_seed() {
+    check("ablation_history", env!("CARGO_BIN_EXE_ablation_history"), &[]);
 }
 
 #[test]

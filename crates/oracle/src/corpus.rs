@@ -1,177 +1,40 @@
-//! Versioned regression corpus of oracle-checked kernels.
+//! Versioned regression corpus of oracle-checked specs.
 //!
-//! Every spec that ever produced an interesting verdict — a race class, an
-//! explained detector divergence, a shrunk campaign failure — is pinned
-//! here as one line: the spec, the oracle verdict, the witness schedule
-//! trace (if racy), and the iGUARD verdict that was observed. A tier-1 test
-//! replays the whole file deterministically, so a detector or scheduler
-//! regression flips a recorded line instead of hiding behind fresh random
-//! kernels.
+//! Every spec that ever produced an interesting verdict — a race class, a
+//! litmus shape at some fence scope, an explained detector divergence, a
+//! shrunk campaign failure — is pinned here as one line. A tier-1 test
+//! replays the whole file deterministically, so a detector, scheduler or
+//! memory-model regression flips a recorded line instead of hiding behind
+//! fresh random kernels.
 //!
 //! Line format (`|`-separated, `#` comments, blank lines ignored):
 //!
 //! ```text
-//! # oracle-corpus v1
-//! <spec> | racy|clean | <witness trace or -> | iguard:flagged|clean
+//! # oracle-corpus v2
+//! <spec> | racy|clean | assert:-|no|sc|weak | <witness or -> |
+//!     iguard:flagged|clean | barracuda:flagged|clean|unsupported |
+//!     <expl,expl,... or ->
 //! ```
+//!
+//! `assert:` pins the ground-truth assertion verdict: `-` no clause, `no`
+//! unreachable, `sc` reachable under a sequentially consistent run, `weak`
+//! reachable only through relaxed visibility. The witness is the race
+//! witness if racy, else the assertion witness if reachable. The
+//! explanation list pins every divergence class
+//! (`iguard:FN:fence-scope-approximation`, ...); verification fails on
+//! any UNEXPLAINED entry.
 
 use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
 
-use crate::diff::{diff_litmus, diff_spec, DiffConfig, LitmusDiffReport, Verdict};
-use crate::explore::{litmus_gpu_config, oracle_gpu_config};
-use crate::litmus::LitmusSpec;
+use crate::diff::{diff, DiffConfig, DiffReport, Verdict};
+use crate::explore::gpu_config;
 use crate::observer::Observer;
-use crate::spec::{KernelSpec, NUM_SLOTS};
+use crate::spec::{Spec, NUM_SLOTS};
 
 /// First line of every corpus file; bump on format changes.
-pub const CORPUS_HEADER: &str = "# oracle-corpus v1";
+pub const CORPUS_HEADER: &str = "# oracle-corpus v2";
 
-/// One pinned kernel + expected verdicts.
-#[derive(Debug, Clone)]
-pub struct CorpusEntry {
-    pub spec: KernelSpec,
-    /// Ground-truth oracle verdict at record time.
-    pub racy: bool,
-    /// Schedule trace exhibiting the race (racy entries only).
-    pub witness: Option<ScheduleTrace>,
-    /// Whether iGUARD flagged the kernel at record time.
-    pub iguard_flagged: bool,
-}
-
-/// Runs the full differential check and pins its outcome as a corpus entry.
-#[must_use]
-pub fn entry_for(spec: &KernelSpec, cfg: &DiffConfig) -> CorpusEntry {
-    let r = diff_spec(spec, cfg);
-    CorpusEntry {
-        spec: spec.clone(),
-        racy: r.oracle.racy,
-        witness: r.oracle.witness,
-        iguard_flagged: r.iguard == Verdict::Flagged,
-    }
-}
-
-/// Serializes entries to the versioned text format.
-#[must_use]
-pub fn format(entries: &[CorpusEntry]) -> String {
-    let mut out = String::from(CORPUS_HEADER);
-    out.push('\n');
-    for e in entries {
-        out.push_str(&format!(
-            "{} | {} | {} | iguard:{}\n",
-            e.spec.to_compact_string(),
-            if e.racy { "racy" } else { "clean" },
-            e.witness
-                .as_ref()
-                .map_or_else(|| "-".to_string(), ScheduleTrace::to_compact_string),
-            if e.iguard_flagged { "flagged" } else { "clean" },
-        ));
-    }
-    out
-}
-
-/// Parses a corpus file; rejects unknown versions and malformed lines.
-pub fn parse(text: &str) -> Result<Vec<CorpusEntry>, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(h) if h.trim() == CORPUS_HEADER => {}
-        other => return Err(format!("bad corpus header: {other:?}")),
-    }
-    let mut entries = Vec::new();
-    for (n, line) in lines.enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('|').map(str::trim).collect();
-        if fields.len() != 4 {
-            return Err(format!("line {}: expected 4 fields, got {}", n + 2, fields.len()));
-        }
-        let spec = KernelSpec::parse(fields[0]).map_err(|e| format!("line {}: {e}", n + 2))?;
-        let racy = match fields[1] {
-            "racy" => true,
-            "clean" => false,
-            other => return Err(format!("line {}: bad verdict {other:?}", n + 2)),
-        };
-        let witness = if fields[2] == "-" {
-            None
-        } else {
-            Some(ScheduleTrace::parse(fields[2]).map_err(|e| format!("line {}: {e}", n + 2))?)
-        };
-        let iguard_flagged = match fields[3] {
-            "iguard:flagged" => true,
-            "iguard:clean" => false,
-            other => return Err(format!("line {}: bad iguard verdict {other:?}", n + 2)),
-        };
-        entries.push(CorpusEntry {
-            spec,
-            racy,
-            witness,
-            iguard_flagged,
-        });
-    }
-    Ok(entries)
-}
-
-/// Replays one entry against today's code: the oracle verdict, the iGUARD
-/// verdict, and the witness trace must all still hold.
-pub fn verify(entry: &CorpusEntry, cfg: &DiffConfig) -> Result<(), String> {
-    let label = entry.spec.to_compact_string();
-
-    // The witness trace must still drive a full launch to completion.
-    if let Some(trace) = &entry.witness {
-        let mut gpu = gpu_sim::machine::Gpu::new(oracle_gpu_config(cfg.explore.max_steps));
-        let buf = gpu
-            .alloc(NUM_SLOTS as usize)
-            .map_err(|e| format!("{label}: alloc failed: {e}"))?;
-        let (grid, block) = entry.spec.grid_block();
-        let kernel = entry.spec.build();
-        let mut obs = Observer::default();
-        let mut sched = ReplayScheduler::new(trace.clone());
-        gpu.launch_with(&kernel, grid, block, &[buf], &mut obs, &mut sched)
-            .map_err(|e| format!("{label}: witness replay failed: {e}"))?;
-        if !sched.finished() {
-            return Err(format!("{label}: witness trace not fully consumed"));
-        }
-    }
-
-    let r = diff_spec(&entry.spec, cfg);
-    if r.oracle.racy != entry.racy {
-        return Err(format!(
-            "{label}: oracle verdict changed: recorded {}, now {}",
-            entry.racy, r.oracle.racy
-        ));
-    }
-    let now_flagged = r.iguard == Verdict::Flagged;
-    if now_flagged != entry.iguard_flagged {
-        return Err(format!(
-            "{label}: iguard verdict changed: recorded {}, now {}",
-            entry.iguard_flagged, now_flagged
-        ));
-    }
-    Ok(())
-}
-
-// ========================= litmus corpus (v2) =========================
-//
-// Line format (`|`-separated, `#` comments, blank lines ignored):
-//
-// ```text
-// # litmus-corpus v2
-// <spec> | racy|clean | assert:-|no|sc|weak | <witness or -> |
-//     iguard:flagged|clean | barracuda:flagged|clean|unsupported |
-//     <expl,expl,... or ->
-// ```
-//
-// `assert:` pins the ground-truth assertion verdict: `-` no clause, `no`
-// unreachable, `sc` reachable under a sequentially consistent run, `weak`
-// reachable only through relaxed visibility. The explanation list pins
-// every divergence class (`iguard:FN:fence-scope-approximation`, ...);
-// verification fails on any UNEXPLAINED entry.
-
-/// First line of every litmus corpus file.
-pub const LITMUS_CORPUS_HEADER: &str = "# litmus-corpus v2";
-
-/// Ground-truth assertion verdict tag of a litmus corpus entry.
+/// Ground-truth assertion verdict tag of a corpus entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssertionTag {
     /// Spec has no assertion clause.
@@ -205,10 +68,11 @@ impl AssertionTag {
     }
 }
 
-/// One pinned litmus test + expected verdicts.
+/// One pinned spec + expected verdicts.
 #[derive(Debug, Clone)]
-pub struct LitmusCorpusEntry {
-    pub spec: LitmusSpec,
+pub struct CorpusEntry {
+    pub spec: Spec,
+    /// Ground-truth oracle verdict at record time.
     pub racy: bool,
     pub assertion: AssertionTag,
     /// Race witness if racy, else the assertion witness if reachable.
@@ -219,7 +83,7 @@ pub struct LitmusCorpusEntry {
     pub explanations: Vec<String>,
 }
 
-fn assertion_tag(r: &LitmusDiffReport) -> AssertionTag {
+fn assertion_tag(r: &DiffReport) -> AssertionTag {
     match &r.oracle.assertion {
         None => AssertionTag::None,
         Some(a) if !a.reachable => AssertionTag::Unreachable,
@@ -228,7 +92,7 @@ fn assertion_tag(r: &LitmusDiffReport) -> AssertionTag {
     }
 }
 
-fn explanation_strings(r: &LitmusDiffReport) -> Vec<String> {
+fn explanation_strings(r: &DiffReport) -> Vec<String> {
     let mut ex: Vec<String> = r
         .divergences
         .iter()
@@ -246,16 +110,16 @@ fn explanation_strings(r: &LitmusDiffReport) -> Vec<String> {
     ex
 }
 
-/// Runs the litmus differential check and pins its outcome.
+/// Runs the full differential check and pins its outcome as a corpus entry.
 #[must_use]
-pub fn entry_for_litmus(spec: &LitmusSpec, cfg: &DiffConfig) -> LitmusCorpusEntry {
-    let r = diff_litmus(spec, cfg);
+pub fn entry_for(spec: &Spec, cfg: &DiffConfig) -> CorpusEntry {
+    let r = diff(spec, cfg);
     let witness = r
         .oracle
         .witness
         .clone()
         .or_else(|| r.oracle.assertion.as_ref().and_then(|a| a.witness.clone()));
-    LitmusCorpusEntry {
+    CorpusEntry {
         spec: spec.clone(),
         racy: r.oracle.racy,
         assertion: assertion_tag(&r),
@@ -266,10 +130,10 @@ pub fn entry_for_litmus(spec: &LitmusSpec, cfg: &DiffConfig) -> LitmusCorpusEntr
     }
 }
 
-/// Serializes litmus entries to the versioned text format.
+/// Serializes entries to the versioned text format.
 #[must_use]
-pub fn format_litmus(entries: &[LitmusCorpusEntry]) -> String {
-    let mut out = String::from(LITMUS_CORPUS_HEADER);
+pub fn format(entries: &[CorpusEntry]) -> String {
+    let mut out = String::from(CORPUS_HEADER);
     out.push('\n');
     for e in entries {
         let ba = match e.barracuda {
@@ -296,13 +160,12 @@ pub fn format_litmus(entries: &[LitmusCorpusEntry]) -> String {
     out
 }
 
-/// Parses a litmus corpus file; rejects unknown versions and malformed
-/// lines.
-pub fn parse_litmus(text: &str) -> Result<Vec<LitmusCorpusEntry>, String> {
+/// Parses a corpus file; rejects unknown versions and malformed lines.
+pub fn parse(text: &str) -> Result<Vec<CorpusEntry>, String> {
     let mut lines = text.lines();
     match lines.next() {
-        Some(h) if h.trim() == LITMUS_CORPUS_HEADER => {}
-        other => return Err(format!("bad litmus corpus header: {other:?}")),
+        Some(h) if h.trim() == CORPUS_HEADER => {}
+        other => return Err(format!("bad corpus header: {other:?}")),
     }
     let mut entries = Vec::new();
     for (n, line) in lines.enumerate() {
@@ -315,7 +178,7 @@ pub fn parse_litmus(text: &str) -> Result<Vec<LitmusCorpusEntry>, String> {
         if fields.len() != 7 {
             return Err(at(format!("expected 7 fields, got {}", fields.len())));
         }
-        let spec = LitmusSpec::parse(fields[0]).map_err(|e| at(e.to_string()))?;
+        let spec = Spec::parse(fields[0]).map_err(|e| at(e.to_string()))?;
         let racy = match fields[1] {
             "racy" => true,
             "clean" => false,
@@ -328,7 +191,7 @@ pub fn parse_litmus(text: &str) -> Result<Vec<LitmusCorpusEntry>, String> {
         let witness = if fields[3] == "-" {
             None
         } else {
-            Some(ScheduleTrace::parse(fields[3]).map_err(|e| at(e.to_string()))?)
+            Some(ScheduleTrace::parse(fields[3]).map_err(at)?)
         };
         let iguard_flagged = match fields[4] {
             "iguard:flagged" => true,
@@ -346,7 +209,7 @@ pub fn parse_litmus(text: &str) -> Result<Vec<LitmusCorpusEntry>, String> {
         } else {
             fields[6].split(',').map(str::to_string).collect()
         };
-        entries.push(LitmusCorpusEntry {
+        entries.push(CorpusEntry {
             spec,
             racy,
             assertion,
@@ -359,15 +222,15 @@ pub fn parse_litmus(text: &str) -> Result<Vec<LitmusCorpusEntry>, String> {
     Ok(entries)
 }
 
-/// Replays one litmus entry against today's code: witness replay on the
+/// Replays one entry against today's code: witness replay on the
 /// weak-visibility machine, then a full re-diff whose verdicts, assertion
 /// tag, and divergence classes must all still hold — and none of them may
 /// be UNEXPLAINED.
-pub fn verify_litmus(entry: &LitmusCorpusEntry, cfg: &DiffConfig) -> Result<(), String> {
+pub fn verify(entry: &CorpusEntry, cfg: &DiffConfig) -> Result<(), String> {
     let label = entry.spec.to_compact_string();
 
     if let Some(trace) = &entry.witness {
-        let mut gpu = gpu_sim::machine::Gpu::new(litmus_gpu_config(
+        let mut gpu = gpu_sim::machine::Gpu::new(gpu_config(
             entry.spec.actors.len() as u32,
             cfg.explore.max_steps,
             true,
@@ -386,7 +249,7 @@ pub fn verify_litmus(entry: &LitmusCorpusEntry, cfg: &DiffConfig) -> Result<(), 
         }
     }
 
-    let r = diff_litmus(&entry.spec, cfg);
+    let r = diff(&entry.spec, cfg);
     if r.oracle.racy != entry.racy {
         return Err(format!(
             "{label}: oracle verdict changed: recorded {}, now {}",
@@ -431,28 +294,15 @@ pub fn verify_litmus(entry: &LitmusCorpusEntry, cfg: &DiffConfig) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Op, Placement};
+    use crate::spec::Placement;
 
-    fn racy_spec() -> KernelSpec {
-        KernelSpec {
-            placement: Placement::CrossBlock,
-            actors: [vec![Op::Store { slot: 0 }], vec![Op::Load { slot: 0 }]],
-        }
+    fn entry(s: &str) -> CorpusEntry {
+        entry_for(&Spec::parse(s).unwrap(), &DiffConfig::default())
     }
 
     #[test]
     fn format_parse_roundtrip() {
-        let cfg = DiffConfig::default();
-        let entries = vec![
-            entry_for(&racy_spec(), &cfg),
-            entry_for(
-                &KernelSpec {
-                    placement: Placement::SameWarp,
-                    actors: [vec![Op::Load { slot: 0 }], vec![Op::Load { slot: 0 }]],
-                },
-                &cfg,
-            ),
-        ];
+        let entries = vec![entry("v2;CB;Sx/Lx"), entry("v2;SW;Lx/Lx")];
         assert!(entries[0].racy && entries[0].witness.is_some());
         assert!(!entries[1].racy && entries[1].witness.is_none());
         let text = format(&entries);
@@ -469,9 +319,7 @@ mod tests {
 
     #[test]
     fn recorded_entries_verify_against_current_code() {
-        let cfg = DiffConfig::default();
-        let e = entry_for(&racy_spec(), &cfg);
-        verify(&e, &cfg).unwrap();
+        verify(&entry("v2;CB;Sx/Lx"), &DiffConfig::default()).unwrap();
     }
 
     #[test]
@@ -479,7 +327,7 @@ mod tests {
         assert!(parse("no header\n").is_err());
         assert!(parse(&format!("{CORPUS_HEADER}\nonly | three | fields\n")).is_err());
         assert!(parse(&format!(
-            "{CORPUS_HEADER}\nv1;CB;S0/L0 | maybe | - | iguard:flagged\n"
+            "{CORPUS_HEADER}\nv2;CB;Sx/Lx | maybe | assert:- | - | iguard:flagged | barracuda:clean | -\n"
         ))
         .is_err());
     }
@@ -487,12 +335,13 @@ mod tests {
     #[test]
     fn litmus_format_parse_roundtrip_and_verify() {
         let cfg = DiffConfig::default();
-        let racy = LitmusSpec::parse("v2;CB;Sx/Lx").unwrap();
-        let mp = LitmusSpec::mp(crate::spec::Placement::CrossBlock, None);
-        let entries = vec![entry_for_litmus(&racy, &cfg), entry_for_litmus(&mp, &cfg)];
+        let entries = vec![
+            entry("v2;CB;Sx/Lx"),
+            entry_for(&Spec::mp(Placement::CrossBlock, None), &cfg),
+        ];
         assert!(entries[0].racy && entries[0].witness.is_some());
-        let text = format_litmus(&entries);
-        let back = parse_litmus(&text).unwrap();
+        let text = format(&entries);
+        let back = parse(&text).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].spec, entries[0].spec);
         assert_eq!(back[0].racy, entries[0].racy);
@@ -504,20 +353,24 @@ mod tests {
             entries[0].witness.as_ref().map(ScheduleTrace::digest)
         );
         for e in &back {
-            verify_litmus(e, &cfg).unwrap();
+            verify(e, &cfg).unwrap();
         }
     }
 
     #[test]
     fn litmus_parse_rejects_garbage() {
-        assert!(parse_litmus("no header\n").is_err());
-        assert!(parse_litmus(&format!("{LITMUS_CORPUS_HEADER}\na | b | c\n")).is_err());
-        assert!(parse_litmus(&format!(
-            "{LITMUS_CORPUS_HEADER}\nv2;CB;Sx/Lx | racy | assert:maybe | - | iguard:clean | barracuda:clean | -\n"
+        assert!(parse(&format!("{CORPUS_HEADER}\na | b | c\n")).is_err());
+        assert!(parse(&format!(
+            "{CORPUS_HEADER}\nv2;CB;Sx/Lx | racy | assert:maybe | - | iguard:clean | barracuda:clean | -\n"
         ))
         .is_err());
-        assert!(parse_litmus(&format!(
-            "{LITMUS_CORPUS_HEADER}\nv2;CB;Sx/Lx | racy | assert:- | - | iguard:clean | barracuda:odd | -\n"
+        assert!(parse(&format!(
+            "{CORPUS_HEADER}\nv2;CB;Sx/Lx | racy | assert:- | - | iguard:clean | barracuda:odd | -\n"
+        ))
+        .is_err());
+        // The retired v1 spec language is a typed error, not a shim.
+        assert!(parse(&format!(
+            "{CORPUS_HEADER}\nv1;CB;S0/L0 | racy | assert:- | - | iguard:flagged | barracuda:flagged | -\n"
         ))
         .is_err());
     }

@@ -1,17 +1,19 @@
 //! Differential check: detectors vs the enumeration oracle.
 //!
-//! For one [`KernelSpec`] the oracle verdict comes from
-//! [`explore`](crate::explore::explore) — every reachable ITS schedule, so
-//! "racy" and "clean" are facts, not samples. Each detector then runs over
-//! the *same* kernel on a handful of random schedules **plus a replay of the
-//! oracle's witness schedule** (hooks never influence scheduling decisions,
-//! so a trace recorded under the observer replays bit-identically under an
-//! instrumented detector). Replaying the witness removes schedule-sampling
-//! luck from the false-negative classification: if the detector stays silent
-//! on the very interleaving that exhibits the race, the miss is the
-//! detector's, not the sampler's.
+//! For one [`Spec`] the oracle verdict comes from
+//! [`explore`](crate::explore::explore) on the weak-visibility machine —
+//! every reachable schedule and visibility choice, so "racy" and "clean"
+//! are facts, not samples. Each detector then runs over the *same* kernel
+//! on a handful of random schedules **plus replays of the oracle's witness
+//! and counter-witness schedules** (hooks never influence scheduling
+//! decisions, so a trace recorded under the observer replays
+//! bit-identically under an instrumented detector). Replaying the witness
+//! removes schedule-sampling luck from the false-negative classification:
+//! if the detector stays silent on the very interleaving that exhibits the
+//! race, the miss is the detector's, not the sampler's.
 //!
-//! Divergences the paper itself predicts are *explained*, not failures:
+//! Divergences with a known cause — most of them predicted by the paper
+//! itself — are *explained*, not failures:
 //!
 //! - `barracuda-unsupported` — the front end refuses scoped atomics and
 //!   warp-level barriers (§4 / Table 4).
@@ -19,8 +21,21 @@
 //!   lockstep-ordered, so every purely intra-warp race is invisible (§4).
 //! - `barracuda-benign-atomic-read` — no P6 equivalent: plain loads of
 //!   atomically-updated words (flag polling) are reported as races.
-//! - `iguard-fence-approximation` — iGUARD models the release side of a
-//!   `membar` conservatively, so fence-dependent verdicts may differ (§6.2).
+//! - `barracuda-fence-model` — Barracuda's fence model misses a race in a
+//!   fence-bearing kernel.
+//! - `fence-scope-approximation` — the spec fences, yet a race (or a
+//!   weak-only assertion violation) survives: the detectors model fences
+//!   as release-side approximations at an approximate scope (§6.2).
+//! - `visibility-blind` — a weak-only assertion violation with no fence
+//!   involved: plain cross-SM staleness (e.g. unfenced MP/SB). Race
+//!   detectors reason about access *orders*, never about which *value* a
+//!   load returns, so this is invisible to them even in principle.
+//! - `iguard-scope-overwritten` (FN) and `iguard-p6-write-history` (FP) —
+//!   iGUARD's per-word metadata keeps one atomic scope and clears a word's
+//!   atomic history on a plain store, so two narrow shapes diverge from
+//!   the oracle's history-free conflict rule (see `explain_iguard_fn` and
+//!   `explain_iguard_fp`). These are known detector inaccuracies awaiting
+//!   a fix, not paper predictions; the corpus pins one shape of each.
 //! - `oracle-incomplete` — the enumeration hit its budget, so a "clean"
 //!   oracle verdict is only a lower bound and a detector flag on top of it
 //!   is not evidence of a false positive.
@@ -28,6 +43,7 @@
 //! Anything else is an **unexplained** divergence and fails the campaign.
 
 use barracuda::{self, Barracuda, BarracudaConfig, BinaryKind};
+use gpu_sim::ir::Scope;
 use gpu_sim::machine::{Gpu, GpuConfig};
 use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
 use iguard::Iguard;
@@ -35,12 +51,8 @@ use nvbit_sim::Instrumented;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::explore::{
-    explore, explore_litmus, litmus_gpu_config, oracle_gpu_config, ExploreConfig, LitmusReport,
-    OracleReport,
-};
-use crate::litmus::{LitmusOp, LitmusSpec};
-use crate::spec::{KernelSpec, Op, NUM_SLOTS};
+use crate::explore::{explore, gpu_config, ExploreConfig, Report};
+use crate::spec::{Op, Spec, NUM_SLOTS};
 
 /// How hard the differential check tries per kernel.
 #[derive(Debug, Clone)]
@@ -48,7 +60,7 @@ pub struct DiffConfig {
     /// Oracle enumeration budget.
     pub explore: ExploreConfig,
     /// Random-scheduler seeds each detector runs under (in addition to the
-    /// witness replay).
+    /// witness replays).
     pub seeds: Vec<u64>,
 }
 
@@ -68,7 +80,7 @@ pub enum Verdict {
     Unsupported,
     /// Flagged at least one race on at least one run.
     Flagged,
-    /// Silent on every run, including the witness replay.
+    /// Silent on every run, including the witness replays.
     Clean,
 }
 
@@ -77,25 +89,26 @@ pub enum Verdict {
 pub struct Divergence {
     /// `"iguard"` or `"barracuda"`.
     pub detector: &'static str,
-    /// True when the oracle says racy and the detector stayed silent
-    /// (false negative); false for the false-positive direction.
+    /// True when the oracle says racy (or a weak-only violation exists)
+    /// and the detector stayed silent (false negative); false for the
+    /// false-positive direction.
     pub false_negative: bool,
-    /// A paper-predicted reason, or `None` for an unexplained divergence.
+    /// A known reason, or `None` for an unexplained divergence.
     pub explanation: Option<&'static str>,
 }
 
-/// Full differential result for one kernel.
+/// Full differential result for one spec.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
-    pub spec: KernelSpec,
-    pub oracle: OracleReport,
+    pub spec: Spec,
+    pub oracle: Report,
     pub iguard: Verdict,
     pub barracuda: Verdict,
     pub divergences: Vec<Divergence>,
 }
 
 impl DiffReport {
-    /// Divergences with no paper-predicted explanation. A non-empty result
+    /// Divergences with no known explanation. A non-empty result
     /// fails the campaign.
     #[must_use]
     pub fn unexplained(&self) -> Vec<Divergence> {
@@ -109,16 +122,19 @@ impl DiffReport {
     /// One-line human summary, for campaign logs and shrunk repros.
     #[must_use]
     pub fn describe(&self) -> String {
+        let assert_tag = match &self.oracle.assertion {
+            None => "-",
+            Some(a) if !a.reachable => "no",
+            Some(a) if a.sc_reachable => "sc",
+            Some(_) => "weak",
+        };
         let mut s = format!(
-            "{} oracle={} ({} schedules{}) iguard={:?} barracuda={:?}",
+            "{} oracle={} assert={assert_tag} ({} schedules, {} outcomes{}) iguard={:?} barracuda={:?}",
             self.spec.to_compact_string(),
             if self.oracle.racy { "racy" } else { "clean" },
             self.oracle.schedules,
-            if self.oracle.complete {
-                ""
-            } else {
-                ", truncated"
-            },
+            self.oracle.outcomes.len(),
+            if self.oracle.complete { "" } else { ", truncated" },
             self.iguard,
             self.barracuda,
         );
@@ -134,28 +150,24 @@ impl DiffReport {
     }
 }
 
-pub(crate) fn detector_gpu(seed: u64, cfg: &ExploreConfig) -> (Gpu, u32) {
+/// A fresh weak-visibility device for one detector run, with the slot
+/// pool allocated. Witness traces are recorded on the weak machine, so
+/// they carry `Vis` decisions and must replay on the same configuration.
+pub(crate) fn detector_gpu(spec: &Spec, seed: u64, cfg: &ExploreConfig) -> (Gpu, u32) {
     let mut gpu = Gpu::new(GpuConfig {
         seed,
-        ..oracle_gpu_config(cfg.max_steps)
+        ..gpu_config(spec.actors.len() as u32, cfg.max_steps, true)
     });
-    let buf = gpu
-        .alloc(NUM_SLOTS as usize)
-        .expect("oracle slot buffer fits");
+    let buf = gpu.alloc(NUM_SLOTS as usize).expect("oracle slot buffer fits");
     (gpu, buf)
 }
 
-/// Runs iGUARD on one random schedule (or a witness replay) and reports
+/// Runs iGUARD over one random schedule (or a witness replay) and reports
 /// whether it flagged anything.
-fn iguard_flags(
-    spec: &KernelSpec,
-    seed: u64,
-    replay: Option<&ScheduleTrace>,
-    cfg: &DiffConfig,
-) -> bool {
+fn iguard_flags(spec: &Spec, seed: u64, replay: Option<&ScheduleTrace>, cfg: &DiffConfig) -> bool {
     let kernel = spec.build();
     let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(seed, &cfg.explore);
+    let (mut gpu, buf) = detector_gpu(spec, seed, &cfg.explore);
     let mut tool = Instrumented::new(Iguard::default());
     let result = match replay {
         Some(trace) => {
@@ -170,7 +182,7 @@ fn iguard_flags(
 
 /// Runs Barracuda likewise. `None` means the front end refused the kernel.
 fn barracuda_flags(
-    spec: &KernelSpec,
+    spec: &Spec,
     seed: u64,
     replay: Option<&ScheduleTrace>,
     cfg: &DiffConfig,
@@ -178,7 +190,7 @@ fn barracuda_flags(
     let kernel = spec.build();
     barracuda::supports(&[&kernel], BinaryKind::SingleFile).ok()?;
     let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(seed, &cfg.explore);
+    let (mut gpu, buf) = detector_gpu(spec, seed, &cfg.explore);
     let mut tool = Instrumented::new(Barracuda::new(BarracudaConfig::default()));
     let result = match replay {
         Some(trace) => {
@@ -191,13 +203,69 @@ fn barracuda_flags(
     Some(!tool.tool_mut().finish(gpu.clock_mut()).is_empty())
 }
 
-/// Explains an iGUARD false negative, if the paper predicts one.
-fn explain_iguard_fn(spec: &KernelSpec) -> Option<&'static str> {
-    spec.has_fence().then_some("iguard-fence-approximation")
+/// The location and scope of an atomic op.
+fn atomic_site(op: Op) -> Option<(u8, Scope)> {
+    match op {
+        Op::AtomicAdd { loc, scope } | Op::AtomicExch { loc, scope } => Some((loc, scope)),
+        _ => None,
+    }
 }
 
-/// Explains a Barracuda false negative, if the paper predicts one.
-fn explain_barracuda_fn(spec: &KernelSpec, oracle: &OracleReport) -> Option<&'static str> {
+/// Explains an iGUARD false negative on a race, if a known detector
+/// approximation predicts one:
+///
+/// - `fence-scope-approximation` — see the module docs;
+/// - `iguard-scope-overwritten` — one actor runs a block-scope atomic and
+///   later a device-scope atomic on the same word. The per-word metadata
+///   keeps only the latest atomic's scope, so R1 sees the block scope only
+///   on schedules where the other block's access lands between the two
+///   RMWs, and the replayed witnesses need not be among them.
+fn explain_iguard_fn(spec: &Spec) -> Option<&'static str> {
+    if spec.has_fence() {
+        return Some("fence-scope-approximation");
+    }
+    let overwritten = spec.actors.iter().any(|ops| {
+        ops.iter().enumerate().any(|(i, &op)| match atomic_site(op) {
+            Some((loc, Scope::Block)) => ops[i + 1..]
+                .iter()
+                .any(|&later| atomic_site(later) == Some((loc, Scope::Device))),
+            _ => false,
+        })
+    });
+    overwritten.then_some("iguard-scope-overwritten")
+}
+
+/// Explains an iGUARD false positive, if a known detector approximation
+/// predicts one (`iguard-p6-write-history`): a word that some actor
+/// plain-stores also takes an atomic from one actor and a plain load from
+/// another. iGUARD's P6 excuses an atomic/plain-load pair only on a word
+/// no plain store has written (a store clears the word's atomic history),
+/// while the oracle's conflict rule excuses every sufficient-scope
+/// atomic/plain-load pair. A barrier-ordered store followed by an
+/// unordered atomic/load pair is therefore clean to the oracle and an ITS
+/// race to iGUARD.
+fn explain_iguard_fp(spec: &Spec) -> Option<&'static str> {
+    let history = (0..NUM_SLOTS).any(|l| {
+        let stores = |a: &Vec<Op>| a.contains(&Op::Store { loc: l });
+        let loads = |a: &Vec<Op>| a.contains(&Op::Load { loc: l });
+        let atomics =
+            |a: &Vec<Op>| a.iter().any(|&op| atomic_site(op).is_some_and(|(loc, _)| loc == l));
+        spec.actors.iter().any(stores)
+            && spec.actors.iter().enumerate().any(|(i, a)| {
+                atomics(a)
+                    && spec
+                        .actors
+                        .iter()
+                        .enumerate()
+                        .any(|(j, b)| i != j && loads(b))
+            })
+    });
+    history.then_some("iguard-p6-write-history")
+}
+
+/// Explains a Barracuda false negative on a race, if the paper predicts
+/// one.
+fn explain_barracuda_fn(spec: &Spec, oracle: &Report) -> Option<&'static str> {
     if oracle.kinds().iter().all(|k| *k == "ITS" || *k == "BR") {
         // Every race is intra-warp: hidden by the lockstep assumption.
         return Some("barracuda-its-blind");
@@ -210,26 +278,41 @@ fn explain_barracuda_fn(spec: &KernelSpec, oracle: &OracleReport) -> Option<&'st
 /// P6), so a plain load of a word updated by sufficient-scope atomics —
 /// the flag-polling idiom the paper uses to motivate P6 — is reported as
 /// a write-read race.
-fn explain_barracuda_fp(spec: &KernelSpec) -> Option<&'static str> {
-    let touches = |ops: &[Op], want_atomic: bool, s: u8| {
+fn explain_barracuda_fp(spec: &Spec) -> Option<&'static str> {
+    let touches = |ops: &[Op], want_atomic: bool, l: u8| {
         ops.iter().any(|op| match *op {
-            Op::AtomicAdd { slot, .. } => want_atomic && slot == s,
-            Op::Load { slot } => !want_atomic && slot == s,
+            Op::AtomicAdd { loc, .. } | Op::AtomicExch { loc, .. } => want_atomic && loc == l,
+            Op::Load { loc } => !want_atomic && loc == l,
             _ => false,
         })
     };
-    let [a0, a1] = &spec.actors;
-    let benign_pair = (0..crate::spec::NUM_SLOTS).any(|s| {
-        (touches(a0, true, s) && touches(a1, false, s))
-            || (touches(a1, true, s) && touches(a0, false, s))
+    let benign_pair = (0..NUM_SLOTS).any(|l| {
+        spec.actors.iter().enumerate().any(|(i, a)| {
+            touches(a, true, l)
+                && spec
+                    .actors
+                    .iter()
+                    .enumerate()
+                    .any(|(j, b)| i != j && touches(b, false, l))
+        })
     });
     benign_pair.then_some("barracuda-benign-atomic-read")
 }
 
-/// The full differential check for one kernel spec.
+/// Explains the weak-anomaly blindness class of a silent detector.
+fn explain_weak_anomaly(spec: &Spec) -> &'static str {
+    if spec.has_fence() {
+        "fence-scope-approximation"
+    } else {
+        "visibility-blind"
+    }
+}
+
+/// The full differential check for one spec: weak-visibility oracle vs
+/// both detectors on random schedules plus witness replays.
 #[must_use]
-pub fn diff_spec(spec: &KernelSpec, cfg: &DiffConfig) -> DiffReport {
-    let oracle = explore(spec, &cfg.explore);
+pub fn diff(spec: &Spec, cfg: &DiffConfig) -> DiffReport {
+    let oracle = explore(spec, &cfg.explore, true);
     // Both orders of the racing pair: detection can be order-sensitive.
     let witnesses: Vec<&ScheduleTrace> = [&oracle.witness, &oracle.counter_witness]
         .into_iter()
@@ -274,7 +357,8 @@ pub fn diff_spec(spec: &KernelSpec, cfg: &DiffConfig) -> DiffReport {
             detector: "iguard",
             false_negative: false,
             // An incomplete enumeration makes "clean" a lower bound only.
-            explanation: (!oracle.complete).then_some("oracle-incomplete"),
+            explanation: explain_iguard_fp(spec)
+                .or_else(|| (!oracle.complete).then_some("oracle-incomplete")),
         }),
         _ => {}
     }
@@ -293,283 +377,6 @@ pub fn diff_spec(spec: &KernelSpec, cfg: &DiffConfig) -> DiffReport {
             detector: "barracuda",
             false_negative: false,
             explanation: explain_barracuda_fp(spec)
-                .or_else(|| (!oracle.complete).then_some("oracle-incomplete")),
-        }),
-        _ => {}
-    }
-
-    DiffReport {
-        spec: spec.clone(),
-        oracle,
-        iguard,
-        barracuda: ba,
-        divergences,
-    }
-}
-
-/// Deterministic spec stream for a campaign: `n` kernels from `seed`.
-#[must_use]
-pub fn generate_specs(n: usize, seed: u64) -> Vec<KernelSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n).map(|_| KernelSpec::random(&mut rng)).collect()
-}
-
-// ===================== litmus differential check =====================
-//
-// Same structure as `diff_spec`, but over the v2 litmus family on the
-// weak-visibility machine, and with one extra divergence source: a
-// **weak-memory anomaly** — the assertion's forbidden outcome reachable
-// only through relaxed visibility — that a silent detector cannot report
-// even in principle. Race detectors reason about access *orders*, never
-// about which *value* a load returns, so these blind spots are explained
-// taxonomy classes, not campaign failures:
-//
-// - `visibility-blind` — the spec has no fence; the anomaly is plain
-//   cross-SM staleness (e.g. unfenced MP/SB), invisible to order-based
-//   detection.
-// - `fence-scope-approximation` — the spec fences, yet the anomaly (or a
-//   race) survives: the detectors model fences as release-side
-//   approximations at an approximate scope, so fence-bearing verdicts
-//   diverge. This subsumes v1's `iguard-fence-approximation` and is the
-//   demonstrated beyond-the-six-races false-negative class (see the
-//   pinned stale-re-read shape in `tests/regressions_replay.rs`).
-
-/// Full differential result for one litmus spec.
-#[derive(Debug, Clone)]
-pub struct LitmusDiffReport {
-    pub spec: LitmusSpec,
-    pub oracle: LitmusReport,
-    pub iguard: Verdict,
-    pub barracuda: Verdict,
-    pub divergences: Vec<Divergence>,
-}
-
-impl LitmusDiffReport {
-    /// Divergences with no predicted explanation; non-empty fails a
-    /// campaign.
-    #[must_use]
-    pub fn unexplained(&self) -> Vec<Divergence> {
-        self.divergences
-            .iter()
-            .copied()
-            .filter(|d| d.explanation.is_none())
-            .collect()
-    }
-
-    /// One-line human summary.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        let assert_tag = match &self.oracle.assertion {
-            None => "-",
-            Some(a) if !a.reachable => "no",
-            Some(a) if a.sc_reachable => "sc",
-            Some(_) => "weak",
-        };
-        let mut s = format!(
-            "{} oracle={} assert={assert_tag} ({} schedules, {} outcomes{}) iguard={:?} barracuda={:?}",
-            self.spec.to_compact_string(),
-            if self.oracle.racy { "racy" } else { "clean" },
-            self.oracle.schedules,
-            self.oracle.outcomes.len(),
-            if self.oracle.complete { "" } else { ", truncated" },
-            self.iguard,
-            self.barracuda,
-        );
-        for d in &self.divergences {
-            s.push_str(&format!(
-                " [{} {}: {}]",
-                d.detector,
-                if d.false_negative { "FN" } else { "FP" },
-                d.explanation.unwrap_or("UNEXPLAINED"),
-            ));
-        }
-        s
-    }
-}
-
-fn litmus_detector_gpu(spec: &LitmusSpec, seed: u64, cfg: &ExploreConfig) -> (Gpu, u32) {
-    let mut gpu = Gpu::new(GpuConfig {
-        seed,
-        ..litmus_gpu_config(spec.actors.len() as u32, cfg.max_steps, true)
-    });
-    let buf = gpu.alloc(NUM_SLOTS as usize).expect("litmus slot buffer fits");
-    (gpu, buf)
-}
-
-/// Runs iGUARD over one random schedule (or a witness replay) of a litmus
-/// kernel on the weak-visibility machine. Witness traces were recorded
-/// under the weak machine, so they carry `Vis` decisions and must replay
-/// on the same configuration.
-fn iguard_flags_litmus(
-    spec: &LitmusSpec,
-    seed: u64,
-    replay: Option<&ScheduleTrace>,
-    cfg: &DiffConfig,
-) -> bool {
-    let kernel = spec.build();
-    let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = litmus_detector_gpu(spec, seed, &cfg.explore);
-    let mut tool = Instrumented::new(Iguard::default());
-    let result = match replay {
-        Some(trace) => {
-            let mut sched = ReplayScheduler::new(trace.clone());
-            gpu.launch_with(&kernel, grid, block, &[buf], &mut tool, &mut sched)
-        }
-        None => gpu.launch(&kernel, grid, block, &[buf], &mut tool),
-    };
-    result
-        .unwrap_or_else(|e| panic!("iguard litmus run of {} failed: {e}", spec.to_compact_string()));
-    tool.tool().unique_races() > 0
-}
-
-/// Runs Barracuda likewise. `None` = the front end refused the kernel.
-fn barracuda_flags_litmus(
-    spec: &LitmusSpec,
-    seed: u64,
-    replay: Option<&ScheduleTrace>,
-    cfg: &DiffConfig,
-) -> Option<bool> {
-    let kernel = spec.build();
-    barracuda::supports(&[&kernel], BinaryKind::SingleFile).ok()?;
-    let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = litmus_detector_gpu(spec, seed, &cfg.explore);
-    let mut tool = Instrumented::new(Barracuda::new(BarracudaConfig::default()));
-    let result = match replay {
-        Some(trace) => {
-            let mut sched = ReplayScheduler::new(trace.clone());
-            gpu.launch_with(&kernel, grid, block, &[buf], &mut tool, &mut sched)
-        }
-        None => gpu.launch(&kernel, grid, block, &[buf], &mut tool),
-    };
-    result.unwrap_or_else(|e| {
-        panic!("barracuda litmus run of {} failed: {e}", spec.to_compact_string())
-    });
-    Some(!tool.tool_mut().finish(gpu.clock_mut()).is_empty())
-}
-
-/// Explains an iGUARD false negative on a litmus race.
-fn explain_iguard_litmus_fn(spec: &LitmusSpec) -> Option<&'static str> {
-    spec.has_fence().then_some("fence-scope-approximation")
-}
-
-/// Explains a Barracuda false negative on a litmus race.
-fn explain_barracuda_litmus_fn(spec: &LitmusSpec, oracle: &LitmusReport) -> Option<&'static str> {
-    if oracle.kinds().iter().all(|k| *k == "ITS" || *k == "BR") {
-        return Some("barracuda-its-blind");
-    }
-    spec.has_fence().then_some("barracuda-fence-model")
-}
-
-/// Explains a detector false positive on a litmus kernel (Barracuda's
-/// missing benign-atomic-read convention, as in v1).
-fn explain_barracuda_litmus_fp(spec: &LitmusSpec) -> Option<&'static str> {
-    let touches = |ops: &[LitmusOp], want_atomic: bool, l: u8| {
-        ops.iter().any(|op| match *op {
-            LitmusOp::AtomicAdd { loc, .. } | LitmusOp::AtomicExch { loc, .. } => {
-                want_atomic && loc == l
-            }
-            LitmusOp::Load { loc } => !want_atomic && loc == l,
-            _ => false,
-        })
-    };
-    let benign_pair = (0..NUM_SLOTS).any(|l| {
-        spec.actors.iter().enumerate().any(|(i, a)| {
-            touches(a, true, l)
-                && spec
-                    .actors
-                    .iter()
-                    .enumerate()
-                    .any(|(j, b)| i != j && touches(b, false, l))
-        })
-    });
-    benign_pair.then_some("barracuda-benign-atomic-read")
-}
-
-/// Explains the weak-anomaly blindness class of a silent detector.
-fn explain_weak_anomaly(spec: &LitmusSpec) -> &'static str {
-    if spec.has_fence() {
-        "fence-scope-approximation"
-    } else {
-        "visibility-blind"
-    }
-}
-
-/// The full differential check for one litmus spec: weak-visibility
-/// oracle vs both detectors on random schedules plus witness replays.
-#[must_use]
-pub fn diff_litmus(spec: &LitmusSpec, cfg: &DiffConfig) -> LitmusDiffReport {
-    let oracle = explore_litmus(spec, &cfg.explore, true);
-    let witnesses: Vec<&ScheduleTrace> = [&oracle.witness, &oracle.counter_witness]
-        .into_iter()
-        .filter_map(Option::as_ref)
-        .collect();
-
-    let mut ig = cfg
-        .seeds
-        .iter()
-        .any(|&s| iguard_flags_litmus(spec, s, None, cfg));
-    if !ig {
-        ig = witnesses
-            .iter()
-            .any(|t| iguard_flags_litmus(spec, 0, Some(t), cfg));
-    }
-    let iguard = if ig { Verdict::Flagged } else { Verdict::Clean };
-
-    let mut ba = match barracuda_flags_litmus(
-        spec,
-        cfg.seeds.first().copied().unwrap_or(1),
-        None,
-        cfg,
-    ) {
-        None => Verdict::Unsupported,
-        Some(true) => Verdict::Flagged,
-        Some(false) => Verdict::Clean,
-    };
-    if ba == Verdict::Clean {
-        for &s in cfg.seeds.iter().skip(1) {
-            if barracuda_flags_litmus(spec, s, None, cfg) == Some(true) {
-                ba = Verdict::Flagged;
-                break;
-            }
-        }
-        if ba == Verdict::Clean
-            && witnesses
-                .iter()
-                .any(|t| barracuda_flags_litmus(spec, 0, Some(t), cfg) == Some(true))
-        {
-            ba = Verdict::Flagged;
-        }
-    }
-
-    let mut divergences = Vec::new();
-    match (oracle.racy, iguard) {
-        (true, Verdict::Clean) => divergences.push(Divergence {
-            detector: "iguard",
-            false_negative: true,
-            explanation: explain_iguard_litmus_fn(spec),
-        }),
-        (false, Verdict::Flagged) => divergences.push(Divergence {
-            detector: "iguard",
-            false_negative: false,
-            explanation: (!oracle.complete).then_some("oracle-incomplete"),
-        }),
-        _ => {}
-    }
-    match (oracle.racy, ba) {
-        (true, Verdict::Unsupported) => divergences.push(Divergence {
-            detector: "barracuda",
-            false_negative: true,
-            explanation: Some("barracuda-unsupported"),
-        }),
-        (true, Verdict::Clean) => divergences.push(Divergence {
-            detector: "barracuda",
-            false_negative: true,
-            explanation: explain_barracuda_litmus_fn(spec, &oracle),
-        }),
-        (false, Verdict::Flagged) => divergences.push(Divergence {
-            detector: "barracuda",
-            false_negative: false,
-            explanation: explain_barracuda_litmus_fp(spec)
                 .or_else(|| (!oracle.complete).then_some("oracle-incomplete")),
         }),
         _ => {}
@@ -605,7 +412,7 @@ pub fn diff_litmus(spec: &LitmusSpec, cfg: &DiffConfig) -> LitmusDiffReport {
         }
     }
 
-    LitmusDiffReport {
+    DiffReport {
         spec: spec.clone(),
         oracle,
         iguard,
@@ -614,34 +421,31 @@ pub fn diff_litmus(spec: &LitmusSpec, cfg: &DiffConfig) -> LitmusDiffReport {
     }
 }
 
-/// Deterministic litmus stream for a campaign: `n` specs from `seed`.
+/// Deterministic `fuzz` stream: `n` two-actor race specs from `seed`.
 #[must_use]
-pub fn generate_litmus(n: usize, seed: u64) -> Vec<LitmusSpec> {
+pub fn generate_specs(n: usize, seed: u64) -> Vec<Spec> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n).map(|_| LitmusSpec::random(&mut rng)).collect()
+    (0..n).map(|_| Spec::random_race(&mut rng)).collect()
+}
+
+/// Deterministic `litmus` stream: `n` litmus specs from `seed`.
+#[must_use]
+pub fn generate_litmus(n: usize, seed: u64) -> Vec<Spec> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n).map(|_| Spec::random_litmus(&mut rng)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Op, Placement};
-    use gpu_sim::ir::Scope;
 
-    fn spec(placement: Placement, a0: Vec<Op>, a1: Vec<Op>) -> KernelSpec {
-        KernelSpec {
-            placement,
-            actors: [a0, a1],
-        }
+    fn run(s: &str) -> DiffReport {
+        diff(&Spec::parse(s).unwrap(), &DiffConfig::default())
     }
 
     #[test]
     fn iguard_agrees_on_a_cross_block_race() {
-        let s = spec(
-            Placement::CrossBlock,
-            vec![Op::Store { slot: 0 }],
-            vec![Op::Load { slot: 0 }],
-        );
-        let r = diff_spec(&s, &DiffConfig::default());
+        let r = run("v2;CB;Sx/Lx");
         assert!(r.oracle.racy);
         assert_eq!(r.iguard, Verdict::Flagged);
         assert!(r.unexplained().is_empty(), "{}", r.describe());
@@ -649,12 +453,7 @@ mod tests {
 
     #[test]
     fn barracuda_miss_of_an_its_race_is_explained() {
-        let s = spec(
-            Placement::SameWarp,
-            vec![Op::Store { slot: 1 }],
-            vec![Op::Load { slot: 1 }],
-        );
-        let r = diff_spec(&s, &DiffConfig::default());
+        let r = run("v2;SW;Sy/Ly");
         assert!(r.oracle.racy);
         assert_eq!(r.iguard, Verdict::Flagged, "{}", r.describe());
         assert_eq!(r.barracuda, Verdict::Clean, "{}", r.describe());
@@ -666,18 +465,7 @@ mod tests {
 
     #[test]
     fn scoped_atomic_kernels_divert_to_barracuda_unsupported() {
-        let s = spec(
-            Placement::CrossBlock,
-            vec![Op::AtomicAdd {
-                slot: 0,
-                scope: Scope::Block,
-            }],
-            vec![Op::AtomicAdd {
-                slot: 0,
-                scope: Scope::Block,
-            }],
-        );
-        let r = diff_spec(&s, &DiffConfig::default());
+        let r = run("v2;CB;aBx/aBx");
         assert!(r.oracle.racy, "{}", r.describe());
         assert_eq!(r.barracuda, Verdict::Unsupported);
         assert!(r
@@ -690,12 +478,7 @@ mod tests {
 
     #[test]
     fn clean_kernels_produce_no_divergence() {
-        let s = spec(
-            Placement::CrossBlock,
-            vec![Op::Load { slot: 0 }, Op::Store { slot: 1 }],
-            vec![Op::Load { slot: 0 }, Op::Store { slot: 2 }],
-        );
-        let r = diff_spec(&s, &DiffConfig::default());
+        let r = run("v2;CB;Lx.Sy/Lx.Sz");
         assert!(!r.oracle.racy);
         assert!(r.oracle.complete);
         assert_eq!(r.iguard, Verdict::Clean, "{}", r.describe());

@@ -1,4 +1,4 @@
-//! Bounded exhaustive schedule exploration and the order-variance oracle.
+//! Bounded schedule × visibility exploration and the order-variance oracle.
 //!
 //! # Ground truth by order variance
 //!
@@ -13,7 +13,17 @@
 //! enumeration executes real machine semantics, so barrier blocking,
 //! exit-releases, and ITS interleaving are all accounted for without a
 //! happens-before model — the verdict is definitionally ground truth as
-//! long as the space was covered completely ([`OracleReport::complete`]).
+//! long as the space was covered completely ([`Report::complete`]).
+//!
+//! # Partial-order reduction
+//!
+//! The enumerator runs eager-invisible: between two visible operations
+//! (global accesses and fences) a thread runs without branching the
+//! schedule tree, so only the order of visible operations is enumerated.
+//! Invisible instructions touch no shared state, so every order of
+//! visible operations — and with it every racing pair in both orders —
+//! is still reached. The test module checks this against an exhaustive
+//! DFS over every instruction interleaving.
 //!
 //! # Conflict rules
 //!
@@ -27,15 +37,13 @@
 use std::collections::{BTreeMap, HashMap};
 
 use gpu_sim::hook::ExecMode;
-use gpu_sim::ir::{AtomOp, Instr};
+use gpu_sim::ir::{AtomOp, Instr, Scope};
 use gpu_sim::kernel::Kernel;
 use gpu_sim::machine::{Gpu, GpuConfig};
 use gpu_sim::prelude::{EnumeratingScheduler, RecordingScheduler, ScheduleTrace};
-use gpu_sim::ir::Scope;
 
-use crate::litmus::{Cond, LitmusSpec};
 use crate::observer::{ObservedAccess, Observer};
-use crate::spec::{KernelSpec, Placement, NUM_SLOTS};
+use crate::spec::{Cond, Placement, Spec, NUM_SLOTS};
 
 /// Bounds on the exploration.
 #[derive(Debug, Clone)]
@@ -58,13 +66,15 @@ impl Default for ExploreConfig {
     }
 }
 
-/// The GPU configuration used for every oracle run: tiny backing store
-/// (the slot pool is 4 words) so the ~10⁴–10⁵ launches of an exploration
-/// cost microseconds each, not milliseconds of memory zeroing.
+/// The GPU configuration for every oracle run: one SM per actor (so each
+/// cross-block actor owns a private L1 and weak visibility has cross-SM
+/// effects to enumerate), a tiny backing store (the slot pool is 4
+/// words), load values recorded for assertion evaluation, and — when
+/// `weak` — the versioned relaxed-visibility memory model.
 #[must_use]
-pub fn oracle_gpu_config(max_steps: u64) -> GpuConfig {
+pub fn gpu_config(num_actors: u32, max_steps: u64, weak: bool) -> GpuConfig {
     GpuConfig {
-        num_sms: 2,
+        num_sms: num_actors.max(2) as usize,
         mem_words: 64,
         max_steps,
         mode: ExecMode::Its,
@@ -72,12 +82,14 @@ pub fn oracle_gpu_config(max_steps: u64) -> GpuConfig {
         // same config drives random-path detector runs.
         seed: 0,
         its_split_prob: 0.3,
+        weak_visibility: weak,
+        record_load_values: true,
         ..GpuConfig::default()
     }
 }
 
 /// One racing instance pair, classified by the accessors' relationship.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct OracleRace {
     /// `"ITS"` (same warp), `"BR"` (same block, different warp),
     /// `"DR"` (different blocks), or `"AS"` (atomic/atomic across blocks
@@ -90,14 +102,38 @@ pub struct OracleRace {
     pub b: (u32, u32, usize),
 }
 
-/// The oracle's verdict over the explored schedule space.
+/// Verdict on the spec's final-state assertion clause over the explored
+/// schedule × visibility space.
 #[derive(Debug, Clone)]
-pub struct OracleReport {
+pub struct AssertionVerdict {
+    /// Some run satisfied every conjunct.
+    pub reachable: bool,
+    /// Some *sequentially consistent* run satisfied it (a run whose loads
+    /// are all explained by a single coherent interleaving).
+    pub sc_reachable: bool,
+    /// Trace of the first satisfying run.
+    pub witness: Option<ScheduleTrace>,
+}
+
+/// One distinct final register state of a run.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// Reached by at least one SC-equivalent run.
+    pub sc: bool,
+    /// Reached by at least one non-SC (weak-visibility) run.
+    pub weak: bool,
+    /// Trace of the first run reaching this outcome.
+    pub witness: ScheduleTrace,
+}
+
+/// The oracle's verdict over the explored space: race analysis plus the
+/// outcome census and the assertion verdict.
+#[derive(Debug, Clone)]
+pub struct Report {
     /// Whether any conflicting pair was observed in both orders.
     pub racy: bool,
-    /// Whether the whole bounded schedule space was covered. Racy
-    /// verdicts are sound regardless; clean verdicts are only conclusive
-    /// when complete.
+    /// Whether the whole bounded space was covered. Racy verdicts are
+    /// sound regardless; clean verdicts are only conclusive when complete.
     pub complete: bool,
     /// Schedules executed.
     pub schedules: u64,
@@ -110,9 +146,14 @@ pub struct OracleReport {
     /// the insufficient-scope atomic precedes the plain access), so a fair
     /// false-negative verdict must replay both.
     pub counter_witness: Option<ScheduleTrace>,
+    /// Distinct final register states, keyed by the observed values of
+    /// every plain load, concatenated in (actor, program-order) order.
+    pub outcomes: BTreeMap<Vec<u32>, Outcome>,
+    /// `None` when the spec has no assertion clause.
+    pub assertion: Option<AssertionVerdict>,
 }
 
-impl OracleReport {
+impl Report {
     /// Race kind codes, deduplicated, sorted.
     #[must_use]
     pub fn kinds(&self) -> Vec<&'static str> {
@@ -140,22 +181,37 @@ impl PairState {
     }
 }
 
-/// Exhaustively explores the ITS schedule space of `spec` (up to the
-/// bounds) and returns the ground-truth verdict.
+type Pairs = HashMap<(Instance, Instance), PairState>;
+
+/// Explores the schedule × visibility space of `spec` under the
+/// eager-invisible enumerator (up to the bounds) and returns the
+/// ground-truth verdict. With `weak = false` the machine keeps the strong
+/// (per-run coherent L1) model and the exploration is pure interleaving
+/// enumeration over visible operations.
 ///
 /// # Panics
-/// Panics if a launch faults — the spec family is fault-free by
-/// construction, so a fault is a generator or simulator bug.
+/// Panics on malformed specs (validate first) or simulator faults — the
+/// spec family is fault-free by construction, so a fault is a generator
+/// or simulator bug.
 #[must_use]
-pub fn explore(spec: &KernelSpec, cfg: &ExploreConfig) -> OracleReport {
+pub fn explore(spec: &Spec, cfg: &ExploreConfig, weak: bool) -> Report {
+    spec.validate()
+        .unwrap_or_else(|e| panic!("explore on invalid spec: {e}"));
     let kernel = spec.build();
     let (grid, block_dim) = spec.grid_block();
-    let mut enumerator = EnumeratingScheduler::new(cfg.max_decisions);
-    let mut pairs: HashMap<(Instance, Instance), PairState> = HashMap::new();
+    let n_actors = spec.actors.len();
+    let mut enumerator = EnumeratingScheduler::new_eager(cfg.max_decisions);
+    let mut pairs = Pairs::new();
+    let mut outcomes: BTreeMap<Vec<u32>, Outcome> = BTreeMap::new();
+    let mut assertion = (!spec.assertion.is_empty()).then_some(AssertionVerdict {
+        reachable: false,
+        sc_reachable: false,
+        witness: None,
+    });
     let hit_cap;
 
     loop {
-        let mut gpu = Gpu::new(oracle_gpu_config(cfg.max_steps));
+        let mut gpu = Gpu::new(gpu_config(n_actors as u32, cfg.max_steps, weak));
         let buf = gpu
             .alloc(usize::from(NUM_SLOTS))
             .expect("oracle pool allocation");
@@ -172,6 +228,29 @@ pub fn explore(spec: &KernelSpec, cfg: &ExploreConfig) -> OracleReport {
 
         accumulate_orders(&obs.events, &trace, &mut pairs);
 
+        let regs = collect_regs(spec, &obs, buf);
+        let sc = run_is_sc(&kernel, &obs, buf);
+        let key: Vec<u32> = regs.iter().flatten().copied().collect();
+        let out = outcomes.entry(key).or_insert_with(|| Outcome {
+            sc: false,
+            weak: false,
+            witness: trace.clone(),
+        });
+        if sc {
+            out.sc = true;
+        } else {
+            out.weak = true;
+        }
+
+        if let Some(av) = &mut assertion {
+            let final_mem = gpu.read_slice(buf, usize::from(NUM_SLOTS));
+            if eval_assertion(spec, &regs, &final_mem) {
+                av.reachable = true;
+                av.sc_reachable |= sc;
+                av.witness.get_or_insert_with(|| trace.clone());
+            }
+        }
+
         if !enumerator.advance() {
             hit_cap = false;
             break;
@@ -182,36 +261,38 @@ pub fn explore(spec: &KernelSpec, cfg: &ExploreConfig) -> OracleReport {
         }
     }
 
-    // Deterministic witness choice: the racy pair with the smallest key.
-    let mut racy_pairs: Vec<(&(Instance, Instance), &PairState)> =
-        pairs.iter().filter(|(_, p)| p.racy()).collect();
-    racy_pairs.sort_by_key(|(k, _)| **k);
-    let (witness, counter_witness) = racy_pairs
-        .first()
-        .map_or((None, None), |(_, p)| (p.fwd.clone(), p.rev.clone()));
-
-    let races: Vec<OracleRace> = pairs
-        .into_values()
-        .filter(PairState::racy)
-        .map(|p| p.race)
-        .collect();
-    OracleReport {
+    let (races, witness, counter_witness) = racy_pairs(pairs);
+    Report {
         racy: !races.is_empty(),
         complete: !hit_cap && !enumerator.truncated(),
         schedules: enumerator.schedules_completed(),
         races,
         witness,
         counter_witness,
+        outcomes,
+        assertion,
     }
+}
+
+/// The racing pairs of an exploration, plus the witness and
+/// counter-witness of the racy pair with the smallest key (a
+/// deterministic choice).
+fn racy_pairs(
+    pairs: Pairs,
+) -> (Vec<OracleRace>, Option<ScheduleTrace>, Option<ScheduleTrace>) {
+    let mut racy: Vec<((Instance, Instance), PairState)> =
+        pairs.into_iter().filter(|(_, p)| p.racy()).collect();
+    racy.sort_by_key(|(k, _)| *k);
+    let (witness, counter_witness) = racy
+        .first()
+        .map_or((None, None), |(_, p)| (p.fwd.clone(), p.rev.clone()));
+    let races = racy.into_iter().map(|(_, p)| p.race).collect();
+    (races, witness, counter_witness)
 }
 
 /// Folds one schedule's event sequence into the cross-schedule order map,
 /// remembering `trace` as the witness for each newly observed direction.
-fn accumulate_orders(
-    events: &[ObservedAccess],
-    trace: &ScheduleTrace,
-    pairs: &mut HashMap<(Instance, Instance), PairState>,
-) {
+fn accumulate_orders(events: &[ObservedAccess], trace: &ScheduleTrace, pairs: &mut Pairs) {
     // Per-thread ordinals; the family's control flow is
     // schedule-independent, so ordinals identify instances across runs.
     let mut ordinals: HashMap<(u32, u32), u32> = HashMap::new();
@@ -302,186 +383,10 @@ fn classify(a: &ObservedAccess, b: &ObservedAccess) -> OracleRace {
     }
 }
 
-/// The GPU configuration for litmus runs: one SM per actor (so each
-/// cross-block actor owns a private L1 and weak visibility has cross-SM
-/// effects to enumerate), load values recorded for assertion evaluation,
-/// and — when `weak` — the versioned relaxed-visibility memory model.
-#[must_use]
-pub fn litmus_gpu_config(num_actors: u32, max_steps: u64, weak: bool) -> GpuConfig {
-    GpuConfig {
-        num_sms: num_actors.max(2) as usize,
-        mem_words: 64,
-        max_steps,
-        mode: ExecMode::Its,
-        seed: 0,
-        its_split_prob: 0.3,
-        weak_visibility: weak,
-        record_load_values: true,
-        ..GpuConfig::default()
-    }
-}
-
-/// Verdict on the spec's final-state assertion clause over the explored
-/// schedule × visibility space.
-#[derive(Debug, Clone)]
-pub struct AssertionVerdict {
-    /// Some run satisfied every conjunct.
-    pub reachable: bool,
-    /// Some *sequentially consistent* run satisfied it (a run whose loads
-    /// are all explained by a single coherent interleaving).
-    pub sc_reachable: bool,
-    /// Trace of the first satisfying run.
-    pub witness: Option<ScheduleTrace>,
-}
-
-/// One distinct final register state of a litmus run.
-#[derive(Debug, Clone)]
-pub struct LitmusOutcome {
-    /// Reached by at least one SC-equivalent run.
-    pub sc: bool,
-    /// Reached by at least one non-SC (weak-visibility) run.
-    pub weak: bool,
-    /// Trace of the first run reaching this outcome.
-    pub witness: ScheduleTrace,
-}
-
-/// The litmus oracle's verdict: race analysis (as in [`OracleReport`])
-/// plus the weak-memory outcome census and the assertion verdict.
-#[derive(Debug, Clone)]
-pub struct LitmusReport {
-    pub racy: bool,
-    pub complete: bool,
-    pub schedules: u64,
-    pub races: Vec<OracleRace>,
-    pub witness: Option<ScheduleTrace>,
-    pub counter_witness: Option<ScheduleTrace>,
-    /// Distinct final register states, keyed by the observed values of
-    /// every plain load, concatenated in (actor, program-order) order.
-    pub outcomes: BTreeMap<Vec<u32>, LitmusOutcome>,
-    /// `None` when the spec has no assertion clause.
-    pub assertion: Option<AssertionVerdict>,
-}
-
-impl LitmusReport {
-    /// Race kind codes, deduplicated, sorted.
-    #[must_use]
-    pub fn kinds(&self) -> Vec<&'static str> {
-        let mut k: Vec<&'static str> = self.races.iter().map(|r| r.kind).collect();
-        k.sort_unstable();
-        k.dedup();
-        k
-    }
-
-    /// Whether any register outcome is reachable *only* through weak
-    /// visibility — the signature of a weak-memory anomaly.
-    #[must_use]
-    pub fn has_weak_only_outcome(&self) -> bool {
-        self.outcomes.values().any(|o| o.weak && !o.sc)
-    }
-}
-
-/// Exhaustively explores the schedule × visibility space of a litmus spec
-/// under the eager-invisible enumerator. With `weak = false` the machine
-/// keeps the legacy (per-run coherent L1) model and the exploration
-/// degrades to pure interleaving enumeration over visible operations.
-///
-/// # Panics
-/// Panics on malformed specs (validate first) or simulator faults.
-#[must_use]
-pub fn explore_litmus(spec: &LitmusSpec, cfg: &ExploreConfig, weak: bool) -> LitmusReport {
-    spec.validate()
-        .unwrap_or_else(|e| panic!("explore_litmus on invalid spec: {e}"));
-    let kernel = spec.build();
-    let (grid, block_dim) = spec.grid_block();
-    let n_actors = spec.actors.len();
-    let mut enumerator = EnumeratingScheduler::new_eager(cfg.max_decisions);
-    let mut pairs: HashMap<(Instance, Instance), PairState> = HashMap::new();
-    let mut outcomes: BTreeMap<Vec<u32>, LitmusOutcome> = BTreeMap::new();
-    let mut assertion = (!spec.assertion.is_empty()).then_some(AssertionVerdict {
-        reachable: false,
-        sc_reachable: false,
-        witness: None,
-    });
-    let hit_cap;
-
-    loop {
-        let mut gpu = Gpu::new(litmus_gpu_config(n_actors as u32, cfg.max_steps, weak));
-        let buf = gpu
-            .alloc(usize::from(NUM_SLOTS))
-            .expect("litmus pool allocation");
-        let mut obs = Observer::default();
-        let mut rec = RecordingScheduler::new(&mut enumerator);
-        gpu.launch_with(&kernel, grid, block_dim, &[buf], &mut obs, &mut rec)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "litmus kernel {} faulted during enumeration: {e}",
-                    spec.to_compact_string()
-                )
-            });
-        let trace = rec.into_trace();
-
-        accumulate_orders(&obs.events, &trace, &mut pairs);
-
-        let regs = collect_regs(spec, &obs, buf);
-        let sc = run_is_sc(&kernel, &obs, buf);
-        let key: Vec<u32> = regs.iter().flatten().copied().collect();
-        let out = outcomes.entry(key).or_insert_with(|| LitmusOutcome {
-            sc: false,
-            weak: false,
-            witness: trace.clone(),
-        });
-        if sc {
-            out.sc = true;
-        } else {
-            out.weak = true;
-        }
-
-        if let Some(av) = &mut assertion {
-            let final_mem = gpu.read_slice(buf, usize::from(NUM_SLOTS));
-            if eval_assertion(spec, &regs, &final_mem) {
-                av.reachable = true;
-                av.sc_reachable |= sc;
-                av.witness.get_or_insert_with(|| trace.clone());
-            }
-        }
-
-        if !enumerator.advance() {
-            hit_cap = false;
-            break;
-        }
-        if enumerator.schedules_completed() >= cfg.max_schedules {
-            hit_cap = true;
-            break;
-        }
-    }
-
-    let mut racy_pairs: Vec<(&(Instance, Instance), &PairState)> =
-        pairs.iter().filter(|(_, p)| p.racy()).collect();
-    racy_pairs.sort_by_key(|(k, _)| **k);
-    let (witness, counter_witness) = racy_pairs
-        .first()
-        .map_or((None, None), |(_, p)| (p.fwd.clone(), p.rev.clone()));
-    let races: Vec<OracleRace> = pairs
-        .into_values()
-        .filter(PairState::racy)
-        .map(|p| p.race)
-        .collect();
-    LitmusReport {
-        racy: !races.is_empty(),
-        complete: !hit_cap && !enumerator.truncated(),
-        schedules: enumerator.schedules_completed(),
-        races,
-        witness,
-        counter_witness,
-        outcomes,
-        assertion,
-    }
-}
-
 /// Groups a run's observed load values by actor, in program order. The
 /// family's control flow is schedule-independent, so every run of a spec
 /// yields `spec.num_loads(a)` values for actor `a`.
-fn collect_regs(spec: &LitmusSpec, obs: &Observer, buf: u32) -> Vec<Vec<u32>> {
+fn collect_regs(spec: &Spec, obs: &Observer, buf: u32) -> Vec<Vec<u32>> {
     let mut regs: Vec<Vec<u32>> = vec![Vec::new(); spec.actors.len()];
     for l in &obs.loads {
         let actor = match spec.placement {
@@ -511,7 +416,7 @@ fn run_is_sc(kernel: &Kernel, obs: &Observer, buf: u32) -> bool {
             Instr::St { .. } => shadow[slot] = 1,
             Instr::Atom { op: AtomOp::Add, .. } => shadow[slot] += 1,
             Instr::Atom { op: AtomOp::Exch, .. } => shadow[slot] = 1,
-            Instr::Atom { op, .. } => unreachable!("litmus family has no {op:?}"),
+            Instr::Atom { op, .. } => unreachable!("oracle family has no {op:?}"),
             Instr::Ld { .. } => {
                 let observed = obs.loads[next_load].value;
                 next_load += 1;
@@ -527,7 +432,7 @@ fn run_is_sc(kernel: &Kernel, obs: &Observer, buf: u32) -> bool {
 
 /// Evaluates the assertion conjunction against one run's registers and
 /// final coherent memory.
-fn eval_assertion(spec: &LitmusSpec, regs: &[Vec<u32>], final_mem: &[u32]) -> bool {
+fn eval_assertion(spec: &Spec, regs: &[Vec<u32>], final_mem: &[u32]) -> bool {
     spec.assertion.iter().all(|c| match *c {
         Cond::Reg { actor, load, value } => regs[actor as usize][load as usize] == value,
         Cond::Mem { loc, value } => final_mem[loc as usize] == value,
@@ -537,28 +442,121 @@ fn eval_assertion(spec: &LitmusSpec, regs: &[Vec<u32>], final_mem: &[u32]) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Op, Placement};
+    use crate::diff::generate_specs;
 
-    fn sw(actor0: Vec<Op>, actor1: Vec<Op>) -> KernelSpec {
-        KernelSpec {
-            placement: Placement::SameWarp,
-            actors: [actor0, actor1],
+    /// The reference the POR explorer is checked against: a DFS over
+    /// *every* instruction interleaving (the non-eager enumerator) on the
+    /// strong machine, folded through the same `accumulate_orders`.
+    fn exhaustive(spec: &Spec, cfg: &ExploreConfig) -> Report {
+        let kernel = spec.build();
+        let (grid, block_dim) = spec.grid_block();
+        let mut enumerator = EnumeratingScheduler::new(cfg.max_decisions);
+        let mut pairs = Pairs::new();
+        let hit_cap;
+        loop {
+            let mut gpu = Gpu::new(gpu_config(spec.actors.len() as u32, cfg.max_steps, false));
+            let buf = gpu.alloc(usize::from(NUM_SLOTS)).unwrap();
+            let mut obs = Observer::default();
+            let mut rec = RecordingScheduler::new(&mut enumerator);
+            gpu.launch_with(&kernel, grid, block_dim, &[buf], &mut obs, &mut rec)
+                .unwrap();
+            accumulate_orders(&obs.events, &rec.into_trace(), &mut pairs);
+            if !enumerator.advance() {
+                hit_cap = false;
+                break;
+            }
+            if enumerator.schedules_completed() >= cfg.max_schedules {
+                hit_cap = true;
+                break;
+            }
+        }
+        let (races, witness, counter_witness) = racy_pairs(pairs);
+        Report {
+            racy: !races.is_empty(),
+            complete: !hit_cap && !enumerator.truncated(),
+            schedules: enumerator.schedules_completed(),
+            races,
+            witness,
+            counter_witness,
+            outcomes: BTreeMap::new(),
+            assertion: None,
         }
     }
 
-    fn cb(actor0: Vec<Op>, actor1: Vec<Op>) -> KernelSpec {
-        KernelSpec {
-            placement: Placement::CrossBlock,
-            actors: [actor0, actor1],
+    fn run(s: &str) -> Report {
+        explore(&Spec::parse(s).unwrap(), &ExploreConfig::default(), true)
+    }
+
+    fn sorted_races(r: &Report) -> Vec<OracleRace> {
+        let mut v = r.races.clone();
+        v.sort();
+        v
+    }
+
+    /// The race entries of the pinned corpus (`tests/corpus/oracle.corpus`).
+    const RACE_CORPUS: [&str; 13] = [
+        "v2;CB;Sx/Lx",
+        "v2;CB;Su.Ly/Su",
+        "v2;SW;Sy/Ly",
+        "v2;SW;w.Sx/w.Lx",
+        "v2;SW;Sx.w/w.Lx",
+        "v2;SW;Sx.t/t.Lx",
+        "v2;CB;aBx/aBx",
+        "v2;CB;aDx/aDx",
+        "v2;CB;aDz/Lz",
+        "v2;CB;aBy/Ly",
+        "v2;SW;Sx.fD/Lx",
+        "v2;SW;Lx/Lx",
+        "v2;CB;Lx.Sy/Lx.Sz",
+    ];
+
+    #[test]
+    fn por_matches_exhaustive_search() {
+        let cfg = ExploreConfig::default();
+        let specs = RACE_CORPUS
+            .iter()
+            .map(|s| Spec::parse(s).unwrap())
+            .chain(generate_specs(256, 0x1C0FFEE));
+        let mut racy = 0usize;
+        for spec in specs {
+            let label = spec.to_compact_string();
+            let reference = exhaustive(&spec, &cfg);
+            assert!(reference.complete, "{label}: reference incomplete");
+            for weak in [false, true] {
+                let por = explore(&spec, &cfg, weak);
+                assert!(por.complete, "{label}: POR incomplete (weak={weak})");
+                assert_eq!(por.racy, reference.racy, "{label} (weak={weak})");
+                assert_eq!(
+                    sorted_races(&por),
+                    sorted_races(&reference),
+                    "{label} (weak={weak})"
+                );
+                assert!(por.schedules <= reference.schedules, "{label}");
+            }
+            racy += usize::from(reference.racy);
         }
+        // Both verdicts are exercised, or the comparison is vacuous.
+        assert!(racy > 20 && racy < 250, "{racy} racy specs");
+    }
+
+    /// The full-interleaving pin that predates the eager enumerator: the
+    /// two single-thread blocks of `Sx.Ly/Lx` run 8- and 6-instruction
+    /// straight-line paths, so the reference DFS visits exactly
+    /// C(14,8) = 3003 schedules, and its witness bytes are pinned.
+    #[test]
+    fn exhaustive_reference_pin() {
+        let spec = Spec::parse("v2;CB;Sx.Ly/Lx").unwrap();
+        let r = exhaustive(&spec, &ExploreConfig::default());
+        assert!(r.complete && r.racy);
+        assert_eq!(r.schedules, 3003);
+        let witness = r.witness.expect("racy exploration has a witness");
+        assert!(!witness.eager, "reference witnesses are non-eager");
+        assert_eq!(witness.digest(), 0x9f1a_1e4d_9d10_6c85);
     }
 
     #[test]
     fn same_warp_store_load_is_an_its_race() {
-        let r = explore(
-            &sw(vec![Op::Store { slot: 0 }], vec![Op::Load { slot: 0 }]),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;SW;Sx/Lx");
         assert!(r.complete);
         assert!(r.racy);
         assert_eq!(r.kinds(), vec!["ITS"]);
@@ -567,10 +565,7 @@ mod tests {
 
     #[test]
     fn cross_block_store_store_is_a_dr_race() {
-        let r = explore(
-            &cb(vec![Op::Store { slot: 2 }], vec![Op::Store { slot: 2 }]),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;CB;Sz/Sz");
         assert!(r.complete);
         assert!(r.racy);
         assert_eq!(r.kinds(), vec!["DR"]);
@@ -578,35 +573,22 @@ mod tests {
 
     #[test]
     fn block_scope_atomics_across_blocks_are_an_as_race() {
-        let a = |scope| Op::AtomicAdd { slot: 1, scope };
-        let r = explore(
-            &cb(vec![a(Scope::Block)], vec![a(Scope::Block)]),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;CB;aBy/aBy");
         assert!(r.complete && r.racy);
         assert_eq!(r.kinds(), vec!["AS"]);
 
         // Device scope is sufficient: both orders occur, but atomics
         // synchronize — clean.
-        let r = explore(
-            &cb(vec![a(Scope::Device)], vec![a(Scope::Device)]),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;CB;aDy/aDy");
         assert!(r.complete);
         assert!(!r.racy);
     }
 
     #[test]
     fn disjoint_slots_and_read_only_sharing_are_clean() {
-        let r = explore(
-            &sw(vec![Op::Store { slot: 0 }], vec![Op::Store { slot: 1 }]),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;SW;Sx/Sy");
         assert!(r.complete && !r.racy);
-        let r = explore(
-            &cb(vec![Op::Load { slot: 0 }], vec![Op::Load { slot: 0 }]),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;CB;Lx/Lx");
         assert!(r.complete && !r.racy);
     }
 
@@ -615,36 +597,18 @@ mod tests {
         // store ; syncwarp   ||   syncwarp ; load  — the barrier blocks
         // the loader until the storer arrives, so only one order is
         // feasible: clean.
-        let r = explore(
-            &sw(
-                vec![Op::Store { slot: 0 }, Op::SyncWarp],
-                vec![Op::SyncWarp, Op::Load { slot: 0 }],
-            ),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;SW;Sx.w/w.Lx");
         assert!(r.complete, "space must still be fully covered");
         assert!(!r.racy, "barrier-ordered pair must not be a race");
 
         // Both accesses on the same side of the barrier: still racy.
-        let r = explore(
-            &sw(
-                vec![Op::Store { slot: 0 }, Op::SyncWarp],
-                vec![Op::Load { slot: 0 }, Op::SyncWarp],
-            ),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;SW;Sx.w/Lx.w");
         assert!(r.complete && r.racy);
     }
 
     #[test]
     fn aligned_syncthreads_orders_same_warp_actors_too() {
-        let r = explore(
-            &sw(
-                vec![Op::Store { slot: 3 }, Op::SyncThreads],
-                vec![Op::SyncThreads, Op::Load { slot: 3 }],
-            ),
-            &ExploreConfig::default(),
-        );
+        let r = run("v2;SW;Su.t/t.Lu");
         assert!(r.complete && !r.racy);
     }
 
@@ -657,16 +621,14 @@ mod tests {
             }
             r
         }
+        let cfg = ExploreConfig::default();
         // Cross-block: the two single-thread blocks run independent
         // straight-line paths of lengths m and n (prologue included), and
-        // the schedule space is every merge of the two sequences:
-        // C(m + n, m). The enumerator must count exactly that many.
-        let spec = cb(
-            vec![Op::Store { slot: 0 }, Op::Load { slot: 1 }],
-            vec![Op::Load { slot: 0 }],
-        );
-        let (m, n) = spec.path_lengths();
-        let r = explore(&spec, &ExploreConfig::default());
+        // the full schedule space is every merge of the two sequences:
+        // C(m + n, m). The reference DFS must count exactly that many.
+        let spec = Spec::parse("v2;CB;Sx.Ly/Lx").unwrap();
+        let (m, n) = (spec.path_lengths()[0], spec.path_lengths()[1]);
+        let r = exhaustive(&spec, &cfg);
         assert!(r.complete);
         assert_eq!(
             r.schedules,
@@ -678,31 +640,30 @@ mod tests {
         // split with one PC — no choice), so only the two diverged
         // regions interleave: C(r0 + r1, r0) with region lengths
         // r = src-imm? + ops + exit.
-        let spec = sw(
-            vec![Op::Store { slot: 0 }, Op::Load { slot: 1 }],
-            vec![Op::Load { slot: 0 }],
-        );
+        let spec = Spec::parse("v2;SW;Sx.Ly/Lx").unwrap();
         let r0 = 1 + 2 + 1; // imm + 2 ops + exit
         let r1 = 2; // load + exit
-        let rep = explore(&spec, &ExploreConfig::default());
+        let rep = exhaustive(&spec, &cfg);
         assert!(rep.complete);
         assert_eq!(rep.schedules, binomial((r0 + r1) as u64, r0 as u64));
+
+        // Under POR only the visible ops interleave: C(2 + 1, 1).
+        let por = explore(&Spec::parse("v2;CB;Sx.Ly/Lx").unwrap(), &cfg, false);
+        assert_eq!(por.schedules, binomial(3, 1));
     }
 
     #[test]
     fn truncation_is_reported_as_incomplete() {
-        let spec = cb(
-            vec![Op::Store { slot: 0 }, Op::Load { slot: 1 }],
-            vec![Op::Load { slot: 0 }],
-        );
-        let r = explore(
-            &spec,
-            &ExploreConfig {
-                max_schedules: 10,
-                ..ExploreConfig::default()
-            },
-        );
+        let spec = Spec::parse("v2;CB;Sx.Ly/Lx").unwrap();
+        let cfg = ExploreConfig {
+            max_schedules: 2,
+            ..ExploreConfig::default()
+        };
+        let r = explore(&spec, &cfg, false);
         assert!(!r.complete);
-        assert_eq!(r.schedules, 10);
+        assert_eq!(r.schedules, 2);
+        let r = exhaustive(&spec, &cfg);
+        assert!(!r.complete);
+        assert_eq!(r.schedules, 2);
     }
 }

@@ -1,47 +1,15 @@
 //! Greedy spec shrinking: find a minimal kernel that still diverges.
 //!
 //! A campaign failure is only useful if a human can stare at it, so before
-//! a divergent spec enters the corpus it is shrunk: repeatedly delete one
-//! op from one actor and keep the deletion whenever the caller's predicate
+//! a divergent spec enters the corpus it is shrunk: repeatedly delete a
+//! piece of the spec and keep the deletion whenever the caller's predicate
 //! (typically "still has an unexplained divergence") holds. The loop runs
-//! to a fixpoint, so the result is 1-minimal: removing any single remaining
-//! op changes the verdict.
+//! to a fixpoint, so the result is 1-minimal: removing any single
+//! remaining piece changes the verdict.
 
-use crate::litmus::{Cond, LitmusOp, LitmusSpec};
-use crate::spec::KernelSpec;
+use crate::spec::{Cond, Op, Spec};
 
-/// Shrinks `spec` while `still_interesting` holds. The predicate is only
-/// ever called on candidates with at least one op left per actor, and the
-/// returned spec always satisfies it (assuming the input does).
-pub fn shrink_spec<F>(spec: &KernelSpec, mut still_interesting: F) -> KernelSpec
-where
-    F: FnMut(&KernelSpec) -> bool,
-{
-    let mut best = spec.clone();
-    loop {
-        let mut improved = false;
-        'outer: for actor in 0..2 {
-            for i in 0..best.actors[actor].len() {
-                if best.actors[actor].len() == 1 {
-                    continue;
-                }
-                let mut cand = best.clone();
-                cand.actors[actor].remove(i);
-                if still_interesting(&cand) {
-                    best = cand;
-                    improved = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !improved {
-            return best;
-        }
-    }
-}
-
-/// Shrinks a `v2` litmus spec while `still_interesting` holds, to the
-/// same greedy 1-minimal fixpoint as [`shrink_spec`]. Three move kinds,
+/// Shrinks `spec` while `still_interesting` holds. Three move kinds,
 /// tried in order of how much they delete:
 ///
 /// 1. drop a whole actor (down to 2), renumbering assertion actor refs;
@@ -49,10 +17,11 @@ where
 ///    assertion refs to the deleted load;
 /// 3. drop one assertion conjunct.
 ///
-/// Every candidate passed to the predicate is structurally valid.
-pub fn shrink_litmus<F>(spec: &LitmusSpec, mut still_interesting: F) -> LitmusSpec
+/// Every candidate passed to the predicate is structurally valid, and the
+/// returned spec always satisfies the predicate (assuming the input does).
+pub fn shrink<F>(spec: &Spec, mut still_interesting: F) -> Spec
 where
-    F: FnMut(&LitmusSpec) -> bool,
+    F: FnMut(&Spec) -> bool,
 {
     let mut best = spec.clone();
     loop {
@@ -103,7 +72,7 @@ where
 
 /// `spec` minus actor `a`, with assertion actor refs renumbered and refs
 /// to the deleted actor dropped.
-fn drop_actor(spec: &LitmusSpec, a: usize) -> LitmusSpec {
+fn drop_actor(spec: &Spec, a: usize) -> Spec {
     let mut cand = spec.clone();
     cand.actors.remove(a);
     cand.assertion.retain_mut(|c| match c {
@@ -122,13 +91,13 @@ fn drop_actor(spec: &LitmusSpec, a: usize) -> LitmusSpec {
 
 /// `spec` minus op `i` of actor `a`, with assertion load ordinals
 /// adjusted when the deleted op was a plain load.
-fn drop_op(spec: &LitmusSpec, a: usize, i: usize) -> LitmusSpec {
+fn drop_op(spec: &Spec, a: usize, i: usize) -> Spec {
     let mut cand = spec.clone();
     let removed = cand.actors[a].remove(i);
-    if matches!(removed, LitmusOp::Load { .. }) {
+    if matches!(removed, Op::Load { .. }) {
         let removed_ord = spec.actors[a][..i]
             .iter()
-            .filter(|o| matches!(o, LitmusOp::Load { .. }))
+            .filter(|o| matches!(o, Op::Load { .. }))
             .count();
         cand.assertion.retain_mut(|c| match c {
             Cond::Reg { actor, load, .. } if *actor as usize == a => {
@@ -150,46 +119,32 @@ fn drop_op(spec: &LitmusSpec, a: usize, i: usize) -> LitmusSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Op, Placement};
 
-    fn spec(a0: Vec<Op>, a1: Vec<Op>) -> KernelSpec {
-        KernelSpec {
-            placement: Placement::CrossBlock,
-            actors: [a0, a1],
-        }
+    fn spec(s: &str) -> Spec {
+        Spec::parse(s).unwrap()
     }
 
     #[test]
     fn shrinks_to_the_interesting_core() {
-        // "Interesting" = both actors still touch slot 0.
-        let touches = |s: &KernelSpec| {
+        // "Interesting" = both actors still touch slot x.
+        let touches = |s: &Spec| {
             s.actors.iter().all(|a| {
                 a.iter()
-                    .any(|op| matches!(op, Op::Store { slot: 0 } | Op::Load { slot: 0 }))
+                    .any(|op| matches!(op, Op::Store { loc: 0 } | Op::Load { loc: 0 }))
             })
         };
-        let fat = spec(
-            vec![
-                Op::Load { slot: 1 },
-                Op::Store { slot: 0 },
-                Op::Load { slot: 2 },
-            ],
-            vec![Op::Store { slot: 3 }, Op::Load { slot: 0 }],
-        );
+        let fat = spec("v2;CB;Ly.Sx.Lz/Su.Lx");
         assert!(touches(&fat));
-        let thin = shrink_spec(&fat, touches);
-        assert_eq!(thin.actors[0], vec![Op::Store { slot: 0 }]);
-        assert_eq!(thin.actors[1], vec![Op::Load { slot: 0 }]);
+        let thin = shrink(&fat, touches);
+        assert_eq!(thin.actors[0], vec![Op::Store { loc: 0 }]);
+        assert_eq!(thin.actors[1], vec![Op::Load { loc: 0 }]);
     }
 
     #[test]
     fn result_is_one_minimal() {
-        let pred = |s: &KernelSpec| s.actors[0].len() + s.actors[1].len() >= 3;
-        let fat = spec(
-            vec![Op::Load { slot: 0 }; 4],
-            vec![Op::Store { slot: 1 }; 3],
-        );
-        let thin = shrink_spec(&fat, pred);
+        let pred = |s: &Spec| s.actors[0].len() + s.actors[1].len() >= 3;
+        let fat = spec("v2;CB;Lx.Lx.Lx.Lx/Sy.Sy.Sy");
+        let thin = shrink(&fat, pred);
         assert_eq!(thin.actors[0].len() + thin.actors[1].len(), 3);
         // Every single-op deletion falls below the predicate.
         for actor in 0..2 {
@@ -197,17 +152,14 @@ mod tests {
                 if thin.actors[actor].len() == 1 {
                     continue;
                 }
-                let mut cand = thin.clone();
-                cand.actors[actor].remove(i);
-                assert!(!pred(&cand));
+                assert!(!pred(&drop_op(&thin, actor, i)));
             }
         }
     }
 
     #[test]
     fn never_empties_an_actor() {
-        let always = |_: &KernelSpec| true;
-        let thin = shrink_spec(&spec(vec![Op::Load { slot: 0 }; 3], vec![Op::Store { slot: 0 }]), always);
+        let thin = shrink(&spec("v2;CB;Lx.Lx.Lx/Sx"), |_| true);
         assert_eq!(thin.actors[0].len(), 1);
         assert_eq!(thin.actors[1].len(), 1);
     }
@@ -216,22 +168,19 @@ mod tests {
     fn litmus_shrink_drops_actors_ops_and_conds() {
         // Interesting = actor holding `Sx` and an actor with a load of x
         // still exist. Everything else must shrink away.
-        let fat = LitmusSpec::parse("v2;CB;Sx.Sy.fD/Lz.Lx/Sz.Su;?1:r0=0&1:r1=0&[y]=1")
-            .unwrap();
-        let pred = |s: &LitmusSpec| {
+        let fat = spec("v2;CB;Sx.Sy.fD/Lz.Lx/Sz.Su;?1:r0=0&1:r1=0&[y]=1");
+        let pred = |s: &Spec| {
             s.validate().is_ok()
-                && s.actors.iter().any(|a| a.contains(&LitmusOp::Store { loc: 0 }))
-                && s.actors
-                    .iter()
-                    .any(|a| a.contains(&LitmusOp::Load { loc: 0 }))
+                && s.actors.iter().any(|a| a.contains(&Op::Store { loc: 0 }))
+                && s.actors.iter().any(|a| a.contains(&Op::Load { loc: 0 }))
         };
         assert!(pred(&fat));
-        let thin = shrink_litmus(&fat, pred);
+        let thin = shrink(&fat, pred);
         assert!(pred(&thin));
         thin.validate().unwrap();
         assert_eq!(thin.actors.len(), 2);
-        assert_eq!(thin.actors[0], vec![LitmusOp::Store { loc: 0 }]);
-        assert_eq!(thin.actors[1], vec![LitmusOp::Load { loc: 0 }]);
+        assert_eq!(thin.actors[0], vec![Op::Store { loc: 0 }]);
+        assert_eq!(thin.actors[1], vec![Op::Load { loc: 0 }]);
         assert!(thin.assertion.is_empty());
     }
 
@@ -239,14 +188,14 @@ mod tests {
     fn litmus_shrink_renumbers_assertion_refs() {
         // Predicate pins the cond on actor 2's second load; shrinking must
         // keep that cond valid while deleting the other actor/ops.
-        let fat = LitmusSpec::parse("v2;CB;Sx/Sy/Lz.Ly.Lx;?2:r2=0").unwrap();
-        let pred = |s: &LitmusSpec| {
+        let fat = spec("v2;CB;Sx/Sy/Lz.Ly.Lx;?2:r2=0");
+        let pred = |s: &Spec| {
             s.validate().is_ok()
                 && s.assertion
                     .iter()
                     .any(|c| matches!(c, Cond::Reg { value: 0, .. }))
         };
-        let thin = shrink_litmus(&fat, pred);
+        let thin = shrink(&fat, pred);
         thin.validate().unwrap();
         assert_eq!(thin.actors.len(), 2, "{}", thin.to_compact_string());
         assert_eq!(thin.assertion.len(), 1);

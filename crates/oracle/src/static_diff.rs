@@ -31,9 +31,9 @@ use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 
-use crate::diff::{DiffConfig, Verdict};
-use crate::explore::{explore, OracleReport};
-use crate::spec::KernelSpec;
+use crate::diff::{detector_gpu, DiffConfig, Verdict};
+use crate::explore::{explore, Report};
+use crate::spec::Spec;
 
 /// The failing class: a soundness breach in the static pass. Must stay
 /// empty over every campaign.
@@ -54,8 +54,8 @@ pub struct StaticDivergence {
 /// Full static-differential result for one kernel.
 #[derive(Debug, Clone)]
 pub struct StaticDiffReport {
-    pub spec: KernelSpec,
-    pub oracle: OracleReport,
+    pub spec: Spec,
+    pub oracle: Report,
     /// Static instrumentation points in the kernel body.
     pub mem_points: usize,
     /// ... provably safe / provably racy / unknown.
@@ -125,7 +125,7 @@ struct RunOutcome {
 /// replay), mirroring `diff::iguard_flags` but surfacing the pruning
 /// counters too.
 fn run_iguard(
-    spec: &KernelSpec,
+    spec: &Spec,
     seed: u64,
     replay: Option<&ScheduleTrace>,
     cfg: &DiffConfig,
@@ -133,7 +133,7 @@ fn run_iguard(
 ) -> RunOutcome {
     let kernel = spec.build();
     let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = crate::diff::detector_gpu(seed, &cfg.explore);
+    let (mut gpu, buf) = detector_gpu(spec, seed, &cfg.explore);
     let mut tool = Instrumented::new(Iguard::new(icfg.clone()));
     let result = match replay {
         Some(trace) => {
@@ -153,9 +153,9 @@ fn run_iguard(
 
 /// The static-pruning differential check for one kernel spec.
 #[must_use]
-pub fn diff_static(spec: &KernelSpec, cfg: &DiffConfig) -> StaticDiffReport {
+pub fn diff_static(spec: &Spec, cfg: &DiffConfig) -> StaticDiffReport {
     let cls = static_an::analyze(&spec.build());
-    let oracle = explore(spec, &cfg.explore);
+    let oracle = explore(spec, &cfg.explore, true);
     let witnesses: Vec<&ScheduleTrace> = [&oracle.witness, &oracle.counter_witness]
         .into_iter()
         .filter_map(Option::as_ref)
@@ -256,24 +256,14 @@ pub fn diff_static(spec: &KernelSpec, cfg: &DiffConfig) -> StaticDiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Op, Placement};
-    use gpu_sim::ir::Scope;
 
-    fn spec(placement: Placement, a0: Vec<Op>, a1: Vec<Op>) -> KernelSpec {
-        KernelSpec {
-            placement,
-            actors: [a0, a1],
-        }
+    fn run(s: &str) -> StaticDiffReport {
+        diff_static(&Spec::parse(s).unwrap(), &DiffConfig::default())
     }
 
     #[test]
     fn load_only_kernel_is_provably_safe_and_sound() {
-        let s = spec(
-            Placement::CrossBlock,
-            vec![Op::Load { slot: 0 }, Op::Load { slot: 1 }],
-            vec![Op::Load { slot: 0 }],
-        );
-        let r = diff_static(&s, &DiffConfig::default());
+        let r = run("v2;CB;Lx.Ly/Lx");
         assert!(!r.oracle.racy);
         assert_eq!(r.mem_points, r.safe_points, "{}", r.describe());
         assert_eq!(r.unknown_points, 0);
@@ -286,18 +276,7 @@ mod tests {
 
     #[test]
     fn device_atomic_kernel_is_atomic_protected() {
-        let s = spec(
-            Placement::CrossBlock,
-            vec![Op::AtomicAdd {
-                slot: 0,
-                scope: Scope::Device,
-            }],
-            vec![Op::AtomicAdd {
-                slot: 0,
-                scope: Scope::Device,
-            }],
-        );
-        let r = diff_static(&s, &DiffConfig::default());
+        let r = run("v2;CB;aDx/aDx");
         assert!(!r.oracle.racy, "{}", r.describe());
         assert_eq!(r.mem_points, r.safe_points, "{}", r.describe());
         assert!(r.unsound().is_empty(), "{}", r.describe());
@@ -308,12 +287,7 @@ mod tests {
         // Disjoint stores: clean, but stores behind an actor branch are
         // beyond the pass — unknown points remain, which is the expected
         // static-incomplete class.
-        let s = spec(
-            Placement::CrossBlock,
-            vec![Op::Store { slot: 1 }],
-            vec![Op::Store { slot: 2 }],
-        );
-        let r = diff_static(&s, &DiffConfig::default());
+        let r = run("v2;CB;Sy/Sz");
         assert!(!r.oracle.racy);
         assert!(r.oracle.complete);
         assert!(r.unknown_points > 0, "{}", r.describe());
@@ -331,12 +305,7 @@ mod tests {
 
     #[test]
     fn racy_kernel_keeps_full_pruned_parity() {
-        let s = spec(
-            Placement::CrossBlock,
-            vec![Op::Store { slot: 0 }],
-            vec![Op::Load { slot: 0 }],
-        );
-        let r = diff_static(&s, &DiffConfig::default());
+        let r = run("v2;CB;Sx/Lx");
         assert!(r.oracle.racy);
         assert_eq!(r.full, Verdict::Flagged, "{}", r.describe());
         assert_eq!(r.pruned, Verdict::Flagged, "{}", r.describe());

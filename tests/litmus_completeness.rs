@@ -1,4 +1,4 @@
-//! Enumeration-completeness tests for the weak-memory litmus oracle:
+//! Enumeration-completeness tests for the oracle's explorer on litmus specs:
 //! exact schedule and outcome counts for the classic shapes, checked
 //! against hand-computed values.
 //!
@@ -11,24 +11,23 @@
 //! valuations are reachable at all, and which only via non-SC runs.
 
 use iguard_repro::gpu_sim::ir::Scope;
-use iguard_repro::oracle::explore::{explore_litmus, ExploreConfig, LitmusReport};
-use iguard_repro::oracle::litmus::LitmusSpec;
-use iguard_repro::oracle::spec::Placement;
+use iguard_repro::oracle::explore::{explore, ExploreConfig, Report};
+use iguard_repro::oracle::spec::{Placement, Spec};
 
 const CB: Placement = Placement::CrossBlock;
 
-fn run(spec: &LitmusSpec, weak: bool) -> LitmusReport {
-    let r = explore_litmus(spec, &ExploreConfig::default(), weak);
+fn run(spec: &Spec, weak: bool) -> Report {
+    let r = explore(spec, &ExploreConfig::default(), weak);
     assert!(r.complete, "{} must enumerate completely", spec.to_compact_string());
     r
 }
 
 /// Outcome keys are flattened per-actor plain-load register files.
-fn outcome_keys(r: &LitmusReport) -> Vec<Vec<u32>> {
+fn outcome_keys(r: &Report) -> Vec<Vec<u32>> {
     r.outcomes.keys().cloned().collect()
 }
 
-fn weak_only(r: &LitmusReport, key: &[u32]) -> bool {
+fn weak_only(r: &Report, key: &[u32]) -> bool {
     let o = &r.outcomes[key];
     !o.sc && o.weak
 }
@@ -42,23 +41,23 @@ fn weak_only(r: &LitmusReport, key: &[u32]) -> bool {
 #[test]
 fn strong_schedule_counts_are_multinomials() {
     // MP: Sx.Sy / Ly.Lx = 2+2 visible ops -> C(4,2) = 6.
-    assert_eq!(run(&LitmusSpec::mp(CB, None), false).schedules, 6);
+    assert_eq!(run(&Spec::mp(CB, None), false).schedules, 6);
     // SB and LB have the same 2+2 shape.
-    assert_eq!(run(&LitmusSpec::sb(CB, None), false).schedules, 6);
-    assert_eq!(run(&LitmusSpec::lb(CB, None), false).schedules, 6);
+    assert_eq!(run(&Spec::sb(CB, None), false).schedules, 6);
+    assert_eq!(run(&Spec::lb(CB, None), false).schedules, 6);
     // MP with fences: fences are visible, 3+3 -> C(6,3) = 20.
-    assert_eq!(run(&LitmusSpec::mp(CB, Some(Scope::Device)), false).schedules, 20);
-    assert_eq!(run(&LitmusSpec::mp(CB, Some(Scope::Block)), false).schedules, 20);
+    assert_eq!(run(&Spec::mp(CB, Some(Scope::Device)), false).schedules, 20);
+    assert_eq!(run(&Spec::mp(CB, Some(Scope::Block)), false).schedules, 20);
     // IRIW: 1+1+2+2 -> 6!/(1!1!2!2!) = 180.
-    assert_eq!(run(&LitmusSpec::iriw(CB, None), false).schedules, 180);
+    assert_eq!(run(&Spec::iriw(CB, None), false).schedules, 180);
     // IRIW with reader fences: 1+1+3+3 -> 8!/(1!1!3!3!) = 1120.
     assert_eq!(
-        run(&LitmusSpec::iriw(CB, Some(Scope::Device)), false).schedules,
+        run(&Spec::iriw(CB, Some(Scope::Device)), false).schedules,
         1120
     );
     // WRC: 1+2+2 -> 5!/(1!2!2!) = 30; fenced 1+3+3 -> 7!/(1!3!3!) = 140.
-    assert_eq!(run(&LitmusSpec::wrc(CB, None), false).schedules, 30);
-    assert_eq!(run(&LitmusSpec::wrc(CB, Some(Scope::Device)), false).schedules, 140);
+    assert_eq!(run(&Spec::wrc(CB, None), false).schedules, 30);
+    assert_eq!(run(&Spec::wrc(CB, Some(Scope::Device)), false).schedules, 140);
 }
 
 #[test]
@@ -66,10 +65,10 @@ fn strong_machine_hides_unfenced_cross_sm_stores() {
     // Without a fence no store ever reaches another SM before kernel end,
     // so each unfenced shape has exactly one outcome: all-zero reads.
     for spec in [
-        LitmusSpec::mp(CB, None),
-        LitmusSpec::lb(CB, None),
-        LitmusSpec::iriw(CB, None),
-        LitmusSpec::wrc(CB, None),
+        Spec::mp(CB, None),
+        Spec::lb(CB, None),
+        Spec::iriw(CB, None),
+        Spec::wrc(CB, None),
     ] {
         let r = run(&spec, false);
         assert_eq!(outcome_keys(&r).len(), 1, "{}", spec.to_compact_string());
@@ -78,12 +77,12 @@ fn strong_machine_hides_unfenced_cross_sm_stores() {
     // SB's single outcome (0,0) *is* the forbidden one — the strong
     // machine is already non-coherent across SMs — and the shadow-replay
     // classifier correctly marks it non-SC.
-    let sb = run(&LitmusSpec::sb(CB, None), false);
+    let sb = run(&Spec::sb(CB, None), false);
     assert_eq!(outcome_keys(&sb), vec![vec![0, 0]]);
     assert!(weak_only(&sb, &[0, 0]));
     // A device fence after each store makes the writeback visible: MP
     // gains the (0,1) outcome where the reader sees x but not yet y.
-    let mp_fd = run(&LitmusSpec::mp(CB, Some(Scope::Device)), false);
+    let mp_fd = run(&Spec::mp(CB, Some(Scope::Device)), false);
     assert_eq!(outcome_keys(&mp_fd), vec![vec![0, 0], vec![0, 1]]);
 }
 
@@ -97,7 +96,7 @@ fn strong_machine_hides_unfenced_cross_sm_stores() {
 fn weak_mp_admits_exactly_the_relaxed_outcomes() {
     // MP = Sx.Sy / Ly.Lx, assertion forbids r0=1 (saw y) & r1=0 (stale x).
     // All four valuations are reachable; (1,0) only via a non-SC run.
-    let r = run(&LitmusSpec::mp(CB, None), true);
+    let r = run(&Spec::mp(CB, None), true);
     assert_eq!(r.schedules, 13);
     assert_eq!(
         outcome_keys(&r),
@@ -112,7 +111,7 @@ fn weak_mp_admits_exactly_the_relaxed_outcomes() {
 fn weak_mp_block_fence_is_insufficient() {
     // A .cta-scope fence does not write back to L2, so the forbidden
     // (1,0) outcome is still reachable: the fence-scope anomaly.
-    let r = run(&LitmusSpec::mp(CB, Some(Scope::Block)), true);
+    let r = run(&Spec::mp(CB, Some(Scope::Block)), true);
     assert_eq!(outcome_keys(&r).len(), 4);
     assert!(weak_only(&r, &[1, 0]));
     assert!(r.assertion.as_ref().unwrap().reachable);
@@ -122,7 +121,7 @@ fn weak_mp_block_fence_is_insufficient() {
 fn weak_mp_device_fence_restores_order() {
     // fD between the stores flushes x before y ever becomes visible, so
     // (1,0) disappears: exactly {(0,0), (0,1), (1,1)} remain.
-    let r = run(&LitmusSpec::mp(CB, Some(Scope::Device)), true);
+    let r = run(&Spec::mp(CB, Some(Scope::Device)), true);
     assert_eq!(
         outcome_keys(&r),
         vec![vec![0, 0], vec![0, 1], vec![1, 1]]
@@ -135,12 +134,12 @@ fn weak_mp_device_fence_restores_order() {
 fn weak_sb_all_four_outcomes_and_fence_removes_forbidden() {
     // SB = Sx.Ly / Sy.Lx; forbidden outcome is (0,0) (both miss the other
     // store). Reachable weak-only without fences; gone with fD.
-    let r = run(&LitmusSpec::sb(CB, None), true);
+    let r = run(&Spec::sb(CB, None), true);
     assert_eq!(outcome_keys(&r).len(), 4);
     assert!(weak_only(&r, &[0, 0]));
     assert!(r.assertion.as_ref().unwrap().reachable);
 
-    let fenced = run(&LitmusSpec::sb(CB, Some(Scope::Device)), true);
+    let fenced = run(&Spec::sb(CB, Some(Scope::Device)), true);
     assert_eq!(
         outcome_keys(&fenced),
         vec![vec![0, 1], vec![1, 0], vec![1, 1]]
@@ -153,7 +152,7 @@ fn weak_lb_forbidden_outcome_is_unreachable() {
     // LB = Lx.Sy / Ly.Sx. Loads precede the cross stores in program
     // order and the simulator never reorders within a thread, so (1,1)
     // is unreachable even under weak visibility: exactly 3 outcomes.
-    let r = run(&LitmusSpec::lb(CB, None), true);
+    let r = run(&Spec::lb(CB, None), true);
     assert_eq!(
         outcome_keys(&r),
         vec![vec![0, 0], vec![0, 1], vec![1, 0]]
@@ -167,7 +166,7 @@ fn weak_iriw_sees_all_sixteen_outcomes() {
     // the 2^4 reader valuations is reachable; the IRIW-forbidden one
     // (1,0,1,0) — the two readers disagree on the store order — only via
     // a non-SC run.
-    let r = run(&LitmusSpec::iriw(CB, None), true);
+    let r = run(&Spec::iriw(CB, None), true);
     assert_eq!(r.schedules, 974);
     assert_eq!(outcome_keys(&r).len(), 16);
     assert!(weak_only(&r, &[1, 0, 1, 0]));
@@ -180,7 +179,7 @@ fn weak_iriw_reader_fences_do_not_restore_store_atomicity() {
     // Fences in the readers only order each reader's own accesses; the
     // writers never flush, so the forbidden outcome survives — our fences
     // are non-cumulative, i.e. the model is not multi-copy atomic.
-    let r = run(&LitmusSpec::iriw(CB, Some(Scope::Device)), true);
+    let r = run(&Spec::iriw(CB, Some(Scope::Device)), true);
     assert_eq!(outcome_keys(&r).len(), 16);
     assert!(weak_only(&r, &[1, 0, 1, 0]));
     assert!(r.assertion.as_ref().unwrap().reachable);
@@ -192,7 +191,7 @@ fn weak_wrc_shows_non_cumulative_fences() {
     // actor 1's y yet miss actor 0's x. Reachable weak-only, and a fence
     // in actors 1 and 2 does not help (actor 0 never flushes x).
     for fence in [None, Some(Scope::Device)] {
-        let r = run(&LitmusSpec::wrc(CB, fence), true);
+        let r = run(&Spec::wrc(CB, fence), true);
         assert_eq!(outcome_keys(&r).len(), 8, "fence={fence:?}");
         assert!(weak_only(&r, &[1, 1, 0]));
         assert!(r.assertion.as_ref().unwrap().reachable);
@@ -205,8 +204,8 @@ fn same_warp_placement_is_always_sequentially_consistent() {
     // exist, every run classifies SC, and the forbidden outcomes stay
     // unreachable even with the weak machine enabled.
     for spec in [
-        LitmusSpec::mp(Placement::SameWarp, None),
-        LitmusSpec::sb(Placement::SameWarp, None),
+        Spec::mp(Placement::SameWarp, None),
+        Spec::sb(Placement::SameWarp, None),
     ] {
         let r = run(&spec, true);
         assert_eq!(r.schedules, 6, "{}", spec.to_compact_string());
@@ -223,7 +222,7 @@ fn stale_reread_anomaly_is_weak_only() {
     // Beyond-MP shape: the reader loads x (caching a clean 0), snoops
     // y=1, then re-reads x from its own stale clean line — despite the
     // writer's device fence. Assertion r1=1 & r2=0 is weak-only.
-    let spec = LitmusSpec::parse("v2;CB;Sx.fD.Sy/Lx.Ly.Lx;?1:r1=1&1:r2=0").unwrap();
+    let spec = Spec::parse("v2;CB;Sx.fD.Sy/Lx.Ly.Lx;?1:r1=1&1:r2=0").unwrap();
     let strong = run(&spec, false);
     assert!(!strong.assertion.as_ref().unwrap().reachable);
     let weak = run(&spec, true);
