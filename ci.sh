@@ -25,8 +25,7 @@
 #            `static-unsound` observation fails), and the corpus drift
 #            check (the oracle corpus regenerates byte-identically).
 # --chaos    five seeded chaos campaigns with every fault site armed (zero
-#            panics, every degradation accounted, checkpoint resume
-#            byte-exact).
+#            panics, every degradation accounted).
 # --litmus   replay of the oracle corpus through the `litmus` binary, then
 #            a 30 s random litmus campaign; any unexplained divergence or
 #            replay drift fails.
@@ -101,7 +100,7 @@ fi
 if [[ "$CHAOS" -eq 1 ]]; then
   echo "== chaos smoke (--chaos) =="
   # 5 seeded campaigns, all 9 fault sites armed at ~1.6%: no panics, every
-  # injected fault traceable to a counter, checkpoint resume byte-exact.
+  # injected fault traceable to a counter.
   cargo run --release -p bench --bin chaos -- --campaigns 5 --seed 42 --no-progress
 fi
 

@@ -1,5 +1,5 @@
 //! Chaos smoke: seeded fault campaigns across the whole detection
-//! pipeline, asserting the three robustness contracts of the fault plane:
+//! pipeline, asserting the two robustness contracts of the fault plane:
 //!
 //! 1. **Zero panics.** With every fault site armed — metadata eviction
 //!    and tag aliasing, report drop/corruption/overflow, UVM eviction
@@ -11,9 +11,6 @@
 //!    missed check), channel fires equal the corruption/overflow
 //!    counters, UVM fires equal the storm/OOM counters, and kernel
 //!    aborts equal the aborted-launch count.
-//! 3. **Clean resume.** A campaign interrupted at its mid-point
-//!    checkpoint and resumed reproduces the remaining results exactly
-//!    (verified digest-by-digest against the uninterrupted run).
 //!
 //! ```text
 //! chaos [--campaigns N] [--seed S] [--rate-denom D]
@@ -25,9 +22,7 @@ use gpu_sim::machine::GpuConfig;
 use iguard::IguardConfig;
 use workloads::Size;
 
-use bench::campaign::Checkpoint;
 use bench::{gpu_config, run_iguard_with, run_jobs, DriverConfig, IguardRun, Job, Outcome};
-use iguard::CheckpointStore;
 
 /// Workloads exercised per campaign: racy, clean, and contended kernels.
 const WORKLOADS: [&str; 4] = ["reduction", "graph-color", "uts", "b_reduce"];
@@ -90,31 +85,6 @@ fn job_for(name: &'static str, campaign_seed: u64, denom: u32) -> Job<IguardRun>
         };
         run_iguard_with(&w, Size::Test, gcfg, icfg)
     })
-}
-
-/// A deterministic one-line digest of everything that matters for the
-/// resume check: detected sites plus every degradation counter.
-fn digest(run: &IguardRun) -> String {
-    let d = run.degradation;
-    format!(
-        "sites={} missed={} cap={} inj_ev={} inj_al={} sent={} drained={} dropped={} \
-         corrupted={} overflow={} uvm_ev={} uvm_oom={} aborted={} timed_out={} fires={}",
-        run.sites.len(),
-        d.missed_checks,
-        d.meta.capacity_evictions,
-        d.meta.injected_evictions,
-        d.meta.injected_aliases,
-        d.channel.sent,
-        d.channel.drained,
-        d.channel.dropped,
-        d.channel.corrupted,
-        d.channel.overflow_drops,
-        d.uvm_injected_evictions,
-        d.uvm_injected_oom_denials,
-        run.aborted_launches,
-        run.timed_out,
-        run.fault_stats.total(),
-    )
 }
 
 /// Checks that every injected fault maps onto exactly one consumer-side
@@ -184,20 +154,13 @@ fn unaccounted(run: &IguardRun) -> Vec<String> {
     bad
 }
 
-fn run_campaign(
-    campaign_seed: u64,
-    denom: u32,
-    driver: &DriverConfig,
-    from: usize,
-) -> Result<Vec<String>, String> {
-    let jobs: Vec<Job<IguardRun>> = WORKLOADS[from..]
+fn run_campaign(campaign_seed: u64, denom: u32, driver: &DriverConfig) -> Result<(), String> {
+    let jobs: Vec<Job<IguardRun>> = WORKLOADS
         .iter()
         .map(|name| job_for(name, campaign_seed, denom))
         .collect();
-    let mut digests = Vec::new();
     let mut fires = 0u64;
-    for (i, outcome) in run_jobs(jobs, driver).into_iter().enumerate() {
-        let name = WORKLOADS[from + i];
+    for (name, outcome) in WORKLOADS.iter().zip(run_jobs(jobs, driver)) {
         match outcome {
             Outcome::Done { value, .. } => {
                 let bad = unaccounted(&value);
@@ -205,7 +168,6 @@ fn run_campaign(
                     return Err(format!("{name}: unaccounted degradation: {bad:?}"));
                 }
                 fires += value.fault_stats.total();
-                digests.push(digest(&value));
             }
             Outcome::Panicked { message, .. } => {
                 return Err(format!("{name}: PANIC under fault injection: {message}"));
@@ -218,87 +180,39 @@ fn run_campaign(
             }
         }
     }
-    if from == 0 && fires == 0 {
+    if fires == 0 {
         return Err(format!(
             "campaign {campaign_seed}: no fault fired — smoke is vacuous, raise the rate"
         ));
     }
-    Ok(digests)
+    Ok(())
 }
 
 fn main() {
     let (driver, rest) = DriverConfig::from_env();
     let args = parse_args(rest);
-    // One store for the whole run: each campaign's drill saves one more
-    // generation and recovers by its own seed.
-    let store_dir = std::env::temp_dir().join(format!("chaos-store-{}", std::process::id()));
-    let store = CheckpointStore::open(&store_dir).expect("temp dir is writable");
     let mut failures = 0usize;
 
     for c in 0..args.campaigns {
         let campaign_seed = args.seed + c;
-        let digests = match run_campaign(campaign_seed, args.rate_denom, &driver, 0) {
-            Ok(d) => d,
+        match run_campaign(campaign_seed, args.rate_denom, &driver) {
+            Ok(()) => println!(
+                "chaos campaign {campaign_seed}: {} jobs, all degradations accounted",
+                WORKLOADS.len()
+            ),
             Err(e) => {
                 eprintln!("chaos campaign {campaign_seed}: {e}");
                 failures += 1;
-                continue;
             }
-        };
-
-        // Resume drill: write the checkpoint a mid-campaign interrupt
-        // would have left (cursor + first half of the digests), reload
-        // it, run only the remaining jobs, and demand the stitched
-        // results match the uninterrupted campaign exactly.
-        let half = WORKLOADS.len() / 2;
-        let mut ck = Checkpoint::new();
-        ck.set_meta("seed", campaign_seed);
-        ck.set_meta("next", half);
-        for (name, dig) in WORKLOADS.iter().zip(&digests[..half]) {
-            ck.push_row(*name, dig.clone());
         }
-        if let Err(e) = ck.save(&store) {
-            eprintln!("chaos campaign {campaign_seed}: cannot write checkpoint: {e}");
-            failures += 1;
-            continue;
-        }
-        let (resumed, _) = Checkpoint::recover(&store, Some(campaign_seed));
-        let resumed = resumed.expect("just written");
-        let from: usize = resumed.meta_as("next").expect("cursor present");
-        let tail = match run_campaign(campaign_seed, args.rate_denom, &driver, from) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("chaos campaign {campaign_seed} (resumed): {e}");
-                failures += 1;
-                continue;
-            }
-        };
-        let stitched: Vec<String> = resumed
-            .rows
-            .iter()
-            .map(|(_, v)| v.clone())
-            .chain(tail)
-            .collect();
-        if stitched != digests {
-            eprintln!(
-                "chaos campaign {campaign_seed}: resume diverged\n  full:     {digests:?}\n  resumed:  {stitched:?}"
-            );
-            failures += 1;
-            continue;
-        }
-        println!(
-            "chaos campaign {campaign_seed}: {} jobs, all degradations accounted, resume OK",
-            WORKLOADS.len()
-        );
     }
-    std::fs::remove_dir_all(&store_dir).ok();
 
     if failures > 0 {
         eprintln!("chaos: {failures}/{} campaigns failed", args.campaigns);
         std::process::exit(1);
     }
     println!(
-        "chaos: {} campaigns x {} jobs: zero panics, zero unaccounted degradations, clean resume",
+        "chaos: {} campaigns x {} jobs: zero panics, zero unaccounted degradations",
         args.campaigns,
         WORKLOADS.len()
     );

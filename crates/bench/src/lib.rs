@@ -12,7 +12,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod campaign;
 pub mod driver;
 pub mod job;
 

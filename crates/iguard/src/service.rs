@@ -20,14 +20,13 @@
 //! restart.
 //! Per-launch detector state is epoch-reset anyway, so the only thing
 //! persistence would add is reporter dedup — which the idempotent
-//! site-set union of [`merge_sites`] reproduces.) Jobs drain through a
-//! [`StreamSet`] in round-robin cross-stream interleave; because per-job
-//! results are pure and per-tenant merging is commutative (sums and
-//! keyed set unions), the interleave is free concurrency, not a
-//! determinism hazard. Drained sites ship to the verdict plane through a
-//! per-stream [`ChannelBank`] (concurrent streams must not serialize on
-//! one ring buffer), whose stream-major drain order is likewise absorbed
-//! by the order-independent merge.
+//! site-set union of [`merge_sites`] reproduces.) [`DetectorService::run_all`]
+//! is one loop: tenants in name order, each tenant's jobs in submission
+//! order, every accepted job's drained sites merged straight into its
+//! tenant's keyed site map. Because per-job results are pure and
+//! per-tenant merging is commutative (sums and keyed set unions), the
+//! run order is not a determinism hazard: any order folds to the same
+//! verdict bytes.
 //!
 //! **Latency plane.** Verdicts say nothing about time. Completion
 //! latency under multi-tenant queueing comes from a separate
@@ -76,9 +75,8 @@ use std::io;
 use std::sync::Arc;
 
 use faults::{splitmix64, FaultStats};
-use gpu_sim::stream::{SliceSchedule, StreamError, StreamSet};
-use gpu_sim::timing::{Clock, CostCategory};
-use nvbit_sim::channel::{ChannelBank, ChannelError, ChannelStats};
+use gpu_sim::stream::SliceSchedule;
+use nvbit_sim::channel::ChannelStats;
 use nvbit_sim::Instrumented;
 
 use crate::checks::RaceKind;
@@ -123,10 +121,6 @@ impl Default for ServiceConfig {
 pub struct JobCtx<'a, P> {
     /// Owning tenant.
     pub tenant: &'a str,
-    /// Tenant-local stream the job was submitted on.
-    pub stream: usize,
-    /// Global stream index (latency-plane lane).
-    pub global_stream: usize,
     /// Position in the tenant's submission order (the seed input).
     pub job_index: u64,
     /// Derived seed: drive the simulator (GPU config, chaos faults) from
@@ -273,10 +267,10 @@ pub struct ServiceReport {
     pub makespan_cycles: u64,
     /// Global stream count (tenants × streams per tenant).
     pub streams: usize,
-    /// Verdict-transport accounting (per-stream channel bank; lossless,
-    /// so `sent == drained` always).
+    /// Always zero: sites merge in place, with no transport between
+    /// planes. Kept only because the frozen benchmark reads it.
     pub transport: ChannelStats,
-    /// Front-end cycles charged shipping verdicts between planes.
+    /// Always zero, for the same reason as `transport`.
     pub front_end_cycles: u64,
     /// Jobs quarantined as poison by this run (supervised mode only).
     pub jobs_quarantined: u64,
@@ -293,8 +287,6 @@ impl ServiceReport {
         self.launches += other.launches;
         self.makespan_cycles += other.makespan_cycles;
         self.streams = other.streams;
-        self.transport.accumulate(&other.transport);
-        self.front_end_cycles += other.front_end_cycles;
         self.jobs_quarantined += other.jobs_quarantined;
         self.supervisor.accumulate(&other.supervisor);
     }
@@ -305,11 +297,8 @@ impl ServiceReport {
 pub enum ServiceError {
     /// A job's detector could not be constructed.
     Detector(IguardError),
-    /// The stream plane deadlocked (cyclic event waits).
-    Stream(StreamError),
-    /// The verdict transport could not be constructed.
-    Channel(ChannelError),
-    /// Checkpoint records could not be parsed.
+    /// Checkpoint records could not be parsed, or do not describe a
+    /// state any run could have saved.
     Checkpoint(String),
     /// Checkpoint records are well-formed but belong to a different
     /// campaign seed — the store skips such a generation as stale and
@@ -320,28 +309,11 @@ pub enum ServiceError {
         /// The seed this service is configured with.
         config: u64,
     },
-    /// A job was quarantined as poison (surfaced by
-    /// [`DetectorService::assert_no_quarantine`]).
-    Quarantined {
-        /// Owning tenant.
-        tenant: String,
-        /// The poisoned job's index.
-        job_index: u64,
-        /// Why it was poisoned.
-        reason: QuarantineReason,
-    },
 }
 
 impl ServiceError {
     /// Every variant's stable kind token, in declaration order.
-    pub const KINDS: [&'static str; 6] = [
-        "detector",
-        "streams",
-        "transport",
-        "checkpoint",
-        "checkpoint-stale-seed",
-        "quarantined",
-    ];
+    pub const KINDS: [&'static str; 3] = ["detector", "checkpoint", "checkpoint-stale-seed"];
 
     /// Stable machine-readable kind token (the word after `service` in
     /// the Display form — pinned by the Display round-trip test).
@@ -349,11 +321,8 @@ impl ServiceError {
     pub fn kind(&self) -> &'static str {
         match self {
             ServiceError::Detector(_) => "detector",
-            ServiceError::Stream(_) => "streams",
-            ServiceError::Channel(_) => "transport",
             ServiceError::Checkpoint(_) => "checkpoint",
             ServiceError::CheckpointStaleSeed { .. } => "checkpoint-stale-seed",
-            ServiceError::Quarantined { .. } => "quarantined",
         }
     }
 }
@@ -362,20 +331,10 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::Detector(e) => write!(f, "service detector: {e}"),
-            ServiceError::Stream(e) => write!(f, "service streams: {e}"),
-            ServiceError::Channel(e) => write!(f, "service transport: {e}"),
             ServiceError::Checkpoint(msg) => write!(f, "service checkpoint: {msg}"),
             ServiceError::CheckpointStaleSeed { checkpoint, config } => write!(
                 f,
                 "service checkpoint-stale-seed: seed mismatch: checkpoint {checkpoint}, config {config}"
-            ),
-            ServiceError::Quarantined {
-                tenant,
-                job_index,
-                reason,
-            } => write!(
-                f,
-                "service quarantined: tenant {tenant} job {job_index} ({reason})"
             ),
         }
     }
@@ -386,18 +345,6 @@ impl std::error::Error for ServiceError {}
 impl From<IguardError> for ServiceError {
     fn from(e: IguardError) -> Self {
         ServiceError::Detector(e)
-    }
-}
-
-impl From<StreamError> for ServiceError {
-    fn from(e: StreamError) -> Self {
-        ServiceError::Stream(e)
-    }
-}
-
-impl From<ChannelError> for ServiceError {
-    fn from(e: ChannelError) -> Self {
-        ServiceError::Channel(e)
     }
 }
 
@@ -463,12 +410,12 @@ impl<P> TenantState<P> {
         }
     }
 
-    /// Folds one accepted attempt into the tenant's counters and returns
-    /// its drained race sites for the verdict transport.
-    fn accept(&mut self, det: &mut ShardedIguard, outcome: &JobOutcome) -> Vec<RaceSite> {
+    /// Folds one accepted attempt into the tenant's counters and merges
+    /// its drained race sites into the tenant's verdict.
+    fn accept(&mut self, det: &mut ShardedIguard, outcome: &JobOutcome) {
         // Drain before reading degradation so the channel invariant
         // (`sent == drained + dropped`) holds for this job's summand.
-        let sites = det.race_sites();
+        merge_sites(&mut self.sites, det.race_sites());
         self.stats.accumulate(&det.stats());
         self.degradation.accumulate(&det.degradation());
         self.fault_stats.accumulate(&det.fault_stats());
@@ -477,16 +424,7 @@ impl<P> TenantState<P> {
         self.timed_out += u64::from(outcome.timed_out);
         self.aborted_launches += outcome.aborted_launches;
         self.jobs_run += 1;
-        sites
     }
-}
-
-/// Job as it travels the stream plane.
-struct QueuedJob<P> {
-    tenant_rank: usize,
-    local_stream: usize,
-    job_index: u64,
-    payload: P,
 }
 
 /// The long-lived multi-tenant detection front-end (see module docs).
@@ -519,7 +457,8 @@ impl<P> DetectorService<P> {
     /// # Errors
     /// [`ServiceError::CheckpointStaleSeed`] when the records belong to a
     /// different service seed, [`ServiceError::Checkpoint`] when they do
-    /// not parse.
+    /// not parse or a `quar` entry lies outside its tenant's covered
+    /// prefix (which a tenant with no `tenant` record has none of).
     pub fn from_records<S: AsRef<str>>(
         cfg: ServiceConfig,
         records: &[S],
@@ -528,10 +467,16 @@ impl<P> DetectorService<P> {
         for record in records {
             svc.apply_record(record.as_ref())?;
         }
-        // Every restored ledger entry belongs to the covered prefix:
+        // Every restored ledger entry must belong to the covered prefix;
         // mark it prior so digests keep counting accepted jobs and
         // quarantined jobs separately.
-        for st in svc.tenants.values_mut() {
+        for (name, st) in &mut svc.tenants {
+            if let Some(&job_index) = st.quarantine.keys().find(|&&j| j >= st.skip) {
+                return Err(ServiceError::Checkpoint(format!(
+                    "tenant {name}: quarantined job {job_index} is outside its {} covered job(s)",
+                    st.skip
+                )));
+            }
             st.prior_quarantined = st.quarantine.len() as u64;
         }
         Ok(svc)
@@ -611,17 +556,16 @@ impl<P> DetectorService<P> {
         self.tenant_mut(tenant).jobs.push((stream, payload));
     }
 
-    /// Jobs queued and not yet run.
-    #[must_use]
-    pub fn queued_jobs(&self) -> usize {
-        self.tenants.values().map(|t| t.jobs.len()).sum()
-    }
-
     /// Runs every queued job to completion (`cudaDeviceSynchronize` over
-    /// the whole fleet), then plays the latency plane. `exec` is called
+    /// the whole fleet) — tenants in name order, each tenant's jobs in
+    /// submission order — then plays the latency plane. `exec` is called
     /// once per non-skipped job with the job's identity/seed and its
     /// fresh detector; it drives the simulation and reports the
     /// outcome. Results accumulate into per-tenant verdicts.
+    ///
+    /// # Errors
+    /// [`ServiceError::Detector`] when a job's detector cannot be built
+    /// from `base` (the run stops at that job).
     pub fn run_all<F>(&mut self, mut exec: F) -> Result<ServiceReport, ServiceError>
     where
         F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
@@ -658,166 +602,86 @@ impl<P> DetectorService<P> {
     where
         F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
     {
+        let spt = self.cfg.streams_per_tenant;
         let names: Vec<String> = self.tenants.keys().cloned().collect();
         let mut report = ServiceReport {
-            streams: (names.len() * self.cfg.streams_per_tenant).max(1),
+            streams: (names.len() * spt).max(1),
             ..ServiceReport::default()
         };
-        let queued = self.schedule(&names, report.streams);
-        let bank = self.execute(&names, queued, sup, exec, &mut report)?;
-        self.merge(&names, bank, &mut report);
+        let max_retries = sup.map_or(0, |s| s.max_retries);
+        let cfg = &self.cfg;
+        for (rank, (name, st)) in self.tenants.iter_mut().enumerate() {
+            let jobs = std::mem::take(&mut st.jobs);
+            for (job_index, (local_stream, payload)) in jobs.into_iter().enumerate() {
+                let job_index = job_index as u64;
+                if job_index < st.skip || st.quarantine.contains_key(&job_index) {
+                    report.jobs_skipped += 1;
+                    continue;
+                }
+                let seed = job_seed(cfg.seed, name, job_index);
+                let run_attempt = |n: u32| -> Result<Attempt<_>, ServiceError> {
+                    let mut det_cfg = cfg.base.clone();
+                    det_cfg.faults =
+                        supervise::attempt_faults(&cfg.base.faults, seed, n, max_retries);
+                    let mut tool = Instrumented::new(ShardedIguard::try_new(det_cfg)?);
+                    let ctx = JobCtx {
+                        tenant: name,
+                        job_index,
+                        seed,
+                        attempt: n,
+                        max_retries,
+                        payload: &payload,
+                    };
+                    let (outcome, panic) = match supervise::guard(sup, || exec(&ctx, &mut tool)) {
+                        Ok(outcome) => (outcome, None),
+                        Err(msg) => (JobOutcome::default(), Some(msg)),
+                    };
+                    Ok(Attempt {
+                        panic,
+                        fires: tool.tool().fault_stats().total() + outcome.gpu_faults.total(),
+                        kernel_cycles: outcome.kernel_cycles,
+                        timed_out: outcome.timed_out,
+                        product: (tool, outcome),
+                    })
+                };
+                match supervise::run_job(sup, seed, &mut report.supervisor, run_attempt)? {
+                    Resolution::Quarantined {
+                        reason,
+                        attempts,
+                        detail,
+                    } => {
+                        report.jobs_quarantined += 1;
+                        st.quarantine.insert(
+                            job_index,
+                            QuarantineEntry {
+                                job_index,
+                                reason,
+                                attempts,
+                                detail,
+                            },
+                        );
+                    }
+                    Resolution::Accepted {
+                        product: (mut tool, outcome),
+                        backoff_cycles,
+                    } => {
+                        let cycles = outcome.kernel_cycles + backoff_cycles;
+                        st.executed.push((job_index, rank * spt + local_stream, cycles));
+                        st.accept(tool.tool_mut(), &outcome);
+                        report.jobs_run += 1;
+                        report.launches += outcome.launches;
+                    }
+                }
+            }
+        }
         self.latency(&names, &mut report);
         self.report.accumulate(&report);
         Ok(report)
     }
 
-    /// Stage 1 — ordering plane: queue every submission, per-tenant FIFO
-    /// on its global streams, for a cross-stream round-robin drain.
-    fn schedule(&mut self, names: &[String], total_streams: usize) -> StreamSet<QueuedJob<P>> {
-        let spt = self.cfg.streams_per_tenant;
-        let mut streams = StreamSet::new(total_streams);
-        for (rank, name) in names.iter().enumerate() {
-            let Some(st) = self.tenants.get_mut(name) else {
-                continue; // names came from the same map
-            };
-            for (job_index, (local_stream, payload)) in st.jobs.drain(..).enumerate() {
-                streams.push(
-                    rank * spt + local_stream,
-                    QueuedJob {
-                        tenant_rank: rank,
-                        local_stream,
-                        job_index: job_index as u64,
-                        payload,
-                    },
-                );
-            }
-        }
-        streams
-    }
-
-    /// Stage 2 — detection plane: drain the queue, run each non-covered
-    /// job through the supervisor's ladder (a single uncaught attempt
-    /// when `sup` is unset), fold accepted attempts into their tenant and
-    /// ship their sites on the per-stream verdict transport (lossless;
-    /// its stream-major drain order is absorbed by the order-independent
-    /// site merge).
-    fn execute<F>(
-        &mut self,
-        names: &[String],
-        mut queued: StreamSet<QueuedJob<P>>,
-        sup: Option<&SupervisorConfig>,
-        exec: &mut F,
-        report: &mut ServiceReport,
-    ) -> Result<ChannelBank<(usize, RaceSite)>, ServiceError>
-    where
-        F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
-    {
-        let mut bank = ChannelBank::new(
-            report.streams,
-            self.cfg.base.report_capacity.max(1),
-            30,
-            2_000,
-            CostCategory::Misc,
-        )?;
-        let mut front_clock = Clock::new();
-        let max_retries = sup.map_or(0, |s| s.max_retries);
-        let mut drain_err = None;
-        let (cfg, tenants) = (&self.cfg, &mut self.tenants);
-        queued.drain(|global_stream, job: QueuedJob<P>| {
-            if drain_err.is_some() {
-                return; // fail fast, but let the queue empty
-            }
-            let name = &names[job.tenant_rank];
-            let Some(st) = tenants.get_mut(name) else {
-                return; // unreachable: names is the tenant key set
-            };
-            if job.job_index < st.skip || st.quarantine.contains_key(&job.job_index) {
-                report.jobs_skipped += 1;
-                return;
-            }
-            let seed = job_seed(cfg.seed, name, job.job_index);
-            let run_attempt = |n: u32| -> Result<Attempt<_>, ServiceError> {
-                let mut det_cfg = cfg.base.clone();
-                det_cfg.faults = supervise::attempt_faults(&cfg.base.faults, seed, n, max_retries);
-                let mut tool = Instrumented::new(ShardedIguard::try_new(det_cfg)?);
-                let ctx = JobCtx {
-                    tenant: name,
-                    stream: job.local_stream,
-                    global_stream,
-                    job_index: job.job_index,
-                    seed,
-                    attempt: n,
-                    max_retries,
-                    payload: &job.payload,
-                };
-                let (outcome, panic) = match supervise::guard(sup, || exec(&ctx, &mut tool)) {
-                    Ok(outcome) => (outcome, None),
-                    Err(msg) => (JobOutcome::default(), Some(msg)),
-                };
-                Ok(Attempt {
-                    panic,
-                    fires: tool.tool().fault_stats().total() + outcome.gpu_faults.total(),
-                    kernel_cycles: outcome.kernel_cycles,
-                    timed_out: outcome.timed_out,
-                    product: (tool, outcome),
-                })
-            };
-            match supervise::run_job(sup, seed, &mut report.supervisor, run_attempt) {
-                Err(e) => drain_err = Some(e),
-                Ok(Resolution::Quarantined {
-                    reason,
-                    attempts,
-                    detail,
-                }) => {
-                    report.jobs_quarantined += 1;
-                    let job_index = job.job_index;
-                    st.quarantine.insert(
-                        job_index,
-                        QuarantineEntry {
-                            job_index,
-                            reason,
-                            attempts,
-                            detail,
-                        },
-                    );
-                }
-                Ok(Resolution::Accepted {
-                    product: (mut tool, outcome),
-                    backoff_cycles,
-                }) => {
-                    let cycles = outcome.kernel_cycles + backoff_cycles;
-                    st.executed.push((job.job_index, global_stream, cycles));
-                    for site in st.accept(tool.tool_mut(), &outcome) {
-                        bank.send(global_stream, (job.tenant_rank, site), &mut front_clock);
-                    }
-                    report.jobs_run += 1;
-                    report.launches += outcome.launches;
-                }
-            }
-        })?;
-        report.front_end_cycles = front_clock.time(CostCategory::Misc) as u64;
-        drain_err.map_or(Ok(bank), Err)
-    }
-
-    /// Stage 3 — verdict plane: merge the shipped sites (stream-major
-    /// order; the merge is keyed and idempotent, so order is immaterial).
-    fn merge(
-        &mut self,
-        names: &[String],
-        mut bank: ChannelBank<(usize, RaceSite)>,
-        report: &mut ServiceReport,
-    ) {
-        for (rank, site) in bank.drain_all() {
-            if let Some(st) = self.tenants.get_mut(&names[rank]) {
-                merge_sites(&mut st.sites, vec![site]);
-            }
-        }
-        report.transport = bank.stats();
-    }
-
-    /// Stage 4 — latency plane: executed jobs queue on their global
-    /// stream in per-tenant submission order; one device round-robins
-    /// across streams in slice quanta.
+    /// The latency plane: executed jobs queue on their global stream in
+    /// per-tenant submission order; one device round-robins across
+    /// streams in slice quanta.
     fn latency(&mut self, names: &[String], report: &mut ServiceReport) {
         let spt = self.cfg.streams_per_tenant;
         let mut sched = SliceSchedule::new(report.streams, self.cfg.slice_cycles);
@@ -887,25 +751,6 @@ impl<P> DetectorService<P> {
     #[must_use]
     pub fn quarantined(&self) -> u64 {
         self.tenants.values().map(|st| st.quarantine.len() as u64).sum()
-    }
-
-    /// Errors out on the first quarantined job, for callers that treat
-    /// any poison job as fatal rather than degraded service.
-    ///
-    /// # Errors
-    /// [`ServiceError::Quarantined`] naming the first ledger entry
-    /// (tenant-name order, then job index).
-    pub fn assert_no_quarantine(&self) -> Result<(), ServiceError> {
-        for (name, st) in &self.tenants {
-            if let Some(entry) = st.quarantine.values().next() {
-                return Err(ServiceError::Quarantined {
-                    tenant: name.clone(),
-                    job_index: entry.job_index,
-                    reason: entry.reason,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Covered-prefix length for one tenant: accepted jobs plus
@@ -999,31 +844,36 @@ mod tests {
     }
 
     #[test]
-    fn jobs_interleave_across_tenants_but_stay_fifo_within() {
-        let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig {
-            streams_per_tenant: 1,
-            ..ServiceConfig::default()
-        });
+    fn jobs_run_in_tenant_name_order_then_submission_order() {
+        let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig::default());
         for i in 0..3 {
-            svc.submit("acme", 0, i);
-            svc.submit("zeta", 0, i);
+            svc.submit("zeta", i as usize, i);
+            svc.submit("acme", i as usize, i);
         }
         let mut calls = Vec::new();
         let report = svc.run_all(fake_exec(&mut calls)).unwrap();
         assert_eq!(report.jobs_run, 6);
-        assert_eq!(report.streams, 2);
-        // Round-robin across the two tenant streams.
-        let tenants: Vec<&str> = calls.iter().map(|(t, _, _)| t.as_str()).collect();
-        assert_eq!(tenants, vec!["acme", "zeta", "acme", "zeta", "acme", "zeta"]);
-        // FIFO within each tenant.
-        for t in ["acme", "zeta"] {
-            let idx: Vec<u64> = calls
-                .iter()
-                .filter(|(name, _, _)| name == t)
-                .map(|&(_, i, _)| i)
-                .collect();
-            assert_eq!(idx, vec![0, 1, 2]);
-        }
+        assert_eq!(report.streams, 4);
+        // Stream assignment reorders nothing: each tenant runs whole,
+        // in name order, its jobs in the order they were submitted.
+        let order: Vec<(&str, u64)> = calls.iter().map(|(t, i, _)| (t.as_str(), *i)).collect();
+        assert_eq!(
+            order,
+            vec![("acme", 0), ("acme", 1), ("acme", 2), ("zeta", 0), ("zeta", 1), ("zeta", 2)]
+        );
+    }
+
+    #[test]
+    fn an_unbuildable_detector_fails_the_run() {
+        let mut cfg = ServiceConfig::default();
+        cfg.base.report_capacity = 0;
+        let mut svc: DetectorService<u64> = DetectorService::new(cfg);
+        assert_eq!(svc.run_all(fake_exec(&mut Vec::new())).unwrap().jobs_run, 0);
+        svc.submit("acme", 0, 0);
+        let mut calls = Vec::new();
+        let err = svc.run_all(fake_exec(&mut calls)).unwrap_err();
+        assert_eq!(err.kind(), "detector");
+        assert!(calls.is_empty(), "no job runs without its detector");
     }
 
     #[test]
@@ -1070,6 +920,29 @@ mod tests {
         assert!(err.to_string().contains("seed mismatch"));
         let err = resume(&["seed\t42", "tenant\tacme\tnot-a-number\t0\t0\t0"]);
         assert!(err.to_string().contains("malformed"));
+    }
+
+    #[test]
+    fn from_records_rejects_quarantine_outside_the_covered_prefix() {
+        let resume = |records: &[&str]| {
+            DetectorService::<u64>::from_records(ServiceConfig::default(), records)
+        };
+        // Past the covered count, at it, and for a tenant with no
+        // `tenant` record (nothing covered).
+        for records in [
+            &["seed\t42", "tenant\tacme\t0\t0\t0\t0", "quar\tacme\t3\tpanic\t3"][..],
+            &["seed\t42", "tenant\tacme\t3\t0\t0\t0", "quar\tacme\t3\tpanic\t3"],
+            &["seed\t42", "quar\tacme\t0\thang\t2"],
+        ] {
+            let err = resume(records).unwrap_err();
+            assert_eq!(err.kind(), "checkpoint", "{records:?}");
+            assert!(err.to_string().contains("outside"), "{err}");
+        }
+        // Inside the prefix, even ahead of its `tenant` record.
+        let svc = resume(&["seed\t42", "quar\tacme\t2\tpanic\t3", "tenant\tacme\t3\t0\t0\t0"])
+            .unwrap();
+        let acme = &svc.verdicts()[0];
+        assert_eq!((acme.jobs, acme.quarantined), (2, 1));
     }
 
     #[test]
@@ -1177,10 +1050,6 @@ mod tests {
         assert_eq!(entry.attempts, sup_cfg.max_retries + 1);
         assert!(entry.detail.contains("poison job"));
         assert!(acme.digest().contains("quarantine\t1\tpanic"));
-        // The healthy jobs' digest matches a run where the poison job
-        // simply never yields a verdict.
-        let err = svc.assert_no_quarantine().unwrap_err();
-        assert!(matches!(err, ServiceError::Quarantined { job_index: 1, .. }));
     }
 
     #[test]
@@ -1270,19 +1139,14 @@ mod tests {
     #[test]
     fn service_error_display_round_trips_kind() {
         let errors = vec![
+            ServiceError::Detector(IguardError::EmptyTable),
             ServiceError::Checkpoint("x".into()),
             ServiceError::CheckpointStaleSeed {
                 checkpoint: 7,
                 config: 42,
             },
-            ServiceError::Quarantined {
-                tenant: "acme".into(),
-                job_index: 3,
-                reason: QuarantineReason::Hang,
-            },
         ];
         for err in &errors {
-            assert!(ServiceError::KINDS.contains(&err.kind()));
             // Display names the kind, so logs can be grepped back to it.
             let shown = err.to_string();
             assert!(
@@ -1291,7 +1155,7 @@ mod tests {
                 err.kind()
             );
         }
-        let shown = errors[2].to_string();
-        assert!(shown.contains("tenant acme") && shown.contains("job 3") && shown.contains("hang"));
+        let kinds: Vec<&str> = errors.iter().map(ServiceError::kind).collect();
+        assert_eq!(kinds, ServiceError::KINDS, "one error per variant, in order");
     }
 }

@@ -7,8 +7,7 @@
 //! `ckpt-<generation>.v2` files, the atomic write-then-promote, and the
 //! write-side fault sites. What the records *say* belongs to the caller:
 //! the detector service writes `seed/tenant/site/quar` records
-//! ([`crate::service`]), a bench campaign writes `meta/row` records. A
-//! caller saves a `&[String]` and recovers by handing each candidate
+//! ([`crate::service`]). A caller saves a `&[String]` and recovers by handing each candidate
 //! generation's records, newest first, to its own decoder, which
 //! accepts the generation or rejects it as [`Reject::Invalid`] or
 //! [`Reject::Stale`]. Recovery **never panics, never resurrects a stale
@@ -78,10 +77,10 @@ fn unframe_record(line: &str) -> Result<&str, String> {
     Ok(record)
 }
 
-/// Checks that `text` is one record of exactly `arity` tab-separated fields. Both
-/// record vocabularies split on tabs when they decode, so a field that
-/// carries a tab of its own (a tenant or kernel name, say) would encode
-/// to a record no decoder can read back.
+/// Checks that `text` is one record of exactly `arity` tab-separated
+/// fields. Record vocabularies split on tabs when they decode, so a field
+/// that carries a tab of its own (a tenant or kernel name, say) would
+/// encode to a record no decoder can read back.
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidInput`] naming the record.
@@ -349,6 +348,7 @@ impl CheckpointStore {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_ieee_vectors() {
@@ -470,6 +470,107 @@ mod tests {
         );
         let (_, report) = store.recover::<u64>(&ServiceConfig::default());
         assert_eq!(report, RecoveryReport::default());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Unit `i` of a synthetic campaign: a pure function of the seed and
+    /// the index, as a real deterministic campaign's results are.
+    fn unit(seed: u64, i: u64) -> String {
+        let h = faults::splitmix64(seed ^ faults::splitmix64(i.wrapping_add(0x9e37)));
+        format!("unit\t{i}\t{h:016x}")
+    }
+
+    /// Continues the campaign in `done` up to unit `n`, saving every
+    /// record so far through `inj` after every `save_every` units; stops
+    /// early at `stop_at`, a crash that loses the in-memory state.
+    fn run_from(
+        done: &mut Vec<String>,
+        (seed, n, save_every): (u64, u64, u64),
+        store: &CheckpointStore,
+        inj: &mut FaultInjector,
+        stop_at: Option<u64>,
+    ) {
+        for i in done.len() as u64..n.min(stop_at.unwrap_or(n)) {
+            done.push(unit(seed, i));
+            if (i + 1) % save_every == 0 {
+                store.save_records_with_faults(done, inj).unwrap();
+            }
+        }
+    }
+
+    /// The newest intact generation's records, whatever they say.
+    fn recover_units(store: &CheckpointStore) -> (Option<Vec<String>>, RecoveryReport) {
+        store.recover_records(|records| Ok(records.iter().map(ToString::to_string).collect()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A campaign interrupted at any point and resumed from whatever
+        /// its saves left behind ends on exactly the uninterrupted
+        /// records, with the saves going through the write-side fault
+        /// plane: a short write promotes nothing (resume replays more
+        /// work), a torn or corrupt generation is skipped for the newest
+        /// valid one before it, or for a fresh start when none is left.
+        #[test]
+        fn interrupted_campaign_equals_uninterrupted_run(
+            seed in 0u64..1 << 32,
+            n in 1u64..=24,
+            save_every in 1u64..=5,
+            crash_at in 0u64..=24,
+            short_rate in 0u32..=faults::RATE_ONE / 2,
+            torn_rate in 0u32..=faults::RATE_ONE / 2,
+            corrupt_rate in 0u32..=faults::RATE_ONE / 2,
+        ) {
+            let crash_at = crash_at.min(n);
+            let store = scratch_store(&format!("campaign-{seed:x}"));
+            let expect: Vec<String> = (0..n).map(|i| unit(seed, i)).collect();
+
+            let plane = faults::FaultConfig::disabled()
+                .with_seed(seed)
+                .with_rate(FaultSite::CkptShortWrite, short_rate)
+                .with_rate(FaultSite::CkptTornWrite, torn_rate)
+                .with_rate(FaultSite::CkptCorruptWrite, corrupt_rate);
+            let mut inj = FaultInjector::new(&plane, "campaign-save");
+            let mut done = Vec::new();
+            run_from(&mut done, (seed, n, save_every), &store, &mut inj, Some(crash_at));
+
+            let (resumed, report) = recover_units(&store);
+            prop_assert_eq!(resumed.is_some(), report.recovered_generation.is_some());
+            let mut resumed = resumed.unwrap_or_default();
+            prop_assert!(resumed.len() as u64 <= crash_at, "ahead of the crash");
+            prop_assert_eq!(&resumed[..], &expect[..resumed.len()], "not a prefix");
+            run_from(&mut resumed, (seed, n, save_every), &store, &mut inj, None);
+            prop_assert_eq!(&resumed, &expect, "resumed campaign diverged");
+            let _ = fs::remove_dir_all(store.dir());
+        }
+    }
+
+    /// A damaged newest generation costs only the work since the save
+    /// before it, which is still there.
+    #[test]
+    fn damaged_newest_generation_resumes_from_the_previous_one() {
+        let (seed, n) = (42, 12);
+        let store = scratch_store("fallback");
+        let mut inj = FaultInjector::disabled();
+        let mut done = Vec::new();
+        run_from(&mut done, (seed, n, 4), &store, &mut inj, Some(10));
+        assert_eq!(store.generations(), vec![1, 2], "saves at 4 and 8 units");
+
+        // The crash also tore the newest generation's tail off.
+        let newest = store.generation_path(2);
+        let bytes = fs::read(&newest).unwrap();
+        fs::write(&newest, &bytes[..bytes.len() - 20]).unwrap();
+
+        let (resumed, report) = recover_units(&store);
+        assert_eq!(report.recovered_generation, Some(1));
+        assert_eq!((report.scanned, report.skipped_invalid), (2, 1));
+        let mut resumed = resumed.expect("generation 1 is intact");
+        assert_eq!(resumed.len(), 4, "it continues");
+        run_from(&mut resumed, (seed, n, 4), &store, &mut inj, None);
+
+        let expect: Vec<String> = (0..n).map(|i| unit(seed, i)).collect();
+        assert_eq!(resumed, expect, "stitched records diverged");
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -49,7 +49,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use faults::{splitmix64, FaultConfig};
@@ -112,12 +111,6 @@ impl QuarantineReason {
             "hang" => Some(QuarantineReason::Hang),
             _ => None,
         }
-    }
-}
-
-impl fmt::Display for QuarantineReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 

@@ -67,7 +67,7 @@ pub struct ChannelStats {
 impl ChannelStats {
     /// Field-wise sum. The accounting invariant survives summation: if
     /// `sent == drained + dropped` holds for each summand it holds for
-    /// the total, so a bank (or fleet) of fully-drained channels is
+    /// the total, so a fleet of fully-drained channels is
     /// fully accounted iff each member is.
     pub fn accumulate(&mut self, other: &ChannelStats) {
         let ChannelStats {
@@ -211,104 +211,6 @@ impl<T> HostChannel<T> {
     }
 }
 
-/// One [`HostChannel`] per CUDA stream.
-///
-/// Concurrent streams cannot share one ring buffer without serializing on
-/// the slot-reservation atomic across the whole device, so a multi-stream
-/// tool allocates a channel per stream and the host consumer drains them
-/// stream-major. Records from different streams never contend (each
-/// stream's sends stay FIFO in its own channel); the merged
-/// [`ChannelStats`] keep the per-channel accounting invariant because
-/// `accumulate` is a plain field-wise sum.
-#[derive(Debug)]
-pub struct ChannelBank<T> {
-    channels: Vec<HostChannel<T>>,
-}
-
-impl<T> ChannelBank<T> {
-    /// A bank of `streams` identically-shaped channels (clamped to at
-    /// least one — the zero-stream configuration degenerates to a single
-    /// channel, byte-identical to plain [`HostChannel`] use).
-    pub fn new(
-        streams: usize,
-        capacity: usize,
-        ship_cost: u64,
-        flush_cost: u64,
-        category: CostCategory,
-    ) -> Result<Self, ChannelError> {
-        let channels = (0..streams.max(1))
-            .map(|_| HostChannel::new(capacity, ship_cost, flush_cost, category))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ChannelBank { channels })
-    }
-
-    /// Number of per-stream channels.
-    #[must_use]
-    pub fn streams(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Attaches per-stream fault injectors derived from `cfg`: stream `s`
-    /// gets the domain `"<domain>/<s>"`, so each stream draws an
-    /// independent deterministic fault sequence that does not shift when
-    /// other streams send more or less.
-    pub fn set_faults(&mut self, cfg: &faults::FaultConfig, domain: &str) {
-        for (s, ch) in self.channels.iter_mut().enumerate() {
-            ch.set_faults(FaultInjector::new(cfg, &format!("{domain}/{s}")));
-        }
-    }
-
-    /// Ships one record on `stream` (wrapped into range, so callers may
-    /// hash tenants onto streams without bounds bookkeeping).
-    pub fn send(&mut self, stream: usize, record: T, clock: &mut Clock) {
-        let s = stream % self.channels.len();
-        self.channels[s].send(record, clock);
-    }
-
-    /// Drains every stream, stream-major (all of stream 0 in FIFO order,
-    /// then stream 1, …) — a deterministic total order independent of the
-    /// interleaving the sends arrived in.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out = Vec::new();
-        for ch in &mut self.channels {
-            out.append(&mut ch.drain());
-        }
-        out
-    }
-
-    /// Records waiting across all streams.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.channels.iter().map(HostChannel::pending).sum()
-    }
-
-    /// Merged counters across the bank.
-    #[must_use]
-    pub fn stats(&self) -> ChannelStats {
-        let mut total = ChannelStats::default();
-        for ch in &self.channels {
-            total.accumulate(&ch.stats());
-        }
-        total
-    }
-
-    /// Merged injected-fault counters across the bank.
-    #[must_use]
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut total = FaultStats::default();
-        for ch in &self.channels {
-            total.accumulate(&ch.fault_stats());
-        }
-        total
-    }
-
-    /// Per-stream channel access (e.g. per-stream stats in a report).
-    #[must_use]
-    pub fn channel(&self, stream: usize) -> &HostChannel<T> {
-        &self.channels[stream % self.channels.len()]
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -412,60 +314,6 @@ mod tests {
         assert!(s.corrupted > 0);
         assert_eq!(s.corrupted, s.dropped);
         assert_eq!(s.sent, survivors + s.dropped);
-    }
-
-    #[test]
-    fn bank_routes_by_stream_and_drains_stream_major() {
-        let mut clk = Clock::new();
-        let mut bank = ChannelBank::new(3, 16, 1, 10, CostCategory::Misc).unwrap();
-        // Interleaved sends; drain order must be stream-major FIFO.
-        for i in 0..9 {
-            bank.send(i % 3, i, &mut clk);
-        }
-        assert_eq!(bank.pending(), 9);
-        assert_eq!(bank.drain_all(), vec![0, 3, 6, 1, 4, 7, 2, 5, 8]);
-        let s = bank.stats();
-        assert_eq!((s.sent, s.drained, s.dropped), (9, 9, 0));
-    }
-
-    #[test]
-    fn bank_clamps_zero_streams_and_wraps_indices() {
-        let mut clk = Clock::new();
-        let mut bank = ChannelBank::<u32>::new(0, 4, 1, 10, CostCategory::Misc).unwrap();
-        assert_eq!(bank.streams(), 1);
-        bank.send(17, 42, &mut clk);
-        assert_eq!(bank.channel(5).pending(), 1);
-        assert_eq!(bank.drain_all(), vec![42]);
-    }
-
-    #[test]
-    fn bank_fault_streams_are_independent() {
-        // Certain drop on every stream: each channel draws from its own
-        // "<domain>/<s>" counter stream, so per-stream loss accounting is
-        // independent of the cross-stream send interleaving.
-        let cfg = FaultConfig::disabled()
-            .with_seed(9)
-            .with_rate(FaultSite::ReportDrop, RATE_ONE / 2);
-        let run = |order: &[usize]| {
-            let mut clk = Clock::new();
-            let mut bank = ChannelBank::new(2, 16, 1, 10, CostCategory::Misc).unwrap();
-            bank.set_faults(&cfg, "bank-test");
-            for (i, &s) in order.iter().enumerate() {
-                bank.send(s, i as u32, &mut clk);
-            }
-            let _ = bank.drain_all();
-            (
-                bank.channel(0).stats().dropped,
-                bank.channel(1).stats().dropped,
-                bank.stats(),
-            )
-        };
-        // Same multiset of per-stream sends, different interleavings.
-        let a = run(&[0, 0, 0, 1, 1, 1]);
-        let b = run(&[0, 1, 0, 1, 0, 1]);
-        assert_eq!(a, b);
-        let s = a.2;
-        assert_eq!(s.sent, s.drained + s.dropped);
     }
 
     #[test]
