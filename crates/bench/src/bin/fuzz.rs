@@ -140,10 +140,6 @@ fn static_campaign(args: &Args, driver: &DriverConfig, cfg: &DiffConfig) -> i32 
                     dnf += 1;
                 }
                 Outcome::TimedOut { .. } => dnf += 1,
-                Outcome::Faulted { message, .. } => {
-                    eprintln!("static fuzz job faulted: {message}");
-                    dnf += 1;
-                }
             }
             finished += 1;
         }
@@ -283,12 +279,6 @@ fn main() {
                     dnf += 1;
                 }
                 Outcome::TimedOut { .. } => dnf += 1,
-                Outcome::Faulted { message, .. } => {
-                    // The differential harness runs no fault plane; an
-                    // injected-fault death here is as fatal as a panic.
-                    eprintln!("fuzz job faulted: {message}");
-                    dnf += 1;
-                }
             }
             done += 1;
         }

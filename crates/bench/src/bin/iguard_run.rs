@@ -158,10 +158,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-        Outcome::Faulted { message, .. } => {
-            eprintln!("{label}: DNF ({message})");
-            std::process::exit(1);
-        }
     }
 }
 

@@ -142,10 +142,6 @@ fn replay_corpus(path: &str, cfg: &DiffConfig, driver: &DriverConfig) -> i32 {
                 eprintln!("REPLAY TIMED OUT {label}");
                 failures += 1;
             }
-            Outcome::Faulted { message, .. } => {
-                eprintln!("REPLAY FAULTED {label}: {message}");
-                failures += 1;
-            }
         }
     }
     println!("corpus: {}/{total} entries verified", total - failures);
@@ -231,10 +227,6 @@ fn main() {
                     dnf += 1;
                 }
                 Outcome::TimedOut { .. } => dnf += 1,
-                Outcome::Faulted { message, .. } => {
-                    eprintln!("litmus job faulted: {message}");
-                    dnf += 1;
-                }
             }
             done += 1;
         }

@@ -128,12 +128,6 @@ fn numeric<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &s
     })
 }
 
-/// Substring that classifies a job failure as an injected fault rather
-/// than a genuine bug: `SimError::InjectedFault` renders as
-/// `"injected fault: <site>"`, so any panic whose message carries it was
-/// killed by the fault plane on purpose.
-pub const FAULT_MARKER: &str = "injected fault";
-
 /// What became of one job.
 #[derive(Debug)]
 pub enum Outcome<T> {
@@ -156,15 +150,6 @@ pub enum Outcome<T> {
         /// The configured deadline it exceeded.
         elapsed: Duration,
     },
-    /// The job was killed by a deliberately injected fault (its failure
-    /// message carried [`FAULT_MARKER`]) — expected under a chaos
-    /// campaign, alarming anywhere else.
-    Faulted {
-        /// The failure message naming the injected fault site.
-        message: String,
-        /// Wall-clock time until the fault fired.
-        elapsed: Duration,
-    },
 }
 
 impl<T> Outcome<T> {
@@ -174,33 +159,6 @@ impl<T> Outcome<T> {
         match self {
             Outcome::Done { value, .. } => Some(value),
             _ => None,
-        }
-    }
-
-    /// The value by move, if the job finished.
-    #[must_use]
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            Outcome::Done { value, .. } => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Whether the job did not finish (panic or deadline).
-    #[must_use]
-    pub fn is_dnf(&self) -> bool {
-        !matches!(self, Outcome::Done { .. })
-    }
-
-    /// Short cell text for DNF rows in tables, naming the cause
-    /// (`"DNF(panic)"`, `"DNF(timeout)"`, `"DNF(fault)"`); `None` if done.
-    #[must_use]
-    pub fn dnf_cell(&self) -> Option<&'static str> {
-        match self {
-            Outcome::Done { .. } => None,
-            Outcome::Panicked { .. } => Some("DNF(panic)"),
-            Outcome::TimedOut { .. } => Some("DNF(timeout)"),
-            Outcome::Faulted { .. } => Some("DNF(fault)"),
         }
     }
 }
@@ -278,9 +236,6 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig) -> Vec
                 }
                 let outcome = match result {
                     Ok(value) => Outcome::Done { value, elapsed },
-                    Err(message) if message.contains(FAULT_MARKER) => {
-                        Outcome::Faulted { message, elapsed }
-                    }
                     Err(message) => Outcome::Panicked { message, elapsed },
                 };
                 done += 1;
@@ -332,7 +287,6 @@ pub fn run_jobs_strict<T: Send + 'static>(jobs: Vec<Job<T>>, cfg: &DriverConfig)
             Outcome::Done { value, .. } => value,
             Outcome::Panicked { message, .. } => panic!("job {i} panicked: {message}"),
             Outcome::TimedOut { .. } => panic!("job {i} exceeded its deadline"),
-            Outcome::Faulted { message, .. } => panic!("job {i} hit an injected fault: {message}"),
         })
         .collect()
 }
@@ -377,9 +331,5 @@ fn progress_line<T>(done: usize, total: usize, label: &str, outcome: &Outcome<T>
             "[{done:>3}/{total}] {label:<44}       DNF   (deadline {:.0}s exceeded)",
             elapsed.as_secs_f64()
         ),
-        Outcome::Faulted { message, .. } => {
-            let first = message.lines().next().unwrap_or("");
-            eprintln!("[{done:>3}/{total}] {label:<44}       DNF   ({first})");
-        }
     }
 }

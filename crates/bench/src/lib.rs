@@ -6,8 +6,9 @@
 //! detector statistics. Each table/figure has a dedicated binary
 //! (`table1`, `table4`, `table5`, `fig11`, `fig12`, `fig13`, `fig14`,
 //! `fence_scope_cost`, `ablation_history`); beside them sit the CLI
-//! (`iguard_run`), the test-plane campaigns (`fuzz`, `litmus`, `chaos`,
-//! `pressure`) and the multi-tenant soak (`service`). Host time is not
+//! (`iguard_run`) and the test-plane campaigns (`fuzz`, `litmus`,
+//! `pressure`). The multi-tenant detector service's exec path
+//! ([`run_service_job`]) lives here for its tests. Host time is not
 //! measured here: that is the standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
@@ -24,7 +25,7 @@ use iguard::{Iguard, IguardConfig, RaceSite, ShardedIguard};
 use nvbit_sim::Instrumented;
 use workloads::{Size, Workload};
 
-pub use driver::{run_jobs, run_jobs_strict, DriverConfig, Outcome, FAULT_MARKER};
+pub use driver::{run_jobs, run_jobs_strict, DriverConfig, Outcome};
 pub use job::{Job, JobSpec, RunOutput, ToolSpec};
 
 /// Default schedule seed used by every harness (deterministic results).
@@ -209,8 +210,8 @@ impl ServiceJob {
 
 /// Executes one [`ServiceJob`] against the service-provided detector.
 ///
-/// This is the *only* exec path for the detector service — the `service`
-/// binary and the determinism tests both call it, so a verdict
+/// This is the *only* exec path for the detector service — the service
+/// determinism and store-recovery tests all call it, so a verdict
 /// divergence can never hide in harness skew. The GPU is seeded from
 /// `ctx.seed` (a pure function of the service seed, tenant name, and
 /// job index), which makes the job's simulation — and therefore the

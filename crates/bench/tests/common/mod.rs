@@ -1,14 +1,18 @@
 //! The benchmark's detector traffic, rebuilt for the identity tests:
 //! `benchmark/` is a package of its own that `crates/bench` cannot depend
 //! on, so its member list and stencil kernel are restated here once.
+//! Also the quick service fleet that the soak and store-recovery tests
+//! share.
 #![allow(dead_code)] // each test file uses its own subset
 
+use bench::{is_poison, quiet_poison_panics, run_service_job, ServiceJob};
 use faults::{FaultConfig, FaultSite, RATE_ONE};
 use gpu_sim::asm::KernelBuilder;
 use gpu_sim::ir::Special;
 use gpu_sim::kernel::Kernel;
 use gpu_sim::machine::Gpu;
-use workloads::Launch;
+use iguard::{DetectorService, IguardConfig, ServiceConfig, ServiceReport, SupervisorConfig};
+use workloads::{Launch, Size};
 
 /// The armed metadata plane of `counter_identity`'s `faults=meta+uvm@7`
 /// rows: entry evictions, tag aliases and UVM eviction storms.
@@ -125,4 +129,107 @@ pub fn check_or_write_table(path: &str, rows: &[String], what: &str) {
             "a {what} table row moved\n  got: {got}\n want: {want}"
         );
     }
+}
+
+/// The quick fleet's workload rotation per `(tenant, job index)`: racy
+/// and clean kernels, each cheap enough to queue by the hundred.
+const FLEET_ROTATION: [&str; 3] = ["reduction", "b_reduce", "graph-color"];
+/// The quick fleet's shape: 3 tenants × 8 jobs × 48 launch replays, so
+/// either arm clears 1,000 launches.
+const FLEET_TENANTS: usize = 3;
+pub const FLEET_JOBS_PER_TENANT: u64 = 8;
+const FLEET_REPS: u32 = 48;
+/// The quick fleet's service seed.
+pub const FLEET_SEED: u64 = 42;
+/// The supervised arm's poison lottery: 1 job in 16 panics on every
+/// attempt.
+const FLEET_POISON_DENOM: u64 = 16;
+
+/// The two arms the quick fleet runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fleet {
+    /// Unsupervised, no fault plane.
+    Plain,
+    /// Supervised (`max_retries` 1) with every fault site armed at
+    /// 1/64 and the poison lottery on.
+    SupervisedChaos,
+}
+
+impl Fleet {
+    /// The chaos plane for this arm (disabled for [`Fleet::Plain`]). The
+    /// service reseeds it per job, so every arm draws the same schedule.
+    pub fn chaos(self) -> FaultConfig {
+        match self {
+            Fleet::Plain => FaultConfig::disabled(),
+            Fleet::SupervisedChaos => FaultConfig::uniform(FLEET_SEED, RATE_ONE / 64),
+        }
+    }
+
+    /// The service configuration: 2 streams per tenant, 50,000-cycle
+    /// slices. The chaos arm caps the table at 256 words so genuine
+    /// capacity evictions mix with injected ones.
+    pub fn config(self) -> ServiceConfig {
+        let mut base = IguardConfig::default();
+        if self == Fleet::SupervisedChaos {
+            base.table_capacity_words = Some(256);
+            base.faults = self.chaos();
+        }
+        ServiceConfig {
+            seed: FLEET_SEED,
+            base,
+            streams_per_tenant: 2,
+            slice_cycles: 50_000,
+        }
+    }
+
+    /// Submits the first `upto` jobs of every tenant, workload rotated by
+    /// `(tenant, job)` and stream by job index.
+    pub fn submit(svc: &mut DetectorService<ServiceJob>, upto: u64) {
+        for t in 0..FLEET_TENANTS {
+            for j in 0..upto {
+                let w = FLEET_ROTATION[(t + j as usize) % FLEET_ROTATION.len()];
+                svc.submit(
+                    &fleet_tenant(t),
+                    j as usize,
+                    ServiceJob::new(w, Size::Test, FLEET_REPS),
+                );
+            }
+        }
+    }
+
+    /// Runs every queued job through the shared exec path, supervised in
+    /// the chaos arm, and returns this incarnation's report.
+    pub fn run(self, svc: &mut DetectorService<ServiceJob>) -> ServiceReport {
+        let chaos = self.chaos();
+        if self == Fleet::Plain {
+            return svc
+                .run_all(|ctx, tool| run_service_job(ctx, tool, &chaos))
+                .expect("plain fleet runs");
+        }
+        quiet_poison_panics();
+        let sup = SupervisorConfig {
+            max_retries: 1,
+            ..SupervisorConfig::default()
+        };
+        svc.run_all_supervised(&sup, |ctx, tool| {
+            if is_poison(FLEET_SEED, FLEET_POISON_DENOM, ctx.tenant, ctx.job_index) {
+                panic!("poison job: {}#{}", ctx.tenant, ctx.job_index);
+            }
+            run_service_job(ctx, tool, &chaos)
+        })
+        .expect("supervised fleet runs")
+    }
+
+    /// One uninterrupted incarnation of the full load.
+    pub fn soak(self) -> DetectorService<ServiceJob> {
+        let mut svc = DetectorService::new(self.config());
+        Fleet::submit(&mut svc, FLEET_JOBS_PER_TENANT);
+        self.run(&mut svc);
+        svc
+    }
+}
+
+/// The quick fleet's name for tenant `i`.
+pub fn fleet_tenant(i: usize) -> String {
+    format!("tenant-{i:02}")
 }

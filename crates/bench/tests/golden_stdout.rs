@@ -2,15 +2,13 @@
 //!
 //! Runs every paper-artifact binary — `table1`, `table4`, `table5`,
 //! `fig11`–`fig14`, `fence_scope_cost` and `ablation_history` — plus
-//! `pressure`, `chaos` and `service` at their default seeds and compares
-//! stdout byte-for-byte against recorded transcripts (`tests/golden/` at
-//! the repo root). Together with
-//! `golden_equivalence.rs` this enforces the PR-2 contract: hot-path
-//! optimizations may change wall-clock time only, never a byte of any
-//! table or figure. The `pressure`/`chaos`/`service` transcripts extend
-//! the same contract to the degradation-accounting table, the chaos
-//! campaign summary, and the multi-tenant service verdict table (all of
-//! which print simulated cycles only, never wall clock).
+//! `pressure` at their default seeds and compares stdout byte-for-byte
+//! against recorded transcripts (`tests/golden/` at the repo root).
+//! Together with `golden_equivalence.rs` this enforces the PR-2 contract:
+//! hot-path optimizations may change wall-clock time only, never a byte
+//! of any table or figure. The `pressure` transcript extends the same
+//! contract to the degradation-accounting table (simulated cycles only,
+//! never wall clock).
 //!
 //! Regenerate after a *deliberate* output change:
 //!
@@ -26,10 +24,9 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-fn check(bin: &str, exe: &str, extra_args: &[&str]) {
+fn check(bin: &str, exe: &str) {
     let out = Command::new(exe)
         .arg("--no-progress")
-        .args(extra_args)
         .output()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(
@@ -55,88 +52,50 @@ fn check(bin: &str, exe: &str, extra_args: &[&str]) {
 
 #[test]
 fn table1_stdout_matches_seed() {
-    check("table1", env!("CARGO_BIN_EXE_table1"), &[]);
+    check("table1", env!("CARGO_BIN_EXE_table1"));
 }
 
 #[test]
 fn table4_stdout_matches_seed() {
-    check("table4", env!("CARGO_BIN_EXE_table4"), &[]);
+    check("table4", env!("CARGO_BIN_EXE_table4"));
 }
 
 #[test]
 fn table5_stdout_matches_seed() {
-    check("table5", env!("CARGO_BIN_EXE_table5"), &[]);
+    check("table5", env!("CARGO_BIN_EXE_table5"));
 }
 
 #[test]
 fn fig11_stdout_matches_seed() {
-    check("fig11", env!("CARGO_BIN_EXE_fig11"), &[]);
+    check("fig11", env!("CARGO_BIN_EXE_fig11"));
 }
 
 #[test]
 fn fig12_stdout_matches_seed() {
-    check("fig12", env!("CARGO_BIN_EXE_fig12"), &[]);
+    check("fig12", env!("CARGO_BIN_EXE_fig12"));
 }
 
 #[test]
 fn fig13_stdout_matches_seed() {
-    check("fig13", env!("CARGO_BIN_EXE_fig13"), &[]);
+    check("fig13", env!("CARGO_BIN_EXE_fig13"));
 }
 
 #[test]
 fn fig14_stdout_matches_seed() {
-    check("fig14", env!("CARGO_BIN_EXE_fig14"), &[]);
+    check("fig14", env!("CARGO_BIN_EXE_fig14"));
 }
 
 #[test]
 fn fence_scope_cost_stdout_matches_seed() {
-    check("fence_scope_cost", env!("CARGO_BIN_EXE_fence_scope_cost"), &[]);
+    check("fence_scope_cost", env!("CARGO_BIN_EXE_fence_scope_cost"));
 }
 
 #[test]
 fn ablation_history_stdout_matches_seed() {
-    check("ablation_history", env!("CARGO_BIN_EXE_ablation_history"), &[]);
+    check("ablation_history", env!("CARGO_BIN_EXE_ablation_history"));
 }
 
 #[test]
 fn pressure_stdout_matches_seed() {
-    check("pressure", env!("CARGO_BIN_EXE_pressure"), &[]);
-}
-
-#[test]
-fn chaos_stdout_matches_seed() {
-    check(
-        "chaos",
-        env!("CARGO_BIN_EXE_chaos"),
-        &["--campaigns", "3", "--seed", "42"],
-    );
-}
-
-#[test]
-fn service_stdout_matches_seed() {
-    check(
-        "service",
-        env!("CARGO_BIN_EXE_service"),
-        &["--quick", "--seed", "42"],
-    );
-}
-
-#[test]
-fn service_supervised_stdout_matches_seed() {
-    // Supervised + chaos + poison lottery: covers the quarantine lines,
-    // the supervisor summary, and the recovery drill. `--store` is
-    // relative: the store lands under this crate's `target/`.
-    check(
-        "service-supervised",
-        env!("CARGO_BIN_EXE_service"),
-        &[
-            "--quick",
-            "--seed",
-            "42",
-            "--supervised",
-            "--chaos",
-            "--store",
-            "target/service-store-golden",
-        ],
-    );
+    check("pressure", env!("CARGO_BIN_EXE_pressure"));
 }

@@ -4,7 +4,8 @@
 //! checkpoint/restart and — supervised — chaos, poison and a damaged
 //! checkpoint store, with every degradation accounted; and the detector a
 //! job runs against is the plain [`Iguard`], whatever name it travels
-//! under.
+//! under. The quick fleet's per-tenant table, in both arms, is pinned
+//! number for number.
 
 mod common;
 
@@ -14,11 +15,13 @@ use gpu_sim::timing::COST_CATEGORIES;
 use iguard::supervise::attempt_faults;
 use iguard::{
     CheckpointStore, DetectorService, Iguard, IguardConfig, ServiceConfig, ShardedIguard,
-    SupervisorConfig,
+    SupervisorConfig, TenantVerdict,
 };
 use nvbit_sim::{Instrumented, Tool};
 use proptest::prelude::*;
 use workloads::Size;
+
+use common::Fleet;
 
 use bench::{
     gpu_config, is_poison, quiet_poison_panics, run_iguard_with, run_service_job, ServiceJob,
@@ -134,6 +137,120 @@ fn service_job_detector_is_the_plain_detector() {
         fires += v.fault_stats.total();
     }
     assert!(fires > 0, "the metadata plane never fired");
+}
+
+/// One tenant's row of the soak table: jobs, launches, sites,
+/// timed-out launches, aborted launches, quarantined jobs, then latency
+/// p50/p90/p99/max in simulated cycles.
+fn tenant_row(v: &TenantVerdict) -> [u64; 10] {
+    [
+        v.jobs,
+        v.launches,
+        v.sites.len() as u64,
+        v.timed_out,
+        v.aborted_launches,
+        v.quarantined,
+        v.latency.p50,
+        v.latency.p90,
+        v.latency.p99,
+        v.latency.max,
+    ]
+}
+
+/// The quick fleet in both arms — unsupervised and fault-free, then
+/// supervised under chaos and the poison lottery — reproduces its
+/// per-tenant verdicts, latencies, soak totals, supervisor counters and
+/// quarantine ledger exactly. Launches reconcile between the service and
+/// its tenants, every tenant's degradation is fully accounted, and the
+/// chaos arm really injects faults.
+#[test]
+fn quick_soak_verdicts_and_latencies_are_pinned() {
+    let pinned: [(Fleet, [[u64; 10]; 3], [u64; 4]); 2] = [
+        (
+            Fleet::Plain,
+            [
+                [8, 384, 13, 0, 0, 0, 562249, 1222116, 1222116, 1222116],
+                [8, 384, 13, 0, 0, 0, 581399, 1107297, 1107297, 1107297],
+                [8, 384, 13, 0, 0, 0, 722362, 1241338, 1241338, 1241338],
+            ],
+            [24, 1152, 1241338, 6],
+        ),
+        (
+            Fleet::SupervisedChaos,
+            [
+                [7, 336, 13, 0, 0, 1, 581190, 1000995, 1000995, 1000995],
+                [8, 384, 13, 0, 0, 0, 601609, 1087287, 1087287, 1087287],
+                [7, 336, 13, 0, 0, 1, 714809, 1158471, 1158471, 1158471],
+            ],
+            [22, 1056, 1158471, 6],
+        ),
+    ];
+    for (fleet, rows, totals) in pinned {
+        let svc = fleet.soak();
+        let (report, verdicts) = (svc.report(), svc.verdicts());
+        for (i, (v, row)) in verdicts.iter().zip(rows).enumerate() {
+            assert_eq!(v.tenant, common::fleet_tenant(i), "{fleet:?}");
+            assert_eq!(tenant_row(v), row, "{fleet:?}: {} row", v.tenant);
+            assert!(
+                v.degradation.fully_accounted(),
+                "{fleet:?}: {} degradation unaccounted",
+                v.tenant
+            );
+        }
+        assert_eq!(verdicts.len(), rows.len(), "{fleet:?}: tenant count");
+        let launches: u64 = verdicts.iter().map(|v| v.launches).sum();
+        assert_eq!(
+            report.launches, launches,
+            "{fleet:?}: the service's launch count must equal its tenants' sum"
+        );
+        let got = [
+            report.jobs_run,
+            launches,
+            report.makespan_cycles,
+            report.streams as u64,
+        ];
+        assert_eq!(got, totals, "{fleet:?}: jobs, launches, makespan, streams");
+        if fleet == Fleet::Plain {
+            continue;
+        }
+
+        // Accepted attempts run fault-free, so the chaos evidence is the
+        // supervisor's discarded-attempt accounting.
+        let s = &report.supervisor;
+        assert!(
+            s.discarded_fault_fires > 0 && s.perturbed_attempts > 0,
+            "chaos arm vacuous: no fault fired on any attempt"
+        );
+        let got = [
+            s.jobs_supervised,
+            s.attempts,
+            s.panics_caught,
+            s.hangs_caught,
+            s.perturbed_attempts,
+            s.retries,
+            s.recovered,
+            s.accepted_clean,
+            s.accepted_degraded,
+            s.quarantined,
+            s.discarded_fault_fires,
+        ];
+        assert_eq!(
+            got,
+            [24, 48, 4, 0, 22, 24, 22, 0, 0, 2, 26918],
+            "supervisor"
+        );
+        assert_eq!(report.jobs_quarantined, 2);
+        let ledger: Vec<Vec<(u64, &str)>> = verdicts
+            .iter()
+            .map(|v| {
+                v.quarantine
+                    .iter()
+                    .map(|q| (q.job_index, q.reason.name()))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(ledger, [vec![(6, "panic")], vec![], vec![(0, "panic")]]);
+    }
 }
 
 /// Submits the first `upto` jobs of each of `tenants` tenants, workload

@@ -5,13 +5,23 @@
 //! recovery, which falls back to the *newest valid same-seed*
 //! generation (or a fresh service), and the recovered incarnation must
 //! finish the fleet to bytes identical to an uninterrupted control run.
+//! Two fixed crash drills run the same contract over the quick
+//! supervised chaos fleet: saves lost to forced write-side faults, and a
+//! newest generation truncated between incarnations.
 
-use faults::FaultConfig;
-use iguard::{CheckpointStore, DetectorService, IguardConfig, ServiceConfig};
+mod common;
+
+use std::sync::OnceLock;
+
+use faults::{FaultConfig, FaultInjector, FaultSite, RATE_ONE};
+use iguard::{
+    CheckpointStore, DetectorService, IguardConfig, RecoveryReport, ServiceConfig, ServiceReport,
+};
 use proptest::prelude::*;
 use workloads::Size;
 
 use bench::{run_service_job, ServiceJob};
+use common::{Fleet, FLEET_JOBS_PER_TENANT, FLEET_SEED};
 
 const WORKLOADS: [&str; 3] = ["reduction", "b_reduce", "graph-color"];
 const TENANTS: usize = 2;
@@ -165,4 +175,121 @@ proptest! {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A fresh store directory for one drill.
+fn drill_store(name: &str) -> CheckpointStore {
+    let dir = std::env::temp_dir().join(format!("iguard-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    CheckpointStore::open(&dir).expect("store opens")
+}
+
+fn digests(svc: &DetectorService<ServiceJob>) -> Vec<String> {
+    svc.verdicts().iter().map(|v| v.digest()).collect()
+}
+
+/// The uninterrupted quick supervised chaos fleet's per-tenant digests,
+/// computed once for both drills.
+fn control_digests() -> &'static [String] {
+    static CONTROL: OnceLock<Vec<String>> = OnceLock::new();
+    CONTROL.get_or_init(|| digests(&Fleet::SupervisedChaos.soak()))
+}
+
+/// Recovers the fleet from `store` and finishes the full load. Returns
+/// the recovery scan, the final incarnation's report and the finished
+/// fleet's digests.
+fn finish_from(store: &CheckpointStore) -> (RecoveryReport, ServiceReport, Vec<String>) {
+    let fleet = Fleet::SupervisedChaos;
+    let (mut svc, rec) = store.recover::<ServiceJob>(&fleet.config());
+    Fleet::submit(&mut svc, FLEET_JOBS_PER_TENANT);
+    let report = fleet.run(&mut svc);
+    (rec, report, digests(&svc))
+}
+
+/// Half the fleet saves cleanly as generation 1; a second incarnation
+/// finishes the load and then loses every save to a forced write-side
+/// fault. A short write must not promote; the torn and corrupt writes
+/// promote generations 2 and 3, which recovery must reject, landing on
+/// generation 1 — and the fleet finished from there re-runs exactly the
+/// lost half to the uninterrupted control's bytes.
+#[test]
+fn supervised_fleet_recovers_past_forced_write_faults() {
+    let fleet = Fleet::SupervisedChaos;
+    let store = drill_store("forced-write-faults");
+    let (mut svc, _) = store.recover::<ServiceJob>(&fleet.config());
+    Fleet::submit(&mut svc, FLEET_JOBS_PER_TENANT / 2);
+    fleet.run(&mut svc);
+    assert_eq!(store.save(&svc).expect("clean save promotes"), 1);
+
+    let (mut svc, _) = store.recover::<ServiceJob>(&fleet.config());
+    Fleet::submit(&mut svc, FLEET_JOBS_PER_TENANT);
+    fleet.run(&mut svc);
+    let records = svc.checkpoint_records().expect("names are encodable");
+    for site in [
+        FaultSite::CkptShortWrite,
+        FaultSite::CkptTornWrite,
+        FaultSite::CkptCorruptWrite,
+    ] {
+        let plane = FaultConfig::disabled()
+            .with_seed(FLEET_SEED ^ site.index() as u64)
+            .with_rate(site, RATE_ONE);
+        let mut inj = FaultInjector::new(&plane, "ckpt-store");
+        let promoted = store
+            .save_records_with_faults(&records, &mut inj)
+            .expect("a faulted save completes");
+        if site == FaultSite::CkptShortWrite {
+            assert_eq!(promoted, None, "a short write must not promote");
+        }
+    }
+
+    let (rec, report, got) = finish_from(&store);
+    let _ = std::fs::remove_dir_all(store.dir());
+    let shape = (
+        rec.recovered_generation,
+        rec.scanned,
+        rec.skipped_invalid,
+        rec.skipped_stale_seed,
+    );
+    assert_eq!(
+        shape,
+        (Some(1), 3, 2, 0),
+        "generation, scanned, invalid, stale"
+    );
+    assert_eq!(
+        report.jobs_skipped, 12,
+        "recovery must skip exactly the covered half"
+    );
+    assert_eq!(report.jobs_run, 11, "the lost half re-runs, poison aside");
+    assert_eq!(got, control_digests());
+}
+
+/// Two incarnations save after 2 and then 4 jobs per tenant and stop;
+/// 20 bytes are then cut off the newest generation, as a crash mid-write
+/// would leave it. The next incarnation recovers generation 1 and
+/// finishes the fleet to the uninterrupted control's bytes.
+#[test]
+fn truncated_newest_generation_recovers_the_older_one() {
+    let fleet = Fleet::SupervisedChaos;
+    let store = drill_store("truncated-newest");
+    for upto in [2, 4] {
+        let (mut svc, _) = store.recover::<ServiceJob>(&fleet.config());
+        Fleet::submit(&mut svc, upto);
+        fleet.run(&mut svc);
+        store.save(&svc).expect("clean save promotes");
+    }
+    assert_eq!(store.generations(), [1, 2]);
+    let newest = store.generation_path(2);
+    let len = std::fs::metadata(&newest)
+        .expect("generation 2 exists")
+        .len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&newest)
+        .and_then(|f| f.set_len(len - 20))
+        .expect("truncate generation 2");
+
+    let (rec, _, got) = finish_from(&store);
+    let _ = std::fs::remove_dir_all(store.dir());
+    assert_eq!(rec.recovered_generation, Some(1));
+    assert_eq!(got, control_digests());
 }
