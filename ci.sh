@@ -33,6 +33,10 @@
 # --litmus   replay of the oracle corpus through the `litmus` binary, then
 #            a 30 s random litmus campaign; any unexplained divergence or
 #            replay drift fails.
+# `fuzz` and `litmus` take no driver flags (they reject unknown ones with
+# exit 2): their runs fan out over `bench::par_map`, and a spec that
+# panics is counted as DNF, printed with its `--spec` rerun line, and
+# fails the step.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -72,12 +76,12 @@ if [[ "$FUZZ" -eq 1 ]]; then
   echo "== differential fuzz smoke (--fuzz) =="
   # Unlimited kernel stream, hard 45 s budget: stays under a minute while
   # covering as many kernels as the machine manages.
-  cargo run --release -p bench --bin fuzz -- --kernels 0 --budget 45 --seed 42 --no-progress
+  cargo run --release -p bench --bin fuzz -- --kernels 0 --budget 45 --seed 42
   echo "== static-pruning differential smoke (--fuzz) =="
   # Corpus replay + unlimited fresh stream, hard 30 s budget; exits
   # non-zero on any static-unsound observation (the bucket must stay
   # empty — static-incomplete is the expected class and does not fail).
-  cargo run --release -p bench --bin fuzz -- --static --kernels 0 --budget 30 --seed 42 --no-progress
+  cargo run --release -p bench --bin fuzz -- --static --kernels 0 --budget 30 --seed 42
   echo "== corpus drift check (--fuzz) =="
   # Regenerating the oracle corpus into a scratch dir must reproduce the
   # committed file byte-for-byte: a semantic drift that keeps every entry
@@ -93,11 +97,11 @@ fi
 
 if [[ "$LITMUS" -eq 1 ]]; then
   echo "== litmus corpus replay (--litmus) =="
-  cargo run --release -p bench --bin litmus -- --corpus tests/corpus/oracle.corpus --no-progress
+  cargo run --release -p bench --bin litmus -- --corpus tests/corpus/oracle.corpus
   echo "== litmus fuzz smoke (--litmus) =="
   # Unlimited spec stream, hard 30 s budget; exits non-zero on any
   # unexplained oracle/detector divergence.
-  cargo run --release -p bench --bin litmus -- --tests 0 --budget 30 --seed 42 --no-progress
+  cargo run --release -p bench --bin litmus -- --tests 0 --budget 30 --seed 42
 fi
 
 echo "CI OK"

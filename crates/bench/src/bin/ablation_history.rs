@@ -4,33 +4,29 @@
 //! justification for the 16-byte metadata entry.
 //!
 //! ```text
-//! cargo run -p bench --release --bin ablation_history [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin ablation_history
 //! ```
 
-use bench::{run_jobs, DriverConfig, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
 const DEPTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
-    let (driver, _rest) = DriverConfig::from_env();
     let set = workloads::racey();
-    let mut jobs = Vec::new();
+    let mut specs = Vec::new();
     for w in &set {
         for d in DEPTHS {
-            jobs.push(
-                JobSpec::new(
-                    *w,
-                    ToolSpec::Iguard(IguardConfig::with_history(d)),
-                    Size::Test,
-                    DEFAULT_SEED,
-                )
-                .into_job(),
-            );
+            specs.push(JobSpec::new(
+                *w,
+                ToolSpec::Iguard(IguardConfig::with_history(d)),
+                Size::Test,
+                DEFAULT_SEED,
+            ));
         }
     }
-    let outcomes = run_jobs(jobs, &driver);
+    let outcomes = par_map(specs, JobSpec::run);
 
     println!("Sec 6.7 ablation: races found vs accessor-history depth");
     println!();
@@ -44,7 +40,8 @@ fn main() {
         let counts: Vec<Option<usize>> = (0..DEPTHS.len())
             .map(|j| {
                 outcomes[i * DEPTHS.len() + j]
-                    .value()
+                    .as_ref()
+                    .ok()
                     .and_then(RunOutput::iguard)
                     .map(|r| r.sites.len())
             })

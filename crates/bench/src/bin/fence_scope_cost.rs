@@ -4,10 +4,10 @@
 //! this harness measures it end-to-end by timing fence-heavy kernels.
 //!
 //! ```text
-//! cargo run -p bench --release --bin fence_scope_cost [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin fence_scope_cost
 //! ```
 
-use bench::{gpu_config, run_jobs_strict, DriverConfig, Job, DEFAULT_SEED};
+use bench::{gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::prelude::*;
 
 fn fence_kernel(scope: Scope, fences: u32) -> Kernel {
@@ -32,21 +32,17 @@ fn time_kernel(scope: Scope, fences: u32) -> f64 {
 }
 
 fn main() {
-    let (driver, _rest) = DriverConfig::from_env();
     const FENCES: u32 = 64;
-    // The four timing points ride the driver as custom jobs.
-    let jobs = [
+    let points = vec![
         (Scope::Block, 2 * FENCES),
         (Scope::Block, FENCES),
         (Scope::Device, 2 * FENCES),
         (Scope::Device, FENCES),
-    ]
-    .into_iter()
-    .map(|(scope, n)| {
-        Job::custom(format!("fence/{scope:?} x{n}"), move || time_kernel(scope, n))
-    })
-    .collect();
-    let times = run_jobs_strict(jobs, &driver);
+    ];
+    let times: Vec<f64> = par_map(points, |(scope, n)| time_kernel(scope, n))
+        .into_iter()
+        .map(|t| t.expect("a fence timing run does not panic"))
+        .collect();
 
     // Differencing two iteration counts cancels the loop skeleton exactly.
     let net_block = times[0] - times[1];

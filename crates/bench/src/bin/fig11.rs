@@ -5,7 +5,7 @@
 //! on the common subset.
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig11 [-- --jobs N | --serial] [--prune]
+//! cargo run -p bench --release --bin fig11 [-- --prune]
 //! ```
 //!
 //! With `--prune`, each workload also runs iGUARD with the static
@@ -14,25 +14,31 @@
 //! view of how much overhead the hybrid static/dynamic mode removes.
 //! Without the flag the binary is byte-identical to the previous output.
 
-use bench::{
-    geomean, run_jobs, BarracudaRun, DriverConfig, JobSpec, Outcome, RunOutput, ToolSpec,
-    DEFAULT_SEED,
-};
+use bench::{geomean, par_map, BarracudaRun, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
-/// Per-workload overheads extracted from the per-workload driver outcomes
+/// Per-workload overheads extracted from the per-workload results
 /// (`native, iguard[, pruned], barracuda`):
 /// `(iguard_over, pruned_over, barracuda_over, note)`.
-fn row(outcomes: &[Outcome<RunOutput>]) -> Option<(f64, Option<f64>, Option<f64>, &'static str)> {
-    let native = outcomes[0].value()?.native()?;
-    let ig = outcomes[1].value()?.iguard()?;
+fn row(
+    outcomes: &[Result<RunOutput, String>],
+) -> Option<(f64, Option<f64>, Option<f64>, &'static str)> {
+    let native = outcomes[0].as_ref().ok()?.native()?;
+    let ig = outcomes[1].as_ref().ok()?.iguard()?;
     let ig_over = ig.time / native.time;
     let pruned_over = (outcomes.len() == 4)
-        .then(|| outcomes[2].value()?.iguard().map(|p| p.time / native.time))
+        .then(|| {
+            outcomes[2]
+                .as_ref()
+                .ok()?
+                .iguard()
+                .map(|p| p.time / native.time)
+        })
         .flatten();
     let Some(bar) = outcomes[outcomes.len() - 1]
-        .value()
+        .as_ref()
+        .ok()
         .and_then(RunOutput::barracuda)
     else {
         return Some((ig_over, pruned_over, None, "DNF"));
@@ -55,53 +61,48 @@ fn row(outcomes: &[Outcome<RunOutput>]) -> Option<(f64, Option<f64>, Option<f64>
 }
 
 fn main() {
-    let (driver, rest) = DriverConfig::from_env();
-    let prune = rest.iter().any(|a| a == "--prune");
+    let prune = std::env::args().any(|a| a == "--prune");
     let stride = if prune { 4 } else { 3 };
 
     let sets = [
         ("(a) applications with races", workloads::racey()),
         ("(b) race-free", workloads::clean()),
     ];
-    // Three jobs per workload — native, iGUARD, Barracuda — in figure
+    // Three runs per workload — native, iGUARD, Barracuda — in figure
     // order across both panels; `--prune` inserts a fourth (iGUARD with
     // the static pre-analysis pass) between iGUARD and Barracuda.
-    let mut jobs = Vec::new();
+    let mut specs = Vec::new();
     for (_, set) in &sets {
         for w in set {
-            jobs.push(JobSpec::new(*w, ToolSpec::Native, Size::Bench, DEFAULT_SEED).into_job());
-            jobs.push(
-                JobSpec::new(
-                    *w,
-                    ToolSpec::Iguard(IguardConfig::default()),
-                    Size::Bench,
-                    DEFAULT_SEED,
-                )
-                .into_job(),
-            );
+            specs.push(JobSpec::new(
+                *w,
+                ToolSpec::Native,
+                Size::Bench,
+                DEFAULT_SEED,
+            ));
+            specs.push(JobSpec::new(
+                *w,
+                ToolSpec::Iguard(IguardConfig::default()),
+                Size::Bench,
+                DEFAULT_SEED,
+            ));
             if prune {
-                jobs.push(
-                    JobSpec::new(
-                        *w,
-                        ToolSpec::Iguard(IguardConfig::with_prune()),
-                        Size::Bench,
-                        DEFAULT_SEED,
-                    )
-                    .into_job(),
-                );
-            }
-            jobs.push(
-                JobSpec::new(
+                specs.push(JobSpec::new(
                     *w,
-                    ToolSpec::Barracuda(bench::barracuda_config_for(w)),
+                    ToolSpec::Iguard(IguardConfig::with_prune()),
                     Size::Bench,
                     DEFAULT_SEED,
-                )
-                .into_job(),
-            );
+                ));
+            }
+            specs.push(JobSpec::new(
+                *w,
+                ToolSpec::Barracuda(bench::barracuda_config_for(w)),
+                Size::Bench,
+                DEFAULT_SEED,
+            ));
         }
     }
-    let outcomes = run_jobs(jobs, &driver);
+    let outcomes = par_map(specs, JobSpec::run);
 
     let mut all_ig = Vec::new();
     let mut all_pruned = Vec::new();

@@ -7,25 +7,24 @@
 //! Pass `--ablate` to additionally measure each optimization alone.
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig12 [-- --ablate] [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin fig12 [-- --ablate]
 //! ```
 
-use bench::{geomean, run_jobs, DriverConfig, JobSpec, Outcome, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{geomean, par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
-/// iGUARD time / native time from two adjacent outcomes; `None` on DNF.
-fn over(native: &Outcome<RunOutput>, ig: &Outcome<RunOutput>) -> Option<f64> {
-    let n = native.value()?.native()?;
-    let i = ig.value()?.iguard()?;
+/// iGUARD time / native time from two adjacent results; `None` on DNF.
+fn over(native: &Result<RunOutput, String>, ig: &Result<RunOutput, String>) -> Option<f64> {
+    let n = native.as_ref().ok()?.native()?;
+    let i = ig.as_ref().ok()?.iguard()?;
     Some(i.time / n.time)
 }
 
 fn main() {
-    let (driver, rest) = DriverConfig::from_env();
-    let ablate = rest.iter().any(|a| a == "--ablate");
+    let ablate = std::env::args().any(|a| a == "--ablate");
 
-    // Per workload: native, then one iGUARD job per configuration column.
+    // Per workload: native, then one iGUARD run per configuration column.
     let configs: Vec<IguardConfig> = if ablate {
         vec![
             IguardConfig::without_contention_opts(),
@@ -50,17 +49,24 @@ fn main() {
         .into_iter()
         .filter(|w| w.contention_heavy)
         .collect();
-    let mut jobs = Vec::new();
+    let mut specs = Vec::new();
     for w in &set {
-        jobs.push(JobSpec::new(*w, ToolSpec::Native, Size::Bench, DEFAULT_SEED).into_job());
+        specs.push(JobSpec::new(
+            *w,
+            ToolSpec::Native,
+            Size::Bench,
+            DEFAULT_SEED,
+        ));
         for cfg in &configs {
-            jobs.push(
-                JobSpec::new(*w, ToolSpec::Iguard(cfg.clone()), Size::Bench, DEFAULT_SEED)
-                    .into_job(),
-            );
+            specs.push(JobSpec::new(
+                *w,
+                ToolSpec::Iguard(cfg.clone()),
+                Size::Bench,
+                DEFAULT_SEED,
+            ));
         }
     }
-    let outcomes = run_jobs(jobs, &driver);
+    let outcomes = par_map(specs, JobSpec::run);
 
     println!("Figure 12: overhead with and without the contention optimizations");
     if ablate {

@@ -6,19 +6,18 @@
 //! framework overheads dominate.
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig13 [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin fig13
 //! ```
 
 use std::collections::BTreeMap;
 
-use bench::{run_jobs, DriverConfig, JobSpec, RunOutput, ToolSpec, BREAKDOWN_LABELS, DEFAULT_SEED};
+use bench::{par_map, JobSpec, RunOutput, ToolSpec, BREAKDOWN_LABELS, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
 fn main() {
-    let (driver, _rest) = DriverConfig::from_env();
     let set = workloads::all();
-    let jobs = set
+    let specs = set
         .iter()
         .map(|w| {
             JobSpec::new(
@@ -27,10 +26,9 @@ fn main() {
                 Size::Bench,
                 DEFAULT_SEED,
             )
-            .into_job()
         })
         .collect();
-    let outcomes = run_jobs(jobs, &driver);
+    let outcomes = par_map(specs, JobSpec::run);
 
     println!("Figure 13: breakdown of application runtime under iGUARD (% of total)");
     println!();
@@ -44,7 +42,7 @@ fn main() {
     let mut suites: BTreeMap<&str, ([f64; 6], usize)> = BTreeMap::new();
     let mut dnf = Vec::new();
     for (w, o) in set.iter().zip(&outcomes) {
-        let Some(ig) = o.value().and_then(RunOutput::iguard) else {
+        let Some(ig) = o.as_ref().ok().and_then(RunOutput::iguard) else {
             dnf.push(w.name);
             continue;
         };

@@ -10,10 +10,10 @@
 //! metadata touches across the correspondingly larger managed region.
 //!
 //! ```text
-//! cargo run -p bench --release --bin fig14 [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin fig14
 //! ```
 
-use bench::{gpu_config, run_jobs_strict, DriverConfig, Job, DEFAULT_SEED};
+use bench::{gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::hook::NullHook;
 use gpu_sim::machine::Gpu;
 use iguard::{Iguard, IguardConfig};
@@ -110,25 +110,23 @@ fn measure(gb: u64) -> Row {
 }
 
 fn main() {
-    let (driver, _rest) = DriverConfig::from_env();
-
-    // One job per footprint, plus one job for Barracuda's flat overhead
-    // (reused for every footprint where its reservation fits).
+    // One run per footprint, plus one (`None`) for Barracuda's flat
+    // overhead (reused for every footprint where its reservation fits).
     enum Out {
         Row(Row),
         BarOver(Option<f64>),
     }
-    let mut jobs: Vec<Job<Out>> = FOOTPRINTS_GB
-        .into_iter()
-        .map(|gb| Job::custom(format!("d_reduce/footprint {gb}GB"), move || Out::Row(measure(gb))))
-        .collect();
-    jobs.push(Job::custom("d_reduce/barracuda flat", || {
-        Out::BarOver(barracuda_flat_overhead())
-    }));
-    let mut outs = run_jobs_strict(jobs, &driver);
+    let items = FOOTPRINTS_GB.into_iter().map(Some).chain([None]).collect();
+    let mut outs: Vec<Out> = par_map(items, |gb| match gb {
+        Some(gb) => Out::Row(measure(gb)),
+        None => Out::BarOver(barracuda_flat_overhead()),
+    })
+    .into_iter()
+    .map(|out| out.expect("a footprint run does not panic"))
+    .collect();
 
     let Some(Out::BarOver(bar_over)) = outs.pop() else {
-        unreachable!("last job is the Barracuda overhead")
+        unreachable!("last run is the Barracuda overhead")
     };
 
     println!("Figure 14: overheads with memory footprint scaling (d_reduce)");
@@ -141,7 +139,7 @@ fn main() {
 
     for (gb, out) in FOOTPRINTS_GB.into_iter().zip(outs) {
         let Out::Row(row) = out else {
-            unreachable!("footprint rows precede the Barracuda job")
+            unreachable!("footprint rows precede the Barracuda run")
         };
         let barracuda = if !row.barracuda_fits {
             "OOM".to_string()

@@ -1,9 +1,9 @@
 //! Differential fuzz campaign: generated kernels vs the schedule-space
-//! oracle vs both detectors, fanned out over the work-stealing driver.
+//! oracle vs both detectors, fanned out over `bench::par_map`.
 //!
 //! ```text
 //! fuzz [--kernels N] [--budget SECS] [--seed S] [--corpus PATH] [--spec STR]
-//!      [--static] [--jobs N] [--serial] [--timeout-secs N] [--no-progress]
+//!      [--static]
 //! ```
 //!
 //! - `--kernels N`  kernels to generate (default 200; 0 = unlimited,
@@ -20,12 +20,13 @@
 //!   soundness bug, gets shrunk to a minimal repro, and fails the run.
 //!
 //! Exit code 1 on any unexplained oracle/detector divergence (after
-//! shrinking it to a minimal repro), 0 otherwise.
+//! shrinking it to a minimal repro) or any panicked spec (printed with
+//! its `--spec` rerun line), 0 otherwise.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use bench::{run_jobs, DriverConfig, Job, Outcome};
+use bench::par_map;
 use oracle::corpus;
 use oracle::diff::{diff, generate_specs, DiffConfig, DiffReport};
 use oracle::shrink::shrink;
@@ -104,7 +105,7 @@ fn parse_args(rest: Vec<String>) -> Args {
 /// The `--static` arm: corpus replay first, then the fresh random
 /// stream, everything diffed through `oracle::static_diff::diff_static`.
 /// Returns the process exit code.
-fn static_campaign(args: &Args, driver: &DriverConfig, cfg: &DiffConfig) -> i32 {
+fn static_campaign(args: &Args, cfg: &DiffConfig) -> i32 {
     let started = Instant::now();
     let mut done = 0usize;
     let mut replayed = 0usize;
@@ -114,17 +115,10 @@ fn static_campaign(args: &Args, driver: &DriverConfig, cfg: &DiffConfig) -> i32 
     let mut unsound: Vec<StaticDiffReport> = Vec::new();
 
     let mut run_batch = |specs: Vec<Spec>| -> usize {
-        let jobs: Vec<Job<StaticDiffReport>> = specs
-            .into_iter()
-            .map(|spec| {
-                let cfg = cfg.clone();
-                Job::custom(spec.to_compact_string(), move || diff_static(&spec, &cfg))
-            })
-            .collect();
-        let mut finished = 0usize;
-        for outcome in run_jobs(jobs, driver) {
-            match outcome {
-                Outcome::Done { value, .. } => {
+        let reports = par_map(specs.iter().collect(), |spec| diff_static(spec, cfg));
+        for (spec, report) in specs.iter().zip(reports) {
+            match report {
+                Ok(value) => {
                     racy += usize::from(value.oracle.racy);
                     for d in &value.divergences {
                         *classes
@@ -135,15 +129,15 @@ fn static_campaign(args: &Args, driver: &DriverConfig, cfg: &DiffConfig) -> i32 
                         unsound.push(value);
                     }
                 }
-                Outcome::Panicked { message, .. } => {
-                    eprintln!("static fuzz job panicked: {message}");
+                Err(message) => {
+                    let spec = spec.to_compact_string();
+                    eprintln!("static fuzz job panicked on {spec}: {message}");
+                    eprintln!("  rerun: fuzz --static --spec '{spec}'");
                     dnf += 1;
                 }
-                Outcome::TimedOut { .. } => dnf += 1,
             }
-            finished += 1;
         }
-        finished
+        specs.len()
     };
 
     // Phase 1: replay the pinned corpus — the specs that historically
@@ -206,8 +200,7 @@ fn static_campaign(args: &Args, driver: &DriverConfig, cfg: &DiffConfig) -> i32 
 }
 
 fn main() {
-    let (driver, rest) = DriverConfig::from_env();
-    let args = parse_args(rest);
+    let args = parse_args(std::env::args().skip(1).collect());
     let cfg = DiffConfig::default();
 
     // Single-spec repro mode.
@@ -227,7 +220,7 @@ fn main() {
     }
 
     if args.static_arm {
-        std::process::exit(static_campaign(&args, &driver, &cfg));
+        std::process::exit(static_campaign(&args, &cfg));
     }
 
     let started = Instant::now();
@@ -254,16 +247,10 @@ fn main() {
         let specs = generate_specs(batch, stream_seed);
         stream_seed = stream_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
 
-        let jobs: Vec<Job<DiffReport>> = specs
-            .into_iter()
-            .map(|spec| {
-                let cfg = cfg.clone();
-                Job::custom(spec.to_compact_string(), move || diff(&spec, &cfg))
-            })
-            .collect();
-        for outcome in run_jobs(jobs, &driver) {
-            match outcome {
-                Outcome::Done { value, .. } => {
+        let reports = par_map(specs.iter().collect(), |spec| diff(spec, &cfg));
+        for (spec, report) in specs.iter().zip(reports) {
+            match report {
+                Ok(value) => {
                     racy += usize::from(value.oracle.racy);
                     for d in &value.divergences {
                         if let Some(reason) = d.explanation {
@@ -274,11 +261,12 @@ fn main() {
                         unexplained.push(value);
                     }
                 }
-                Outcome::Panicked { message, .. } => {
-                    eprintln!("fuzz job panicked: {message}");
+                Err(message) => {
+                    let spec = spec.to_compact_string();
+                    eprintln!("fuzz job panicked on {spec}: {message}");
+                    eprintln!("  rerun: fuzz --spec '{spec}'");
                     dnf += 1;
                 }
-                Outcome::TimedOut { .. } => dnf += 1,
             }
             done += 1;
         }
@@ -311,22 +299,11 @@ fn main() {
         entries.push(corpus::entry_for(&small, &cfg));
     }
     if let Some(path) = &args.corpus_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(existing) => {
-                let mut all = corpus::parse(&existing).unwrap_or_else(|e| {
-                    eprintln!("existing corpus {path} unreadable: {e}");
-                    std::process::exit(2);
-                });
-                all.extend(entries);
-                corpus::format(&all)
-            }
-            Err(_) => corpus::format(&entries),
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write corpus {path}: {e}");
-        } else {
-            eprintln!("shrunk repros appended to {path}");
+        if let Err(e) = corpus::append(path, &entries) {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
+        eprintln!("shrunk repros appended to {path}");
     }
     std::process::exit(1);
 }

@@ -10,7 +10,7 @@
 //! cargo run -p bench --release --bin iguard_run -- conjugGMB --no-coalesce --no-backoff
 //! ```
 
-use bench::{gpu_config, run_jobs, DriverConfig, Job, Outcome, BREAKDOWN_LABELS};
+use bench::{gpu_config, BREAKDOWN_LABELS};
 use gpu_sim::disasm;
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::COST_CATEGORIES;
@@ -62,8 +62,7 @@ fn parse_args(rest: Vec<String>) -> Args {
                 println!(
                     "usage: iguard_run <workload> [--detector iguard|barracuda|curd|none] \
                      [--size test|bench] [--seed N] [--context N] [--history N] \
-                     [--no-coalesce] [--no-backoff] \
-                     [--jobs N | --serial] [--timeout-secs N] | --list"
+                     [--no-coalesce] [--no-backoff] | --list"
                 );
                 std::process::exit(0);
             }
@@ -113,9 +112,7 @@ fn list_workloads() {
 }
 
 fn main() {
-    let (mut driver, rest) = DriverConfig::from_env();
-    driver.progress = false; // single run: the report itself is the output
-    let args = parse_args(rest);
+    let args = parse_args(std::env::args().skip(1).collect());
     if args.list {
         list_workloads();
         return;
@@ -136,28 +133,11 @@ fn main() {
         std::process::exit(2);
     }
 
-    // The run rides the driver as one job: a panicking or hung workload is
-    // reported as DNF instead of taking the shell down with it.
-    let label = format!("{}/{}", w.name, args.detector);
-    let job = Job::custom(label.clone(), move || match args.detector.as_str() {
+    match args.detector.as_str() {
         "iguard" => run_iguard(&w, &args),
         "barracuda" => run_barracuda(&w, &args),
         "curd" => run_curd(&w, &args),
         _ => run_native(&w, &args),
-    });
-    match run_jobs(vec![job], &driver).remove(0) {
-        Outcome::Done { .. } => {}
-        Outcome::Panicked { message, .. } => {
-            eprintln!("{label}: DNF (panicked: {message})");
-            std::process::exit(1);
-        }
-        Outcome::TimedOut { elapsed } => {
-            eprintln!(
-                "{label}: DNF (deadline {:.0}s exceeded)",
-                elapsed.as_secs_f64()
-            );
-            std::process::exit(1);
-        }
     }
 }
 

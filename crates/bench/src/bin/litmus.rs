@@ -1,13 +1,12 @@
 //! Weak-memory litmus campaign: 2–4-actor specs with final-state
 //! assertions vs the relaxed-visibility oracle vs both detectors, fanned
-//! out over the work-stealing driver. `fuzz` diffs the two-actor race
+//! out over `bench::par_map`. `fuzz` diffs the two-actor race
 //! stream of the same spec language; the two stay separate binaries
 //! because a litmus spec costs about 700× more to explore.
 //!
 //! ```text
 //! litmus [--tests N] [--budget SECS] [--seed S]
 //!        [--spec STR] [--corpus PATH] [--corpus-out PATH]
-//!        [--jobs N] [--serial] [--timeout-secs N] [--no-progress]
 //! ```
 //!
 //! Three modes, checked in order:
@@ -23,13 +22,13 @@
 //!   unexplained divergence to a 1-minimal repro. `--corpus-out P`
 //!   appends shrunk repros to a corpus file.
 //!
-//! Exit code 1 on any unexplained divergence, replay failure, or DNF;
-//! 0 otherwise.
+//! Exit code 1 on any unexplained divergence, replay failure, or DNF (a
+//! panicked spec, printed with its `--spec` rerun line); 0 otherwise.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use bench::{run_jobs, DriverConfig, Job, Outcome};
+use bench::par_map;
 use oracle::corpus;
 use oracle::diff::{diff, generate_litmus, DiffConfig, DiffReport};
 use oracle::shrink::shrink;
@@ -100,7 +99,7 @@ fn parse_args(rest: Vec<String>) -> Args {
 }
 
 /// Replay a pinned corpus file; returns the process exit code.
-fn replay_corpus(path: &str, cfg: &DiffConfig, driver: &DriverConfig) -> i32 {
+fn replay_corpus(path: &str, cfg: &DiffConfig) -> i32 {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read corpus {path}: {e}");
         std::process::exit(2);
@@ -110,36 +109,18 @@ fn replay_corpus(path: &str, cfg: &DiffConfig, driver: &DriverConfig) -> i32 {
         std::process::exit(2);
     });
     let total = entries.len();
-    let labels: Vec<String> = entries
-        .iter()
-        .map(|e| e.spec.to_compact_string())
-        .collect();
-    let jobs: Vec<Job<Result<(), String>>> = entries
-        .into_iter()
-        .map(|entry| {
-            let cfg = cfg.clone();
-            Job::custom(entry.spec.to_compact_string(), move || {
-                corpus::verify(&entry, &cfg)
-            })
-        })
-        .collect();
+    let verdicts = par_map(entries.iter().collect(), |entry| corpus::verify(entry, cfg));
     let mut failures = 0usize;
-    // `run_jobs` returns outcomes in submission order, so `labels[i]`
-    // names the entry behind outcome `i`.
-    for (i, outcome) in run_jobs(jobs, driver).into_iter().enumerate() {
-        let label = &labels[i];
-        match outcome {
-            Outcome::Done { value: Err(e), .. } => {
+    for (entry, verdict) in entries.iter().zip(verdicts) {
+        let label = entry.spec.to_compact_string();
+        match verdict {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
                 eprintln!("REPLAY FAILED {label}: {e}");
                 failures += 1;
             }
-            Outcome::Done { .. } => {}
-            Outcome::Panicked { message, .. } => {
+            Err(message) => {
                 eprintln!("REPLAY PANICKED {label}: {message}");
-                failures += 1;
-            }
-            Outcome::TimedOut { .. } => {
-                eprintln!("REPLAY TIMED OUT {label}");
                 failures += 1;
             }
         }
@@ -149,8 +130,7 @@ fn replay_corpus(path: &str, cfg: &DiffConfig, driver: &DriverConfig) -> i32 {
 }
 
 fn main() {
-    let (driver, rest) = DriverConfig::from_env();
-    let args = parse_args(rest);
+    let args = parse_args(std::env::args().skip(1).collect());
     let cfg = DiffConfig::default();
 
     // Single-spec repro mode.
@@ -166,7 +146,7 @@ fn main() {
 
     // Pinned-corpus replay mode.
     if let Some(path) = &args.corpus {
-        std::process::exit(replay_corpus(path, &cfg, &driver));
+        std::process::exit(replay_corpus(path, &cfg));
     }
 
     // Fuzz campaign.
@@ -195,16 +175,10 @@ fn main() {
         let specs = generate_litmus(batch, stream_seed);
         stream_seed = stream_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
 
-        let jobs: Vec<Job<DiffReport>> = specs
-            .into_iter()
-            .map(|spec| {
-                let cfg = cfg.clone();
-                Job::custom(spec.to_compact_string(), move || diff(&spec, &cfg))
-            })
-            .collect();
-        for outcome in run_jobs(jobs, &driver) {
-            match outcome {
-                Outcome::Done { value, .. } => {
+        let reports = par_map(specs.iter().collect(), |spec| diff(spec, &cfg));
+        for (spec, report) in specs.iter().zip(reports) {
+            match report {
+                Ok(value) => {
                     racy += usize::from(value.oracle.racy);
                     weak_anomalies += usize::from(
                         value
@@ -222,11 +196,12 @@ fn main() {
                         unexplained.push(value);
                     }
                 }
-                Outcome::Panicked { message, .. } => {
-                    eprintln!("litmus job panicked: {message}");
+                Err(message) => {
+                    let spec = spec.to_compact_string();
+                    eprintln!("litmus job panicked on {spec}: {message}");
+                    eprintln!("  rerun: litmus --spec '{spec}'");
                     dnf += 1;
                 }
-                Outcome::TimedOut { .. } => dnf += 1,
             }
             done += 1;
         }
@@ -257,22 +232,11 @@ fn main() {
         entries.push(corpus::entry_for(&small, &cfg));
     }
     if let Some(path) = &args.corpus_out {
-        let text = match std::fs::read_to_string(path) {
-            Ok(existing) => {
-                let mut all = corpus::parse(&existing).unwrap_or_else(|e| {
-                    eprintln!("existing corpus {path} unreadable: {e}");
-                    std::process::exit(2);
-                });
-                all.extend(entries);
-                corpus::format(&all)
-            }
-            Err(_) => corpus::format(&entries),
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write corpus {path}: {e}");
-        } else {
-            eprintln!("shrunk repros appended to {path}");
+        if let Err(e) = corpus::append(path, &entries) {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
+        eprintln!("shrunk repros appended to {path}");
     }
     std::process::exit(1);
 }

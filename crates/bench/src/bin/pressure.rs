@@ -3,7 +3,7 @@
 //! capacity-capped or under an injected eviction storm.
 //!
 //! ```text
-//! pressure [--jobs N] [--serial] [--timeout-secs N] [--no-progress]
+//! cargo run -p bench --release --bin pressure
 //! ```
 //!
 //! For each workload the sweep runs the detector at full table capacity
@@ -20,7 +20,7 @@ use faults::{FaultConfig, FaultSite, RATE_ONE};
 use iguard::IguardConfig;
 use workloads::Size;
 
-use bench::{gpu_config, run_iguard_with, DriverConfig, IguardRun, Job};
+use bench::{gpu_config, par_map, run_iguard_with};
 
 /// Workloads covering the interesting regimes: two racy kernels whose
 /// sites can be lost to eviction, one clean kernel that must stay clean.
@@ -68,25 +68,23 @@ const ARMS: [Arm; 5] = [
 ];
 
 fn main() {
-    let (driver, rest) = DriverConfig::from_env();
+    let rest: Vec<String> = std::env::args().skip(1).collect();
     if !rest.is_empty() {
         eprintln!("pressure: unknown flags {rest:?}");
         std::process::exit(2);
     }
 
-    let jobs: Vec<Job<IguardRun>> = WORKLOADS
+    let items = WORKLOADS
         .iter()
-        .flat_map(|name| {
-            ARMS.iter().map(move |arm| {
-                let w = workloads::by_name(name).expect("workload list is static");
-                let arm = *arm;
-                Job::custom(format!("{name}/{}", arm.label()), move || {
-                    run_iguard_with(&w.clone(), Size::Test, gpu_config(42), arm.config())
-                })
-            })
-        })
+        .flat_map(|name| ARMS.iter().map(move |arm| (*name, *arm)))
         .collect();
-    let runs = bench::run_jobs_strict(jobs, &driver);
+    let runs: Vec<_> = par_map(items, |(name, arm)| {
+        let w = workloads::by_name(name).expect("workload list is static");
+        run_iguard_with(&w, Size::Test, gpu_config(42), arm.config())
+    })
+    .into_iter()
+    .map(|run| run.expect("a pressure run does not panic"))
+    .collect();
 
     println!("Accuracy under metadata pressure (Size::Test, seed 42)");
     println!(

@@ -5,10 +5,10 @@
 //! Barracuda.
 //!
 //! ```text
-//! cargo run -p bench --release --bin table1 [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin table1
 //! ```
 
-use bench::{gpu_config, run_jobs_strict, DriverConfig, Job, DEFAULT_SEED};
+use bench::{gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::error::SimError;
 use gpu_sim::machine::Gpu;
 use gpu_sim::prelude::*;
@@ -121,7 +121,7 @@ fn cg_probe() -> Kernel {
     b.build()
 }
 
-fn iguard_detects(k: &Kernel, grid: u32, cfg: IguardConfig) -> bool {
+fn iguard_outcome(k: &Kernel, grid: u32, cfg: IguardConfig) -> &'static str {
     let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
     let buf = gpu.alloc(8).unwrap();
     let mut tool = Instrumented::new(Iguard::new(cfg));
@@ -129,7 +129,11 @@ fn iguard_detects(k: &Kernel, grid: u32, cfg: IguardConfig) -> bool {
         Ok(_) | Err(SimError::Timeout { .. }) => {}
         Err(e) => panic!("{e}"),
     }
-    tool.tool().unique_races() > 0
+    if tool.tool().unique_races() > 0 {
+        "Yes"
+    } else {
+        "No"
+    }
 }
 
 fn curd_outcome(k: &Kernel, grid: u32) -> &'static str {
@@ -173,8 +177,18 @@ fn barracuda_outcome(k: &Kernel, grid: u32) -> &'static str {
 /// `(feature, probe constructor, grid, paper row)`.
 type Probe = (&'static str, fn() -> Kernel, u32, &'static str);
 
+/// One table cell: a tool column run on a freshly built probe kernel.
+type Column = fn(&Kernel, u32) -> &'static str;
+
+/// The tool columns, in table order: Barracuda, CURD, ScoRD*, iGUARD.
+const COLUMNS: [Column; 4] = [
+    barracuda_outcome,
+    curd_outcome,
+    |k, grid| iguard_outcome(k, grid, IguardConfig::scord_like()),
+    |k, grid| iguard_outcome(k, grid, IguardConfig::default()),
+];
+
 fn main() {
-    let (driver, _rest) = DriverConfig::from_env();
     let probes: [Probe; 4] = [
         (
             "Sc. fence",
@@ -192,32 +206,15 @@ fn main() {
         ("CG", cg_probe, 1, "No / No / No / Yes"),
     ];
 
-    // Four tool columns per probe, each a custom job building its own
-    // kernel (probe constructors are plain fn pointers, trivially Send).
-    let mut jobs: Vec<Job<&'static str>> = Vec::new();
-    for (name, probe, grid, _) in probes {
-        jobs.push(Job::custom(format!("{name}/barracuda"), move || {
-            barracuda_outcome(&probe(), grid)
-        }));
-        jobs.push(Job::custom(format!("{name}/curd"), move || {
-            curd_outcome(&probe(), grid)
-        }));
-        jobs.push(Job::custom(format!("{name}/scord"), move || {
-            if iguard_detects(&probe(), grid, IguardConfig::scord_like()) {
-                "Yes"
-            } else {
-                "No"
-            }
-        }));
-        jobs.push(Job::custom(format!("{name}/iguard"), move || {
-            if iguard_detects(&probe(), grid, IguardConfig::default()) {
-                "Yes"
-            } else {
-                "No"
-            }
-        }));
-    }
-    let cells = run_jobs_strict(jobs, &driver);
+    // Four tool columns per probe, each run building its own kernel.
+    let items = probes
+        .iter()
+        .flat_map(|&(_, probe, grid, _)| COLUMNS.map(|column| (probe, grid, column)))
+        .collect();
+    let cells: Vec<&str> = par_map(items, |(probe, grid, column)| column(&probe(), grid))
+        .into_iter()
+        .map(|cell| cell.expect("a probe run does not panic"))
+        .collect();
 
     println!("Table 1 (functional): race-class support, measured by probe kernels");
     println!();

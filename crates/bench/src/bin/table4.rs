@@ -2,48 +2,42 @@
 //! the racey workloads, with race types.
 //!
 //! ```text
-//! cargo run -p bench --release --bin table4 [-- --bench] [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin table4 [-- --bench]
 //! ```
 //!
 //! `--bench` re-runs detection at the larger benchmark grid sizes; counts
-//! must be identical (the seeded sites are scale-invariant). Runs fan out
-//! over the experiment driver; output is identical for any `--jobs`.
+//! must be identical (the seeded sites are scale-invariant).
 
-use bench::{
-    kinds_summary, run_jobs, BarracudaRun, DriverConfig, JobSpec, RunOutput, ToolSpec,
-    DEFAULT_SEED,
-};
+use bench::{kinds_summary, par_map, BarracudaRun, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::{BarracudaExpectation, Size};
 
 fn main() {
-    let (driver, rest) = DriverConfig::from_env();
-    let size = if rest.iter().any(|a| a == "--bench") {
+    let size = if std::env::args().any(|a| a == "--bench") {
         Size::Bench
     } else {
         Size::Test
     };
 
-    // One iGUARD and one Barracuda job per racey workload, submitted in
-    // table order; the driver returns outcomes in the same order.
+    // One iGUARD and one Barracuda run per racey workload, in table
+    // order; `par_map` returns results in the same order.
     let table = workloads::racey();
-    let mut jobs = Vec::new();
+    let mut specs = Vec::new();
     for w in &table {
-        jobs.push(
-            JobSpec::new(*w, ToolSpec::Iguard(IguardConfig::default()), size, DEFAULT_SEED)
-                .into_job(),
-        );
-        jobs.push(
-            JobSpec::new(
-                *w,
-                ToolSpec::Barracuda(bench::barracuda_config_for(w)),
-                Size::Test,
-                DEFAULT_SEED,
-            )
-            .into_job(),
-        );
+        specs.push(JobSpec::new(
+            *w,
+            ToolSpec::Iguard(IguardConfig::default()),
+            size,
+            DEFAULT_SEED,
+        ));
+        specs.push(JobSpec::new(
+            *w,
+            ToolSpec::Barracuda(bench::barracuda_config_for(w)),
+            Size::Test,
+            DEFAULT_SEED,
+        ));
     }
-    let outcomes = run_jobs(jobs, &driver);
+    let outcomes = par_map(specs, JobSpec::run);
 
     println!("Table 4: Races detected by Barracuda and iGUARD");
     println!("(paper column = counts reported in the paper; measured = this reproduction)");
@@ -59,8 +53,11 @@ fn main() {
     let mut mismatches = Vec::new();
     let mut dnf = 0usize;
     for (i, w) in table.iter().enumerate() {
-        let ig = outcomes[2 * i].value().and_then(RunOutput::iguard);
-        let bar = outcomes[2 * i + 1].value().and_then(RunOutput::barracuda);
+        let ig = outcomes[2 * i].as_ref().ok().and_then(RunOutput::iguard);
+        let bar = outcomes[2 * i + 1]
+            .as_ref()
+            .ok()
+            .and_then(RunOutput::barracuda);
         total_paper += w.paper_races;
 
         let (measured_str, types_str) = match ig {

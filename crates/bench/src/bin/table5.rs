@@ -3,38 +3,31 @@
 //! no-false-positives claim.
 //!
 //! ```text
-//! cargo run -p bench --release --bin table5 [-- --jobs N | --serial]
+//! cargo run -p bench --release --bin table5
 //! ```
 
-use bench::{run_jobs, BarracudaRun, DriverConfig, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{par_map, BarracudaRun, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
 fn main() {
-    let (driver, _rest) = DriverConfig::from_env();
     let table = workloads::clean();
-    let mut jobs = Vec::new();
+    let mut specs = Vec::new();
     for w in &table {
-        jobs.push(
-            JobSpec::new(
-                *w,
-                ToolSpec::Iguard(IguardConfig::default()),
-                Size::Test,
-                DEFAULT_SEED,
-            )
-            .into_job(),
-        );
-        jobs.push(
-            JobSpec::new(
-                *w,
-                ToolSpec::Barracuda(bench::barracuda_config_for(w)),
-                Size::Test,
-                DEFAULT_SEED,
-            )
-            .into_job(),
-        );
+        specs.push(JobSpec::new(
+            *w,
+            ToolSpec::Iguard(IguardConfig::default()),
+            Size::Test,
+            DEFAULT_SEED,
+        ));
+        specs.push(JobSpec::new(
+            *w,
+            ToolSpec::Barracuda(bench::barracuda_config_for(w)),
+            Size::Test,
+            DEFAULT_SEED,
+        ));
     }
-    let outcomes = run_jobs(jobs, &driver);
+    let outcomes = par_map(specs, JobSpec::run);
 
     println!("Table 5: Applications without any reported races");
     println!();
@@ -46,8 +39,11 @@ fn main() {
     let mut false_positives = 0;
     let mut dnf = 0usize;
     for (i, w) in table.iter().enumerate() {
-        let ig = outcomes[2 * i].value().and_then(RunOutput::iguard);
-        let bar = outcomes[2 * i + 1].value().and_then(RunOutput::barracuda);
+        let ig = outcomes[2 * i].as_ref().ok().and_then(RunOutput::iguard);
+        let bar = outcomes[2 * i + 1]
+            .as_ref()
+            .ok()
+            .and_then(RunOutput::barracuda);
         let ig_str = match ig {
             Some(r) => {
                 false_positives += r.sites.len();

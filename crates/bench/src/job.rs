@@ -1,13 +1,11 @@
-//! Units of work for the parallel experiment driver.
+//! Units of work for the experiment binaries.
 //!
 //! Every evaluation artifact replays many *independent deterministic*
 //! simulations: each owns its own [`Gpu`](gpu_sim::machine::Gpu), seeded
 //! explicitly, and shares nothing with its neighbours. [`JobSpec`] is the
 //! canonical `(workload, tool, config, size, seed)` tuple the tables and
-//! figures are built from; [`Job`] is the type-erased closure form the
-//! driver executes, which also lets harnesses with bespoke setups
-//! (`table1`'s probe kernels, `fig14`'s footprint scaling) ride the same
-//! pool via [`Job::custom`].
+//! figures are built from; binaries run a list of them with
+//! `par_map(specs, JobSpec::run)`.
 
 use barracuda::BarracudaConfig;
 use gpu_sim::hook::ExecMode;
@@ -30,21 +28,9 @@ pub enum ToolSpec {
     Barracuda(BarracudaConfig),
 }
 
-impl ToolSpec {
-    /// Short name for labels and progress lines.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ToolSpec::Native => "native",
-            ToolSpec::Iguard(_) => "iguard",
-            ToolSpec::Barracuda(_) => "barracuda",
-        }
-    }
-}
-
 /// The canonical experiment tuple: workload × tool × size × seed
 /// (× scheduler mode). Everything it owns is `'static` data or owned
-/// configuration, so a spec can cross the driver's thread boundary.
+/// configuration, so a spec can move to a worker thread.
 #[derive(Clone)]
 pub struct JobSpec {
     /// The workload to run.
@@ -72,18 +58,6 @@ impl JobSpec {
         }
     }
 
-    /// Human-readable identity, used for progress and DNF rows.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{} size={:?} seed={}",
-            self.workload.name,
-            self.tool.name(),
-            self.size,
-            self.seed
-        )
-    }
-
     /// Executes the run on the calling thread.
     #[must_use]
     pub fn run(self) -> RunOutput {
@@ -105,13 +79,6 @@ impl JobSpec {
                 RunOutput::Barracuda(run_barracuda_with(&self.workload, self.size, gcfg, cfg))
             }
         }
-    }
-
-    /// Converts the spec into a driver job.
-    #[must_use]
-    pub fn into_job(self) -> Job<RunOutput> {
-        let label = self.label();
-        Job::custom(label, move || self.run())
     }
 }
 
@@ -152,38 +119,5 @@ impl RunOutput {
             RunOutput::Barracuda(r) => Some(r),
             _ => None,
         }
-    }
-}
-
-/// A unit of driver work: a label plus a `Send` closure producing `T`.
-///
-/// The closure owns everything it needs (the driver may run it on any
-/// worker thread, or abandon it past its deadline), which is also the
-/// compiler-checked proof that `Gpu`, `Workload`, and the detector
-/// configurations crossing the spawn boundary are `Send`.
-pub struct Job<T> {
-    /// Identity shown in progress and DNF reporting.
-    pub label: String,
-    run: Box<dyn FnOnce() -> T + Send + 'static>,
-}
-
-impl<T> Job<T> {
-    /// Wraps an arbitrary one-shot closure as a job.
-    pub fn custom(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> Self {
-        Job {
-            label: label.into(),
-            run: Box::new(run),
-        }
-    }
-
-    /// Executes the job on the calling thread.
-    pub(crate) fn execute(self) -> T {
-        (self.run)()
-    }
-}
-
-impl<T> std::fmt::Debug for Job<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job").field("label", &self.label).finish()
     }
 }

@@ -7,14 +7,20 @@
 //! (`table1`, `table4`, `table5`, `fig11`, `fig12`, `fig13`, `fig14`,
 //! `fence_scope_cost`, `ablation_history`); beside them sit the CLI
 //! (`iguard_run`) and the test-plane campaigns (`fuzz`, `litmus`,
-//! `pressure`). The multi-tenant detector service's exec path
-//! ([`run_service_job`]) lives here for its tests. Host time is not
-//! measured here: that is the standalone `benchmark/` package.
+//! `pressure`). Each binary fans its independent runs out through
+//! [`par_map`] and prints the results in submission order. The
+//! multi-tenant detector service's exec path ([`run_service_job`]) lives
+//! here for its tests. Host time is not measured here: that is the
+//! standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 
-pub mod driver;
 pub mod job;
+
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use barracuda::{Barracuda, BarracudaConfig, BarracudaFailure, BinaryKind};
 use gpu_sim::hook::{ExecMode, NullHook};
@@ -25,8 +31,64 @@ use iguard::{Iguard, IguardConfig, RaceSite, ShardedIguard};
 use nvbit_sim::Instrumented;
 use workloads::{Size, Workload};
 
-pub use driver::{run_jobs, run_jobs_strict, DriverConfig, Outcome};
-pub use job::{Job, JobSpec, RunOutput, ToolSpec};
+pub use job::{JobSpec, RunOutput, ToolSpec};
+
+/// Runs `f` over `items` on one scoped thread per available core and
+/// returns one result per item, in submission order.
+///
+/// Workers claim the next unclaimed index from a shared counter. Every
+/// simulation job builds its own seeded `Gpu`, so a result cannot depend
+/// on which worker ran it, and printing the results in order gives the
+/// same bytes as a serial loop. A panicking call becomes `Err(message)`
+/// at its own index (a DNF row) while the other items still run. A run
+/// that never ends is bounded by its own budget (the simulator's
+/// `max_steps` watchdog, the oracle's `max_schedules`), not here.
+pub fn par_map<I: Send, T: Send>(
+    items: Vec<I>,
+    f: impl Fn(I) -> T + Sync,
+) -> Vec<Result<T, String>> {
+    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let next = AtomicUsize::new(0);
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(slots.len());
+    let mut results: Vec<Option<Result<T, String>>> = slots.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(i) else { break done };
+                        let item = slot
+                            .lock()
+                            .expect("no worker panics holding a slot")
+                            .take()
+                            .expect("each index is claimed once");
+                        let r = catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| {
+                            payload
+                                .downcast_ref::<&str>()
+                                .map(ToString::to_string)
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "non-string panic payload".into())
+                        });
+                        done.push((i, r));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, r) in h.join().expect("worker catches every job panic") {
+                results[i] = Some(r);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every item claimed"))
+        .collect()
+}
 
 /// Default schedule seed used by every harness (deterministic results).
 pub const DEFAULT_SEED: u64 = 42;

@@ -1,44 +1,36 @@
-//! Serial-vs-parallel equivalence: the driver's result stream must be
-//! byte-identical (on the runs' Debug forms) whether the sweep uses one
-//! worker or several — the property that makes `--jobs N` safe for every
-//! table and figure.
+//! Parallel-vs-serial equivalence: `par_map` over the experiment specs
+//! must give, on the runs' full Debug forms, exactly what a plain serial
+//! loop gives — the property that lets every table and figure run in
+//! parallel and still print the same bytes.
 
-use bench::{run_jobs, DriverConfig, JobSpec, Outcome, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
 /// A small racey + clean sample (kept quick: the whole sweep runs twice).
 const SAMPLE: [&str; 6] = [
-    "graph-color",   // racey, atomic-scope
-    "uts",           // racey, improper locking
-    "interac",       // racey, ITS
-    "b_reduce",      // clean
-    "d_scan",        // clean
-    "louvain",       // racey, multi-file
+    "graph-color", // racey, atomic-scope
+    "uts",         // racey, improper locking
+    "interac",     // racey, ITS
+    "b_reduce",    // clean
+    "d_scan",      // clean
+    "louvain",     // racey, multi-file
 ];
 
-fn sweep(cfg: &DriverConfig) -> Vec<String> {
-    let jobs = SAMPLE
+fn specs() -> Vec<JobSpec> {
+    SAMPLE
         .iter()
         .flat_map(|name| {
             let w = workloads::by_name(name).expect("sample workload exists");
             [
-                JobSpec::new(w, ToolSpec::Native, Size::Test, DEFAULT_SEED).into_job(),
+                JobSpec::new(w, ToolSpec::Native, Size::Test, DEFAULT_SEED),
                 JobSpec::new(
                     w,
                     ToolSpec::Iguard(IguardConfig::default()),
                     Size::Test,
                     DEFAULT_SEED,
-                )
-                .into_job(),
+                ),
             ]
-        })
-        .collect();
-    run_jobs(jobs, cfg)
-        .into_iter()
-        .map(|o| match o {
-            Outcome::Done { value, .. } => render(&value),
-            other => panic!("sample job did not finish: {other:?}"),
         })
         .collect()
 }
@@ -51,17 +43,21 @@ fn render(out: &RunOutput) -> String {
 
 #[test]
 fn parallel_results_are_byte_identical_to_serial() {
-    let serial = sweep(&DriverConfig::serial());
-    let parallel = sweep(&DriverConfig::parallel(4));
+    let serial: Vec<String> = specs()
+        .into_iter()
+        .map(JobSpec::run)
+        .map(|r| render(&r))
+        .collect();
+    let parallel: Vec<String> = par_map(specs(), JobSpec::run)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| render(&r.unwrap_or_else(|e| panic!("sample run {i} panicked: {e}"))))
+        .collect();
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(s, p, "result {i} diverged between serial and 4-worker runs");
+        assert_eq!(
+            s, p,
+            "result {i} diverged between the serial loop and par_map"
+        );
     }
-}
-
-#[test]
-fn worker_count_does_not_change_results() {
-    let two = sweep(&DriverConfig::parallel(2));
-    let eight = sweep(&DriverConfig::parallel(8));
-    assert_eq!(two, eight);
 }

@@ -26,7 +26,6 @@ fn golden_path(name: &str) -> PathBuf {
 
 fn check(bin: &str, exe: &str) {
     let out = Command::new(exe)
-        .arg("--no-progress")
         .output()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(

@@ -1,14 +1,14 @@
 //! Fast integration gate over the two headline tables, at reduced sizes
-//! and through the parallel driver: every racey workload yields at least
+//! and through `par_map`: every racey workload yields at least
 //! its paper-reported race count (Table 4), and no race-free workload
 //! yields any report at all (Table 5's zero-false-positive claim).
 
-use bench::{run_jobs, DriverConfig, JobSpec, Outcome, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
 fn iguard_sweep(set: Vec<workloads::Workload>) -> Vec<(workloads::Workload, usize)> {
-    let jobs = set
+    let specs = set
         .iter()
         .map(|w| {
             JobSpec::new(
@@ -17,16 +17,12 @@ fn iguard_sweep(set: Vec<workloads::Workload>) -> Vec<(workloads::Workload, usiz
                 Size::Test,
                 DEFAULT_SEED,
             )
-            .into_job()
         })
         .collect();
     set.into_iter()
-        .zip(run_jobs(jobs, &DriverConfig::parallel(4)))
+        .zip(par_map(specs, JobSpec::run))
         .map(|(w, o)| match o {
-            Outcome::Done {
-                value: RunOutput::Iguard(r),
-                ..
-            } => (w, r.sites.len()),
+            Ok(RunOutput::Iguard(r)) => (w, r.sites.len()),
             other => panic!("{} did not finish: {other:?}", w.name),
         })
         .collect()

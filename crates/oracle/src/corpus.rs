@@ -24,6 +24,8 @@
 //! (`iguard:FN:fence-scope-approximation`, ...); verification fails on
 //! any UNEXPLAINED entry.
 
+use std::path::Path;
+
 use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
 
 use crate::diff::{diff, DiffConfig, DiffReport, Verdict};
@@ -222,6 +224,25 @@ pub fn parse(text: &str) -> Result<Vec<CorpusEntry>, String> {
     Ok(entries)
 }
 
+/// Appends `entries` to the corpus file at `path`, creating it when it
+/// is missing. An existing file that cannot be read or parsed is left
+/// untouched.
+///
+/// # Errors
+/// The existing file is unreadable or malformed, or the write failed.
+pub fn append(path: impl AsRef<Path>, entries: &[CorpusEntry]) -> Result<(), String> {
+    let path = path.as_ref();
+    let mut all = match std::fs::read_to_string(path) {
+        Ok(existing) => parse(&existing)
+            .map_err(|e| format!("existing corpus {} unreadable: {e}", path.display()))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(format!("cannot read corpus {}: {e}", path.display())),
+    };
+    all.extend_from_slice(entries);
+    std::fs::write(path, format(&all))
+        .map_err(|e| format!("cannot write corpus {}: {e}", path.display()))
+}
+
 /// Replays one entry against today's code: witness replay on the
 /// weak-visibility machine, then a full re-diff whose verdicts, assertion
 /// tag, and divergence classes must all still hold — and none of them may
@@ -315,6 +336,40 @@ mod tests {
             entries[0].witness.as_ref().map(ScheduleTrace::digest)
         );
         assert_eq!(back[1].iguard_flagged, entries[1].iguard_flagged);
+    }
+
+    #[test]
+    fn append_creates_extends_and_refuses_a_malformed_corpus() {
+        let dir = std::env::temp_dir().join(format!("oracle-corpus-append-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("append.corpus");
+        let _ = std::fs::remove_file(&path);
+        let first = vec![entry("v2;CB;Sx/Lx")];
+        let second = vec![entry("v2;SW;Lx/Lx"), entry("v2;CB;Lx/Sx")];
+
+        // A missing file is created with the header and the first set.
+        append(&path, &first).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), format(&first));
+
+        // An existing file keeps its entries, and the new set follows them.
+        append(&path, &second).unwrap();
+        let specs: Vec<Spec> = parse(&std::fs::read_to_string(&path).unwrap())
+            .unwrap()
+            .into_iter()
+            .map(|e| e.spec)
+            .collect();
+        let want: Vec<Spec> = first
+            .iter()
+            .chain(&second)
+            .map(|e| e.spec.clone())
+            .collect();
+        assert_eq!(specs, want);
+
+        // A malformed existing corpus is an error and stays as it was.
+        std::fs::write(&path, "not a corpus\n").unwrap();
+        assert!(append(&path, &first).is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "not a corpus\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
