@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full workspace tests, clippy clean, and a
-# build of the standalone `benchmark/` package followed by that package's
-# own unit tests, among them the check that `BENCHMARK.json` on disk
-# equals `spec::contract()`. That build is what checks the
+# Tier-1 gate: release build, full workspace tests, clippy clean,
+# rustdoc clean (`-D warnings`, so a doc link to a deleted or private
+# item fails here instead of going stale), and a build of the standalone
+# `benchmark/` package followed by that package's own unit tests, among
+# them the check that `BENCHMARK.json` on disk equals `spec::contract()`. That build is what checks the
 # `iguard::shard` shim: the frozen benchmark names `ShardedIguard` (a
 # second `impl Detector`, and the service job closure's parameter type)
 # and `ShardConfig::inline`, so breaking that surface fails here rather
 # than in a benchmark run.
 # The workspace tests already byte-compare the stdout of every paper
-# artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`,
+# artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`, `fig12 --ablate`,
 # `fence_scope_cost`, `ablation_history`) plus `pressure`
 # (`golden_stdout`), replay the oracle corpus (`regressions_replay`), pin
 # the hot paths (`counter_identity`, `heap_ceiling`, `schedule_digest`,
@@ -60,6 +61,9 @@ cargo test -q --workspace --release
 
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== benchmark/ builds against the workspace crates =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target

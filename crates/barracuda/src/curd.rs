@@ -54,25 +54,14 @@ pub fn curd_path(kernels: &[&Kernel], kind: BinaryKind) -> Result<CurdPath, Unsu
     })
 }
 
-/// Cost parameters of the fast path. CURD's instrumentation is inlined by
-/// the compiler (no binary-rewriting dispatch) and its per-interval logs
-/// are processed in bulk — the paper's "3×" regime.
-#[derive(Debug, Clone)]
-pub struct CurdConfig {
-    /// Serial cycles per warp-split record on the fast path.
-    pub fast_record_cost: u64,
-    /// Barracuda configuration used on the fallback path.
-    pub fallback: BarracudaConfig,
-}
-
-impl Default for CurdConfig {
-    fn default() -> Self {
-        CurdConfig {
-            fast_record_cost: 2,
-            fallback: BarracudaConfig::default(),
-        }
-    }
-}
+/// Serial cycles per warp-split record on the fast path. CURD's
+/// instrumentation is inlined by the compiler (no binary-rewriting
+/// dispatch) and its per-interval logs are processed in bulk — the
+/// paper's "3×" regime.
+const FAST_RECORD_COST: u64 = 2;
+/// Serial cycles of the fast path's compiler-inserted setup, charged at
+/// every launch.
+const FAST_SETUP_COST: u64 = 500;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IntervalAccess {
@@ -86,7 +75,6 @@ struct IntervalAccess {
 #[derive(Debug)]
 pub struct Curd {
     path: CurdPath,
-    cfg: CurdConfig,
     fallback: Barracuda,
     // Fast-path state.
     block_interval: Vec<u32>,
@@ -100,17 +88,13 @@ pub struct Curd {
 }
 
 impl Curd {
-    /// "Compiles" the binary: inspects it and selects the engine.
-    pub fn for_kernels(
-        kernels: &[&Kernel],
-        kind: BinaryKind,
-        cfg: CurdConfig,
-    ) -> Result<Self, Unsupported> {
+    /// "Compiles" the binary: inspects it and selects the engine. The
+    /// fallback is an unbudgeted Barracuda.
+    pub fn for_kernels(kernels: &[&Kernel], kind: BinaryKind) -> Result<Self, Unsupported> {
         let path = curd_path(kernels, kind)?;
         Ok(Curd {
             path,
-            fallback: Barracuda::new(cfg.fallback.clone()),
-            cfg,
+            fallback: Barracuda::new(BarracudaConfig::default()),
             block_interval: Vec::new(),
             block_dim: 0,
             words: HashMap::new(),
@@ -191,7 +175,7 @@ impl Tool for Curd {
                 self.kernel_name = info.kernel_name.clone();
                 self.words.clear();
                 // Compiler-inserted instrumentation: modest setup.
-                clock.charge_serial(CostCategory::Setup, 500);
+                clock.charge_serial(CostCategory::Setup, FAST_SETUP_COST);
             }
             CurdPath::BarracudaFallback => self.fallback.at_launch(info, clock),
         }
@@ -209,7 +193,7 @@ impl Tool for Curd {
         }
         match self.path {
             CurdPath::Fast => {
-                clock.charge_serial(CostCategory::Detection, self.cfg.fast_record_cost);
+                clock.charge_serial(CostCategory::Detection, FAST_RECORD_COST);
                 let interval = self.block_interval[access.block_id as usize];
                 let lanes: Vec<(u32, u32)> = access
                     .lanes
@@ -272,8 +256,7 @@ mod tests {
     }
 
     fn run_curd(k: &Kernel, grid: u32, block: u32) -> (CurdPath, usize) {
-        let curd = Curd::for_kernels(&[k], BinaryKind::SingleFile, CurdConfig::default())
-            .expect("supported");
+        let curd = Curd::for_kernels(&[k], BinaryKind::SingleFile).expect("supported");
         let path = curd.path();
         let mut gpu = Gpu::new(GpuConfig {
             seed: 3,
@@ -326,8 +309,7 @@ mod tests {
         let one = b.imm(1);
         let _ = b.atom(AtomOp::Add, Scope::Device, base, 0, one);
         let k = b.build();
-        let curd = Curd::for_kernels(&[&k], BinaryKind::SingleFile, CurdConfig::default())
-            .expect("supported");
+        let curd = Curd::for_kernels(&[&k], BinaryKind::SingleFile).expect("supported");
         assert_eq!(curd.path(), CurdPath::BarracudaFallback);
     }
 
@@ -339,7 +321,7 @@ mod tests {
         let _ = b.atom(AtomOp::Add, Scope::Block, base, 0, one);
         let k = b.build();
         assert_eq!(
-            Curd::for_kernels(&[&k], BinaryKind::SingleFile, CurdConfig::default()).err(),
+            Curd::for_kernels(&[&k], BinaryKind::SingleFile).err(),
             Some(Unsupported::ScopedAtomics)
         );
     }
@@ -348,7 +330,7 @@ mod tests {
     fn multi_file_remains_unsupported() {
         let k = barrier_kernel(true);
         assert_eq!(
-            Curd::for_kernels(&[&k], BinaryKind::MultiFile, CurdConfig::default()).err(),
+            Curd::for_kernels(&[&k], BinaryKind::MultiFile).err(),
             Some(Unsupported::MultiFilePtx)
         );
     }

@@ -17,6 +17,8 @@
 //! - same-warp accesses are assumed lockstep-ordered (SM35), so ITS races
 //!   are invisible to it.
 
+use std::num::NonZeroUsize;
+
 use gpu_sim::hook::{AccessKind, LaunchInfo, MemAccess, SyncEvent};
 use gpu_sim::ir::Scope;
 use gpu_sim::timing::{Clock, CostCategory};
@@ -26,20 +28,24 @@ use nvbit_sim::Tool;
 use crate::event::Event;
 use crate::hb::{CpuRace, HbDetector};
 
-/// Cost/behaviour parameters of the baseline.
+/// Serial cycles to reserve a channel slot and ship one record.
+const SHIP_COST: u64 = 34;
+/// Serial cycles for the CPU to process one record.
+const CPU_COST: u64 = 40;
+/// Serial cycles per forced channel flush.
+const FLUSH_COST: u64 = 1_500;
+/// Channel capacity in events before a forced flush.
+const CHANNEL_CAPACITY: NonZeroUsize = NonZeroUsize::new(1 << 16).unwrap();
+/// Fraction of device memory reserved for buffers (the paper: "prior
+/// works, e.g., Barracuda reserves 50% of the memory capacity").
+const RESERVE_FRACTION: f64 = 0.5;
+/// Serial cycles to pin the metadata buffers, charged at every launch.
+const SETUP_COST: u64 = 1_000;
+
+/// The baseline's one setting, its CPU budget; its costs are the fixed
+/// constants above.
 #[derive(Debug, Clone)]
 pub struct BarracudaConfig {
-    /// Serial cycles to reserve a channel slot and ship one event.
-    pub ship_cost: u64,
-    /// Serial cycles for the CPU to process one event.
-    pub cpu_cost: u64,
-    /// Serial cycles per forced channel flush.
-    pub flush_cost: u64,
-    /// Channel capacity in events before a forced flush.
-    pub channel_capacity: usize,
-    /// Fraction of device memory reserved for buffers (the paper: "prior
-    /// works, e.g., Barracuda reserves 50% of the memory capacity").
-    pub reserve_fraction: f64,
     /// Serial-cycle budget after which the run is declared non-terminating
     /// (the paper's `interac` case).
     pub timeout_serial_cycles: u64,
@@ -48,11 +54,6 @@ pub struct BarracudaConfig {
 impl Default for BarracudaConfig {
     fn default() -> Self {
         BarracudaConfig {
-            ship_cost: 34,
-            cpu_cost: 40,
-            flush_cost: 1_500,
-            channel_capacity: 1 << 16,
-            reserve_fraction: 0.5,
             timeout_serial_cycles: u64::MAX,
         }
     }
@@ -104,13 +105,8 @@ impl Barracuda {
     pub fn new(cfg: BarracudaConfig) -> Self {
         // Per-record shipping cost is charged explicitly in `record()`;
         // the channel itself only charges forced flushes.
-        let channel = HostChannel::new(
-            cfg.channel_capacity.max(1),
-            0,
-            cfg.flush_cost,
-            CostCategory::Detection,
-        )
-        .expect("capacity clamped to >= 1");
+        let channel =
+            HostChannel::with_capacity(CHANNEL_CAPACITY, 0, FLUSH_COST, CostCategory::Detection);
         Barracuda {
             cfg,
             channel,
@@ -152,11 +148,7 @@ impl Barracuda {
         let Some(hb) = self.hb.as_mut() else {
             return;
         };
-        let budget_records = self
-            .cfg
-            .timeout_serial_cycles
-            .checked_div(self.cfg.cpu_cost)
-            .unwrap_or(u64::MAX);
+        let budget_records = self.cfg.timeout_serial_cycles / CPU_COST;
         let before = hb.races().len();
         let mut processed_now = 0u64;
         for (record, ev) in &events {
@@ -171,7 +163,7 @@ impl Barracuda {
             }
             hb.process(ev);
         }
-        clock.charge_serial(CostCategory::Detection, processed_now * self.cfg.cpu_cost);
+        clock.charge_serial(CostCategory::Detection, processed_now * CPU_COST);
         let new_races = hb.races()[before.min(hb.races().len())..].to_vec();
         self.races.extend(new_races);
     }
@@ -185,8 +177,8 @@ impl Barracuda {
     /// Opens a new per-split record and charges its serialized shipping.
     fn record(&mut self, clock: &mut Clock) -> u64 {
         self.records_sent += 1;
-        self.serial_shipped += self.cfg.ship_cost;
-        clock.charge_serial(CostCategory::Detection, self.cfg.ship_cost);
+        self.serial_shipped += SHIP_COST;
+        clock.charge_serial(CostCategory::Detection, SHIP_COST);
         self.records_sent
     }
 
@@ -212,7 +204,7 @@ impl Tool for Barracuda {
 
         // Reservation policy: 50 % of capacity for buffers plus a shadow
         // proportional to the application footprint.
-        let needed = (info.device_capacity_bytes as f64 * self.cfg.reserve_fraction) as u64
+        let needed = (info.device_capacity_bytes as f64 * RESERVE_FRACTION) as u64
             + 2 * info.app_footprint_bytes;
         if needed > info.device_capacity_bytes {
             self.failure = Some(BarracudaFailure::OutOfMemory {
@@ -221,7 +213,7 @@ impl Tool for Barracuda {
             });
         }
         // Metadata buffers are pinned eagerly: a fixed setup charge.
-        clock.charge_serial(CostCategory::Setup, 1_000);
+        clock.charge_serial(CostCategory::Setup, SETUP_COST);
     }
 
     fn at_exit(&mut self, _info: &LaunchInfo, clock: &mut Clock) {

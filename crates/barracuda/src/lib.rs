@@ -26,7 +26,7 @@ pub mod event;
 pub mod hb;
 pub mod vc;
 
-pub use curd::{Curd, CurdConfig, CurdPath};
+pub use curd::{Curd, CurdPath};
 pub use detector::{Barracuda, BarracudaConfig, BarracudaFailure};
 pub use hb::CpuRace;
 

@@ -96,7 +96,7 @@ fn main() {
             }
             specs.push(JobSpec::new(
                 *w,
-                ToolSpec::Barracuda(bench::barracuda_config_for(w)),
+                ToolSpec::Barracuda(bench::barracuda_config_for()),
                 Size::Bench,
                 DEFAULT_SEED,
             ));

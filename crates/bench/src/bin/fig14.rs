@@ -81,7 +81,7 @@ fn iguard_scaled(footprint: u64) -> (f64, UvmStats) {
 fn barracuda_flat_overhead() -> Option<f64> {
     let w: Workload = workloads::by_name("d_reduce").unwrap();
     let native_run = bench::run_native(&w, Size::Bench, DEFAULT_SEED);
-    match bench::run_barracuda(&w, Size::Bench, DEFAULT_SEED, bench::barracuda_config_for(&w)) {
+    match bench::run_barracuda(&w, Size::Bench, DEFAULT_SEED, bench::barracuda_config_for()) {
         bench::BarracudaRun::Ran { time, .. } => Some(time / native_run.time),
         _ => None,
     }

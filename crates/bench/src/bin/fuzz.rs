@@ -7,7 +7,7 @@
 //! ```
 //!
 //! - `--kernels N`  kernels to generate (default 200; 0 = unlimited,
-//!   requires `--budget`).
+//!   requires `--budget`; ignored with `--spec`).
 //! - `--budget S`   stop starting new batches after S seconds.
 //! - `--seed S`     campaign seed for the kernel generator (default 42).
 //! - `--corpus P`   append shrunk unexplained divergences to corpus file P.
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use bench::par_map;
 use oracle::corpus;
-use oracle::diff::{diff, generate_specs, DiffConfig, DiffReport};
+use oracle::diff::{diff, generate_specs, DiffReport};
 use oracle::shrink::shrink;
 use oracle::spec::Spec;
 use oracle::static_diff::{diff_static, StaticDiffReport};
@@ -95,7 +95,7 @@ fn parse_args(rest: Vec<String>) -> Args {
             }
         }
     }
-    if args.kernels == 0 && args.budget.is_none() {
+    if args.kernels == 0 && args.budget.is_none() && args.spec.is_none() {
         eprintln!("--kernels 0 (unlimited) requires --budget");
         std::process::exit(2);
     }
@@ -105,7 +105,7 @@ fn parse_args(rest: Vec<String>) -> Args {
 /// The `--static` arm: corpus replay first, then the fresh random
 /// stream, everything diffed through `oracle::static_diff::diff_static`.
 /// Returns the process exit code.
-fn static_campaign(args: &Args, cfg: &DiffConfig) -> i32 {
+fn static_campaign(args: &Args) -> i32 {
     let started = Instant::now();
     let mut done = 0usize;
     let mut replayed = 0usize;
@@ -115,7 +115,7 @@ fn static_campaign(args: &Args, cfg: &DiffConfig) -> i32 {
     let mut unsound: Vec<StaticDiffReport> = Vec::new();
 
     let mut run_batch = |specs: Vec<Spec>| -> usize {
-        let reports = par_map(specs.iter().collect(), |spec| diff_static(spec, cfg));
+        let reports = par_map(specs.iter().collect(), diff_static);
         for (spec, report) in specs.iter().zip(reports) {
             match report {
                 Ok(value) => {
@@ -187,8 +187,8 @@ fn static_campaign(args: &Args, cfg: &DiffConfig) -> i32 {
     }
 
     for r in &unsound {
-        let small = shrink(&r.spec, |s| !diff_static(s, cfg).unsound().is_empty());
-        let shrunk = diff_static(&small, cfg);
+        let small = shrink(&r.spec, |s| !diff_static(s).unsound().is_empty());
+        let shrunk = diff_static(&small);
         eprintln!("STATIC-UNSOUND: {}", r.describe());
         eprintln!("  shrunk repro: {}", shrunk.describe());
         eprintln!(
@@ -201,7 +201,6 @@ fn static_campaign(args: &Args, cfg: &DiffConfig) -> i32 {
 
 fn main() {
     let args = parse_args(std::env::args().skip(1).collect());
-    let cfg = DiffConfig::default();
 
     // Single-spec repro mode.
     if let Some(s) = &args.spec {
@@ -210,17 +209,17 @@ fn main() {
             std::process::exit(2);
         });
         if args.static_arm {
-            let r = diff_static(&spec, &cfg);
+            let r = diff_static(&spec);
             println!("{}", r.describe());
             std::process::exit(i32::from(!r.unsound().is_empty()));
         }
-        let r = diff(&spec, &cfg);
+        let r = diff(&spec);
         println!("{}", r.describe());
         std::process::exit(i32::from(!r.unexplained().is_empty()));
     }
 
     if args.static_arm {
-        std::process::exit(static_campaign(&args, &cfg));
+        std::process::exit(static_campaign(&args));
     }
 
     let started = Instant::now();
@@ -247,7 +246,7 @@ fn main() {
         let specs = generate_specs(batch, stream_seed);
         stream_seed = stream_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
 
-        let reports = par_map(specs.iter().collect(), |spec| diff(spec, &cfg));
+        let reports = par_map(specs.iter().collect(), diff);
         for (spec, report) in specs.iter().zip(reports) {
             match report {
                 Ok(value) => {
@@ -288,15 +287,15 @@ fn main() {
 
     let mut entries = Vec::new();
     for r in &unexplained {
-        let small = shrink(&r.spec, |s| !diff(s, &cfg).unexplained().is_empty());
-        let shrunk = diff(&small, &cfg);
+        let small = shrink(&r.spec, |s| !diff(s).unexplained().is_empty());
+        let shrunk = diff(&small);
         eprintln!("UNEXPLAINED: {}", r.describe());
         eprintln!("  shrunk repro: {}", shrunk.describe());
         eprintln!(
             "  rerun: fuzz --spec '{}'",
             small.to_compact_string()
         );
-        entries.push(corpus::entry_for(&small, &cfg));
+        entries.push(corpus::entry_for(&small));
     }
     if let Some(path) = &args.corpus_path {
         if let Err(e) = corpus::append(path, &entries) {

@@ -46,11 +46,15 @@ fn parse_args(rest: Vec<String>) -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--list" => args.list = true,
-            "--detector" => args.detector = it.next().expect("--detector <name>"),
+            "--detector" => args.detector = value_arg(&mut it, "--detector"),
             "--size" => {
-                args.size = match it.next().expect("--size <test|bench>").as_str() {
+                args.size = match value_arg(&mut it, "--size").as_str() {
+                    "test" => Size::Test,
                     "bench" => Size::Bench,
-                    _ => Size::Test,
+                    other => {
+                        eprintln!("--size expects test or bench, got `{other}`");
+                        std::process::exit(2);
+                    }
                 }
             }
             "--seed" => args.seed = numeric_arg(&mut it, "--seed"),
@@ -76,13 +80,19 @@ fn parse_args(rest: Vec<String>) -> Args {
     args
 }
 
-/// Parses the next argument as a number, exiting with a clean message on
-/// a missing or non-numeric value (a user typo must not panic).
-fn numeric_arg<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let Some(raw) = it.next() else {
+/// The next argument as `flag`'s value, exiting with a clean message when
+/// it is missing (a user typo must not panic).
+fn value_arg(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next().unwrap_or_else(|| {
         eprintln!("{flag} requires a value");
         std::process::exit(2);
-    };
+    })
+}
+
+/// Parses the next argument as a number, exiting with a clean message on
+/// a missing or non-numeric value.
+fn numeric_arg<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let raw = value_arg(it, flag);
     raw.parse().unwrap_or_else(|_| {
         eprintln!("{flag} expects a number, got `{raw}`");
         std::process::exit(2);
@@ -250,7 +260,7 @@ fn run_curd(w: &Workload, args: &Args) {
         barracuda::BinaryKind::SingleFile
     };
     let kernels = Workload::kernels(&launches);
-    let curd = match barracuda::Curd::for_kernels(&kernels, kind, Default::default()) {
+    let curd = match barracuda::Curd::for_kernels(&kernels, kind) {
         Ok(c) => c,
         Err(u) => {
             println!("{}: CURD refuses this binary: {u}", w.name);
@@ -270,7 +280,7 @@ fn run_curd(w: &Workload, args: &Args) {
 }
 
 fn run_barracuda(w: &Workload, args: &Args) {
-    match bench::run_barracuda(w, args.size, args.seed, bench::barracuda_config_for(w)) {
+    match bench::run_barracuda(w, args.size, args.seed, bench::barracuda_config_for()) {
         bench::BarracudaRun::Unsupported(u) => {
             println!("{}: Barracuda refuses this binary: {u}", w.name);
         }

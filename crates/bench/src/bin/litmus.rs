@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use bench::par_map;
 use oracle::corpus;
-use oracle::diff::{diff, generate_litmus, DiffConfig, DiffReport};
+use oracle::diff::{diff, generate_litmus, DiffReport};
 use oracle::shrink::shrink;
 use oracle::spec::Spec;
 
@@ -99,7 +99,7 @@ fn parse_args(rest: Vec<String>) -> Args {
 }
 
 /// Replay a pinned corpus file; returns the process exit code.
-fn replay_corpus(path: &str, cfg: &DiffConfig) -> i32 {
+fn replay_corpus(path: &str) -> i32 {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read corpus {path}: {e}");
         std::process::exit(2);
@@ -109,7 +109,7 @@ fn replay_corpus(path: &str, cfg: &DiffConfig) -> i32 {
         std::process::exit(2);
     });
     let total = entries.len();
-    let verdicts = par_map(entries.iter().collect(), |entry| corpus::verify(entry, cfg));
+    let verdicts = par_map(entries.iter().collect(), corpus::verify);
     let mut failures = 0usize;
     for (entry, verdict) in entries.iter().zip(verdicts) {
         let label = entry.spec.to_compact_string();
@@ -131,7 +131,6 @@ fn replay_corpus(path: &str, cfg: &DiffConfig) -> i32 {
 
 fn main() {
     let args = parse_args(std::env::args().skip(1).collect());
-    let cfg = DiffConfig::default();
 
     // Single-spec repro mode.
     if let Some(s) = &args.spec {
@@ -139,14 +138,14 @@ fn main() {
             eprintln!("bad --spec: {e}");
             std::process::exit(2);
         });
-        let r = diff(&spec, &cfg);
+        let r = diff(&spec);
         println!("{}", r.describe());
         std::process::exit(i32::from(!r.unexplained().is_empty()));
     }
 
     // Pinned-corpus replay mode.
     if let Some(path) = &args.corpus {
-        std::process::exit(replay_corpus(path, &cfg));
+        std::process::exit(replay_corpus(path));
     }
 
     // Fuzz campaign.
@@ -175,7 +174,7 @@ fn main() {
         let specs = generate_litmus(batch, stream_seed);
         stream_seed = stream_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
 
-        let reports = par_map(specs.iter().collect(), |spec| diff(spec, &cfg));
+        let reports = par_map(specs.iter().collect(), diff);
         for (spec, report) in specs.iter().zip(reports) {
             match report {
                 Ok(value) => {
@@ -224,12 +223,12 @@ fn main() {
 
     let mut entries = Vec::new();
     for r in &unexplained {
-        let small = shrink(&r.spec, |s| !diff(s, &cfg).unexplained().is_empty());
-        let shrunk = diff(&small, &cfg);
+        let small = shrink(&r.spec, |s| !diff(s).unexplained().is_empty());
+        let shrunk = diff(&small);
         eprintln!("UNEXPLAINED: {}", r.describe());
         eprintln!("  shrunk repro: {}", shrunk.describe());
         eprintln!("  rerun: litmus --spec '{}'", small.to_compact_string());
-        entries.push(corpus::entry_for(&small, &cfg));
+        entries.push(corpus::entry_for(&small));
     }
     if let Some(path) = &args.corpus_out {
         if let Err(e) = corpus::append(path, &entries) {

@@ -137,9 +137,7 @@ fn iguard_outcome(k: &Kernel, grid: u32, cfg: IguardConfig) -> &'static str {
 }
 
 fn curd_outcome(k: &Kernel, grid: u32) -> &'static str {
-    let Ok(curd) =
-        barracuda::Curd::for_kernels(&[k], barracuda::BinaryKind::SingleFile, Default::default())
-    else {
+    let Ok(curd) = barracuda::Curd::for_kernels(&[k], barracuda::BinaryKind::SingleFile) else {
         return "unsupported";
     };
     let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));

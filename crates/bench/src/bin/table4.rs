@@ -32,7 +32,7 @@ fn main() {
         ));
         specs.push(JobSpec::new(
             *w,
-            ToolSpec::Barracuda(bench::barracuda_config_for(w)),
+            ToolSpec::Barracuda(bench::barracuda_config_for()),
             Size::Test,
             DEFAULT_SEED,
         ));

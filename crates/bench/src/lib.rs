@@ -432,12 +432,12 @@ pub fn run_barracuda_with(
 /// reported as non-terminating — in practice only `interac`'s
 /// transactional retry flood does, matching the paper.
 #[must_use]
-pub fn barracuda_config_for(_w: &Workload) -> BarracudaConfig {
-    // 25 000 records of CPU budget: every workload's stream fits except
-    // interac's transactional retry flood — the paper's non-termination.
+pub fn barracuda_config_for() -> BarracudaConfig {
+    // 16 500 records of CPU budget at 40 cycles each: every workload's
+    // stream fits except interac's transactional retry flood — the
+    // paper's non-termination.
     BarracudaConfig {
         timeout_serial_cycles: 660_000,
-        ..BarracudaConfig::default()
     }
 }
 

@@ -68,5 +68,5 @@ pub mod prelude {
         Decision, EnumeratingScheduler, LaunchContext, RandomScheduler, RecordingScheduler,
         ReplayScheduler, ScheduleTrace, Scheduler,
     };
-    pub use crate::timing::{Clock, CostCategory, CostModel, COST_CATEGORIES};
+    pub use crate::timing::{Clock, CostCategory, COST_CATEGORIES};
 }

@@ -40,8 +40,39 @@ use crate::ir::{AluOp, CmpOp, Instr, Operand, Space, Special, WARP_SIZE};
 use crate::kernel::Kernel;
 use crate::mem::GlobalMem;
 use crate::sched::{LaunchContext, RandomScheduler, Scheduler};
-use crate::timing::{Clock, CostCategory, CostModel};
+use crate::timing::{Clock, CostCategory};
 use faults::{FaultConfig, FaultInjector, FaultSite, FaultStats};
+
+/// Warp-scheduler slots per SM; bounds a launch's effective parallelism.
+const WARP_SLOTS_PER_SM: usize = 4;
+
+// Per-instruction native cycle costs, resolved by `predecode`. The only
+// one carried over from a *measurement in the paper* is the 21×
+// block-vs-device fence ratio (§1); everything else is an engineering
+// estimate at the right order of magnitude. Overheads in the evaluation
+// are ratios, so only relative magnitudes matter.
+
+/// ALU, moves, and every instruction without a cost of its own.
+const ALU_COST: u64 = 1;
+const BRANCH_COST: u64 = 1;
+const LD_GLOBAL_COST: u64 = 12;
+const ST_GLOBAL_COST: u64 = 12;
+const LD_SHARED_COST: u64 = 2;
+const ST_SHARED_COST: u64 = 2;
+/// Per participating lane, like the two serial atomic costs below.
+const ATOM_BLOCK_COST: u64 = 8;
+const ATOM_DEVICE_COST: u64 = 24;
+/// Serial: the SM atomic unit / L2 ROP processes RMWs to a line one at
+/// a time.
+const ATOM_BLOCK_SERIAL_COST: u64 = 1;
+const ATOM_DEVICE_SERIAL_COST: u64 = 2;
+/// `__threadfence_block()`.
+const MEMBAR_BLOCK_COST: u64 = 20;
+/// `__threadfence()`; 21× the block fence, the paper's measured ratio.
+const MEMBAR_DEVICE_COST: u64 = 420;
+/// `__syncthreads()` and `__syncwarp()` arrivals.
+const BAR_SYNC_COST: u64 = 30;
+const BAR_WARP_COST: u64 = 4;
 
 /// Static configuration of the simulated device.
 #[derive(Debug, Clone)]
@@ -63,10 +94,6 @@ pub struct GpuConfig {
     pub seed: u64,
     /// Probability that ITS subdivides a converged split (schedule fuzzing).
     pub its_split_prob: f64,
-    /// Warp-scheduler slots per SM; bounds effective parallelism.
-    pub warp_slots_per_sm: usize,
-    /// Instruction cost table.
-    pub cost: CostModel,
     /// Fault-injection plane (disabled by default; a disabled config is
     /// behaviour-identical to a build without the plane).
     pub faults: FaultConfig,
@@ -90,8 +117,6 @@ impl Default for GpuConfig {
             mode: ExecMode::Its,
             seed: 0x16_0A2D,
             its_split_prob: 0.02,
-            warp_slots_per_sm: 4,
-            cost: CostModel::default(),
             faults: FaultConfig::disabled(),
             weak_visibility: false,
             record_load_values: false,
@@ -162,11 +187,6 @@ impl Gpu {
         if cfg.num_sms == 0 {
             return Err(SimError::BadConfig {
                 reason: "num_sms must be positive".into(),
-            });
-        }
-        if cfg.warp_slots_per_sm == 0 {
-            return Err(SimError::BadConfig {
-                reason: "warp_slots_per_sm must be positive".into(),
             });
         }
         let mut mem = GlobalMem::new(cfg.mem_words, cfg.num_sms);
@@ -372,7 +392,7 @@ impl Gpu {
             params: params.to_vec(),
         };
 
-        let eff = (total_warps as usize).min(self.cfg.num_sms * self.cfg.warp_slots_per_sm);
+        let eff = (total_warps as usize).min(self.cfg.num_sms * WARP_SLOTS_PER_SM);
         self.clock.set_parallelism(eff.max(1) as f64);
         hook.on_kernel_launch(&info, &mut self.clock);
 
@@ -381,7 +401,7 @@ impl Gpu {
             block_dim,
             mode: self.cfg.mode,
         });
-        let mut run = RunState::new(kernel, &self.cfg.cost, params, &info);
+        let mut run = RunState::new(kernel, params, &info);
         let num_warps = run.warps.len();
         let mut cursor = 0usize;
         let warp_choice = sched.wants_warp_choice();
@@ -898,7 +918,7 @@ struct RunState<'a> {
 
 impl<'a> RunState<'a> {
     /// All-zero registers, every thread ready at pc 0.
-    fn new(kernel: &'a Kernel, cost: &CostModel, params: &'a [u32], info: &LaunchInfo) -> Self {
+    fn new(kernel: &'a Kernel, params: &'a [u32], info: &LaunchInfo) -> Self {
         let (grid_dim, block_dim, warps_per_block) =
             (info.grid_dim, info.block_dim, info.warps_per_block);
         let num_warps = info.total_warps as usize;
@@ -915,7 +935,7 @@ impl<'a> RunState<'a> {
             .collect();
         RunState {
             kernel,
-            code: predecode(&kernel.code, cost),
+            code: predecode(&kernel.code),
             params,
             warps_per_block,
             block_dim,
@@ -975,32 +995,32 @@ struct Decoded {
 }
 
 /// Resolves the static cost table against each instruction of `code`.
-fn predecode(code: &[Instr], cost: &CostModel) -> Vec<Decoded> {
+fn predecode(code: &[Instr]) -> Vec<Decoded> {
     code.iter()
         .map(|&instr| {
             let (c, s) = match instr {
                 Instr::Bra { .. } | Instr::BraIf { .. } | Instr::BraIfNot { .. } => {
-                    (cost.branch, 0)
+                    (BRANCH_COST, 0)
                 }
                 Instr::Ld { space, .. } => match space {
-                    Space::Shared => (cost.ld_shared, 0),
-                    Space::Global => (cost.ld_global, 0),
+                    Space::Shared => (LD_SHARED_COST, 0),
+                    Space::Global => (LD_GLOBAL_COST, 0),
                 },
                 Instr::St { space, .. } => match space {
-                    Space::Shared => (cost.st_shared, 0),
-                    Space::Global => (cost.st_global, 0),
+                    Space::Shared => (ST_SHARED_COST, 0),
+                    Space::Global => (ST_GLOBAL_COST, 0),
                 },
                 Instr::Atom { scope, .. } => match scope {
-                    crate::ir::Scope::Block => (cost.atom_block, 1),
-                    crate::ir::Scope::Device => (cost.atom_device, 2),
+                    crate::ir::Scope::Block => (ATOM_BLOCK_COST, ATOM_BLOCK_SERIAL_COST),
+                    crate::ir::Scope::Device => (ATOM_DEVICE_COST, ATOM_DEVICE_SERIAL_COST),
                 },
                 Instr::Membar { scope } => match scope {
-                    crate::ir::Scope::Block => (cost.membar_block, 0),
-                    crate::ir::Scope::Device => (cost.membar_device, 0),
+                    crate::ir::Scope::Block => (MEMBAR_BLOCK_COST, 0),
+                    crate::ir::Scope::Device => (MEMBAR_DEVICE_COST, 0),
                 },
-                Instr::BarSync => (cost.bar_sync, 0),
-                Instr::BarWarp => (cost.bar_warp, 0),
-                _ => (cost.alu, 0),
+                Instr::BarSync => (BAR_SYNC_COST, 0),
+                Instr::BarWarp => (BAR_WARP_COST, 0),
+                _ => (ALU_COST, 0),
             };
             Decoded {
                 instr,
@@ -1226,6 +1246,11 @@ mod tests {
     use crate::hook::NullHook;
     use proptest::prelude::*;
 
+    #[test]
+    fn fence_ratio_is_21x() {
+        assert_eq!(MEMBAR_DEVICE_COST / MEMBAR_BLOCK_COST, 21);
+    }
+
     /// A lane's state as the per-thread machine of PR 14 kept it.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum LaneState {
@@ -1323,7 +1348,7 @@ mod tests {
             volatile: false,
         };
         let code = [ld, Instr::Nop, ld, ld, Instr::BarSync, ld, Instr::Exit, ld];
-        predecode(&code, &CostModel::default())
+        predecode(&code)
     }
 
     proptest! {

@@ -58,49 +58,6 @@ fn index(c: CostCategory) -> usize {
     }
 }
 
-/// Per-instruction cycle costs.
-///
-/// The only constant carried over from a *measurement in the paper* is the
-/// 21× block-vs-device fence ratio (§1); everything else is an engineering
-/// estimate at the right order of magnitude. Overheads in the evaluation are
-/// ratios, so only relative magnitudes matter.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    pub alu: u64,
-    pub branch: u64,
-    pub ld_global: u64,
-    pub st_global: u64,
-    pub ld_shared: u64,
-    pub st_shared: u64,
-    pub atom_block: u64,
-    pub atom_device: u64,
-    /// `__threadfence_block()`.
-    pub membar_block: u64,
-    /// `__threadfence()`; 21× the block fence, the paper's measured ratio.
-    pub membar_device: u64,
-    pub bar_sync: u64,
-    pub bar_warp: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            alu: 1,
-            branch: 1,
-            ld_global: 12,
-            st_global: 12,
-            ld_shared: 2,
-            st_shared: 2,
-            atom_block: 8,
-            atom_device: 24,
-            membar_block: 20,
-            membar_device: 420,
-            bar_sync: 30,
-            bar_warp: 4,
-        }
-    }
-}
-
 /// Accumulates parallel and serial cycle charges per category.
 #[derive(Debug, Clone)]
 pub struct Clock {
@@ -181,12 +138,6 @@ impl Clock {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fence_ratio_is_21x() {
-        let c = CostModel::default();
-        assert_eq!(c.membar_device / c.membar_block, 21);
-    }
 
     #[test]
     fn parallel_charges_are_amortized() {

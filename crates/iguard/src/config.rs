@@ -8,7 +8,10 @@ use uvm_sim::UvmConfig;
 
 use crate::prune::PruneMode;
 
-/// Tunable parameters of the iGUARD detector.
+/// The settable parameters of the iGUARD detector: the ablation toggles,
+/// the metadata placement, and the fault and pruning planes. Its cycle
+/// costs are constants in the modules that charge them (DESIGN.md §4
+/// indexes them).
 #[derive(Debug, Clone)]
 pub struct IguardConfig {
     /// Coalesce same-address load/atomic metadata accesses within a warp
@@ -17,18 +20,6 @@ pub struct IguardConfig {
     /// Dynamically-adjusted exponential backoff on metadata-lock contention
     /// (§6.5 optimization 2). On by default.
     pub backoff: bool,
-    /// Parallel cycles per race check (metadata read, condition evaluation,
-    /// metadata write-back).
-    pub check_cost: u64,
-    /// Parallel cycles to acquire/release the per-entry metadata lock when
-    /// uncontended.
-    pub md_lock_cost: u64,
-    /// Serial cycles per unit of metadata-lock contention (the critical
-    /// section others must wait out).
-    pub contention_base: u64,
-    /// Scheduler-step window within which two accesses to the same entry
-    /// count as concurrent. 0 = auto (scales with the launch's warp count).
-    pub contention_window: u64,
     /// UVM driver cost model for the managed metadata region.
     pub uvm: UvmConfig,
     /// Prefault metadata onto the device when free memory allows (§6.1).
@@ -47,11 +38,6 @@ pub struct IguardConfig {
     pub its_support: bool,
     /// Race-report buffer capacity in records (1 MB ≈ 16 K records).
     pub report_capacity: usize,
-    /// One-time setup cost for allocating + registering metadata (cycles,
-    /// charged serially at first launch).
-    pub setup_fixed_cost: u64,
-    /// Per-launch miscellaneous cost (kernel load, report drain).
-    pub misc_cost_per_launch: u64,
     /// Metadata-table entry-capacity override. `None` (default) covers
     /// every word injectively; `Some(n)` caps the table at `n` entries,
     /// forcing bounded eviction with missed-check accounting under
@@ -72,18 +58,12 @@ impl Default for IguardConfig {
         IguardConfig {
             coalescing: true,
             backoff: true,
-            check_cost: 18,
-            md_lock_cost: 4,
-            contention_base: 8,
-            contention_window: 0,
             uvm: UvmConfig::default(),
             prefault: true,
             addr_scale: 1,
             history_depth: 1,
             its_support: true,
             report_capacity: 16 * 1024,
-            setup_fixed_cost: 150,
-            misc_cost_per_launch: 100,
             table_capacity_words: None,
             faults: FaultConfig::disabled(),
             prune: PruneMode::Off,

@@ -13,8 +13,8 @@
 //!    writes back the metadata (§6.2, §6.4);
 //! 6. reports races to the host buffer without stopping execution (§5).
 //!
-//! The table-keyed back half (steps 3–5) lives in
-//! [`crate::engine::Engine`]; the detector owns one, over one metadata
+//! The table-keyed back half (steps 3–5) lives in the crate-private
+//! `engine::Engine`; the detector owns one, over one metadata
 //! table in one UVM-managed region (§5, §6.1). The live synchronization
 //! metadata, lock state, counters and the report channel are the front
 //! half, and every check runs in program order inside the callback.
@@ -40,6 +40,20 @@ use crate::metadata::{MetaStats, MetadataTable, TableConfig, ENTRY_BYTES};
 use crate::prune::{PruneMode, PruneStats, Pruner, StaticRaceReport};
 use crate::report::{RaceRecord, RaceReporter, RaceSite};
 use crate::syncmeta::SyncMetadata;
+
+/// Parallel cycles per race check (metadata read, condition evaluation,
+/// metadata write-back), one SIMD issue per warp split.
+const CHECK_COST: u64 = 18;
+/// Parallel cycles to acquire/release the per-entry metadata lock when
+/// uncontended.
+const MD_LOCK_COST: u64 = 4;
+/// One-time serial cycles for allocating + registering metadata, charged
+/// at first launch on top of any prefault.
+const SETUP_FIXED_COST: u64 = 150;
+/// Serial cycles per launch (kernel load, report drain).
+const MISC_COST_PER_LAUNCH: u64 = 100;
+/// Parallel cycles of the synchronization-metadata update per sync event.
+const SYNC_COST: u64 = 4;
 
 /// Aggregate detector counters for the evaluation harness.
 #[derive(Debug, Clone, Copy, Default)]
@@ -421,7 +435,7 @@ impl Iguard {
             self.stats.table_init_failures += 1;
             return;
         };
-        let mut setup = self.cfg.setup_fixed_cost;
+        let mut setup = SETUP_FIXED_COST;
         if self.cfg.prefault {
             // Metadata is 4x the data it shadows (Sec 6.1); prefault as
             // much of it as free device memory allows.
@@ -461,11 +475,9 @@ impl Tool for Iguard {
             p.on_launch(info);
         }
         self.stats.launches += 1;
-        let window = if self.cfg.contention_window > 0 {
-            self.cfg.contention_window
-        } else {
-            64.max(u64::from(info.total_warps))
-        };
+        // Scheduler-step window within which two accesses to the same
+        // entry count as concurrent: scales with the launch's warp count.
+        let window = 64.max(u64::from(info.total_warps));
         self.sync = Some(SyncMetadata::new(info.grid_dim, info.warps_per_block));
         self.locks.clear();
         self.locks
@@ -478,13 +490,12 @@ impl Tool for Iguard {
         if let Some(e) = &mut self.engine {
             let params = EngineParams {
                 backoff: self.cfg.backoff,
-                contention_base: self.cfg.contention_base,
                 its_support: self.cfg.its_support,
                 history_depth: self.cfg.history_depth,
             };
             e.begin_launch(info.backing_words, info.total_warps, window, params);
         }
-        clock.charge_serial(CostCategory::Misc, self.cfg.misc_cost_per_launch);
+        clock.charge_serial(CostCategory::Misc, MISC_COST_PER_LAUNCH);
     }
 
     fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
@@ -498,7 +509,7 @@ impl Tool for Iguard {
     }
 
     fn on_sync(&mut self, event: &SyncEvent<'_>, clock: &mut Clock) {
-        clock.charge(CostCategory::Detection, 4);
+        clock.charge(CostCategory::Detection, SYNC_COST);
         match event {
             SyncEvent::BlockBarrier { block_id } => {
                 if let Some(s) = self.sync.as_mut() {
@@ -580,10 +591,7 @@ impl Iguard {
 
         // The injected check runs data-parallel across the split's lanes:
         // one SIMD issue worth of check + (uncontended) metadata lock.
-        clock.charge(
-            CostCategory::Detection,
-            self.cfg.check_cost + self.cfg.md_lock_cost,
-        );
+        clock.charge(CostCategory::Detection, CHECK_COST + MD_LOCK_COST);
 
         // One scan for how the lanes sit on the metadata words: `row` —
         // `word − lane` constant, i.e. consecutive words (mask gaps
@@ -625,7 +633,7 @@ impl Iguard {
             // Lanes hitting the *same* metadata entry serialize on its
             // lock; lanes on distinct entries proceed in parallel. Charge
             // the intra-warp serialization coalescing exists to remove.
-            let serial = dup * (self.cfg.check_cost + self.cfg.md_lock_cost);
+            let serial = dup * (CHECK_COST + MD_LOCK_COST);
             clock.charge(CostCategory::Detection, serial);
             self.process_split(access.lanes, false, kind, access, clock, verify_safe);
         }
@@ -982,7 +990,7 @@ mod tests {
                     want_stats.accesses += lanes.len() as u64;
                     let mut want_reporter = RaceReporter::new(64).unwrap();
                     let mut want_clock = Clock::new();
-                    let per_split = det.cfg.check_cost + det.cfg.md_lock_cost;
+                    let per_split = CHECK_COST + MD_LOCK_COST;
                     want_clock.charge(CostCategory::Detection, per_split);
                     let mut want_words = Vec::new();
                     for la in &lanes {
@@ -1326,7 +1334,7 @@ mod tests {
             coalescing: false,
             ..on()
         };
-        let issue = on().check_cost + on().md_lock_cost;
+        let issue = CHECK_COST + MD_LOCK_COST;
         let [load, store, volatile_store, atomic, _] = KINDS;
         let two_words = |l: u32| if l < 16 { 8 } else { 40 };
         let folded = (2, 30, (issue, 0), vec![0, 16]);

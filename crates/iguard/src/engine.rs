@@ -226,13 +226,15 @@ impl HistoryTable {
     }
 }
 
+/// Serial cycles per unit of metadata-lock contention under backoff (the
+/// critical section others must wait out).
+const CONTENTION_BASE: u64 = 8;
+
 /// Configuration knobs the engine reads per access, frozen at launch.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EngineParams {
     /// §6.5 optimization 2: contenders back off instead of hammering.
     pub backoff: bool,
-    /// Serial cycles per unit of contention under backoff.
-    pub contention_base: u64,
     /// ScoRD emulation when false: same-warp accesses treated converged.
     pub its_support: bool,
     /// Accessor-history depth (§6.7 ablation); 1 disables the table.
@@ -464,7 +466,7 @@ impl Checks {
                 // Dynamically-adjusted exponential backoff: contenders
                 // spread out and hand the lock off cleanly, so each pays
                 // roughly one critical section of serialization.
-                self.params.contention_base
+                CONTENTION_BASE
             } else {
                 // Unmitigated CAS hammering: every retry burns memory
                 // bandwidth and delays the holder, so the per-access waste

@@ -18,6 +18,13 @@ use nvbit_sim::channel::{ChannelError, ChannelStats, HostChannel};
 
 use crate::checks::{AccessType, RaceKind};
 
+/// Serial cycles to ship one race record to the host. Shipping a race
+/// record is rare, so its costs are tiny and charged to Misc as "report
+/// draining".
+const REPORT_SHIP_COST: u64 = 30;
+/// Serial cycles per forced flush of a full race-report buffer.
+const REPORT_FLUSH_COST: u64 = 2_000;
+
 /// One reported race.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaceRecord {
@@ -107,9 +114,12 @@ impl RaceReporter {
     /// positive.
     #[must_use]
     pub fn with_capacity(capacity: NonZeroUsize, faults: &FaultConfig) -> Self {
-        // Shipping a race record is rare; costs are tiny and charged to
-        // Misc as "report draining".
-        let mut channel = HostChannel::with_capacity(capacity, 30, 2_000, CostCategory::Misc);
+        let mut channel = HostChannel::with_capacity(
+            capacity,
+            REPORT_SHIP_COST,
+            REPORT_FLUSH_COST,
+            CostCategory::Misc,
+        );
         channel.set_faults(FaultInjector::new(faults, "report-channel"));
         RaceReporter {
             channel,

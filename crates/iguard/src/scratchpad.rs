@@ -22,6 +22,9 @@ use nvbit_sim::Tool;
 
 use crate::checks::RaceKind;
 
+/// Parallel cycles per scratchpad check, one per shared-memory warp split.
+const SHARED_CHECK_COST: u64 = 16;
+
 /// One reported scratchpad race.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedRace {
@@ -152,7 +155,7 @@ impl Tool for ScratchpadGuard {
         if access.space != Space::Shared {
             return;
         }
-        clock.charge(CostCategory::Detection, 16);
+        clock.charge(CostCategory::Detection, SHARED_CHECK_COST);
         self.accesses += access.lanes.len() as u64;
         let is_write = !matches!(access.kind, AccessKind::Load);
         let lanes: Vec<(u32, u32, u32)> = access

@@ -1085,7 +1085,6 @@ mod tests {
         let sup_cfg = SupervisorConfig {
             max_retries: 1,
             cycle_budget: 5_000,
-            ..SupervisorConfig::default()
         };
         let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig::default());
         for i in 0..3 {

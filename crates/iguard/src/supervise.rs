@@ -53,6 +53,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use faults::{splitmix64, FaultConfig};
 
+/// Base backoff charged per retry (cycles, latency plane only).
+const BACKOFF_BASE_CYCLES: u64 = 1_000;
+
 /// Salt for backoff jitter draws.
 const BACKOFF_SALT: u64 = 0xBAC0_FF5E_ED00_0001;
 
@@ -69,8 +72,6 @@ pub struct SupervisorConfig {
     /// `0` disables the watchdog (the simulator's own step budget still
     /// reports hangs via `JobOutcome::timed_out`).
     pub cycle_budget: u64,
-    /// Base backoff charged per retry (cycles, latency plane only).
-    pub backoff_base_cycles: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -78,7 +79,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             max_retries: 2,
             cycle_budget: 0,
-            backoff_base_cycles: 1_000,
         }
     }
 }
@@ -276,11 +276,11 @@ pub fn attempt_faults(
 }
 
 /// Deterministic exponential backoff (cycles) charged before retry
-/// `attempt + 1`: `base << attempt` plus a jitter draw in `0..base`
-/// from the fault plane's RNG primitive.
+/// `attempt + 1`: `BACKOFF_BASE_CYCLES << attempt` plus a jitter draw
+/// in `0..BACKOFF_BASE_CYCLES` from the fault plane's RNG primitive.
 #[must_use]
-pub fn backoff_cycles(cfg: &SupervisorConfig, job_seed: u64, attempt: u32) -> u64 {
-    let base = cfg.backoff_base_cycles.max(1);
+pub fn backoff_cycles(job_seed: u64, attempt: u32) -> u64 {
+    let base = BACKOFF_BASE_CYCLES;
     let exp = base << attempt.min(16);
     let jitter = splitmix64(job_seed ^ u64::from(attempt) ^ BACKOFF_SALT) % base;
     exp + jitter
@@ -407,7 +407,7 @@ pub fn run_job<T, E>(
             if n < cfg.max_retries {
                 // Transient: discard the attempt wholesale and retry.
                 stats.discarded_fault_fires += a.fires;
-                let backoff = backoff_cycles(cfg, job_seed, n);
+                let backoff = backoff_cycles(job_seed, n);
                 backoff_total += backoff;
                 stats.backoff_cycles += backoff;
                 stats.retries += 1;
@@ -462,16 +462,15 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_exponential_and_jittered() {
-        let cfg = SupervisorConfig::default();
-        let b0 = backoff_cycles(&cfg, 42, 0);
-        let b1 = backoff_cycles(&cfg, 42, 1);
-        let b2 = backoff_cycles(&cfg, 42, 2);
-        assert_eq!(b0, backoff_cycles(&cfg, 42, 0));
-        let base = cfg.backoff_base_cycles;
+        let b0 = backoff_cycles(42, 0);
+        let b1 = backoff_cycles(42, 1);
+        let b2 = backoff_cycles(42, 2);
+        assert_eq!(b0, backoff_cycles(42, 0));
+        let base = BACKOFF_BASE_CYCLES;
         assert!((base..2 * base).contains(&b0));
         assert!((2 * base..3 * base).contains(&b1));
         assert!((4 * base..5 * base).contains(&b2));
-        assert_ne!(backoff_cycles(&cfg, 43, 0), b0);
+        assert_ne!(backoff_cycles(43, 0), b0);
     }
 
     fn finished(fires: u64, timed_out: bool) -> Result<Attempt<u32>, ()> {

@@ -27,32 +27,18 @@ use gpu_sim::timing::{Clock, CostCategory};
 
 use std::sync::Arc;
 
-/// Framework cost parameters (cycles).
-#[derive(Debug, Clone)]
-pub struct NvbitConfig {
-    /// One-time binary analysis + injection cost per static instruction of
-    /// each kernel (SASS disassembly, CFG build, patching).
-    pub analysis_cost_per_instr: u64,
-    /// Fixed one-time cost per kernel (module load, relocation).
-    pub analysis_cost_fixed: u64,
-    /// Dispatch cost per instrumented dynamic memory access (spill, call
-    /// injected device function, restore) — charged even if the tool then
-    /// does nothing.
-    pub callback_cost_mem: u64,
-    /// Dispatch cost per instrumented dynamic synchronization operation.
-    pub callback_cost_sync: u64,
-}
-
-impl Default for NvbitConfig {
-    fn default() -> Self {
-        NvbitConfig {
-            analysis_cost_per_instr: 1,
-            analysis_cost_fixed: 60,
-            callback_cost_mem: 6,
-            callback_cost_sync: 4,
-        }
-    }
-}
+/// One-time binary analysis + injection cycles per static instruction of
+/// each kernel (SASS disassembly, CFG build, patching); charged serially.
+const ANALYSIS_COST_PER_INSTR: u64 = 1;
+/// Fixed one-time cycles per kernel (module load, relocation); charged
+/// serially.
+const ANALYSIS_COST_FIXED: u64 = 60;
+/// Dispatch cycles per instrumented dynamic memory access (spill, call
+/// injected device function, restore) — charged even if the tool then
+/// does nothing.
+const CALLBACK_COST_MEM: u64 = 6;
+/// Dispatch cycles per instrumented dynamic synchronization operation.
+const CALLBACK_COST_SYNC: u64 = 4;
 
 /// The interface an instrumentation tool (iGUARD, Barracuda, ...) presents
 /// to the framework. Mirrors NVBit's tool API shape: a static `instrument`
@@ -143,7 +129,6 @@ struct MapEntry {
 /// different bodies.
 pub struct Instrumented<T: Tool> {
     tool: T,
-    cfg: NvbitConfig,
     /// kernel name → per-pc "has callback" bitmap. Kernel names are
     /// interned (`Arc<str>`), so the common case — consecutive accesses
     /// from the same kernel object — resolves with one pointer compare
@@ -155,16 +140,11 @@ pub struct Instrumented<T: Tool> {
 }
 
 impl<T: Tool> Instrumented<T> {
-    /// Wraps `tool` with default framework costs.
+    /// Wraps `tool`, charging the fixed framework costs (analysis once per
+    /// kernel, dispatch per callback).
     pub fn new(tool: T) -> Self {
-        Self::with_config(tool, NvbitConfig::default())
-    }
-
-    /// Wraps `tool` with explicit framework costs.
-    pub fn with_config(tool: T, cfg: NvbitConfig) -> Self {
         Instrumented {
             tool,
-            cfg,
             maps: Vec::new(),
             cursor: 0,
             stats: InstrStats::default(),
@@ -207,8 +187,7 @@ impl<T: Tool> Instrumented<T> {
             return i;
         }
         // One-time, host-side (serial) binary analysis.
-        let cost = self.cfg.analysis_cost_fixed
-            + self.cfg.analysis_cost_per_instr * kernel.code.len() as u64;
+        let cost = ANALYSIS_COST_FIXED + ANALYSIS_COST_PER_INSTR * kernel.code.len() as u64;
         clock.charge_serial(CostCategory::Nvbit, cost);
         self.stats.analyzed_kernels += 1;
         let map = (0..kernel.code.len())
@@ -255,7 +234,7 @@ impl<T: Tool> Hook for Instrumented<T> {
             return;
         }
         self.stats.dispatched_mem += 1;
-        clock.charge(CostCategory::Instrumentation, self.cfg.callback_cost_mem);
+        clock.charge(CostCategory::Instrumentation, CALLBACK_COST_MEM);
         self.tool.on_mem(access, clock);
     }
 
@@ -264,9 +243,9 @@ impl<T: Tool> Hook for Instrumented<T> {
         // tools that instrument synchronization, so dispatch them all.
         // (Static pruning gates memory callbacks only: sync metadata stays
         // warm even for fully pruned kernels, and the per-event cost is the
-        // small `callback_cost_sync`.)
+        // small `CALLBACK_COST_SYNC`.)
         self.stats.dispatched_sync += 1;
-        clock.charge(CostCategory::Instrumentation, self.cfg.callback_cost_sync);
+        clock.charge(CostCategory::Instrumentation, CALLBACK_COST_SYNC);
         self.tool.on_sync(event, clock);
     }
 }
@@ -329,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn analysis_cost_charged_once_per_kernel() {
+    fn binary_analysis_charged_once_per_kernel() {
         let mut gpu = Gpu::new(GpuConfig::default());
         let buf = gpu.alloc(64).unwrap();
         let mut inst = Instrumented::new(Probe::default());
@@ -372,8 +351,7 @@ mod tests {
             .unwrap();
         let (mem_dispatch, _) = gpu.clock().raw(CostCategory::Instrumentation);
         // Only sync dispatches remain (they carry no pc filter).
-        let sync_cost = NvbitConfig::default().callback_cost_sync;
-        assert!(mem_dispatch <= sync_cost * 4, "got {mem_dispatch}");
+        assert!(mem_dispatch <= CALLBACK_COST_SYNC * 4, "got {mem_dispatch}");
     }
 
     /// A classification-driven tool: instruments global accesses only where

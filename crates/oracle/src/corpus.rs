@@ -28,7 +28,7 @@ use std::path::Path;
 
 use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
 
-use crate::diff::{diff, DiffConfig, DiffReport, Verdict};
+use crate::diff::{diff, DiffReport, Verdict};
 use crate::explore::gpu_config;
 use crate::observer::Observer;
 use crate::spec::{Spec, NUM_SLOTS};
@@ -114,8 +114,8 @@ fn explanation_strings(r: &DiffReport) -> Vec<String> {
 
 /// Runs the full differential check and pins its outcome as a corpus entry.
 #[must_use]
-pub fn entry_for(spec: &Spec, cfg: &DiffConfig) -> CorpusEntry {
-    let r = diff(spec, cfg);
+pub fn entry_for(spec: &Spec) -> CorpusEntry {
+    let r = diff(spec);
     let witness = r
         .oracle
         .witness
@@ -247,15 +247,11 @@ pub fn append(path: impl AsRef<Path>, entries: &[CorpusEntry]) -> Result<(), Str
 /// weak-visibility machine, then a full re-diff whose verdicts, assertion
 /// tag, and divergence classes must all still hold — and none of them may
 /// be UNEXPLAINED.
-pub fn verify(entry: &CorpusEntry, cfg: &DiffConfig) -> Result<(), String> {
+pub fn verify(entry: &CorpusEntry) -> Result<(), String> {
     let label = entry.spec.to_compact_string();
 
     if let Some(trace) = &entry.witness {
-        let mut gpu = gpu_sim::machine::Gpu::new(gpu_config(
-            entry.spec.actors.len() as u32,
-            cfg.explore.max_steps,
-            true,
-        ));
+        let mut gpu = gpu_sim::machine::Gpu::new(gpu_config(entry.spec.actors.len() as u32, true));
         let buf = gpu
             .alloc(NUM_SLOTS as usize)
             .map_err(|e| format!("{label}: alloc failed: {e}"))?;
@@ -270,7 +266,7 @@ pub fn verify(entry: &CorpusEntry, cfg: &DiffConfig) -> Result<(), String> {
         }
     }
 
-    let r = diff(&entry.spec, cfg);
+    let r = diff(&entry.spec);
     if r.oracle.racy != entry.racy {
         return Err(format!(
             "{label}: oracle verdict changed: recorded {}, now {}",
@@ -318,7 +314,7 @@ mod tests {
     use crate::spec::Placement;
 
     fn entry(s: &str) -> CorpusEntry {
-        entry_for(&Spec::parse(s).unwrap(), &DiffConfig::default())
+        entry_for(&Spec::parse(s).unwrap())
     }
 
     #[test]
@@ -374,7 +370,7 @@ mod tests {
 
     #[test]
     fn recorded_entries_verify_against_current_code() {
-        verify(&entry("v2;CB;Sx/Lx"), &DiffConfig::default()).unwrap();
+        verify(&entry("v2;CB;Sx/Lx")).unwrap();
     }
 
     #[test]
@@ -389,10 +385,9 @@ mod tests {
 
     #[test]
     fn litmus_format_parse_roundtrip_and_verify() {
-        let cfg = DiffConfig::default();
         let entries = vec![
             entry("v2;CB;Sx/Lx"),
-            entry_for(&Spec::mp(Placement::CrossBlock, None), &cfg),
+            entry_for(&Spec::mp(Placement::CrossBlock, None)),
         ];
         assert!(entries[0].racy && entries[0].witness.is_some());
         let text = format(&entries);
@@ -408,7 +403,7 @@ mod tests {
             entries[0].witness.as_ref().map(ScheduleTrace::digest)
         );
         for e in &back {
-            verify(e, &cfg).unwrap();
+            verify(e).unwrap();
         }
     }
 

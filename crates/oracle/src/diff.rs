@@ -1,13 +1,12 @@
 //! Differential check: detectors vs the enumeration oracle.
 //!
-//! For one [`Spec`] the oracle verdict comes from
-//! [`explore`](crate::explore::explore) on the weak-visibility machine —
-//! every reachable schedule and visibility choice, so "racy" and "clean"
-//! are facts, not samples. Each detector then runs over the *same* kernel
-//! on a handful of random schedules **plus replays of the oracle's witness
-//! and counter-witness schedules** (hooks never influence scheduling
-//! decisions, so a trace recorded under the observer replays
-//! bit-identically under an instrumented detector). Replaying the witness
+//! For one [`Spec`] the oracle verdict comes from [`explore`] on the
+//! weak-visibility machine — every reachable schedule and visibility
+//! choice, so "racy" and "clean" are facts, not samples. Each detector
+//! then runs over the *same* kernel on the `SEEDS` random schedules
+//! **plus replays of the oracle's witness and counter-witness schedules**
+//! (hooks never influence scheduling decisions, so a trace recorded under
+//! the observer replays bit-identically under an instrumented detector). Replaying the witness
 //! removes schedule-sampling luck from the false-negative classification:
 //! if the detector stays silent on the very interleaving that exhibits the
 //! race, the miss is the detector's, not the sampler's.
@@ -54,24 +53,9 @@ use rand::SeedableRng;
 use crate::explore::{explore, gpu_config, ExploreConfig, Report};
 use crate::spec::{Op, Spec, NUM_SLOTS};
 
-/// How hard the differential check tries per kernel.
-#[derive(Debug, Clone)]
-pub struct DiffConfig {
-    /// Oracle enumeration budget.
-    pub explore: ExploreConfig,
-    /// Random-scheduler seeds each detector runs under (in addition to the
-    /// witness replays).
-    pub seeds: Vec<u64>,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            explore: ExploreConfig::default(),
-            seeds: vec![1, 2, 3],
-        }
-    }
-}
+/// Random-scheduler seeds each detector runs under per kernel (in
+/// addition to the witness replays).
+pub(crate) const SEEDS: [u64; 3] = [1, 2, 3];
 
 /// One detector's verdict on one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,10 +137,10 @@ impl DiffReport {
 /// A fresh weak-visibility device for one detector run, with the slot
 /// pool allocated. Witness traces are recorded on the weak machine, so
 /// they carry `Vis` decisions and must replay on the same configuration.
-pub(crate) fn detector_gpu(spec: &Spec, seed: u64, cfg: &ExploreConfig) -> (Gpu, u32) {
+pub(crate) fn detector_gpu(spec: &Spec, seed: u64) -> (Gpu, u32) {
     let mut gpu = Gpu::new(GpuConfig {
         seed,
-        ..gpu_config(spec.actors.len() as u32, cfg.max_steps, true)
+        ..gpu_config(spec.actors.len() as u32, true)
     });
     let buf = gpu.alloc(NUM_SLOTS as usize).expect("oracle slot buffer fits");
     (gpu, buf)
@@ -164,10 +148,10 @@ pub(crate) fn detector_gpu(spec: &Spec, seed: u64, cfg: &ExploreConfig) -> (Gpu,
 
 /// Runs iGUARD over one random schedule (or a witness replay) and reports
 /// whether it flagged anything.
-fn iguard_flags(spec: &Spec, seed: u64, replay: Option<&ScheduleTrace>, cfg: &DiffConfig) -> bool {
+fn iguard_flags(spec: &Spec, seed: u64, replay: Option<&ScheduleTrace>) -> bool {
     let kernel = spec.build();
     let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(spec, seed, &cfg.explore);
+    let (mut gpu, buf) = detector_gpu(spec, seed);
     let mut tool = Instrumented::new(Iguard::default());
     let result = match replay {
         Some(trace) => {
@@ -181,16 +165,11 @@ fn iguard_flags(spec: &Spec, seed: u64, replay: Option<&ScheduleTrace>, cfg: &Di
 }
 
 /// Runs Barracuda likewise. `None` means the front end refused the kernel.
-fn barracuda_flags(
-    spec: &Spec,
-    seed: u64,
-    replay: Option<&ScheduleTrace>,
-    cfg: &DiffConfig,
-) -> Option<bool> {
+fn barracuda_flags(spec: &Spec, seed: u64, replay: Option<&ScheduleTrace>) -> Option<bool> {
     let kernel = spec.build();
     barracuda::supports(&[&kernel], BinaryKind::SingleFile).ok()?;
     let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(spec, seed, &cfg.explore);
+    let (mut gpu, buf) = detector_gpu(spec, seed);
     let mut tool = Instrumented::new(Barracuda::new(BarracudaConfig::default()));
     let result = match replay {
         Some(trace) => {
@@ -311,28 +290,28 @@ fn explain_weak_anomaly(spec: &Spec) -> &'static str {
 /// The full differential check for one spec: weak-visibility oracle vs
 /// both detectors on random schedules plus witness replays.
 #[must_use]
-pub fn diff(spec: &Spec, cfg: &DiffConfig) -> DiffReport {
-    let oracle = explore(spec, &cfg.explore, true);
+pub fn diff(spec: &Spec) -> DiffReport {
+    let oracle = explore(spec, &ExploreConfig::default(), true);
     // Both orders of the racing pair: detection can be order-sensitive.
     let witnesses: Vec<&ScheduleTrace> = [&oracle.witness, &oracle.counter_witness]
         .into_iter()
         .filter_map(Option::as_ref)
         .collect();
 
-    let mut ig = cfg.seeds.iter().any(|&s| iguard_flags(spec, s, None, cfg));
+    let mut ig = SEEDS.iter().any(|&s| iguard_flags(spec, s, None));
     if !ig {
-        ig = witnesses.iter().any(|t| iguard_flags(spec, 0, Some(t), cfg));
+        ig = witnesses.iter().any(|t| iguard_flags(spec, 0, Some(t)));
     }
     let iguard = if ig { Verdict::Flagged } else { Verdict::Clean };
 
-    let mut ba = match barracuda_flags(spec, cfg.seeds.first().copied().unwrap_or(1), None, cfg) {
+    let mut ba = match barracuda_flags(spec, SEEDS[0], None) {
         None => Verdict::Unsupported,
         Some(true) => Verdict::Flagged,
         Some(false) => Verdict::Clean,
     };
     if ba == Verdict::Clean {
-        for &s in cfg.seeds.iter().skip(1) {
-            if barracuda_flags(spec, s, None, cfg) == Some(true) {
+        for &s in &SEEDS[1..] {
+            if barracuda_flags(spec, s, None) == Some(true) {
                 ba = Verdict::Flagged;
                 break;
             }
@@ -340,7 +319,7 @@ pub fn diff(spec: &Spec, cfg: &DiffConfig) -> DiffReport {
         if ba == Verdict::Clean
             && witnesses
                 .iter()
-                .any(|t| barracuda_flags(spec, 0, Some(t), cfg) == Some(true))
+                .any(|t| barracuda_flags(spec, 0, Some(t)) == Some(true))
         {
             ba = Verdict::Flagged;
         }
@@ -440,7 +419,7 @@ mod tests {
     use super::*;
 
     fn run(s: &str) -> DiffReport {
-        diff(&Spec::parse(s).unwrap(), &DiffConfig::default())
+        diff(&Spec::parse(s).unwrap())
     }
 
     #[test]

@@ -45,23 +45,22 @@ use gpu_sim::prelude::{EnumeratingScheduler, RecordingScheduler, ScheduleTrace};
 use crate::observer::{ObservedAccess, Observer};
 use crate::spec::{Cond, Placement, Spec, NUM_SLOTS};
 
+/// Maximum branching decisions per schedule (DFS depth budget).
+const MAX_DECISIONS: usize = 128;
+/// Per-schedule step watchdog.
+const MAX_STEPS: u64 = 10_000;
+
 /// Bounds on the exploration.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Maximum branching decisions per schedule (DFS depth budget).
-    pub max_decisions: usize,
     /// Maximum schedules to visit before giving up on completeness.
     pub max_schedules: u64,
-    /// Per-schedule step watchdog.
-    pub max_steps: u64,
 }
 
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
-            max_decisions: 128,
             max_schedules: 200_000,
-            max_steps: 10_000,
         }
     }
 }
@@ -69,14 +68,15 @@ impl Default for ExploreConfig {
 /// The GPU configuration for every oracle run: one SM per actor (so each
 /// cross-block actor owns a private L1 and weak visibility has cross-SM
 /// effects to enumerate), a tiny backing store (the slot pool is 4
-/// words), load values recorded for assertion evaluation, and — when
-/// `weak` — the versioned relaxed-visibility memory model.
+/// words), the `MAX_STEPS` watchdog, load values recorded for assertion
+/// evaluation, and — when `weak` — the versioned relaxed-visibility
+/// memory model.
 #[must_use]
-pub fn gpu_config(num_actors: u32, max_steps: u64, weak: bool) -> GpuConfig {
+pub fn gpu_config(num_actors: u32, weak: bool) -> GpuConfig {
     GpuConfig {
         num_sms: num_actors.max(2) as usize,
         mem_words: 64,
-        max_steps,
+        max_steps: MAX_STEPS,
         mode: ExecMode::Its,
         // Unused under an EnumeratingScheduler; relevant only when the
         // same config drives random-path detector runs.
@@ -200,7 +200,7 @@ pub fn explore(spec: &Spec, cfg: &ExploreConfig, weak: bool) -> Report {
     let kernel = spec.build();
     let (grid, block_dim) = spec.grid_block();
     let n_actors = spec.actors.len();
-    let mut enumerator = EnumeratingScheduler::new_eager(cfg.max_decisions);
+    let mut enumerator = EnumeratingScheduler::new_eager(MAX_DECISIONS);
     let mut pairs = Pairs::new();
     let mut outcomes: BTreeMap<Vec<u32>, Outcome> = BTreeMap::new();
     let mut assertion = (!spec.assertion.is_empty()).then_some(AssertionVerdict {
@@ -211,7 +211,7 @@ pub fn explore(spec: &Spec, cfg: &ExploreConfig, weak: bool) -> Report {
     let hit_cap;
 
     loop {
-        let mut gpu = Gpu::new(gpu_config(n_actors as u32, cfg.max_steps, weak));
+        let mut gpu = Gpu::new(gpu_config(n_actors as u32, weak));
         let buf = gpu
             .alloc(usize::from(NUM_SLOTS))
             .expect("oracle pool allocation");
@@ -450,11 +450,11 @@ mod tests {
     fn exhaustive(spec: &Spec, cfg: &ExploreConfig) -> Report {
         let kernel = spec.build();
         let (grid, block_dim) = spec.grid_block();
-        let mut enumerator = EnumeratingScheduler::new(cfg.max_decisions);
+        let mut enumerator = EnumeratingScheduler::new(MAX_DECISIONS);
         let mut pairs = Pairs::new();
         let hit_cap;
         loop {
-            let mut gpu = Gpu::new(gpu_config(spec.actors.len() as u32, cfg.max_steps, false));
+            let mut gpu = Gpu::new(gpu_config(spec.actors.len() as u32, false));
             let buf = gpu.alloc(usize::from(NUM_SLOTS)).unwrap();
             let mut obs = Observer::default();
             let mut rec = RecordingScheduler::new(&mut enumerator);
@@ -655,10 +655,7 @@ mod tests {
     #[test]
     fn truncation_is_reported_as_incomplete() {
         let spec = Spec::parse("v2;CB;Sx.Ly/Lx").unwrap();
-        let cfg = ExploreConfig {
-            max_schedules: 2,
-            ..ExploreConfig::default()
-        };
+        let cfg = ExploreConfig { max_schedules: 2 };
         let r = explore(&spec, &cfg, false);
         assert!(!r.complete);
         assert_eq!(r.schedules, 2);

@@ -9,14 +9,15 @@
 //! under eager-invisible partial-order reduction, derives the ground-truth
 //! race verdict from order variance across the whole space and classifies
 //! each run's final state as sequentially consistent or weak-only
-//! ([`explore`]), and then runs iGUARD and Barracuda over the same kernels,
+//! ([`explore`](mod@explore)), and then runs iGUARD and Barracuda over the same kernels,
 //! classifying each disagreement as a false negative / false positive or as
-//! one of the *explained* divergences the paper itself predicts ([`diff`]).
+//! one of the *explained* divergences the paper itself predicts
+//! ([`diff`](mod@diff)).
 //!
-//! Divergent specs are shrunk to a minimal spec ([`shrink`]) and stored
-//! with their witness schedule trace in one versioned regression corpus
-//! ([`corpus`], `tests/corpus/oracle.corpus`) that a tier-1 test replays
-//! deterministically. Two streams draw from the language: `fuzz`'s
+//! Divergent specs are shrunk to a minimal spec ([`shrink`](mod@shrink))
+//! and stored with their witness schedule trace in one versioned
+//! regression corpus ([`corpus`], `tests/corpus/oracle.corpus`) that a
+//! tier-1 test replays deterministically. Two streams draw from the language: `fuzz`'s
 //! two-actor race kernels and `litmus`'s 2–4-actor weak-memory tests.
 
 #![forbid(unsafe_code)]
@@ -29,7 +30,7 @@ pub mod shrink;
 pub mod spec;
 pub mod static_diff;
 
-pub use diff::{diff, DiffConfig, DiffReport, Divergence, Verdict};
+pub use diff::{diff, DiffReport, Divergence, Verdict};
 pub use explore::{
     explore, gpu_config, AssertionVerdict, ExploreConfig, OracleRace, Outcome, Report,
 };

@@ -31,8 +31,8 @@ use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 
-use crate::diff::{detector_gpu, DiffConfig, Verdict};
-use crate::explore::{explore, Report};
+use crate::diff::{detector_gpu, Verdict, SEEDS};
+use crate::explore::{explore, ExploreConfig, Report};
 use crate::spec::Spec;
 
 /// The failing class: a soundness breach in the static pass. Must stay
@@ -121,20 +121,18 @@ struct RunOutcome {
     verify_violations: u64,
 }
 
-/// Runs iGUARD under `make_cfg` on one random schedule (or witness
-/// replay), mirroring `diff::iguard_flags` but surfacing the pruning
-/// counters too.
+/// Runs iGUARD under `cfg` on one random schedule (or witness replay),
+/// mirroring `diff::iguard_flags` but surfacing the pruning counters too.
 fn run_iguard(
     spec: &Spec,
     seed: u64,
     replay: Option<&ScheduleTrace>,
-    cfg: &DiffConfig,
-    icfg: &IguardConfig,
+    cfg: &IguardConfig,
 ) -> RunOutcome {
     let kernel = spec.build();
     let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(spec, seed, &cfg.explore);
-    let mut tool = Instrumented::new(Iguard::new(icfg.clone()));
+    let (mut gpu, buf) = detector_gpu(spec, seed);
+    let mut tool = Instrumented::new(Iguard::new(cfg.clone()));
     let result = match replay {
         Some(trace) => {
             let mut sched = ReplayScheduler::new(trace.clone());
@@ -153,9 +151,9 @@ fn run_iguard(
 
 /// The static-pruning differential check for one kernel spec.
 #[must_use]
-pub fn diff_static(spec: &Spec, cfg: &DiffConfig) -> StaticDiffReport {
+pub fn diff_static(spec: &Spec) -> StaticDiffReport {
     let cls = static_an::analyze(&spec.build());
-    let oracle = explore(spec, &cfg.explore, true);
+    let oracle = explore(spec, &ExploreConfig::default(), true);
     let witnesses: Vec<&ScheduleTrace> = [&oracle.witness, &oracle.counter_witness]
         .into_iter()
         .filter_map(Option::as_ref)
@@ -163,8 +161,7 @@ pub fn diff_static(spec: &Spec, cfg: &DiffConfig) -> StaticDiffReport {
 
     // Every run plan a detector sees: the random seeds, then both witness
     // replays (seed irrelevant under a ReplayScheduler).
-    let plans: Vec<(u64, Option<&ScheduleTrace>)> = cfg
-        .seeds
+    let plans: Vec<(u64, Option<&ScheduleTrace>)> = SEEDS
         .iter()
         .map(|&s| (s, None))
         .chain(witnesses.iter().map(|&t| (0, Some(t))))
@@ -173,7 +170,7 @@ pub fn diff_static(spec: &Spec, cfg: &DiffConfig) -> StaticDiffReport {
     let full_cfg = IguardConfig::default();
     let full_flag = plans
         .iter()
-        .any(|&(s, t)| run_iguard(spec, s, t, cfg, &full_cfg).dynamic_flag);
+        .any(|&(s, t)| run_iguard(spec, s, t, &full_cfg).dynamic_flag);
     let full = if full_flag {
         Verdict::Flagged
     } else {
@@ -187,7 +184,7 @@ pub fn diff_static(spec: &Spec, cfg: &DiffConfig) -> StaticDiffReport {
     let mut pruned_flag = false;
     let mut static_races = 0u64;
     for &(s, t) in &plans {
-        let out = run_iguard(spec, s, t, cfg, &pruned_cfg);
+        let out = run_iguard(spec, s, t, &pruned_cfg);
         pruned_flag |= out.dynamic_flag || out.static_races > 0;
         static_races = static_races.max(out.static_races);
     }
@@ -203,7 +200,7 @@ pub fn diff_static(spec: &Spec, cfg: &DiffConfig) -> StaticDiffReport {
     let verify_cfg = IguardConfig::with_prune_verify();
     let verify_violations: u64 = plans
         .iter()
-        .map(|&(s, t)| run_iguard(spec, s, t, cfg, &verify_cfg).verify_violations)
+        .map(|&(s, t)| run_iguard(spec, s, t, &verify_cfg).verify_violations)
         .sum();
 
     let mut divergences = Vec::new();
@@ -258,7 +255,7 @@ mod tests {
     use super::*;
 
     fn run(s: &str) -> StaticDiffReport {
-        diff_static(&Spec::parse(s).unwrap(), &DiffConfig::default())
+        diff_static(&Spec::parse(s).unwrap())
     }
 
     #[test]

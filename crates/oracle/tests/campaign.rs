@@ -4,8 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use oracle::diff::{diff, generate_specs, DiffConfig, Verdict};
-use oracle::explore::{explore, gpu_config};
+use oracle::diff::{diff, generate_specs, Verdict};
+use oracle::explore::{explore, gpu_config, ExploreConfig};
 use oracle::observer::Observer;
 use oracle::shrink::shrink;
 use oracle::spec::{Spec, NUM_SLOTS};
@@ -18,12 +18,11 @@ const CAMPAIGN_KERNELS: usize = 2048;
 
 #[test]
 fn campaign_over_2048_kernels_has_no_unexplained_divergence() {
-    let cfg = DiffConfig::default();
     let mut racy = 0usize;
     let mut explained: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut failures = Vec::new();
     for spec in generate_specs(CAMPAIGN_KERNELS, CAMPAIGN_SEED) {
-        let r = diff(&spec, &cfg);
+        let r = diff(&spec);
         racy += usize::from(r.oracle.racy);
         for d in &r.divergences {
             if let Some(reason) = d.explanation {
@@ -32,11 +31,11 @@ fn campaign_over_2048_kernels_has_no_unexplained_divergence() {
         }
         if !r.unexplained().is_empty() {
             // Shrink before reporting so the failure is actionable.
-            let small = shrink(&spec, |s| !diff(s, &cfg).unexplained().is_empty());
+            let small = shrink(&spec, |s| !diff(s).unexplained().is_empty());
             failures.push(format!(
                 "unexplained divergence in {}, shrunk to: {}",
                 spec.to_compact_string(),
-                diff(&small, &cfg).describe()
+                diff(&small).describe()
             ));
         }
     }
@@ -58,9 +57,9 @@ fn campaign_over_2048_kernels_has_no_unexplained_divergence() {
 
 /// Replays `trace` for `spec` on the weak machine and returns the digest
 /// of the observed access interleaving.
-fn replay_digest(spec: &Spec, trace: &gpu_sim::sched::ScheduleTrace, cfg: &DiffConfig) -> u64 {
+fn replay_digest(spec: &Spec, trace: &gpu_sim::sched::ScheduleTrace) -> u64 {
     let (grid, block) = spec.grid_block();
-    let mut gpu = Gpu::new(gpu_config(spec.actors.len() as u32, cfg.explore.max_steps, true));
+    let mut gpu = Gpu::new(gpu_config(spec.actors.len() as u32, true));
     let buf = gpu.alloc(NUM_SLOTS as usize).unwrap();
     let mut obs = Observer::default();
     let mut sched = ReplayScheduler::new(trace.clone());
@@ -76,14 +75,13 @@ fn replay_digest(spec: &Spec, trace: &gpu_sim::sched::ScheduleTrace, cfg: &DiffC
 /// access interleaving (digest-identical).
 #[test]
 fn witness_traces_replay_deterministically() {
-    let cfg = DiffConfig::default();
     let mut checked = 0usize;
     for spec in generate_specs(60, CAMPAIGN_SEED ^ 0xDEAD) {
-        let Some(trace) = explore(&spec, &cfg.explore, true).witness else {
+        let Some(trace) = explore(&spec, &ExploreConfig::default(), true).witness else {
             continue;
         };
-        let a = replay_digest(&spec, &trace, &cfg);
-        let b = replay_digest(&spec, &trace, &cfg);
+        let a = replay_digest(&spec, &trace);
+        let b = replay_digest(&spec, &trace);
         assert_eq!(a, b, "{}", spec.to_compact_string());
         checked += 1;
     }
@@ -96,14 +94,13 @@ fn witness_traces_replay_deterministically() {
 #[test]
 fn replay_is_stable_across_kernel_rebuilds() {
     let spec = Spec::parse("v2;CB;Sx.Ly/Sx").unwrap();
-    let cfg = DiffConfig::default();
-    let trace = explore(&spec, &cfg.explore, true)
+    let trace = explore(&spec, &ExploreConfig::default(), true)
         .witness
         .expect("spec is racy");
     assert_eq!(
-        replay_digest(&spec, &trace, &cfg),
-        replay_digest(&spec, &trace, &cfg)
+        replay_digest(&spec, &trace),
+        replay_digest(&spec, &trace)
     );
-    let r = diff(&spec, &cfg);
+    let r = diff(&spec);
     assert_eq!(r.iguard, Verdict::Flagged, "{}", r.describe());
 }

@@ -142,7 +142,7 @@ fn main() {
         "\n{:<24} —          refuses the binary: {refusal}",
         "Barracuda"
     );
-    let curd_refusal = Curd::for_kernels(&[&k], BinaryKind::SingleFile, Default::default())
+    let curd_refusal = Curd::for_kernels(&[&k], BinaryKind::SingleFile)
         .err()
         .unwrap();
     println!(

@@ -36,7 +36,6 @@ fn run_barracuda(w: &Workload) -> Outcome {
     }
     let bcfg = BarracudaConfig {
         timeout_serial_cycles: 660_000,
-        ..BarracudaConfig::default()
     };
     let mut tool = Instrumented::new(Barracuda::new(bcfg));
     for l in &launches {
@@ -214,7 +213,7 @@ fn curd_is_cheap_on_bulk_synchronous_kernels_and_matches_barracuda_otherwise() {
     });
     let launches = w.build(&mut gpu, Size::Bench);
     let kernels = Workload::kernels(&launches);
-    let curd = Curd::for_kernels(&kernels, BinaryKind::SingleFile, Default::default()).unwrap();
+    let curd = Curd::for_kernels(&kernels, BinaryKind::SingleFile).unwrap();
     assert_eq!(curd.path(), CurdPath::Fast);
     let mut tool = Instrumented::new(curd);
     for l in &launches {
@@ -255,6 +254,6 @@ fn curd_is_cheap_on_bulk_synchronous_kernels_and_matches_barracuda_otherwise() {
     });
     let launches = w.build(&mut gpu, Size::Test);
     let kernels = Workload::kernels(&launches);
-    let curd = Curd::for_kernels(&kernels, BinaryKind::SingleFile, Default::default()).unwrap();
+    let curd = Curd::for_kernels(&kernels, BinaryKind::SingleFile).unwrap();
     assert_eq!(curd.path(), CurdPath::BarracudaFallback);
 }

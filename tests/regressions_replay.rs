@@ -25,7 +25,7 @@ use iguard_repro::gpu_sim::prelude::*;
 use iguard_repro::iguard::Iguard;
 use iguard_repro::nvbit_sim::Instrumented;
 use iguard_repro::oracle::corpus;
-use iguard_repro::oracle::diff::{diff, DiffConfig};
+use iguard_repro::oracle::diff::diff;
 use iguard_repro::oracle::spec::Spec;
 
 const CORPUS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/oracle.corpus");
@@ -166,14 +166,9 @@ fn corpus_specs() -> Vec<Spec> {
 
 #[test]
 fn oracle_corpus_replays_deterministically() {
-    let cfg = DiffConfig::default();
-
     if std::env::var_os("ORACLE_CORPUS_REGEN").is_some() {
         let target = regen_target();
-        let entries: Vec<_> = corpus_specs()
-            .iter()
-            .map(|s| corpus::entry_for(s, &cfg))
-            .collect();
+        let entries: Vec<_> = corpus_specs().iter().map(corpus::entry_for).collect();
         std::fs::create_dir_all(std::path::Path::new(&target).parent().unwrap()).unwrap();
         std::fs::write(&target, corpus::format(&entries)).expect("write corpus");
         eprintln!("corpus regenerated at {target} ({} entries)", entries.len());
@@ -191,7 +186,7 @@ fn oracle_corpus_replays_deterministically() {
     );
     let mut failures = Vec::new();
     for e in &entries {
-        if let Err(msg) = corpus::verify(e, &cfg) {
+        if let Err(msg) = corpus::verify(e) {
             failures.push(msg);
         }
     }
@@ -208,7 +203,6 @@ fn oracle_corpus_replays_deterministically() {
 /// reader's stale clean line.
 #[test]
 fn weak_plane_false_negative_classes_are_pinned() {
-    let cfg = DiffConfig::default();
     for (spec_str, class) in [
         ("v2;CB;eDx.eDy/Lx.Ly.Lx;?1:r1=1&1:r2=0", "visibility-blind"),
         (
@@ -217,7 +211,7 @@ fn weak_plane_false_negative_classes_are_pinned() {
         ),
     ] {
         let spec = Spec::parse(spec_str).unwrap();
-        let r = diff(&spec, &cfg);
+        let r = diff(&spec);
         assert!(!r.oracle.racy, "{spec_str}: must be race-free under the oracle");
         let a = r.oracle.assertion.as_ref().expect("assertion verdict");
         assert!(
