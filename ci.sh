@@ -31,13 +31,12 @@
 #            fresh stream through the static-pruning differential; any
 #            `static-unsound` observation fails), and the corpus drift
 #            check (the oracle corpus regenerates byte-identically).
-# --litmus   replay of the oracle corpus through the `litmus` binary, then
-#            a 30 s random litmus campaign; any unexplained divergence or
-#            replay drift fails.
-# `fuzz` and `litmus` take no driver flags (they reject unknown ones with
-# exit 2): their runs fan out over `bench::par_map`, and a spec that
-# panics is counted as DNF, printed with its `--spec` rerun line, and
-# fails the step.
+# --litmus   a 30 s random weak-memory litmus campaign (`fuzz --litmus`);
+#            any unexplained divergence fails. The oracle corpus replay is
+#            tier 1's `regressions_replay`.
+# `fuzz` takes no driver flags (it rejects unknown ones with exit 2): its
+# runs fan out over `bench::par_map`, and a spec that panics is counted
+# as DNF, printed with its `--spec` rerun line, and fails the step.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -100,12 +99,10 @@ if [[ "$FUZZ" -eq 1 ]]; then
 fi
 
 if [[ "$LITMUS" -eq 1 ]]; then
-  echo "== litmus corpus replay (--litmus) =="
-  cargo run --release -p bench --bin litmus -- --corpus tests/corpus/oracle.corpus
   echo "== litmus fuzz smoke (--litmus) =="
   # Unlimited spec stream, hard 30 s budget; exits non-zero on any
   # unexplained oracle/detector divergence.
-  cargo run --release -p bench --bin litmus -- --tests 0 --budget 30 --seed 42
+  cargo run --release -p bench --bin fuzz -- --litmus --kernels 0 --budget 30 --seed 42
 fi
 
 echo "CI OK"

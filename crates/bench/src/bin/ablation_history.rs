@@ -14,6 +14,7 @@ use workloads::Size;
 const DEPTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
+    bench::switches([]);
     let set = workloads::racey();
     let mut specs = Vec::new();
     for w in &set {

@@ -33,6 +33,7 @@ fn time_kernel(scope: Scope, fences: u32) -> f64 {
 
 fn main() {
     const FENCES: u32 = 64;
+    bench::switches([]);
     let points = vec![
         (Scope::Block, 2 * FENCES),
         (Scope::Block, FENCES),

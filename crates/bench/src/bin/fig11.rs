@@ -61,7 +61,7 @@ fn row(
 }
 
 fn main() {
-    let prune = std::env::args().any(|a| a == "--prune");
+    let [prune] = bench::switches(["--prune"]);
     let stride = if prune { 4 } else { 3 };
 
     let sets = [

@@ -22,7 +22,7 @@ fn over(native: &Result<RunOutput, String>, ig: &Result<RunOutput, String>) -> O
 }
 
 fn main() {
-    let ablate = std::env::args().any(|a| a == "--ablate");
+    let [ablate] = bench::switches(["--ablate"]);
 
     // Per workload: native, then one iGUARD run per configuration column.
     let configs: Vec<IguardConfig> = if ablate {

@@ -16,6 +16,7 @@ use iguard::IguardConfig;
 use workloads::Size;
 
 fn main() {
+    bench::switches([]);
     let set = workloads::all();
     let specs = set
         .iter()

@@ -110,6 +110,7 @@ fn measure(gb: u64) -> Row {
 }
 
 fn main() {
+    bench::switches([]);
     // One run per footprint, plus one (`None`) for Barracuda's flat
     // overhead (reused for every footprint where its reservation fits).
     enum Out {

@@ -68,11 +68,7 @@ const ARMS: [Arm; 5] = [
 ];
 
 fn main() {
-    let rest: Vec<String> = std::env::args().skip(1).collect();
-    if !rest.is_empty() {
-        eprintln!("pressure: unknown flags {rest:?}");
-        std::process::exit(2);
-    }
+    bench::switches([]);
 
     let items = WORKLOADS
         .iter()

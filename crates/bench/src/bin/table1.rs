@@ -187,6 +187,7 @@ const COLUMNS: [Column; 4] = [
 ];
 
 fn main() {
+    bench::switches([]);
     let probes: [Probe; 4] = [
         (
             "Sc. fence",

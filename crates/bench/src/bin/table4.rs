@@ -13,7 +13,7 @@ use iguard::IguardConfig;
 use workloads::{BarracudaExpectation, Size};
 
 fn main() {
-    let size = if std::env::args().any(|a| a == "--bench") {
+    let size = if bench::switches(["--bench"])[0] {
         Size::Bench
     } else {
         Size::Test

@@ -11,6 +11,7 @@ use iguard::IguardConfig;
 use workloads::Size;
 
 fn main() {
+    bench::switches([]);
     let table = workloads::clean();
     let mut specs = Vec::new();
     for w in &table {

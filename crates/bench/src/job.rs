@@ -8,7 +8,6 @@
 //! `par_map(specs, JobSpec::run)`.
 
 use barracuda::BarracudaConfig;
-use gpu_sim::hook::ExecMode;
 use iguard::IguardConfig;
 use workloads::{Size, Workload};
 
@@ -28,8 +27,8 @@ pub enum ToolSpec {
     Barracuda(BarracudaConfig),
 }
 
-/// The canonical experiment tuple: workload × tool × size × seed
-/// (× scheduler mode). Everything it owns is `'static` data or owned
+/// The canonical experiment tuple: workload × tool × size × seed, run
+/// under ITS scheduling as in the evaluation. Everything it owns is `'static` data or owned
 /// configuration, so a spec can move to a worker thread.
 #[derive(Clone)]
 pub struct JobSpec {
@@ -41,12 +40,10 @@ pub struct JobSpec {
     pub size: Size,
     /// Schedule seed.
     pub seed: u64,
-    /// Warp scheduling mode (ITS by default, matching the evaluation).
-    pub mode: ExecMode,
 }
 
 impl JobSpec {
-    /// Spec with the evaluation defaults (ITS scheduling).
+    /// The run of `workload` under `tool` at `size` and `seed`.
     #[must_use]
     pub fn new(workload: Workload, tool: ToolSpec, size: Size, seed: u64) -> Self {
         JobSpec {
@@ -54,17 +51,13 @@ impl JobSpec {
             tool,
             size,
             seed,
-            mode: ExecMode::Its,
         }
     }
 
     /// Executes the run on the calling thread.
     #[must_use]
     pub fn run(self) -> RunOutput {
-        let gcfg = gpu_sim::machine::GpuConfig {
-            mode: self.mode,
-            ..gpu_config(self.seed)
-        };
+        let gcfg = gpu_config(self.seed);
         match self.tool {
             ToolSpec::Native => {
                 RunOutput::Native(run_native_with(&self.workload, self.size, gcfg))

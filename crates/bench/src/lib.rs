@@ -6,9 +6,9 @@
 //! detector statistics. Each table/figure has a dedicated binary
 //! (`table1`, `table4`, `table5`, `fig11`, `fig12`, `fig13`, `fig14`,
 //! `fence_scope_cost`, `ablation_history`); beside them sit the CLI
-//! (`iguard_run`) and the test-plane campaigns (`fuzz`, `litmus`,
-//! `pressure`). Each binary fans its independent runs out through
-//! [`par_map`] and prints the results in submission order. The
+//! (`iguard_run`) and the test-plane campaigns (`fuzz`, `pressure`).
+//! Each binary fans its independent runs out through [`par_map`] and
+//! prints the results in submission order. The
 //! multi-tenant detector service's exec path ([`run_service_job`]) lives
 //! here for its tests. Host time is not measured here: that is the
 //! standalone `benchmark/` package.
@@ -92,6 +92,26 @@ pub fn par_map<I: Send, T: Send>(
 
 /// Default schedule seed used by every harness (deterministic results).
 pub const DEFAULT_SEED: u64 = 42;
+
+/// Reads the command line of a binary whose only arguments are the
+/// optional switches `known`; returns whether each was given, in
+/// `known`'s order. Any other argument exits 2 with a message, so a
+/// typo never runs the default configuration silently.
+pub fn switches<const N: usize>(known: [&str; N]) -> [bool; N] {
+    let mut given = [false; N];
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    for a in args {
+        match known.iter().position(|k| *k == a) {
+            Some(i) => given[i] = true,
+            None => {
+                eprintln!("{bin}: unknown argument `{a}` (expected: {known:?})");
+                std::process::exit(2);
+            }
+        }
+    }
+    given
+}
 
 /// GPU configuration used across the evaluation (Table 3's Titan RTX).
 #[must_use]

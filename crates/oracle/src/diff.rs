@@ -407,7 +407,7 @@ pub fn generate_specs(n: usize, seed: u64) -> Vec<Spec> {
     (0..n).map(|_| Spec::random_race(&mut rng)).collect()
 }
 
-/// Deterministic `litmus` stream: `n` litmus specs from `seed`.
+/// Deterministic `fuzz --litmus` stream: `n` litmus specs from `seed`.
 #[must_use]
 pub fn generate_litmus(n: usize, seed: u64) -> Vec<Spec> {
     let mut rng = SmallRng::seed_from_u64(seed);

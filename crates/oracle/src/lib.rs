@@ -17,8 +17,9 @@
 //! Divergent specs are shrunk to a minimal spec ([`shrink`](mod@shrink))
 //! and stored with their witness schedule trace in one versioned
 //! regression corpus ([`corpus`], `tests/corpus/oracle.corpus`) that a
-//! tier-1 test replays deterministically. Two streams draw from the language: `fuzz`'s
-//! two-actor race kernels and `litmus`'s 2–4-actor weak-memory tests.
+//! tier-1 test replays deterministically. Two streams draw from the language, both run by
+//! the `fuzz` binary: two-actor race kernels and (`fuzz --litmus`)
+//! 2–4-actor weak-memory tests.
 
 #![forbid(unsafe_code)]
 

@@ -26,7 +26,7 @@
 //! Two generators draw from the language: [`Spec::random_race`], the
 //! two-actor, assertion-free stream `fuzz` diffs (Table 4's race classes),
 //! and [`Spec::random_litmus`], the 2–4-actor stream with assertions that
-//! `litmus` diffs on the weak machine.
+//! `fuzz --litmus` diffs on the weak machine.
 //!
 //! The family is deliberately narrow so that three properties hold:
 //!
@@ -674,7 +674,7 @@ impl Spec {
         spec
     }
 
-    /// Draws a litmus spec — the `litmus` stream: 2–4 actors, 1–3 ops
+    /// Draws a litmus spec — the `fuzz --litmus` stream: 2–4 actors, 1–3 ops
     /// each, mostly plain loads/stores with occasional RMWs and fences;
     /// about half the specs carry an assertion over their loads/locations.
     #[must_use]
