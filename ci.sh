@@ -10,9 +10,10 @@
 # than in a benchmark run.
 # The workspace tests already byte-compare the stdout of every paper
 # artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`, `fig12 --ablate`,
-# `fence_scope_cost`, `ablation_history`) plus `pressure`
-# (`golden_stdout`), replay the oracle corpus (`regressions_replay`), pin
-# the hot paths (`counter_identity`, `heap_ceiling`, `schedule_digest`,
+# `fence_scope_cost`, `ablation_history`) plus `pressure` and six
+# `iguard_run` invocations, one per detector (`golden_stdout`), replay
+# the oracle corpus (`regressions_replay`), pin the hot paths
+# (`counter_identity`, `heap_ceiling`, `schedule_digest`,
 # `split_shapes`, `service_determinism`, and
 # `paged_l2_agrees_with_a_flat_memory` for the device memory under all of
 # them), pin the quick service fleet's per-tenant table

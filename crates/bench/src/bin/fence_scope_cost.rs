@@ -7,8 +7,9 @@
 //! cargo run -p bench --release --bin fence_scope_cost
 //! ```
 
-use bench::{gpu_config, par_map, DEFAULT_SEED};
+use bench::{drive, gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::prelude::*;
+use workloads::Launch;
 
 fn fence_kernel(scope: Scope, fences: u32) -> Kernel {
     let name = if scope == Scope::Block {
@@ -26,9 +27,13 @@ fn fence_kernel(scope: Scope, fences: u32) -> Kernel {
 
 fn time_kernel(scope: Scope, fences: u32) -> f64 {
     let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
-    gpu.launch(&fence_kernel(scope, fences), 8, 128, &[], &mut NullHook)
-        .expect("launch");
-    gpu.clock().total_time()
+    let launch = Launch {
+        kernel: fence_kernel(scope, fences),
+        grid: 8,
+        block: 128,
+        params: Vec::new(),
+    };
+    drive(&mut gpu, [&launch], &mut NullHook, &launch.kernel.name, |_| false).time
 }
 
 fn main() {

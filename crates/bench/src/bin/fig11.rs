@@ -26,14 +26,14 @@ fn row(
 ) -> Option<(f64, Option<f64>, Option<f64>, &'static str)> {
     let native = outcomes[0].as_ref().ok()?.native()?;
     let ig = outcomes[1].as_ref().ok()?.iguard()?;
-    let ig_over = ig.time / native.time;
+    let ig_over = ig.driven.time / native.time;
     let pruned_over = (outcomes.len() == 4)
         .then(|| {
             outcomes[2]
                 .as_ref()
                 .ok()?
                 .iguard()
-                .map(|p| p.time / native.time)
+                .map(|p| p.driven.time / native.time)
         })
         .flatten();
     let Some(bar) = outcomes[outcomes.len() - 1]

@@ -18,7 +18,7 @@ use workloads::Size;
 fn over(native: &Result<RunOutput, String>, ig: &Result<RunOutput, String>) -> Option<f64> {
     let n = native.as_ref().ok()?.native()?;
     let i = ig.as_ref().ok()?.iguard()?;
-    Some(i.time / n.time)
+    Some(i.driven.time / n.time)
 }
 
 fn main() {

@@ -13,26 +13,32 @@
 //! cargo run -p bench --release --bin fig14
 //! ```
 
-use bench::{gpu_config, par_map, DEFAULT_SEED};
+use bench::{drive, gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::hook::NullHook;
 use gpu_sim::machine::Gpu;
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 use uvm_sim::UvmStats;
-use workloads::{Size, Workload};
+use workloads::{Launch, Size, Workload};
 
 const GB: u64 = 1 << 30;
 const FOOTPRINTS_GB: [u64; 5] = [1, 2, 4, 8, 16];
 
-/// Builds d_reduce with its buffers *logically* inflated to `footprint`.
-fn build_scaled(gpu: &mut Gpu, footprint: u64) -> Vec<workloads::Launch> {
+fn d_reduce() -> Workload {
+    workloads::by_name("d_reduce").expect("d_reduce exists")
+}
+
+/// Builds d_reduce on a fresh GPU with its buffers *logically* inflated
+/// to `footprint`; also returns the bytes the real buffers occupy.
+fn build_scaled(footprint: u64) -> (Gpu, Vec<Launch>, u64) {
+    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
+    let before = gpu.allocated_bytes();
+    let launches = d_reduce().build(&mut gpu, Size::Bench);
+    let backing_bytes = gpu.allocated_bytes() - before;
     // Claim the logical footprint beyond what the real buffers occupy.
-    let w = workloads::by_name("d_reduce").expect("d_reduce exists");
-    let launches = w.build(gpu, Size::Bench);
-    let occupied = gpu.allocated_bytes();
-    gpu.alloc_logical(16, footprint.saturating_sub(occupied))
+    gpu.alloc_logical(16, footprint.saturating_sub(gpu.allocated_bytes()))
         .expect("logical footprint fits");
-    launches
+    (gpu, launches, backing_bytes)
 }
 
 fn addr_scale_for(footprint: u64, backing_bytes: u64) -> u64 {
@@ -42,47 +48,14 @@ fn addr_scale_for(footprint: u64, backing_bytes: u64) -> u64 {
     (footprint / backing_bytes.max(1)).max(1)
 }
 
-/// Native runtime of d_reduce at the inflated footprint.
-fn native_scaled(footprint: u64) -> f64 {
-    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
-    let launches = build_scaled(&mut gpu, footprint);
-    for l in &launches {
-        gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut NullHook)
-            .unwrap();
-    }
-    gpu.clock().total_time()
-}
-
-/// iGUARD runtime + UVM counters at the inflated footprint.
-fn iguard_scaled(footprint: u64) -> (f64, UvmStats) {
-    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
-    let before = gpu.allocated_bytes();
-    let launches = {
-        let w = workloads::by_name("d_reduce").expect("d_reduce exists");
-        w.build(&mut gpu, Size::Bench)
-    };
-    let backing_bytes = gpu.allocated_bytes() - before;
-    gpu.alloc_logical(16, footprint.saturating_sub(gpu.allocated_bytes()))
-        .expect("logical footprint fits");
-    let cfg = IguardConfig {
-        addr_scale: addr_scale_for(footprint, backing_bytes),
-        ..IguardConfig::default()
-    };
-    let mut tool = Instrumented::new(Iguard::new(cfg));
-    for l in &launches {
-        gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool)
-            .unwrap();
-    }
-    (gpu.clock().total_time(), tool.tool().uvm_stats())
-}
-
 /// Barracuda's flat serialized-detection overhead on d_reduce — footprint
 /// independent when its reservation fits.
 fn barracuda_flat_overhead() -> Option<f64> {
-    let w: Workload = workloads::by_name("d_reduce").unwrap();
-    let native_run = bench::run_native(&w, Size::Bench, DEFAULT_SEED);
-    match bench::run_barracuda(&w, Size::Bench, DEFAULT_SEED, bench::barracuda_config_for()) {
-        bench::BarracudaRun::Ran { time, .. } => Some(time / native_run.time),
+    let w = d_reduce();
+    let native = bench::run_native(&w, Size::Bench, gpu_config(DEFAULT_SEED));
+    let cfg = bench::barracuda_config_for();
+    match bench::run_barracuda(&w, Size::Bench, gpu_config(DEFAULT_SEED), cfg) {
+        bench::BarracudaRun::Ran { time, .. } => Some(time / native.time),
         _ => None,
     }
 }
@@ -95,16 +68,25 @@ struct Row {
     barracuda_fits: bool,
 }
 
+/// Native and iGUARD runtimes (and iGUARD's UVM counters) of d_reduce at
+/// the inflated footprint.
 fn measure(gb: u64) -> Row {
     let footprint = gb * GB;
-    let native = native_scaled(footprint);
-    let (ig_time, uvm) = iguard_scaled(footprint);
+    let (mut gpu, launches, _) = build_scaled(footprint);
+    let native = drive(&mut gpu, &launches, &mut NullHook, "d_reduce", |_| false).time;
+    let (mut gpu, launches, backing_bytes) = build_scaled(footprint);
+    let cfg = IguardConfig {
+        addr_scale: addr_scale_for(footprint, backing_bytes),
+        ..IguardConfig::default()
+    };
+    let mut tool = Instrumented::new(Iguard::new(cfg));
+    let ig_time = drive(&mut gpu, &launches, &mut tool, "d_reduce", |_| false).time;
     // Barracuda's reservation policy: 50% of capacity + footprint shadow.
     let capacity = gpu_config(DEFAULT_SEED).device_mem_bytes;
     let needed = capacity / 2 + 2 * footprint;
     Row {
         ig_over: ig_time / native,
-        uvm,
+        uvm: tool.tool().uvm_stats(),
         barracuda_fits: needed <= capacity,
     }
 }

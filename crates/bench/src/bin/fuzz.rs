@@ -31,10 +31,9 @@
 //! with its `--spec` rerun line), 2 on bad input, 0 otherwise.
 
 use std::collections::BTreeMap;
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use bench::par_map;
+use bench::{flag_value, par_map, usage};
 use oracle::corpus;
 use oracle::diff::{diff, generate_litmus, generate_specs};
 use oracle::explore::Report;
@@ -62,22 +61,6 @@ struct Args {
     static_arm: bool,
 }
 
-/// Prints `message` and exits 2 (bad input).
-fn usage(message: &str) -> ! {
-    eprintln!("{message}");
-    std::process::exit(2);
-}
-
-fn value(flag: &str, v: Option<String>) -> String {
-    v.unwrap_or_else(|| usage(&format!("{flag} requires a value")))
-}
-
-fn number<T: FromStr>(flag: &str, v: Option<String>) -> T {
-    value(flag, v)
-        .parse()
-        .unwrap_or_else(|_| usage(&format!("{flag} expects a number")))
-}
-
 fn parse_args(rest: Vec<String>) -> Args {
     let mut kernels = None;
     let mut args = Args {
@@ -92,11 +75,11 @@ fn parse_args(rest: Vec<String>) -> Args {
     let mut it = rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--kernels" => kernels = Some(number(&a, it.next())),
-            "--budget" => args.budget = Some(Duration::from_secs(number(&a, it.next()))),
-            "--seed" => args.seed = number(&a, it.next()),
-            "--corpus" => args.corpus_path = Some(value(&a, it.next())),
-            "--spec" => args.spec = Some(value(&a, it.next())),
+            "--kernels" => kernels = Some(flag_value(&a, it.next())),
+            "--budget" => args.budget = Some(Duration::from_secs(flag_value(&a, it.next()))),
+            "--seed" => args.seed = flag_value(&a, it.next()),
+            "--corpus" => args.corpus_path = Some(flag_value(&a, it.next())),
+            "--spec" => args.spec = Some(flag_value(&a, it.next())),
             "--litmus" => args.litmus = true,
             "--static" => args.static_arm = true,
             other => usage(&format!("unknown flag `{other}`")),

@@ -10,7 +10,7 @@
 //! cargo run -p bench --release --bin iguard_run -- conjugGMB --no-coalesce --no-backoff
 //! ```
 
-use bench::{gpu_config, BREAKDOWN_LABELS};
+use bench::{drive, flag_value, gpu_config, usage, BREAKDOWN_LABELS};
 use gpu_sim::disasm;
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::COST_CATEGORIES;
@@ -46,20 +46,17 @@ fn parse_args(rest: Vec<String>) -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--list" => args.list = true,
-            "--detector" => args.detector = value_arg(&mut it, "--detector"),
+            "--detector" => args.detector = flag_value(&a, it.next()),
             "--size" => {
-                args.size = match value_arg(&mut it, "--size").as_str() {
+                args.size = match flag_value::<String>(&a, it.next()).as_str() {
                     "test" => Size::Test,
                     "bench" => Size::Bench,
-                    other => {
-                        eprintln!("--size expects test or bench, got `{other}`");
-                        std::process::exit(2);
-                    }
+                    other => usage(&format!("--size expects test or bench, got `{other}`")),
                 }
             }
-            "--seed" => args.seed = numeric_arg(&mut it, "--seed"),
-            "--context" => args.context = numeric_arg(&mut it, "--context"),
-            "--history" => args.history = numeric_arg(&mut it, "--history"),
+            "--seed" => args.seed = flag_value(&a, it.next()),
+            "--context" => args.context = flag_value(&a, it.next()),
+            "--history" => args.history = flag_value(&a, it.next()),
             "--no-coalesce" => args.coalesce = false,
             "--no-backoff" => args.backoff = false,
             "--help" | "-h" => {
@@ -70,33 +67,16 @@ fn parse_args(rest: Vec<String>) -> Args {
                 );
                 std::process::exit(0);
             }
-            w if !w.starts_with('-') => args.workload = Some(w.to_string()),
-            other => {
-                eprintln!("unknown flag {other}; see --help");
-                std::process::exit(2);
+            w if !w.starts_with('-') => {
+                if let Some(first) = &args.workload {
+                    usage(&format!("one workload per run, got `{first}` and `{w}`"));
+                }
+                args.workload = Some(w.to_string());
             }
+            other => usage(&format!("unknown flag {other}; see --help")),
         }
     }
     args
-}
-
-/// The next argument as `flag`'s value, exiting with a clean message when
-/// it is missing (a user typo must not panic).
-fn value_arg(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
-    })
-}
-
-/// Parses the next argument as a number, exiting with a clean message on
-/// a missing or non-numeric value.
-fn numeric_arg<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let raw = value_arg(it, flag);
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} expects a number, got `{raw}`");
-        std::process::exit(2);
-    })
 }
 
 fn list_workloads() {
@@ -128,61 +108,29 @@ fn main() {
         return;
     }
     let Some(name) = args.workload.clone() else {
-        eprintln!("no workload given; try --list or --help");
-        std::process::exit(2);
+        usage("no workload given; try --list or --help");
     };
     let Some(w) = workloads::by_name(&name) else {
-        eprintln!("unknown workload `{name}`; try --list");
-        std::process::exit(2);
+        usage(&format!("unknown workload `{name}`; try --list"));
     };
-    if !matches!(args.detector.as_str(), "iguard" | "barracuda" | "curd" | "none") {
-        eprintln!(
-            "unknown detector `{}` (iguard|barracuda|curd|none)",
-            args.detector
-        );
-        std::process::exit(2);
-    }
-
     match args.detector.as_str() {
         "iguard" => run_iguard(&w, &args),
         "barracuda" => run_barracuda(&w, &args),
         "curd" => run_curd(&w, &args),
-        _ => run_native(&w, &args),
+        "none" => run_native(&w, &args),
+        other => usage(&format!(
+            "unknown detector `{other}` (iguard|barracuda|curd|none)"
+        )),
     }
-}
-
-fn launch_all(
-    gpu: &mut Gpu,
-    launches: &[workloads::Launch],
-    hook: &mut dyn gpu_sim::hook::Hook,
-) -> bool {
-    let mut timed_out = false;
-    for l in launches {
-        match gpu.launch(&l.kernel, l.grid, l.block, &l.params, hook) {
-            Ok(_) => {}
-            Err(gpu_sim::error::SimError::Timeout { .. }) => timed_out = true,
-            Err(e) => {
-                eprintln!("launch failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    timed_out
 }
 
 fn run_native(w: &Workload, args: &Args) {
-    let mut gpu = Gpu::new(gpu_config(args.seed));
-    let launches = w.build(&mut gpu, args.size);
-    let timed_out = launch_all(&mut gpu, &launches, &mut gpu_sim::hook::NullHook);
-    println!(
-        "{}: native run, {} kernel launch(es)",
-        w.name,
-        launches.len()
-    );
+    let d = bench::run_native(w, args.size, gpu_config(args.seed));
+    println!("{}: native run, {} kernel launch(es)", w.name, d.launches);
     println!(
         "simulated time: {:.0} cycles{}",
-        gpu.clock().total_time(),
-        if timed_out {
+        d.time,
+        if d.timed_out {
             "  (WATCHDOG TIMEOUT)"
         } else {
             ""
@@ -200,14 +148,14 @@ fn run_iguard(w: &Workload, args: &Args) {
     let mut gpu = Gpu::new(gpu_config(args.seed));
     let launches = w.build(&mut gpu, args.size);
     let mut tool = Instrumented::new(Iguard::new(cfg));
-    let timed_out = launch_all(&mut gpu, &launches, &mut tool);
+    let d = drive(&mut gpu, &launches, &mut tool, w.name, |_| false);
 
     let races = tool.tool_mut().races();
     println!(
         "{}: iGUARD found {} race(s){}  (paper: {})",
         w.name,
         races.len(),
-        if timed_out {
+        if d.timed_out {
             " before the watchdog timeout"
         } else {
             ""
@@ -239,14 +187,13 @@ fn run_iguard(w: &Workload, args: &Args) {
     );
 
     println!("\nruntime breakdown:");
-    let total = gpu.clock().total_time();
     for (i, &c) in COST_CATEGORIES.iter().enumerate() {
         let t = gpu.clock().time(c);
         println!(
             "  {:<16} {:>10.0} cycles  ({:>5.1}%)",
             BREAKDOWN_LABELS[i],
             t,
-            100.0 * t / total
+            100.0 * t / d.time
         );
     }
 }
@@ -269,18 +216,19 @@ fn run_curd(w: &Workload, args: &Args) {
     };
     println!("{}: CURD path = {:?}", w.name, curd.path());
     let mut tool = Instrumented::new(curd);
-    let timed_out = launch_all(&mut gpu, &launches, &mut tool);
+    let d = drive(&mut gpu, &launches, &mut tool, w.name, |_| false);
     let races = tool.tool_mut().finish(gpu.clock_mut());
     println!(
         "  {} race(s){}; simulated time {:.0} cycles",
         races.len(),
-        if timed_out { " (timeout)" } else { "" },
+        if d.timed_out { " (timeout)" } else { "" },
         gpu.clock().total_time()
     );
 }
 
 fn run_barracuda(w: &Workload, args: &Args) {
-    match bench::run_barracuda(w, args.size, args.seed, bench::barracuda_config_for()) {
+    let cfg = bench::barracuda_config_for();
+    match bench::run_barracuda(w, args.size, gpu_config(args.seed), cfg) {
         bench::BarracudaRun::Unsupported(u) => {
             println!("{}: Barracuda refuses this binary: {u}", w.name);
         }

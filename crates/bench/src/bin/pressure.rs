@@ -20,7 +20,7 @@ use faults::{FaultConfig, FaultSite, RATE_ONE};
 use iguard::IguardConfig;
 use workloads::Size;
 
-use bench::{gpu_config, par_map, run_iguard_with};
+use bench::{gpu_config, par_map, run_iguard};
 
 /// Workloads covering the interesting regimes: two racy kernels whose
 /// sites can be lost to eviction, one clean kernel that must stay clean.
@@ -76,7 +76,7 @@ fn main() {
         .collect();
     let runs: Vec<_> = par_map(items, |(name, arm)| {
         let w = workloads::by_name(name).expect("workload list is static");
-        run_iguard_with(&w, Size::Test, gpu_config(42), arm.config())
+        run_iguard(&w, Size::Test, gpu_config(42), arm.config())
     })
     .into_iter()
     .map(|run| run.expect("a pressure run does not panic"))

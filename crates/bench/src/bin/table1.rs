@@ -8,12 +8,13 @@
 //! cargo run -p bench --release --bin table1
 //! ```
 
-use bench::{gpu_config, par_map, DEFAULT_SEED};
-use gpu_sim::error::SimError;
+use barracuda::{Barracuda, BinaryKind, Curd};
+use bench::{drive, gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::machine::Gpu;
 use gpu_sim::prelude::*;
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
+use workloads::Launch;
 
 /// Scoped-fence probe: the producer "publishes" with only a *block*-scope
 /// fence before raising the flag; a consumer in another block reads.
@@ -121,70 +122,73 @@ fn cg_probe() -> Kernel {
     b.build()
 }
 
-fn iguard_outcome(k: &Kernel, grid: u32, cfg: IguardConfig) -> &'static str {
-    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
-    let buf = gpu.alloc(8).unwrap();
-    let mut tool = Instrumented::new(Iguard::new(cfg));
-    match gpu.launch(k, grid, 32, &[buf], &mut tool) {
-        Ok(_) | Err(SimError::Timeout { .. }) => {}
-        Err(e) => panic!("{e}"),
-    }
-    if tool.tool().unique_races() > 0 {
-        "Yes"
-    } else {
-        "No"
-    }
+/// The tool columns, in table order.
+#[derive(Clone, Copy)]
+enum Column {
+    Barracuda,
+    Curd,
+    /// ScoRD emulated as iGUARD's scoped logic without ITS support.
+    Scord,
+    Iguard,
 }
 
-fn curd_outcome(k: &Kernel, grid: u32) -> &'static str {
-    let Ok(curd) = barracuda::Curd::for_kernels(&[k], barracuda::BinaryKind::SingleFile) else {
-        return "unsupported";
+const COLUMNS: [Column; 4] = [
+    Column::Barracuda,
+    Column::Curd,
+    Column::Scord,
+    Column::Iguard,
+];
+
+/// One table cell: whether `column`'s tool reports a race on the probe
+/// `kernel` over a `grid` of 32-thread blocks, or `unsupported` when the
+/// tool refuses the binary.
+fn cell(kernel: Kernel, grid: u32, column: Column) -> &'static str {
+    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
+    let params = vec![gpu.alloc(8).unwrap()];
+    let probe = [Launch {
+        kernel,
+        grid,
+        block: 32,
+        params,
+    }];
+    let (kernels, name) = ([&probe[0].kernel], &*probe[0].kernel.name);
+    let found = match column {
+        Column::Barracuda => {
+            if barracuda::supports(&kernels, BinaryKind::SingleFile).is_err() {
+                return "unsupported";
+            }
+            let mut tool = Instrumented::new(Barracuda::default());
+            drive(&mut gpu, &probe, &mut tool, name, |_| false);
+            !tool.tool_mut().finish(gpu.clock_mut()).is_empty()
+        }
+        Column::Curd => {
+            let Ok(curd) = Curd::for_kernels(&kernels, BinaryKind::SingleFile) else {
+                return "unsupported";
+            };
+            let mut tool = Instrumented::new(curd);
+            drive(&mut gpu, &probe, &mut tool, name, |_| false);
+            !tool.tool_mut().finish(gpu.clock_mut()).is_empty()
+        }
+        Column::Scord | Column::Iguard => {
+            let cfg = if matches!(column, Column::Scord) {
+                IguardConfig::scord_like()
+            } else {
+                IguardConfig::default()
+            };
+            let mut tool = Instrumented::new(Iguard::new(cfg));
+            drive(&mut gpu, &probe, &mut tool, name, |_| false);
+            tool.tool().unique_races() > 0
+        }
     };
-    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
-    let buf = gpu.alloc(8).unwrap();
-    let mut tool = Instrumented::new(curd);
-    match gpu.launch(k, grid, 32, &[buf], &mut tool) {
-        Ok(_) | Err(SimError::Timeout { .. }) => {}
-        Err(e) => panic!("{e}"),
-    }
-    if tool.tool_mut().finish(gpu.clock_mut()).is_empty() {
-        "No"
-    } else {
+    if found {
         "Yes"
-    }
-}
-
-fn barracuda_outcome(k: &Kernel, grid: u32) -> &'static str {
-    if barracuda::supports(&[k], barracuda::BinaryKind::SingleFile).is_err() {
-        return "unsupported";
-    }
-    let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
-    let buf = gpu.alloc(8).unwrap();
-    let mut tool = Instrumented::new(barracuda::Barracuda::default());
-    match gpu.launch(k, grid, 32, &[buf], &mut tool) {
-        Ok(_) | Err(SimError::Timeout { .. }) => {}
-        Err(e) => panic!("{e}"),
-    }
-    if tool.tool_mut().finish(gpu.clock_mut()).is_empty() {
-        "No"
     } else {
-        "Yes"
+        "No"
     }
 }
 
 /// `(feature, probe constructor, grid, paper row)`.
 type Probe = (&'static str, fn() -> Kernel, u32, &'static str);
-
-/// One table cell: a tool column run on a freshly built probe kernel.
-type Column = fn(&Kernel, u32) -> &'static str;
-
-/// The tool columns, in table order: Barracuda, CURD, ScoRD*, iGUARD.
-const COLUMNS: [Column; 4] = [
-    barracuda_outcome,
-    curd_outcome,
-    |k, grid| iguard_outcome(k, grid, IguardConfig::scord_like()),
-    |k, grid| iguard_outcome(k, grid, IguardConfig::default()),
-];
 
 fn main() {
     bench::switches([]);
@@ -210,7 +214,7 @@ fn main() {
         .iter()
         .flat_map(|&(_, probe, grid, _)| COLUMNS.map(|column| (probe, grid, column)))
         .collect();
-    let cells: Vec<&str> = par_map(items, |(probe, grid, column)| column(&probe(), grid))
+    let cells: Vec<&str> = par_map(items, |(probe, grid, column)| cell(probe(), grid, column))
         .into_iter()
         .map(|cell| cell.expect("a probe run does not panic"))
         .collect();

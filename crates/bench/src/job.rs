@@ -11,10 +11,7 @@ use barracuda::BarracudaConfig;
 use iguard::IguardConfig;
 use workloads::{Size, Workload};
 
-use crate::{
-    gpu_config, run_barracuda_with, run_iguard_with, run_native_with, BarracudaRun, IguardRun,
-    NativeRun,
-};
+use crate::{gpu_config, run_barracuda, run_iguard, run_native, BarracudaRun, Driven, IguardRun};
 
 /// Which detector (if any) to attach to a run.
 #[derive(Debug, Clone)]
@@ -57,20 +54,11 @@ impl JobSpec {
     /// Executes the run on the calling thread.
     #[must_use]
     pub fn run(self) -> RunOutput {
-        let gcfg = gpu_config(self.seed);
+        let (w, size, gcfg) = (&self.workload, self.size, gpu_config(self.seed));
         match self.tool {
-            ToolSpec::Native => {
-                RunOutput::Native(run_native_with(&self.workload, self.size, gcfg))
-            }
-            ToolSpec::Iguard(cfg) => RunOutput::Iguard(Box::new(run_iguard_with(
-                &self.workload,
-                self.size,
-                gcfg,
-                cfg,
-            ))),
-            ToolSpec::Barracuda(cfg) => {
-                RunOutput::Barracuda(run_barracuda_with(&self.workload, self.size, gcfg, cfg))
-            }
+            ToolSpec::Native => RunOutput::Native(run_native(w, size, gcfg)),
+            ToolSpec::Iguard(cfg) => RunOutput::Iguard(Box::new(run_iguard(w, size, gcfg, cfg))),
+            ToolSpec::Barracuda(cfg) => RunOutput::Barracuda(run_barracuda(w, size, gcfg, cfg)),
         }
     }
 }
@@ -79,7 +67,7 @@ impl JobSpec {
 #[derive(Debug)]
 pub enum RunOutput {
     /// From [`ToolSpec::Native`].
-    Native(NativeRun),
+    Native(Driven),
     /// From [`ToolSpec::Iguard`] (boxed: it is by far the largest).
     Iguard(Box<IguardRun>),
     /// From [`ToolSpec::Barracuda`].
@@ -89,7 +77,7 @@ pub enum RunOutput {
 impl RunOutput {
     /// The native run, if this was one.
     #[must_use]
-    pub fn native(&self) -> Option<&NativeRun> {
+    pub fn native(&self) -> Option<&Driven> {
         match self {
             RunOutput::Native(r) => Some(r),
             _ => None,

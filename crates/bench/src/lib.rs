@@ -8,9 +8,10 @@
 //! `fence_scope_cost`, `ablation_history`); beside them sit the CLI
 //! (`iguard_run`) and the test-plane campaigns (`fuzz`, `pressure`).
 //! Each binary fans its independent runs out through [`par_map`] and
-//! prints the results in submission order. The
-//! multi-tenant detector service's exec path ([`run_service_job`]) lives
-//! here for its tests. Host time is not measured here: that is the
+//! prints the results in submission order. Every run launches through
+//! one loop, [`drive`], with one failure policy; the multi-tenant
+//! detector service's exec path ([`run_service_job`]) uses it too and
+//! lives here for its tests. Host time is not measured here: that is the
 //! standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
@@ -19,17 +20,20 @@ pub mod job;
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use barracuda::{Barracuda, BarracudaConfig, BarracudaFailure, BinaryKind};
-use gpu_sim::hook::{ExecMode, NullHook};
+use gpu_sim::error::SimError;
+use gpu_sim::hook::{ExecMode, Hook, NullHook};
 use gpu_sim::machine::{Gpu, GpuConfig, LaunchStats};
 use gpu_sim::timing::COST_CATEGORIES;
 use iguard::service::{JobCtx, JobOutcome};
+use iguard::supervise::panic_message;
 use iguard::{Iguard, IguardConfig, RaceSite, ShardedIguard};
 use nvbit_sim::Instrumented;
-use workloads::{Size, Workload};
+use workloads::{Launch, Size, Workload};
 
 pub use job::{JobSpec, RunOutput, ToolSpec};
 
@@ -66,13 +70,8 @@ pub fn par_map<I: Send, T: Send>(
                             .expect("no worker panics holding a slot")
                             .take()
                             .expect("each index is claimed once");
-                        let r = catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| {
-                            payload
-                                .downcast_ref::<&str>()
-                                .map(ToString::to_string)
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".into())
-                        });
+                        let r = catch_unwind(AssertUnwindSafe(|| f(item)))
+                            .map_err(|payload| panic_message(&*payload));
                         done.push((i, r));
                     }
                 })
@@ -93,10 +92,24 @@ pub fn par_map<I: Send, T: Send>(
 /// Default schedule seed used by every harness (deterministic results).
 pub const DEFAULT_SEED: u64 = 42;
 
+/// Prints `message` and exits 2: every binary's answer to bad input, so
+/// a typo never panics and never runs a default configuration silently.
+pub fn usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Parses `v`, the argument after `flag`, as the flag's value; a missing
+/// or unparsable value exits 2 with a message (`T = String` takes any).
+pub fn flag_value<T: FromStr>(flag: &str, v: Option<String>) -> T {
+    let raw = v.unwrap_or_else(|| usage(&format!("{flag} requires a value")));
+    raw.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} expects a number, got `{raw}`")))
+}
+
 /// Reads the command line of a binary whose only arguments are the
 /// optional switches `known`; returns whether each was given, in
-/// `known`'s order. Any other argument exits 2 with a message, so a
-/// typo never runs the default configuration silently.
+/// `known`'s order. Any other argument exits 2 with a message.
 pub fn switches<const N: usize>(known: [&str; N]) -> [bool; N] {
     let mut given = [false; N];
     let mut args = std::env::args();
@@ -104,10 +117,9 @@ pub fn switches<const N: usize>(known: [&str; N]) -> [bool; N] {
     for a in args {
         match known.iter().position(|k| *k == a) {
             Some(i) => given[i] = true,
-            None => {
-                eprintln!("{bin}: unknown argument `{a}` (expected: {known:?})");
-                std::process::exit(2);
-            }
+            None => usage(&format!(
+                "{bin}: unknown argument `{a}` (expected: {known:?})"
+            )),
         }
     }
     given
@@ -124,62 +136,74 @@ pub fn gpu_config(seed: u64) -> GpuConfig {
     }
 }
 
-/// Outcome of one native (uninstrumented) run.
-#[derive(Debug, Clone)]
-pub struct NativeRun {
-    /// Simulated time (cycles, parallelism-adjusted).
+/// What one pass of the launch loop leaves behind (see [`drive`]).
+#[derive(Debug, Clone, Default)]
+pub struct Driven {
+    /// Simulated time when the loop ended (cycles, parallelism-adjusted).
     pub time: f64,
-    /// Aggregate execution statistics across all launches (determinism
-    /// witness: identical for identical `(workload, size, config)`).
+    /// Launches that finished.
+    pub launches: u64,
+    /// Execution statistics summed over the finished launches
+    /// (determinism witness: identical for identical `(workload, size,
+    /// config)`).
     pub stats: LaunchStats,
-    /// Whether the watchdog killed the run.
+    /// Whether the watchdog killed a launch.
     pub timed_out: bool,
     /// Launches killed by an injected fault (zero without a fault plane).
     pub aborted_launches: u64,
 }
 
-/// Runs `w` natively with the evaluation GPU configuration for `seed`.
-#[must_use]
-pub fn run_native(w: &Workload, size: Size, seed: u64) -> NativeRun {
-    run_native_with(w, size, gpu_config(seed))
-}
-
-/// Runs `w` natively under an explicit GPU configuration.
-#[must_use]
-pub fn run_native_with(w: &Workload, size: Size, gcfg: GpuConfig) -> NativeRun {
-    let mut gpu = Gpu::new(gcfg);
-    let launches = w.build(&mut gpu, size);
-    let mut timed_out = false;
-    let mut aborted_launches = 0u64;
-    let mut stats = LaunchStats::default();
-    for l in &launches {
-        match gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut NullHook) {
-            Ok(s) => accumulate(&mut stats, &s),
-            Err(gpu_sim::error::SimError::Timeout { .. }) => timed_out = true,
-            Err(gpu_sim::error::SimError::InjectedFault { .. }) => aborted_launches += 1,
-            Err(e) => panic!("{} failed natively: {e}", w.name),
+/// The one launch loop of every harness run: launches each of `launches`
+/// on `gpu` under `hook`, in order, ending early once `stop(hook)` holds
+/// after a launch (Barracuda stops at its first failure).
+///
+/// The failure policy: a watchdog timeout sets [`Driven::timed_out`] and
+/// an injected fault counts an aborted launch; either way the list goes
+/// on, and a detector still reports what ran. Any other `SimError` is a
+/// harness bug and panics naming `name`.
+pub fn drive<'a, H: Hook>(
+    gpu: &mut Gpu,
+    launches: impl IntoIterator<Item = &'a Launch>,
+    hook: &mut H,
+    name: &str,
+    stop: impl Fn(&H) -> bool,
+) -> Driven {
+    let mut d = Driven::default();
+    for l in launches {
+        match gpu.launch(&l.kernel, l.grid, l.block, &l.params, hook) {
+            Ok(s) => {
+                d.launches += 1;
+                d.stats.steps += s.steps;
+                d.stats.dyn_instrs += s.dyn_instrs;
+                d.stats.lane_instrs += s.lane_instrs;
+            }
+            Err(SimError::Timeout { .. }) => d.timed_out = true,
+            Err(SimError::InjectedFault { .. }) => d.aborted_launches += 1,
+            Err(e) => panic!("{name}: launch of `{}` failed: {e}", l.kernel.name),
+        }
+        if stop(hook) {
+            break;
         }
     }
-    NativeRun {
-        time: gpu.clock().total_time(),
-        stats,
-        timed_out,
-        aborted_launches,
-    }
+    d.time = gpu.clock().total_time();
+    d
 }
 
-/// Sums launch statistics across a workload's kernel launches.
-fn accumulate(acc: &mut LaunchStats, s: &LaunchStats) {
-    acc.steps += s.steps;
-    acc.dyn_instrs += s.dyn_instrs;
-    acc.lane_instrs += s.lane_instrs;
+/// Runs `w` natively (uninstrumented) under `gcfg`.
+#[must_use]
+pub fn run_native(w: &Workload, size: Size, gcfg: GpuConfig) -> Driven {
+    let mut gpu = Gpu::new(gcfg);
+    let launches = w.build(&mut gpu, size);
+    drive(&mut gpu, &launches, &mut NullHook, w.name, |_| false)
 }
 
 /// Outcome of one iGUARD-instrumented run.
 #[derive(Debug)]
 pub struct IguardRun {
-    /// Simulated time with the detector attached.
-    pub time: f64,
+    /// The launch loop's outcome: simulated time with the detector
+    /// attached, execution statistics, and any timeout (races are still
+    /// reported) or aborted launch.
+    pub driven: Driven,
     /// Per-category times (Figure 13's breakdown), in `COST_CATEGORIES`
     /// order.
     pub breakdown: [f64; 6],
@@ -189,13 +213,6 @@ pub struct IguardRun {
     pub stats: iguard::IguardStats,
     /// UVM counters of the metadata region.
     pub uvm: uvm_sim::UvmStats,
-    /// Aggregate execution statistics across all launches (determinism
-    /// witness: identical for identical `(workload, size, config)`).
-    pub stats_exec: LaunchStats,
-    /// Whether the watchdog killed the run (races still reported).
-    pub timed_out: bool,
-    /// Launches killed by an injected fault (zero without a fault plane).
-    pub aborted_launches: u64,
     /// Everything the detector degraded on, fully accounted (collected
     /// after the final report drain, so the channel invariant holds).
     pub degradation: iguard::Degradation,
@@ -212,34 +229,14 @@ pub struct IguardRun {
     pub instr: nvbit_sim::InstrStats,
 }
 
-/// Runs `w` under iGUARD with the evaluation GPU configuration for `seed`.
+/// Runs `w` under iGUARD configured by `cfg` on a GPU configured by `gcfg`.
 #[must_use]
-pub fn run_iguard(w: &Workload, size: Size, seed: u64, cfg: IguardConfig) -> IguardRun {
-    run_iguard_with(w, size, gpu_config(seed), cfg)
-}
-
-/// Runs `w` under iGUARD with an explicit GPU configuration.
-#[must_use]
-pub fn run_iguard_with(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardConfig) -> IguardRun {
+pub fn run_iguard(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardConfig) -> IguardRun {
     let mut gpu = Gpu::new(gcfg);
     let launches = w.build(&mut gpu, size);
     let mut tool = Instrumented::new(Iguard::new(cfg));
-    let mut timed_out = false;
-    let mut aborted_launches = 0u64;
-    let mut stats_exec = LaunchStats::default();
-    for l in &launches {
-        match gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool) {
-            Ok(s) => accumulate(&mut stats_exec, &s),
-            Err(gpu_sim::error::SimError::Timeout { .. }) => timed_out = true,
-            Err(gpu_sim::error::SimError::InjectedFault { .. }) => aborted_launches += 1,
-            Err(e) => panic!("{} failed under iGUARD: {e}", w.name),
-        }
-    }
-    let mut breakdown = [0.0; 6];
-    for (i, &c) in COST_CATEGORIES.iter().enumerate() {
-        breakdown[i] = gpu.clock().time(c);
-    }
-    let time = gpu.clock().total_time();
+    let driven = drive(&mut gpu, &launches, &mut tool, w.name, |_| false);
+    let breakdown = COST_CATEGORIES.map(|c| gpu.clock().time(c));
     let instr = tool.instr_stats();
     let det = tool.tool_mut();
     // `race_sites` drains the report channel, so the degradation summary
@@ -249,14 +246,11 @@ pub fn run_iguard_with(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardCon
     let mut fault_stats = det.fault_stats();
     fault_stats.accumulate(&gpu.fault_stats());
     IguardRun {
-        time,
+        driven,
         breakdown,
         sites,
         stats: det.stats(),
         uvm: det.uvm_stats(),
-        stats_exec,
-        timed_out,
-        aborted_launches,
         degradation,
         fault_stats,
         prune: det.prune_stats(),
@@ -317,25 +311,15 @@ pub fn run_service_job(
     }
     let mut gpu = Gpu::new(gcfg);
     let launches = w.build(&mut gpu, ctx.payload.size);
-    let mut outcome = JobOutcome::default();
-    for _ in 0..ctx.payload.reps.max(1) {
-        for l in &launches {
-            match gpu.launch(&l.kernel, l.grid, l.block, &l.params, tool) {
-                Ok(_) => outcome.launches += 1,
-                Err(gpu_sim::error::SimError::Timeout { .. }) => outcome.timed_out = true,
-                Err(gpu_sim::error::SimError::InjectedFault { .. }) => {
-                    outcome.aborted_launches += 1;
-                }
-                Err(e) => panic!(
-                    "{} failed in service job for tenant {}: {e}",
-                    w.name, ctx.tenant
-                ),
-            }
-        }
+    let reps = (0..ctx.payload.reps.max(1)).flat_map(|_| &launches);
+    let d = drive(&mut gpu, reps, tool, w.name, |_| false);
+    JobOutcome {
+        launches: d.launches,
+        timed_out: d.timed_out,
+        aborted_launches: d.aborted_launches,
+        kernel_cycles: d.time as u64,
+        gpu_faults: gpu.fault_stats(),
     }
-    outcome.kernel_cycles = gpu.clock().total_time() as u64;
-    outcome.gpu_faults = gpu.fault_stats();
-    outcome
 }
 
 /// Salt for the deterministic poison-job lottery.
@@ -362,13 +346,7 @@ pub fn quiet_poison_panics() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let poisoned = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .is_some_and(|msg| msg.contains("poison job"));
-            if !poisoned {
+            if !panic_message(info.payload()).contains("poison job") {
                 prev(info);
             }
         }));
@@ -393,17 +371,11 @@ pub enum BarracudaRun {
     },
 }
 
-/// Runs `w` under Barracuda with the evaluation GPU configuration for
-/// `seed`.
+/// Runs `w` under the Barracuda baseline configured by `cfg` on a GPU
+/// configured by `gcfg`, stopping at the first launch after which it has
+/// failed (out of memory or did not terminate).
 #[must_use]
-pub fn run_barracuda(w: &Workload, size: Size, seed: u64, cfg: BarracudaConfig) -> BarracudaRun {
-    run_barracuda_with(w, size, gpu_config(seed), cfg)
-}
-
-/// Runs `w` under the Barracuda baseline with an explicit GPU
-/// configuration.
-#[must_use]
-pub fn run_barracuda_with(
+pub fn run_barracuda(
     w: &Workload,
     size: Size,
     gcfg: GpuConfig,
@@ -416,34 +388,20 @@ pub fn run_barracuda_with(
     } else {
         BinaryKind::SingleFile
     };
-    let kernels = Workload::kernels(&launches);
-    if let Err(u) = barracuda::supports(&kernels, kind) {
+    if let Err(u) = barracuda::supports(&Workload::kernels(&launches), kind) {
         return BarracudaRun::Unsupported(u);
     }
     let mut tool = Instrumented::new(Barracuda::new(cfg));
-    for l in &launches {
-        match gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool) {
-            Ok(_)
-            | Err(gpu_sim::error::SimError::Timeout { .. })
-            | Err(gpu_sim::error::SimError::InjectedFault { .. }) => {}
-            Err(e) => panic!("{} failed under Barracuda: {e}", w.name),
-        }
-        if tool.tool().failure().is_some() {
-            break;
-        }
-    }
+    drive(&mut gpu, &launches, &mut tool, w.name, |t| {
+        t.tool().failure().is_some()
+    });
     // CPU-side analysis happens at drain time; charge it to the clock.
-    let races = {
-        let (det, clock) = (&mut tool, &mut gpu);
-        det.tool_mut().finish(clock.clock_mut()).len()
-    };
-    let events = tool.tool().events_sent();
-    let failure = tool.tool().failure().cloned();
+    let races = tool.tool_mut().finish(gpu.clock_mut()).len();
     BarracudaRun::Ran {
         time: gpu.clock().total_time(),
         races,
-        failure,
-        events,
+        failure: tool.tool().failure().cloned(),
+        events: tool.tool().events_sent(),
     }
 }
 
@@ -510,7 +468,7 @@ mod tests {
     #[test]
     fn native_run_of_a_clean_workload() {
         let w = workloads::by_name("b_reduce").unwrap();
-        let r = run_native(&w, Size::Test, DEFAULT_SEED);
+        let r = run_native(&w, Size::Test, gpu_config(DEFAULT_SEED));
         assert!(r.time > 0.0);
         assert!(!r.timed_out);
     }
@@ -518,15 +476,25 @@ mod tests {
     #[test]
     fn iguard_run_reports_no_races_on_clean_workload() {
         let w = workloads::by_name("b_reduce").unwrap();
-        let r = run_iguard(&w, Size::Test, DEFAULT_SEED, IguardConfig::default());
+        let r = run_iguard(
+            &w,
+            Size::Test,
+            gpu_config(DEFAULT_SEED),
+            IguardConfig::default(),
+        );
         assert!(r.sites.is_empty(), "got {:?}", r.sites);
-        assert!(r.time > 0.0);
+        assert!(r.driven.time > 0.0);
     }
 
     #[test]
     fn barracuda_refuses_multi_file() {
         let w = workloads::by_name("louvain").unwrap();
-        let r = run_barracuda(&w, Size::Test, DEFAULT_SEED, BarracudaConfig::default());
+        let r = run_barracuda(
+            &w,
+            Size::Test,
+            gpu_config(DEFAULT_SEED),
+            BarracudaConfig::default(),
+        );
         assert!(matches!(
             r,
             BarracudaRun::Unsupported(barracuda::Unsupported::MultiFilePtx)

@@ -41,6 +41,11 @@ fn iguard_run_rejects_a_flag_without_its_value() {
 }
 
 #[test]
+fn iguard_run_rejects_a_second_workload() {
+    assert_usage_error(env!("CARGO_BIN_EXE_iguard_run"), &["reduction", "uts"]);
+}
+
+#[test]
 fn fuzz_spec_mode_ignores_kernels() {
     let (code, stderr) = run(
         env!("CARGO_BIN_EXE_fuzz"),

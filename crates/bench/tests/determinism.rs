@@ -4,7 +4,7 @@
 //! reports — under both the ITS scheduler (seeded warp splits) and
 //! lockstep execution.
 
-use bench::{gpu_config, run_iguard_with, run_native_with};
+use bench::{gpu_config, run_iguard, run_native};
 use gpu_sim::hook::ExecMode;
 use gpu_sim::machine::GpuConfig;
 use iguard::IguardConfig;
@@ -25,8 +25,8 @@ fn native_stats_are_reproducible_across_seeds_and_modes() {
     let w = workloads::by_name("graph-color").unwrap();
     for seed in SEEDS {
         for mode in MODES {
-            let a = run_native_with(&w, Size::Test, cfg(seed, mode));
-            let b = run_native_with(&w, Size::Test, cfg(seed, mode));
+            let a = run_native(&w, Size::Test, cfg(seed, mode));
+            let b = run_native(&w, Size::Test, cfg(seed, mode));
             assert_eq!(
                 a.stats, b.stats,
                 "native LaunchStats diverged for seed={seed} mode={mode:?}"
@@ -42,10 +42,10 @@ fn iguard_reports_are_reproducible_across_seeds_and_modes() {
         let w = workloads::by_name(name).unwrap();
         for seed in SEEDS {
             for mode in MODES {
-                let a = run_iguard_with(&w, Size::Test, cfg(seed, mode), IguardConfig::default());
-                let b = run_iguard_with(&w, Size::Test, cfg(seed, mode), IguardConfig::default());
+                let a = run_iguard(&w, Size::Test, cfg(seed, mode), IguardConfig::default());
+                let b = run_iguard(&w, Size::Test, cfg(seed, mode), IguardConfig::default());
                 assert_eq!(
-                    a.stats_exec, b.stats_exec,
+                    a.driven.stats, b.driven.stats,
                     "{name}: LaunchStats diverged for seed={seed} mode={mode:?}"
                 );
                 assert_eq!(
@@ -53,7 +53,7 @@ fn iguard_reports_are_reproducible_across_seeds_and_modes() {
                     "{name}: race reports diverged for seed={seed} mode={mode:?}"
                 );
                 assert_eq!(a.stats.accesses, b.stats.accesses);
-                assert_eq!(a.time, b.time);
+                assert_eq!(a.driven.time, b.driven.time);
             }
         }
     }
@@ -67,7 +67,7 @@ fn different_seeds_still_find_the_seeded_races() {
     let counts: Vec<usize> = SEEDS
         .iter()
         .map(|&s| {
-            run_iguard_with(&w, Size::Test, cfg(s, ExecMode::Its), IguardConfig::default())
+            run_iguard(&w, Size::Test, cfg(s, ExecMode::Its), IguardConfig::default())
                 .sites
                 .len()
         })

@@ -2,9 +2,9 @@
 //!
 //! Runs every paper-artifact binary — `table1`, `table4`, `table5`,
 //! `fig11`–`fig14` (and `fig12 --ablate`), `fence_scope_cost` and
-//! `ablation_history` — plus `pressure` at their default seeds and
-//! compares stdout byte-for-byte against recorded transcripts
-//! (`tests/golden/` at the repo root).
+//! `ablation_history` — plus `pressure` and one `iguard_run` invocation
+//! per detector at their default seeds and compares stdout byte-for-byte
+//! against recorded transcripts (`tests/golden/` at the repo root).
 //! Together with `golden_equivalence.rs` this enforces the PR-2 contract:
 //! hot-path optimizations may change wall-clock time only, never a byte
 //! of any table or figure. The `pressure` transcript extends the same
@@ -112,4 +112,21 @@ fn ablation_history_stdout_matches_seed() {
 #[test]
 fn pressure_stdout_matches_seed() {
     check("pressure", env!("CARGO_BIN_EXE_pressure"), &[]);
+}
+
+/// `iguard_run` under each detector: iGUARD with disassembly context,
+/// CURD refusing a binary and running one, Barracuda, a native run, and
+/// iGUARD with both optimizations off.
+#[test]
+fn iguard_run_stdout_matches_seed() {
+    for (name, args) in [
+        ("iguard_run_reduction", &["reduction", "--context", "1"][..]),
+        ("iguard_run_graph_color_curd", &["graph-color", "--detector", "curd"]),
+        ("iguard_run_b_reduce_curd", &["b_reduce", "--detector", "curd"]),
+        ("iguard_run_interac_barracuda", &["interac", "--detector", "barracuda"]),
+        ("iguard_run_d_reduce_native", &["d_reduce", "--detector", "none"]),
+        ("iguard_run_conjugGMB_plain", &["conjugGMB", "--no-coalesce", "--no-backoff"]),
+    ] {
+        check(name, env!("CARGO_BIN_EXE_iguard_run"), args);
+    }
 }

@@ -14,7 +14,7 @@ use iguard::IguardConfig;
 use proptest::prelude::*;
 use workloads::Size;
 
-use bench::{gpu_config, run_iguard_with, IguardRun};
+use bench::{gpu_config, run_iguard, IguardRun};
 
 /// Checks that every injected fault maps onto exactly one consumer-side
 /// counter. Returns the violations (empty = fully traceable).
@@ -60,7 +60,7 @@ fn unaccounted(run: &IguardRun) -> Vec<String> {
     check(
         "kernel-abort",
         f.get(FaultSite::KernelAbort),
-        run.aborted_launches,
+        run.driven.aborted_launches,
     );
     // Drop fires land in the aggregate `dropped` (alongside corruption
     // singles and overflow bulk drops), so the bound is one-sided.
@@ -105,7 +105,7 @@ fn chaos_campaigns_account_for_every_injected_fault() {
                 table_capacity_words: Some(256),
                 ..IguardConfig::default()
             };
-            let run = run_iguard_with(&w, Size::Test, gcfg, icfg);
+            let run = run_iguard(&w, Size::Test, gcfg, icfg);
             let bad = unaccounted(&run);
             assert!(bad.is_empty(), "campaign {seed}, {name}: {bad:?}");
             fires += run.fault_stats.total();
@@ -141,7 +141,7 @@ proptest! {
             report_capacity: 1,
             ..IguardConfig::default()
         };
-        let run = run_iguard_with(&w, Size::Test, gpu_config(seed), icfg);
+        let run = run_iguard(&w, Size::Test, gpu_config(seed), icfg);
         let bad = unaccounted(&run);
         prop_assert!(bad.is_empty(), "{:?}", bad);
     }

@@ -24,7 +24,7 @@ use workloads::Size;
 use common::Fleet;
 
 use bench::{
-    gpu_config, is_poison, quiet_poison_panics, run_iguard_with, run_service_job, ServiceJob,
+    gpu_config, is_poison, quiet_poison_panics, run_iguard, run_service_job, ServiceJob,
     DEFAULT_SEED,
 };
 
@@ -118,7 +118,7 @@ fn service_job_detector_is_the_plain_detector() {
             faults: attempt_faults(&plane, seed, 0, 0),
             ..base.clone()
         };
-        let direct = run_iguard_with(&w, Size::Test, gpu_config(seed), cfg);
+        let direct = run_iguard(&w, Size::Test, gpu_config(seed), cfg);
         let job = (
             &v.stats,
             &uvm[&v.tenant],

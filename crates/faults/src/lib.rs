@@ -277,15 +277,18 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over the domain string, so domains are stable across runs and
-/// platforms.
-fn domain_hash(domain: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in domain.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// FNV-1a's 64-bit offset basis: the state [`fnv1a`] starts from.
+pub const FNV1A_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a (64-bit) continued from the state `h` over `bytes`: the one
+/// byte hash behind every stable identity in the workspace (fault
+/// domains, job seeds, schedule and event-stream digests), portable
+/// across runs and platforms. Start from [`FNV1A_BASIS`].
+#[must_use]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 impl FaultInjector {
@@ -310,7 +313,7 @@ impl FaultInjector {
         FaultInjector {
             enabled: cfg.enabled(),
             seed: cfg.seed,
-            domain: domain_hash(domain),
+            domain: fnv1a(FNV1A_BASIS, domain.as_bytes()),
             rates: {
                 let mut r = [0u32; NUM_SITES];
                 for site in FaultSite::ALL {

@@ -181,11 +181,6 @@ impl KernelBuilder {
         self.assign(AluOp::Add, rd, ra, b);
     }
 
-    /// `rd = ra - b`.
-    pub fn assign_sub(&mut self, rd: Reg, ra: Reg, b: impl Into<Operand>) {
-        self.assign(AluOp::Sub, rd, ra, b);
-    }
-
     /// `rd = (ra <op> b) ? 1 : 0`.
     pub fn assign_cmp(&mut self, op: CmpOp, rd: Reg, ra: Reg, b: impl Into<Operand>) {
         self.emit(Instr::Setp {
@@ -283,16 +278,6 @@ impl KernelBuilder {
     /// Fresh register = `a < b` (unsigned).
     pub fn lt(&mut self, a: Reg, b: impl Into<Operand>) -> Reg {
         self.cmp(CmpOp::Lt, a, b)
-    }
-
-    /// Fresh register = `a <= b` (unsigned).
-    pub fn le(&mut self, a: Reg, b: impl Into<Operand>) -> Reg {
-        self.cmp(CmpOp::Le, a, b)
-    }
-
-    /// Fresh register = `a > b` (unsigned).
-    pub fn gt(&mut self, a: Reg, b: impl Into<Operand>) -> Reg {
-        self.cmp(CmpOp::Gt, a, b)
     }
 
     /// Fresh register = `a >= b` (unsigned).

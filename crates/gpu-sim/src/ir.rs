@@ -255,15 +255,6 @@ impl Instr {
         matches!(self, Instr::Membar { .. } | Instr::BarSync | Instr::BarWarp)
     }
 
-    /// Whether this instruction can transfer control non-sequentially.
-    #[must_use]
-    pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Instr::Bra { .. } | Instr::BraIf { .. } | Instr::BraIfNot { .. }
-        )
-    }
-
     /// The highest-numbered register this instruction reads or writes, if
     /// it names any.
     #[must_use]

@@ -90,14 +90,6 @@ impl Kernel {
     pub fn num_regs(&self) -> usize {
         self.num_regs
     }
-
-    /// Whether the kernel contains no control-transfer instructions at all
-    /// — every thread executes the same pc sequence up to the first `Exit`
-    /// in the same barrier phase. Static analyses lean on this.
-    #[must_use]
-    pub fn is_straight_line(&self) -> bool {
-        self.code.iter().all(|i| !i.is_branch())
-    }
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@
 //! trace replayed through [`ReplayScheduler`] drives the machine through
 //! the identical schedule regardless of which scheduler produced it.
 
+use faults::{fnv1a, FNV1A_BASIS};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -222,13 +223,8 @@ impl ScheduleTrace {
     /// for corpus entries and golden pins.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |b: u64| {
-            for byte in b.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A_BASIS;
+        let mut eat = |b: u64| h = fnv1a(h, &b.to_le_bytes());
         eat(u64::from(self.warp_choice));
         // Appended only when set so every pre-existing (non-eager) trace
         // keeps its historical digest.
@@ -381,17 +377,6 @@ impl<S: Scheduler> RecordingScheduler<S> {
     #[must_use]
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Consumes the wrapper, yielding `(inner, trace)`.
-    #[must_use]
-    pub fn into_parts(self) -> (S, ScheduleTrace) {
-        (self.inner, self.trace)
-    }
-
-    /// Clears the recorded trace (reuse across runs of an enumeration).
-    pub fn reset_trace(&mut self) {
-        self.trace.decisions.clear();
     }
 }
 
@@ -765,14 +750,10 @@ mod tests {
         assert_eq!(a.digest(), a.clone().digest());
         // Pinned: the digest of a non-eager trace is the pre-litmus value —
         // corpus witnesses recorded before this field existed must not move.
-        assert_eq!(ScheduleTrace::default().digest(), {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for byte in 0u64.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        });
+        assert_eq!(
+            ScheduleTrace::default().digest(),
+            fnv1a(FNV1A_BASIS, &0u64.to_le_bytes())
+        );
     }
 
     #[test]

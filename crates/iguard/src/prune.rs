@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use gpu_sim::hook::LaunchInfo;
 use gpu_sim::kernel::Kernel;
-use static_an::{AccessClassification, CacheStats, ClassificationCache, RacySite};
+use static_an::{AccessClassification, ClassificationCache, RacySite};
 // The classification vocabulary is part of this module's API surface.
 pub use static_an::{PointClass, RacyReason, SafeReason};
 
@@ -165,12 +165,6 @@ impl Pruner {
     #[must_use]
     pub fn stats(&self) -> PruneStats {
         self.stats
-    }
-
-    /// Classification-cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Races reported statically so far.

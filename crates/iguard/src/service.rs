@@ -74,7 +74,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 
-use faults::{splitmix64, FaultStats};
+use faults::{fnv1a, splitmix64, FaultStats, FNV1A_BASIS};
 use gpu_sim::stream::SliceSchedule;
 use nvbit_sim::channel::ChannelStats;
 use nvbit_sim::Instrumented;
@@ -353,11 +353,7 @@ impl From<IguardError> for ServiceError {
 /// restart.
 #[must_use]
 pub fn job_seed(service_seed: u64, tenant: &str, job_index: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in tenant.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a(FNV1A_BASIS, tenant.as_bytes());
     splitmix64(service_seed ^ splitmix64(h) ^ splitmix64(job_index.wrapping_add(0x9e37_79b9_7f4a_7c15)))
 }
 

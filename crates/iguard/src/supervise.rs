@@ -49,6 +49,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use faults::{splitmix64, FaultConfig};
@@ -295,15 +296,18 @@ pub fn guard<T>(sup: Option<&SupervisorConfig>, f: impl FnOnce() -> T) -> Result
     if sup.is_none() {
         return Ok(f());
     }
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(&*payload))
+}
+
+/// The text of a panic payload: the `&str` or `String` that `panic!`
+/// carries, or a placeholder for any other payload type.
+#[must_use]
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(ToString::to_string)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// One finished attempt, as reported to [`run_job`] by the per-attempt

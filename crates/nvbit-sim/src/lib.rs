@@ -166,11 +166,6 @@ impl<T: Tool> Instrumented<T> {
         &mut self.tool
     }
 
-    /// Unwraps the tool.
-    pub fn into_tool(self) -> T {
-        self.tool
-    }
-
     /// Resolves (analyzing on first sight) the bitmap index for `kernel`.
     fn map_index(&mut self, kernel: &gpu_sim::kernel::Kernel, clock: &mut Clock) -> usize {
         if let Some(e) = self.maps.get(self.cursor) {

@@ -6,6 +6,7 @@
 //! the clock — so a schedule trace recorded under the observer replays
 //! identically under `Instrumented<Iguard>` or any other tool.
 
+use faults::{fnv1a, FNV1A_BASIS};
 use gpu_sim::hook::{AccessKind, Hook, MemAccess};
 use gpu_sim::ir::{Scope, Space};
 use gpu_sim::timing::Clock;
@@ -54,13 +55,8 @@ impl Observer {
     /// for replay tests.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A_BASIS;
+        let mut eat = |v: u64| h = fnv1a(h, &v.to_le_bytes());
         for e in &self.events {
             eat(u64::from(e.block));
             eat(u64::from(e.tid_in_block));
