@@ -10,8 +10,9 @@
 # than in a benchmark run.
 # The workspace tests already byte-compare the stdout of every paper
 # artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`, `fig12 --ablate`,
-# `fence_scope_cost`, `ablation_history`) plus `pressure` and six
-# `iguard_run` invocations, one per detector (`golden_stdout`), replay
+# `fence_scope_cost`, `ablation_history`) plus `pressure`, six
+# `iguard_run` invocations, one per detector, and four `fuzz --spec`
+# report lines, one per divergence shape (`golden_stdout`), replay
 # the oracle corpus (`regressions_replay`), pin the hot paths
 # (`counter_identity`, `heap_ceiling`, `schedule_digest`,
 # `split_shapes`, `service_determinism`, and

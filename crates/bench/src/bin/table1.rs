@@ -8,12 +8,10 @@
 //! cargo run -p bench --release --bin table1
 //! ```
 
-use barracuda::{Barracuda, BinaryKind, Curd};
 use bench::{drive, gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::machine::Gpu;
 use gpu_sim::prelude::*;
-use iguard::{Iguard, IguardConfig};
-use nvbit_sim::Instrumented;
+use oracle::Detector;
 use workloads::Launch;
 
 /// Scoped-fence probe: the producer "publishes" with only a *block*-scope
@@ -122,27 +120,10 @@ fn cg_probe() -> Kernel {
     b.build()
 }
 
-/// The tool columns, in table order.
-#[derive(Clone, Copy)]
-enum Column {
-    Barracuda,
-    Curd,
-    /// ScoRD emulated as iGUARD's scoped logic without ITS support.
-    Scord,
-    Iguard,
-}
-
-const COLUMNS: [Column; 4] = [
-    Column::Barracuda,
-    Column::Curd,
-    Column::Scord,
-    Column::Iguard,
-];
-
-/// One table cell: whether `column`'s tool reports a race on the probe
-/// `kernel` over a `grid` of 32-thread blocks, or `unsupported` when the
-/// tool refuses the binary.
-fn cell(kernel: Kernel, grid: u32, column: Column) -> &'static str {
+/// One table cell: whether `detector` reports a race on the probe
+/// `kernel` over a `grid` of 32-thread blocks, or `unsupported` when it
+/// refuses the binary.
+fn cell(kernel: Kernel, grid: u32, detector: Detector) -> &'static str {
     let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
     let params = vec![gpu.alloc(8).unwrap()];
     let probe = [Launch {
@@ -152,38 +133,14 @@ fn cell(kernel: Kernel, grid: u32, column: Column) -> &'static str {
         params,
     }];
     let (kernels, name) = ([&probe[0].kernel], &*probe[0].kernel.name);
-    let found = match column {
-        Column::Barracuda => {
-            if barracuda::supports(&kernels, BinaryKind::SingleFile).is_err() {
-                return "unsupported";
-            }
-            let mut tool = Instrumented::new(Barracuda::default());
-            drive(&mut gpu, &probe, &mut tool, name, |_| false);
-            !tool.tool_mut().finish(gpu.clock_mut()).is_empty()
-        }
-        Column::Curd => {
-            let Ok(curd) = Curd::for_kernels(&kernels, BinaryKind::SingleFile) else {
-                return "unsupported";
-            };
-            let mut tool = Instrumented::new(curd);
-            drive(&mut gpu, &probe, &mut tool, name, |_| false);
-            !tool.tool_mut().finish(gpu.clock_mut()).is_empty()
-        }
-        Column::Scord | Column::Iguard => {
-            let cfg = if matches!(column, Column::Scord) {
-                IguardConfig::scord_like()
-            } else {
-                IguardConfig::default()
-            };
-            let mut tool = Instrumented::new(Iguard::new(cfg));
-            drive(&mut gpu, &probe, &mut tool, name, |_| false);
-            tool.tool().unique_races() > 0
-        }
-    };
-    if found {
-        "Yes"
-    } else {
-        "No"
+    let found = detector.flags(&kernels, |mut hook| {
+        drive(&mut gpu, &probe, &mut hook, name, |_| false);
+        gpu
+    });
+    match found {
+        None => "unsupported",
+        Some(true) => "Yes",
+        Some(false) => "No",
     }
 }
 
@@ -212,9 +169,9 @@ fn main() {
     // Four tool columns per probe, each run building its own kernel.
     let items = probes
         .iter()
-        .flat_map(|&(_, probe, grid, _)| COLUMNS.map(|column| (probe, grid, column)))
+        .flat_map(|&(_, probe, grid, _)| Detector::TABLE1.map(|d| (probe, grid, d)))
         .collect();
-    let cells: Vec<&str> = par_map(items, |(probe, grid, column)| cell(probe(), grid, column))
+    let cells: Vec<&str> = par_map(items, |(probe, grid, d)| cell(probe(), grid, d))
         .into_iter()
         .map(|cell| cell.expect("a probe run does not panic"))
         .collect();

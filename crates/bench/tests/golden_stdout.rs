@@ -130,3 +130,19 @@ fn iguard_run_stdout_matches_seed() {
         check(name, env!("CARGO_BIN_EXE_iguard_run"), args);
     }
 }
+
+/// `fuzz --spec` prints one `DiffReport::describe()` line: an iGUARD-only
+/// ITS race Barracuda misses, an iGUARD false negative beside an
+/// unsupported Barracuda, an iGUARD false positive, and a Barracuda false
+/// positive beside a weak-only assertion both detectors miss.
+#[test]
+fn fuzz_spec_stdout_matches_seed() {
+    for (name, spec) in [
+        ("fuzz_spec_its_fn", "v2;SW;Sy/Ly"),
+        ("fuzz_spec_fn_unsupported", "v2;CB;aBy.aDy/Ly"),
+        ("fuzz_spec_fp", "v2;SW;Sy.w.Ly/w.aBy"),
+        ("fuzz_spec_fp_weak", "v2;CB;eDx.eDy/Lx.Ly.Lx;?1:r1=1&1:r2=0"),
+    ] {
+        check(name, env!("CARGO_BIN_EXE_fuzz"), &["--spec", spec]);
+    }
+}

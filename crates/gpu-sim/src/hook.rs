@@ -178,6 +178,28 @@ pub struct NullHook;
 
 impl Hook for NullHook {}
 
+impl<H: Hook + ?Sized> Hook for &mut H {
+    fn on_kernel_launch(&mut self, info: &LaunchInfo, clock: &mut Clock) {
+        (**self).on_kernel_launch(info, clock);
+    }
+
+    fn on_kernel_end(&mut self, info: &LaunchInfo, clock: &mut Clock) {
+        (**self).on_kernel_end(info, clock);
+    }
+
+    fn on_mem_access(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
+        (**self).on_mem_access(access, clock);
+    }
+
+    fn on_load_value(&mut self, block_id: u32, tid_in_block: u32, addr: u32, pc: usize, value: u32) {
+        (**self).on_load_value(block_id, tid_in_block, addr, pc, value);
+    }
+
+    fn on_sync(&mut self, event: &SyncEvent<'_>, clock: &mut Clock) {
+        (**self).on_sync(event, clock);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! `ShardedIguard::new(cfg, ShardConfig::inline(4))`, and names
 //! `Instrumented<ShardedIguard>` as the service job closure's parameter,
 //! so `ShardedIguard` stays a distinct type that forwards everything and
-//! [`ShardConfig`] a field-less token. Benchmark v2 (ROADMAP item 1(e))
+//! [`ShardConfig`] a field-less token. Benchmark v2 (ROADMAP `[bench-workspace]`)
 //! drops that arm, and this module with it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]

@@ -42,12 +42,6 @@ impl SyncMetadata {
         }
     }
 
-    /// Approximate bytes this structure occupies (the paper's ~2 MB check).
-    #[must_use]
-    pub fn footprint_bytes(&self) -> usize {
-        self.blk_bar.len() + self.warp_bar.len() + self.dev_fence.len() + self.blk_fence.len()
-    }
-
     /// Global thread slot for (`global_warp`, `lane`).
     fn thread_slot(&self, global_warp: u32, lane: u32) -> usize {
         global_warp as usize * WARP_SIZE + lane as usize
@@ -193,12 +187,5 @@ mod tests {
         assert_eq!(snap.warp_bar, 1);
         assert_eq!(snap.dev_fence, 1);
         assert_eq!(snap.blk_fence, 0);
-    }
-
-    #[test]
-    fn footprint_is_modest() {
-        // 72 blocks × 8 warps: comfortably under the paper's ~2 MB.
-        let s = SyncMetadata::new(72, 8);
-        assert!(s.footprint_bytes() < 2 << 20);
     }
 }

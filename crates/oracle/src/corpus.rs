@@ -29,9 +29,9 @@ use std::path::Path;
 use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
 
 use crate::diff::{diff, DiffReport, Verdict};
-use crate::explore::gpu_config;
+use crate::explore::launch;
 use crate::observer::Observer;
-use crate::spec::{Spec, NUM_SLOTS};
+use crate::spec::Spec;
 
 /// First line of every corpus file; bump on format changes.
 pub const CORPUS_HEADER: &str = "# oracle-corpus v2";
@@ -251,15 +251,9 @@ pub fn verify(entry: &CorpusEntry) -> Result<(), String> {
     let label = entry.spec.to_compact_string();
 
     if let Some(trace) = &entry.witness {
-        let mut gpu = gpu_sim::machine::Gpu::new(gpu_config(entry.spec.actors.len() as u32, true));
-        let buf = gpu
-            .alloc(NUM_SLOTS as usize)
-            .map_err(|e| format!("{label}: alloc failed: {e}"))?;
-        let (grid, block) = entry.spec.grid_block();
-        let kernel = entry.spec.build();
-        let mut obs = Observer::default();
         let mut sched = ReplayScheduler::new(trace.clone());
-        gpu.launch_with(&kernel, grid, block, &[buf], &mut obs, &mut sched)
+        let (kernel, mut obs) = (entry.spec.build(), Observer::default());
+        launch(&entry.spec, &kernel, true, 0, &mut obs, Some(&mut sched))
             .map_err(|e| format!("{label}: witness replay failed: {e}"))?;
         if !sched.finished() {
             return Err(format!("{label}: witness trace not fully consumed"));

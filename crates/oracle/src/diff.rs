@@ -41,26 +41,94 @@
 //!
 //! Anything else is an **unexplained** divergence and fails the campaign.
 
-use barracuda::{self, Barracuda, BarracudaConfig, BinaryKind};
+use barracuda::{self, Barracuda, BinaryKind, Curd};
+use gpu_sim::hook::Hook;
 use gpu_sim::ir::Scope;
-use gpu_sim::machine::{Gpu, GpuConfig};
+use gpu_sim::kernel::Kernel;
+use gpu_sim::machine::Gpu;
 use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
-use iguard::Iguard;
+use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::explore::{explore, gpu_config, ExploreConfig, Report};
+use crate::explore::{explore, launch, ExploreConfig, Report};
 use crate::spec::{Op, Spec, NUM_SLOTS};
 
 /// Random-scheduler seeds each detector runs under per kernel (in
 /// addition to the witness replays).
-pub(crate) const SEEDS: [u64; 3] = [1, 2, 3];
+const SEEDS: [u64; 3] = [1, 2, 3];
+
+/// The detectors of the paper's Table 1, in its column order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Detector {
+    Barracuda,
+    Curd,
+    /// ScoRD emulated as iGUARD's scoped logic without ITS support
+    /// ([`IguardConfig::scord_like`]); the real ScoRD is new hardware.
+    ScordLike,
+    Iguard,
+}
+
+impl Detector {
+    /// Table 1's columns.
+    pub const TABLE1: [Detector; 4] = [
+        Detector::Barracuda,
+        Detector::Curd,
+        Detector::ScordLike,
+        Detector::Iguard,
+    ];
+
+    /// The name a [`Divergence`] carries.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Detector::Barracuda => "barracuda",
+            Detector::Curd => "curd",
+            Detector::ScordLike => "scord-like",
+            Detector::Iguard => "iguard",
+        }
+    }
+
+    /// Builds this detector for the binary `kernels`, hands it to `run` —
+    /// which launches them with it attached and returns the device — and
+    /// reads its verdict: `Some(true)` when it reported a race, `None`
+    /// when its front end refuses the binary.
+    pub fn flags(
+        self,
+        kernels: &[&Kernel],
+        run: impl FnOnce(&mut dyn Hook) -> Gpu,
+    ) -> Option<bool> {
+        let kind = BinaryKind::SingleFile;
+        Some(match self {
+            Detector::Barracuda => {
+                barracuda::supports(kernels, kind).ok()?;
+                let mut tool = Instrumented::new(Barracuda::default());
+                let mut gpu = run(&mut tool);
+                !tool.tool_mut().finish(gpu.clock_mut()).is_empty()
+            }
+            Detector::Curd => {
+                let mut tool = Instrumented::new(Curd::for_kernels(kernels, kind).ok()?);
+                let mut gpu = run(&mut tool);
+                !tool.tool_mut().finish(gpu.clock_mut()).is_empty()
+            }
+            Detector::ScordLike | Detector::Iguard => {
+                let cfg = match self {
+                    Detector::ScordLike => IguardConfig::scord_like(),
+                    _ => IguardConfig::default(),
+                };
+                let mut tool = Instrumented::new(Iguard::new(cfg));
+                run(&mut tool);
+                tool.tool().unique_races() > 0
+            }
+        })
+    }
+}
 
 /// One detector's verdict on one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// The front end refused the kernel (Barracuda only).
+    /// The front end refused the kernel.
     Unsupported,
     /// Flagged at least one race on at least one run.
     Flagged,
@@ -71,7 +139,7 @@ pub enum Verdict {
 /// A detector/oracle disagreement, classified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Divergence {
-    /// `"iguard"` or `"barracuda"`.
+    /// `"iguard"` or `"barracuda"` ([`Detector::name`]).
     pub detector: &'static str,
     /// True when the oracle says racy (or a weak-only violation exists)
     /// and the detector stayed silent (false negative); false for the
@@ -134,52 +202,47 @@ impl DiffReport {
     }
 }
 
-/// A fresh weak-visibility device for one detector run, with the slot
-/// pool allocated. Witness traces are recorded on the weak machine, so
-/// they carry `Vis` decisions and must replay on the same configuration.
-pub(crate) fn detector_gpu(spec: &Spec, seed: u64) -> (Gpu, u32) {
-    let mut gpu = Gpu::new(GpuConfig {
-        seed,
-        ..gpu_config(spec.actors.len() as u32, true)
-    });
-    let buf = gpu.alloc(NUM_SLOTS as usize).expect("oracle slot buffer fits");
-    (gpu, buf)
+/// One detector run: the random scheduler under a seed, or a replay of
+/// a witness trace.
+pub(crate) type Plan<'a> = (u64, Option<&'a ScheduleTrace>);
+
+/// Every run a detector gets on one spec: the random `SEEDS`, then
+/// replays of the oracle's witness and counter-witness — both orders of
+/// the racing pair, since detection can be order-sensitive. Witness
+/// traces are recorded on the weak machine, so they carry `Vis`
+/// decisions and replay on the same configuration.
+pub(crate) fn plans(oracle: &Report) -> Vec<Plan<'_>> {
+    let witnesses = [&oracle.witness, &oracle.counter_witness];
+    SEEDS
+        .iter()
+        .map(|&s| (s, None))
+        .chain(witnesses.into_iter().flatten().map(|t| (0, Some(t))))
+        .collect()
 }
 
-/// Runs iGUARD over one random schedule (or a witness replay) and reports
-/// whether it flagged anything.
-fn iguard_flags(spec: &Spec, seed: u64, replay: Option<&ScheduleTrace>) -> bool {
-    let kernel = spec.build();
-    let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(spec, seed);
-    let mut tool = Instrumented::new(Iguard::default());
-    let result = match replay {
-        Some(trace) => {
-            let mut sched = ReplayScheduler::new(trace.clone());
-            gpu.launch_with(&kernel, grid, block, &[buf], &mut tool, &mut sched)
-        }
-        None => gpu.launch(&kernel, grid, block, &[buf], &mut tool),
-    };
-    result.unwrap_or_else(|e| panic!("iguard run of {} failed: {e}", spec.to_compact_string()));
-    tool.tool().unique_races() > 0
+/// Runs `kernel`, built from `spec`, under `plan` on the weak machine
+/// with `hook` attached, and returns the device.
+pub(crate) fn run_plan(spec: &Spec, kernel: &Kernel, plan: Plan<'_>, hook: &mut dyn Hook) -> Gpu {
+    let mut replay = plan.1.map(|t| ReplayScheduler::new(t.clone()));
+    let sched = replay.as_mut().map(|r| r as _);
+    launch(spec, kernel, true, plan.0, hook, sched)
+        .unwrap_or_else(|e| panic!("detector run of {} failed: {e}", spec.to_compact_string()))
+        .0
 }
 
-/// Runs Barracuda likewise. `None` means the front end refused the kernel.
-fn barracuda_flags(spec: &Spec, seed: u64, replay: Option<&ScheduleTrace>) -> Option<bool> {
+/// `detector`'s verdict on `spec` over `plans`, in order: `Flagged` at
+/// the first run that reports a race, `Unsupported` when the front end
+/// refuses the kernel.
+pub(crate) fn verdict(detector: Detector, spec: &Spec, plans: &[Plan<'_>]) -> Verdict {
     let kernel = spec.build();
-    barracuda::supports(&[&kernel], BinaryKind::SingleFile).ok()?;
-    let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(spec, seed);
-    let mut tool = Instrumented::new(Barracuda::new(BarracudaConfig::default()));
-    let result = match replay {
-        Some(trace) => {
-            let mut sched = ReplayScheduler::new(trace.clone());
-            gpu.launch_with(&kernel, grid, block, &[buf], &mut tool, &mut sched)
+    for &plan in plans {
+        match detector.flags(&[&kernel], |hook| run_plan(spec, &kernel, plan, hook)) {
+            None => return Verdict::Unsupported,
+            Some(true) => return Verdict::Flagged,
+            Some(false) => {}
         }
-        None => gpu.launch(&kernel, grid, block, &[buf], &mut tool),
-    };
-    result.unwrap_or_else(|e| panic!("barracuda run of {} failed: {e}", spec.to_compact_string()));
-    Some(!tool.tool_mut().finish(gpu.clock_mut()).is_empty())
+    }
+    Verdict::Clean
 }
 
 /// The location and scope of an atomic op.
@@ -288,77 +351,34 @@ fn explain_weak_anomaly(spec: &Spec) -> &'static str {
 }
 
 /// The full differential check for one spec: weak-visibility oracle vs
-/// both detectors on random schedules plus witness replays.
+/// iGUARD and Barracuda on random schedules plus witness replays.
 #[must_use]
 pub fn diff(spec: &Spec) -> DiffReport {
     let oracle = explore(spec, &ExploreConfig::default(), true);
-    // Both orders of the racing pair: detection can be order-sensitive.
-    let witnesses: Vec<&ScheduleTrace> = [&oracle.witness, &oracle.counter_witness]
-        .into_iter()
-        .filter_map(Option::as_ref)
-        .collect();
-
-    let mut ig = SEEDS.iter().any(|&s| iguard_flags(spec, s, None));
-    if !ig {
-        ig = witnesses.iter().any(|t| iguard_flags(spec, 0, Some(t)));
-    }
-    let iguard = if ig { Verdict::Flagged } else { Verdict::Clean };
-
-    let mut ba = match barracuda_flags(spec, SEEDS[0], None) {
-        None => Verdict::Unsupported,
-        Some(true) => Verdict::Flagged,
-        Some(false) => Verdict::Clean,
-    };
-    if ba == Verdict::Clean {
-        for &s in &SEEDS[1..] {
-            if barracuda_flags(spec, s, None) == Some(true) {
-                ba = Verdict::Flagged;
-                break;
-            }
-        }
-        if ba == Verdict::Clean
-            && witnesses
-                .iter()
-                .any(|t| barracuda_flags(spec, 0, Some(t)) == Some(true))
-        {
-            ba = Verdict::Flagged;
-        }
-    }
+    let plans = plans(&oracle);
+    let verdicts = [Detector::Iguard, Detector::Barracuda].map(|d| (d, verdict(d, spec, &plans)));
 
     let mut divergences = Vec::new();
-    match (oracle.racy, iguard) {
-        (true, Verdict::Clean) => divergences.push(Divergence {
-            detector: "iguard",
-            false_negative: true,
-            explanation: explain_iguard_fn(spec),
-        }),
-        (false, Verdict::Flagged) => divergences.push(Divergence {
-            detector: "iguard",
-            false_negative: false,
-            // An incomplete enumeration makes "clean" a lower bound only.
-            explanation: explain_iguard_fp(spec)
-                .or_else(|| (!oracle.complete).then_some("oracle-incomplete")),
-        }),
-        _ => {}
-    }
-    match (oracle.racy, ba) {
-        (true, Verdict::Unsupported) => divergences.push(Divergence {
-            detector: "barracuda",
-            false_negative: true,
-            explanation: Some("barracuda-unsupported"),
-        }),
-        (true, Verdict::Clean) => divergences.push(Divergence {
-            detector: "barracuda",
-            false_negative: true,
-            explanation: explain_barracuda_fn(spec, &oracle),
-        }),
-        (false, Verdict::Flagged) => divergences.push(Divergence {
-            detector: "barracuda",
-            false_negative: false,
-            explanation: explain_barracuda_fp(spec)
-                .or_else(|| (!oracle.complete).then_some("oracle-incomplete")),
-        }),
-        _ => {}
+    for (d, v) in verdicts {
+        let (false_negative, explanation) = match (oracle.racy, v) {
+            (true, Verdict::Unsupported) => (true, Some("barracuda-unsupported")),
+            (true, Verdict::Clean) if d == Detector::Iguard => (true, explain_iguard_fn(spec)),
+            (true, Verdict::Clean) => (true, explain_barracuda_fn(spec, &oracle)),
+            (false, Verdict::Flagged) => {
+                let known = match d {
+                    Detector::Iguard => explain_iguard_fp(spec),
+                    _ => explain_barracuda_fp(spec),
+                };
+                // An incomplete enumeration makes "clean" a lower bound only.
+                (false, known.or_else(|| (!oracle.complete).then_some("oracle-incomplete")))
+            }
+            _ => continue,
+        };
+        divergences.push(Divergence {
+            detector: d.name(),
+            false_negative,
+            explanation,
+        });
     }
 
     // Weak-memory anomaly: the forbidden final state is reachable, but
@@ -368,34 +388,25 @@ pub fn diff(spec: &Spec) -> DiffReport {
         .assertion
         .as_ref()
         .is_some_and(|a| a.reachable && !a.sc_reachable);
-    if weak_violation {
-        if iguard == Verdict::Clean {
-            divergences.push(Divergence {
-                detector: "iguard",
-                false_negative: true,
-                explanation: Some(explain_weak_anomaly(spec)),
-            });
-        }
-        match ba {
-            Verdict::Clean => divergences.push(Divergence {
-                detector: "barracuda",
-                false_negative: true,
-                explanation: Some(explain_weak_anomaly(spec)),
-            }),
-            Verdict::Unsupported => divergences.push(Divergence {
-                detector: "barracuda",
-                false_negative: true,
-                explanation: Some("barracuda-unsupported"),
-            }),
-            Verdict::Flagged => {}
-        }
+    for (d, v) in verdicts.into_iter().filter(|_| weak_violation) {
+        let explanation = match v {
+            Verdict::Clean => explain_weak_anomaly(spec),
+            Verdict::Unsupported => "barracuda-unsupported",
+            Verdict::Flagged => continue,
+        };
+        divergences.push(Divergence {
+            detector: d.name(),
+            false_negative: true,
+            explanation: Some(explanation),
+        });
     }
 
+    let [(_, iguard), (_, barracuda)] = verdicts;
     DiffReport {
         spec: spec.clone(),
         oracle,
         iguard,
-        barracuda: ba,
+        barracuda,
         divergences,
     }
 }
@@ -453,6 +464,23 @@ mod tests {
             .all(|d| d.explanation == Some("barracuda-unsupported")
                 || d.detector == "iguard"));
         assert!(r.unexplained().is_empty(), "{}", r.describe());
+    }
+
+    /// CURD and the ScoRD-like configuration under the oracle's verdict
+    /// protocol reproduce `table1`'s Sc.-atomic and ITS rows.
+    #[test]
+    fn table1_detectors_meet_the_oracle() {
+        use Verdict::{Clean, Flagged, Unsupported};
+        for (s, row) in [
+            ("v2;CB;aBx/aBx", [Unsupported, Unsupported, Flagged, Flagged]),
+            ("v2;SW;Sy/Ly", [Clean, Clean, Clean, Flagged]),
+        ] {
+            let spec = Spec::parse(s).unwrap();
+            let oracle = explore(&spec, &ExploreConfig::default(), true);
+            assert!(oracle.racy, "{s}");
+            let plans = plans(&oracle);
+            assert_eq!(Detector::TABLE1.map(|d| verdict(d, &spec, &plans)), row, "{s}");
+        }
     }
 
     #[test]

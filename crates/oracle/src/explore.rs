@@ -36,11 +36,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use gpu_sim::hook::ExecMode;
+use gpu_sim::error::SimError;
+use gpu_sim::hook::{ExecMode, Hook};
 use gpu_sim::ir::{AtomOp, Instr, Scope};
 use gpu_sim::kernel::Kernel;
 use gpu_sim::machine::{Gpu, GpuConfig};
-use gpu_sim::prelude::{EnumeratingScheduler, RecordingScheduler, ScheduleTrace};
+use gpu_sim::prelude::{
+    EnumeratingScheduler, RandomScheduler, RecordingScheduler, ScheduleTrace, Scheduler,
+};
 
 use crate::observer::{ObservedAccess, Observer};
 use crate::spec::{Cond, Placement, Spec, NUM_SLOTS};
@@ -86,6 +89,33 @@ pub fn gpu_config(num_actors: u32, weak: bool) -> GpuConfig {
         record_load_values: true,
         ..GpuConfig::default()
     }
+}
+
+/// Launches `kernel`, built from `spec`, once on a fresh device of
+/// [`gpu_config`] with the slot pool allocated and `hook` attached, under
+/// `sched` or, given `None`, the device's random scheduler seeded `seed`.
+/// Returns the device and the pool's base address. Every oracle run —
+/// enumeration, witness replay, detector run — launches here.
+pub(crate) fn launch(
+    spec: &Spec,
+    kernel: &Kernel,
+    weak: bool,
+    seed: u64,
+    hook: &mut dyn Hook,
+    sched: Option<&mut dyn Scheduler>,
+) -> Result<(Gpu, u32), SimError> {
+    let cfg = GpuConfig {
+        seed,
+        ..gpu_config(spec.actors.len() as u32, weak)
+    };
+    let mut random = RandomScheduler::new(cfg.seed, cfg.its_split_prob);
+    let mut gpu = Gpu::new(cfg);
+    let buf = gpu
+        .alloc(usize::from(NUM_SLOTS))
+        .expect("oracle slot pool fits");
+    let (grid, block) = spec.grid_block();
+    gpu.launch_with(kernel, grid, block, &[buf], hook, sched.unwrap_or(&mut random))?;
+    Ok((gpu, buf))
 }
 
 /// One racing instance pair, classified by the accessors' relationship.
@@ -198,8 +228,6 @@ pub fn explore(spec: &Spec, cfg: &ExploreConfig, weak: bool) -> Report {
     spec.validate()
         .unwrap_or_else(|e| panic!("explore on invalid spec: {e}"));
     let kernel = spec.build();
-    let (grid, block_dim) = spec.grid_block();
-    let n_actors = spec.actors.len();
     let mut enumerator = EnumeratingScheduler::new_eager(MAX_DECISIONS);
     let mut pairs = Pairs::new();
     let mut outcomes: BTreeMap<Vec<u32>, Outcome> = BTreeMap::new();
@@ -211,14 +239,10 @@ pub fn explore(spec: &Spec, cfg: &ExploreConfig, weak: bool) -> Report {
     let hit_cap;
 
     loop {
-        let mut gpu = Gpu::new(gpu_config(n_actors as u32, weak));
-        let buf = gpu
-            .alloc(usize::from(NUM_SLOTS))
-            .expect("oracle pool allocation");
         let mut obs = Observer::default();
         let mut rec = RecordingScheduler::new(&mut enumerator);
-        gpu.launch_with(&kernel, grid, block_dim, &[buf], &mut obs, &mut rec)
-            .unwrap_or_else(|e| {
+        let (gpu, buf) =
+            launch(spec, &kernel, weak, 0, &mut obs, Some(&mut rec)).unwrap_or_else(|e| {
                 panic!(
                     "oracle kernel {} faulted during enumeration: {e}",
                     spec.to_compact_string()
@@ -449,17 +473,13 @@ mod tests {
     /// strong machine, folded through the same `accumulate_orders`.
     fn exhaustive(spec: &Spec, cfg: &ExploreConfig) -> Report {
         let kernel = spec.build();
-        let (grid, block_dim) = spec.grid_block();
         let mut enumerator = EnumeratingScheduler::new(MAX_DECISIONS);
         let mut pairs = Pairs::new();
         let hit_cap;
         loop {
-            let mut gpu = Gpu::new(gpu_config(spec.actors.len() as u32, false));
-            let buf = gpu.alloc(usize::from(NUM_SLOTS)).unwrap();
             let mut obs = Observer::default();
             let mut rec = RecordingScheduler::new(&mut enumerator);
-            gpu.launch_with(&kernel, grid, block_dim, &[buf], &mut obs, &mut rec)
-                .unwrap();
+            launch(spec, &kernel, false, 0, &mut obs, Some(&mut rec)).unwrap();
             accumulate_orders(&obs.events, &rec.into_trace(), &mut pairs);
             if !enumerator.advance() {
                 hit_cap = false;

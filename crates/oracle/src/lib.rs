@@ -31,7 +31,7 @@ pub mod shrink;
 pub mod spec;
 pub mod static_diff;
 
-pub use diff::{diff, DiffReport, Divergence, Verdict};
+pub use diff::{diff, Detector, DiffReport, Divergence, Verdict};
 pub use explore::{
     explore, gpu_config, AssertionVerdict, ExploreConfig, OracleRace, Outcome, Report,
 };

@@ -27,11 +27,11 @@
 //! `iguard/tests/prune_test.rs`; this arm's value is end-to-end soundness
 //! over kernels with ground-truth verdicts.
 
-use gpu_sim::sched::{ReplayScheduler, ScheduleTrace};
+use gpu_sim::kernel::Kernel;
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 
-use crate::diff::{detector_gpu, Verdict, SEEDS};
+use crate::diff::{plans, run_plan, verdict, Detector, Plan, Verdict};
 use crate::explore::{explore, ExploreConfig, Report};
 use crate::spec::Spec;
 
@@ -121,26 +121,11 @@ struct RunOutcome {
     verify_violations: u64,
 }
 
-/// Runs iGUARD under `cfg` on one random schedule (or witness replay),
-/// mirroring `diff::iguard_flags` but surfacing the pruning counters too.
-fn run_iguard(
-    spec: &Spec,
-    seed: u64,
-    replay: Option<&ScheduleTrace>,
-    cfg: &IguardConfig,
-) -> RunOutcome {
-    let kernel = spec.build();
-    let (grid, block) = spec.grid_block();
-    let (mut gpu, buf) = detector_gpu(spec, seed);
+/// Runs iGUARD under `cfg` over one run plan, surfacing the pruning
+/// counters beside the race flag.
+fn run_iguard(spec: &Spec, kernel: &Kernel, plan: Plan<'_>, cfg: &IguardConfig) -> RunOutcome {
     let mut tool = Instrumented::new(Iguard::new(cfg.clone()));
-    let result = match replay {
-        Some(trace) => {
-            let mut sched = ReplayScheduler::new(trace.clone());
-            gpu.launch_with(&kernel, grid, block, &[buf], &mut tool, &mut sched)
-        }
-        None => gpu.launch(&kernel, grid, block, &[buf], &mut tool),
-    };
-    result.unwrap_or_else(|e| panic!("iguard run of {} failed: {e}", spec.to_compact_string()));
+    run_plan(spec, kernel, plan, &mut tool);
     let ps = tool.tool().prune_stats();
     RunOutcome {
         dynamic_flag: tool.tool().unique_races() > 0,
@@ -152,30 +137,11 @@ fn run_iguard(
 /// The static-pruning differential check for one kernel spec.
 #[must_use]
 pub fn diff_static(spec: &Spec) -> StaticDiffReport {
-    let cls = static_an::analyze(&spec.build());
+    let kernel = spec.build();
+    let cls = static_an::analyze(&kernel);
     let oracle = explore(spec, &ExploreConfig::default(), true);
-    let witnesses: Vec<&ScheduleTrace> = [&oracle.witness, &oracle.counter_witness]
-        .into_iter()
-        .filter_map(Option::as_ref)
-        .collect();
-
-    // Every run plan a detector sees: the random seeds, then both witness
-    // replays (seed irrelevant under a ReplayScheduler).
-    let plans: Vec<(u64, Option<&ScheduleTrace>)> = SEEDS
-        .iter()
-        .map(|&s| (s, None))
-        .chain(witnesses.iter().map(|&t| (0, Some(t))))
-        .collect();
-
-    let full_cfg = IguardConfig::default();
-    let full_flag = plans
-        .iter()
-        .any(|&(s, t)| run_iguard(spec, s, t, &full_cfg).dynamic_flag);
-    let full = if full_flag {
-        Verdict::Flagged
-    } else {
-        Verdict::Clean
-    };
+    let plans = plans(&oracle);
+    let full = verdict(Detector::Iguard, spec, &plans);
 
     // The pruned detector: dynamic reports and launch-time static reports
     // both count toward `Flagged` (the user-visible union). Run every
@@ -183,8 +149,8 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
     let pruned_cfg = IguardConfig::with_prune();
     let mut pruned_flag = false;
     let mut static_races = 0u64;
-    for &(s, t) in &plans {
-        let out = run_iguard(spec, s, t, &pruned_cfg);
+    for &plan in &plans {
+        let out = run_iguard(spec, &kernel, plan, &pruned_cfg);
         pruned_flag |= out.dynamic_flag || out.static_races > 0;
         static_races = static_races.max(out.static_races);
     }
@@ -200,7 +166,7 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
     let verify_cfg = IguardConfig::with_prune_verify();
     let verify_violations: u64 = plans
         .iter()
-        .map(|&(s, t)| run_iguard(spec, s, t, &verify_cfg).verify_violations)
+        .map(|&plan| run_iguard(spec, &kernel, plan, &verify_cfg).verify_violations)
         .sum();
 
     let mut divergences = Vec::new();

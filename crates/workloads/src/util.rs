@@ -52,17 +52,6 @@ pub fn work_iters(size: crate::Size) -> u32 {
     }
 }
 
-/// Emits a clean per-thread streaming transform: `out[g] = in[g]*3 + 1`.
-pub fn stream_body(b: &mut KernelBuilder, input: Reg, output: Reg) {
-    let g = b.special(Special::GlobalTid);
-    let ia = addr(b, input, g);
-    let v = b.ld(ia, 0);
-    let v3 = b.mul(v, 3u32);
-    let v31 = b.add(v3, 1u32);
-    let oa = addr(b, output, g);
-    b.st(oa, 0, v31);
-}
-
 /// Emits a correctly-barriered tree reduction over `data[block*dim ..]`,
 /// leaving the block's sum in `data[block*dim]` and storing it to
 /// `out[block]`. `dim` must be a power of two.
@@ -281,23 +270,6 @@ pub fn seed_improper_lock(b: &mut KernelBuilder, locks: Reg, buf: Reg, slot: u32
 mod tests {
     use super::*;
     use gpu_sim::prelude::*;
-
-    #[test]
-    fn stream_body_transforms_every_element() {
-        let mut b = KernelBuilder::new("stream");
-        let input = b.param(0);
-        let output = b.param(1);
-        stream_body(&mut b, input, output);
-        let k = b.build();
-        let mut gpu = Gpu::new(GpuConfig::default());
-        let ib = gpu.alloc(64).unwrap();
-        let ob = gpu.alloc(64).unwrap();
-        gpu.write_slice(ib, &(0..64).collect::<Vec<u32>>());
-        gpu.launch(&k, 1, 64, &[ib, ob], &mut NullHook).unwrap();
-        let got = gpu.read_slice(ob, 64);
-        let expect: Vec<u32> = (0..64).map(|v| v * 3 + 1).collect();
-        assert_eq!(got, expect);
-    }
 
     #[test]
     fn tree_reduce_computes_block_sums() {
