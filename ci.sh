@@ -9,8 +9,8 @@
 # and `ShardConfig::inline`, so breaking that surface fails here rather
 # than in a benchmark run.
 # The workspace tests already byte-compare the stdout of every paper
-# artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`, `fig12 --ablate`,
-# `fence_scope_cost`, `ablation_history`) plus `pressure`, six
+# artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`, `table4 --bench`,
+# `fig11 --prune`, `fig12 --ablate`, `fence_scope_cost`, `ablation_history`) plus `pressure`, six
 # `iguard_run` invocations, one per detector, and four `fuzz --spec`
 # report lines, one per divergence shape (`golden_stdout`), replay
 # the oracle corpus (`regressions_replay`), pin the hot paths

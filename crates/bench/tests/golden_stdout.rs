@@ -1,7 +1,8 @@
 //! Byte-identity gate for experiment stdout.
 //!
 //! Runs every paper-artifact binary — `table1`, `table4`, `table5`,
-//! `fig11`–`fig14` (and `fig12 --ablate`), `fence_scope_cost` and
+//! `fig11`–`fig14` (and `table4 --bench`, `fig11 --prune`,
+//! `fig12 --ablate`), `fence_scope_cost` and
 //! `ablation_history` — plus `pressure` and one `iguard_run` invocation
 //! per detector at their default seeds and compares stdout byte-for-byte
 //! against recorded transcripts (`tests/golden/` at the repo root).
@@ -59,6 +60,13 @@ fn table4_stdout_matches_seed() {
     check("table4", env!("CARGO_BIN_EXE_table4"), &[]);
 }
 
+/// `--bench` re-runs iGUARD at the benchmark grid sizes; the counts are
+/// scale-invariant.
+#[test]
+fn table4_bench_stdout_matches_seed() {
+    check("table4_bench", env!("CARGO_BIN_EXE_table4"), &["--bench"]);
+}
+
 #[test]
 fn table5_stdout_matches_seed() {
     check("table5", env!("CARGO_BIN_EXE_table5"), &[]);
@@ -67,6 +75,13 @@ fn table5_stdout_matches_seed() {
 #[test]
 fn fig11_stdout_matches_seed() {
     check("fig11", env!("CARGO_BIN_EXE_fig11"), &[]);
+}
+
+/// `--prune` adds the `pruned` column (iGUARD with the static
+/// pre-analysis pass) and its geomean lines.
+#[test]
+fn fig11_prune_stdout_matches_seed() {
+    check("fig11_prune", env!("CARGO_BIN_EXE_fig11"), &["--prune"]);
 }
 
 #[test]
