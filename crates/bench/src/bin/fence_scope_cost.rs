@@ -33,7 +33,14 @@ fn time_kernel(scope: Scope, fences: u32) -> f64 {
         block: 128,
         params: Vec::new(),
     };
-    drive(&mut gpu, [&launch], &mut NullHook, &launch.kernel.name, |_| false).time
+    drive(
+        &mut gpu,
+        [&launch],
+        &mut NullHook,
+        &launch.kernel.name,
+        |_| false,
+    )
+    .time
 }
 
 fn main() {

@@ -41,7 +41,10 @@ fn main() {
             IguardConfig::default(),
         ]
     } else {
-        vec![IguardConfig::without_contention_opts(), IguardConfig::default()]
+        vec![
+            IguardConfig::without_contention_opts(),
+            IguardConfig::default(),
+        ]
     };
     let stride = configs.len() + 1;
 
@@ -86,8 +89,7 @@ fn main() {
     for (i, w) in set.iter().enumerate() {
         let chunk = &outcomes[i * stride..(i + 1) * stride];
         let native = &chunk[0];
-        let cols: Vec<Option<f64>> =
-            (1..stride).map(|j| over(native, &chunk[j])).collect();
+        let cols: Vec<Option<f64>> = (1..stride).map(|j| over(native, &chunk[j])).collect();
         let (base, both) = (cols[0], cols[cols.len() - 1]);
         let cell = |v: Option<f64>, w: usize| match v {
             Some(x) => format!("{x:>w$.1}x", w = w),

@@ -150,12 +150,7 @@ type Probe = (&'static str, fn() -> Kernel, u32, &'static str);
 fn main() {
     bench::switches([]);
     let probes: [Probe; 4] = [
-        (
-            "Sc. fence",
-            scoped_fence_probe,
-            2,
-            "Yes / Yes / Yes / Yes",
-        ),
+        ("Sc. fence", scoped_fence_probe, 2, "Yes / Yes / Yes / Yes"),
         (
             "Sc. atomic",
             scoped_atomic_probe,

@@ -80,7 +80,10 @@ fn fuzz_static_replays_the_corpus_from_any_directory() {
         .expect("spawn fuzz");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
-    assert!(stdout.contains("(39 corpus + 1 fresh)"), "stdout:\n{stdout}");
+    assert!(
+        stdout.contains("(39 corpus + 1 fresh)"),
+        "stdout:\n{stdout}"
+    );
 }
 
 #[test]

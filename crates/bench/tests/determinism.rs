@@ -67,9 +67,14 @@ fn different_seeds_still_find_the_seeded_races() {
     let counts: Vec<usize> = SEEDS
         .iter()
         .map(|&s| {
-            run_iguard(&w, Size::Test, cfg(s, ExecMode::Its), IguardConfig::default())
-                .sites
-                .len()
+            run_iguard(
+                &w,
+                Size::Test,
+                cfg(s, ExecMode::Its),
+                IguardConfig::default(),
+            )
+            .sites
+            .len()
         })
         .collect();
     assert!(

@@ -24,7 +24,9 @@ use std::fmt::Write as _;
 use faults::FaultConfig;
 use gpu_sim::hook::ExecMode;
 use gpu_sim::machine::{Gpu, GpuConfig, LaunchStats};
-use gpu_sim::sched::{RandomScheduler, RecordingScheduler, ReplayScheduler, ScheduleTrace, Scheduler};
+use gpu_sim::sched::{
+    RandomScheduler, RecordingScheduler, ReplayScheduler, ScheduleTrace, Scheduler,
+};
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 use workloads::{Size, Workload};
@@ -202,7 +204,11 @@ fn disabled_fault_plane_matches_seed_golden() {
     let golden = std::fs::read_to_string(GOLDEN_PATH)
         .expect("golden file missing; regenerate with GOLDEN_WRITE=1");
     let golden_lines: Vec<&str> = golden.lines().collect();
-    assert_eq!(golden_lines.len(), lines.len(), "golden matrix shape changed");
+    assert_eq!(
+        golden_lines.len(),
+        lines.len(),
+        "golden matrix shape changed"
+    );
     for (i, (got, want)) in lines.iter().zip(&golden_lines).enumerate() {
         assert_eq!(
             got, want,
@@ -251,7 +257,13 @@ fn recorded_schedule_replays_byte_identically() {
     let prob = golden_gpu(seed, ExecMode::Its).its_split_prob;
 
     let mut rec = RecordingScheduler::new(RandomScheduler::new(seed, prob));
-    let recorded = run_line_sched(&w, seed, ExecMode::Its, Some(&mut rec), &FaultConfig::disabled());
+    let recorded = run_line_sched(
+        &w,
+        seed,
+        ExecMode::Its,
+        Some(&mut rec),
+        &FaultConfig::disabled(),
+    );
     let trace = rec.into_trace();
     assert_eq!(recorded, run_line(&w, seed, ExecMode::Its));
 
@@ -259,8 +271,13 @@ fn recorded_schedule_replays_byte_identically() {
     assert_eq!(round_tripped.digest(), trace.digest());
 
     let mut replay = ReplayScheduler::new(round_tripped);
-    let replayed =
-        run_line_sched(&w, seed, ExecMode::Its, Some(&mut replay), &FaultConfig::disabled());
+    let replayed = run_line_sched(
+        &w,
+        seed,
+        ExecMode::Its,
+        Some(&mut replay),
+        &FaultConfig::disabled(),
+    );
     assert!(replay.finished(), "replay left unconsumed decisions");
     assert_eq!(recorded, replayed);
 }
@@ -275,15 +292,25 @@ fn its_decision_stream_digest_is_pinned() {
     let seed = bench::DEFAULT_SEED;
     let prob = golden_gpu(seed, ExecMode::Its).its_split_prob;
     let mut rec = RecordingScheduler::new(RandomScheduler::new(seed, prob));
-    let _ = run_line_sched(&w, seed, ExecMode::Its, Some(&mut rec), &FaultConfig::disabled());
+    let _ = run_line_sched(
+        &w,
+        seed,
+        ExecMode::Its,
+        Some(&mut rec),
+        &FaultConfig::disabled(),
+    );
     let trace = rec.into_trace();
     let digest = trace.digest();
     if std::env::var_os("GOLDEN_WRITE").is_some() {
-        eprintln!("uts ITS decision digest: {digest:#018x} ({} decisions)", trace.decisions.len());
+        eprintln!(
+            "uts ITS decision digest: {digest:#018x} ({} decisions)",
+            trace.decisions.len()
+        );
         return;
     }
     assert_eq!(
-        digest, PINNED_UTS_ITS_DIGEST,
+        digest,
+        PINNED_UTS_ITS_DIGEST,
         "RandomScheduler RNG decision sequence changed ({} decisions)",
         trace.decisions.len()
     );

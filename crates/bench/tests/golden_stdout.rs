@@ -45,8 +45,12 @@ fn check(name: &str, exe: &str, args: &[&str]) {
         eprintln!("golden stdout regenerated at {}", path.display());
         return;
     }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing {}: {e}; regenerate with GOLDEN_WRITE=1", path.display()));
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing {}: {e}; regenerate with GOLDEN_WRITE=1",
+            path.display()
+        )
+    });
     assert_eq!(got, want, "{name} stdout diverged from the seed transcript");
 }
 
@@ -136,11 +140,26 @@ fn pressure_stdout_matches_seed() {
 fn iguard_run_stdout_matches_seed() {
     for (name, args) in [
         ("iguard_run_reduction", &["reduction", "--context", "1"][..]),
-        ("iguard_run_graph_color_curd", &["graph-color", "--detector", "curd"]),
-        ("iguard_run_b_reduce_curd", &["b_reduce", "--detector", "curd"]),
-        ("iguard_run_interac_barracuda", &["interac", "--detector", "barracuda"]),
-        ("iguard_run_d_reduce_native", &["d_reduce", "--detector", "none"]),
-        ("iguard_run_conjugGMB_plain", &["conjugGMB", "--no-coalesce", "--no-backoff"]),
+        (
+            "iguard_run_graph_color_curd",
+            &["graph-color", "--detector", "curd"],
+        ),
+        (
+            "iguard_run_b_reduce_curd",
+            &["b_reduce", "--detector", "curd"],
+        ),
+        (
+            "iguard_run_interac_barracuda",
+            &["interac", "--detector", "barracuda"],
+        ),
+        (
+            "iguard_run_d_reduce_native",
+            &["d_reduce", "--detector", "none"],
+        ),
+        (
+            "iguard_run_conjugGMB_plain",
+            &["conjugGMB", "--no-coalesce", "--no-backoff"],
+        ),
     ] {
         check(name, env!("CARGO_BIN_EXE_iguard_run"), args);
     }

@@ -43,7 +43,10 @@ fn run_tool<T: Tool>(name: &str, tool: T) -> (Vec<(u64, u64)>, Instrumented<T>) 
         gpu.launch(&l.kernel, l.grid, l.block, &l.params, &mut tool)
             .expect("launch completes");
     }
-    let raw = COST_CATEGORIES.iter().map(|&c| gpu.clock().raw(c)).collect();
+    let raw = COST_CATEGORIES
+        .iter()
+        .map(|&c| gpu.clock().raw(c))
+        .collect();
     (raw, tool)
 }
 
@@ -332,8 +335,7 @@ fn supervised_soak(
 ) -> (Vec<String>, Vec<Vec<(u64, String)>>, bool, u64) {
     quiet_poison_panics();
     let seed = cfg.seed;
-    let exec = |ctx: &iguard::JobCtx<'_, ServiceJob>,
-                tool: &mut Instrumented<ShardedIguard>| {
+    let exec = |ctx: &iguard::JobCtx<'_, ServiceJob>, tool: &mut Instrumented<ShardedIguard>| {
         if is_poison(seed, poison_denom, ctx.tenant, ctx.job_index) {
             panic!("poison job: {}#{}", ctx.tenant, ctx.job_index);
         }

@@ -40,7 +40,10 @@ fn table4_counts_iguard_detects_at_least_the_paper_races() {
         );
         total += found;
     }
-    assert!(total >= 57, "Table 4 total must reach the paper's 57, got {total}");
+    assert!(
+        total >= 57,
+        "Table 4 total must reach the paper's 57, got {total}"
+    );
 }
 
 #[test]

@@ -339,10 +339,7 @@ impl FaultInjector {
         let n = self.draws[i];
         self.draws[i] += 1;
         splitmix64(
-            self.seed
-                ^ self.domain
-                ^ (n.wrapping_mul(0xA24B_AED4_963E_E407))
-                ^ ((i as u64) << 56),
+            self.seed ^ self.domain ^ (n.wrapping_mul(0xA24B_AED4_963E_E407)) ^ ((i as u64) << 56),
         )
     }
 

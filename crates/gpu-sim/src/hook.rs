@@ -166,7 +166,15 @@ pub trait Hook {
     /// weak visibility, which implies it) is enabled — the litmus oracle
     /// needs observed values to evaluate final-state assertions, but the
     /// production detectors are value-blind and skip the callback cost.
-    fn on_load_value(&mut self, _block_id: u32, _tid_in_block: u32, _addr: u32, _pc: usize, _value: u32) {}
+    fn on_load_value(
+        &mut self,
+        _block_id: u32,
+        _tid_in_block: u32,
+        _addr: u32,
+        _pc: usize,
+        _value: u32,
+    ) {
+    }
 
     /// Called on each dynamic synchronization operation.
     fn on_sync(&mut self, _event: &SyncEvent<'_>, _clock: &mut Clock) {}
@@ -191,7 +199,14 @@ impl<H: Hook + ?Sized> Hook for &mut H {
         (**self).on_mem_access(access, clock);
     }
 
-    fn on_load_value(&mut self, block_id: u32, tid_in_block: u32, addr: u32, pc: usize, value: u32) {
+    fn on_load_value(
+        &mut self,
+        block_id: u32,
+        tid_in_block: u32,
+        addr: u32,
+        pc: usize,
+        value: u32,
+    ) {
         (**self).on_load_value(block_id, tid_in_block, addr, pc, value);
     }
 

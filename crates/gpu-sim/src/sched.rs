@@ -506,11 +506,15 @@ impl Scheduler for ReplayScheduler {
         match self.next("KeepAll/Split") {
             Decision::KeepAll => None,
             Decision::Split { start, keep }
-                if keep >= 1 && (keep as usize) < len && (start as usize) + (keep as usize) <= len =>
+                if keep >= 1
+                    && (keep as usize) < len
+                    && (start as usize) + (keep as usize) <= len =>
             {
                 Some((start as usize, keep as usize))
             }
-            d => panic!("replay desynchronized: expected subdivision of {len} lanes, trace has {d:?}"),
+            d => panic!(
+                "replay desynchronized: expected subdivision of {len} lanes, trace has {d:?}"
+            ),
         }
     }
 }

@@ -150,8 +150,24 @@ mod tests {
         assert_eq!(r.makespan, 35);
         assert_eq!(r.finish[a], 35);
         assert_eq!(r.finish[b], 20);
-        assert_eq!(r.streams[0], StreamLane { busy: 25, idle: 10, turnaround: 35, items: 1 });
-        assert_eq!(r.streams[1], StreamLane { busy: 10, idle: 10, turnaround: 20, items: 1 });
+        assert_eq!(
+            r.streams[0],
+            StreamLane {
+                busy: 25,
+                idle: 10,
+                turnaround: 35,
+                items: 1
+            }
+        );
+        assert_eq!(
+            r.streams[1],
+            StreamLane {
+                busy: 10,
+                idle: 10,
+                turnaround: 20,
+                items: 1
+            }
+        );
     }
 
     #[test]

@@ -271,7 +271,10 @@ impl Iguard {
     /// Everything the detector degraded on, with per-cause accounting.
     #[must_use]
     pub fn degradation(&self) -> Degradation {
-        let meta = self.table().map(MetadataTable::meta_stats).unwrap_or_default();
+        let meta = self
+            .table()
+            .map(MetadataTable::meta_stats)
+            .unwrap_or_default();
         let uvm = self.uvm_stats();
         Degradation {
             missed_checks: self.stats.missed_checks,
@@ -465,9 +468,7 @@ impl Tool for Iguard {
     }
 
     fn take_reinstrument(&mut self) -> bool {
-        self.pruner
-            .as_mut()
-            .is_some_and(Pruner::take_reinstrument)
+        self.pruner.as_mut().is_some_and(Pruner::take_reinstrument)
     }
 
     fn at_launch(&mut self, info: &LaunchInfo, clock: &mut Clock) {

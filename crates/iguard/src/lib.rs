@@ -74,11 +74,9 @@ pub use prune::{PruneMode, PruneStats, Pruner, StaticRaceReport};
 pub use report::{RaceRecord, RaceSite};
 pub use scratchpad::{ScratchpadGuard, SharedRace};
 pub use service::{
-    DetectorService, JobCtx, JobOutcome, LatencyStats, ServiceConfig, ServiceError,
-    ServiceReport, TenantVerdict,
+    DetectorService, JobCtx, JobOutcome, LatencyStats, ServiceConfig, ServiceError, ServiceReport,
+    TenantVerdict,
 };
 pub use shard::{ShardConfig, ShardedIguard};
 pub use store::{CheckpointStore, RecoveryReport, Reject};
-pub use supervise::{
-    QuarantineEntry, QuarantineReason, SupervisorConfig, SupervisorStats,
-};
+pub use supervise::{QuarantineEntry, QuarantineReason, SupervisorConfig, SupervisorStats};

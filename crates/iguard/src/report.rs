@@ -188,12 +188,14 @@ impl RaceSite {
 /// (all observations of one pc carry the same line anyway).
 pub fn merge_sites(into: &mut BTreeMap<(Arc<str>, usize), RaceSite>, sites: Vec<RaceSite>) {
     for s in sites {
-        let slot = into.entry((s.kernel.clone(), s.pc)).or_insert_with(|| RaceSite {
-            kernel: s.kernel.clone(),
-            pc: s.pc,
-            kinds: Vec::new(),
-            line: None,
-        });
+        let slot = into
+            .entry((s.kernel.clone(), s.pc))
+            .or_insert_with(|| RaceSite {
+                kernel: s.kernel.clone(),
+                pc: s.pc,
+                kinds: Vec::new(),
+                line: None,
+            });
         for k in s.kinds {
             if !slot.kinds.contains(&k) {
                 slot.kinds.push(k);
@@ -297,7 +299,10 @@ mod tests {
             kinds,
             line: None,
         };
-        let a = vec![site(5, vec![RaceKind::Locking]), site(9, vec![RaceKind::IntraWarp])];
+        let a = vec![
+            site(5, vec![RaceKind::Locking]),
+            site(9, vec![RaceKind::IntraWarp]),
+        ];
         let b = vec![site(5, vec![RaceKind::AtomicScope, RaceKind::Locking])];
         let mut ab = BTreeMap::new();
         merge_sites(&mut ab, a.clone());
@@ -308,7 +313,10 @@ mod tests {
         assert_eq!(ab, ba);
         let merged: Vec<RaceSite> = ab.into_values().collect();
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].kinds, vec![RaceKind::AtomicScope, RaceKind::Locking]);
+        assert_eq!(
+            merged[0].kinds,
+            vec![RaceKind::AtomicScope, RaceKind::Locking]
+        );
         assert_eq!(merged[0].canonical_line(), "k\t5\tAS,IL\t-");
     }
 }

@@ -87,8 +87,7 @@ use crate::report::{merge_sites, RaceSite};
 use crate::shard::ShardedIguard;
 use crate::store::record;
 use crate::supervise::{
-    self, Attempt, QuarantineEntry, QuarantineReason, Resolution, SupervisorConfig,
-    SupervisorStats,
+    self, Attempt, QuarantineEntry, QuarantineReason, Resolution, SupervisorConfig, SupervisorStats,
 };
 
 /// Service-level configuration.
@@ -248,7 +247,11 @@ impl TenantVerdict {
             out.push('\n');
         }
         for q in &self.quarantine {
-            out.push_str(&format!("quarantine\t{}\t{}\n", q.job_index, q.reason.name()));
+            out.push_str(&format!(
+                "quarantine\t{}\t{}\n",
+                q.job_index,
+                q.reason.name()
+            ));
         }
         out
     }
@@ -354,7 +357,9 @@ impl From<IguardError> for ServiceError {
 #[must_use]
 pub fn job_seed(service_seed: u64, tenant: &str, job_index: u64) -> u64 {
     let h = fnv1a(FNV1A_BASIS, tenant.as_bytes());
-    splitmix64(service_seed ^ splitmix64(h) ^ splitmix64(job_index.wrapping_add(0x9e37_79b9_7f4a_7c15)))
+    splitmix64(
+        service_seed ^ splitmix64(h) ^ splitmix64(job_index.wrapping_add(0x9e37_79b9_7f4a_7c15)),
+    )
 }
 
 #[derive(Debug)]
@@ -662,7 +667,8 @@ impl<P> DetectorService<P> {
                         backoff_cycles,
                     } => {
                         let cycles = outcome.kernel_cycles + backoff_cycles;
-                        st.executed.push((job_index, rank * spt + local_stream, cycles));
+                        st.executed
+                            .push((job_index, rank * spt + local_stream, cycles));
                         st.accept(tool.tool_mut(), &outcome);
                         report.jobs_run += 1;
                         report.launches += outcome.launches;
@@ -746,7 +752,10 @@ impl<P> DetectorService<P> {
     /// Total quarantined jobs across all tenants.
     #[must_use]
     pub fn quarantined(&self) -> u64 {
-        self.tenants.values().map(|st| st.quarantine.len() as u64).sum()
+        self.tenants
+            .values()
+            .map(|st| st.quarantine.len() as u64)
+            .sum()
     }
 
     /// Covered-prefix length for one tenant: accepted jobs plus
@@ -778,7 +787,10 @@ impl<P> DetectorService<P> {
                 ),
             )?);
             for site in st.sites.values() {
-                records.push(record(6, format!("site\t{name}\t{}", site.canonical_line()))?);
+                records.push(record(
+                    6,
+                    format!("site\t{name}\t{}", site.canonical_line()),
+                )?);
             }
             for entry in st.quarantine.values() {
                 records.push(record(
@@ -855,7 +867,14 @@ mod tests {
         let order: Vec<(&str, u64)> = calls.iter().map(|(t, i, _)| (t.as_str(), *i)).collect();
         assert_eq!(
             order,
-            vec![("acme", 0), ("acme", 1), ("acme", 2), ("zeta", 0), ("zeta", 1), ("zeta", 2)]
+            vec![
+                ("acme", 0),
+                ("acme", 1),
+                ("acme", 2),
+                ("zeta", 0),
+                ("zeta", 1),
+                ("zeta", 2)
+            ]
         );
     }
 
@@ -926,8 +945,16 @@ mod tests {
         // Past the covered count, at it, and for a tenant with no
         // `tenant` record (nothing covered).
         for records in [
-            &["seed\t42", "tenant\tacme\t0\t0\t0\t0", "quar\tacme\t3\tpanic\t3"][..],
-            &["seed\t42", "tenant\tacme\t3\t0\t0\t0", "quar\tacme\t3\tpanic\t3"],
+            &[
+                "seed\t42",
+                "tenant\tacme\t0\t0\t0\t0",
+                "quar\tacme\t3\tpanic\t3",
+            ][..],
+            &[
+                "seed\t42",
+                "tenant\tacme\t3\t0\t0\t0",
+                "quar\tacme\t3\tpanic\t3",
+            ],
             &["seed\t42", "quar\tacme\t0\thang\t2"],
         ] {
             let err = resume(records).unwrap_err();
@@ -935,8 +962,12 @@ mod tests {
             assert!(err.to_string().contains("outside"), "{err}");
         }
         // Inside the prefix, even ahead of its `tenant` record.
-        let svc = resume(&["seed\t42", "quar\tacme\t2\tpanic\t3", "tenant\tacme\t3\t0\t0\t0"])
-            .unwrap();
+        let svc = resume(&[
+            "seed\t42",
+            "quar\tacme\t2\tpanic\t3",
+            "tenant\tacme\t3\t0\t0\t0",
+        ])
+        .unwrap();
         let acme = &svc.verdicts()[0];
         assert_eq!((acme.jobs, acme.quarantined), (2, 1));
     }
@@ -1151,6 +1182,10 @@ mod tests {
             );
         }
         let kinds: Vec<&str> = errors.iter().map(ServiceError::kind).collect();
-        assert_eq!(kinds, ServiceError::KINDS, "one error per variant, in order");
+        assert_eq!(
+            kinds,
+            ServiceError::KINDS,
+            "one error per variant, in order"
+        );
     }
 }

@@ -95,7 +95,8 @@ fn pruning_preserves_race_reports_exactly() {
         let mut gpu = gpu();
         let buf = gpu.alloc(4).unwrap();
         let mut tool = Instrumented::new(Iguard::new(cfg));
-        gpu.launch(&racy_kernel(), 1, 32, &[buf], &mut tool).unwrap();
+        gpu.launch(&racy_kernel(), 1, 32, &[buf], &mut tool)
+            .unwrap();
         let races: Vec<String> = tool
             .tool_mut()
             .races()
@@ -118,7 +119,8 @@ fn verify_mode_tags_safe_accesses_and_never_sees_a_violation() {
     let b = gpu.alloc(64).unwrap();
     let c = gpu.alloc(4).unwrap();
     let mut tool = Instrumented::new(Iguard::new(IguardConfig::with_prune_verify()));
-    gpu.launch(&stream_kernel(), 2, 32, &[a, b], &mut tool).unwrap();
+    gpu.launch(&stream_kernel(), 2, 32, &[a, b], &mut tool)
+        .unwrap();
     gpu.launch(&racy_kernel(), 1, 32, &[c], &mut tool).unwrap();
 
     // Verify instruments everything: the framework skipped nothing.
@@ -213,7 +215,8 @@ fn pruning_composes_with_fault_injection_accounting() {
     let b = gpu.alloc(64).unwrap();
     let c = gpu.alloc(4).unwrap();
     let mut tool = Instrumented::new(Iguard::new(cfg));
-    gpu.launch(&stream_kernel(), 2, 32, &[a, b], &mut tool).unwrap();
+    gpu.launch(&stream_kernel(), 2, 32, &[a, b], &mut tool)
+        .unwrap();
     gpu.launch(&racy_kernel(), 1, 32, &[c], &mut tool).unwrap();
     let _ = tool.tool_mut().races();
     let deg = tool.tool().degradation();

@@ -175,8 +175,7 @@ impl<T: Tool> Instrumented<T> {
         }
         if let Some(i) = self.maps.iter().position(|e| {
             Arc::ptr_eq(&e.name, &kernel.name)
-                || (*e.name == *kernel.name
-                    && e.body.as_ref().is_none_or(|b| *b == kernel.code))
+                || (*e.name == *kernel.name && e.body.as_ref().is_none_or(|b| *b == kernel.code))
         }) {
             self.cursor = i;
             return i;
@@ -219,12 +218,7 @@ impl<T: Tool> Hook for Instrumented<T> {
 
     fn on_mem_access(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
         let idx = self.map_index(access.kernel, clock);
-        if !self.maps[idx]
-            .map
-            .get(access.pc)
-            .copied()
-            .unwrap_or(false)
-        {
+        if !self.maps[idx].map.get(access.pc).copied().unwrap_or(false) {
             self.stats.skipped_mem += 1;
             return;
         }
@@ -362,8 +356,7 @@ mod tests {
         fn new() -> Self {
             Pruning {
                 cache: static_an::ClassificationCache::new(),
-                chan: channel::HostChannel::new(1024, 1, 0, CostCategory::Instrumentation)
-                    .unwrap(),
+                chan: channel::HostChannel::new(1024, 1, 0, CostCategory::Instrumentation).unwrap(),
             }
         }
     }
@@ -390,7 +383,8 @@ mod tests {
         let b0 = gpu.alloc(4096).unwrap();
         let b1 = gpu.alloc(4096).unwrap();
         let mut inst = Instrumented::new(Pruning::new());
-        gpu.launch(kernel, grid, block, &[b0, b1], &mut inst).unwrap();
+        gpu.launch(kernel, grid, block, &[b0, b1], &mut inst)
+            .unwrap();
         let sent = inst.tool().chan.stats().sent;
         (inst.instr_stats(), sent)
     }

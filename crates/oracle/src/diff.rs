@@ -267,12 +267,14 @@ fn explain_iguard_fn(spec: &Spec) -> Option<&'static str> {
         return Some("fence-scope-approximation");
     }
     let overwritten = spec.actors.iter().any(|ops| {
-        ops.iter().enumerate().any(|(i, &op)| match atomic_site(op) {
-            Some((loc, Scope::Block)) => ops[i + 1..]
-                .iter()
-                .any(|&later| atomic_site(later) == Some((loc, Scope::Device))),
-            _ => false,
-        })
+        ops.iter()
+            .enumerate()
+            .any(|(i, &op)| match atomic_site(op) {
+                Some((loc, Scope::Block)) => ops[i + 1..]
+                    .iter()
+                    .any(|&later| atomic_site(later) == Some((loc, Scope::Device))),
+                _ => false,
+            })
     });
     overwritten.then_some("iguard-scope-overwritten")
 }
@@ -290,8 +292,10 @@ fn explain_iguard_fp(spec: &Spec) -> Option<&'static str> {
     let history = (0..NUM_SLOTS).any(|l| {
         let stores = |a: &Vec<Op>| a.contains(&Op::Store { loc: l });
         let loads = |a: &Vec<Op>| a.contains(&Op::Load { loc: l });
-        let atomics =
-            |a: &Vec<Op>| a.iter().any(|&op| atomic_site(op).is_some_and(|(loc, _)| loc == l));
+        let atomics = |a: &Vec<Op>| {
+            a.iter()
+                .any(|&op| atomic_site(op).is_some_and(|(loc, _)| loc == l))
+        };
         spec.actors.iter().any(stores)
             && spec.actors.iter().enumerate().any(|(i, a)| {
                 atomics(a)
@@ -370,7 +374,10 @@ pub fn diff(spec: &Spec) -> DiffReport {
                     _ => explain_barracuda_fp(spec),
                 };
                 // An incomplete enumeration makes "clean" a lower bound only.
-                (false, known.or_else(|| (!oracle.complete).then_some("oracle-incomplete")))
+                (
+                    false,
+                    known.or_else(|| (!oracle.complete).then_some("oracle-incomplete")),
+                )
             }
             _ => continue,
         };
@@ -461,8 +468,7 @@ mod tests {
         assert!(r
             .divergences
             .iter()
-            .all(|d| d.explanation == Some("barracuda-unsupported")
-                || d.detector == "iguard"));
+            .all(|d| d.explanation == Some("barracuda-unsupported") || d.detector == "iguard"));
         assert!(r.unexplained().is_empty(), "{}", r.describe());
     }
 
@@ -472,14 +478,21 @@ mod tests {
     fn table1_detectors_meet_the_oracle() {
         use Verdict::{Clean, Flagged, Unsupported};
         for (s, row) in [
-            ("v2;CB;aBx/aBx", [Unsupported, Unsupported, Flagged, Flagged]),
+            (
+                "v2;CB;aBx/aBx",
+                [Unsupported, Unsupported, Flagged, Flagged],
+            ),
             ("v2;SW;Sy/Ly", [Clean, Clean, Clean, Flagged]),
         ] {
             let spec = Spec::parse(s).unwrap();
             let oracle = explore(&spec, &ExploreConfig::default(), true);
             assert!(oracle.racy, "{s}");
             let plans = plans(&oracle);
-            assert_eq!(Detector::TABLE1.map(|d| verdict(d, &spec, &plans)), row, "{s}");
+            assert_eq!(
+                Detector::TABLE1.map(|d| verdict(d, &spec, &plans)),
+                row,
+                "{s}"
+            );
         }
     }
 

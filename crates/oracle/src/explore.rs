@@ -114,7 +114,14 @@ pub(crate) fn launch(
         .alloc(usize::from(NUM_SLOTS))
         .expect("oracle slot pool fits");
     let (grid, block) = spec.grid_block();
-    gpu.launch_with(kernel, grid, block, &[buf], hook, sched.unwrap_or(&mut random))?;
+    gpu.launch_with(
+        kernel,
+        grid,
+        block,
+        &[buf],
+        hook,
+        sched.unwrap_or(&mut random),
+    )?;
     Ok((gpu, buf))
 }
 
@@ -303,7 +310,11 @@ pub fn explore(spec: &Spec, cfg: &ExploreConfig, weak: bool) -> Report {
 /// deterministic choice).
 fn racy_pairs(
     pairs: Pairs,
-) -> (Vec<OracleRace>, Option<ScheduleTrace>, Option<ScheduleTrace>) {
+) -> (
+    Vec<OracleRace>,
+    Option<ScheduleTrace>,
+    Option<ScheduleTrace>,
+) {
     let mut racy: Vec<((Instance, Instance), PairState)> =
         pairs.into_iter().filter(|(_, p)| p.racy()).collect();
     racy.sort_by_key(|(k, _)| *k);
@@ -335,7 +346,11 @@ fn accumulate_orders(events: &[ObservedAccess], trace: &ScheduleTrace, pairs: &m
                 continue;
             }
             // Canonical unordered key; `fwd` means "lower instance first".
-            let (key, first_is_lower) = if ia <= ib { ((ia, ib), true) } else { ((ib, ia), false) };
+            let (key, first_is_lower) = if ia <= ib {
+                ((ia, ib), true)
+            } else {
+                ((ib, ia), false)
+            };
             let st = pairs.entry(key).or_insert_with(|| PairState {
                 fwd: None,
                 rev: None,
@@ -438,8 +453,12 @@ fn run_is_sc(kernel: &Kernel, obs: &Observer, buf: u32) -> bool {
         let slot = ((e.addr - buf) / 4) as usize;
         match &kernel.code[e.pc] {
             Instr::St { .. } => shadow[slot] = 1,
-            Instr::Atom { op: AtomOp::Add, .. } => shadow[slot] += 1,
-            Instr::Atom { op: AtomOp::Exch, .. } => shadow[slot] = 1,
+            Instr::Atom {
+                op: AtomOp::Add, ..
+            } => shadow[slot] += 1,
+            Instr::Atom {
+                op: AtomOp::Exch, ..
+            } => shadow[slot] = 1,
             Instr::Atom { op, .. } => unreachable!("oracle family has no {op:?}"),
             Instr::Ld { .. } => {
                 let observed = obs.loads[next_load].value;

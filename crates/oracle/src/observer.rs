@@ -69,7 +69,14 @@ impl Observer {
 }
 
 impl Hook for Observer {
-    fn on_load_value(&mut self, block_id: u32, tid_in_block: u32, addr: u32, pc: usize, value: u32) {
+    fn on_load_value(
+        &mut self,
+        block_id: u32,
+        tid_in_block: u32,
+        addr: u32,
+        pc: usize,
+        value: u32,
+    ) {
         self.loads.push(ObservedLoad {
             block: block_id,
             tid_in_block,

@@ -133,8 +133,12 @@ impl Op {
         match tok {
             "w" => Ok(Op::SyncWarp),
             "t" => Ok(Op::SyncThreads),
-            "fB" => Ok(Op::Fence { scope: Scope::Block }),
-            "fD" => Ok(Op::Fence { scope: Scope::Device }),
+            "fB" => Ok(Op::Fence {
+                scope: Scope::Block,
+            }),
+            "fD" => Ok(Op::Fence {
+                scope: Scope::Device,
+            }),
             _ if tok.starts_with("aB") => Ok(Op::AtomicAdd {
                 loc: loc_arg(&tok[2..])?,
                 scope: Scope::Block,
@@ -231,10 +235,9 @@ impl fmt::Display for SpecError {
             SpecError::Version { found } => write!(f, "unknown spec version in {found:?}"),
             SpecError::Header { found } => write!(f, "bad spec header in {found:?}"),
             SpecError::Placement { found } => write!(f, "unknown placement {found:?}"),
-            SpecError::ActorCount { count } => write!(
-                f,
-                "actor count {count} outside {MIN_ACTORS}..={MAX_ACTORS}"
-            ),
+            SpecError::ActorCount { count } => {
+                write!(f, "actor count {count} outside {MIN_ACTORS}..={MAX_ACTORS}")
+            }
             SpecError::EmptyActor { actor } => write!(f, "actor {actor} has no ops"),
             SpecError::UnknownOp { token } => write!(f, "unknown op token {token:?}"),
             SpecError::UnknownLocation { token } => {
@@ -317,9 +320,7 @@ impl Spec {
                     .iter()
                     .find(|o| matches!(o, Op::SyncWarp | Op::SyncThreads))
                 {
-                    return Err(SpecError::BarrierUnderCrossBlock {
-                        token: bar.token(),
-                    });
+                    return Err(SpecError::BarrierUnderCrossBlock { token: bar.token() });
                 }
             }
         }
@@ -349,12 +350,7 @@ impl Spec {
         let actors = self
             .actors
             .iter()
-            .map(|ops| {
-                ops.iter()
-                    .map(|o| o.token())
-                    .collect::<Vec<_>>()
-                    .join(".")
-            })
+            .map(|ops| ops.iter().map(|o| o.token()).collect::<Vec<_>>().join("."))
             .collect::<Vec<_>>()
             .join("/");
         let mut s = format!("v2;{place};{actors}");
@@ -407,7 +403,10 @@ impl Spec {
                 let conds = a.strip_prefix('?').ok_or_else(|| SpecError::Assertion {
                     clause: a.to_string(),
                 })?;
-                conds.split('&').map(Self::parse_cond).collect::<Result<_, _>>()?
+                conds
+                    .split('&')
+                    .map(Self::parse_cond)
+                    .collect::<Result<_, _>>()?
             }
         };
         let spec = Spec {
@@ -435,7 +434,11 @@ impl Spec {
         }
         let (actor, reg) = lhs.split_once(':').ok_or_else(bad)?;
         let actor: u8 = actor.parse().map_err(|_| bad())?;
-        let load: u8 = reg.strip_prefix('r').ok_or_else(bad)?.parse().map_err(|_| bad())?;
+        let load: u8 = reg
+            .strip_prefix('r')
+            .ok_or_else(bad)?
+            .parse()
+            .map_err(|_| bad())?;
         Ok(Cond::Reg { actor, load, value })
     }
 
@@ -531,8 +534,16 @@ impl Spec {
             placement,
             actors: vec![a0, a1],
             assertion: vec![
-                Cond::Reg { actor: 1, load: 0, value: 1 },
-                Cond::Reg { actor: 1, load: 1, value: 0 },
+                Cond::Reg {
+                    actor: 1,
+                    load: 0,
+                    value: 1,
+                },
+                Cond::Reg {
+                    actor: 1,
+                    load: 1,
+                    value: 0,
+                },
             ],
         }
     }
@@ -551,8 +562,16 @@ impl Spec {
             placement,
             actors: vec![a0, a1],
             assertion: vec![
-                Cond::Reg { actor: 0, load: 0, value: 0 },
-                Cond::Reg { actor: 1, load: 0, value: 0 },
+                Cond::Reg {
+                    actor: 0,
+                    load: 0,
+                    value: 0,
+                },
+                Cond::Reg {
+                    actor: 1,
+                    load: 0,
+                    value: 0,
+                },
             ],
         }
     }
@@ -571,8 +590,16 @@ impl Spec {
             placement,
             actors: vec![a0, a1],
             assertion: vec![
-                Cond::Reg { actor: 0, load: 0, value: 1 },
-                Cond::Reg { actor: 1, load: 0, value: 1 },
+                Cond::Reg {
+                    actor: 0,
+                    load: 0,
+                    value: 1,
+                },
+                Cond::Reg {
+                    actor: 1,
+                    load: 0,
+                    value: 1,
+                },
             ],
         }
     }
@@ -590,12 +617,33 @@ impl Spec {
         a3.push(Op::Load { loc: 0 });
         Spec {
             placement,
-            actors: vec![vec![Op::Store { loc: 0 }], vec![Op::Store { loc: 1 }], a2, a3],
+            actors: vec![
+                vec![Op::Store { loc: 0 }],
+                vec![Op::Store { loc: 1 }],
+                a2,
+                a3,
+            ],
             assertion: vec![
-                Cond::Reg { actor: 2, load: 0, value: 1 },
-                Cond::Reg { actor: 2, load: 1, value: 0 },
-                Cond::Reg { actor: 3, load: 0, value: 1 },
-                Cond::Reg { actor: 3, load: 1, value: 0 },
+                Cond::Reg {
+                    actor: 2,
+                    load: 0,
+                    value: 1,
+                },
+                Cond::Reg {
+                    actor: 2,
+                    load: 1,
+                    value: 0,
+                },
+                Cond::Reg {
+                    actor: 3,
+                    load: 0,
+                    value: 1,
+                },
+                Cond::Reg {
+                    actor: 3,
+                    load: 1,
+                    value: 0,
+                },
             ],
         }
     }
@@ -615,9 +663,21 @@ impl Spec {
             placement,
             actors: vec![vec![Op::Store { loc: 0 }], a1, a2],
             assertion: vec![
-                Cond::Reg { actor: 1, load: 0, value: 1 },
-                Cond::Reg { actor: 2, load: 0, value: 1 },
-                Cond::Reg { actor: 2, load: 1, value: 0 },
+                Cond::Reg {
+                    actor: 1,
+                    load: 0,
+                    value: 1,
+                },
+                Cond::Reg {
+                    actor: 2,
+                    load: 0,
+                    value: 1,
+                },
+                Cond::Reg {
+                    actor: 2,
+                    load: 1,
+                    value: 0,
+                },
             ],
         }
     }
@@ -854,7 +914,10 @@ mod tests {
     #[test]
     fn classic_shapes_roundtrip() {
         let mp = Spec::mp(Placement::CrossBlock, Some(Scope::Device));
-        assert_eq!(mp.to_compact_string(), "v2;CB;Sx.fD.Sy/Ly.fD.Lx;?1:r0=1&1:r1=0");
+        assert_eq!(
+            mp.to_compact_string(),
+            "v2;CB;Sx.fD.Sy/Ly.fD.Lx;?1:r0=1&1:r1=0"
+        );
         assert_eq!(Spec::parse(&mp.to_compact_string()).unwrap(), mp);
 
         let iriw = Spec::iriw(Placement::CrossBlock, None);
@@ -898,15 +961,26 @@ mod tests {
         assert!(matches!(err("v2;CB;Sx/Lx;?[q]=1"), E::Assertion { .. }));
         assert!(matches!(
             err("v2;CB;Sx/Lx;?5:r0=1"),
-            E::ActorRef { actor: 5, actors: 2 }
+            E::ActorRef {
+                actor: 5,
+                actors: 2
+            }
         ));
         assert!(matches!(
             err("v2;CB;Sx/Lx;?0:r0=1"),
-            E::LoadRef { actor: 0, load: 0, loads: 0 }
+            E::LoadRef {
+                actor: 0,
+                load: 0,
+                loads: 0
+            }
         ));
         assert!(matches!(
             err("v2;CB;Sx/Lx;?1:r3=0"),
-            E::LoadRef { actor: 1, load: 3, loads: 1 }
+            E::LoadRef {
+                actor: 1,
+                load: 3,
+                loads: 1
+            }
         ));
         // Errors render and are std errors.
         let e: Box<dyn std::error::Error> = Box::new(err("v2;CB;Sx"));

@@ -46,13 +46,19 @@ fn campaign_over_2048_kernels_has_no_unexplained_divergence() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     // The generator must actually exercise both verdicts and produce at
     // least some paper-predicted divergences, or the campaign is vacuous.
-    assert!(racy > CAMPAIGN_KERNELS / 10, "only {racy}/{CAMPAIGN_KERNELS} racy kernels");
+    assert!(
+        racy > CAMPAIGN_KERNELS / 10,
+        "only {racy}/{CAMPAIGN_KERNELS} racy kernels"
+    );
     assert!(
         racy < CAMPAIGN_KERNELS - CAMPAIGN_KERNELS / 10,
         "only {} clean kernels",
         CAMPAIGN_KERNELS - racy
     );
-    assert!(!explained.is_empty(), "campaign produced no explained divergences");
+    assert!(
+        !explained.is_empty(),
+        "campaign produced no explained divergences"
+    );
 }
 
 /// Replays `trace` for `spec` on the weak machine and returns the digest
@@ -67,7 +73,11 @@ fn replay_digest(spec: &Spec, trace: &gpu_sim::sched::ScheduleTrace) -> u64 {
     // object identity.
     gpu.launch_with(&spec.build(), grid, block, &[buf], &mut obs, &mut sched)
         .unwrap();
-    assert!(sched.finished(), "{}: trace not consumed", spec.to_compact_string());
+    assert!(
+        sched.finished(),
+        "{}: trace not consumed",
+        spec.to_compact_string()
+    );
     obs.digest()
 }
 
@@ -97,10 +107,7 @@ fn replay_is_stable_across_kernel_rebuilds() {
     let trace = explore(&spec, &ExploreConfig::default(), true)
         .witness
         .expect("spec is racy");
-    assert_eq!(
-        replay_digest(&spec, &trace),
-        replay_digest(&spec, &trace)
-    );
+    assert_eq!(replay_digest(&spec, &trace), replay_digest(&spec, &trace));
     let r = diff(&spec);
     assert_eq!(r.iguard, Verdict::Flagged, "{}", r.describe());
 }

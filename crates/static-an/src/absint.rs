@@ -359,10 +359,7 @@ pub fn run(kernel: &Kernel) -> Dataflow {
             _ => unreachable!("is_global_access covers Ld/St/Atom only"),
         };
         let base = st[addr.0 as usize];
-        addr_at[pc] = Some(add(
-            base,
-            AbsVal::Lin(Lin::constant(i64::from(offset))),
-        ));
+        addr_at[pc] = Some(add(base, AbsVal::Lin(Lin::constant(i64::from(offset)))));
     }
     Dataflow { addr_at, reached }
 }

@@ -371,10 +371,12 @@ fn mark_racy(
     classes: &mut [PointClass],
     racy_sites: &mut Vec<RacySite>,
 ) {
-    let straight = kernel
-        .code
-        .iter()
-        .all(|i| !matches!(i, Instr::Bra { .. } | Instr::BraIf { .. } | Instr::BraIfNot { .. }));
+    let straight = kernel.code.iter().all(|i| {
+        !matches!(
+            i,
+            Instr::Bra { .. } | Instr::BraIf { .. } | Instr::BraIfNot { .. }
+        )
+    });
     if !straight {
         return;
     }

@@ -144,11 +144,7 @@ impl ManagedRegion {
     /// Allocates `len_bytes` of *virtual* space. Nothing is resident yet,
     /// exactly like `cudaMallocManaged` (§6.1: "it only allocates virtual
     /// addresses").
-    pub fn new(
-        cfg: UvmConfig,
-        len_bytes: u64,
-        device_budget_bytes: u64,
-    ) -> Result<Self, UvmError> {
+    pub fn new(cfg: UvmConfig, len_bytes: u64, device_budget_bytes: u64) -> Result<Self, UvmError> {
         if cfg.page_bytes == 0 {
             return Err(UvmError::ZeroPageSize);
         }

@@ -102,7 +102,10 @@ fn main() {
     let racy = reduction_tail(false);
     let fixed = reduction_tail(true);
 
-    println!("input [1,2,3,4]; correct reduction = 10 (seeds {base}..{})\n", base + 24);
+    println!(
+        "input [1,2,3,4]; correct reduction = 10 (seeds {base}..{})\n",
+        base + 24
+    );
 
     println!("pre-Volta lockstep (the bug hides):");
     let (sum, _) = run_once(&racy, ExecMode::Lockstep, base.wrapping_add(1));

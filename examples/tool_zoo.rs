@@ -112,7 +112,10 @@ fn main() {
         println!("{label:<24} {races:>2} race(s)   {note}");
     };
 
-    println!("one kernel, every detector (grid 4x64, seed {}):\n", gpu_config().seed);
+    println!(
+        "one kernel, every detector (grid 4x64, seed {}):\n",
+        gpu_config().seed
+    );
 
     // iGUARD.
     let mut gpu = Gpu::new(gpu_config());

@@ -18,7 +18,11 @@ const CB: Placement = Placement::CrossBlock;
 
 fn run(spec: &Spec, weak: bool) -> Report {
     let r = explore(spec, &ExploreConfig::default(), weak);
-    assert!(r.complete, "{} must enumerate completely", spec.to_compact_string());
+    assert!(
+        r.complete,
+        "{} must enumerate completely",
+        spec.to_compact_string()
+    );
     r
 }
 
@@ -57,7 +61,10 @@ fn strong_schedule_counts_are_multinomials() {
     );
     // WRC: 1+2+2 -> 5!/(1!2!2!) = 30; fenced 1+3+3 -> 7!/(1!3!3!) = 140.
     assert_eq!(run(&Spec::wrc(CB, None), false).schedules, 30);
-    assert_eq!(run(&Spec::wrc(CB, Some(Scope::Device)), false).schedules, 140);
+    assert_eq!(
+        run(&Spec::wrc(CB, Some(Scope::Device)), false).schedules,
+        140
+    );
 }
 
 #[test]
@@ -122,10 +129,7 @@ fn weak_mp_device_fence_restores_order() {
     // fD between the stores flushes x before y ever becomes visible, so
     // (1,0) disappears: exactly {(0,0), (0,1), (1,1)} remain.
     let r = run(&Spec::mp(CB, Some(Scope::Device)), true);
-    assert_eq!(
-        outcome_keys(&r),
-        vec![vec![0, 0], vec![0, 1], vec![1, 1]]
-    );
+    assert_eq!(outcome_keys(&r), vec![vec![0, 0], vec![0, 1], vec![1, 1]]);
     let a = r.assertion.as_ref().unwrap();
     assert!(!a.reachable && !a.sc_reachable);
 }
@@ -153,10 +157,7 @@ fn weak_lb_forbidden_outcome_is_unreachable() {
     // order and the simulator never reorders within a thread, so (1,1)
     // is unreachable even under weak visibility: exactly 3 outcomes.
     let r = run(&Spec::lb(CB, None), true);
-    assert_eq!(
-        outcome_keys(&r),
-        vec![vec![0, 0], vec![0, 1], vec![1, 0]]
-    );
+    assert_eq!(outcome_keys(&r), vec![vec![0, 0], vec![0, 1], vec![1, 0]]);
     assert!(!r.assertion.as_ref().unwrap().reachable);
 }
 

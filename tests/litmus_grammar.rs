@@ -79,39 +79,56 @@ fn malformed_inputs_yield_typed_errors() {
         ("v2;XX;Sx/Lx", |e| matches!(e, SpecError::Placement { .. })),
         // Actor-count violations (1 actor; 5 actors).
         ("v2;CB;Sx", |e| matches!(e, SpecError::ActorCount { .. })),
-        (
-            "v2;CB;Sx/Sx/Sx/Sx/Sx",
-            |e| matches!(e, SpecError::ActorCount { .. }),
-        ),
+        ("v2;CB;Sx/Sx/Sx/Sx/Sx", |e| {
+            matches!(e, SpecError::ActorCount { .. })
+        }),
         // Empty actor body.
         ("v2;CB;Sx/", |e| matches!(e, SpecError::EmptyActor { .. })),
         ("v2;CB;/Lx", |e| matches!(e, SpecError::EmptyActor { .. })),
         // Unknown op / location.
         ("v2;CB;Qx/Lx", |e| matches!(e, SpecError::UnknownOp { .. })),
         ("v2;CB;Sq/Lx", |e| {
-            matches!(e, SpecError::UnknownOp { .. } | SpecError::UnknownLocation { .. })
+            matches!(
+                e,
+                SpecError::UnknownOp { .. } | SpecError::UnknownLocation { .. }
+            )
         }),
         // Barriers are meaningless across blocks.
-        (
-            "v2;CB;Sx.t/Lx",
-            |e| matches!(e, SpecError::BarrierUnderCrossBlock { .. }),
-        ),
+        ("v2;CB;Sx.t/Lx", |e| {
+            matches!(e, SpecError::BarrierUnderCrossBlock { .. })
+        }),
         // Assertion syntax and reference errors.
-        ("v2;CB;Sx/Lx;1:r0=0", |e| matches!(e, SpecError::Assertion { .. })),
-        ("v2;CB;Sx/Lx;?", |e| matches!(e, SpecError::Assertion { .. })),
-        ("v2;CB;Sx/Lx;?bogus", |e| matches!(e, SpecError::Assertion { .. })),
-        (
-            "v2;CB;Sx/Lx;?7:r0=0",
-            |e| matches!(e, SpecError::ActorRef { actor: 7, actors: 2 }),
-        ),
-        (
-            "v2;CB;Sx/Lx;?1:r3=0",
-            |e| matches!(e, SpecError::LoadRef { actor: 1, load: 3, loads: 1 }),
-        ),
-        (
-            "v2;CB;Sx/Lx;?[q]=0",
-            |e| matches!(e, SpecError::Assertion { .. }),
-        ),
+        ("v2;CB;Sx/Lx;1:r0=0", |e| {
+            matches!(e, SpecError::Assertion { .. })
+        }),
+        ("v2;CB;Sx/Lx;?", |e| {
+            matches!(e, SpecError::Assertion { .. })
+        }),
+        ("v2;CB;Sx/Lx;?bogus", |e| {
+            matches!(e, SpecError::Assertion { .. })
+        }),
+        ("v2;CB;Sx/Lx;?7:r0=0", |e| {
+            matches!(
+                e,
+                SpecError::ActorRef {
+                    actor: 7,
+                    actors: 2
+                }
+            )
+        }),
+        ("v2;CB;Sx/Lx;?1:r3=0", |e| {
+            matches!(
+                e,
+                SpecError::LoadRef {
+                    actor: 1,
+                    load: 3,
+                    loads: 1
+                }
+            )
+        }),
+        ("v2;CB;Sx/Lx;?[q]=0", |e| {
+            matches!(e, SpecError::Assertion { .. })
+        }),
     ];
     for (input, matches_variant) in cases {
         let err = Spec::parse(input).expect_err(input);

@@ -212,7 +212,10 @@ fn weak_plane_false_negative_classes_are_pinned() {
     ] {
         let spec = Spec::parse(spec_str).unwrap();
         let r = diff(&spec);
-        assert!(!r.oracle.racy, "{spec_str}: must be race-free under the oracle");
+        assert!(
+            !r.oracle.racy,
+            "{spec_str}: must be race-free under the oracle"
+        );
         let a = r.oracle.assertion.as_ref().expect("assertion verdict");
         assert!(
             a.reachable && !a.sc_reachable,
