@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full workspace tests, clippy clean,
+# Tier-1 gate: rustfmt clean (`cargo fmt --all -- --check`; the
+# standalone `benchmark/` package is not a workspace member, so this does
+# not cover it), release build, full workspace tests, clippy clean,
 # rustdoc clean (`-D warnings`, so a doc link to a deleted or private
 # item fails here instead of going stale), and a build of the standalone
 # `benchmark/` package followed by that package's own unit tests, among
@@ -53,6 +55,9 @@ for arg in "$@"; do
     *) echo "ci.sh: unknown flag $arg" >&2; exit 2 ;;
   esac
 done
+
+echo "== cargo fmt =="
+cargo fmt --all -- --check
 
 echo "== cargo build --release =="
 cargo build --release --workspace

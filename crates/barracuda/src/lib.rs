@@ -44,6 +44,19 @@ pub enum BinaryKind {
     MultiFile,
 }
 
+impl BinaryKind {
+    /// [`MultiFile`](BinaryKind::MultiFile) for a workload packaged as a
+    /// multi-file library, else [`SingleFile`](BinaryKind::SingleFile).
+    #[must_use]
+    pub fn of(multi_file: bool) -> Self {
+        if multi_file {
+            BinaryKind::MultiFile
+        } else {
+            BinaryKind::SingleFile
+        }
+    }
+}
+
 /// Why Barracuda refuses a binary before execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Unsupported {

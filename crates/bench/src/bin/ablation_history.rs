@@ -7,7 +7,7 @@
 //! cargo run -p bench --release --bin ablation_history
 //! ```
 
-use bench::{par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{gpu_config, par_map, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
@@ -16,18 +16,15 @@ const DEPTHS: [usize; 4] = [1, 2, 4, 8];
 fn main() {
     bench::switches([]);
     let set = workloads::racey();
-    let mut specs = Vec::new();
-    for w in &set {
-        for d in DEPTHS {
-            specs.push(JobSpec::new(
-                *w,
-                ToolSpec::Iguard(IguardConfig::with_history(d)),
-                Size::Test,
-                DEFAULT_SEED,
-            ));
-        }
-    }
-    let outcomes = par_map(specs, JobSpec::run);
+    // One column per history depth: the distinct racing sites found.
+    let columns = DEPTHS.map(|d| {
+        par_map(set.clone(), |w| {
+            let cfg = IguardConfig::with_history(d);
+            bench::run_iguard(&w, Size::Test, gpu_config(DEFAULT_SEED), cfg)
+                .sites
+                .len()
+        })
+    });
 
     println!("Sec 6.7 ablation: races found vs accessor-history depth");
     println!();
@@ -38,14 +35,9 @@ fn main() {
     println!("{}", "-".repeat(55));
     let mut any_new = false;
     for (i, w) in set.iter().enumerate() {
-        let counts: Vec<Option<usize>> = (0..DEPTHS.len())
-            .map(|j| {
-                outcomes[i * DEPTHS.len() + j]
-                    .as_ref()
-                    .ok()
-                    .and_then(RunOutput::iguard)
-                    .map(|r| r.sites.len())
-            })
+        let counts: Vec<Option<usize>> = columns
+            .iter()
+            .map(|col| col[i].as_ref().ok().copied())
             .collect();
         let cell = |c: Option<usize>| match c {
             Some(n) => n.to_string(),

@@ -14,101 +14,51 @@
 //! view of how much overhead the hybrid static/dynamic mode removes.
 //! Without the flag the binary is byte-identical to the previous output.
 
-use bench::{geomean, par_map, BarracudaRun, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use barracuda::BarracudaFailure;
+use bench::{geomean, gpu_config, par_map, BarracudaRun, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
-/// Per-workload overheads extracted from the per-workload results
-/// (`native, iguard[, pruned], barracuda`):
-/// `(iguard_over, pruned_over, barracuda_over, note)`.
-fn row(
-    outcomes: &[Result<RunOutput, String>],
-) -> Option<(f64, Option<f64>, Option<f64>, &'static str)> {
-    let native = outcomes[0].as_ref().ok()?.native()?;
-    let ig = outcomes[1].as_ref().ok()?.iguard()?;
-    let ig_over = ig.driven.time / native.time;
-    let pruned_over = (outcomes.len() == 4)
-        .then(|| {
-            outcomes[2]
-                .as_ref()
-                .ok()?
-                .iguard()
-                .map(|p| p.driven.time / native.time)
-        })
-        .flatten();
-    let Some(bar) = outcomes[outcomes.len() - 1]
-        .as_ref()
-        .ok()
-        .and_then(RunOutput::barracuda)
-    else {
-        return Some((ig_over, pruned_over, None, "DNF"));
-    };
-    Some(match bar {
-        BarracudaRun::Unsupported(_) => (ig_over, pruned_over, None, "unsupported"),
-        BarracudaRun::Ran { time, failure, .. } => {
-            let over = time / native.time;
-            match failure {
-                Some(barracuda::BarracudaFailure::DidNotTerminate) => {
-                    (ig_over, pruned_over, Some(over), "timeout")
-                }
-                Some(barracuda::BarracudaFailure::OutOfMemory { .. }) => {
-                    (ig_over, pruned_over, None, "oom")
-                }
-                None => (ig_over, pruned_over, Some(over), ""),
-            }
-        }
-    })
-}
-
 fn main() {
     let [prune] = bench::switches(["--prune"]);
-    let stride = if prune { 4 } else { 3 };
 
     let sets = [
         ("(a) applications with races", workloads::racey()),
         ("(b) race-free", workloads::clean()),
     ];
-    // Three runs per workload — native, iGUARD, Barracuda — in figure
-    // order across both panels; `--prune` inserts a fourth (iGUARD with
-    // the static pre-analysis pass) between iGUARD and Barracuda.
-    let mut specs = Vec::new();
-    for (_, set) in &sets {
-        for w in set {
-            specs.push(JobSpec::new(
-                *w,
-                ToolSpec::Native,
-                Size::Bench,
-                DEFAULT_SEED,
-            ));
-            specs.push(JobSpec::new(
-                *w,
-                ToolSpec::Iguard(IguardConfig::default()),
-                Size::Bench,
-                DEFAULT_SEED,
-            ));
-            if prune {
-                specs.push(JobSpec::new(
-                    *w,
-                    ToolSpec::Iguard(IguardConfig::with_prune()),
-                    Size::Bench,
-                    DEFAULT_SEED,
-                ));
-            }
-            specs.push(JobSpec::new(
-                *w,
-                ToolSpec::Barracuda(bench::barracuda_config_for()),
-                Size::Bench,
-                DEFAULT_SEED,
-            ));
-        }
-    }
-    let outcomes = par_map(specs, JobSpec::run);
+    // One column per tool over both panels' workloads, in figure order:
+    // native, iGUARD, iGUARD with the static pre-analysis pass (empty
+    // without `--prune`) and Barracuda.
+    let all: Vec<_> = sets.iter().flat_map(|(_, set)| set.clone()).collect();
+    let iguard_time = |cfg: IguardConfig| {
+        par_map(all.clone(), move |w| {
+            let gcfg = gpu_config(DEFAULT_SEED);
+            bench::run_iguard(&w, Size::Bench, gcfg, cfg.clone())
+                .driven
+                .time
+        })
+    };
+    let native = par_map(all.clone(), |w| {
+        bench::run_native(&w, Size::Bench, gpu_config(DEFAULT_SEED)).time
+    });
+    let iguard = iguard_time(IguardConfig::default());
+    let pruned = if prune {
+        iguard_time(IguardConfig::with_prune())
+    } else {
+        Vec::new()
+    };
+    let barracuda = par_map(all.clone(), |w| {
+        let cfg = bench::barracuda_config_for();
+        bench::run_barracuda(&w, Size::Bench, gpu_config(DEFAULT_SEED), cfg)
+    });
 
     let mut all_ig = Vec::new();
     let mut all_pruned = Vec::new();
     let mut common_ig = Vec::new();
     let mut common_bar = Vec::new();
-    let mut cursor = 0usize;
+    // Row `i` of the figure, counted across both panels, is index `i` of
+    // every column.
+    let mut rows = 0..all.len();
 
     for (label, set) in &sets {
         println!("Figure 11 {label}");
@@ -128,16 +78,28 @@ fn main() {
         let mut ig_set = Vec::new();
         let mut pruned_set = Vec::new();
         let mut bar_set = Vec::new();
-        for w in set {
-            let group = &outcomes[cursor..cursor + stride];
-            cursor += stride;
-            let Some((ig, pr, bar, note)) = row(group) else {
+        for (w, i) in set.iter().zip(&mut rows) {
+            let (Ok(native), Ok(ig)) = (&native[i], &iguard[i]) else {
                 if prune {
                     println!("{:<15} {:>9} {:>9} {:>11}  DNF", w.name, "-", "-", "-");
                 } else {
                     println!("{:<15} {:>9} {:>11}  DNF", w.name, "-", "-");
                 }
                 continue;
+            };
+            let ig = ig / native;
+            let pr = pruned
+                .get(i)
+                .and_then(|p| p.as_ref().ok())
+                .map(|p| p / native);
+            let (bar, note) = match &barracuda[i] {
+                Err(_) => (None, "DNF"),
+                Ok(BarracudaRun::Unsupported(_)) => (None, "unsupported"),
+                Ok(BarracudaRun::Ran { time, failure, .. }) => match failure {
+                    Some(BarracudaFailure::DidNotTerminate) => (Some(time / native), "timeout"),
+                    Some(BarracudaFailure::OutOfMemory { .. }) => (None, "oom"),
+                    None => (Some(time / native), ""),
+                },
             };
             all_ig.push(ig);
             ig_set.push(ig);

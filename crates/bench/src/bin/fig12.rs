@@ -10,21 +10,14 @@
 //! cargo run -p bench --release --bin fig12 [-- --ablate]
 //! ```
 
-use bench::{geomean, par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{geomean, gpu_config, par_map, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
-
-/// iGUARD time / native time from two adjacent results; `None` on DNF.
-fn over(native: &Result<RunOutput, String>, ig: &Result<RunOutput, String>) -> Option<f64> {
-    let n = native.as_ref().ok()?.native()?;
-    let i = ig.as_ref().ok()?.iguard()?;
-    Some(i.driven.time / n.time)
-}
 
 fn main() {
     let [ablate] = bench::switches(["--ablate"]);
 
-    // Per workload: native, then one iGUARD run per configuration column.
+    // The iGUARD configuration of each column, baseline first.
     let configs: Vec<IguardConfig> = if ablate {
         vec![
             IguardConfig::without_contention_opts(),
@@ -46,30 +39,25 @@ fn main() {
             IguardConfig::default(),
         ]
     };
-    let stride = configs.len() + 1;
 
     let set: Vec<_> = workloads::all()
         .into_iter()
         .filter(|w| w.contention_heavy)
         .collect();
-    let mut specs = Vec::new();
-    for w in &set {
-        specs.push(JobSpec::new(
-            *w,
-            ToolSpec::Native,
-            Size::Bench,
-            DEFAULT_SEED,
-        ));
-        for cfg in &configs {
-            specs.push(JobSpec::new(
-                *w,
-                ToolSpec::Iguard(cfg.clone()),
-                Size::Bench,
-                DEFAULT_SEED,
-            ));
-        }
-    }
-    let outcomes = par_map(specs, JobSpec::run);
+    let native = par_map(set.clone(), |w| {
+        bench::run_native(&w, Size::Bench, gpu_config(DEFAULT_SEED)).time
+    });
+    let iguard: Vec<_> = configs
+        .iter()
+        .map(|cfg| {
+            par_map(set.clone(), |w| {
+                let gcfg = gpu_config(DEFAULT_SEED);
+                bench::run_iguard(&w, Size::Bench, gcfg, cfg.clone())
+                    .driven
+                    .time
+            })
+        })
+        .collect();
 
     println!("Figure 12: overhead with and without the contention optimizations");
     if ablate {
@@ -87,9 +75,11 @@ fn main() {
 
     let mut gains = Vec::new();
     for (i, w) in set.iter().enumerate() {
-        let chunk = &outcomes[i * stride..(i + 1) * stride];
-        let native = &chunk[0];
-        let cols: Vec<Option<f64>> = (1..stride).map(|j| over(native, &chunk[j])).collect();
+        // iGUARD time over native time per column; `None` on a DNF.
+        let cols: Vec<Option<f64>> = iguard
+            .iter()
+            .map(|col| Some(col[i].as_ref().ok()? / native[i].as_ref().ok()?))
+            .collect();
         let (base, both) = (cols[0], cols[cols.len() - 1]);
         let cell = |v: Option<f64>, w: usize| match v {
             Some(x) => format!("{x:>w$.1}x", w = w),

@@ -11,25 +11,17 @@
 
 use std::collections::BTreeMap;
 
-use bench::{par_map, JobSpec, RunOutput, ToolSpec, BREAKDOWN_LABELS, DEFAULT_SEED};
+use bench::{gpu_config, par_map, BREAKDOWN_LABELS, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
 fn main() {
     bench::switches([]);
     let set = workloads::all();
-    let specs = set
-        .iter()
-        .map(|w| {
-            JobSpec::new(
-                *w,
-                ToolSpec::Iguard(IguardConfig::default()),
-                Size::Bench,
-                DEFAULT_SEED,
-            )
-        })
-        .collect();
-    let outcomes = par_map(specs, JobSpec::run);
+    let breakdowns = par_map(set.clone(), |w| {
+        let cfg = IguardConfig::default();
+        bench::run_iguard(&w, Size::Bench, gpu_config(DEFAULT_SEED), cfg).breakdown
+    });
 
     println!("Figure 13: breakdown of application runtime under iGUARD (% of total)");
     println!();
@@ -42,15 +34,15 @@ fn main() {
 
     let mut suites: BTreeMap<&str, ([f64; 6], usize)> = BTreeMap::new();
     let mut dnf = Vec::new();
-    for (w, o) in set.iter().zip(&outcomes) {
-        let Some(ig) = o.as_ref().ok().and_then(RunOutput::iguard) else {
+    for (w, b) in set.iter().zip(&breakdowns) {
+        let Ok(breakdown) = b else {
             dnf.push(w.name);
             continue;
         };
-        let total: f64 = ig.breakdown.iter().sum();
+        let total: f64 = breakdown.iter().sum();
         let entry = suites.entry(w.suite.name()).or_insert(([0.0; 6], 0));
-        for i in 0..6 {
-            entry.0[i] += ig.breakdown[i] / total;
+        for (sum, b) in entry.0.iter_mut().zip(breakdown) {
+            *sum += b / total;
         }
         entry.1 += 1;
     }

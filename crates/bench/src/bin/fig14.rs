@@ -93,24 +93,10 @@ fn measure(gb: u64) -> Row {
 
 fn main() {
     bench::switches([]);
-    // One run per footprint, plus one (`None`) for Barracuda's flat
-    // overhead (reused for every footprint where its reservation fits).
-    enum Out {
-        Row(Row),
-        BarOver(Option<f64>),
-    }
-    let items = FOOTPRINTS_GB.into_iter().map(Some).chain([None]).collect();
-    let mut outs: Vec<Out> = par_map(items, |gb| match gb {
-        Some(gb) => Out::Row(measure(gb)),
-        None => Out::BarOver(barracuda_flat_overhead()),
-    })
-    .into_iter()
-    .map(|out| out.expect("a footprint run does not panic"))
-    .collect();
-
-    let Some(Out::BarOver(bar_over)) = outs.pop() else {
-        unreachable!("last run is the Barracuda overhead")
-    };
+    // One run per footprint; Barracuda's flat overhead is one run, reused
+    // for every footprint where its reservation fits.
+    let rows = par_map(FOOTPRINTS_GB.to_vec(), measure);
+    let bar_over = barracuda_flat_overhead();
 
     println!("Figure 14: overheads with memory footprint scaling (d_reduce)");
     println!();
@@ -120,10 +106,8 @@ fn main() {
     );
     println!("{}", "-".repeat(66));
 
-    for (gb, out) in FOOTPRINTS_GB.into_iter().zip(outs) {
-        let Out::Row(row) = out else {
-            unreachable!("footprint rows precede the Barracuda run")
-        };
+    for (gb, row) in FOOTPRINTS_GB.into_iter().zip(rows) {
+        let row = row.expect("a footprint run does not panic");
         let barracuda = if !row.barracuda_fits {
             "OOM".to_string()
         } else {

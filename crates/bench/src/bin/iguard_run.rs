@@ -201,12 +201,8 @@ fn run_iguard(w: &Workload, args: &Args) {
 fn run_curd(w: &Workload, args: &Args) {
     let mut gpu = Gpu::new(gpu_config(args.seed));
     let launches = w.build(&mut gpu, args.size);
-    let kind = if w.multi_file {
-        barracuda::BinaryKind::MultiFile
-    } else {
-        barracuda::BinaryKind::SingleFile
-    };
     let kernels = Workload::kernels(&launches);
+    let kind = barracuda::BinaryKind::of(w.multi_file);
     let curd = match barracuda::Curd::for_kernels(&kernels, kind) {
         Ok(c) => c,
         Err(u) => {

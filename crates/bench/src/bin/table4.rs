@@ -8,7 +8,7 @@
 //! `--bench` re-runs detection at the larger benchmark grid sizes; counts
 //! must be identical (the seeded sites are scale-invariant).
 
-use bench::{kinds_summary, par_map, BarracudaRun, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{gpu_config, kinds_summary, par_map, BarracudaRun, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::{BarracudaExpectation, Size};
 
@@ -19,25 +19,15 @@ fn main() {
         Size::Test
     };
 
-    // One iGUARD and one Barracuda run per racey workload, in table
-    // order; `par_map` returns results in the same order.
+    // One column per tool over the racey workloads, in table order.
     let table = workloads::racey();
-    let mut specs = Vec::new();
-    for w in &table {
-        specs.push(JobSpec::new(
-            *w,
-            ToolSpec::Iguard(IguardConfig::default()),
-            size,
-            DEFAULT_SEED,
-        ));
-        specs.push(JobSpec::new(
-            *w,
-            ToolSpec::Barracuda(bench::barracuda_config_for()),
-            Size::Test,
-            DEFAULT_SEED,
-        ));
-    }
-    let outcomes = par_map(specs, JobSpec::run);
+    let iguard = par_map(table.clone(), |w| {
+        bench::run_iguard(&w, size, gpu_config(DEFAULT_SEED), IguardConfig::default())
+    });
+    let barracuda = par_map(table.clone(), |w| {
+        let cfg = bench::barracuda_config_for();
+        bench::run_barracuda(&w, Size::Test, gpu_config(DEFAULT_SEED), cfg)
+    });
 
     println!("Table 4: Races detected by Barracuda and iGUARD");
     println!("(paper column = counts reported in the paper; measured = this reproduction)");
@@ -52,34 +42,29 @@ fn main() {
     let mut total_measured = 0;
     let mut mismatches = Vec::new();
     let mut dnf = 0usize;
-    for (i, w) in table.iter().enumerate() {
-        let ig = outcomes[2 * i].as_ref().ok().and_then(RunOutput::iguard);
-        let bar = outcomes[2 * i + 1]
-            .as_ref()
-            .ok()
-            .and_then(RunOutput::barracuda);
+    for ((w, ig), bar) in table.iter().zip(&iguard).zip(&barracuda) {
         total_paper += w.paper_races;
 
         let (measured_str, types_str) = match ig {
-            Some(r) => {
+            Ok(r) => {
                 total_measured += r.sites.len();
                 if r.sites.len() != w.paper_races {
                     mismatches.push((w.name, w.paper_races, r.sites.len(), r.sites.clone()));
                 }
                 (r.sites.len().to_string(), kinds_summary(&r.sites))
             }
-            None => {
+            Err(_) => {
                 dnf += 1;
                 ("DNF".to_string(), String::new())
             }
         };
         let bar_str = match bar {
-            None => {
+            Err(_) => {
                 dnf += 1;
                 "DNF".to_string()
             }
-            Some(BarracudaRun::Unsupported(u)) => format!("unsup({u})"),
-            Some(BarracudaRun::Ran { races, failure, .. }) => match failure {
+            Ok(BarracudaRun::Unsupported(u)) => format!("unsup({u})"),
+            Ok(BarracudaRun::Ran { races, failure, .. }) => match failure {
                 Some(barracuda::BarracudaFailure::DidNotTerminate) => format!("{races}*"),
                 Some(barracuda::BarracudaFailure::OutOfMemory { .. }) => "OOM".to_string(),
                 None => races.to_string(),

@@ -6,29 +6,23 @@
 //! cargo run -p bench --release --bin table5
 //! ```
 
-use bench::{par_map, BarracudaRun, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{gpu_config, par_map, BarracudaRun, DEFAULT_SEED};
 use iguard::IguardConfig;
 use workloads::Size;
 
 fn main() {
     bench::switches([]);
     let table = workloads::clean();
-    let mut specs = Vec::new();
-    for w in &table {
-        specs.push(JobSpec::new(
-            *w,
-            ToolSpec::Iguard(IguardConfig::default()),
-            Size::Test,
-            DEFAULT_SEED,
-        ));
-        specs.push(JobSpec::new(
-            *w,
-            ToolSpec::Barracuda(bench::barracuda_config_for()),
-            Size::Test,
-            DEFAULT_SEED,
-        ));
-    }
-    let outcomes = par_map(specs, JobSpec::run);
+    let iguard = par_map(table.clone(), |w| {
+        let cfg = IguardConfig::default();
+        bench::run_iguard(&w, Size::Test, gpu_config(DEFAULT_SEED), cfg)
+            .sites
+            .len()
+    });
+    let barracuda = par_map(table.clone(), |w| {
+        let cfg = bench::barracuda_config_for();
+        bench::run_barracuda(&w, Size::Test, gpu_config(DEFAULT_SEED), cfg)
+    });
 
     println!("Table 5: Applications without any reported races");
     println!();
@@ -39,29 +33,24 @@ fn main() {
     println!("{}", "-".repeat(50));
     let mut false_positives = 0;
     let mut dnf = 0usize;
-    for (i, w) in table.iter().enumerate() {
-        let ig = outcomes[2 * i].as_ref().ok().and_then(RunOutput::iguard);
-        let bar = outcomes[2 * i + 1]
-            .as_ref()
-            .ok()
-            .and_then(RunOutput::barracuda);
+    for ((w, ig), bar) in table.iter().zip(&iguard).zip(&barracuda) {
         let ig_str = match ig {
-            Some(r) => {
-                false_positives += r.sites.len();
-                r.sites.len().to_string()
+            Ok(races) => {
+                false_positives += races;
+                races.to_string()
             }
-            None => {
+            Err(_) => {
                 dnf += 1;
                 "DNF".to_string()
             }
         };
         let bar_str = match bar {
-            None => {
+            Err(_) => {
                 dnf += 1;
                 "DNF".to_string()
             }
-            Some(BarracudaRun::Unsupported(_)) => "unsup".to_string(),
-            Some(BarracudaRun::Ran { races, .. }) => {
+            Ok(BarracudaRun::Unsupported(_)) => "unsup".to_string(),
+            Ok(BarracudaRun::Ran { races, .. }) => {
                 false_positives += races;
                 races.to_string()
             }

@@ -7,16 +7,20 @@
 //! (`table1`, `table4`, `table5`, `fig11`, `fig12`, `fig13`, `fig14`,
 //! `fence_scope_cost`, `ablation_history`); beside them sit the CLI
 //! (`iguard_run`) and the test-plane campaigns (`fuzz`, `pressure`).
-//! Each binary fans its independent runs out through [`par_map`] and
-//! prints the results in submission order. Every run launches through
-//! one loop, [`drive`], with one failure policy; the multi-tenant
+//!
+//! Each binary fans its independent runs out the same way: one
+//! [`par_map`] call per tool column, over the binary's workload list,
+//! whose closure calls [`run_native`], [`run_iguard`] or
+//! [`run_barracuda`] and returns one concrete type. Row `i` of a table is
+//! index `i` of every column. Each cell is its own `Result`, so a run
+//! that panics is one DNF cell and the rest of its row still prints.
+//! Every run launches through one loop, [`drive`], with one failure
+//! policy; the multi-tenant
 //! detector service's exec path ([`run_service_job`]) uses it too and
 //! lives here for its tests. Host time is not measured here: that is the
 //! standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
-
-pub mod job;
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,8 +38,6 @@ use iguard::supervise::panic_message;
 use iguard::{Iguard, IguardConfig, RaceSite, ShardedIguard};
 use nvbit_sim::Instrumented;
 use workloads::{Launch, Size, Workload};
-
-pub use job::{JobSpec, RunOutput, ToolSpec};
 
 /// Runs `f` over `items` on one scoped thread per available core and
 /// returns one result per item, in submission order.
@@ -219,14 +221,6 @@ pub struct IguardRun {
     /// Injected-fault counters aggregated across the detector's
     /// components and the GPU launch boundary.
     pub fault_stats: faults::FaultStats,
-    /// Static-pruning counters (all zero with pruning off, the default).
-    pub prune: iguard::PruneStats,
-    /// Races reported statically at launch time (empty with pruning off).
-    pub static_races: Vec<iguard::StaticRaceReport>,
-    /// Instrumentation-framework dispatch accounting: with pruning on,
-    /// `instr.skipped_mem` counts the dynamic accesses whose callback was
-    /// elided by the static verdict.
-    pub instr: nvbit_sim::InstrStats,
 }
 
 /// Runs `w` under iGUARD configured by `cfg` on a GPU configured by `gcfg`.
@@ -237,7 +231,6 @@ pub fn run_iguard(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardConfig) 
     let mut tool = Instrumented::new(Iguard::new(cfg));
     let driven = drive(&mut gpu, &launches, &mut tool, w.name, |_| false);
     let breakdown = COST_CATEGORIES.map(|c| gpu.clock().time(c));
-    let instr = tool.instr_stats();
     let det = tool.tool_mut();
     // `race_sites` drains the report channel, so the degradation summary
     // collected afterwards satisfies `sent == drained + dropped`.
@@ -253,9 +246,6 @@ pub fn run_iguard(w: &Workload, size: Size, gcfg: GpuConfig, cfg: IguardConfig) 
         uvm: det.uvm_stats(),
         degradation,
         fault_stats,
-        prune: det.prune_stats(),
-        static_races: det.static_reports().to_vec(),
-        instr,
     }
 }
 
@@ -273,7 +263,7 @@ pub struct ServiceJob {
 }
 
 impl ServiceJob {
-    /// A `reps = 1` job for `workload` at `size`.
+    /// A job that runs `workload` at `size`, `reps` times.
     #[must_use]
     pub fn new(workload: &str, size: Size, reps: u32) -> Self {
         ServiceJob {
@@ -383,11 +373,7 @@ pub fn run_barracuda(
 ) -> BarracudaRun {
     let mut gpu = Gpu::new(gcfg);
     let launches = w.build(&mut gpu, size);
-    let kind = if w.multi_file {
-        BinaryKind::MultiFile
-    } else {
-        BinaryKind::SingleFile
-    };
+    let kind = BinaryKind::of(w.multi_file);
     if let Err(u) = barracuda::supports(&Workload::kernels(&launches), kind) {
         return BarracudaRun::Unsupported(u);
     }

@@ -1,13 +1,15 @@
-//! Parallel-vs-serial equivalence: `par_map` over the experiment specs
-//! must give, on the runs' full Debug forms, exactly what a plain serial
-//! loop gives — the property that lets every table and figure run in
-//! parallel and still print the same bytes.
+//! Parallel-vs-serial equivalence: `par_map` over a tool column must
+//! give, on the runs' full Debug forms, exactly what a plain serial loop
+//! gives — the property that lets every table and figure run in parallel
+//! and still print the same bytes.
 
-use bench::{par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use std::fmt::Debug;
+
+use bench::{gpu_config, par_map, run_iguard, run_native, DEFAULT_SEED};
 use iguard::IguardConfig;
-use workloads::Size;
+use workloads::{Size, Workload};
 
-/// A small racey + clean sample (kept quick: the whole sweep runs twice).
+/// A small racey + clean sample (kept quick: each column runs twice).
 const SAMPLE: [&str; 6] = [
     "graph-color", // racey, atomic-scope
     "uts",         // racey, improper locking
@@ -17,47 +19,52 @@ const SAMPLE: [&str; 6] = [
     "louvain",     // racey, multi-file
 ];
 
-fn specs() -> Vec<JobSpec> {
+fn sample() -> Vec<Workload> {
     SAMPLE
         .iter()
-        .flat_map(|name| {
-            let w = workloads::by_name(name).expect("sample workload exists");
-            [
-                JobSpec::new(w, ToolSpec::Native, Size::Test, DEFAULT_SEED),
-                JobSpec::new(
-                    w,
-                    ToolSpec::Iguard(IguardConfig::default()),
-                    Size::Test,
-                    DEFAULT_SEED,
-                ),
-            ]
-        })
+        .map(|name| workloads::by_name(name).expect("sample workload exists"))
         .collect()
 }
 
-/// Debug form stripped of nothing: simulated results carry no wall-clock
-/// or thread-dependent state, so the full Debug string must match.
-fn render(out: &RunOutput) -> String {
-    format!("{out:?}")
+/// Runs `run` over the sample serially and through `par_map`, and
+/// compares the Debug forms run by run: simulated results carry no
+/// wall-clock or thread-dependent state, so nothing is stripped.
+fn assert_parallel_matches_serial<T: Debug + Send>(
+    column: &str,
+    run: impl Fn(Workload) -> T + Sync,
+) {
+    let serial: Vec<String> = sample()
+        .into_iter()
+        .map(|w| format!("{:?}", run(w)))
+        .collect();
+    let parallel: Vec<String> = par_map(sample(), &run)
+        .into_iter()
+        .zip(SAMPLE)
+        .map(|(r, name)| match r {
+            Ok(r) => format!("{r:?}"),
+            Err(e) => panic!("{column} run of {name} panicked: {e}"),
+        })
+        .collect();
+    assert_eq!(serial.len(), parallel.len());
+    for ((s, p), name) in serial.iter().zip(&parallel).zip(SAMPLE) {
+        assert_eq!(
+            s, p,
+            "{column} run of {name} diverged between the serial loop and par_map"
+        );
+    }
 }
 
 #[test]
 fn parallel_results_are_byte_identical_to_serial() {
-    let serial: Vec<String> = specs()
-        .into_iter()
-        .map(JobSpec::run)
-        .map(|r| render(&r))
-        .collect();
-    let parallel: Vec<String> = par_map(specs(), JobSpec::run)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| render(&r.unwrap_or_else(|e| panic!("sample run {i} panicked: {e}"))))
-        .collect();
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            s, p,
-            "result {i} diverged between the serial loop and par_map"
-        );
-    }
+    assert_parallel_matches_serial("native", |w| {
+        run_native(&w, Size::Test, gpu_config(DEFAULT_SEED))
+    });
+    assert_parallel_matches_serial("iGUARD", |w| {
+        run_iguard(
+            &w,
+            Size::Test,
+            gpu_config(DEFAULT_SEED),
+            IguardConfig::default(),
+        )
+    });
 }

@@ -5,9 +5,9 @@
 //! paged, so a rung pays for the pages it touches. Before that, each of
 //! the 72 L1s and both slot tables grew a flat vector to the highest word
 //! touched: the 128 Ki rung peaked at 209 MB, and the 4 Mi rung ROADMAP
-//! item 1(b) asks for would have wanted ≈ 6 GB. This test pins the 128 Ki
-//! rung under 64 MB and records the 1 Mi rung as the first data point
-//! toward that item's gate ("inside one 12 s pass under 1 GB of heap").
+//! `[bench-v2]` (b) asks for would have wanted ≈ 6 GB. This test pins the
+//! 128 Ki rung under 64 MB and records the 1 Mi rung as the first data
+//! point toward that item's gate ("inside one 12 s pass under 1 GB of heap").
 //! The L2 is paged too, so a device nobody has written costs its 72 empty
 //! L1s and little else, whatever `mem_words` says.
 //!

@@ -3,27 +3,26 @@
 //! its paper-reported race count (Table 4), and no race-free workload
 //! yields any report at all (Table 5's zero-false-positive claim).
 
-use bench::{par_map, JobSpec, RunOutput, ToolSpec, DEFAULT_SEED};
+use bench::{gpu_config, par_map, run_iguard, DEFAULT_SEED};
 use iguard::IguardConfig;
-use workloads::Size;
+use workloads::{Size, Workload};
 
-fn iguard_sweep(set: Vec<workloads::Workload>) -> Vec<(workloads::Workload, usize)> {
-    let specs = set
-        .iter()
-        .map(|w| {
-            JobSpec::new(
-                *w,
-                ToolSpec::Iguard(IguardConfig::default()),
-                Size::Test,
-                DEFAULT_SEED,
-            )
-        })
-        .collect();
+/// Each workload of `set` with the distinct racing sites iGUARD finds.
+fn iguard_sweep(set: Vec<Workload>) -> Vec<(Workload, usize)> {
+    let found = par_map(set.clone(), |w| {
+        let run = run_iguard(
+            &w,
+            Size::Test,
+            gpu_config(DEFAULT_SEED),
+            IguardConfig::default(),
+        );
+        run.sites.len()
+    });
     set.into_iter()
-        .zip(par_map(specs, JobSpec::run))
-        .map(|(w, o)| match o {
-            Ok(RunOutput::Iguard(r)) => (w, r.sites.len()),
-            other => panic!("{} did not finish: {other:?}", w.name),
+        .zip(found)
+        .map(|(w, n)| match n {
+            Ok(n) => (w, n),
+            Err(e) => panic!("{} did not finish: {e}", w.name),
         })
         .collect()
 }

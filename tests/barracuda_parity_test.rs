@@ -26,11 +26,7 @@ fn run_barracuda(w: &Workload) -> Outcome {
     };
     let mut gpu = Gpu::new(cfg);
     let launches = w.build(&mut gpu, Size::Test);
-    let kind = if w.multi_file {
-        BinaryKind::MultiFile
-    } else {
-        BinaryKind::SingleFile
-    };
+    let kind = BinaryKind::of(w.multi_file);
     if let Err(u) = barracuda::supports(&Workload::kernels(&launches), kind) {
         return Outcome::Unsupported(u);
     }
