@@ -9,7 +9,12 @@
 # `iguard::shard` shim: the frozen benchmark names `ShardedIguard` (a
 # second `impl Detector`, and the service job closure's parameter type)
 # and `ShardConfig::inline`, so breaking that surface fails here rather
-# than in a benchmark run.
+# than in a benchmark run. The same build guards the pruning surface the
+# frozen benchmark names: `PruneMode::On` (its pruned arm),
+# `static_an::analyze(..).{safe_points, unknown_points}` and
+# `InstrStats::skipped_mem` (its `static_an.*` and `iguard.prune.*`
+# metrics). A deletion of static pruning must keep these until the
+# benchmark stops naming them.
 # The workspace tests already byte-compare the stdout of every paper
 # artifact (`table1`, `table4`, `table5`, `fig11`-`fig14`, `table4 --bench`,
 # `fig11 --prune`, `fig12 --ablate`, `fence_scope_cost`, `ablation_history`) plus `pressure`, six
@@ -33,7 +38,9 @@
 #            schedule-space oracle vs both detectors; any unexplained
 #            divergence fails), a 30 s `fuzz --static` arm (oracle corpus +
 #            fresh stream through the static-pruning differential; any
-#            `static-unsound` observation fails), and the corpus drift
+#            `static-unsound` observation fails: a report the pruned run
+#            lost, an all-safe verdict on an oracle-racy kernel, or a
+#            verify-mode violation), and the corpus drift
 #            check (the oracle corpus regenerates byte-identically).
 # --litmus   a 30 s random weak-memory litmus campaign (`fuzz --litmus`);
 #            any unexplained divergence fails. The oracle corpus replay is

@@ -22,8 +22,10 @@
 //!   differential (`oracle::static_diff`: static verdict × pruned-iGUARD ×
 //!   full-iGUARD × oracle enumeration) instead of `oracle::diff`, after
 //!   first replaying every spec of the pinned oracle corpus. The
-//!   `static-incomplete` class is expected and reported; a
-//!   `static-unsound` observation is a soundness bug and fails the run.
+//!   `static-incomplete` class (a clean kernel left instrumented) is
+//!   expected and reported. A `static-unsound` observation is a soundness
+//!   bug and fails the run: a report the pruned run lost, an all-safe
+//!   verdict on an oracle-racy kernel, or a verify-mode violation.
 //!
 //! A spec fails on an unexplained oracle/detector divergence (or on
 //! `static-unsound` under `--static`). Exit code 1 on any failing spec

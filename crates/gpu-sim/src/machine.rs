@@ -124,17 +124,6 @@ impl Default for GpuConfig {
     }
 }
 
-/// One device allocation.
-#[derive(Debug, Clone)]
-pub struct Allocation {
-    /// Base byte address.
-    pub addr: u32,
-    /// Backing words.
-    pub words: usize,
-    /// Logical size charged against device capacity.
-    pub logical_bytes: u64,
-}
-
 /// Summary of a completed launch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchStats {
@@ -151,7 +140,6 @@ pub struct Gpu {
     cfg: GpuConfig,
     mem: GlobalMem,
     clock: Clock,
-    allocs: Vec<Allocation>,
     bump_word: usize,
     logical_allocated: u64,
     faults: FaultInjector,
@@ -198,7 +186,6 @@ impl Gpu {
             cfg,
             mem,
             clock: Clock::new(),
-            allocs: Vec::new(),
             // Reserve the first words so address 0 stays "null".
             bump_word: 16,
             logical_allocated: 64,
@@ -253,11 +240,6 @@ impl Gpu {
             });
         }
         let addr = (self.bump_word * 4) as u32;
-        self.allocs.push(Allocation {
-            addr,
-            words,
-            logical_bytes,
-        });
         self.bump_word += words;
         self.logical_allocated += logical_bytes;
         Ok(addr)

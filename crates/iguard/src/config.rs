@@ -101,7 +101,7 @@ impl IguardConfig {
     }
 
     /// Hybrid static/dynamic detection: skip callbacks at provably-safe
-    /// points, report provably-racy sites at launch time (DESIGN.md §13).
+    /// points (DESIGN.md §13).
     #[must_use]
     pub fn with_prune() -> Self {
         IguardConfig {

@@ -37,7 +37,7 @@ use crate::engine::{Engine, EngineParams, LaneCtx, Sink, SplitCtx};
 use crate::error::IguardError;
 use crate::locks::WarpLockState;
 use crate::metadata::{MetaStats, MetadataTable, TableConfig, ENTRY_BYTES};
-use crate::prune::{PruneMode, PruneStats, Pruner, StaticRaceReport};
+use crate::prune::{PruneMode, PruneStats, Pruner};
 use crate::report::{RaceRecord, RaceReporter, RaceSite};
 use crate::syncmeta::SyncMetadata;
 
@@ -260,14 +260,6 @@ impl Iguard {
         self.pruner.as_ref().map(Pruner::stats).unwrap_or_default()
     }
 
-    /// Races reported statically at launch time, without running the
-    /// detector. Kept separate from the dynamic report stream so report
-    /// parity between pruned and unpruned runs is unaffected.
-    #[must_use]
-    pub fn static_reports(&self) -> &[StaticRaceReport] {
-        self.pruner.as_ref().map_or(&[], Pruner::reports)
-    }
-
     /// Everything the detector degraded on, with per-cause accounting.
     #[must_use]
     pub fn degradation(&self) -> Degradation {
@@ -467,14 +459,7 @@ impl Tool for Iguard {
         self.pruner.is_some()
     }
 
-    fn take_reinstrument(&mut self) -> bool {
-        self.pruner.as_mut().is_some_and(Pruner::take_reinstrument)
-    }
-
     fn at_launch(&mut self, info: &LaunchInfo, clock: &mut Clock) {
-        if let Some(p) = &mut self.pruner {
-            p.on_launch(info);
-        }
         self.stats.launches += 1;
         // Scheduler-step window within which two accesses to the same
         // entry count as concurrent: scales with the launch's warp count.

@@ -70,7 +70,7 @@ pub use checks::{AccessType, RaceKind};
 pub use config::IguardConfig;
 pub use detector::{Degradation, Iguard, IguardStats};
 pub use error::IguardError;
-pub use prune::{PruneMode, PruneStats, Pruner, StaticRaceReport};
+pub use prune::{PruneMode, PruneStats, Pruner};
 pub use report::{RaceRecord, RaceSite};
 pub use scratchpad::{ScratchpadGuard, SharedRace};
 pub use service::{

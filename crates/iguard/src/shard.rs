@@ -76,10 +76,6 @@ impl Tool for ShardedIguard {
         self.0.body_sensitive()
     }
 
-    fn take_reinstrument(&mut self) -> bool {
-        self.0.take_reinstrument()
-    }
-
     fn at_launch(&mut self, info: &LaunchInfo, clock: &mut Clock) {
         self.0.at_launch(info, clock);
     }

@@ -69,15 +69,6 @@ pub trait Tool {
         false
     }
 
-    /// Polled once per launch, after [`Tool::at_launch`]. Returning `true`
-    /// invalidates every cached instrumentation bitmap: the framework
-    /// re-analyzes (and re-charges analysis cost for) each kernel on next
-    /// sight. A pruning tool uses this when a launch violates assumptions
-    /// (e.g. region disjointness) baked into previously built bitmaps.
-    fn take_reinstrument(&mut self) -> bool {
-        false
-    }
-
     /// Kernel launch (after framework analysis).
     fn at_launch(&mut self, _info: &LaunchInfo, _clock: &mut Clock) {}
 
@@ -98,10 +89,8 @@ pub trait Tool {
 /// predicate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InstrStats {
-    /// Kernels analyzed (bitmaps built), including re-analyses.
+    /// Kernels analyzed (bitmaps built).
     pub analyzed_kernels: u64,
-    /// Bitmap rebuilds forced by [`Tool::take_reinstrument`].
-    pub reinstrumented_kernels: u64,
     /// Dynamic memory callbacks dispatched to the tool.
     pub dispatched_mem: u64,
     /// Dynamic memory accesses whose callback was skipped by the bitmap.
@@ -201,15 +190,6 @@ impl<T: Tool> Instrumented<T> {
 impl<T: Tool> Hook for Instrumented<T> {
     fn on_kernel_launch(&mut self, info: &LaunchInfo, clock: &mut Clock) {
         self.tool.at_launch(info, clock);
-        if self.tool.take_reinstrument() {
-            // The tool's instrumentation assumptions no longer hold (e.g. a
-            // pruning tool saw a launch violating region disjointness).
-            // Drop every cached bitmap: kernels re-analyze — and re-charge
-            // analysis cost, honestly — on next sight.
-            self.stats.reinstrumented_kernels += self.maps.len() as u64;
-            self.maps.clear();
-            self.cursor = 0;
-        }
     }
 
     fn on_kernel_end(&mut self, info: &LaunchInfo, clock: &mut Clock) {
@@ -452,23 +432,20 @@ mod tests {
 
     #[test]
     fn classified_predicate_mixed_kernel() {
-        // Straight-line kernel with a provably-racy uniform store next to
-        // an unknown point: racy points stay instrumented (the dynamic
-        // report is still wanted), and only provably-safe points may be
-        // dropped — here there are none, but the *predicate machinery*
-        // distinguishes the classes per pc.
+        // A read-only load next to plain stores: one write defeats rule A,
+        // a non-atomic write defeats rule B, and the rules are
+        // kernel-global, so no point is dropped — not even the load.
         let mut b = KernelBuilder::new("mixed");
         let buf = b.param(0);
         let tid = b.special(Special::Tid);
-        b.st(buf, 0, tid); // uniform: provably racy
-        let idx = b.ld(buf, 1); // loaded index: unknown
+        b.st(buf, 0, tid);
+        let idx = b.ld(buf, 1);
         let off = b.mul(idx, 4u32);
         let a = b.add(buf, off);
         b.st(a, 2, tid);
         let k = b.build();
         let cls = static_an::analyze(&k);
-        assert_eq!(cls.racy_points, 1);
-        assert!(cls.unknown_points >= 2);
+        assert_eq!(cls.unknown_points, 3);
         assert_eq!(cls.safe_points, 0);
         assert_eq!(
             inspect::classified_instrumentation_points(&k, &cls),
@@ -481,18 +458,17 @@ mod tests {
 
     #[test]
     fn channel_sent_reflects_pruned_points_exactly() {
-        // Two-kernel session: a safe streaming kernel (all accesses pruned)
-        // then an unknown kernel (all accesses shipped). The channel sees
-        // only the second kernel's records.
-        let mut safe = KernelBuilder::new("stream");
+        // Two-kernel session: an atomic-protected histogram kernel (all
+        // accesses pruned) then an unknown kernel (all accesses shipped).
+        // The channel sees only the second kernel's records.
+        let mut safe = KernelBuilder::new("hist");
         let input = safe.param(0);
         let output = safe.param(1);
         let g = safe.special(Special::GlobalTid);
         let off = safe.mul(g, 4u32);
         let ia = safe.add(input, off);
         let v = safe.ld(ia, 0);
-        let oa = safe.add(output, off);
-        safe.st(oa, 0, v);
+        let _ = safe.atomic_add(Scope::Device, output, 0, v);
         let safe = safe.build();
         let unknown = test_kernel();
 
@@ -503,7 +479,7 @@ mod tests {
         gpu.launch(&safe, 1, 32, &[b0, b1], &mut inst).unwrap();
         let after_safe = inst.instr_stats();
         assert_eq!(after_safe.dispatched_mem, 0);
-        // Callbacks are per warp split: one load split + one store split.
+        // Callbacks are per warp split: one load split + one atomic split.
         assert_eq!(after_safe.skipped_mem, 2);
         assert_eq!(inst.tool().chan.stats().sent, 0);
 
@@ -517,7 +493,8 @@ mod tests {
     #[test]
     fn same_name_different_body_gets_its_own_bitmap() {
         // The instrumented-function cache is name-keyed; a body-sensitive
-        // tool must not let a racy twin reuse the safe twin's pruned bitmap.
+        // tool must not let an unknown twin reuse the safe twin's pruned
+        // bitmap.
         let mut a = KernelBuilder::new("twin");
         let pa = a.param(0);
         let ta = a.special(Special::Tid);
@@ -529,7 +506,7 @@ mod tests {
         let pb = b.param(0);
         let tb = b.special(Special::Tid);
         b.st(pb, 0, tb);
-        let b = b.build(); // uniform store: must stay instrumented
+        let b = b.build(); // plain store: must stay instrumented
         assert_eq!(*a.name, *b.name);
 
         let mut gpu = Gpu::new(GpuConfig::default());
@@ -542,48 +519,7 @@ mod tests {
         assert_eq!(stats.analyzed_kernels, 2, "two bodies, two analyses");
         assert!(
             stats.dispatched_mem > 0,
-            "the racy twin's store must dispatch"
+            "the unknown twin's store must dispatch"
         );
-    }
-
-    /// A tool that asks for reinstrumentation once.
-    struct Flipping {
-        flip: bool,
-        wants_mem: bool,
-    }
-
-    impl Tool for Flipping {
-        fn wants_at(&mut self, kernel: &Kernel, pc: usize) -> bool {
-            let i = &kernel.code[pc];
-            (i.is_global_access() && self.wants_mem) || i.is_sync()
-        }
-        fn body_sensitive(&self) -> bool {
-            true
-        }
-        fn take_reinstrument(&mut self) -> bool {
-            std::mem::take(&mut self.flip)
-        }
-    }
-
-    #[test]
-    fn reinstrumentation_drops_cached_bitmaps() {
-        let k = test_kernel();
-        let mut gpu = Gpu::new(GpuConfig::default());
-        let buf = gpu.alloc(4096).unwrap();
-        let mut inst = Instrumented::new(Flipping {
-            flip: false,
-            wants_mem: false,
-        });
-        gpu.launch(&k, 1, 32, &[buf], &mut inst).unwrap();
-        assert_eq!(inst.instr_stats().dispatched_mem, 0);
-        // Flip to conservative instrumentation; the cached "skip everything"
-        // bitmap must not survive the next launch.
-        inst.tool_mut().flip = true;
-        inst.tool_mut().wants_mem = true;
-        gpu.launch(&k, 1, 32, &[buf], &mut inst).unwrap();
-        let stats = inst.instr_stats();
-        assert_eq!(stats.reinstrumented_kernels, 1);
-        assert_eq!(stats.analyzed_kernels, 2);
-        assert!(stats.dispatched_mem > 0);
     }
 }

@@ -5,27 +5,20 @@
 //! that this module checks against ground truth, per kernel:
 //!
 //! 1. **Soundness** — pruning never loses a report. Whatever the fully
-//!    instrumented detector flags, the pruned detector must also flag
-//!    (dynamically or via a launch-time static race report), a kernel the
-//!    oracle proves racy must never be classified all-safe, a kernel the
-//!    oracle proves clean (complete enumeration) must never carry a
-//!    provably-racy verdict, and verify mode must count zero violations.
-//!    Any breach lands in the **`static-unsound`** class, which fails the
-//!    campaign — the bucket must stay empty.
+//!    instrumented detector flags, the pruned detector must also flag, a
+//!    kernel the oracle proves racy must never be classified all-safe,
+//!    and verify mode must count zero violations. Any breach lands in the
+//!    **`static-unsound`** class, which fails the campaign — the bucket
+//!    must stay empty.
 //! 2. **Incompleteness is expected** — a clean kernel the pass could not
 //!    prove safe (unknown points remain instrumented) is the pass being
 //!    conservative, not wrong. These land in **`static-incomplete`**, the
 //!    expected bucket, and never fail anything.
 //!
-//! The oracle's spec family exercises classification rules A (a kernel
-//! with no global writes → `ReadOnlyKernel`) and B (every write a
-//! device-scope atomic → `AtomicProtected`) but, by construction, never
-//! rule C or the provably-racy rule: every actor region sits behind the
-//! actor-dispatch branch, so the kernels are not straight-line and their
-//! addressing is slot-indexed rather than gtid-strided. Those rules are
-//! covered by the unit suites in `static-an` and
-//! `iguard/tests/prune_test.rs`; this arm's value is end-to-end soundness
-//! over kernels with ground-truth verdicts.
+//! The oracle's spec family exercises both classification rules: A (a
+//! kernel with no global writes → `ReadOnlyKernel`) and B (every write a
+//! device-scope atomic → `AtomicProtected`). This arm's value is
+//! end-to-end soundness over kernels with ground-truth verdicts.
 
 use gpu_sim::kernel::Kernel;
 use iguard::{Iguard, IguardConfig};
@@ -58,18 +51,13 @@ pub struct StaticDiffReport {
     pub oracle: Report,
     /// Static instrumentation points in the kernel body.
     pub mem_points: usize,
-    /// ... provably safe / provably racy / unknown.
+    /// ... provably safe / unknown.
     pub safe_points: usize,
-    pub racy_points: usize,
     pub unknown_points: usize,
     /// Fully instrumented detector's verdict (seeds + witness replays).
     pub full: Verdict,
-    /// Pruned detector's verdict over the same runs. `Flagged` covers
-    /// both dynamic race reports and launch-time static race reports.
+    /// Pruned detector's verdict over the same runs.
     pub pruned: Verdict,
-    /// Launch-time static race reports across the pruned runs (max over
-    /// runs — each run rebuilds its own detector).
-    pub static_races: u64,
     /// Verify-mode violations summed across every seed and witness
     /// replay. Non-zero is a soundness bug.
     pub verify_violations: u64,
@@ -91,7 +79,7 @@ impl StaticDiffReport {
     #[must_use]
     pub fn describe(&self) -> String {
         let mut s = format!(
-            "{} oracle={}{} static={}m/{}s/{}r/{}u full={:?} pruned={:?} verify={}",
+            "{} oracle={}{} static={}m/{}s/{}u full={:?} pruned={:?} verify={}",
             self.spec.to_compact_string(),
             if self.oracle.racy { "racy" } else { "clean" },
             if self.oracle.complete {
@@ -101,7 +89,6 @@ impl StaticDiffReport {
             },
             self.mem_points,
             self.safe_points,
-            self.racy_points,
             self.unknown_points,
             self.full,
             self.pruned,
@@ -117,7 +104,6 @@ impl StaticDiffReport {
 /// One detector run's pruning-relevant outcome.
 struct RunOutcome {
     dynamic_flag: bool,
-    static_races: u64,
     verify_violations: u64,
 }
 
@@ -129,7 +115,6 @@ fn run_iguard(spec: &Spec, kernel: &Kernel, plan: Plan<'_>, cfg: &IguardConfig) 
     let ps = tool.tool().prune_stats();
     RunOutcome {
         dynamic_flag: tool.tool().unique_races() > 0,
-        static_races: ps.static_races,
         verify_violations: ps.verify_violations,
     }
 }
@@ -143,18 +128,12 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
     let plans = plans(&oracle);
     let full = verdict(Detector::Iguard, spec, &plans);
 
-    // The pruned detector: dynamic reports and launch-time static reports
-    // both count toward `Flagged` (the user-visible union). Run every
-    // plan so `static_races` reflects a full pass, not first-hit luck.
+    // The pruned detector, over the same plans; the first report decides.
     let pruned_cfg = IguardConfig::with_prune();
-    let mut pruned_flag = false;
-    let mut static_races = 0u64;
-    for &plan in &plans {
-        let out = run_iguard(spec, &kernel, plan, &pruned_cfg);
-        pruned_flag |= out.dynamic_flag || out.static_races > 0;
-        static_races = static_races.max(out.static_races);
-    }
-    let pruned = if pruned_flag {
+    let pruned = if plans
+        .iter()
+        .any(|&plan| run_iguard(spec, &kernel, plan, &pruned_cfg).dynamic_flag)
+    {
         Verdict::Flagged
     } else {
         Verdict::Clean
@@ -182,12 +161,6 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
             detail: "all-safe verdict on an oracle-racy kernel",
         });
     }
-    if cls.racy_points > 0 && oracle.complete && !oracle.racy {
-        divergences.push(StaticDivergence {
-            class: STATIC_UNSOUND,
-            detail: "provably-racy verdict on an oracle-clean kernel",
-        });
-    }
     if verify_violations > 0 {
         divergences.push(StaticDivergence {
             class: STATIC_UNSOUND,
@@ -206,11 +179,9 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
         oracle,
         mem_points: cls.mem_points,
         safe_points: cls.safe_points,
-        racy_points: cls.racy_points,
         unknown_points: cls.unknown_points,
         full,
         pruned,
-        static_races,
         verify_violations,
         divergences,
     }
