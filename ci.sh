@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: rustfmt clean (`cargo fmt --all -- --check`; the
 # standalone `benchmark/` package is not a workspace member, so this does
-# not cover it), release build, full workspace tests, clippy clean,
+# not cover it), release build, full workspace tests, one release run of
+# each `examples/*.rs` (`cargo test` only builds them, so their own
+# `assert!`s run here; ~6 s), clippy clean,
 # rustdoc clean (`-D warnings`, so a doc link to a deleted or private
 # item fails here instead of going stale), and a build of the standalone
 # `benchmark/` package followed by that package's own unit tests, among
@@ -71,6 +73,13 @@ cargo build --release --workspace
 
 echo "== cargo test =="
 cargo test -q --workspace --release
+
+echo "== examples =="
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "example $name"
+  cargo run -q --release --example "$name" >/dev/null
+done
 
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

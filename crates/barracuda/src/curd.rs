@@ -188,9 +188,6 @@ impl Tool for Curd {
     }
 
     fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
-        if access.space != gpu_sim::ir::Space::Global {
-            return;
-        }
         match self.path {
             CurdPath::Fast => {
                 clock.charge_serial(CostCategory::Detection, FAST_RECORD_COST);

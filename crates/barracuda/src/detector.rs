@@ -221,10 +221,7 @@ impl Tool for Barracuda {
     }
 
     fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
-        if self.failure.is_some() || access.space != gpu_sim::ir::Space::Global {
-            // Shared-memory detection is disabled for the comparison, as
-            // the paper does ("we disable shared memory race detection in
-            // Barracuda since iGUARD focuses only on global memory", §7).
+        if self.failure.is_some() {
             return;
         }
         // Volatile accesses are word-atomic flag-protocol traffic; model

@@ -339,7 +339,6 @@ impl SplitDriver {
             kernel: &self.kernel,
             pc: usize::from(kind != AccessKind::Load),
             kind,
-            space: Space::Global,
             block_id: warp / 4,
             warp_in_block: warp % 4,
             global_warp: warp,

@@ -28,7 +28,7 @@ mod common;
 
 use common::{stencil_launches, LADDER_THREADS, ZOO_DETECT};
 use gpu_sim::hook::{AccessKind, ExecMode, Hook, MemAccess, SyncEvent};
-use gpu_sim::ir::{Scope, Space};
+use gpu_sim::ir::Scope;
 use gpu_sim::machine::{Gpu, GpuConfig, LaunchStats};
 use gpu_sim::timing::Clock;
 use workloads::{Launch, Size};
@@ -89,7 +89,9 @@ impl Hook for Digest {
             a.pc as u64,
             u64::from(a.active_mask),
             kind,
-            u64::from(a.space == Space::Shared),
+            // The retired space word (0 = global), kept so the pinned
+            // digest holds.
+            0,
             u64::from(a.volatile),
             a.lanes.len() as u64,
         ]);

@@ -14,8 +14,8 @@ use gpu_sim::machine::Gpu;
 use gpu_sim::timing::COST_CATEGORIES;
 use iguard::supervise::attempt_faults;
 use iguard::{
-    CheckpointStore, DetectorService, Iguard, IguardConfig, ServiceConfig, ShardedIguard,
-    SupervisorConfig, TenantVerdict,
+    CheckpointStore, DetectorService, Iguard, IguardConfig, ServiceConfig, ShardConfig,
+    ShardedIguard, SupervisorConfig, TenantVerdict,
 };
 use nvbit_sim::{Instrumented, Tool};
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ fn observe(det: &mut Iguard) -> String {
 fn sharded_iguard_shim_forwards_everything() {
     for w in workloads::racey() {
         let (plain_raw, mut plain) = run_tool(w.name, Iguard::new(IguardConfig::default()));
-        let shim = ShardedIguard::try_new(IguardConfig::default()).expect("default config");
+        let shim = ShardedIguard::new(IguardConfig::default(), ShardConfig::inline(4));
         let (shim_raw, mut shim) = run_tool(w.name, shim);
         assert_eq!(plain_raw, shim_raw, "{}: clock charges", w.name);
         assert_eq!(plain.instr_stats(), shim.instr_stats(), "{}", w.name);

@@ -34,7 +34,6 @@ mod common;
 
 use common::{stencil_launches, LADDER_THREADS, ROTATION, ZOO_DETECT, ZOO_SIM};
 use gpu_sim::hook::{AccessKind, Hook, MemAccess};
-use gpu_sim::ir::Space;
 use gpu_sim::machine::Gpu;
 use gpu_sim::timing::Clock;
 use workloads::{Launch, Size};
@@ -48,9 +47,6 @@ struct Census([(u64, u64); 5], u64);
 
 impl Hook for Census {
     fn on_mem_access(&mut self, a: &MemAccess<'_>, _clock: &mut Clock) {
-        if a.space != Space::Global {
-            return;
-        }
         let first = a.lanes[0];
         let constant_offset = a.lanes.iter().all(|l| {
             (l.addr / 4).wrapping_sub(l.lane) == (first.addr / 4).wrapping_sub(first.lane)

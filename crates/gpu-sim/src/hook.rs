@@ -13,7 +13,7 @@
 //! such as `__activemask`; delivering the aggregate is equivalent and is
 //! precisely the form iGUARD's coalescing optimization wants, §6.5.)
 
-use crate::ir::{AtomOp, Scope, Space};
+use crate::ir::{AtomOp, Scope};
 use crate::kernel::Kernel;
 use crate::timing::Clock;
 
@@ -57,6 +57,12 @@ pub struct LaneAccess {
 }
 
 /// A dynamic global-memory access by a warp split.
+///
+/// `__shared__` accesses execute and are costed but fire no event: the
+/// paper scopes iGUARD to global memory (§4 leaves scratchpad races to
+/// prior tools) and compares its baselines the same way ("we disable
+/// shared memory race detection in Barracuda since iGUARD focuses only on
+/// global memory", §7).
 #[derive(Debug)]
 pub struct MemAccess<'a> {
     /// Kernel being executed.
@@ -65,10 +71,6 @@ pub struct MemAccess<'a> {
     pub pc: usize,
     /// Load / store / scoped atomic.
     pub kind: AccessKind,
-    /// Memory space accessed. iGUARD proper only instruments
-    /// [`Space::Global`]; shared-memory events exist so scratchpad tools
-    /// (Racecheck-class) can be built on the same framework.
-    pub space: Space,
     /// Block executing the split.
     pub block_id: u32,
     /// Warp index within the block.

@@ -591,14 +591,9 @@ impl Gpu {
             } => {
                 let accesses = &mut run.lane_scratch;
                 gather_accesses(split, warp_base, &regs[addr.0 as usize], offset, accesses);
-                at.fire_mem_hook(
-                    &mut self.clock,
-                    hook,
-                    AccessKind::Load,
-                    space,
-                    volatile,
-                    accesses,
-                );
+                if space == Space::Global {
+                    at.fire_mem_hook(&mut self.clock, hook, AccessKind::Load, volatile, accesses);
+                }
                 let out = &mut regs[rd.0 as usize];
                 // Weak visibility implies recording the observed values.
                 let weak = self.cfg.weak_visibility && !volatile;
@@ -626,14 +621,9 @@ impl Gpu {
             } => {
                 let accesses = &mut run.lane_scratch;
                 gather_accesses(split, warp_base, &regs[addr.0 as usize], offset, accesses);
-                at.fire_mem_hook(
-                    &mut self.clock,
-                    hook,
-                    AccessKind::Store,
-                    space,
-                    volatile,
-                    accesses,
-                );
+                if space == Space::Global {
+                    at.fire_mem_hook(&mut self.clock, hook, AccessKind::Store, volatile, accesses);
+                }
                 let v = &regs[val.0 as usize];
                 for la in accesses.iter() {
                     match space {
@@ -656,7 +646,7 @@ impl Gpu {
                 let accesses = &mut run.lane_scratch;
                 gather_accesses(split, warp_base, &regs[addr.0 as usize], offset, accesses);
                 let kind = AccessKind::Atomic { op, scope };
-                at.fire_mem_hook(&mut self.clock, hook, kind, Space::Global, false, accesses);
+                at.fire_mem_hook(&mut self.clock, hook, kind, false, accesses);
                 let (s, c) = (regs[src.0 as usize], regs[cmp.0 as usize]);
                 let out = &mut regs[rd.0 as usize];
                 for la in accesses.iter() {
@@ -734,13 +724,12 @@ struct SplitSite<'a> {
 }
 
 impl SplitSite<'_> {
-    /// Fires the memory hook for the split's gathered `lanes`.
+    /// Fires the memory hook for the split's gathered global `lanes`.
     fn fire_mem_hook(
         &self,
         clock: &mut Clock,
         hook: &mut dyn Hook,
         kind: AccessKind,
-        space: Space,
         volatile: bool,
         lanes: &[LaneAccess],
     ) {
@@ -748,7 +737,6 @@ impl SplitSite<'_> {
             kernel: self.kernel,
             pc: self.pc,
             kind,
-            space,
             block_id: self.block_id,
             warp_in_block: self.warp_in_block,
             global_warp: self.global_warp,

@@ -440,11 +440,15 @@ fn hook_observes_all_instrumentable_events() {
     let mut gpu = gpu_with(ExecMode::Lockstep, 1);
     let buf = gpu.alloc(64).unwrap();
     let mut b = KernelBuilder::new("observed");
+    b.shared(32);
     let base = b.param(0);
     let tid = b.special(Special::Tid);
     let off = b.mul(tid, 4u32);
     let addr = b.add(base, off);
     let v = b.ld(addr, 0); // 1 load per split
+                           // `__shared__` accesses run and are costed, but fire no event.
+    b.st_shared(off, 0, v);
+    let v = b.ld_shared(off, 0);
     let v2 = b.add(v, 1u32);
     b.st(addr, 0, v2); // 1 store
     b.syncthreads();

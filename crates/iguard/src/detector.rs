@@ -25,7 +25,7 @@ use std::num::NonZeroUsize;
 
 use faults::FaultStats;
 use gpu_sim::hook::{AccessKind, LaneAccess, LaunchInfo, MemAccess, SyncEvent};
-use gpu_sim::ir::{AtomOp, Scope, Space};
+use gpu_sim::ir::{AtomOp, Scope};
 use gpu_sim::timing::{Clock, CostCategory};
 use nvbit_sim::channel::ChannelStats;
 use nvbit_sim::Tool;
@@ -34,7 +34,6 @@ use crate::bitfield::AccessorInfo;
 use crate::checks::AccessType;
 use crate::config::IguardConfig;
 use crate::engine::{Engine, EngineParams, LaneCtx, Sink, SplitCtx};
-use crate::error::IguardError;
 use crate::locks::WarpLockState;
 use crate::metadata::{MetaStats, MetadataTable, TableConfig, ENTRY_BYTES};
 use crate::prune::{PruneMode, PruneStats, Pruner};
@@ -213,25 +212,12 @@ impl Default for Iguard {
 }
 
 impl Iguard {
-    /// Creates a detector with the given configuration.
-    ///
-    /// Infallible for ergonomics: a zero report capacity is clamped to 1.
-    /// Use [`Iguard::try_new`] to surface configuration errors instead.
+    /// Creates a detector with the given configuration. A zero report
+    /// capacity is clamped to 1.
     #[must_use]
     pub fn new(cfg: IguardConfig) -> Self {
         let capacity = NonZeroUsize::new(cfg.report_capacity).unwrap_or(NonZeroUsize::MIN);
         let reporter = RaceReporter::with_capacity(capacity, &cfg.faults);
-        Iguard::build(cfg, reporter)
-    }
-
-    /// Fallible [`Iguard::new`]: returns a typed error on an unusable
-    /// configuration (e.g. a zero-capacity report buffer).
-    pub fn try_new(cfg: IguardConfig) -> Result<Self, IguardError> {
-        let reporter = RaceReporter::with_faults(cfg.report_capacity, &cfg.faults)?;
-        Ok(Iguard::build(cfg, reporter))
-    }
-
-    fn build(cfg: IguardConfig, reporter: RaceReporter) -> Self {
         let pruner = (cfg.prune != PruneMode::Off).then(|| Pruner::new(cfg.prune));
         Iguard {
             cfg,
@@ -484,16 +470,6 @@ impl Tool for Iguard {
         clock.charge_serial(CostCategory::Misc, MISC_COST_PER_LAUNCH);
     }
 
-    fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
-        // iGUARD proper watches global memory only (§4: scratchpad races
-        // are prior tools' domain; see `crate::scratchpad` for that
-        // extension).
-        if access.space != Space::Global {
-            return;
-        }
-        self.on_global_mem(access, clock);
-    }
-
     fn on_sync(&mut self, event: &SyncEvent<'_>, clock: &mut Clock) {
         clock.charge(CostCategory::Detection, SYNC_COST);
         match event {
@@ -526,11 +502,8 @@ impl Tool for Iguard {
             }
         }
     }
-}
 
-impl Iguard {
-    /// The global-memory half of [`Tool::on_mem`].
-    fn on_global_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
+    fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
         // Verify-mode pruning: decide once per split whether `On` mode
         // would have skipped this callback (constant per (kernel, pc)).
         let verify_safe = match &mut self.pruner {
@@ -733,7 +706,6 @@ mod tests {
             kernel: k,
             pc: PC,
             kind,
-            space: Space::Global,
             block_id: warp / WPB,
             warp_in_block: warp % WPB,
             global_warp: warp,

@@ -4,7 +4,6 @@
 
 use std::fmt;
 
-use nvbit_sim::channel::ChannelError;
 use uvm_sim::UvmError;
 
 /// A structurally invalid detector configuration.
@@ -14,8 +13,6 @@ pub enum IguardError {
     EmptyTable,
     /// The managed metadata region could not be created.
     Uvm(UvmError),
-    /// The race-report channel could not be created.
-    Report(ChannelError),
 }
 
 impl fmt::Display for IguardError {
@@ -23,7 +20,6 @@ impl fmt::Display for IguardError {
         match self {
             IguardError::EmptyTable => write!(f, "metadata table cannot be empty"),
             IguardError::Uvm(e) => write!(f, "metadata region: {e}"),
-            IguardError::Report(e) => write!(f, "race-report channel: {e}"),
         }
     }
 }
@@ -33,11 +29,5 @@ impl std::error::Error for IguardError {}
 impl From<UvmError> for IguardError {
     fn from(e: UvmError) -> Self {
         IguardError::Uvm(e)
-    }
-}
-
-impl From<ChannelError> for IguardError {
-    fn from(e: ChannelError) -> Self {
-        IguardError::Report(e)
     }
 }

@@ -59,7 +59,6 @@ pub mod locks;
 pub mod metadata;
 pub mod prune;
 pub mod report;
-pub mod scratchpad;
 pub mod service;
 pub mod shard;
 pub mod store;
@@ -72,7 +71,6 @@ pub use detector::{Degradation, Iguard, IguardStats};
 pub use error::IguardError;
 pub use prune::{PruneMode, PruneStats, Pruner};
 pub use report::{RaceRecord, RaceSite};
-pub use scratchpad::{ScratchpadGuard, SharedRace};
 pub use service::{
     DetectorService, JobCtx, JobOutcome, LatencyStats, ServiceConfig, ServiceError, ServiceReport,
     TenantVerdict,

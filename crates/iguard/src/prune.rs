@@ -46,9 +46,11 @@ pub struct PruneStats {
     pub static_safe_points: u64,
     /// ... of which unknown (instrumented as before).
     pub static_unknown_points: u64,
-    /// Verify mode only: dynamic lane accesses that `On` would have
-    /// pruned (in `On` mode the framework never dispatches them, so the
-    /// equivalent dynamic count lives in `nvbit_sim::InstrStats::skipped_mem`).
+    /// Verify mode only: lanes of would-prune splits that reach the
+    /// engine, i.e. counted after §6.5 coalescing folds same-word
+    /// loads/atomics to one checking lane. This is neither the dynamic
+    /// lane-access count nor `nvbit_sim::InstrStats::skipped_mem`, which
+    /// counts warp-split callbacks `On` never dispatches.
     pub pruned_accesses: u64,
     /// Verify mode only: detector race reports that originated from a
     /// provably-safe access. Any non-zero value is a static-analysis

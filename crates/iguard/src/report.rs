@@ -100,18 +100,16 @@ impl RaceReporter {
     /// A reporter whose buffer holds `capacity` records before flushing
     /// (the paper's 1 MB buffer ≈ 16 K records).
     pub fn new(capacity: usize) -> Result<Self, ChannelError> {
-        RaceReporter::with_faults(capacity, &FaultConfig::disabled())
-    }
-
-    /// Like [`RaceReporter::new`], with the fault plane attached to the
-    /// report channel (drop / corruption / overflow injection).
-    pub fn with_faults(capacity: usize, faults: &FaultConfig) -> Result<Self, ChannelError> {
         let capacity = NonZeroUsize::new(capacity).ok_or(ChannelError::ZeroCapacity)?;
-        Ok(RaceReporter::with_capacity(capacity, faults))
+        Ok(RaceReporter::with_capacity(
+            capacity,
+            &FaultConfig::disabled(),
+        ))
     }
 
-    /// [`RaceReporter::with_faults`] for a capacity already known to be
-    /// positive.
+    /// A reporter for a capacity already known to be positive, with the
+    /// fault plane attached to the report channel (drop / corruption /
+    /// overflow injection).
     #[must_use]
     pub fn with_capacity(capacity: NonZeroUsize, faults: &FaultConfig) -> Self {
         let mut channel = HostChannel::with_capacity(

@@ -20,7 +20,6 @@ use nvbit_sim::Tool;
 
 use crate::config::IguardConfig;
 use crate::detector::Iguard;
-use crate::error::IguardError;
 
 /// What [`ShardedIguard::new`] takes beside the configuration; carries
 /// nothing.
@@ -45,11 +44,6 @@ impl ShardedIguard {
     #[must_use]
     pub fn new(cfg: IguardConfig, _: ShardConfig) -> Self {
         ShardedIguard(Iguard::new(cfg))
-    }
-
-    /// [`Iguard::try_new`].
-    pub fn try_new(cfg: IguardConfig) -> Result<Self, IguardError> {
-        Iguard::try_new(cfg).map(ShardedIguard)
     }
 }
 

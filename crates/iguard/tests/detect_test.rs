@@ -31,6 +31,16 @@ fn run_with(
     tool
 }
 
+/// Counts the memory events the simulator fires.
+#[derive(Default)]
+struct MemEvents(u64);
+
+impl Hook for MemEvents {
+    fn on_mem_access(&mut self, _a: &MemAccess<'_>, _clock: &mut Clock) {
+        self.0 += 1;
+    }
+}
+
 fn kinds(tool: &mut Instrumented<Iguard>) -> Vec<RaceKind> {
     let mut ks: Vec<RaceKind> = tool.tool_mut().races().iter().map(|r| r.kind).collect();
     ks.sort();
@@ -552,4 +562,46 @@ fn history_ablation_finds_no_additional_races() {
         let t = run_with(&warp_handoff(false), 1, 32, 4, 3, cfg);
         assert_eq!(t.tool().unique_races(), 1, "depth {depth}");
     }
+}
+
+#[test]
+fn shared_memory_stays_outside_the_detector() {
+    // §4: scratchpad races are prior tools' domain. An unbarriered
+    // `__shared__` handoff (thread 40 of warp 1 writes sdata[1], thread 0
+    // of warp 0 reads it) next to per-thread global stores: nothing is
+    // reported, and only the global splits reach the framework.
+    let mut b = KernelBuilder::new("shared_handoff");
+    b.shared(8);
+    let tid = b.special(Special::Tid);
+    let base = b.param(0);
+    let off = b.mul(tid, 4u32);
+    let addr = b.add(base, off);
+    b.st(addr, 0, tid);
+    let four = b.imm(4);
+    let is40 = b.eq(tid, 40u32);
+    let after = b.fwd_label();
+    b.bra_ifnot(is40, after);
+    b.st_shared(four, 0, tid);
+    b.bind(after);
+    let is0 = b.eq(tid, 0u32);
+    let fin = b.fwd_label();
+    b.bra_ifnot(is0, fin);
+    let _ = b.ld_shared(four, 0);
+    b.bind(fin);
+    let k = b.build();
+
+    let t = run(&k, 1, 64, 64, 5);
+    assert_eq!(t.tool().unique_races(), 0);
+    let is = t.instr_stats();
+    assert_eq!(is.skipped_mem, 0, "no shared access reaches the bitmap");
+    let mut gpu = Gpu::new(GpuConfig {
+        seed: 5,
+        max_steps: 5_000_000,
+        ..GpuConfig::default()
+    });
+    let buf = gpu.alloc(64).unwrap();
+    let mut events = MemEvents::default();
+    gpu.launch(&k, 1, 64, &[buf], &mut events).unwrap();
+    assert!(events.0 >= 2, "one global store split per warp at least");
+    assert_eq!(is.dispatched_mem, events.0);
 }

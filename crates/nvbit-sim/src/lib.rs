@@ -44,19 +44,14 @@ const CALLBACK_COST_SYNC: u64 = 4;
 /// to the framework. Mirrors NVBit's tool API shape: a static `instrument`
 /// decision per instruction plus runtime callbacks.
 pub trait Tool {
-    /// Whether the framework should inject a callback at this static
-    /// instruction. The default instruments all global-memory accesses and
+    /// Whether the framework should inject a callback at static
+    /// instruction `pc` of `kernel`. The whole kernel is in view, so a tool
+    /// can consult a per-kernel static analysis (hybrid static/dynamic
+    /// pruning). The default instruments all global-memory accesses and
     /// synchronization operations — exactly iGUARD's selection (§5).
-    fn wants(&self, instr: &gpu_sim::ir::Instr) -> bool {
-        instr.is_global_access() || instr.is_sync()
-    }
-
-    /// Like [`Tool::wants`], but with the whole kernel and the pc in view,
-    /// so a tool can consult a per-kernel static analysis (hybrid
-    /// static/dynamic pruning). The default delegates to `wants`, keeping
-    /// plain tools byte-identical.
     fn wants_at(&mut self, kernel: &gpu_sim::kernel::Kernel, pc: usize) -> bool {
-        self.wants(&kernel.code[pc])
+        let instr = &kernel.code[pc];
+        instr.is_global_access() || instr.is_sync()
     }
 
     /// Whether the instrumentation decision depends on the kernel *body*
@@ -306,7 +301,7 @@ mod tests {
     struct Selective;
 
     impl Tool for Selective {
-        fn wants(&self, _i: &gpu_sim::ir::Instr) -> bool {
+        fn wants_at(&mut self, _k: &Kernel, _pc: usize) -> bool {
             false
         }
     }

@@ -8,7 +8,7 @@
 
 use faults::{fnv1a, FNV1A_BASIS};
 use gpu_sim::hook::{AccessKind, Hook, MemAccess};
-use gpu_sim::ir::{Scope, Space};
+use gpu_sim::ir::Scope;
 use gpu_sim::timing::Clock;
 
 /// One dynamic global-memory access by one lane.
@@ -87,9 +87,6 @@ impl Hook for Observer {
     }
 
     fn on_mem_access(&mut self, access: &MemAccess<'_>, _clock: &mut Clock) {
-        if access.space != Space::Global {
-            return;
-        }
         let (is_write, is_atomic, scope) = match access.kind {
             AccessKind::Load => (false, false, None),
             AccessKind::Store => (true, false, None),

@@ -1,7 +1,6 @@
 //! The tool zoo: one racy kernel, four detectors — iGUARD, the ScoRD-like
-//! scoped-only detector, CURD, and Barracuda — plus the scratchpad
-//! extension on a shared-memory bug none of them watch. A live rendition
-//! of the paper's Table 1.
+//! scoped-only detector, CURD, and Barracuda. A live rendition of the
+//! paper's Table 1.
 //!
 //! ```text
 //! cargo run --release --example tool_zoo [-- --seed S]
@@ -13,16 +12,14 @@
 
 use iguard_repro::barracuda::{Barracuda, BinaryKind, Curd};
 use iguard_repro::gpu_sim::prelude::*;
-use iguard_repro::iguard::{Iguard, IguardConfig, ScratchpadGuard};
+use iguard_repro::iguard::{Iguard, IguardConfig};
 use iguard_repro::nvbit_sim::Instrumented;
 
 /// A kernel with one bug per race class: a block-scope atomic shared
-/// across blocks (AS), a divergent same-warp handoff (ITS), an unbarriered
-/// cross-warp store pair (BR) — and a scratchpad handoff missing its
-/// barrier, which global-memory detectors rightfully ignore.
+/// across blocks (AS), a divergent same-warp handoff (ITS) and an
+/// unbarriered cross-warp store pair (BR).
 fn menagerie() -> Kernel {
     let mut b = KernelBuilder::new("menagerie");
-    b.shared(8);
     let tid = b.special(Special::Tid);
     let bid = b.special(Special::BlockId);
     let base = b.param(0);
@@ -67,23 +64,6 @@ fn menagerie() -> Kernel {
     b.loc("BR: unbarriered cross-warp store");
     b.st(br_addr, 0, tid);
     b.bind(n4);
-
-    // Scratchpad: warp-1 thread writes sdata[1], warp-0 thread reads it.
-    let is33 = b.eq(tid, 33u32);
-    let n5 = b.fwd_label();
-    b.bra_ifnot(is33, n5);
-    let v = b.imm(5);
-    let four = b.imm(4);
-    b.loc("scratchpad: unbarriered shared store");
-    b.st_shared(four, 0, v);
-    b.bind(n5);
-    let is2 = b.eq(tid, 2u32);
-    let n6 = b.fwd_label();
-    b.bra_ifnot(is2, n6);
-    let four = b.imm(4);
-    b.loc("scratchpad: unbarriered shared load");
-    let _ = b.ld_shared(four, 0);
-    b.bind(n6);
     b.build()
 }
 
@@ -154,31 +134,6 @@ fn main() {
     );
     let _ = Barracuda::default();
 
-    // The scratchpad extension sees the one bug iGUARD scopes out.
-    let mut gpu = Gpu::new(gpu_config());
-    let buf = gpu.alloc(32).unwrap();
-    let mut sp = Instrumented::new(ScratchpadGuard::new());
-    gpu.launch(&k, 4, 64, &[buf], &mut sp).unwrap();
-    println!(
-        "\n{:<24} {:>2} race(s)   the shared-memory bug",
-        "ScratchpadGuard (ext.)",
-        sp.tool().races().len()
-    );
-    for r in sp.tool().races() {
-        println!(
-            "    [{}] {} race on sdata+0x{:x} (block {}){}",
-            r.kernel,
-            r.kind.code(),
-            r.offset,
-            r.block,
-            r.line
-                .as_deref()
-                .map(|l| format!("  // {l}"))
-                .unwrap_or_default()
-        );
-    }
-
     assert!(ig_races.len() >= 3);
     assert!(sc.tool().unique_races() < ig_races.len());
-    assert_eq!(sp.tool().races().len(), 1);
 }
