@@ -41,9 +41,9 @@
 #            divergence fails), a 30 s `fuzz --static` arm (oracle corpus +
 #            fresh stream through the static-pruning differential; any
 #            `static-unsound` observation fails: a report the pruned run
-#            lost, an all-safe verdict on an oracle-racy kernel, or a
-#            verify-mode violation), and the corpus drift
-#            check (the oracle corpus regenerates byte-identically).
+#            lost, or an all-safe verdict on an oracle-racy kernel), and
+#            the corpus drift check (the oracle corpus regenerates
+#            byte-identically).
 # --litmus   a 30 s random weak-memory litmus campaign (`fuzz --litmus`);
 #            any unexplained divergence fails. The oracle corpus replay is
 #            tier 1's `regressions_replay`.

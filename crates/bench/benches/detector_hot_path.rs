@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use gpu_sim::hook::{AccessKind, ExecMode, LaneAccess, LaunchInfo, MemAccess};
+use gpu_sim::hook::{AccessKind, LaneAccess, LaunchInfo, MemAccess};
 use gpu_sim::prelude::*;
 use gpu_sim::timing::Clock;
 use iguard::bitfield::{AccessorInfo, Flags, MetadataEntry, VALID};
@@ -269,14 +269,10 @@ impl SplitDriver {
             warps_per_block: 4,
             total_threads: warps * 32,
             total_warps: warps,
-            mode: ExecMode::Its,
-            num_sms: 72,
             free_device_bytes: 20 << 30,
             app_footprint_bytes: 1 << 20,
             device_capacity_bytes: 24 << 30,
             backing_words: (warps as usize * 64 + 64).next_power_of_two(),
-            code_len: kernel.code.len(),
-            params: vec![0],
         };
         let mut driver = SplitDriver {
             det: Iguard::new(IguardConfig::default()),

@@ -24,8 +24,8 @@
 //!   first replaying every spec of the pinned oracle corpus. The
 //!   `static-incomplete` class (a clean kernel left instrumented) is
 //!   expected and reported. A `static-unsound` observation is a soundness
-//!   bug and fails the run: a report the pruned run lost, an all-safe
-//!   verdict on an oracle-racy kernel, or a verify-mode violation.
+//!   bug and fails the run: a report the pruned run lost, or an all-safe
+//!   verdict on an oracle-racy kernel.
 //!
 //! A spec fails on an unexplained oracle/detector divergence (or on
 //! `static-unsound` under `--static`). Exit code 1 on any failing spec

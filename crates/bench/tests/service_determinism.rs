@@ -54,12 +54,11 @@ fn run_tool<T: Tool>(name: &str, tool: T) -> (Vec<(u64, u64)>, Instrumented<T>) 
 fn observe(det: &mut Iguard) -> String {
     let races = det.races();
     format!(
-        "{races:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+        "{races:?}\n{:?}\n{:?}\n{:?}\n{:?}",
         det.stats(),
         det.uvm_stats(),
         det.degradation(),
         det.fault_stats(),
-        det.prune_stats(),
     )
 }
 

@@ -2,9 +2,11 @@
 //! and through `par_map`: every racey workload yields at least
 //! its paper-reported race count (Table 4), and no race-free workload
 //! yields any report at all (Table 5's zero-false-positive claim). A
-//! third test pins the static-pruning traffic of every zoo member.
+//! third test pins the static-pruning traffic of every zoo member, and a
+//! fourth the kernel-global shape of the static verdicts it rests on.
 
 use bench::{drive, gpu_config, par_map, run_iguard, DEFAULT_SEED};
+use gpu_sim::kernel::Kernel;
 use gpu_sim::prelude::Gpu;
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
@@ -115,11 +117,19 @@ fn pruning_traffic_over_the_zoo_is_pinned() {
         let launches = w.build(&mut gpu, Size::Test);
         let mut tool = Instrumented::new(Iguard::new(IguardConfig::with_prune()));
         drive(&mut gpu, &launches, &mut tool, w.name, |_| false);
-        let ps = tool.tool().prune_stats();
+        let instr = tool.instr_stats();
+        // The kernels the run instrumented: each distinct body that has a
+        // global-memory point (the others never reach the framework).
+        let classes: Vec<_> = distinct_kernels(launches.iter().map(|l| &l.kernel))
+            .into_iter()
+            .map(static_an::analyze)
+            .filter(|c| c.mem_points > 0)
+            .collect();
+        assert_eq!(classes.len() as u64, instr.analyzed_kernels, "{}", w.name);
         (
-            tool.instr_stats().skipped_mem,
-            ps.static_safe_points,
-            ps.static_mem_points,
+            instr.skipped_mem,
+            classes.iter().map(|c| c.safe_points as u64).sum::<u64>(),
+            classes.iter().map(|c| c.mem_points as u64).sum::<u64>(),
         )
     });
     let got: Vec<_> = names
@@ -131,4 +141,59 @@ fn pruning_traffic_over_the_zoo_is_pinned() {
         })
         .collect();
     assert_eq!(got, PRUNE_TRAFFIC);
+}
+
+/// Each distinct kernel (by name and body) of `kernels`, first sight first.
+fn distinct_kernels<'a>(kernels: impl IntoIterator<Item = &'a Kernel>) -> Vec<&'a Kernel> {
+    let mut seen: Vec<&Kernel> = Vec::new();
+    for k in kernels {
+        if !seen.iter().any(|s| s.name == k.name && s.code == k.code) {
+            seen.push(k);
+        }
+    }
+    seen
+}
+
+/// Both static rules are kernel-global: a kernel's global-memory points
+/// are all safe or none is. That is what lets a pruned run dispatch no
+/// memory callback at all for a kernel it prunes, and so lets the site
+/// diff of `oracle::static_diff` (a report the full run made that the
+/// pruned run lost) catch any unsound verdict. Pinned over every zoo
+/// kernel and every spec of the oracle corpus.
+#[test]
+fn static_verdicts_are_kernel_global() {
+    let corpus = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/oracle.corpus"
+    ))
+    .expect("read the oracle corpus");
+    let specs: Vec<Kernel> = oracle::corpus::parse(&corpus)
+        .expect("parse the oracle corpus")
+        .iter()
+        .map(|e| e.spec.build())
+        .collect();
+    assert!(!specs.is_empty());
+    let mut zoo = Vec::new();
+    for w in workloads::all() {
+        let mut gpu = Gpu::new(gpu_config(DEFAULT_SEED));
+        zoo.extend(w.build(&mut gpu, Size::Test).into_iter().map(|l| l.kernel));
+    }
+    let (mut pruned, mut kept) = (0, 0);
+    for k in distinct_kernels(zoo.iter().chain(&specs)) {
+        let c = static_an::analyze(k);
+        assert!(
+            c.safe_points == 0 || c.safe_points == c.mem_points,
+            "{}: {} of {} global-memory points safe",
+            k.name,
+            c.safe_points,
+            c.mem_points
+        );
+        if c.safe_points > 0 {
+            pruned += 1;
+        } else if c.mem_points > 0 {
+            kept += 1;
+        }
+    }
+    // Both verdicts occur, so neither arm of the assertion is vacuous.
+    assert!(pruned > 0 && kept > 0, "{pruned} pruned, {kept} kept");
 }

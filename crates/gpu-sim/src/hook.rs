@@ -131,8 +131,6 @@ pub struct LaunchInfo {
     pub warps_per_block: u32,
     pub total_threads: u32,
     pub total_warps: u32,
-    pub mode: ExecMode,
-    pub num_sms: u32,
     /// Logical device-memory bytes still free after application allocations
     /// (drives the detector's prefault decision, §6.1).
     pub free_device_bytes: u64,
@@ -143,12 +141,6 @@ pub struct LaunchInfo {
     /// Words of real backing storage behind global memory (bounds the
     /// functional metadata table a detector needs).
     pub backing_words: usize,
-    /// Static instruction count (drives the NVBit analysis-cost model).
-    pub code_len: usize,
-    /// The launch's kernel parameters (buffer base addresses). Static
-    /// pruning validates its provably-disjoint-region assumptions against
-    /// these concrete values at every launch.
-    pub params: Vec<u32>,
 }
 
 /// A tool attached to the GPU. All methods default to no-ops so simple tools

@@ -364,14 +364,10 @@ impl Gpu {
             warps_per_block,
             total_threads,
             total_warps,
-            mode: self.cfg.mode,
-            num_sms: self.cfg.num_sms as u32,
             free_device_bytes: self.free_device_bytes(),
             app_footprint_bytes: self.logical_allocated,
             device_capacity_bytes: self.cfg.device_mem_bytes,
             backing_words: self.mem.words(),
-            code_len: kernel.code.len(),
-            params: params.to_vec(),
         };
 
         let eff = (total_warps as usize).min(self.cfg.num_sms * WARP_SLOTS_PER_SM);

@@ -6,7 +6,18 @@
 use faults::FaultConfig;
 use uvm_sim::UvmConfig;
 
-use crate::prune::PruneMode;
+/// How the detector uses the static pre-analysis (`static_an::analyze`,
+/// DESIGN.md §13).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PruneMode {
+    /// No static analysis at all: every global-memory access and every
+    /// synchronization operation is instrumented (the default).
+    #[default]
+    Off,
+    /// Analyze each kernel once, when it loads, and inject no callback at
+    /// the global-memory points it proves safe.
+    On,
+}
 
 /// The settable parameters of the iGUARD detector: the ablation toggles,
 /// the metadata placement, and the fault and pruning planes. Its cycle
@@ -48,8 +59,7 @@ pub struct IguardConfig {
     /// default; a disabled plane draws nothing and changes nothing.
     pub faults: FaultConfig,
     /// Static pre-analysis pruning (hybrid static/dynamic detection,
-    /// DESIGN.md §13). `Off` by default — the detector holds no pruner at
-    /// all and is byte-identical to the pre-pruning implementation.
+    /// DESIGN.md §13). `Off` by default — no kernel is analyzed.
     pub prune: PruneMode,
 }
 
@@ -106,17 +116,6 @@ impl IguardConfig {
     pub fn with_prune() -> Self {
         IguardConfig {
             prune: PruneMode::On,
-            ..IguardConfig::default()
-        }
-    }
-
-    /// The pruning soundness harness: instrument everything, tag accesses
-    /// `On` would prune, and count detector reports that originate from
-    /// them ([`crate::prune::PruneStats::verify_violations`]).
-    #[must_use]
-    pub fn with_prune_verify() -> Self {
-        IguardConfig {
-            prune: PruneMode::Verify,
             ..IguardConfig::default()
         }
     }

@@ -32,11 +32,10 @@ use nvbit_sim::Tool;
 
 use crate::bitfield::AccessorInfo;
 use crate::checks::AccessType;
-use crate::config::IguardConfig;
+use crate::config::{IguardConfig, PruneMode};
 use crate::engine::{Engine, EngineParams, LaneCtx, Sink, SplitCtx};
 use crate::locks::WarpLockState;
 use crate::metadata::{MetaStats, MetadataTable, TableConfig, ENTRY_BYTES};
-use crate::prune::{PruneMode, PruneStats, Pruner};
 use crate::report::{RaceRecord, RaceReporter, RaceSite};
 use crate::syncmeta::SyncMetadata;
 
@@ -196,9 +195,6 @@ pub struct Iguard {
     scratch_reps: Vec<LaneAccess>,
     /// Reusable scratch for lock-inference (lane, addr) pairs.
     scratch_pairs: Vec<(u32, u32)>,
-    /// Static-pruning plane (`None` when `cfg.prune` is `Off`, keeping the
-    /// pruning-disabled detector byte-identical to the pre-pruning one).
-    pruner: Option<Pruner>,
     /// Test seam: withholds the row from [`Iguard::process_split`], so every
     /// lane takes the per-lane path — the row-vs-lane tests' reference.
     #[cfg(test)]
@@ -218,7 +214,6 @@ impl Iguard {
     pub fn new(cfg: IguardConfig) -> Self {
         let capacity = NonZeroUsize::new(cfg.report_capacity).unwrap_or(NonZeroUsize::MIN);
         let reporter = RaceReporter::with_capacity(capacity, &cfg.faults);
-        let pruner = (cfg.prune != PruneMode::Off).then(|| Pruner::new(cfg.prune));
         Iguard {
             cfg,
             sync: None,
@@ -228,7 +223,6 @@ impl Iguard {
             stats: IguardStats::default(),
             scratch_reps: Vec::with_capacity(32),
             scratch_pairs: Vec::with_capacity(32),
-            pruner,
             #[cfg(test)]
             per_lane_only: false,
         }
@@ -238,12 +232,6 @@ impl Iguard {
     #[must_use]
     pub fn stats(&self) -> IguardStats {
         self.stats
-    }
-
-    /// Static-pruning counters (all-zero when pruning is off).
-    #[must_use]
-    pub fn prune_stats(&self) -> PruneStats {
-        self.pruner.as_ref().map(Pruner::stats).unwrap_or_default()
     }
 
     /// Everything the detector degraded on, with per-cause accounting.
@@ -322,9 +310,9 @@ impl Iguard {
     /// The front half of one warp split (or of the lanes that stand for
     /// the word groups of a coalesced one): orphan accounting, one capture
     /// of the live state the lanes share (synchronization counters, lock
-    /// state, the pruner's verify handle, the sink), then the split handed
-    /// to the engine whole when it is a `row` the engine takes, else lane
-    /// by lane; the engine runs the check and reports immediately.
+    /// state, the sink), then the split handed to the engine whole when it
+    /// is a `row` the engine takes, else lane by lane; the engine runs the
+    /// check and reports immediately.
     fn process_split(
         &mut self,
         lanes: &[LaneAccess],
@@ -332,7 +320,6 @@ impl Iguard {
         kind: AccessType,
         access: &MemAccess<'_>,
         clock: &mut Clock,
-        verify_safe: bool,
     ) {
         #[cfg(test)]
         let row = row && !self.per_lane_only;
@@ -349,15 +336,6 @@ impl Iguard {
             return;
         };
         self.stats.accesses += lanes.len() as u64;
-        // Verify-mode pruning: tag the accesses and hand the engine a
-        // handle on the violation counter, charged if it reports a race.
-        let verify = match &mut self.pruner {
-            Some(p) if verify_safe => {
-                p.count_pruned_accesses(lanes.len() as u64);
-                Some(p.verify_violations_mut())
-            }
-            _ => None,
-        };
 
         let split = SplitCtx::new(access, kind);
         let blk_bar = sync.blk_bar(warp / sync.warps_per_block().max(1));
@@ -376,7 +354,6 @@ impl Iguard {
             stats: &mut self.stats,
             reporter: &mut self.reporter,
             clock,
-            verify,
         };
         let lane_ctx = |la: &LaneAccess| LaneCtx {
             word: la.addr / 4,
@@ -429,20 +406,23 @@ impl Iguard {
 }
 
 impl Tool for Iguard {
-    fn wants_at(&mut self, kernel: &gpu_sim::kernel::Kernel, pc: usize) -> bool {
-        let instr = &kernel.code[pc];
-        match &mut self.pruner {
-            // Pruning gates global-memory callbacks only; sync events keep
-            // the synchronization metadata warm even for pruned kernels.
-            Some(p) if instr.is_global_access() => p.wants_mem(kernel, pc),
-            _ => instr.is_global_access() || instr.is_sync(),
-        }
+    fn instrument(&mut self, kernel: &gpu_sim::kernel::Kernel) -> Vec<bool> {
+        let cls = (self.cfg.prune == PruneMode::On).then(|| static_an::analyze(kernel));
+        let safe = |pc| cls.as_ref().is_some_and(|c| c.class_at(pc).is_safe());
+        // Pruning gates global-memory callbacks only; sync events keep the
+        // synchronization metadata warm even for pruned kernels.
+        kernel
+            .code
+            .iter()
+            .enumerate()
+            .map(|(pc, i)| i.is_sync() || (i.is_global_access() && !safe(pc)))
+            .collect()
     }
 
     fn body_sensitive(&self) -> bool {
         // A pruned bitmap is a verdict about a kernel *body*; two
         // same-named kernels with different bodies must not share one.
-        self.pruner.is_some()
+        self.cfg.prune == PruneMode::On
     }
 
     fn at_launch(&mut self, info: &LaunchInfo, clock: &mut Clock) {
@@ -504,12 +484,6 @@ impl Tool for Iguard {
     }
 
     fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
-        // Verify-mode pruning: decide once per split whether `On` mode
-        // would have skipped this callback (constant per (kernel, pc)).
-        let verify_safe = match &mut self.pruner {
-            Some(p) => p.verify_would_prune(access.kernel, access.pc),
-            None => false,
-        };
         let kind = match access.kind {
             AccessKind::Load => AccessType::Load,
             // A volatile word store is hardware-atomic and L1-bypassing —
@@ -567,7 +541,7 @@ impl Tool for Iguard {
             prev = word;
         }
         if ascending {
-            self.process_split(access.lanes, row, kind, access, clock, verify_safe);
+            self.process_split(access.lanes, row, kind, access, clock);
             return;
         }
         // The lowest lane of each same-word group, in lane order, and
@@ -587,14 +561,14 @@ impl Tool for Iguard {
             // lanes cannot race with each other — one lane checks for its
             // whole group, under the split's full active mask.
             self.stats.coalesced_saved += dup;
-            self.process_split(&reps, reps_row, kind, access, clock, verify_safe);
+            self.process_split(&reps, reps_row, kind, access, clock);
         } else {
             // Lanes hitting the *same* metadata entry serialize on its
             // lock; lanes on distinct entries proceed in parallel. Charge
             // the intra-warp serialization coalescing exists to remove.
             let serial = dup * (CHECK_COST + MD_LOCK_COST);
             clock.charge(CostCategory::Detection, serial);
-            self.process_split(access.lanes, false, kind, access, clock, verify_safe);
+            self.process_split(access.lanes, false, kind, access, clock);
         }
         self.scratch_reps = reps;
     }
@@ -605,7 +579,6 @@ impl Tool for Iguard {
 mod tests {
     use faults::{FaultConfig, FaultSite, RATE_ONE};
     use gpu_sim::asm::KernelBuilder;
-    use gpu_sim::hook::ExecMode;
     use gpu_sim::kernel::Kernel;
     use gpu_sim::timing::COST_CATEGORIES;
     use proptest::prelude::*;
@@ -662,6 +635,14 @@ mod tests {
         b.build()
     }
 
+    /// A fault-free report channel of `capacity` records.
+    fn reporter(capacity: usize) -> RaceReporter {
+        RaceReporter::with_capacity(
+            NonZeroUsize::new(capacity).unwrap(),
+            &FaultConfig::disabled(),
+        )
+    }
+
     fn launch_info() -> LaunchInfo {
         LaunchInfo {
             kernel_name: "one_word".into(),
@@ -670,14 +651,10 @@ mod tests {
             warps_per_block: WPB,
             total_threads: TOTAL_WARPS * 32,
             total_warps: TOTAL_WARPS,
-            mode: ExecMode::Its,
-            num_sms: 1,
             free_device_bytes: 1 << 30,
             app_footprint_bytes: 1 << 10,
             device_capacity_bytes: 1 << 30,
             backing_words: 64,
-            code_len: 2,
-            params: vec![0],
         }
     }
 
@@ -845,7 +822,7 @@ mod tests {
     fn observed(det: &mut Iguard, k: &Kernel, kind: (AccessKind, bool)) -> Outcome {
         let lanes = lanes_of(WARP, 1 << LANE, |_| ADDR / 4);
         let before = det.stats;
-        det.reporter = RaceReporter::new(16).unwrap();
+        det.reporter = reporter(16);
         det.on_mem(&mem_access(k, kind, WARP, &lanes, 1), &mut Clock::new());
         let moved = |now: &[u64], was: &[u64]| {
             let hits: Vec<usize> = (0..now.len()).filter(|&i| now[i] != was[i]).collect();
@@ -942,11 +919,11 @@ mod tests {
                     }
                     det.locks[WARP as usize] = wl;
                     table_mut(det).begin_epoch();
-                    det.reporter = RaceReporter::new(64).unwrap();
+                    det.reporter = reporter(64);
 
                     let mut want_stats = det.stats;
                     want_stats.accesses += lanes.len() as u64;
-                    let mut want_reporter = RaceReporter::new(64).unwrap();
+                    let mut want_reporter = reporter(64);
                     let mut want_clock = Clock::new();
                     let per_split = CHECK_COST + MD_LOCK_COST;
                     want_clock.charge(CostCategory::Detection, per_split);

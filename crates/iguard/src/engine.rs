@@ -313,11 +313,6 @@ pub(crate) struct Sink<'a> {
     pub stats: &'a mut IguardStats,
     pub reporter: &'a mut RaceReporter,
     pub clock: &'a mut Clock,
-    /// Verify-mode pruning: present iff this access would have been pruned
-    /// in `On` mode; a race report then charges the violation counter
-    /// before the record enters the channel (so the count is immune to
-    /// channel faults).
-    pub verify: Option<&'a mut u64>,
 }
 
 /// The flat per-word detection state: metadata + contention + history
@@ -625,11 +620,6 @@ fn report_race(
     prev: AccessorInfo,
     out: &mut Sink<'_>,
 ) {
-    if let Some(v) = out.verify.as_deref_mut() {
-        // The detector fired on a provably-safe access: the static
-        // analysis is unsound. Count it loudly; the report still ships.
-        *v += 1;
-    }
     out.stats.race_hits[race_index(kind)] += 1;
     let record = RaceRecord {
         kernel: access.kernel.name.clone(),

@@ -57,7 +57,6 @@ pub(crate) mod engine;
 pub mod error;
 pub mod locks;
 pub mod metadata;
-pub mod prune;
 pub mod report;
 pub mod service;
 pub mod shard;
@@ -66,10 +65,9 @@ pub mod supervise;
 pub mod syncmeta;
 
 pub use checks::{AccessType, RaceKind};
-pub use config::IguardConfig;
+pub use config::{IguardConfig, PruneMode};
 pub use detector::{Degradation, Iguard, IguardStats};
 pub use error::IguardError;
-pub use prune::{PruneMode, PruneStats, Pruner};
 pub use report::{RaceRecord, RaceSite};
 pub use service::{
     DetectorService, JobCtx, JobOutcome, LatencyStats, ServiceConfig, ServiceError, ServiceReport,

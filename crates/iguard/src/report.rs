@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use faults::{FaultConfig, FaultInjector, FaultStats};
 use gpu_sim::timing::{Clock, CostCategory};
-use nvbit_sim::channel::{ChannelError, ChannelStats, HostChannel};
+use nvbit_sim::channel::{ChannelStats, HostChannel};
 
 use crate::checks::{AccessType, RaceKind};
 
@@ -98,18 +98,9 @@ pub struct RaceReporter {
 
 impl RaceReporter {
     /// A reporter whose buffer holds `capacity` records before flushing
-    /// (the paper's 1 MB buffer ≈ 16 K records).
-    pub fn new(capacity: usize) -> Result<Self, ChannelError> {
-        let capacity = NonZeroUsize::new(capacity).ok_or(ChannelError::ZeroCapacity)?;
-        Ok(RaceReporter::with_capacity(
-            capacity,
-            &FaultConfig::disabled(),
-        ))
-    }
-
-    /// A reporter for a capacity already known to be positive, with the
-    /// fault plane attached to the report channel (drop / corruption /
-    /// overflow injection).
+    /// (the paper's 1 MB buffer ≈ 16 K records), with the fault plane
+    /// attached to the report channel (drop / corruption / overflow
+    /// injection).
     #[must_use]
     pub fn with_capacity(capacity: NonZeroUsize, faults: &FaultConfig) -> Self {
         let mut channel = HostChannel::with_capacity(
@@ -232,6 +223,14 @@ pub fn group_sites(records: &[RaceRecord]) -> Vec<RaceSite> {
 mod tests {
     use super::*;
 
+    /// A fault-free report channel of `capacity` records.
+    fn reporter(capacity: usize) -> RaceReporter {
+        RaceReporter::with_capacity(
+            NonZeroUsize::new(capacity).unwrap(),
+            &FaultConfig::disabled(),
+        )
+    }
+
     fn record(pc: usize, kind: RaceKind) -> RaceRecord {
         RaceRecord {
             kernel: "k".into(),
@@ -251,7 +250,7 @@ mod tests {
     #[test]
     fn duplicate_races_ship_once_but_count() {
         let mut clk = Clock::new();
-        let mut r = RaceReporter::new(100).unwrap();
+        let mut r = reporter(100);
         for _ in 0..50 {
             r.report(record(5, RaceKind::IntraBlock), &mut clk);
         }
@@ -263,7 +262,7 @@ mod tests {
     #[test]
     fn distinct_pcs_and_kinds_all_ship() {
         let mut clk = Clock::new();
-        let mut r = RaceReporter::new(100).unwrap();
+        let mut r = reporter(100);
         r.report(record(5, RaceKind::IntraBlock), &mut clk);
         r.report(record(5, RaceKind::Locking), &mut clk);
         r.report(record(9, RaceKind::IntraBlock), &mut clk);

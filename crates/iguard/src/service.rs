@@ -82,7 +82,6 @@ use nvbit_sim::Instrumented;
 use crate::checks::RaceKind;
 use crate::config::IguardConfig;
 use crate::detector::{Degradation, IguardStats};
-use crate::error::IguardError;
 use crate::report::{merge_sites, RaceSite};
 use crate::shard::{ShardConfig, ShardedIguard};
 use crate::store::record;
@@ -298,8 +297,6 @@ impl ServiceReport {
 /// Service failure modes.
 #[derive(Debug)]
 pub enum ServiceError {
-    /// A job's detector could not be constructed.
-    Detector(IguardError),
     /// Checkpoint records could not be parsed, or do not describe a
     /// state any run could have saved.
     Checkpoint(String),
@@ -316,14 +313,13 @@ pub enum ServiceError {
 
 impl ServiceError {
     /// Every variant's stable kind token, in declaration order.
-    pub const KINDS: [&'static str; 3] = ["detector", "checkpoint", "checkpoint-stale-seed"];
+    pub const KINDS: [&'static str; 2] = ["checkpoint", "checkpoint-stale-seed"];
 
     /// Stable machine-readable kind token (the word after `service` in
     /// the Display form — pinned by the Display round-trip test).
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            ServiceError::Detector(_) => "detector",
             ServiceError::Checkpoint(_) => "checkpoint",
             ServiceError::CheckpointStaleSeed { .. } => "checkpoint-stale-seed",
         }
@@ -333,7 +329,6 @@ impl ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::Detector(e) => write!(f, "service detector: {e}"),
             ServiceError::Checkpoint(msg) => write!(f, "service checkpoint: {msg}"),
             ServiceError::CheckpointStaleSeed { checkpoint, config } => write!(
                 f,
@@ -344,12 +339,6 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<IguardError> for ServiceError {
-    fn from(e: IguardError) -> Self {
-        ServiceError::Detector(e)
-    }
-}
 
 /// Derives a job's seed from its identity alone (FNV-1a over the tenant
 /// name mixed with `splitmix64`), so verdicts survive any reordering or
@@ -565,13 +554,14 @@ impl<P> DetectorService<P> {
     /// outcome. Results accumulate into per-tenant verdicts.
     ///
     /// # Errors
-    /// [`ServiceError::Detector`] when a job's detector cannot be built
-    /// from `base` (the run stops at that job).
+    /// None: every job's detector is built infallibly, so the result is
+    /// always `Ok`. The `Result` is kept only because the frozen
+    /// benchmark calls `.expect` on it.
     pub fn run_all<F>(&mut self, mut exec: F) -> Result<ServiceReport, ServiceError>
     where
         F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
     {
-        self.run_inner(None, &mut exec)
+        Ok(self.run_inner(None, &mut exec))
     }
 
     /// [`run_all`] under supervision: every attempt runs inside
@@ -583,6 +573,9 @@ impl<P> DetectorService<P> {
     /// which is how the chaos soak proves non-quarantined digests
     /// byte-identical to the fault-free run.
     ///
+    /// # Errors
+    /// None: the result is always `Ok`, as for [`run_all`].
+    ///
     /// [`run_all`]: DetectorService::run_all
     pub fn run_all_supervised<F>(
         &mut self,
@@ -592,14 +585,10 @@ impl<P> DetectorService<P> {
     where
         F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
     {
-        self.run_inner(Some(sup), &mut exec)
+        Ok(self.run_inner(Some(sup), &mut exec))
     }
 
-    fn run_inner<F>(
-        &mut self,
-        sup: Option<&SupervisorConfig>,
-        exec: &mut F,
-    ) -> Result<ServiceReport, ServiceError>
+    fn run_inner<F>(&mut self, sup: Option<&SupervisorConfig>, exec: &mut F) -> ServiceReport
     where
         F: FnMut(&JobCtx<'_, P>, &mut Instrumented<ShardedIguard>) -> JobOutcome,
     {
@@ -620,7 +609,7 @@ impl<P> DetectorService<P> {
                     continue;
                 }
                 let seed = job_seed(cfg.seed, name, job_index);
-                let run_attempt = |n: u32| -> Result<Attempt<_>, ServiceError> {
+                let run_attempt = |n: u32| -> Attempt<_> {
                     let mut det_cfg = cfg.base.clone();
                     det_cfg.faults =
                         supervise::attempt_faults(&cfg.base.faults, seed, n, max_retries);
@@ -637,15 +626,15 @@ impl<P> DetectorService<P> {
                         Ok(outcome) => (outcome, None),
                         Err(msg) => (JobOutcome::default(), Some(msg)),
                     };
-                    Ok(Attempt {
+                    Attempt {
                         panic,
                         fires: tool.tool().fault_stats().total() + outcome.gpu_faults.total(),
                         kernel_cycles: outcome.kernel_cycles,
                         timed_out: outcome.timed_out,
                         product: (tool, outcome),
-                    })
+                    }
                 };
-                match supervise::run_job(sup, seed, &mut report.supervisor, run_attempt)? {
+                match supervise::run_job(sup, seed, &mut report.supervisor, run_attempt) {
                     Resolution::Quarantined {
                         reason,
                         attempts,
@@ -678,7 +667,7 @@ impl<P> DetectorService<P> {
         }
         self.latency(&names, &mut report);
         self.report.accumulate(&report);
-        Ok(report)
+        report
     }
 
     /// The latency plane: executed jobs queue on their global stream in
@@ -1152,7 +1141,6 @@ mod tests {
     #[test]
     fn service_error_display_round_trips_kind() {
         let errors = vec![
-            ServiceError::Detector(IguardError::EmptyTable),
             ServiceError::Checkpoint("x".into()),
             ServiceError::CheckpointStaleSeed {
                 checkpoint: 7,

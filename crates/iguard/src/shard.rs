@@ -62,8 +62,8 @@ impl DerefMut for ShardedIguard {
 }
 
 impl Tool for ShardedIguard {
-    fn wants_at(&mut self, kernel: &Kernel, pc: usize) -> bool {
-        self.0.wants_at(kernel, pc)
+    fn instrument(&mut self, kernel: &Kernel) -> Vec<bool> {
+        self.0.instrument(kernel)
     }
 
     fn body_sensitive(&self) -> bool {

@@ -381,27 +381,24 @@ pub enum Resolution<T> {
 /// to) is accepted degraded. With `sup` unset there is no ladder:
 /// attempt 0 runs once, is accepted as it stands, and `stats` is
 /// untouched.
-///
-/// # Errors
-/// Propagates the closure's error (an attempt that could not be set up).
-pub fn run_job<T, E>(
+pub fn run_job<T>(
     sup: Option<&SupervisorConfig>,
     job_seed: u64,
     stats: &mut SupervisorStats,
-    mut attempt: impl FnMut(u32) -> Result<Attempt<T>, E>,
-) -> Result<Resolution<T>, E> {
+    mut attempt: impl FnMut(u32) -> Attempt<T>,
+) -> Resolution<T> {
     let Some(cfg) = sup else {
-        return Ok(Resolution::Accepted {
-            product: attempt(0)?.product,
+        return Resolution::Accepted {
+            product: attempt(0).product,
             backoff_cycles: 0,
-        });
+        };
     };
     stats.jobs_supervised += 1;
     let mut backoff_total = 0u64;
     let mut n = 0u32;
     loop {
         stats.attempts += 1;
-        let a = attempt(n)?;
+        let a = attempt(n);
         if let Some(fail) = a.failure(cfg) {
             match fail {
                 JobFailure::Panic(_) => stats.panics_caught += 1,
@@ -421,11 +418,11 @@ pub fn run_job<T, E>(
             if let Some(reason) = fail.quarantine_reason() {
                 stats.quarantined += 1;
                 stats.discarded_fault_fires += a.fires;
-                return Ok(Resolution::Quarantined {
+                return Resolution::Quarantined {
                     reason,
                     attempts: n + 1,
                     detail: fail.detail(),
-                });
+                };
             }
             stats.accepted_degraded += 1;
         } else if n == 0 {
@@ -434,10 +431,10 @@ pub fn run_job<T, E>(
         if n > 0 {
             stats.recovered += 1;
         }
-        return Ok(Resolution::Accepted {
+        return Resolution::Accepted {
             product: a.product,
             backoff_cycles: backoff_total,
-        });
+        };
     }
 }
 
@@ -477,14 +474,14 @@ mod tests {
         assert_ne!(backoff_cycles(43, 0), b0);
     }
 
-    fn finished(fires: u64, timed_out: bool) -> Result<Attempt<u32>, ()> {
-        Ok(Attempt {
+    fn finished(fires: u64, timed_out: bool) -> Attempt<u32> {
+        Attempt {
             product: 7,
             panic: None,
             fires,
             kernel_cycles: 100,
             timed_out,
-        })
+        }
     }
 
     fn accepted_as_is(r: &Resolution<u32>) -> bool {
@@ -503,11 +500,11 @@ mod tests {
         };
         let mut stats = SupervisorStats::default();
         // Perturbed with nowhere to retreat: accepted as it stands.
-        let got = run_job(Some(&cfg), 1, &mut stats, |_| finished(3, false)).unwrap();
+        let got = run_job(Some(&cfg), 1, &mut stats, |_| finished(3, false));
         assert!(accepted_as_is(&got));
         // A hang on the only attempt is poison; every fire it observed
         // (simulator side included) is accounted as discarded.
-        let got = run_job(Some(&cfg), 1, &mut stats, |_| finished(5, true)).unwrap();
+        let got = run_job(Some(&cfg), 1, &mut stats, |_| finished(5, true));
         assert!(matches!(
             got,
             Resolution::Quarantined {
@@ -537,8 +534,7 @@ mod tests {
             calls += 1;
             assert_eq!(n, 0);
             finished(9, true)
-        })
-        .unwrap();
+        });
         assert!(accepted_as_is(&got));
         assert_eq!((calls, stats), (1, SupervisorStats::default()));
         assert_eq!(guard(None, || 3), Ok(3));

@@ -22,28 +22,10 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::fmt;
 use std::num::NonZeroUsize;
 
 use faults::{FaultInjector, FaultSite, FaultStats};
 use gpu_sim::timing::{Clock, CostCategory};
-
-/// A structurally invalid channel configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChannelError {
-    /// The buffer must hold at least one record.
-    ZeroCapacity,
-}
-
-impl fmt::Display for ChannelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChannelError::ZeroCapacity => write!(f, "channel capacity must be positive"),
-        }
-    }
-}
-
-impl std::error::Error for ChannelError {}
 
 /// Channel statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,19 +88,6 @@ impl<T> HostChannel<T> {
     /// `ship_cost` is charged serially per record (ring-buffer slot
     /// reservation is a device-wide atomic); `flush_cost` is charged
     /// serially per forced flush (host round-trip).
-    pub fn new(
-        capacity: usize,
-        ship_cost: u64,
-        flush_cost: u64,
-        category: CostCategory,
-    ) -> Result<Self, ChannelError> {
-        let capacity = NonZeroUsize::new(capacity).ok_or(ChannelError::ZeroCapacity)?;
-        Ok(HostChannel::with_capacity(
-            capacity, ship_cost, flush_cost, category,
-        ))
-    }
-
-    /// [`HostChannel::new`] for a capacity already known to be positive.
     #[must_use]
     pub fn with_capacity(
         capacity: NonZeroUsize,
@@ -217,10 +186,15 @@ mod tests {
     use super::*;
     use faults::{FaultConfig, RATE_ONE};
 
+    fn channel(capacity: usize, ship: u64, flush: u64, cat: CostCategory) -> HostChannel<u32> {
+        let capacity = NonZeroUsize::new(capacity).unwrap();
+        HostChannel::with_capacity(capacity, ship, flush, cat)
+    }
+
     #[test]
     fn records_arrive_in_order() {
         let mut clk = Clock::new();
-        let mut ch = HostChannel::new(100, 5, 50, CostCategory::Misc).unwrap();
+        let mut ch = channel(100, 5, 50, CostCategory::Misc);
         for i in 0..10 {
             ch.send(i, &mut clk);
         }
@@ -231,7 +205,7 @@ mod tests {
     fn ship_cost_is_serial_per_record() {
         let mut clk = Clock::new();
         clk.set_parallelism(1000.0);
-        let mut ch = HostChannel::new(1000, 7, 0, CostCategory::Detection).unwrap();
+        let mut ch = channel(1000, 7, 0, CostCategory::Detection);
         for i in 0..100 {
             ch.send(i, &mut clk);
         }
@@ -242,7 +216,7 @@ mod tests {
     #[test]
     fn full_buffer_forces_flush() {
         let mut clk = Clock::new();
-        let mut ch = HostChannel::new(4, 1, 100, CostCategory::Misc).unwrap();
+        let mut ch = channel(4, 1, 100, CostCategory::Misc);
         for i in 0..9 {
             ch.send(i, &mut clk);
         }
@@ -254,16 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_rejected() {
-        let err = HostChannel::<u32>::new(0, 1, 1, CostCategory::Misc).unwrap_err();
-        assert_eq!(err, ChannelError::ZeroCapacity);
-        assert!(err.to_string().contains("capacity"));
-    }
-
-    #[test]
     fn certain_drop_loses_every_record_with_accounting() {
         let mut clk = Clock::new();
-        let mut ch = HostChannel::new(8, 1, 10, CostCategory::Misc).unwrap();
+        let mut ch = channel(8, 1, 10, CostCategory::Misc);
         let cfg = FaultConfig::disabled()
             .with_seed(9)
             .with_rate(FaultSite::ReportDrop, RATE_ONE);
@@ -281,7 +248,7 @@ mod tests {
     #[test]
     fn overflow_fault_loses_the_buffered_batch() {
         let mut clk = Clock::new();
-        let mut ch = HostChannel::new(4, 1, 10, CostCategory::Misc).unwrap();
+        let mut ch = channel(4, 1, 10, CostCategory::Misc);
         let cfg = FaultConfig::disabled()
             .with_seed(9)
             .with_rate(FaultSite::ChannelOverflow, RATE_ONE);
@@ -301,7 +268,7 @@ mod tests {
     #[test]
     fn corruption_counts_inside_dropped() {
         let mut clk = Clock::new();
-        let mut ch = HostChannel::new(64, 1, 10, CostCategory::Misc).unwrap();
+        let mut ch = channel(64, 1, 10, CostCategory::Misc);
         let cfg = FaultConfig::disabled()
             .with_seed(3)
             .with_rate(FaultSite::ReportCorrupt, RATE_ONE / 2);

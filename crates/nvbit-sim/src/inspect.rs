@@ -68,35 +68,6 @@ pub fn census(kernel: &Kernel) -> KernelCensus {
     c
 }
 
-/// Instructions a tool would instrument with the default (memory + sync)
-/// predicate — useful for estimating instrumentation density.
-#[must_use]
-pub fn default_instrumentation_points(kernel: &Kernel) -> Vec<usize> {
-    kernel
-        .code
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| i.is_global_access() || i.is_sync())
-        .map(|(pc, _)| pc)
-        .collect()
-}
-
-/// The classification-aware variant of [`default_instrumentation_points`]:
-/// global-memory points that the static pre-analysis proved safe are
-/// dropped; sync points and everything else the default predicate selects
-/// stay. `pruned + instrumented == default` holds by construction (pruning
-/// only ever removes memory points).
-#[must_use]
-pub fn classified_instrumentation_points(
-    kernel: &Kernel,
-    cls: &static_an::AccessClassification,
-) -> Vec<usize> {
-    default_instrumentation_points(kernel)
-        .into_iter()
-        .filter(|&pc| !(kernel.code[pc].is_global_access() && cls.class_at(pc).is_safe()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,10 +106,18 @@ mod tests {
         assert_eq!(c.warp_barriers, 1);
     }
 
+    /// A tool that keeps [`crate::Tool::instrument`]'s default predicate.
+    struct Plain;
+
+    impl crate::Tool for Plain {}
+
     #[test]
     fn instrumentation_points_exclude_alu_and_shared() {
+        use crate::Tool;
         let k = kernel();
-        let pts = default_instrumentation_points(&k);
+        let map = Plain.instrument(&k);
+        assert_eq!(map.len(), k.code.len());
+        let pts: Vec<usize> = (0..map.len()).filter(|&pc| map[pc]).collect();
         // 2 global accesses + 2 atomics + 2 fences + 2 barriers.
         assert_eq!(pts.len(), 8);
         for pc in pts {

@@ -7,7 +7,7 @@
 //! libraries. This crate reproduces that layer over `gpu-sim`:
 //!
 //! - [`inspect`] — static analysis of loaded kernel objects (the
-//!   `nvbit_get_instrs` analogue), with per-pc instrumentation predicates;
+//!   `nvbit_get_instrs` analogue);
 //! - [`Tool`] — the tool-side interface (`instrument` + runtime callbacks);
 //! - [`Instrumented`] — the adapter that mounts a tool onto the GPU's hook
 //!   interface, charging realistic *framework* costs: one-time binary
@@ -42,16 +42,19 @@ const CALLBACK_COST_SYNC: u64 = 4;
 
 /// The interface an instrumentation tool (iGUARD, Barracuda, ...) presents
 /// to the framework. Mirrors NVBit's tool API shape: a static `instrument`
-/// decision per instruction plus runtime callbacks.
+/// decision made once per kernel, when it loads, plus runtime callbacks.
 pub trait Tool {
-    /// Whether the framework should inject a callback at static
-    /// instruction `pc` of `kernel`. The whole kernel is in view, so a tool
-    /// can consult a per-kernel static analysis (hybrid static/dynamic
+    /// The per-pc "inject a callback here" bitmap for `kernel`, one entry
+    /// per static instruction. The whole kernel is in view, so a tool can
+    /// consult a per-kernel static analysis (hybrid static/dynamic
     /// pruning). The default instruments all global-memory accesses and
     /// synchronization operations — exactly iGUARD's selection (§5).
-    fn wants_at(&mut self, kernel: &gpu_sim::kernel::Kernel, pc: usize) -> bool {
-        let instr = &kernel.code[pc];
-        instr.is_global_access() || instr.is_sync()
+    fn instrument(&mut self, kernel: &gpu_sim::kernel::Kernel) -> Vec<bool> {
+        kernel
+            .code
+            .iter()
+            .map(|i| i.is_global_access() || i.is_sync())
+            .collect()
     }
 
     /// Whether the instrumentation decision depends on the kernel *body*
@@ -105,9 +108,9 @@ struct MapEntry {
 /// Mounts a [`Tool`] onto the GPU as a [`Hook`], adding framework costs.
 ///
 /// Analysis runs once per kernel *name* (NVBit caches instrumented
-/// functions); the per-pc instrumentation bitmap produced by the tool's
-/// [`Tool::wants_at`] gates callbacks so un-instrumented instructions run
-/// at native speed. For [`Tool::body_sensitive`] tools the cache
+/// functions); the per-pc bitmap the tool's [`Tool::instrument`] returns
+/// then gates callbacks so un-instrumented instructions run at native
+/// speed. For [`Tool::body_sensitive`] tools the cache
 /// additionally validates the kernel body on the string-equality fallback
 /// path, re-analyzing (and re-charging) when two same-named kernels have
 /// different bodies.
@@ -168,9 +171,7 @@ impl<T: Tool> Instrumented<T> {
         let cost = ANALYSIS_COST_FIXED + ANALYSIS_COST_PER_INSTR * kernel.code.len() as u64;
         clock.charge_serial(CostCategory::Nvbit, cost);
         self.stats.analyzed_kernels += 1;
-        let map = (0..kernel.code.len())
-            .map(|pc| self.tool.wants_at(kernel, pc))
-            .collect();
+        let map = self.tool.instrument(kernel);
         let body = self.tool.body_sensitive().then(|| kernel.code.clone());
         self.maps.push(MapEntry {
             name: kernel.name.clone(),
@@ -301,8 +302,8 @@ mod tests {
     struct Selective;
 
     impl Tool for Selective {
-        fn wants_at(&mut self, _k: &Kernel, _pc: usize) -> bool {
-            false
+        fn instrument(&mut self, k: &Kernel) -> Vec<bool> {
+            vec![false; k.code.len()]
         }
     }
 
@@ -323,27 +324,31 @@ mod tests {
     /// record per dispatched memory callback (so channel `sent` mirrors the
     /// dispatch accounting exactly).
     struct Pruning {
-        cache: static_an::ClassificationCache,
         chan: channel::HostChannel<usize>,
     }
 
     impl Pruning {
         fn new() -> Self {
+            let capacity = std::num::NonZeroUsize::new(1024).unwrap();
             Pruning {
-                cache: static_an::ClassificationCache::new(),
-                chan: channel::HostChannel::new(1024, 1, 0, CostCategory::Instrumentation).unwrap(),
+                chan: channel::HostChannel::with_capacity(
+                    capacity,
+                    1,
+                    0,
+                    CostCategory::Instrumentation,
+                ),
             }
         }
     }
 
     impl Tool for Pruning {
-        fn wants_at(&mut self, kernel: &Kernel, pc: usize) -> bool {
-            let instr = &kernel.code[pc];
-            if instr.is_global_access() {
-                !self.cache.classify(kernel).class_at(pc).is_safe()
-            } else {
-                instr.is_sync()
+        fn instrument(&mut self, kernel: &Kernel) -> Vec<bool> {
+            let cls = static_an::analyze(kernel);
+            let mut map = Probe::default().instrument(kernel);
+            for (pc, m) in map.iter_mut().enumerate() {
+                *m &= !cls.class_at(pc).is_safe();
             }
+            map
         }
         fn body_sensitive(&self) -> bool {
             true
@@ -351,6 +356,12 @@ mod tests {
         fn on_mem(&mut self, a: &MemAccess<'_>, c: &mut Clock) {
             self.chan.send(a.pc, c);
         }
+    }
+
+    /// The pcs `tool` instruments in `kernel`.
+    fn points(tool: &mut impl Tool, kernel: &Kernel) -> Vec<usize> {
+        let map = tool.instrument(kernel);
+        (0..map.len()).filter(|&pc| map[pc]).collect()
     }
 
     fn launch_pruned(kernel: &Kernel, grid: u32, block: u32) -> (InstrStats, u64) {
@@ -375,8 +386,7 @@ mod tests {
         assert_eq!(stats.dispatched_mem, 0);
         assert_eq!(stats.skipped_mem, 0);
         assert_eq!(sent, 0);
-        let cls = static_an::analyze(&k);
-        assert!(inspect::classified_instrumentation_points(&k, &cls).is_empty());
+        assert!(points(&mut Pruning::new(), &k).is_empty());
     }
 
     #[test]
@@ -398,12 +408,12 @@ mod tests {
         assert_eq!(sent, 0);
         assert!(stats.dispatched_sync > 0, "sync callbacks are not pruned");
         let cls = static_an::analyze(&k);
-        let pts = inspect::classified_instrumentation_points(&k, &cls);
+        let pts = points(&mut Pruning::new(), &k);
         // Only the barrier remains.
         assert_eq!(pts.len(), 1);
         assert!(k.code[pts[0]].is_sync());
         assert_eq!(
-            inspect::default_instrumentation_points(&k).len(),
+            points(&mut Probe::default(), &k).len(),
             pts.len() + cls.safe_points
         );
     }
@@ -420,8 +430,8 @@ mod tests {
         let cls = static_an::analyze(&k);
         assert_eq!(cls.safe_points, 0);
         assert_eq!(
-            inspect::classified_instrumentation_points(&k, &cls),
-            inspect::default_instrumentation_points(&k)
+            points(&mut Pruning::new(), &k),
+            points(&mut Probe::default(), &k)
         );
     }
 
@@ -443,8 +453,8 @@ mod tests {
         assert_eq!(cls.unknown_points, 3);
         assert_eq!(cls.safe_points, 0);
         assert_eq!(
-            inspect::classified_instrumentation_points(&k, &cls),
-            inspect::default_instrumentation_points(&k)
+            points(&mut Pruning::new(), &k),
+            points(&mut Probe::default(), &k)
         );
         let (stats, sent) = launch_pruned(&k, 1, 2);
         assert_eq!(stats.skipped_mem, 0);

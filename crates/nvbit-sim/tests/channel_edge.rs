@@ -5,9 +5,11 @@ use gpu_sim::prelude::*;
 use gpu_sim::timing::{Clock, CostCategory};
 use nvbit_sim::channel::HostChannel;
 use nvbit_sim::{Instrumented, Tool};
+use std::num::NonZeroUsize;
 
 fn channel(capacity: usize) -> HostChannel<u32> {
-    HostChannel::new(capacity, 5, 40, CostCategory::Detection).unwrap()
+    let capacity = NonZeroUsize::new(capacity).expect("positive capacity");
+    HostChannel::with_capacity(capacity, 5, 40, CostCategory::Detection)
 }
 
 #[test]

@@ -8,6 +8,11 @@ use faults::{FaultConfig, FaultInjector, FaultSite, RATE_ONE};
 use gpu_sim::timing::{Clock, CostCategory};
 use nvbit_sim::channel::HostChannel;
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
+
+fn nonzero(capacity: usize) -> NonZeroUsize {
+    NonZeroUsize::new(capacity).expect("the strategies draw positive capacities")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -30,7 +35,7 @@ proptest! {
             .with_rate(FaultSite::ReportCorrupt, corrupt_rate)
             .with_rate(FaultSite::ChannelOverflow, overflow_rate);
         let mut clk = Clock::new();
-        let mut ch = HostChannel::new(capacity, 1, 10, CostCategory::Misc).unwrap();
+        let mut ch = HostChannel::with_capacity(nonzero(capacity), 1, 10, CostCategory::Misc);
         ch.set_faults(FaultInjector::new(&cfg, "prop"));
         for i in 0..sends {
             ch.send(i, &mut clk);
@@ -62,7 +67,7 @@ proptest! {
     ) {
         let cfg = FaultConfig::disabled().with_seed(seed);
         let mut clk = Clock::new();
-        let mut ch = HostChannel::new(capacity, 1, 10, CostCategory::Misc).unwrap();
+        let mut ch = HostChannel::with_capacity(nonzero(capacity), 1, 10, CostCategory::Misc);
         ch.set_faults(FaultInjector::new(&cfg, "prop"));
         for i in 0..sends {
             ch.send(i, &mut clk);

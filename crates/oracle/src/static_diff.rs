@@ -5,11 +5,14 @@
 //! that this module checks against ground truth, per kernel:
 //!
 //! 1. **Soundness** — pruning never loses a report. Whatever the fully
-//!    instrumented detector flags, the pruned detector must also flag, a
-//!    kernel the oracle proves racy must never be classified all-safe,
-//!    and verify mode must count zero violations. Any breach lands in the
-//!    **`static-unsound`** class, which fails the campaign — the bucket
-//!    must stay empty.
+//!    instrumented detector flags, the pruned detector must also flag, and
+//!    a kernel the oracle proves racy must never be classified all-safe.
+//!    Any breach lands in the **`static-unsound`** class, which fails the
+//!    campaign — the bucket must stay empty. Both rules are kernel-global
+//!    (a kernel's global-memory points are all safe or none is), so a
+//!    report the full run makes from a provably-safe access is a report
+//!    the pruned run, which dispatches no memory callback of that kernel,
+//!    cannot make: the first check already catches it.
 //! 2. **Incompleteness is expected** — a clean kernel the pass could not
 //!    prove safe (unknown points remain instrumented) is the pass being
 //!    conservative, not wrong. These land in **`static-incomplete`**, the
@@ -20,11 +23,10 @@
 //! device-scope atomic → `AtomicProtected`). This arm's value is
 //! end-to-end soundness over kernels with ground-truth verdicts.
 
-use gpu_sim::kernel::Kernel;
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 
-use crate::diff::{plans, run_plan, verdict, Detector, Plan, Verdict};
+use crate::diff::{plans, run_plan, verdict, Detector, Verdict};
 use crate::explore::{explore, ExploreConfig, Report};
 use crate::spec::Spec;
 
@@ -58,9 +60,6 @@ pub struct StaticDiffReport {
     pub full: Verdict,
     /// Pruned detector's verdict over the same runs.
     pub pruned: Verdict,
-    /// Verify-mode violations summed across every seed and witness
-    /// replay. Non-zero is a soundness bug.
-    pub verify_violations: u64,
     pub divergences: Vec<StaticDivergence>,
 }
 
@@ -79,7 +78,7 @@ impl StaticDiffReport {
     #[must_use]
     pub fn describe(&self) -> String {
         let mut s = format!(
-            "{} oracle={}{} static={}m/{}s/{}u full={:?} pruned={:?} verify={}",
+            "{} oracle={}{} static={}m/{}s/{}u full={:?} pruned={:?}",
             self.spec.to_compact_string(),
             if self.oracle.racy { "racy" } else { "clean" },
             if self.oracle.complete {
@@ -92,30 +91,11 @@ impl StaticDiffReport {
             self.unknown_points,
             self.full,
             self.pruned,
-            self.verify_violations,
         );
         for d in &self.divergences {
             s.push_str(&format!(" [{}: {}]", d.class, d.detail));
         }
         s
-    }
-}
-
-/// One detector run's pruning-relevant outcome.
-struct RunOutcome {
-    dynamic_flag: bool,
-    verify_violations: u64,
-}
-
-/// Runs iGUARD under `cfg` over one run plan, surfacing the pruning
-/// counters beside the race flag.
-fn run_iguard(spec: &Spec, kernel: &Kernel, plan: Plan<'_>, cfg: &IguardConfig) -> RunOutcome {
-    let mut tool = Instrumented::new(Iguard::new(cfg.clone()));
-    run_plan(spec, kernel, plan, &mut tool);
-    let ps = tool.tool().prune_stats();
-    RunOutcome {
-        dynamic_flag: tool.tool().unique_races() > 0,
-        verify_violations: ps.verify_violations,
     }
 }
 
@@ -129,24 +109,15 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
     let full = verdict(Detector::Iguard, spec, &plans);
 
     // The pruned detector, over the same plans; the first report decides.
-    let pruned_cfg = IguardConfig::with_prune();
-    let pruned = if plans
-        .iter()
-        .any(|&plan| run_iguard(spec, &kernel, plan, &pruned_cfg).dynamic_flag)
-    {
+    let pruned = if plans.iter().any(|&plan| {
+        let mut tool = Instrumented::new(Iguard::new(IguardConfig::with_prune()));
+        run_plan(spec, &kernel, plan, &mut tool);
+        tool.tool().unique_races() > 0
+    }) {
         Verdict::Flagged
     } else {
         Verdict::Clean
     };
-
-    // Verify mode: accumulate violations across all plans — each run is
-    // an independent chance for a pruned-tagged access to produce a
-    // report.
-    let verify_cfg = IguardConfig::with_prune_verify();
-    let verify_violations: u64 = plans
-        .iter()
-        .map(|&plan| run_iguard(spec, &kernel, plan, &verify_cfg).verify_violations)
-        .sum();
 
     let mut divergences = Vec::new();
     if full == Verdict::Flagged && pruned == Verdict::Clean {
@@ -159,12 +130,6 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
         divergences.push(StaticDivergence {
             class: STATIC_UNSOUND,
             detail: "all-safe verdict on an oracle-racy kernel",
-        });
-    }
-    if verify_violations > 0 {
-        divergences.push(StaticDivergence {
-            class: STATIC_UNSOUND,
-            detail: "verify mode saw a report from a provably-safe access",
         });
     }
     if oracle.complete && !oracle.racy && cls.unknown_points > 0 {
@@ -182,7 +147,6 @@ pub fn diff_static(spec: &Spec) -> StaticDiffReport {
         unknown_points: cls.unknown_points,
         full,
         pruned,
-        verify_violations,
         divergences,
     }
 }
@@ -243,7 +207,6 @@ mod tests {
         assert!(r.oracle.racy);
         assert_eq!(r.full, Verdict::Flagged, "{}", r.describe());
         assert_eq!(r.pruned, Verdict::Flagged, "{}", r.describe());
-        assert_eq!(r.verify_violations, 0, "{}", r.describe());
         assert!(r.unsound().is_empty(), "{}", r.describe());
     }
 }

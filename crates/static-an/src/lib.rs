@@ -30,7 +30,6 @@
 
 use gpu_sim::ir::{Instr, Scope};
 use gpu_sim::kernel::Kernel;
-use std::sync::Arc;
 
 /// Why a point is provably safe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,100 +126,6 @@ pub fn analyze(kernel: &Kernel) -> AccessClassification {
     }
 }
 
-/// Statistics of a [`ClassificationCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups resolved from the cache.
-    pub hits: u64,
-    /// Lookups that ran a fresh analysis.
-    pub misses: u64,
-    /// Lookups where a same-named entry existed but its body differed, so a
-    /// separate entry was created (the string-equality fallback of interned
-    /// names must never alias distinct kernel bodies).
-    pub body_conflicts: u64,
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    name: Arc<str>,
-    code: Vec<Instr>,
-    cls: Arc<AccessClassification>,
-}
-
-/// Per-kernel classification cache keyed by interned kernel name.
-///
-/// The fast path is a pointer compare on the interned `Arc<str>` (the
-/// common case: repeated launches of the same kernel object). The
-/// string-equality fallback additionally compares the kernel *body*:
-/// unlike NVBit's instrumented-function cache, a classification drives
-/// *pruning*, so two distinct kernels that merely share a name must never
-/// share a verdict.
-#[derive(Debug, Default)]
-pub struct ClassificationCache {
-    entries: Vec<CacheEntry>,
-    cursor: usize,
-    stats: CacheStats,
-}
-
-impl ClassificationCache {
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the classification for `kernel`, analyzing on first sight.
-    pub fn classify(&mut self, kernel: &Kernel) -> Arc<AccessClassification> {
-        if let Some(e) = self.entries.get(self.cursor) {
-            if Arc::ptr_eq(&e.name, &kernel.name) {
-                self.stats.hits += 1;
-                return Arc::clone(&e.cls);
-            }
-        }
-        let mut name_seen = false;
-        if let Some(i) = self.entries.iter().position(|e| {
-            Arc::ptr_eq(&e.name, &kernel.name) || {
-                let same_name = *e.name == *kernel.name;
-                name_seen |= same_name;
-                same_name && e.code == kernel.code
-            }
-        }) {
-            self.cursor = i;
-            self.stats.hits += 1;
-            return Arc::clone(&self.entries[i].cls);
-        }
-        if name_seen {
-            self.stats.body_conflicts += 1;
-        }
-        self.stats.misses += 1;
-        let cls = Arc::new(analyze(kernel));
-        self.entries.push(CacheEntry {
-            name: kernel.name.clone(),
-            code: kernel.code.clone(),
-            cls: Arc::clone(&cls),
-        });
-        self.cursor = self.entries.len() - 1;
-        Arc::clone(&self.entries[self.cursor].cls)
-    }
-
-    /// Cache statistics.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of cached classifications.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,8 +133,8 @@ mod tests {
     use gpu_sim::ir::Special;
 
     /// `out[0] += in[g]` at device scope: rule B proves both points safe.
-    fn hist_kernel(name: &str) -> Kernel {
-        let mut b = KernelBuilder::new(name);
+    fn hist_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("hist");
         let input = b.param(0);
         let out = b.param(1);
         let g = b.special(Special::GlobalTid);
@@ -263,7 +168,7 @@ mod tests {
 
     #[test]
     fn device_atomic_writes_protect_the_whole_kernel() {
-        let k = hist_kernel("hist");
+        let k = hist_kernel();
         let c = analyze(&k);
         assert_eq!(c.mem_points, 2);
         assert_eq!(c.safe_points, 2);
@@ -298,49 +203,6 @@ mod tests {
         let k = b.build();
         let c = analyze(&k);
         assert_eq!(c.safe_points, 0);
-    }
-
-    #[test]
-    fn cache_hits_by_pointer_and_by_string() {
-        let mut cache = ClassificationCache::new();
-        let k = hist_kernel("s");
-        let c1 = cache.classify(&k);
-        let c2 = cache.classify(&k);
-        assert!(Arc::ptr_eq(&c1, &c2));
-        // Same name, same body, distinct Arc allocation: string fallback.
-        let k2 = hist_kernel("s");
-        assert!(!Arc::ptr_eq(&k.name, &k2.name));
-        let c3 = cache.classify(&k2);
-        assert!(Arc::ptr_eq(&c1, &c3));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().body_conflicts, 0);
-    }
-
-    #[test]
-    fn equal_names_with_different_bodies_do_not_share_a_classification() {
-        let mut cache = ClassificationCache::new();
-        let safe = hist_kernel("twin");
-        let mut b = KernelBuilder::new("twin");
-        let buf = b.param(0);
-        let tid = b.special(Special::Tid);
-        b.st(buf, 0, tid); // plain store: neither rule applies, nothing safe
-        let unknown = b.build();
-        assert!(!Arc::ptr_eq(&safe.name, &unknown.name));
-        assert_eq!(*safe.name, *unknown.name);
-
-        let cs = cache.classify(&safe);
-        let cu = cache.classify(&unknown);
-        assert!(!Arc::ptr_eq(&cs, &cu));
-        assert_eq!(cs.safe_points, cs.mem_points);
-        assert_eq!(cu.safe_points, 0);
-        assert_eq!(cu.unknown_points, 1);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().body_conflicts, 1);
-        // Each body keeps resolving to its own entry afterwards.
-        assert!(Arc::ptr_eq(&cache.classify(&safe), &cs));
-        assert!(Arc::ptr_eq(&cache.classify(&unknown), &cu));
     }
 
     #[test]
