@@ -174,8 +174,7 @@ fn bench_metadata_table_slots(c: &mut Criterion) {
         virtual_bytes: 1 << 26,
         device_budget_bytes: 1 << 26,
         ..TableConfig::covering(1 << 12)
-    })
-    .unwrap();
+    });
     let entry = MetadataEntry {
         tag: 0,
         flags: Flags {

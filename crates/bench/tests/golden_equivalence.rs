@@ -19,8 +19,11 @@
 //! Regenerating it on purpose is how a *deliberate* semantic change lands;
 //! an accidental diff here means an optimization changed behaviour.
 
+mod common;
+
 use std::fmt::Write as _;
 
+use common::check_or_write_table;
 use faults::FaultConfig;
 use gpu_sim::hook::ExecMode;
 use gpu_sim::machine::{Gpu, GpuConfig, LaunchStats};
@@ -164,27 +167,7 @@ const GOLDEN_PATH: &str = concat!(
 
 #[test]
 fn optimized_pipeline_matches_seed_golden() {
-    let lines = golden_lines();
-    let rendered = lines.join("\n") + "\n";
-    if std::env::var_os("GOLDEN_WRITE").is_some() {
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
-        eprintln!("golden file regenerated at {GOLDEN_PATH}");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing; regenerate with GOLDEN_WRITE=1");
-    let golden_lines: Vec<&str> = golden.lines().collect();
-    assert_eq!(
-        golden_lines.len(),
-        lines.len(),
-        "golden matrix shape changed"
-    );
-    for (i, (got, want)) in lines.iter().zip(&golden_lines).enumerate() {
-        assert_eq!(
-            got, want,
-            "row {i} diverged from the seed baseline\n  got: {got}\n want: {want}"
-        );
-    }
+    check_or_write_table(GOLDEN_PATH, &golden_lines(), "seed golden");
 }
 
 /// The fault plane must be byte-invisible when every rate is zero: the
@@ -200,21 +183,11 @@ fn disabled_fault_plane_matches_seed_golden() {
         return; // the main test owns regeneration
     }
     let armed_but_silent = FaultConfig::disabled().with_seed(0x5eed);
-    let lines = golden_lines_with(&armed_but_silent);
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing; regenerate with GOLDEN_WRITE=1");
-    let golden_lines: Vec<&str> = golden.lines().collect();
-    assert_eq!(
-        golden_lines.len(),
-        lines.len(),
-        "golden matrix shape changed"
+    check_or_write_table(
+        GOLDEN_PATH,
+        &golden_lines_with(&armed_but_silent),
+        "zero-rate fault plane",
     );
-    for (i, (got, want)) in lines.iter().zip(&golden_lines).enumerate() {
-        assert_eq!(
-            got, want,
-            "row {i}: zero-rate fault plane perturbed the pipeline\n  got: {got}\n want: {want}"
-        );
-    }
 }
 
 /// The same pipeline run twice must be bit-identical — catches

@@ -27,8 +27,6 @@ pub enum SimError {
     BadLaunch { reason: String },
     /// Device memory exhausted (logical capacity accounting).
     OutOfMemory { requested: u64, available: u64 },
-    /// A structurally invalid device configuration (construction-time).
-    BadConfig { reason: String },
     /// The fault plane killed this operation (`site` names the
     /// [`faults::FaultSite`] that fired). Only produced when fault
     /// injection is enabled; consumers treat it as a non-fatal DNF.
@@ -66,7 +64,6 @@ impl fmt::Display for SimError {
                 write!(f, "watchdog timeout after {steps} scheduler steps")
             }
             SimError::BadLaunch { reason } => write!(f, "bad launch: {reason}"),
-            SimError::BadConfig { reason } => write!(f, "bad config: {reason}"),
             SimError::InjectedFault { site } => {
                 write!(f, "injected fault: {site}")
             }

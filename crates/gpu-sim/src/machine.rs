@@ -151,38 +151,21 @@ impl Gpu {
     /// # Panics
     /// Panics if `mem_words` exceeds the simulator's 32-bit byte address
     /// space (2^30 words): buffer addresses are `u32` byte addresses, so a
-    /// larger backing store would silently wrap. Fallible callers use
-    /// [`Gpu::try_new`].
+    /// larger backing store would silently wrap. Panics if `num_sms` is 0.
     #[must_use]
     pub fn new(cfg: GpuConfig) -> Self {
-        Gpu::try_new(cfg).unwrap_or_else(|e| match e {
-            SimError::BadConfig { reason } => panic!("{reason}"),
-            e => panic!("{e}"),
-        })
-    }
-
-    /// Fallible [`Gpu::new`]: a structurally invalid configuration becomes
-    /// [`SimError::BadConfig`] instead of a panic.
-    pub fn try_new(cfg: GpuConfig) -> Result<Self, SimError> {
-        if cfg.mem_words > 1 << 30 {
-            return Err(SimError::BadConfig {
-                reason: format!(
-                    "mem_words {} exceeds the 32-bit simulated address space",
-                    cfg.mem_words
-                ),
-            });
-        }
-        if cfg.num_sms == 0 {
-            return Err(SimError::BadConfig {
-                reason: "num_sms must be positive".into(),
-            });
-        }
+        assert!(
+            cfg.mem_words <= 1 << 30,
+            "mem_words {} exceeds the 32-bit simulated address space",
+            cfg.mem_words
+        );
+        assert!(cfg.num_sms > 0, "num_sms must be positive");
         let mut mem = GlobalMem::new(cfg.mem_words, cfg.num_sms);
         if cfg.weak_visibility {
             mem.enable_weak();
         }
         let faults = FaultInjector::new(&cfg.faults, "gpu-launch");
-        Ok(Gpu {
+        Gpu {
             cfg,
             mem,
             clock: Clock::new(),
@@ -190,7 +173,7 @@ impl Gpu {
             bump_word: 16,
             logical_allocated: 64,
             faults,
-        })
+        }
     }
 
     /// Injected-fault counters for the launch boundary.

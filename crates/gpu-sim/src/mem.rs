@@ -423,8 +423,9 @@ impl GlobalMem {
     /// Weak-visibility word load: collects every value the load may
     /// observe, asks `choose` to pick one when more than one is allowed,
     /// applies the chosen candidate's cache effect, and raises the read
-    /// floor. Requires [`GlobalMem::enable_weak`]; candidate 0 is the
-    /// legacy value, so `choose = |_| 0` reproduces [`GlobalMem::load`].
+    /// floor. Candidate 0 is the legacy value, so `choose = |_| 0`
+    /// reproduces [`GlobalMem::load`]; without [`GlobalMem::enable_weak`]
+    /// it is the only candidate, and the load is that one.
     pub fn load_weak(
         &mut self,
         sm: usize,
@@ -433,9 +434,7 @@ impl GlobalMem {
     ) -> Result<u32, SimError> {
         let w = self.word_index(addr)?;
         let Some(wk) = &self.weak else {
-            return Err(SimError::BadConfig {
-                reason: "load_weak requires enable_weak()".into(),
-            });
+            return self.load(sm, addr, false);
         };
         let (l2, l2v) = (self.l2.read(w), wk.l2_ver.read(w));
         let floor = self.l1[sm].seen.read(w).floor;
@@ -1181,6 +1180,19 @@ mod tests {
         assert_eq!(weak_load(&mut m, 1, 8, 0).0, 0, "stale clean line wins");
         m.fence(1, Scope::Device);
         assert_eq!(weak_load(&mut m, 1, 8, 0).0, 7);
+    }
+
+    #[test]
+    fn weak_load_without_weak_bookkeeping_is_the_strong_load() {
+        // The same script as above on a strong memory: the chooser is
+        // never consulted and the stale clean line still wins.
+        let mut m = GlobalMem::new(64, 4);
+        assert_eq!(weak_load(&mut m, 1, 8, 3), (0, 0));
+        m.store(0, 8, 7, false).unwrap();
+        m.fence(0, Scope::Device);
+        assert_eq!(weak_load(&mut m, 1, 8, 3), (0, 0), "stale clean line wins");
+        m.fence(1, Scope::Device);
+        assert_eq!(weak_load(&mut m, 1, 8, 3), (7, 0));
     }
 
     #[test]

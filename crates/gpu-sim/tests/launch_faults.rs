@@ -1,5 +1,5 @@
 //! The fault plane at the launch boundary: injected aborts and hangs,
-//! typed construction errors, and the zero-fault invariant.
+//! the constructor's refusals, and the zero-fault invariant.
 
 use faults::{FaultConfig, FaultSite, RATE_ONE};
 use gpu_sim::error::SimError;
@@ -25,25 +25,12 @@ fn cfg_with(faults: FaultConfig) -> GpuConfig {
 }
 
 #[test]
-fn bad_config_is_a_typed_error() {
-    let cfg = GpuConfig {
-        mem_words: (1 << 30) + 1,
-        ..GpuConfig::default()
-    };
-    match Gpu::try_new(cfg).map(|_| ()) {
-        Err(SimError::BadConfig { reason }) => {
-            assert!(reason.contains("32-bit"), "reason: {reason}");
-        }
-        other => panic!("expected BadConfig, got {other:?}"),
-    }
-    let cfg = GpuConfig {
+#[should_panic(expected = "num_sms must be positive")]
+fn zero_sms_is_refused_by_a_panic() {
+    let _ = Gpu::new(GpuConfig {
         num_sms: 0,
         ..GpuConfig::default()
-    };
-    assert!(matches!(
-        Gpu::try_new(cfg).map(|_| ()),
-        Err(SimError::BadConfig { .. })
-    ));
+    });
 }
 
 #[test]

@@ -33,8 +33,6 @@ pub struct IguardConfig {
     pub backoff: bool,
     /// UVM driver cost model for the managed metadata region.
     pub uvm: UvmConfig,
-    /// Prefault metadata onto the device when free memory allows (§6.1).
-    pub prefault: bool,
     /// Logical address multiplier for footprint-scaling experiments
     /// (Figure 14); 1 for normal operation.
     pub addr_scale: u64,
@@ -69,7 +67,6 @@ impl Default for IguardConfig {
             coalescing: true,
             backoff: true,
             uvm: UvmConfig::default(),
-            prefault: true,
             addr_scale: 1,
             history_depth: 1,
             its_support: true,

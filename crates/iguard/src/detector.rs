@@ -77,12 +77,6 @@ pub struct IguardStats {
     /// access is still processed — as a first access — so detection
     /// degrades (possible missed race) instead of failing.
     pub missed_checks: u64,
-    /// Events received while the detector had no live launch state
-    /// (e.g. the metadata table failed to initialize). Dropped, counted.
-    pub orphan_events: u64,
-    /// Launches that could not allocate the metadata table; the detector
-    /// keeps running blind (every access becomes an orphan event).
-    pub table_init_failures: u64,
 }
 
 impl IguardStats {
@@ -103,8 +97,6 @@ impl IguardStats {
             uvm_cycles,
             launches,
             missed_checks,
-            orphan_events,
-            table_init_failures,
         } = *other;
         self.accesses += accesses;
         self.coalesced_saved += coalesced_saved;
@@ -119,8 +111,6 @@ impl IguardStats {
         self.uvm_cycles += uvm_cycles;
         self.launches += launches;
         self.missed_checks += missed_checks;
-        self.orphan_events += orphan_events;
-        self.table_init_failures += table_init_failures;
     }
 }
 
@@ -130,10 +120,6 @@ impl IguardStats {
 pub struct Degradation {
     /// Checks lost to metadata eviction/aliasing (see [`IguardStats`]).
     pub missed_checks: u64,
-    /// Events dropped for lack of launch state.
-    pub orphan_events: u64,
-    /// Metadata-table allocation failures survived.
-    pub table_init_failures: u64,
     /// Per-cause metadata-loss counters.
     pub meta: MetaStats,
     /// Race-report channel accounting (sent / drained / dropped).
@@ -162,16 +148,12 @@ impl Degradation {
     pub fn accumulate(&mut self, other: &Degradation) {
         let Degradation {
             missed_checks,
-            orphan_events,
-            table_init_failures,
             meta,
             channel,
             uvm_injected_evictions,
             uvm_injected_oom_denials,
         } = *other;
         self.missed_checks += missed_checks;
-        self.orphan_events += orphan_events;
-        self.table_init_failures += table_init_failures;
         self.meta.accumulate(&meta);
         self.channel.accumulate(&channel);
         self.uvm_injected_evictions += uvm_injected_evictions;
@@ -179,15 +161,22 @@ impl Degradation {
     }
 }
 
+/// What every launch sets: the synchronization metadata and per-warp
+/// lock state of the launch, and the engine over the metadata table (the
+/// first launch allocates it, later launches begin a new epoch).
+#[derive(Debug)]
+struct Live {
+    sync: SyncMetadata,
+    locks: Vec<WarpLockState>,
+    engine: Engine,
+}
+
 /// The iGUARD race detector.
 #[derive(Debug)]
 pub struct Iguard {
     cfg: IguardConfig,
-    sync: Option<SyncMetadata>,
-    locks: Vec<WarpLockState>,
-    /// `None` until a launch allocates the metadata table (and still
-    /// `None` if that allocation failed).
-    engine: Option<Engine>,
+    /// `None` until the first launch; a callback before it is ignored.
+    live: Option<Live>,
     reporter: RaceReporter,
     stats: IguardStats,
     /// Reusable scratch for the lowest lane of each same-word group of a
@@ -216,9 +205,7 @@ impl Iguard {
         let reporter = RaceReporter::with_capacity(capacity, &cfg.faults);
         Iguard {
             cfg,
-            sync: None,
-            locks: Vec::new(),
-            engine: None,
+            live: None,
             reporter,
             stats: IguardStats::default(),
             scratch_reps: Vec::with_capacity(32),
@@ -244,8 +231,6 @@ impl Iguard {
         let uvm = self.uvm_stats();
         Degradation {
             missed_checks: self.stats.missed_checks,
-            orphan_events: self.stats.orphan_events,
-            table_init_failures: self.stats.table_init_failures,
             meta,
             channel: self.reporter.channel_stats(),
             uvm_injected_evictions: uvm.injected_evictions,
@@ -281,7 +266,7 @@ impl Iguard {
 
     /// The metadata table, once a launch has allocated it.
     fn table(&self) -> Option<&MetadataTable> {
-        self.engine.as_ref().map(|e| &e.table)
+        self.live.as_ref().map(|l| &l.engine.table)
     }
 
     /// Number of unique races detected so far.
@@ -308,9 +293,9 @@ impl Iguard {
     }
 
     /// The front half of one warp split (or of the lanes that stand for
-    /// the word groups of a coalesced one): orphan accounting, one capture
-    /// of the live state the lanes share (synchronization counters, lock
-    /// state, the sink), then the split handed to the engine whole when it
+    /// the word groups of a coalesced one): one capture of the live state
+    /// the lanes share (synchronization counters, lock state, the sink),
+    /// then the split handed to the engine whole when it
     /// is a `row` the engine takes, else lane by lane; the engine runs the
     /// check and reports immediately.
     fn process_split(
@@ -324,17 +309,13 @@ impl Iguard {
         #[cfg(test)]
         let row = row && !self.per_lane_only;
         let warp = access.global_warp;
-        // Graceful degradation: accesses with no live launch state (table
-        // allocation failed, or the event arrived before any launch) are
-        // dropped and counted instead of panicking.
-        let (Some(sync), Some(locks), Some(engine)) = (
-            self.sync.as_ref(),
-            self.locks.get(warp as usize),
-            self.engine.as_mut(),
-        ) else {
-            self.stats.orphan_events += lanes.len() as u64;
+        let Some(live) = self.live.as_mut() else {
             return;
         };
+        let Some(locks) = live.locks.get(warp as usize) else {
+            return;
+        };
+        let (sync, engine) = (&live.sync, &mut live.engine);
         self.stats.accesses += lanes.len() as u64;
 
         let split = SplitCtx::new(access, kind);
@@ -377,31 +358,22 @@ impl Iguard {
     }
 
     /// First-launch allocation of the managed metadata region (~4× device
-    /// capacity, §6.1), prefaulting what fits. On failure the detector
-    /// keeps running blind: every access becomes an orphan event, and the
-    /// next launch tries again.
-    fn allocate_engine(&mut self, info: &LaunchInfo, clock: &mut Clock) {
-        let Ok(mut table) = MetadataTable::new(TableConfig {
+    /// capacity, §6.1), prefaulting as much of the metadata — 4× the data
+    /// it shadows — as free device memory allows.
+    fn allocate_engine(cfg: &IguardConfig, info: &LaunchInfo, clock: &mut Clock) -> Engine {
+        let mut table = MetadataTable::new(TableConfig {
             words: info.backing_words,
-            uvm: self.cfg.uvm.clone(),
+            uvm: cfg.uvm.clone(),
             virtual_bytes: 4 * info.device_capacity_bytes,
             device_budget_bytes: info.free_device_bytes,
-            addr_scale: self.cfg.addr_scale,
-            capacity_words: self.cfg.table_capacity_words,
-            faults: self.cfg.faults.clone(),
-        }) else {
-            self.stats.table_init_failures += 1;
-            return;
-        };
-        let mut setup = SETUP_FIXED_COST;
-        if self.cfg.prefault {
-            // Metadata is 4x the data it shadows (Sec 6.1); prefault as
-            // much of it as free device memory allows.
-            let needed = info.app_footprint_bytes.saturating_mul(4);
-            setup += table.prefault(needed.max(ENTRY_BYTES));
-        }
-        self.engine = Some(Engine::new(table));
+            addr_scale: cfg.addr_scale,
+            capacity_words: cfg.table_capacity_words,
+            faults: cfg.faults.clone(),
+        });
+        let needed = info.app_footprint_bytes.saturating_mul(4);
+        let setup = SETUP_FIXED_COST + table.prefault(needed.max(ENTRY_BYTES));
         clock.charge_serial(CostCategory::Setup, setup);
+        Engine::new(table)
     }
 }
 
@@ -430,53 +402,50 @@ impl Tool for Iguard {
         // Scheduler-step window within which two accesses to the same
         // entry count as concurrent: scales with the launch's warp count.
         let window = 64.max(u64::from(info.total_warps));
-        self.sync = Some(SyncMetadata::new(info.grid_dim, info.warps_per_block));
-        self.locks.clear();
-        self.locks
+        let sync = SyncMetadata::new(info.grid_dim, info.warps_per_block);
+        let live = match &mut self.live {
+            Some(live) => {
+                live.sync = sync;
+                live.engine.table.begin_epoch();
+                live
+            }
+            None => self.live.insert(Live {
+                sync,
+                locks: Vec::new(),
+                engine: Self::allocate_engine(&self.cfg, info, clock),
+            }),
+        };
+        live.locks.clear();
+        live.locks
             .resize(info.total_warps as usize, WarpLockState::default());
-
-        match &mut self.engine {
-            Some(e) => e.table.begin_epoch(),
-            None => self.allocate_engine(info, clock),
-        }
-        if let Some(e) = &mut self.engine {
-            let params = EngineParams {
-                backoff: self.cfg.backoff,
-                its_support: self.cfg.its_support,
-                history_depth: self.cfg.history_depth,
-            };
-            e.begin_launch(info.backing_words, info.total_warps, window, params);
-        }
+        let params = EngineParams {
+            backoff: self.cfg.backoff,
+            its_support: self.cfg.its_support,
+            history_depth: self.cfg.history_depth,
+        };
+        live.engine
+            .begin_launch(info.backing_words, info.total_warps, window, params);
         clock.charge_serial(CostCategory::Misc, MISC_COST_PER_LAUNCH);
     }
 
     fn on_sync(&mut self, event: &SyncEvent<'_>, clock: &mut Clock) {
+        let Some(Live { sync, locks, .. }) = self.live.as_mut() else {
+            return;
+        };
         clock.charge(CostCategory::Detection, SYNC_COST);
         match event {
-            SyncEvent::BlockBarrier { block_id } => {
-                if let Some(s) = self.sync.as_mut() {
-                    s.block_barrier(*block_id);
-                }
-            }
-            SyncEvent::WarpBarrier { global_warp, .. } => {
-                if let Some(s) = self.sync.as_mut() {
-                    s.warp_barrier(*global_warp);
-                }
-            }
+            SyncEvent::BlockBarrier { block_id } => sync.block_barrier(*block_id),
+            SyncEvent::WarpBarrier { global_warp, .. } => sync.warp_barrier(*global_warp),
             SyncEvent::Fence {
                 scope,
                 global_warp,
                 tids,
                 ..
             } => {
-                let Some(sync) = self.sync.as_mut() else {
-                    self.stats.orphan_events += 1;
-                    return;
-                };
                 for &(lane, _tid) in tids.iter() {
                     sync.fence(*scope, *global_warp, lane);
                 }
-                if let Some(wl) = self.locks.get_mut(*global_warp as usize) {
+                if let Some(wl) = locks.get_mut(*global_warp as usize) {
                     wl.on_fence(tids.iter().map(|&(lane, _)| lane), *scope);
                 }
             }
@@ -484,6 +453,9 @@ impl Tool for Iguard {
     }
 
     fn on_mem(&mut self, access: &MemAccess<'_>, clock: &mut Clock) {
+        let Some(live) = self.live.as_mut() else {
+            return;
+        };
         let kind = match access.kind {
             AccessKind::Load => AccessType::Load,
             // A volatile word store is hardware-atomic and L1-bypassing —
@@ -495,7 +467,7 @@ impl Tool for Iguard {
             AccessKind::Atomic { op, scope } => {
                 // Lock inference (§6.3) happens before race checking.
                 if let (AtomOp::Cas | AtomOp::Exch, Some(wl)) =
-                    (op, self.locks.get_mut(access.global_warp as usize))
+                    (op, live.locks.get_mut(access.global_warp as usize))
                 {
                     let pairs: &[(u32, u32)] = if let [l] = access.lanes {
                         // 1-lane split (the common case for lock CASes
@@ -652,7 +624,8 @@ mod tests {
             total_threads: TOTAL_WARPS * 32,
             total_warps: TOTAL_WARPS,
             free_device_bytes: 1 << 30,
-            app_footprint_bytes: 1 << 10,
+            // The detector prefaults only the first metadata page.
+            app_footprint_bytes: 0,
             device_capacity_bytes: 1 << 30,
             backing_words: 64,
         }
@@ -731,7 +704,7 @@ mod tests {
         (access_kind, volatile): (AccessKind, bool),
         who: Who,
     ) -> Outcome {
-        let sync = det.sync.as_ref().unwrap();
+        let Live { sync, locks, .. } = det.live.as_ref().unwrap();
         let kind = match access_kind {
             AccessKind::Load => AccessType::Load,
             AccessKind::Store if volatile => AccessType::Atomic { scope_block: false },
@@ -741,7 +714,7 @@ mod tests {
             },
         };
         let snap = sync.snapshot(WARP, who.lane);
-        let locks = det.locks[WARP as usize].summary(who.lane);
+        let locks = locks[WARP as usize].summary(who.lane);
         let block = WARP / WPB;
         let mut entry = MetadataEntry::unpack(acc, wr);
         let (mut race, mut records) = (None, Vec::new());
@@ -813,9 +786,14 @@ mod tests {
         }
     }
 
+    /// The launched detector's live state.
+    fn live_mut(det: &mut Iguard) -> &mut Live {
+        det.live.as_mut().unwrap()
+    }
+
     /// The launched detector's metadata table.
     fn table_mut(det: &mut Iguard) -> &mut MetadataTable {
-        &mut det.engine.as_mut().unwrap().table
+        &mut live_mut(det).engine.table
     }
 
     /// Runs the access through `on_mem` and reads back what it did.
@@ -917,7 +895,7 @@ mod tests {
                         }
                         None => {}
                     }
-                    det.locks[WARP as usize] = wl;
+                    live_mut(det).locks[WARP as usize] = wl;
                     table_mut(det).begin_epoch();
                     det.reporter = reporter(64);
 
@@ -998,7 +976,7 @@ mod tests {
             });
             det.at_launch(&launch_info(), &mut Clock::new());
             // Live counters all at 1, so stored counters of 0 lie behind.
-            let sync = det.sync.as_mut().unwrap();
+            let sync = &mut live_mut(&mut det).sync;
             (0..TOTAL_WARPS / WPB).for_each(|blk| sync.block_barrier(blk));
             for warp in 0..TOTAL_WARPS {
                 sync.warp_barrier(warp);
@@ -1014,7 +992,7 @@ mod tests {
                         wl.on_cas(&[(LANE, addr)], Scope::Device);
                         wl.on_fence([LANE], Scope::Device);
                     }
-                    det.locks[WARP as usize] = wl;
+                    live_mut(&mut det).locks[WARP as usize] = wl;
                     // A new epoch empties the word.
                     table_mut(&mut det).begin_epoch();
                     let words = stored_words(stored, LANE);
@@ -1167,15 +1145,15 @@ mod tests {
             .with_rate(FaultSite::MetaEviction, RATE_ONE / 16)
             .with_rate(FaultSite::MetaTagAlias, RATE_ONE / 16)
             .with_rate(FaultSite::UvmEvictStorm, RATE_ONE / 16);
-        // 16 entries a page, nothing prefaulted, four pages of budget: a
-        // row crosses pages, finds some absent, and FIFO eviction keeps
-        // taking them away again.
+        // 16 entries a page, four pages of budget, only the first page
+        // prefaulted (`launch_info`'s footprint is empty): a row crosses
+        // pages, finds some absent, and FIFO eviction keeps taking them
+        // away again.
         let paged = IguardConfig {
             uvm: uvm_sim::UvmConfig {
                 page_bytes: 256,
                 ..uvm_sim::UvmConfig::default()
             },
-            prefault: false,
             ..base()
         };
         vec![
@@ -1212,8 +1190,10 @@ mod tests {
     /// Runs `script`, its 64 words starting at word `base`, under every
     /// edge shape twice — as built, where eligible splits take the row
     /// path, and with the row withheld, which sends every lane down the
-    /// per-lane path — and requires the same aftermath.
-    fn rows_agree_with_lanes(base: u32, script: &[Event]) {
+    /// per-lane path — and requires the same aftermath. Returns the UVM
+    /// faults the demand-paged shape took during the script, on each path.
+    fn rows_agree_with_lanes(base: u32, script: &[Event]) -> [u64; 2] {
+        let mut paged_faults = [0; 2];
         for (what, cfg, free_device_bytes) in edge_shapes() {
             let info = LaunchInfo {
                 free_device_bytes,
@@ -1226,10 +1206,16 @@ mod tests {
                 det.per_lane_only = per_lane_only;
                 let mut clock = Clock::new();
                 run_script(&mut det, &mut clock, &info, script);
-                aftermath(&mut det, &clock, base)
+                let faults = det.uvm_stats().faults;
+                (faults, aftermath(&mut det, &clock, base))
             };
-            assert_eq!(run(false), run(true), "{what} at word {base}");
+            let ((row_faults, rows), (lane_faults, lanes)) = (run(false), run(true));
+            assert_eq!(rows, lanes, "{what} at word {base}");
+            if what == "demand-paged" {
+                paged_faults = [row_faults, lane_faults];
+            }
         }
+        paged_faults
     }
 
     /// What one full-warp split of `kind` by warp 1, lane `l` on word
@@ -1255,6 +1241,41 @@ mod tests {
             .collect();
         let charged = (after.0 - before.0, after.1 - before.1);
         (det.stats.accesses, det.stats.coalesced_saved, charged, last)
+    }
+
+    /// A callback before the first launch has no launch state to act on:
+    /// it is ignored — no panic, no cycle, no counter.
+    #[test]
+    fn callbacks_before_the_first_launch_are_ignored() {
+        let (k, mut det, mut clock) = (kernel(), Iguard::default(), Clock::new());
+        let lanes = lanes_of(WARP, u32::MAX, |lane| lane);
+        let tids: Vec<(u32, u32)> = lanes.iter().map(|l| (l.lane, l.tid_in_block)).collect();
+        let cas = AccessKind::Atomic {
+            op: AtomOp::Cas,
+            scope: Scope::Device,
+        };
+        for kind in KINDS {
+            det.on_mem(&mem_access(&k, kind, WARP, &lanes, 1), &mut clock);
+        }
+        det.on_mem(
+            &mem_access(&k, (cas, false), WARP, &lanes[..1], 2),
+            &mut clock,
+        );
+        det.on_sync(&SyncEvent::BlockBarrier { block_id: 0 }, &mut clock);
+        let fence = SyncEvent::Fence {
+            scope: Scope::Device,
+            block_id: 0,
+            global_warp: WARP,
+            tids: &tids,
+            active_mask: u32::MAX,
+            pc: PC,
+            step: 3,
+        };
+        det.on_sync(&fence, &mut clock);
+        let fresh = format!("{:?}", Iguard::default().stats());
+        assert_eq!(format!("{:?}", det.stats()), fresh);
+        assert_eq!(pools(&clock), pools(&Clock::new()));
+        assert!(det.live.is_none() && det.races().is_empty());
     }
 
     /// §6.5 optimization 1 is per word group: a load or atomic split
@@ -1343,7 +1364,7 @@ mod tests {
     /// into the next.
     #[test]
     fn row_path_matches_the_lane_path_at_the_table_edges() {
-        rows_agree_with_lanes(
+        let paged_faults = rows_agree_with_lanes(
             0,
             &[
                 row(1, 1, 0, 0, 1),
@@ -1362,6 +1383,7 @@ mod tests {
                 row(0, 3, 8, 0, 1),
             ],
         );
+        assert!(paged_faults.iter().all(|&f| f > 0), "{paged_faults:?}");
     }
 
     /// The same where a page of slots ends after the script's 32nd word: a
@@ -1374,7 +1396,7 @@ mod tests {
     /// lane, having done nothing as a row.
     #[test]
     fn row_path_matches_the_lane_path_across_a_slot_page_boundary() {
-        rows_agree_with_lanes(
+        let paged_faults = rows_agree_with_lanes(
             SLOT_PAGE as u32 - 32,
             &[
                 row(1, 1, 16, 0, 1),
@@ -1391,6 +1413,7 @@ mod tests {
                 row(0, 3, 32, 0, 100),
             ],
         );
+        assert!(paged_faults.iter().all(|&f| f > 0), "{paged_faults:?}");
     }
 
     proptest! {

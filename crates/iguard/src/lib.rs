@@ -54,7 +54,6 @@ pub mod checks;
 pub mod config;
 pub mod detector;
 pub(crate) mod engine;
-pub mod error;
 pub mod locks;
 pub mod metadata;
 pub mod report;
@@ -67,7 +66,6 @@ pub mod syncmeta;
 pub use checks::{AccessType, RaceKind};
 pub use config::{IguardConfig, PruneMode};
 pub use detector::{Degradation, Iguard, IguardStats};
-pub use error::IguardError;
 pub use report::{RaceRecord, RaceSite};
 pub use service::{
     DetectorService, JobCtx, JobOutcome, LatencyStats, ServiceConfig, ServiceError, ServiceReport,

@@ -16,7 +16,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::bitfield::{TAG_FIELD, TAG_SHIFT, VALID};
-use crate::error::IguardError;
 use faults::{FaultConfig, FaultInjector, FaultSite, FaultStats};
 use gpu_sim::paged::Paged;
 use uvm_sim::{ManagedRegion, UvmConfig};
@@ -176,11 +175,11 @@ pub struct MetaLoad {
 
 impl MetadataTable {
     /// Creates a table shadowing `cfg.words` 4-byte words of global
-    /// memory, with optional capacity pressure and fault injection.
-    pub fn new(cfg: TableConfig) -> Result<Self, IguardError> {
-        if cfg.words == 0 {
-            return Err(IguardError::EmptyTable);
-        }
+    /// memory (at least one), with optional capacity pressure and fault
+    /// injection.
+    #[must_use]
+    pub fn new(cfg: TableConfig) -> Self {
+        let words = cfg.words.max(1);
         // Power-of-two capacity: slot/tag become mask/shift. Without an
         // override the capacity covers every in-bounds word index
         // injectively, so the mapping is identical to the modulo/divide
@@ -189,29 +188,29 @@ impl MetadataTable {
         // eviction under pressure.
         let capacity = cfg
             .capacity_words
-            .unwrap_or(cfg.words)
+            .unwrap_or(words)
             .max(1)
             .next_power_of_two();
         let mut uvm = ManagedRegion::new(
             cfg.uvm,
             cfg.virtual_bytes.max(ENTRY_BYTES),
             cfg.device_budget_bytes,
-        )?;
+        );
         uvm.set_faults(FaultInjector::new(&cfg.faults, "metadata-uvm"));
         // Slot storage is the pages that get written (an unwritten slot
         // reads as the zeroed slot preallocation would hold); only the
         // mask/shift use `capacity`.
-        Ok(MetadataTable {
+        MetadataTable {
             slots: Paged::default(),
             cur_epoch: 0,
             slot_mask: capacity - 1,
             tag_shift: capacity.trailing_zeros(),
             uvm,
             addr_scale: cfg.addr_scale.max(1),
-            can_alias: capacity < cfg.words.next_power_of_two(),
+            can_alias: capacity < words.next_power_of_two(),
             faults: FaultInjector::new(&cfg.faults, "metadata"),
             meta_stats: MetaStats::default(),
-        })
+        }
     }
 
     /// Degradation counters (evictions, injected forgetfulness).
@@ -226,18 +225,6 @@ impl MetadataTable {
         let mut s = self.faults.stats();
         s.accumulate(&self.uvm.fault_stats());
         s
-    }
-
-    /// Number of entries (the power-of-two capacity).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slot_mask + 1
-    }
-
-    /// Whether the table is empty (never true; see `new`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Invalidates every entry (new kernel launch).
@@ -365,7 +352,7 @@ mod tests {
     use crate::bitfield::{AccessorInfo, Flags, MetadataEntry};
 
     fn table(words: usize) -> MetadataTable {
-        MetadataTable::new(TableConfig::covering(words)).unwrap()
+        MetadataTable::new(TableConfig::covering(words))
     }
 
     /// The raw words of a valid entry last accessed by `warp`.
@@ -460,14 +447,12 @@ mod tests {
         let mut near = MetadataTable::new(TableConfig {
             uvm: cfg.clone(),
             ..TableConfig::covering(64)
-        })
-        .unwrap();
+        });
         let mut far = MetadataTable::new(TableConfig {
             uvm: cfg,
             addr_scale: 1024,
             ..TableConfig::covering(64)
-        })
-        .unwrap();
+        });
         for w in 0..64u32 {
             let _ = near.load(w);
             let _ = far.load(w);
@@ -481,11 +466,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_table_is_a_typed_error() {
-        assert_eq!(
-            MetadataTable::new(TableConfig::covering(0)).unwrap_err(),
-            IguardError::EmptyTable
-        );
+    fn empty_table_is_clamped_to_one_word() {
+        let mut t = table(0);
+        store(&mut t, 0, valid_entry(42));
+        assert_eq!(entry(t.load(0)).accessor.warp_id, 42);
+        // One slot: word 1 takes it under tag 1 and reads as fresh.
+        let l = t.load(1);
+        assert!(!entry(l).flags.valid);
+        assert_eq!(entry(l).tag, 1);
     }
 
     #[test]
@@ -505,12 +493,12 @@ mod tests {
         let mut t = MetadataTable::new(TableConfig {
             capacity_words: Some(8),
             ..TableConfig::covering(64)
-        })
-        .unwrap();
-        assert_eq!(t.len(), 8);
+        });
         store(&mut t, 3, valid_entry(1));
-        // Word 11 maps to slot 3 under the 8-entry table: loading it
-        // evicts word 3's live entry.
+        // More than four entries: word 7 keeps a slot of its own.
+        assert!(!t.load(7).evicted);
+        // At most eight: word 11 maps to slot 3, and loading it evicts
+        // word 3's live entry.
         let l = t.load(11);
         assert!(l.evicted);
         assert!(
@@ -532,8 +520,7 @@ mod tests {
                 .with_seed(7)
                 .with_rate(FaultSite::MetaEviction, RATE_ONE),
             ..TableConfig::covering(64)
-        })
-        .unwrap();
+        });
         store(&mut t, 5, valid_entry(9));
         let l = t.load(5);
         assert!(l.evicted);

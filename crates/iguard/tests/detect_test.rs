@@ -605,3 +605,38 @@ fn shared_memory_stays_outside_the_detector() {
     assert!(events.0 >= 2, "one global store split per warp at least");
     assert_eq!(is.dispatched_mem, events.0);
 }
+
+// ---- degenerate set-up: clamped, never blind -------------------------------
+
+/// A zero UVM page size is clamped to one-byte pages, not refused: the
+/// crate example's racy kernel (lane 1 stores, lane 0 loads, no
+/// `__syncwarp`) still reports its ITS race.
+#[test]
+fn zero_uvm_page_size_still_detects_the_its_race() {
+    let cfg = IguardConfig {
+        uvm: uvm_sim::UvmConfig {
+            page_bytes: 0,
+            ..uvm_sim::UvmConfig::default()
+        },
+        ..IguardConfig::default()
+    };
+    let mut t = run_with(&warp_handoff(false), 1, 32, 4, 3, cfg);
+    assert!(kinds(&mut t).contains(&RaceKind::IntraWarp));
+}
+
+/// A device with no memory words still gets a one-word metadata table,
+/// and its first launch prefaults that table's page.
+#[test]
+fn empty_device_still_allocates_and_prefaults_metadata() {
+    let mut b = KernelBuilder::new("fence_only");
+    b.membar(Scope::Device);
+    let k = b.build();
+    let mut gpu = Gpu::new(GpuConfig {
+        mem_words: 0,
+        ..GpuConfig::default()
+    });
+    let mut tool = Instrumented::new(Iguard::default());
+    gpu.launch(&k, 1, 32, &[], &mut tool).unwrap();
+    assert_eq!(tool.tool().uvm_stats().prefaulted_pages, 1);
+    assert_eq!(tool.tool().stats().launches, 1);
+}

@@ -52,7 +52,7 @@ proptest! {
                 .with_rate(FaultSite::MetaEviction, evict_rate)
                 .with_rate(FaultSite::MetaTagAlias, alias_rate),
             ..TableConfig::covering(256)
-        }).unwrap();
+        });
 
         // Mirror the detector: count each evicted load, store a live
         // entry back (so slot contention produces capacity evictions).
@@ -78,11 +78,11 @@ proptest! {
         seed in any::<u64>(),
         words in prop::collection::vec(0u32..64, 0..200),
     ) {
-        let mut plain = MetadataTable::new(TableConfig::covering(64)).unwrap();
+        let mut plain = MetadataTable::new(TableConfig::covering(64));
         let mut planed = MetadataTable::new(TableConfig {
             faults: FaultConfig::disabled().with_seed(seed),
             ..TableConfig::covering(64)
-        }).unwrap();
+        });
         for w in words {
             let a = plain.load(w);
             let b = planed.load(w);

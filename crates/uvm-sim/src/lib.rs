@@ -26,8 +26,6 @@ use faults::{FaultInjector, FaultSite, FaultStats};
 /// A structurally invalid UVM request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UvmError {
-    /// The migration granularity must be at least one byte.
-    ZeroPageSize,
     /// A touch beyond the virtual allocation — unmapped managed memory.
     OutOfRange { offset: u64, len_bytes: u64 },
 }
@@ -35,7 +33,6 @@ pub enum UvmError {
 impl fmt::Display for UvmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            UvmError::ZeroPageSize => write!(f, "UVM page size must be positive"),
             UvmError::OutOfRange { offset, len_bytes } => {
                 write!(f, "touch at {offset} beyond region of {len_bytes} B")
             }
@@ -50,6 +47,7 @@ impl std::error::Error for UvmError {}
 pub struct UvmConfig {
     /// Migration granularity. Real UVM migrates in 64 KiB–2 MiB blocks; we
     /// use 2 MiB, the large-page size the driver prefers for streaming.
+    /// [`ManagedRegion::new`] rounds it up to a power of two (0 to 1).
     pub page_bytes: u64,
     /// GPU page-fault service cost (fault + map + copy) per page.
     pub fault_cost: u64,
@@ -125,9 +123,9 @@ pub struct UvmStats {
 pub struct ManagedRegion {
     cfg: UvmConfig,
     len_bytes: u64,
-    /// `log2(page_bytes)` when the page size is a power of two (every
-    /// real UVM granularity is), so the per-touch page index is a shift.
-    page_shift: Option<u32>,
+    /// `log2(page_bytes)`: the page size is a power of two (every real
+    /// UVM granularity is), so the per-touch page index is a shift.
+    log2_page: u32,
     device_budget_pages: u64,
     /// Residency bitmap indexed by page, grown lazily to the touched
     /// high-water page. A flat flag per page replaces the old
@@ -143,26 +141,24 @@ pub struct ManagedRegion {
 impl ManagedRegion {
     /// Allocates `len_bytes` of *virtual* space. Nothing is resident yet,
     /// exactly like `cudaMallocManaged` (§6.1: "it only allocates virtual
-    /// addresses").
-    pub fn new(cfg: UvmConfig, len_bytes: u64, device_budget_bytes: u64) -> Result<Self, UvmError> {
-        if cfg.page_bytes == 0 {
-            return Err(UvmError::ZeroPageSize);
-        }
-        let device_budget_pages = device_budget_bytes / cfg.page_bytes;
-        Ok(ManagedRegion {
-            page_shift: cfg
-                .page_bytes
-                .is_power_of_two()
-                .then(|| cfg.page_bytes.trailing_zeros()),
+    /// addresses"). The page size is rounded up to a power of two, 0 to 1.
+    #[must_use]
+    pub fn new(mut cfg: UvmConfig, len_bytes: u64, device_budget_bytes: u64) -> Self {
+        cfg.page_bytes = cfg
+            .page_bytes
+            .checked_next_power_of_two()
+            .unwrap_or(1 << 63);
+        ManagedRegion {
+            log2_page: cfg.page_bytes.trailing_zeros(),
+            device_budget_pages: device_budget_bytes / cfg.page_bytes,
             cfg,
             len_bytes,
-            device_budget_pages,
             resident: Vec::new(),
             resident_count: 0,
             fifo: VecDeque::new(),
             stats: UvmStats::default(),
             faults: FaultInjector::disabled(),
-        })
+        }
     }
 
     /// Attaches a fault injector (replacing the default disabled one).
@@ -244,10 +240,7 @@ impl ManagedRegion {
 
     #[inline]
     fn page_of(&self, offset: u64) -> u64 {
-        match self.page_shift {
-            Some(shift) => offset >> shift,
-            None => offset / self.cfg.page_bytes,
-        }
+        offset >> self.log2_page
     }
 
     /// Whether touches anywhere in `first..=last` would now all be plain
@@ -342,14 +335,14 @@ mod tests {
 
     #[test]
     fn allocation_is_virtual_only() {
-        let r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20).unwrap();
+        let r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
         assert_eq!(r.resident_pages(), 0);
         assert_eq!(r.total_pages(), 256);
     }
 
     #[test]
     fn first_touch_faults_then_hits() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
         assert_eq!(touch(&mut r, 0), Touch::Fault { cycles: 100 });
         assert_eq!(touch(&mut r, 8), Touch::Hit);
         assert_eq!(touch(&mut r, 4095), Touch::Hit);
@@ -359,7 +352,7 @@ mod tests {
 
     #[test]
     fn prefault_makes_touches_free() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
         let setup = r.prefault(u64::MAX);
         assert_eq!(setup, 256 * 10);
         assert_eq!(r.stats().prefaulted_pages, 256);
@@ -372,14 +365,14 @@ mod tests {
     #[test]
     fn prefault_is_bounded_by_device_budget() {
         // Budget of 8 pages; region of 256 pages.
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 8 * 4096).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 8 * 4096);
         r.prefault(u64::MAX);
         assert_eq!(r.resident_pages(), 8);
     }
 
     #[test]
     fn oversubscription_evicts_fifo() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 2 * 4096).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 2 * 4096);
         assert!(matches!(touch(&mut r, 0), Touch::Fault { cycles: 100 }));
         assert!(matches!(touch(&mut r, 4096), Touch::Fault { cycles: 100 }));
         // Third page evicts page 0 (FIFO): fault + evict cost.
@@ -391,7 +384,7 @@ mod tests {
 
     #[test]
     fn zero_budget_never_becomes_resident() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 0).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 0);
         assert!(matches!(touch(&mut r, 0), Touch::Fault { .. }));
         assert!(matches!(touch(&mut r, 0), Touch::Fault { .. }));
         assert_eq!(r.resident_pages(), 0);
@@ -403,7 +396,7 @@ mod tests {
         // Not reachable through the public surface (every resident page
         // is queued); forced here so the branch that used to abort the
         // process is shown to charge and carry on.
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 2 * 4096).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 2 * 4096);
         let _ = touch(&mut r, 0);
         let _ = touch(&mut r, 4096);
         r.fifo.clear();
@@ -418,7 +411,7 @@ mod tests {
 
     #[test]
     fn span_resident_is_what_touching_the_span_would_find() {
-        let mut r = ManagedRegion::new(cfg(), 4 * 4096, 1 << 20).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 4 * 4096, 1 << 20);
         let _ = touch(&mut r, 0);
         let _ = touch(&mut r, 4096);
         let before = r.stats();
@@ -434,7 +427,7 @@ mod tests {
 
     #[test]
     fn partial_prefault_respects_byte_limit() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
         r.prefault(10 * 4096);
         assert_eq!(r.resident_pages(), 10);
         assert_eq!(touch(&mut r, 0), Touch::Hit);
@@ -443,7 +436,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_cycles() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 4096).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 4096);
         let _ = touch(&mut r, 0);
         let _ = touch(&mut r, 4096); // evicts
         let s = r.stats();
@@ -452,16 +445,17 @@ mod tests {
     }
 
     #[test]
-    fn page_index_agrees_between_shift_and_division() {
-        // 4096 takes the shift, 3000 the division: either way every
-        // offset of a page lands on that page, so ten pages fault ten times.
+    fn page_size_rounds_up_to_a_power_of_two() {
+        // 3000 rounds up to 4096, so either size gives ten 4 KiB pages:
+        // every offset of a page lands on that page, ten faults in all.
         for page_bytes in [4096u64, 3000] {
             let cfg = UvmConfig {
                 page_bytes,
                 ..cfg()
             };
-            let mut r = ManagedRegion::new(cfg, 10 * page_bytes, 1 << 20).unwrap();
-            for off in (0..10 * page_bytes).step_by(500) {
+            let mut r = ManagedRegion::new(cfg, 10 * 4096, 1 << 20);
+            assert_eq!(r.total_pages(), 10, "page_bytes {page_bytes}");
+            for off in (0..10 * 4096).step_by(500) {
                 let _ = touch(&mut r, off);
             }
             assert_eq!(r.stats().faults, 10, "page_bytes {page_bytes}");
@@ -476,20 +470,21 @@ mod tests {
     }
 
     #[test]
-    fn zero_page_size_is_a_typed_error() {
-        let bad = UvmConfig {
+    fn zero_page_size_becomes_one_byte_pages() {
+        let zero = UvmConfig {
             page_bytes: 0,
             ..cfg()
         };
-        assert_eq!(
-            ManagedRegion::new(bad, 1 << 20, 1 << 20).unwrap_err(),
-            UvmError::ZeroPageSize
-        );
+        let mut r = ManagedRegion::new(zero, 8, 1 << 20);
+        assert_eq!(r.total_pages(), 8);
+        assert_eq!(r.prefault(3), 3 * 10);
+        assert_eq!(touch(&mut r, 2), Touch::Hit);
+        assert_eq!(touch(&mut r, 3), Touch::Fault { cycles: 100 });
     }
 
     #[test]
     fn try_touch_reports_out_of_range() {
-        let mut r = ManagedRegion::new(cfg(), 4096, 1 << 20).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 4096, 1 << 20);
         assert_eq!(
             r.try_touch(4096).unwrap_err(),
             UvmError::OutOfRange {
@@ -503,7 +498,7 @@ mod tests {
     #[test]
     fn evict_storm_charges_without_disturbing_residency() {
         use faults::{FaultConfig, RATE_ONE};
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
         let _ = touch(&mut r, 0); // fault in page 0
         let fc = FaultConfig::disabled()
             .with_seed(5)
@@ -523,7 +518,7 @@ mod tests {
     #[test]
     fn injected_oom_cuts_prefault_short() {
         use faults::{FaultConfig, RATE_ONE};
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20).unwrap();
+        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
         let fc = FaultConfig::disabled()
             .with_seed(5)
             .with_rate(FaultSite::UvmDeviceOom, RATE_ONE);

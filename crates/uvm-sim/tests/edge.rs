@@ -19,7 +19,7 @@ fn cfg() -> UvmConfig {
 
 #[test]
 fn zero_length_region_is_inert() {
-    let mut r = ManagedRegion::new(cfg(), 0, 1 << 20).unwrap();
+    let mut r = ManagedRegion::new(cfg(), 0, 1 << 20);
     assert_eq!(r.len_bytes(), 0);
     assert_eq!(r.total_pages(), 0);
     assert_eq!(r.resident_pages(), 0);
@@ -31,7 +31,7 @@ fn zero_length_region_is_inert() {
 
 #[test]
 fn touching_a_zero_length_region_is_refused() {
-    let mut r = ManagedRegion::new(cfg(), 0, 1 << 20).unwrap();
+    let mut r = ManagedRegion::new(cfg(), 0, 1 << 20);
     let refused = UvmError::OutOfRange {
         offset: 0,
         len_bytes: 0,
@@ -44,7 +44,7 @@ fn touching_a_zero_length_region_is_refused() {
 fn page_boundary_addresses_resolve_to_the_right_page() {
     let page = cfg().page_bytes;
     // Two full pages plus one byte: three pages total.
-    let mut r = ManagedRegion::new(cfg(), 2 * page + 1, 1 << 30).unwrap();
+    let mut r = ManagedRegion::new(cfg(), 2 * page + 1, 1 << 30);
     assert_eq!(r.total_pages(), 3);
 
     // Last byte of page 0 and first byte of page 1 are different pages.
@@ -66,7 +66,7 @@ fn page_boundary_addresses_resolve_to_the_right_page() {
 #[test]
 fn first_byte_past_the_region_is_refused() {
     let page = cfg().page_bytes;
-    let mut r = ManagedRegion::new(cfg(), 2 * page + 1, 1 << 30).unwrap();
+    let mut r = ManagedRegion::new(cfg(), 2 * page + 1, 1 << 30);
     let refused = UvmError::OutOfRange {
         offset: 2 * page + 1,
         len_bytes: 2 * page + 1,
@@ -78,7 +78,7 @@ fn first_byte_past_the_region_is_refused() {
 #[test]
 fn prefault_is_capped_by_request_region_and_budget() {
     let page = cfg().page_bytes;
-    let mut r = ManagedRegion::new(cfg(), 10 * page, 1 << 30).unwrap();
+    let mut r = ManagedRegion::new(cfg(), 10 * page, 1 << 30);
     // Request covers 2.5 pages → rounds up to 3.
     let cycles = r.prefault(2 * page + page / 2);
     assert_eq!(r.resident_pages(), 3);
@@ -87,7 +87,7 @@ fn prefault_is_capped_by_request_region_and_budget() {
     assert_eq!(r.prefault(3 * page), 0);
 
     // A tiny budget caps the resident set regardless of the request.
-    let mut tight = ManagedRegion::new(cfg(), 10 * page, 2 * page).unwrap();
+    let mut tight = ManagedRegion::new(cfg(), 10 * page, 2 * page);
     let _ = tight.prefault(u64::MAX);
     assert_eq!(tight.resident_pages(), 2);
     assert_eq!(tight.stats().prefaulted_pages, 2);
@@ -96,7 +96,7 @@ fn prefault_is_capped_by_request_region_and_budget() {
 #[test]
 fn zero_budget_region_faults_remotely_forever() {
     let page = cfg().page_bytes;
-    let mut r = ManagedRegion::new(cfg(), 4 * page, 0).unwrap();
+    let mut r = ManagedRegion::new(cfg(), 4 * page, 0);
     // Every touch pays fault + evict and residency never grows.
     for _ in 0..3 {
         let t = touch(&mut r, 0);
@@ -115,7 +115,7 @@ fn zero_budget_region_faults_remotely_forever() {
 #[test]
 fn fifo_eviction_cycles_through_pages_at_the_budget_edge() {
     let page = cfg().page_bytes;
-    let mut r = ManagedRegion::new(cfg(), 4 * page, 2 * page).unwrap();
+    let mut r = ManagedRegion::new(cfg(), 4 * page, 2 * page);
     assert!(matches!(touch(&mut r, 0), Touch::Fault { .. }));
     assert!(matches!(touch(&mut r, page), Touch::Fault { .. }));
     assert_eq!(r.resident_pages(), 2);
