@@ -53,6 +53,23 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# One EXIT trap undoes what the steps below leave behind: the benchmark
+# build rewrites the committed `benchmark/Cargo.lock` (it builds without
+# `--locked`), so a saved copy is put back; `--fuzz` removes its scratch
+# corpus directory.
+LOCK_SAVE=""
+CORPUS_TMP=""
+cleanup() {
+  if [[ -n "$LOCK_SAVE" ]]; then
+    cp "$LOCK_SAVE" benchmark/Cargo.lock
+    rm -f "$LOCK_SAVE"
+  fi
+  if [[ -n "$CORPUS_TMP" ]]; then
+    rm -rf "$CORPUS_TMP"
+  fi
+}
+trap cleanup EXIT
+
 QUICK=0
 FUZZ=0
 LITMUS=0
@@ -88,6 +105,8 @@ echo "== cargo doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== benchmark/ builds against the workspace crates =="
+LOCK_SAVE="$(mktemp)"
+cp benchmark/Cargo.lock "$LOCK_SAVE"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
 echo "== benchmark/ unit tests =="
@@ -113,7 +132,6 @@ if [[ "$FUZZ" -eq 1 ]]; then
   # committed file byte-for-byte: a semantic drift that keeps every entry
   # individually verifiable still fails here.
   CORPUS_TMP="$(mktemp -d)"
-  trap 'rm -rf "$CORPUS_TMP"' EXIT
   ORACLE_CORPUS_REGEN=1 CORPUS_REGEN_DIR="$CORPUS_TMP" \
     cargo test -q --release --test regressions_replay oracle_corpus_replays_deterministically
   cmp "$CORPUS_TMP/oracle.corpus" tests/corpus/oracle.corpus \

@@ -168,9 +168,7 @@ fn hot_word_kernel(rounds: u32) -> Kernel {
 /// invalidation), including indices past the table so tags alias.
 fn bench_metadata_table_slots(c: &mut Criterion) {
     use iguard::metadata::{MetadataTable, TableConfig};
-    let uvm = IguardConfig::default().uvm;
     let mut table = MetadataTable::new(TableConfig {
-        uvm,
         virtual_bytes: 1 << 26,
         device_budget_bytes: 1 << 26,
         ..TableConfig::covering(1 << 12)

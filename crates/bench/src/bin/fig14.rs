@@ -15,7 +15,7 @@
 
 use bench::{drive, gpu_config, par_map, DEFAULT_SEED};
 use gpu_sim::hook::NullHook;
-use gpu_sim::machine::Gpu;
+use gpu_sim::machine::{Gpu, DEVICE_MEM_BYTES};
 use iguard::{Iguard, IguardConfig};
 use nvbit_sim::Instrumented;
 use uvm_sim::UvmStats;
@@ -82,12 +82,11 @@ fn measure(gb: u64) -> Row {
     let mut tool = Instrumented::new(Iguard::new(cfg));
     let ig_time = drive(&mut gpu, &launches, &mut tool, "d_reduce", |_| false).time;
     // Barracuda's reservation policy: 50% of capacity + footprint shadow.
-    let capacity = gpu_config(DEFAULT_SEED).device_mem_bytes;
-    let needed = capacity / 2 + 2 * footprint;
+    let needed = DEVICE_MEM_BYTES / 2 + 2 * footprint;
     Row {
         ig_over: ig_time / native,
         uvm: tool.tool().uvm_stats(),
-        barracuda_fits: needed <= capacity,
+        barracuda_fits: needed <= DEVICE_MEM_BYTES,
     }
 }
 

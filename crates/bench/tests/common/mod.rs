@@ -207,10 +207,7 @@ impl Fleet {
                 .expect("plain fleet runs");
         }
         quiet_poison_panics();
-        let sup = SupervisorConfig {
-            max_retries: 1,
-            ..SupervisorConfig::default()
-        };
+        let sup = SupervisorConfig { max_retries: 1 };
         svc.run_all_supervised(&sup, |ctx, tool| {
             if is_poison(FLEET_SEED, FLEET_POISON_DENOM, ctx.tenant, ctx.job_index) {
                 panic!("poison job: {}#{}", ctx.tenant, ctx.job_index);

@@ -485,7 +485,7 @@ proptest! {
             streams_per_tenant: 2,
             slice_cycles: 50_000,
         };
-        let sup = SupervisorConfig { max_retries: 1, ..SupervisorConfig::default() };
+        let sup = SupervisorConfig { max_retries: 1 };
 
         let (ref_digests, ref_quar, ref_ok, _) = supervised_soak(
             cfg.clone(), &sup, tenants, jobs_per_tenant, &chaos, poison_denom, None,

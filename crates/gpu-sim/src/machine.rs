@@ -74,6 +74,12 @@ const MEMBAR_DEVICE_COST: u64 = 420;
 const BAR_SYNC_COST: u64 = 30;
 const BAR_WARP_COST: u64 = 4;
 
+/// Logical device-memory capacity in bytes, for allocation accounting
+/// (Titan RTX: 24 GB). Allocations may declare a logical size larger than
+/// their backing storage so footprint-scaling experiments (Figure 14) can
+/// model tens of GB without hosting them.
+pub const DEVICE_MEM_BYTES: u64 = 24 << 30;
+
 /// Static configuration of the simulated device.
 #[derive(Debug, Clone)]
 pub struct GpuConfig {
@@ -81,11 +87,6 @@ pub struct GpuConfig {
     pub num_sms: usize,
     /// Words of real backing storage for global memory.
     pub mem_words: usize,
-    /// Logical device-memory capacity in bytes, for allocation accounting
-    /// (Titan RTX: 24 GB). Allocations may declare a logical size larger
-    /// than their backing storage so footprint-scaling experiments
-    /// (Figure 14) can model tens of GB without hosting them.
-    pub device_mem_bytes: u64,
     /// Scheduler-step watchdog; exceeded ⇒ [`SimError::Timeout`].
     pub max_steps: u64,
     /// Lockstep (pre-Volta) or ITS (Volta+) warp scheduling.
@@ -112,7 +113,6 @@ impl Default for GpuConfig {
         GpuConfig {
             num_sms: 72,
             mem_words: 1 << 22, // 16 MiB backing
-            device_mem_bytes: 24 * (1 << 30),
             max_steps: 50_000_000,
             mode: ExecMode::Its,
             seed: 0x16_0A2D,
@@ -216,10 +216,10 @@ impl Gpu {
                 available: (self.mem.words() - self.bump_word) as u64 * 4,
             });
         }
-        if self.logical_allocated + logical_bytes > self.cfg.device_mem_bytes {
+        if self.logical_allocated + logical_bytes > DEVICE_MEM_BYTES {
             return Err(SimError::OutOfMemory {
                 requested: logical_bytes,
-                available: self.cfg.device_mem_bytes - self.logical_allocated,
+                available: DEVICE_MEM_BYTES - self.logical_allocated,
             });
         }
         let addr = (self.bump_word * 4) as u32;
@@ -231,7 +231,7 @@ impl Gpu {
     /// Logical device bytes not claimed by any allocation.
     #[must_use]
     pub fn free_device_bytes(&self) -> u64 {
-        self.cfg.device_mem_bytes - self.logical_allocated
+        DEVICE_MEM_BYTES - self.logical_allocated
     }
 
     /// Logical bytes currently allocated.
@@ -349,7 +349,7 @@ impl Gpu {
             total_warps,
             free_device_bytes: self.free_device_bytes(),
             app_footprint_bytes: self.logical_allocated,
-            device_capacity_bytes: self.cfg.device_mem_bytes,
+            device_capacity_bytes: DEVICE_MEM_BYTES,
             backing_words: self.mem.words(),
         };
 

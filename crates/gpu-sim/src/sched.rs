@@ -372,12 +372,6 @@ impl<S: Scheduler> RecordingScheduler<S> {
     pub fn into_trace(self) -> ScheduleTrace {
         self.trace
     }
-
-    /// The wrapped scheduler.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: Scheduler> Scheduler for RecordingScheduler<S> {

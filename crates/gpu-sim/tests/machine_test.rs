@@ -1,6 +1,7 @@
 //! End-to-end tests of the simulated GPU: kernels, scheduling modes,
 //! divergence, barriers, scoped visibility, and fault handling.
 
+use gpu_sim::machine::DEVICE_MEM_BYTES;
 use gpu_sim::prelude::*;
 
 fn gpu_with(mode: ExecMode, seed: u64) -> Gpu {
@@ -384,16 +385,14 @@ fn allocation_exhaustion_is_oom() {
 
 #[test]
 fn logical_allocation_tracks_capacity() {
-    let cfg = GpuConfig {
-        device_mem_bytes: 1 << 30,
-        ..GpuConfig::default()
-    };
-    let mut gpu = Gpu::new(cfg);
+    let mut gpu = Gpu::new(GpuConfig::default());
     let before = gpu.free_device_bytes();
-    gpu.alloc_logical(16, 512 << 20).unwrap();
-    assert_eq!(before - gpu.free_device_bytes(), 512 << 20);
+    assert_eq!(before, DEVICE_MEM_BYTES - gpu.allocated_bytes());
+    let half = DEVICE_MEM_BYTES / 2;
+    gpu.alloc_logical(16, half).unwrap();
+    assert_eq!(before - gpu.free_device_bytes(), half);
     assert!(matches!(
-        gpu.alloc_logical(16, 600 << 20),
+        gpu.alloc_logical(16, before - half + 1),
         Err(SimError::OutOfMemory { .. })
     ));
 }

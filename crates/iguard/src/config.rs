@@ -4,7 +4,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use faults::FaultConfig;
-use uvm_sim::UvmConfig;
 
 /// How the detector uses the static pre-analysis (`static_an::analyze`,
 /// DESIGN.md §13).
@@ -31,8 +30,6 @@ pub struct IguardConfig {
     /// Dynamically-adjusted exponential backoff on metadata-lock contention
     /// (§6.5 optimization 2). On by default.
     pub backoff: bool,
-    /// UVM driver cost model for the managed metadata region.
-    pub uvm: UvmConfig,
     /// Logical address multiplier for footprint-scaling experiments
     /// (Figure 14); 1 for normal operation.
     pub addr_scale: u64,
@@ -66,7 +63,6 @@ impl Default for IguardConfig {
         IguardConfig {
             coalescing: true,
             backoff: true,
-            uvm: UvmConfig::default(),
             addr_scale: 1,
             history_depth: 1,
             its_support: true,

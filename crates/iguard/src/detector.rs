@@ -363,7 +363,6 @@ impl Iguard {
     fn allocate_engine(cfg: &IguardConfig, info: &LaunchInfo, clock: &mut Clock) -> Engine {
         let mut table = MetadataTable::new(TableConfig {
             words: info.backing_words,
-            uvm: cfg.uvm.clone(),
             virtual_bytes: 4 * info.device_capacity_bytes,
             device_budget_bytes: info.free_device_bytes,
             addr_scale: cfg.addr_scale,
@@ -1135,37 +1134,26 @@ mod tests {
     }
 
     /// The detector shapes of the fallback edges, as (what, configuration,
-    /// free device bytes): the first takes rows wherever the split
-    /// allows; every other one names a precondition that sends some or
-    /// all of its rows down the per-lane path.
-    fn edge_shapes() -> Vec<(&'static str, IguardConfig, u64)> {
+    /// demand-paged): the first takes rows wherever the split allows;
+    /// every other one names a precondition that sends some or all of its
+    /// rows down the per-lane path.
+    fn edge_shapes() -> Vec<(&'static str, IguardConfig, bool)> {
         let base = IguardConfig::default;
         let armed = FaultConfig::disabled()
             .with_seed(3)
             .with_rate(FaultSite::MetaEviction, RATE_ONE / 16)
             .with_rate(FaultSite::MetaTagAlias, RATE_ONE / 16)
             .with_rate(FaultSite::UvmEvictStorm, RATE_ONE / 16);
-        // 16 entries a page, four pages of budget, only the first page
-        // prefaulted (`launch_info`'s footprint is empty): a row crosses
-        // pages, finds some absent, and FIFO eviction keeps taking them
-        // away again.
-        let paged = IguardConfig {
-            uvm: uvm_sim::UvmConfig {
-                page_bytes: 256,
-                ..uvm_sim::UvmConfig::default()
-            },
-            ..base()
-        };
         vec![
-            ("resident", base(), 1 << 30),
-            ("demand-paged", paged.clone(), 4 * 256),
+            ("resident", base(), false),
+            ("demand-paged", base(), true),
             (
                 "capacity cap",
                 IguardConfig {
                     table_capacity_words: Some(16),
                     ..base()
                 },
-                1 << 30,
+                false,
             ),
             (
                 "armed fault plane",
@@ -1173,16 +1161,16 @@ mod tests {
                     faults: armed,
                     ..base()
                 },
-                1 << 30,
+                false,
             ),
-            ("history ring", IguardConfig::with_history(2), 1 << 30),
+            ("history ring", IguardConfig::with_history(2), false),
             (
                 "scaled addresses",
                 IguardConfig {
                     addr_scale: 4,
-                    ..paged.clone()
+                    ..base()
                 },
-                4 * 256,
+                true,
             ),
         ]
     }
@@ -1193,11 +1181,25 @@ mod tests {
     /// per-lane path — and requires the same aftermath. Returns the UVM
     /// faults the demand-paged shape took during the script, on each path.
     fn rows_agree_with_lanes(base: u32, script: &[Event]) -> [u64; 2] {
+        // Metadata entries on one UVM page.
+        const PAGE_WORDS: u32 = (uvm_sim::PAGE_BYTES / ENTRY_BYTES) as u32;
         let mut paged_faults = [0; 2];
-        for (what, cfg, free_device_bytes) in edge_shapes() {
+        for (what, cfg, paged) in edge_shapes() {
+            // A demand-paged shape moves the script so that its word 32
+            // opens the second metadata page (and a page of slots), with
+            // one page of device budget and only the first page prefaulted
+            // (`launch_info`'s footprint is empty): a row crosses pages,
+            // finds one absent, and FIFO eviction keeps taking them away
+            // again. At `addr_scale` 4 that word opens the fifth page.
+            let (base, free_device_bytes) = if paged {
+                (PAGE_WORDS - 32, uvm_sim::PAGE_BYTES)
+            } else {
+                (base, 1 << 30)
+            };
             let info = LaunchInfo {
                 free_device_bytes,
-                device_capacity_bytes: 1 << 12,
+                // A 16-page managed region: no shape's words fold.
+                device_capacity_bytes: 4 * uvm_sim::PAGE_BYTES,
                 backing_words: base as usize + 64,
                 ..launch_info()
             };

@@ -18,7 +18,7 @@
 use crate::bitfield::{TAG_FIELD, TAG_SHIFT, VALID};
 use faults::{FaultConfig, FaultInjector, FaultSite, FaultStats};
 use gpu_sim::paged::Paged;
-use uvm_sim::{ManagedRegion, UvmConfig};
+use uvm_sim::ManagedRegion;
 
 /// Bytes of metadata per 4-byte word (Figure 4).
 pub const ENTRY_BYTES: u64 = 16;
@@ -33,8 +33,6 @@ pub(crate) const SLOT_PAGE: usize = 1024;
 pub struct TableConfig {
     /// 4-byte words of global memory the table shadows.
     pub words: usize,
-    /// UVM driver cost model for the managed metadata region.
-    pub uvm: UvmConfig,
     /// Managed region size (the paper allocates ~4× of GPU capacity).
     pub virtual_bytes: u64,
     /// Device bytes available to back metadata residency.
@@ -57,7 +55,6 @@ impl TableConfig {
     pub fn covering(words: usize) -> Self {
         TableConfig {
             words,
-            uvm: UvmConfig::default(),
             virtual_bytes: 1 << 30,
             device_budget_bytes: 1 << 30,
             addr_scale: 1,
@@ -191,11 +188,8 @@ impl MetadataTable {
             .unwrap_or(words)
             .max(1)
             .next_power_of_two();
-        let mut uvm = ManagedRegion::new(
-            cfg.uvm,
-            cfg.virtual_bytes.max(ENTRY_BYTES),
-            cfg.device_budget_bytes,
-        );
+        let mut uvm =
+            ManagedRegion::new(cfg.virtual_bytes.max(ENTRY_BYTES), cfg.device_budget_bytes);
         uvm.set_faults(FaultInjector::new(&cfg.faults, "metadata-uvm"));
         // Slot storage is the pages that get written (an unwritten slot
         // reads as the zeroed slot preallocation would hold); only the
@@ -440,29 +434,19 @@ mod tests {
 
     #[test]
     fn addr_scale_spreads_touches_over_more_pages() {
-        let cfg = UvmConfig {
-            page_bytes: 4096,
-            ..UvmConfig::default()
-        };
-        let mut near = MetadataTable::new(TableConfig {
-            uvm: cfg.clone(),
-            ..TableConfig::covering(64)
-        });
+        // 64 entries share one 2 MiB page; scaled so that each entry
+        // lands on a page of its own, they spread over 64.
+        let mut near = MetadataTable::new(TableConfig::covering(64));
         let mut far = MetadataTable::new(TableConfig {
-            uvm: cfg,
-            addr_scale: 1024,
+            addr_scale: uvm_sim::PAGE_BYTES / ENTRY_BYTES,
             ..TableConfig::covering(64)
         });
         for w in 0..64u32 {
             let _ = near.load(w);
             let _ = far.load(w);
         }
-        assert!(
-            far.uvm_stats().faults > near.uvm_stats().faults,
-            "scaled addressing must touch more pages ({} vs {})",
-            far.uvm_stats().faults,
-            near.uvm_stats().faults
-        );
+        let faults = (near.uvm_stats().faults, far.uvm_stats().faults);
+        assert_eq!(faults, (1, 64), "scaled addressing must touch more pages");
     }
 
     #[test]

@@ -60,8 +60,8 @@
 //! ## Supervision
 //!
 //! [`DetectorService::run_all_supervised`] hands every job to the retry
-//! ladder in [`crate::supervise`] (`catch_unwind` plus a cycle-budget
-//! watchdog, `Transient` → bounded deterministic retry, every retry a
+//! ladder in [`crate::supervise`] (`catch_unwind` plus the simulator's
+//! step budget, `Transient` → bounded deterministic retry, every retry a
 //! fault-free clean room, `Poison` → per-tenant quarantine ledger) and
 //! folds the ledger into the widened verdict digest.
 //! Supervision off is byte-invisible: [`DetectorService::run_all`] runs
@@ -311,21 +311,6 @@ pub enum ServiceError {
     },
 }
 
-impl ServiceError {
-    /// Every variant's stable kind token, in declaration order.
-    pub const KINDS: [&'static str; 2] = ["checkpoint", "checkpoint-stale-seed"];
-
-    /// Stable machine-readable kind token (the word after `service` in
-    /// the Display form — pinned by the Display round-trip test).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ServiceError::Checkpoint(_) => "checkpoint",
-            ServiceError::CheckpointStaleSeed { .. } => "checkpoint-stale-seed",
-        }
-    }
-}
-
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -567,8 +552,8 @@ impl<P> DetectorService<P> {
     /// [`run_all`] under supervision: every attempt runs inside
     /// `catch_unwind`, failures are classified (`Transient` → retry
     /// down the deterministic ladder of [`supervise::attempt_faults`],
-    /// `Poison` → quarantine ledger), and a `cycle_budget` watchdog
-    /// rejects runaway attempts. Accepted verdict bytes are identical
+    /// `Poison` → quarantine ledger), and an attempt that trips the
+    /// simulator's step budget is a hang. Accepted verdict bytes are identical
     /// to an unsupervised run whose accepted attempt fired no faults —
     /// which is how the chaos soak proves non-quarantined digests
     /// byte-identical to the fault-free run.
@@ -629,7 +614,6 @@ impl<P> DetectorService<P> {
                     Attempt {
                         panic,
                         fires: tool.tool().fault_stats().total() + outcome.gpu_faults.total(),
-                        kernel_cycles: outcome.kernel_cycles,
                         timed_out: outcome.timed_out,
                         product: (tool, outcome),
                     }
@@ -736,15 +720,6 @@ impl<P> DetectorService<P> {
                 quarantine: st.quarantine.values().cloned().collect(),
             })
             .collect()
-    }
-
-    /// Total quarantined jobs across all tenants.
-    #[must_use]
-    pub fn quarantined(&self) -> u64 {
-        self.tenants
-            .values()
-            .map(|st| st.quarantine.len() as u64)
-            .sum()
     }
 
     /// Covered-prefix length for one tenant: accepted jobs plus
@@ -899,7 +874,7 @@ mod tests {
         let resume = |records: &[&str]| {
             DetectorService::<u64>::from_records(ServiceConfig::default(), records).unwrap_err()
         };
-        assert_eq!(resume(&["nonsense"]).kind(), "checkpoint");
+        assert!(matches!(resume(&["nonsense"]), ServiceError::Checkpoint(_)));
         let err = resume(&["seed\t7"]);
         assert!(matches!(
             err,
@@ -934,7 +909,7 @@ mod tests {
             &["seed\t42", "quar\tacme\t0\thang\t2"],
         ] {
             let err = resume(records).unwrap_err();
-            assert_eq!(err.kind(), "checkpoint", "{records:?}");
+            assert!(matches!(err, ServiceError::Checkpoint(_)), "{records:?}");
             assert!(err.to_string().contains("outside"), "{err}");
         }
         // Inside the prefix, even ahead of its `tenant` record.
@@ -1024,10 +999,7 @@ mod tests {
 
     #[test]
     fn supervised_panic_is_quarantined_and_others_survive() {
-        let sup_cfg = SupervisorConfig {
-            max_retries: 2,
-            ..SupervisorConfig::default()
-        };
+        let sup_cfg = SupervisorConfig { max_retries: 2 };
         let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig::default());
         submit_two_tenants(&mut svc, 3);
         let report = svc
@@ -1042,7 +1014,6 @@ mod tests {
         assert_eq!(report.jobs_quarantined, 1);
         assert_eq!(report.supervisor.panics_caught, 3); // initial + 2 retries
         assert_eq!(report.supervisor.quarantined, 1);
-        assert_eq!(svc.quarantined(), 1);
         let acme = &svc.verdicts()[0];
         assert_eq!(acme.tenant, "acme");
         assert_eq!(acme.jobs, 2);
@@ -1084,11 +1055,8 @@ mod tests {
     }
 
     #[test]
-    fn cycle_budget_watchdog_quarantines_hangs() {
-        let sup_cfg = SupervisorConfig {
-            max_retries: 1,
-            cycle_budget: 5_000,
-        };
+    fn step_budget_hangs_are_quarantined() {
+        let sup_cfg = SupervisorConfig { max_retries: 1 };
         let mut svc: DetectorService<u64> = DetectorService::new(ServiceConfig::default());
         for i in 0..3 {
             svc.submit("acme", 0, i);
@@ -1096,7 +1064,7 @@ mod tests {
         let report = svc
             .run_all_supervised(&sup_cfg, |ctx, tool| {
                 let mut out = fake_exec(&mut Vec::new())(ctx, tool);
-                out.kernel_cycles = if ctx.job_index == 0 { 1_000_000 } else { 100 };
+                out.timed_out = ctx.job_index == 0;
                 out
             })
             .unwrap();
@@ -1104,7 +1072,10 @@ mod tests {
         assert_eq!(report.jobs_quarantined, 1);
         let v = &svc.verdicts()[0];
         assert_eq!(v.quarantine[0].reason, QuarantineReason::Hang);
-        assert!(v.quarantine[0].detail.contains("cycles > budget"));
+        assert_eq!(
+            v.quarantine[0].detail,
+            "hang: simulator step budget tripped"
+        );
     }
 
     #[test]
@@ -1139,28 +1110,18 @@ mod tests {
     }
 
     #[test]
-    fn service_error_display_round_trips_kind() {
-        let errors = vec![
-            ServiceError::Checkpoint("x".into()),
-            ServiceError::CheckpointStaleSeed {
-                checkpoint: 7,
-                config: 42,
-            },
-        ];
-        for err in &errors {
-            // Display names the kind, so logs can be grepped back to it.
+    fn service_error_display_names_its_kind() {
+        let stale = ServiceError::CheckpointStaleSeed {
+            checkpoint: 7,
+            config: 42,
+        };
+        // Display names the kind, so logs can be grepped back to it.
+        for (err, token) in [
+            (ServiceError::Checkpoint("x".into()), "service checkpoint:"),
+            (stale, "service checkpoint-stale-seed:"),
+        ] {
             let shown = err.to_string();
-            assert!(
-                shown.contains(err.kind()) || shown.contains(&err.kind().replace('-', " ")),
-                "{shown} vs {}",
-                err.kind()
-            );
+            assert!(shown.starts_with(token), "{shown} vs {token}");
         }
-        let kinds: Vec<&str> = errors.iter().map(ServiceError::kind).collect();
-        assert_eq!(
-            kinds,
-            ServiceError::KINDS,
-            "one error per variant, in order"
-        );
     }
 }

@@ -17,8 +17,8 @@
 //! |--------------------------------|-------------------------------------|
 //! | panic caught by `catch_unwind` | `Transient` until the clean-room    |
 //! |                                | attempt; deterministic → `Poison`   |
-//! | hang (sim step budget hit, or  | `Transient` until the clean-room    |
-//! | cycle-budget watchdog tripped) | attempt; deterministic → `Poison`   |
+//! | hang (the simulator's step     | `Transient` until the clean-room    |
+//! | budget tripped, `timed_out`)   | attempt; deterministic → `Poison`   |
 //! | perturbed (any injected fault  | always `Transient`: the clean room  |
 //! | fired during the attempt)      | cannot fire, so it never poisons    |
 //!
@@ -68,19 +68,11 @@ pub struct SupervisorConfig {
     /// Retry attempts after the first try; each runs fault-free (the
     /// clean room).
     pub max_retries: u32,
-    /// Cycle-budget watchdog fed by the slice-latency plane: an attempt
-    /// whose kernel cycles exceed this budget is classified as a hang.
-    /// `0` disables the watchdog (the simulator's own step budget still
-    /// reports hangs via `JobOutcome::timed_out`).
-    pub cycle_budget: u64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            max_retries: 2,
-            cycle_budget: 0,
-        }
+        SupervisorConfig { max_retries: 2 }
     }
 }
 
@@ -89,7 +81,7 @@ impl Default for SupervisorConfig {
 pub enum QuarantineReason {
     /// Panicked on every attempt through the clean room.
     Panic,
-    /// Hung (step budget or cycle-budget watchdog) on every attempt
+    /// Hung (the simulator's step budget tripped) on every attempt
     /// through the clean room.
     Hang,
 }
@@ -121,15 +113,8 @@ pub enum JobFailure {
     /// The exec closure panicked; payload stringified.
     Panic(String),
     /// The attempt hung: the simulator's step budget tripped
-    /// (`timed_out`) and/or the watchdog's cycle budget was exceeded.
-    Hang {
-        /// Kernel cycles the attempt consumed.
-        kernel_cycles: u64,
-        /// The watchdog budget in force (0 = watchdog off).
-        cycle_budget: u64,
-        /// Whether the simulator's own step budget tripped.
-        timed_out: bool,
-    },
+    /// (`JobOutcome::timed_out`).
+    Hang,
     /// The attempt completed but injected faults fired, so its verdict
     /// bytes are not the fault-free bytes.
     Perturbed {
@@ -147,7 +132,7 @@ impl JobFailure {
     pub fn quarantine_reason(&self) -> Option<QuarantineReason> {
         match self {
             JobFailure::Panic(_) => Some(QuarantineReason::Panic),
-            JobFailure::Hang { .. } => Some(QuarantineReason::Hang),
+            JobFailure::Hang => Some(QuarantineReason::Hang),
             JobFailure::Perturbed { .. } => None,
         }
     }
@@ -157,17 +142,7 @@ impl JobFailure {
     pub fn detail(&self) -> String {
         match self {
             JobFailure::Panic(msg) => format!("panic: {msg}"),
-            JobFailure::Hang {
-                kernel_cycles,
-                cycle_budget,
-                timed_out,
-            } => {
-                if *timed_out {
-                    "hang: simulator step budget tripped".to_string()
-                } else {
-                    format!("hang: {kernel_cycles} cycles > budget {cycle_budget}")
-                }
-            }
+            JobFailure::Hang => "hang: simulator step budget tripped".to_string(),
             JobFailure::Perturbed { fires } => format!("perturbed: {fires} injected fault(s)"),
         }
     }
@@ -199,7 +174,7 @@ pub struct SupervisorStats {
     pub attempts: u64,
     /// Attempts that panicked and were caught.
     pub panics_caught: u64,
-    /// Attempts classified as hangs (step budget or watchdog).
+    /// Attempts classified as hangs (the simulator's step budget tripped).
     pub hangs_caught: u64,
     /// Attempts rejected because injected faults fired.
     pub perturbed_attempts: u64,
@@ -322,24 +297,17 @@ pub struct Attempt<T> {
     /// Injected-fault fires the attempt observed (detector side, plus
     /// simulator side when the attempt returned an outcome).
     pub fires: u64,
-    /// Kernel cycles the attempt consumed (the watchdog's input).
-    pub kernel_cycles: u64,
     /// Whether the simulator's own step budget tripped.
     pub timed_out: bool,
 }
 
 impl<T> Attempt<T> {
-    /// What, if anything, is wrong with this attempt under `cfg`.
-    fn failure(&self, cfg: &SupervisorConfig) -> Option<JobFailure> {
+    /// What, if anything, is wrong with this attempt.
+    fn failure(&self) -> Option<JobFailure> {
         if let Some(msg) = &self.panic {
             Some(JobFailure::Panic(msg.clone()))
-        } else if self.timed_out || (cfg.cycle_budget > 0 && self.kernel_cycles > cfg.cycle_budget)
-        {
-            Some(JobFailure::Hang {
-                kernel_cycles: self.kernel_cycles,
-                cycle_budget: cfg.cycle_budget,
-                timed_out: self.timed_out,
-            })
+        } else if self.timed_out {
+            Some(JobFailure::Hang)
         } else if self.fires > 0 {
             Some(JobFailure::Perturbed { fires: self.fires })
         } else {
@@ -399,10 +367,10 @@ pub fn run_job<T>(
     loop {
         stats.attempts += 1;
         let a = attempt(n);
-        if let Some(fail) = a.failure(cfg) {
+        if let Some(fail) = a.failure() {
             match fail {
                 JobFailure::Panic(_) => stats.panics_caught += 1,
-                JobFailure::Hang { .. } => stats.hangs_caught += 1,
+                JobFailure::Hang => stats.hangs_caught += 1,
                 JobFailure::Perturbed { .. } => stats.perturbed_attempts += 1,
             }
             if n < cfg.max_retries {
@@ -479,7 +447,6 @@ mod tests {
             product: 7,
             panic: None,
             fires,
-            kernel_cycles: 100,
             timed_out,
         }
     }
@@ -494,10 +461,7 @@ mod tests {
 
     #[test]
     fn run_job_without_a_clean_room_accepts_degraded_and_poisons_hangs() {
-        let cfg = SupervisorConfig {
-            max_retries: 0,
-            ..SupervisorConfig::default()
-        };
+        let cfg = SupervisorConfig { max_retries: 0 };
         let mut stats = SupervisorStats::default();
         // Perturbed with nowhere to retreat: accepted as it stands.
         let got = run_job(Some(&cfg), 1, &mut stats, |_| finished(3, false));

@@ -608,22 +608,6 @@ fn shared_memory_stays_outside_the_detector() {
 
 // ---- degenerate set-up: clamped, never blind -------------------------------
 
-/// A zero UVM page size is clamped to one-byte pages, not refused: the
-/// crate example's racy kernel (lane 1 stores, lane 0 loads, no
-/// `__syncwarp`) still reports its ITS race.
-#[test]
-fn zero_uvm_page_size_still_detects_the_its_race() {
-    let cfg = IguardConfig {
-        uvm: uvm_sim::UvmConfig {
-            page_bytes: 0,
-            ..uvm_sim::UvmConfig::default()
-        },
-        ..IguardConfig::default()
-    };
-    let mut t = run_with(&warp_handoff(false), 1, 32, 4, 3, cfg);
-    assert!(kinds(&mut t).contains(&RaceKind::IntraWarp));
-}
-
 /// A device with no memory words still gets a one-word metadata table,
 /// and its first launch prefaults that table's page.
 #[test]

@@ -42,33 +42,20 @@ impl fmt::Display for UvmError {
 
 impl std::error::Error for UvmError {}
 
-/// Cost parameters of the simulated UVM driver (cycles).
-#[derive(Debug, Clone)]
-pub struct UvmConfig {
-    /// Migration granularity. Real UVM migrates in 64 KiB–2 MiB blocks; we
-    /// use 2 MiB, the large-page size the driver prefers for streaming.
-    /// [`ManagedRegion::new`] rounds it up to a power of two (0 to 1).
-    pub page_bytes: u64,
-    /// GPU page-fault service cost (fault + map + copy) per page.
-    pub fault_cost: u64,
-    /// Additional cost when servicing a fault requires evicting a victim
-    /// page back to the host first (memory oversubscription).
-    pub evict_cost: u64,
-    /// Per-page cost of prefaulting via `cudaMemset` at setup — batched and
-    /// pipelined, so much cheaper than a demand fault.
-    pub prefault_cost: u64,
-}
-
-impl Default for UvmConfig {
-    fn default() -> Self {
-        UvmConfig {
-            page_bytes: 2 << 20,
-            fault_cost: 60,
-            evict_cost: 90,
-            prefault_cost: 3,
-        }
-    }
-}
+/// `log2` of the migration granularity: real UVM migrates in 64 KiB–2 MiB
+/// blocks; we use 2 MiB, the large-page size the driver prefers for
+/// streaming. A power of two, so the per-touch page index is a shift.
+const PAGE_SHIFT: u32 = 21;
+/// Migration granularity in bytes (2 MiB).
+pub const PAGE_BYTES: u64 = 1 << PAGE_SHIFT;
+/// GPU page-fault service cost (fault + map + copy) per page, in cycles.
+pub const FAULT_COST: u64 = 60;
+/// Additional cost when servicing a fault requires evicting a victim page
+/// back to the host first (memory oversubscription).
+pub const EVICT_COST: u64 = 90;
+/// Per-page cost of prefaulting via `cudaMemset` at setup — batched and
+/// pipelined, so much cheaper than a demand fault.
+pub const PREFAULT_COST: u64 = 3;
 
 /// Outcome of touching one address of a managed allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,11 +108,7 @@ pub struct UvmStats {
 /// FIFO eviction — the graceful-degradation regime of Figure 14.
 #[derive(Debug)]
 pub struct ManagedRegion {
-    cfg: UvmConfig,
     len_bytes: u64,
-    /// `log2(page_bytes)`: the page size is a power of two (every real
-    /// UVM granularity is), so the per-touch page index is a shift.
-    log2_page: u32,
     device_budget_pages: u64,
     /// Residency bitmap indexed by page, grown lazily to the touched
     /// high-water page. A flat flag per page replaces the old
@@ -141,17 +124,11 @@ pub struct ManagedRegion {
 impl ManagedRegion {
     /// Allocates `len_bytes` of *virtual* space. Nothing is resident yet,
     /// exactly like `cudaMallocManaged` (§6.1: "it only allocates virtual
-    /// addresses"). The page size is rounded up to a power of two, 0 to 1.
+    /// addresses").
     #[must_use]
-    pub fn new(mut cfg: UvmConfig, len_bytes: u64, device_budget_bytes: u64) -> Self {
-        cfg.page_bytes = cfg
-            .page_bytes
-            .checked_next_power_of_two()
-            .unwrap_or(1 << 63);
+    pub fn new(len_bytes: u64, device_budget_bytes: u64) -> Self {
         ManagedRegion {
-            log2_page: cfg.page_bytes.trailing_zeros(),
-            device_budget_pages: device_budget_bytes / cfg.page_bytes,
-            cfg,
+            device_budget_pages: device_budget_bytes >> PAGE_SHIFT,
             len_bytes,
             resident: Vec::new(),
             resident_count: 0,
@@ -193,12 +170,6 @@ impl ManagedRegion {
         self.len_bytes
     }
 
-    /// Total pages spanned by the region.
-    #[must_use]
-    pub fn total_pages(&self) -> u64 {
-        self.len_bytes.div_ceil(self.cfg.page_bytes)
-    }
-
     /// Pages currently resident on the device.
     #[must_use]
     pub fn resident_pages(&self) -> u64 {
@@ -215,7 +186,7 @@ impl ManagedRegion {
     /// `cudaMemset` warm-up iGUARD performs when free memory allows).
     /// Returns the cycle cost to charge as *setup* time.
     pub fn prefault(&mut self, max_bytes: u64) -> u64 {
-        let want = max_bytes.min(self.len_bytes).div_ceil(self.cfg.page_bytes);
+        let want = max_bytes.min(self.len_bytes).div_ceil(PAGE_BYTES);
         let mut cycles = 0;
         for page in 0..want {
             if self.resident_count >= self.device_budget_pages {
@@ -231,7 +202,7 @@ impl ManagedRegion {
                 self.set_resident(page);
                 self.fifo.push_back(page);
                 self.stats.prefaulted_pages += 1;
-                cycles += self.cfg.prefault_cost;
+                cycles += PREFAULT_COST;
             }
         }
         self.stats.prefault_cycles += cycles;
@@ -239,8 +210,8 @@ impl ManagedRegion {
     }
 
     #[inline]
-    fn page_of(&self, offset: u64) -> u64 {
-        offset >> self.log2_page
+    fn page_of(offset: u64) -> u64 {
+        offset >> PAGE_SHIFT
     }
 
     /// Whether touches anywhere in `first..=last` would now all be plain
@@ -253,7 +224,7 @@ impl ManagedRegion {
     pub fn span_resident(&self, first: u64, last: u64) -> bool {
         !self.faults.enabled()
             && last < self.len_bytes
-            && (self.page_of(first)..=self.page_of(last)).all(|p| self.is_resident(p))
+            && (Self::page_of(first)..=Self::page_of(last)).all(|p| self.is_resident(p))
     }
 
     /// Touches `offset` (a byte offset into the region), faulting the page
@@ -269,7 +240,7 @@ impl ManagedRegion {
                 len_bytes: self.len_bytes,
             });
         }
-        let page = self.page_of(offset);
+        let page = Self::page_of(offset);
         if self.is_resident(page) && !self.faults.enabled() {
             return Ok(Touch::Hit);
         }
@@ -284,18 +255,18 @@ impl ManagedRegion {
                 // An eviction storm stole the page behind our back: pay a
                 // re-migration (fault + evict) without disturbing the
                 // zero-fault residency bookkeeping.
-                let cycles = self.cfg.fault_cost + self.cfg.evict_cost;
+                let cycles = FAULT_COST + EVICT_COST;
                 self.stats.injected_evictions += 1;
                 self.stats.injected_cycles += cycles;
                 return Touch::Fault { cycles };
             }
             return Touch::Hit;
         }
-        let mut cycles = self.cfg.fault_cost;
+        let mut cycles = FAULT_COST;
         self.stats.faults += 1;
         if self.resident_count >= self.device_budget_pages {
             self.stats.evictions += 1;
-            cycles += self.cfg.evict_cost;
+            cycles += EVICT_COST;
             let Some(victim) = self.fifo.pop_front() else {
                 // Nothing fits on-device (a zero budget; a full resident
                 // set with no page queued for eviction degrades the same
@@ -319,72 +290,66 @@ impl ManagedRegion {
 mod tests {
     use super::*;
 
+    /// One page.
+    const P: u64 = PAGE_BYTES;
+
     /// A touch the test knows is inside the region.
     fn touch(r: &mut ManagedRegion, offset: u64) -> Touch {
         r.try_touch(offset).expect("offset inside the region")
     }
 
-    fn cfg() -> UvmConfig {
-        UvmConfig {
-            page_bytes: 4096,
-            fault_cost: 100,
-            evict_cost: 150,
-            prefault_cost: 10,
-        }
-    }
-
     #[test]
     fn allocation_is_virtual_only() {
-        let r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
+        let r = ManagedRegion::new(16 * P, 16 * P);
         assert_eq!(r.resident_pages(), 0);
-        assert_eq!(r.total_pages(), 256);
+        assert_eq!(r.stats(), UvmStats::default());
     }
 
     #[test]
     fn first_touch_faults_then_hits() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
-        assert_eq!(touch(&mut r, 0), Touch::Fault { cycles: 100 });
+        let mut r = ManagedRegion::new(16 * P, 16 * P);
+        assert_eq!(touch(&mut r, 0), Touch::Fault { cycles: 60 });
         assert_eq!(touch(&mut r, 8), Touch::Hit);
-        assert_eq!(touch(&mut r, 4095), Touch::Hit);
-        assert_eq!(touch(&mut r, 4096), Touch::Fault { cycles: 100 });
+        assert_eq!(touch(&mut r, P - 1), Touch::Hit);
+        assert_eq!(touch(&mut r, P), Touch::Fault { cycles: 60 });
         assert_eq!(r.stats().faults, 2);
     }
 
     #[test]
     fn prefault_makes_touches_free() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
+        let mut r = ManagedRegion::new(16 * P, 16 * P);
         let setup = r.prefault(u64::MAX);
-        assert_eq!(setup, 256 * 10);
-        assert_eq!(r.stats().prefaulted_pages, 256);
-        for page in 0..256u64 {
-            assert_eq!(touch(&mut r, page * 4096), Touch::Hit);
+        assert_eq!(setup, 16 * 3);
+        assert_eq!(r.stats().prefaulted_pages, 16);
+        for page in 0..16u64 {
+            assert_eq!(touch(&mut r, page * P), Touch::Hit);
         }
         assert_eq!(r.stats().faults, 0);
     }
 
     #[test]
     fn prefault_is_bounded_by_device_budget() {
-        // Budget of 8 pages; region of 256 pages.
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 8 * 4096);
+        // Budget of 8 pages; region of 16 pages.
+        let mut r = ManagedRegion::new(16 * P, 8 * P);
         r.prefault(u64::MAX);
         assert_eq!(r.resident_pages(), 8);
     }
 
     #[test]
     fn oversubscription_evicts_fifo() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 2 * 4096);
-        assert!(matches!(touch(&mut r, 0), Touch::Fault { cycles: 100 }));
-        assert!(matches!(touch(&mut r, 4096), Touch::Fault { cycles: 100 }));
+        let mut r = ManagedRegion::new(16 * P, 2 * P);
+        assert!(matches!(touch(&mut r, 0), Touch::Fault { cycles: 60 }));
+        assert!(matches!(touch(&mut r, P), Touch::Fault { cycles: 60 }));
         // Third page evicts page 0 (FIFO): fault + evict cost.
-        assert_eq!(touch(&mut r, 2 * 4096), Touch::Fault { cycles: 250 });
+        assert_eq!(touch(&mut r, 2 * P), Touch::Fault { cycles: 150 });
         assert_eq!(r.stats().evictions, 1);
         // Page 0 must fault again (and evict page 1).
-        assert_eq!(touch(&mut r, 0), Touch::Fault { cycles: 250 });
+        assert_eq!(touch(&mut r, 0), Touch::Fault { cycles: 150 });
     }
 
     #[test]
     fn zero_budget_never_becomes_resident() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 0);
+        let mut r = ManagedRegion::new(16 * P, 0);
         assert!(matches!(touch(&mut r, 0), Touch::Fault { .. }));
         assert!(matches!(touch(&mut r, 0), Touch::Fault { .. }));
         assert_eq!(r.resident_pages(), 0);
@@ -396,28 +361,28 @@ mod tests {
         // Not reachable through the public surface (every resident page
         // is queued); forced here so the branch that used to abort the
         // process is shown to charge and carry on.
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 2 * 4096);
+        let mut r = ManagedRegion::new(16 * P, 2 * P);
         let _ = touch(&mut r, 0);
-        let _ = touch(&mut r, 4096);
+        let _ = touch(&mut r, P);
         r.fifo.clear();
         for _ in 0..2 {
-            assert_eq!(touch(&mut r, 2 * 4096), Touch::Fault { cycles: 250 });
+            assert_eq!(touch(&mut r, 2 * P), Touch::Fault { cycles: 150 });
         }
         assert_eq!(r.resident_pages(), 2, "nothing evicted, nothing admitted");
         assert_eq!(touch(&mut r, 0), Touch::Hit);
         let s = r.stats();
-        assert_eq!((s.faults, s.evictions, s.fault_cycles), (4, 2, 700));
+        assert_eq!((s.faults, s.evictions, s.fault_cycles), (4, 2, 420));
     }
 
     #[test]
     fn span_resident_is_what_touching_the_span_would_find() {
-        let mut r = ManagedRegion::new(cfg(), 4 * 4096, 1 << 20);
+        let mut r = ManagedRegion::new(4 * P, 16 * P);
         let _ = touch(&mut r, 0);
-        let _ = touch(&mut r, 4096);
+        let _ = touch(&mut r, P);
         let before = r.stats();
-        assert!(r.span_resident(8, 4096 + 8));
-        assert!(!r.span_resident(4096, 2 * 4096), "third page not resident");
-        assert!(!r.span_resident(0, 4 * 4096), "past the region");
+        assert!(r.span_resident(8, P + 8));
+        assert!(!r.span_resident(P, 2 * P), "third page not resident");
+        assert!(!r.span_resident(0, 4 * P), "past the region");
         assert_eq!(r.stats(), before, "the query moves nothing");
         use faults::{FaultConfig, RATE_ONE};
         let fc = FaultConfig::disabled().with_rate(FaultSite::UvmEvictStorm, RATE_ONE);
@@ -427,40 +392,21 @@ mod tests {
 
     #[test]
     fn partial_prefault_respects_byte_limit() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
-        r.prefault(10 * 4096);
+        let mut r = ManagedRegion::new(16 * P, 16 * P);
+        r.prefault(10 * P);
         assert_eq!(r.resident_pages(), 10);
         assert_eq!(touch(&mut r, 0), Touch::Hit);
-        assert!(matches!(touch(&mut r, 11 * 4096), Touch::Fault { .. }));
+        assert!(matches!(touch(&mut r, 11 * P), Touch::Fault { .. }));
     }
 
     #[test]
     fn stats_accumulate_cycles() {
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 4096);
+        let mut r = ManagedRegion::new(16 * P, P);
         let _ = touch(&mut r, 0);
-        let _ = touch(&mut r, 4096); // evicts
+        let _ = touch(&mut r, P); // evicts
         let s = r.stats();
-        assert_eq!(s.fault_cycles, 100 + 250);
+        assert_eq!(s.fault_cycles, 60 + 150);
         assert_eq!(s.faults, 2);
-    }
-
-    #[test]
-    fn page_size_rounds_up_to_a_power_of_two() {
-        // 3000 rounds up to 4096, so either size gives ten 4 KiB pages:
-        // every offset of a page lands on that page, ten faults in all.
-        for page_bytes in [4096u64, 3000] {
-            let cfg = UvmConfig {
-                page_bytes,
-                ..cfg()
-            };
-            let mut r = ManagedRegion::new(cfg, 10 * 4096, 1 << 20);
-            assert_eq!(r.total_pages(), 10, "page_bytes {page_bytes}");
-            for off in (0..10 * 4096).step_by(500) {
-                let _ = touch(&mut r, off);
-            }
-            assert_eq!(r.stats().faults, 10, "page_bytes {page_bytes}");
-            assert_eq!(r.resident_pages(), 10);
-        }
     }
 
     #[test]
@@ -470,26 +416,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_page_size_becomes_one_byte_pages() {
-        let zero = UvmConfig {
-            page_bytes: 0,
-            ..cfg()
-        };
-        let mut r = ManagedRegion::new(zero, 8, 1 << 20);
-        assert_eq!(r.total_pages(), 8);
-        assert_eq!(r.prefault(3), 3 * 10);
-        assert_eq!(touch(&mut r, 2), Touch::Hit);
-        assert_eq!(touch(&mut r, 3), Touch::Fault { cycles: 100 });
-    }
-
-    #[test]
     fn try_touch_reports_out_of_range() {
-        let mut r = ManagedRegion::new(cfg(), 4096, 1 << 20);
+        let mut r = ManagedRegion::new(P, 16 * P);
         assert_eq!(
-            r.try_touch(4096).unwrap_err(),
+            r.try_touch(P).unwrap_err(),
             UvmError::OutOfRange {
-                offset: 4096,
-                len_bytes: 4096
+                offset: P,
+                len_bytes: P
             }
         );
         assert!(r.try_touch(0).is_ok());
@@ -498,17 +431,17 @@ mod tests {
     #[test]
     fn evict_storm_charges_without_disturbing_residency() {
         use faults::{FaultConfig, RATE_ONE};
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
+        let mut r = ManagedRegion::new(16 * P, 16 * P);
         let _ = touch(&mut r, 0); // fault in page 0
         let fc = FaultConfig::disabled()
             .with_seed(5)
             .with_rate(FaultSite::UvmEvictStorm, RATE_ONE);
         r.set_faults(FaultInjector::new(&fc, "test"));
         // Every resident touch now pays a re-migration...
-        assert_eq!(touch(&mut r, 0), Touch::Fault { cycles: 100 + 150 });
+        assert_eq!(touch(&mut r, 0), Touch::Fault { cycles: 60 + 90 });
         let s = r.stats();
         assert_eq!(s.injected_evictions, 1);
-        assert_eq!(s.injected_cycles, 250);
+        assert_eq!(s.injected_cycles, 150);
         // ...but the zero-fault counters and residency are untouched.
         assert_eq!((s.faults, s.evictions), (1, 0));
         assert_eq!(r.resident_pages(), 1);
@@ -518,7 +451,7 @@ mod tests {
     #[test]
     fn injected_oom_cuts_prefault_short() {
         use faults::{FaultConfig, RATE_ONE};
-        let mut r = ManagedRegion::new(cfg(), 1 << 20, 1 << 20);
+        let mut r = ManagedRegion::new(16 * P, 16 * P);
         let fc = FaultConfig::disabled()
             .with_seed(5)
             .with_rate(FaultSite::UvmDeviceOom, RATE_ONE);
